@@ -21,11 +21,12 @@ from .catalog import load_catalog, load_workload
 from .metrics import QueryTrace, classify_query, convergence_iteration, wrl
 from .model import load_params, save_params
 from .retention import dump_buffer, sample_replay
-from .simulator import expert_baseline
+from .simulator import QueryContext
 from .trainer import (
     RunConfig,
     config_to_doc,
     derive_seed,
+    expert_baselines,
     load_run_config,
     meta_initialize,
     run_repetitions,
@@ -113,7 +114,8 @@ def _cmd_partition_report(args) -> int:
     catalog = load_catalog(cfg.catalog_path)
     workload = load_workload(cfg.train_workload_path, catalog)
     scored = score_all_policies(
-        workload, cfg.transfer.k_tasks, catalog, cfg.cost_model
+        [QueryContext(q, catalog, cfg.cost_model) for q in workload],
+        cfg.transfer.k_tasks,
     )
     best = min(range(len(scored)), key=lambda i: scored[i].dbi_score)
     rows = []
@@ -151,7 +153,8 @@ def _cmd_meta_train(args) -> int:
 
     layer_sizes = (len(catalog.tables) + 8, *cfg.model.hidden_sizes, 1)
     params = init_params(layer_sizes, derive_seed(cfg.base_seed, "init"))
-    params, taskset = meta_initialize(cfg, catalog, workload, params, cfg.base_seed)
+    contexts = [QueryContext(q, catalog, cfg.cost_model) for q in workload]
+    params, taskset = meta_initialize(cfg, contexts, params, cfg.base_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "meta_params.npz"
@@ -220,22 +223,20 @@ def _cmd_eval(args) -> int:
     train_queries = load_workload(cfg.train_workload_path, catalog)
     test_queries = load_workload(cfg.test_workload_path, catalog)
     history = _parse_run_history(args.history) if args.history else None
+    # Seeded as in train, so the verdicts match the run's verdicts.csv.
+    baselines = expert_baselines(
+        [QueryContext(q, catalog, cfg.cost_model) for q in train_queries + test_queries],
+        cfg,
+        cfg.base_seed,
+    )
 
     rows = []
     wrls = {}
-    baselines = {}
     for split, queries in (("train", train_queries), ("test", test_queries)):
         latencies = evaluate_queries(queries, params, catalog, cfg, cfg.base_seed, 0)
         expert = {}
-        for idx, query in enumerate(queries):
-            baseline = expert_baseline(
-                query,
-                catalog,
-                cfg.cost_model,
-                n_runs=cfg.baseline_runs,
-                base_seed=derive_seed(cfg.base_seed, "baseline-eval", split, idx),
-            )
-            baselines[query.id] = baseline
+        for query in queries:
+            baseline = baselines[query.id]
             expert[query.id] = baseline.mean_latency_ms
             row = {
                 "split": split,
@@ -301,47 +302,15 @@ def _cmd_eval(args) -> int:
 def _cmd_replay_report(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     result = run_training(cfg)
-    catalog = load_catalog(cfg.catalog_path)
-    train_queries = load_workload(cfg.train_workload_path, catalog)
-    from .retention import ReplayBuffer, extract_experiences
-    from .simulator import execute
-    from .trainer import plan_search
-
-    # Rebuild the final buffer state by replaying the run's executions.
-    buffer = ReplayBuffer(cfg.retention.capacity)
-    params = result.params
-    epsilon = cfg.search.epsilon
-    seed = result.base_seed
-    for iteration in range(1, cfg.iterations + 1):
-        for qidx, query in enumerate(train_queries):
-            plan = plan_search(
-                query,
-                params,
-                catalog,
-                cfg.cost_model,
-                cfg.search.beam_width,
-                0.0,
-                derive_seed(seed, "report-search", iteration, qidx),
-                cfg.search.left_deep_only,
-            )
-            latency = execute(
-                plan, query, catalog, cfg.cost_model,
-                derive_seed(seed, "report-exec", iteration, qidx),
-            )
-            buffer.extend(
-                extract_experiences(
-                    plan, query, catalog, cfg.cost_model, latency, iteration, params
-                )
-            )
-        epsilon *= cfg.search.epsilon_decay
+    buffer = result.buffer
     sampled, stats = sample_replay(
         buffer,
-        params,
+        result.params,
         cfg.retention.policy(),
         cfg.retention.k_replay,
         cfg.retention.gamma,
         cfg.retention.alpha_td,
-        derive_seed(seed, "report-replay"),
+        derive_seed(result.base_seed, "report-replay"),
         with_stats=True,
     )
     counts = np.bincount(stats.sampled_indices, minlength=len(buffer))
@@ -463,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=_cmd_eval)
 
     rep = sub.add_parser(
-        "replay-report", help="train briefly and report replay-buffer statistics"
+        "replay-report",
+        help="train, then report the replay buffer the run trained on",
     )
     rep.add_argument("--config", required=True, help="run-configuration file")
     rep.add_argument("--seed", type=int, default=None, help="override base seed")

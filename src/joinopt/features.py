@@ -13,131 +13,49 @@ Layout, for a catalog with T tables (dimension d = T + 8):
     [T+7]   normalized recency, 0 at extraction, filled at sampling time
 
 The recency slot index is exposed as ``RECENCY_SLOT`` (negative, from the
-end).  ``QueryContext`` memoizes per-relation-set cardinalities so search can
-featurize incrementally.
+end).  A fragment is featurized from its ``simulator.FragmentInfo`` summary
+and the query's ``simulator.QueryContext``, so search featurizes each
+successor from its children's summaries without re-walking a subtree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Query
-from .plans import Join, JoinOp, PlanNode, Scan
-from .simulator import (
-    CostModelConfig,
-    estimate_cardinality,
-    join_cost_increment,
-    scan_cost,
-)
+from .catalog import Catalog
+from .simulator import FragmentInfo, QueryContext
 
 __all__ = [
     "RECENCY_SLOT",
     "feature_dim",
-    "FragmentInfo",
-    "QueryContext",
-    "scan_info",
-    "join_info",
     "fragment_features",
-    "plan_info",
 ]
 
 RECENCY_SLOT = -1
-
-_OP_SLOT = {JoinOp.HASH: 0, JoinOp.MERGE: 1, JoinOp.NESTED_LOOP: 2}
 
 
 def feature_dim(catalog: Catalog) -> int:
     return len(catalog.tables) + 8
 
 
-class QueryContext:
-    """Per-(query, catalog, cost config) helper with a cardinality memo."""
-
-    def __init__(self, query: Query, catalog: Catalog, cfg: CostModelConfig):
-        self.query = query
-        self.catalog = catalog
-        self.cfg = cfg
-        self.table_slot = {name: i for i, name in enumerate(catalog.table_names)}
-        self._card: dict[frozenset[str], float] = {}
-
-    def cardinality(self, relset: frozenset[str]) -> float:
-        got = self._card.get(relset)
-        if got is None:
-            got = self._card[relset] = estimate_cardinality(
-                relset, self.query, self.catalog
-            )
-        return got
-
-    def avg_row_width(self, relset: frozenset[str]) -> float:
-        widths = [self.catalog.table(r).row_width_bytes for r in relset]
-        return sum(widths) / len(widths)
-
-
-@dataclass(frozen=True)
-class FragmentInfo:
-    """Summary of one plan fragment, composable bottom-up so that beam search
-    never re-walks subtrees."""
-
-    node: PlanNode
-    relset: frozenset[str]
-    rows: float
-    cost: float
-    depth: int
-    op_counts: tuple[int, int, int]  # hash, merge, nested loop
-
-
-def scan_info(table: str, ctx: QueryContext) -> FragmentInfo:
-    relset = frozenset((table,))
-    return FragmentInfo(
-        node=Scan(table),
-        relset=relset,
-        rows=ctx.cardinality(relset),
-        cost=scan_cost(ctx.catalog.table(table).row_count, ctx.cfg),
-        depth=0,
-        op_counts=(0, 0, 0),
-    )
-
-
-def join_info(
-    left: FragmentInfo, right: FragmentInfo, op: JoinOp, ctx: QueryContext
-) -> FragmentInfo:
-    relset = left.relset | right.relset
-    rows = ctx.cardinality(relset)
-    increment = join_cost_increment(op, left.rows, right.rows, rows, ctx.cfg)
-    counts = list(c + d for c, d in zip(left.op_counts, right.op_counts))
-    counts[_OP_SLOT[op]] += 1
-    return FragmentInfo(
-        node=Join(left.node, right.node, op),
-        relset=relset,
-        rows=rows,
-        cost=left.cost + right.cost + increment,
-        depth=1 + max(left.depth, right.depth),
-        op_counts=tuple(counts),
-    )
-
-
-def plan_info(node: PlanNode, ctx: QueryContext) -> FragmentInfo:
-    """Build a FragmentInfo for an existing plan tree."""
-    if isinstance(node, Scan):
-        return scan_info(node.table, ctx)
-    return join_info(plan_info(node.left, ctx), plan_info(node.right, ctx), node.op, ctx)
-
-
 def fragment_features(
     info: FragmentInfo, ctx: QueryContext, recency: float = 0.0
 ) -> np.ndarray:
-    vec = np.zeros(feature_dim(ctx.catalog))
-    for rel in info.relset:
-        vec[ctx.table_slot[rel]] = 1.0
-    t = len(ctx.catalog.tables)
+    catalog = ctx.catalog
+    vec = np.zeros(feature_dim(catalog))
+    names = ctx.names(info.mask)
+    for rel in names:
+        vec[ctx.catalog_slots[rel]] = 1.0
+    widths = [catalog.table(r).row_width_bytes for r in names]
+    avg_width = sum(widths) / len(widths)
+    t = len(catalog.tables)
     vec[t + 0] = info.op_counts[0]
     vec[t + 1] = info.op_counts[1]
     vec[t + 2] = info.op_counts[2]
     vec[t + 3] = math.log1p(info.rows)
-    vec[t + 4] = math.log1p(info.rows * ctx.avg_row_width(info.relset))
+    vec[t + 4] = math.log1p(info.rows * avg_width)
     vec[t + 5] = math.log1p(info.cost)
     vec[t + 6] = info.depth
     vec[t + 7] = recency

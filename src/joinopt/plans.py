@@ -1,11 +1,9 @@
-"""Binary join trees and the partial-plan MDP over them.
+"""Binary join trees.
 
-A plan is a binary tree of Scan leaves and Join nodes.  A planning state is a
-set of disjoint plan fragments covering the query's relations; joining two
-fragments is the MDP action.  Bushy shapes are allowed by default; a
-left-deep-only restriction is available for ablation.  Cross products are
-never proposed: two fragments may only be joined when some join edge of the
-query connects their relation sets.
+A plan is a binary tree of Scan leaves and Join nodes; every base table of
+the query appears in exactly one Scan.  The partial-plan MDP over these trees
+(states of disjoint fragments, joins of two fragments as actions) works on
+fragment summaries and lives in ``simulator``.
 """
 
 from __future__ import annotations
@@ -14,28 +12,19 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .catalog import Query
-
 __all__ = [
     "JoinOp",
     "Scan",
     "Join",
     "PlanNode",
-    "PlanState",
-    "Action",
     "PlanError",
-    "plan_relations",
-    "join_nodes",
-    "fragment_key",
-    "initial_state",
-    "legal_actions",
-    "apply_action",
     "plan_repr",
+    "validate_plan",
 ]
 
 
 class PlanError(ValueError):
-    """Raised for malformed plans or illegal actions."""
+    """Raised for malformed plans or illegal joins of plan fragments."""
 
 
 class JoinOp(Enum):
@@ -64,26 +53,6 @@ class Join:
 PlanNode = Union[Scan, Join]
 
 
-def plan_relations(node: PlanNode) -> frozenset[str]:
-    """Relation set covered by a plan fragment."""
-    if isinstance(node, Scan):
-        return frozenset((node.table,))
-    return plan_relations(node.left) | plan_relations(node.right)
-
-
-def join_nodes(node: PlanNode):
-    """Yield every Join node of a plan, children before parents."""
-    if isinstance(node, Join):
-        yield from join_nodes(node.left)
-        yield from join_nodes(node.right)
-        yield node
-
-
-def fragment_key(node: PlanNode) -> tuple[str, ...]:
-    """Canonical ordering key for a fragment: its sorted relation names."""
-    return tuple(sorted(plan_relations(node)))
-
-
 def plan_repr(node: PlanNode) -> str:
     """Compact human-readable plan string, e.g. ``(a HASH (b MERGE c))``."""
     if isinstance(node, Scan):
@@ -101,81 +70,3 @@ def validate_plan(node: PlanNode) -> frozenset[str]:
     if overlap:
         raise PlanError(f"table(s) {sorted(overlap)} appear on both sides of a join")
     return left | right
-
-
-@dataclass(frozen=True)
-class PlanState:
-    """Fragments joined so far; terminal when a single fragment remains."""
-
-    query_id: str
-    fragments: tuple[PlanNode, ...]
-
-    @property
-    def is_terminal(self) -> bool:
-        return len(self.fragments) == 1
-
-
-@dataclass(frozen=True)
-class Action:
-    left_fragment: int
-    right_fragment: int
-    op: JoinOp
-
-
-def initial_state(query: Query) -> PlanState:
-    """One Scan fragment per relation, in canonical order."""
-    scans = tuple(Scan(t) for t in sorted(query.relations))
-    return PlanState(query_id=query.id, fragments=scans)
-
-
-def legal_actions(
-    state: PlanState, query: Query, left_deep_only: bool = False
-) -> list[Action]:
-    """All (ordered fragment pair, operator) combinations connected by a join
-    edge.  Returns [] for terminal states.  With ``left_deep_only`` the left
-    side must be the unique composite fragment once one exists."""
-    if state.is_terminal:
-        return []
-    relsets = [plan_relations(f) for f in state.fragments]
-    composite = [i for i, f in enumerate(state.fragments) if isinstance(f, Join)]
-    actions = []
-    for i in range(len(state.fragments)):
-        if left_deep_only and composite and i not in composite:
-            continue
-        for j in range(len(state.fragments)):
-            if i == j:
-                continue
-            if left_deep_only and isinstance(state.fragments[j], Join):
-                continue
-            if not query.edges_between(relsets[i], relsets[j]):
-                continue
-            for op in JOIN_OPS:
-                actions.append(Action(i, j, op))
-    return actions
-
-
-def apply_action(state: PlanState, action: Action) -> PlanState:
-    """Replace the two addressed fragments with one Join node.
-
-    Raises PlanError naming the violated precondition for out-of-range or
-    non-distinct indices and for fragments with overlapping relation sets.
-    """
-    n = len(state.fragments)
-    for idx in (action.left_fragment, action.right_fragment):
-        if not (0 <= idx < n):
-            raise PlanError(f"fragment index {idx} out of range for {n} fragments")
-    if action.left_fragment == action.right_fragment:
-        raise PlanError("action fragment indices must be distinct")
-    left = state.fragments[action.left_fragment]
-    right = state.fragments[action.right_fragment]
-    if plan_relations(left) & plan_relations(right):
-        raise PlanError("fragments overlap: a table would appear twice in the join")
-    joined = Join(left=left, right=right, op=action.op)
-    rest = [
-        f
-        for k, f in enumerate(state.fragments)
-        if k not in (action.left_fragment, action.right_fragment)
-    ]
-    rest.append(joined)
-    rest.sort(key=fragment_key)
-    return PlanState(query_id=state.query_id, fragments=tuple(rest))

@@ -1,6 +1,8 @@
 """Knowledge retention: experience extraction and selective replay.
 
-Every join-rooted subplan of an executed plan becomes one experience.  At
+Every join-rooted subplan of an executed plan becomes one experience, in
+pre-order; its features come from the simulator's single walk over the plan
+(``simulator.plan_infos``), and the buffer keeps no model output.  At
 sampling time each buffered experience gets a priority weight combining a
 recency score
 
@@ -31,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, Query
-from .features import QueryContext, fragment_features, join_info, scan_info
-from .model import ModelParams, label_to_latency, predict, predict_batch
-from .plans import Join, PlanNode, plan_relations
-from .simulator import CostModelConfig
+from .features import fragment_features
+from .model import ModelParams, predict, predict_batch
+from .plans import Join, PlanNode
+from .simulator import CostModelConfig, QueryContext, plan_infos
 
 __all__ = [
     "Experience",
@@ -72,7 +74,6 @@ class Experience:
     reward_to_go: float
     transition_reward: float
     stored_at: int
-    predicted_latency_ms: float
 
     def __post_init__(self):
         if self.stored_at < 0:
@@ -159,9 +160,9 @@ def extract_experiences(
     cfg: CostModelConfig,
     latency_ms: float,
     iteration: int,
-    model: ModelParams,
 ) -> list[Experience]:
-    """One experience per join node of an executed terminal plan.
+    """One experience per join node of an executed terminal plan, in
+    pre-order (root first, then the left subtree, then the right).
 
     The successor of each subplan is its smallest enclosing join (None for
     the root).  All experiences of the plan share reward_to_go = -latency;
@@ -169,30 +170,19 @@ def extract_experiences(
     """
     if latency_ms <= 0:
         raise RetentionError("latency must be > 0")
-    if plan_relations(plan) != frozenset(query.relations):
+    ctx = QueryContext(query, catalog, cfg)
+    infos = plan_infos(plan, ctx)
+    if infos[-1].mask != ctx.full_mask:
         raise RetentionError(
             f"plan does not cover query {query.id!r}; cannot extract experiences"
         )
-    ctx = QueryContext(query, catalog, cfg)
-
-    infos = {}
-
-    def build(node):
-        if isinstance(node, Join):
-            info = join_info(build(node.left), build(node.right), node.op, ctx)
-        else:
-            info = scan_info(node.table, ctx)
-        infos[id(node)] = info
-        return info
-
-    build(plan)
-
+    by_node = {id(info.node): info for info in infos}
     experiences = []
 
     def walk(node, enclosing: np.ndarray | None):
         if not isinstance(node, Join):
             return
-        feats = fragment_features(infos[id(node)], ctx)
+        feats = fragment_features(by_node[id(node)], ctx)
         terminal = enclosing is None
         experiences.append(
             Experience(
@@ -202,13 +192,12 @@ def extract_experiences(
                 reward_to_go=-latency_ms,
                 transition_reward=-latency_ms if terminal else 0.0,
                 stored_at=iteration,
-                predicted_latency_ms=label_to_latency(predict(model, feats)),
             )
         )
         walk(node.left, feats)
         walk(node.right, feats)
 
-    walk(plan, None)
+    walk(infos[-1].node, None)
     return experiences
 
 
@@ -356,7 +345,6 @@ def dump_buffer(buffer: ReplayBuffer, path) -> None:
                 "stored_at": exp.stored_at,
                 "latency_ms": exp.latency_ms,
                 "transition_reward": exp.transition_reward,
-                "predicted_latency_ms": exp.predicted_latency_ms,
                 "terminal": exp.is_terminal,
                 "state_features": [float(v) for v in exp.state_features],
             }

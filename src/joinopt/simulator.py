@@ -7,28 +7,49 @@ configurable unit, perturbed by seeded multiplicative Gaussian noise floored
 at 1% so latency stays positive.  The expert optimizer is an exhaustive
 dynamic program over connected relation subsets, minimizing this same cost
 model, with fixed lexicographic tie-breaking so results are reproducible.
+
+A ``QueryContext`` compiles one (query, catalog, cost config) once.  Every
+relation set is a bitmask over the query's sorted relation names; the context
+holds the relation index, the adjacency masks, cardinalities memoized by
+mask, and the expert plan, computed on first use and then kept.  A
+``FragmentInfo`` summarizes one plan fragment (mask, rows, cost, depth,
+operator counts) and composes bottom-up: ``plan_infos`` is the one walk that
+summarizes every node of a plan tree, and plan cost, execution, experience
+extraction and meta-task features all read it.  A partial plan is a tuple of
+disjoint fragment summaries in fragment order (by lowest relation bit);
+``successors`` enumerates its legal joins and ``join_fragments`` applies one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
 
 from .catalog import Catalog, Query
-from .plans import JOIN_OP_RANK, JOIN_OPS, Join, JoinOp, PlanNode, Scan, plan_relations
+from .plans import JOIN_OP_RANK, JOIN_OPS, Join, JoinOp, PlanError, PlanNode, Scan
 
 __all__ = [
     "CostModelConfig",
     "ExpertBaseline",
     "SimulatorError",
+    "QueryContext",
+    "FragmentInfo",
     "estimate_cardinality",
     "scan_cost",
     "join_cost_increment",
+    "scan_info",
+    "join_info",
+    "plan_infos",
+    "initial_fragments",
+    "successors",
+    "join_fragments",
     "plan_cost",
     "execute",
+    "noiseless_latency",
     "expert_plan",
     "expert_baseline",
 ]
@@ -137,37 +158,230 @@ def join_cost_increment(
     raise SimulatorError(f"unknown join operator {op!r}")
 
 
-def _tree_cost(node: PlanNode, query: Query, catalog: Catalog, cfg: CostModelConfig):
-    """Recursive (cost, relation set) of any plan fragment."""
-    if isinstance(node, Scan):
-        relset = frozenset((node.table,))
-        return scan_cost(catalog.table(node.table).row_count, cfg), relset
-    left_cost, left_rels = _tree_cost(node.left, query, catalog, cfg)
-    right_cost, right_rels = _tree_cost(node.right, query, catalog, cfg)
-    if left_rels & right_rels:
-        raise SimulatorError("plan joins overlapping relation sets")
-    out_rels = left_rels | right_rels
-    increment = join_cost_increment(
-        node.op,
-        estimate_cardinality(left_rels, query, catalog),
-        estimate_cardinality(right_rels, query, catalog),
-        estimate_cardinality(out_rels, query, catalog),
-        cfg,
+class QueryContext:
+    """One query compiled against a catalog and cost config.
+
+    Relation ``i`` of the sorted relation names is bit ``1 << i``, so a
+    mask's names come out sorted.  Construction reads only the query;
+    cardinalities, names and neighbour masks are memoized per mask on first
+    use, and ``expert()`` runs the DP once and keeps its plan.
+    """
+
+    def __init__(self, query: Query, catalog: Catalog, cfg: CostModelConfig):
+        self.query = query
+        self.catalog = catalog
+        self.cfg = cfg
+        self.relations = tuple(sorted(query.relations))
+        self.bit = {r: 1 << i for i, r in enumerate(self.relations)}
+        self.full_mask = (1 << len(self.relations)) - 1
+        adjacency = dict.fromkeys(self.relations, 0)
+        for a, b in query.join_edges:
+            adjacency[a] |= self.bit[b]
+            adjacency[b] |= self.bit[a]
+        self.adjacency = tuple(adjacency[r] for r in self.relations)
+        self._names: dict[int, tuple[str, ...]] = {}
+        self._card: dict[int, float] = {}
+        self._neighbors: dict[int, int] = {}
+        self._expert: PlanNode | None = None
+
+    def names(self, mask: int) -> tuple[str, ...]:
+        """Sorted relation names of a mask."""
+        got = self._names.get(mask)
+        if got is None:
+            got = self._names[mask] = tuple(
+                r for i, r in enumerate(self.relations) if mask >> i & 1
+            )
+        return got
+
+    def cardinality(self, mask: int) -> float:
+        got = self._card.get(mask)
+        if got is None:
+            got = self._card[mask] = estimate_cardinality(
+                self.names(mask), self.query, self.catalog
+            )
+        return got
+
+    def neighbors(self, mask: int) -> int:
+        """Union of the adjacency masks of the mask's relations."""
+        got = self._neighbors.get(mask)
+        if got is None:
+            got = 0
+            for i, adjacent in enumerate(self.adjacency):
+                if mask >> i & 1:
+                    got |= adjacent
+            self._neighbors[mask] = got
+        return got
+
+    @cached_property
+    def catalog_slots(self) -> dict[str, int]:
+        """Position of each catalog table in catalog order."""
+        return {name: i for i, name in enumerate(self.catalog.table_names)}
+
+    def expert(self) -> PlanNode:
+        """The expert DP plan, computed by the first call."""
+        if self._expert is None:
+            self._expert = expert_plan(self.query, self.catalog, self.cfg)
+        return self._expert
+
+    def cost(self, plan: PlanNode) -> float:
+        """Deterministic cost of a complete plan for the query."""
+        root = plan_infos(plan, self)[-1]
+        if root.mask != self.full_mask:
+            raise SimulatorError(
+                f"plan covers {list(self.names(root.mask))} but query "
+                f"{self.query.id!r} requires {list(self.relations)}"
+            )
+        return root.cost
+
+    def latency(self, plan: PlanNode) -> float:
+        """Noiseless latency of a complete plan: cost times the latency unit."""
+        return self.cost(plan) * self.cfg.latency_per_cost_unit
+
+
+@dataclass(frozen=True)
+class FragmentInfo:
+    """Summary of one plan fragment, composable bottom-up so that search
+    never re-walks subtrees."""
+
+    node: PlanNode
+    mask: int
+    rows: float
+    cost: float
+    depth: int
+    op_counts: tuple[int, int, int]  # hash, merge, nested loop
+
+
+_OP_SLOT = {JoinOp.HASH: 0, JoinOp.MERGE: 1, JoinOp.NESTED_LOOP: 2}
+
+
+def scan_info(table: str, ctx: QueryContext) -> FragmentInfo:
+    mask = ctx.bit.get(table)
+    if mask is None:
+        raise SimulatorError(
+            f"relations [{table!r}] are not part of query {ctx.query.id!r}"
+        )
+    return FragmentInfo(
+        node=Scan(table),
+        mask=mask,
+        rows=ctx.cardinality(mask),
+        cost=scan_cost(ctx.catalog.table(table).row_count, ctx.cfg),
+        depth=0,
+        op_counts=(0, 0, 0),
     )
-    return left_cost + right_cost + increment, out_rels
+
+
+def join_info(
+    left: FragmentInfo, right: FragmentInfo, op: JoinOp, ctx: QueryContext
+) -> FragmentInfo:
+    mask = left.mask | right.mask
+    rows = ctx.cardinality(mask)
+    increment = join_cost_increment(op, left.rows, right.rows, rows, ctx.cfg)
+    counts = list(c + d for c, d in zip(left.op_counts, right.op_counts))
+    counts[_OP_SLOT[op]] += 1
+    return FragmentInfo(
+        node=Join(left.node, right.node, op),
+        mask=mask,
+        rows=rows,
+        cost=left.cost + right.cost + increment,
+        depth=1 + max(left.depth, right.depth),
+        op_counts=tuple(counts),
+    )
+
+
+def plan_infos(plan: PlanNode, ctx: QueryContext) -> list[FragmentInfo]:
+    """Summary of every node of a plan tree, children before parents and
+    left before right, so the root's is last.  The summaries' nodes form a
+    copy of the tree: each Join's children are the nodes of its children's
+    summaries."""
+    infos = []
+
+    def walk(node):
+        if isinstance(node, Scan):
+            info = scan_info(node.table, ctx)
+        else:
+            left = walk(node.left)
+            right = walk(node.right)
+            if left.mask & right.mask:
+                raise SimulatorError("plan joins overlapping relation sets")
+            info = join_info(left, right, node.op, ctx)
+        infos.append(info)
+        return info
+
+    walk(plan)
+    return infos
+
+
+def _fragment_order(info: FragmentInfo) -> int:
+    # Disjoint fragments differ in their lowest relation, so ordering by the
+    # lowest bit is ordering by sorted relation names.
+    return info.mask & -info.mask
+
+
+def initial_fragments(ctx: QueryContext) -> tuple[FragmentInfo, ...]:
+    """The start of every plan: one Scan fragment per relation."""
+    return tuple(scan_info(r, ctx) for r in ctx.relations)
+
+
+def successors(
+    fragments: tuple[FragmentInfo, ...], ctx: QueryContext, left_deep_only: bool
+) -> list[tuple[int, int, JoinOp]]:
+    """Every legal join of a partial plan as (left index, right index,
+    operator): ordered fragment pairs linked by a join edge, so cross
+    products are never proposed, times the three operators.  Empty once one
+    fragment remains.  With ``left_deep_only`` the right side is always a
+    scan, and the left side is the composite fragment once one exists."""
+    reach = [ctx.neighbors(f.mask) for f in fragments]
+    composite = [f.depth > 0 for f in fragments]
+    pinned = left_deep_only and any(composite)
+    moves = []
+    for i in range(len(fragments)):
+        if pinned and not composite[i]:
+            continue
+        for j, right in enumerate(fragments):
+            if i == j or (left_deep_only and composite[j]):
+                continue
+            if reach[i] & right.mask:
+                moves.extend((i, j, op) for op in JOIN_OPS)
+    return moves
+
+
+def join_fragments(
+    fragments: tuple[FragmentInfo, ...], i: int, j: int, op: JoinOp, ctx: QueryContext
+) -> tuple[FragmentInfo, tuple[FragmentInfo, ...]]:
+    """Join fragment i (left) with fragment j (right); returns the join's
+    summary and the next partial plan, in fragment order.
+
+    Raises PlanError naming the violated precondition for out-of-range or
+    non-distinct indices and for fragments with overlapping relation sets.
+    """
+    n = len(fragments)
+    for idx in (i, j):
+        if not (0 <= idx < n):
+            raise PlanError(f"fragment index {idx} out of range for {n} fragments")
+    if i == j:
+        raise PlanError("fragment indices must be distinct")
+    if fragments[i].mask & fragments[j].mask:
+        raise PlanError("fragments overlap: a table would appear twice in the join")
+    joined = join_info(fragments[i], fragments[j], op, ctx)
+    rest = [f for k, f in enumerate(fragments) if k != i and k != j]
+    rest.append(joined)
+    rest.sort(key=_fragment_order)
+    return joined, tuple(rest)
 
 
 def plan_cost(
     plan: PlanNode, query: Query, catalog: Catalog, cfg: CostModelConfig
 ) -> float:
     """Deterministic cost of a complete plan for the query."""
-    cost, rels = _tree_cost(plan, query, catalog, cfg)
-    if rels != frozenset(query.relations):
-        raise SimulatorError(
-            f"plan covers {sorted(rels)} but query {query.id!r} "
-            f"requires {sorted(query.relations)}"
-        )
-    return cost
+    return QueryContext(query, catalog, cfg).cost(plan)
+
+
+def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:
+    if cfg.noise_rel_sigma > 0:
+        eps = float(np.random.default_rng(rng_seed).normal(0.0, cfg.noise_rel_sigma))
+    else:
+        eps = 0.0
+    return cost * cfg.latency_per_cost_unit * max(0.01, 1.0 + eps)
 
 
 def execute(
@@ -183,66 +397,39 @@ def execute(
     floored at 1% of the noiseless latency; the same seed always yields the
     same latency.
     """
-    cost = plan_cost(plan, query, catalog, cfg)
-    if cfg.noise_rel_sigma > 0:
-        eps = float(np.random.default_rng(rng_seed).normal(0.0, cfg.noise_rel_sigma))
-    else:
-        eps = 0.0
-    return cost * cfg.latency_per_cost_unit * max(0.01, 1.0 + eps)
+    return _noisy_latency(plan_cost(plan, query, catalog, cfg), cfg, rng_seed)
 
 
 def noiseless_latency(
     plan: PlanNode, query: Query, catalog: Catalog, cfg: CostModelConfig
 ) -> float:
     """Latency with the noise term removed: cost times the latency unit."""
-    return plan_cost(plan, query, catalog, cfg) * cfg.latency_per_cost_unit
+    return QueryContext(query, catalog, cfg).latency(plan)
 
 
-def expert_plan(
-    query: Query,
-    catalog: Catalog,
-    cfg: CostModelConfig,
-    dp_limit: int = DEFAULT_DP_LIMIT,
-) -> PlanNode:
+def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNode:
     """Cost-minimal cross-product-free bushy plan by exhaustive DP.
 
     Considers every connected relation subset, every split into two connected
     edge-linked parts (both orders), and all three join operators.  Ties are
-    broken by the lexicographically smallest (left, right) relation-set
-    encoding, then by operator rank Hash < Merge < NLJ.
+    broken by the lexicographically smallest (left, right) pair of sorted
+    relation-name tuples, then by operator rank Hash < Merge < NLJ.  Queries
+    of more than ``DEFAULT_DP_LIMIT`` relations are refused.
     """
-    rels = tuple(sorted(query.relations))
+    ctx = QueryContext(query, catalog, cfg)
+    rels = ctx.relations
     n = len(rels)
-    if n > dp_limit:
+    if n > DEFAULT_DP_LIMIT:
         raise SimulatorError(
-            f"query {query.id!r} joins {n} relations, above the DP limit {dp_limit}"
+            f"query {query.id!r} joins {n} relations, above the DP limit {DEFAULT_DP_LIMIT}"
         )
-    index = {r: i for i, r in enumerate(rels)}
-    adjacency = [0] * n
-    for a, b in query.join_edges:
-        adjacency[index[a]] |= 1 << index[b]
-        adjacency[index[b]] |= 1 << index[a]
-
-    def names(mask: int) -> tuple[str, ...]:
-        return tuple(rels[i] for i in range(n) if mask >> i & 1)
-
-    card = {}
-
-    def cardinality(mask: int) -> float:
-        got = card.get(mask)
-        if got is None:
-            got = card[mask] = estimate_cardinality(names(mask), query, catalog)
-        return got
-
     # best[mask] = (cost, plan); built in increasing mask order so every
     # proper submask is ready.  Only connected masks ever gain an entry.
     best: dict[int, tuple[float, PlanNode]] = {}
     for i in range(n):
-        mask = 1 << i
-        best[mask] = (scan_cost(catalog.table(rels[i]).row_count, cfg), Scan(rels[i]))
-    full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0 or mask in best:
+        best[1 << i] = (scan_cost(catalog.table(rels[i]).row_count, cfg), Scan(rels[i]))
+    for mask in range(1, ctx.full_mask + 1):
+        if mask & (mask - 1) == 0:
             continue
         out_rows = None
         chosen = None
@@ -252,51 +439,46 @@ def expert_plan(
             rest = mask ^ sub
             left = best.get(sub)
             right = best.get(rest)
-            if left is not None and right is not None:
-                linked = any(
-                    adjacency[i] & rest for i in range(n) if sub >> i & 1
-                )
-                if linked:
-                    if out_rows is None:
-                        out_rows = cardinality(mask)
-                    left_rows = cardinality(sub)
-                    right_rows = cardinality(rest)
-                    base = left[0] + right[0]
-                    for op in JOIN_OPS:
-                        cost = base + join_cost_increment(
-                            op, left_rows, right_rows, out_rows, cfg
-                        )
-                        key = (cost, names(sub), names(rest), JOIN_OP_RANK[op])
-                        if chosen_key is None or key < chosen_key:
-                            chosen_key = key
-                            chosen = (cost, Join(left[1], right[1], op))
+            if left is not None and right is not None and ctx.neighbors(sub) & rest:
+                if out_rows is None:
+                    out_rows = ctx.cardinality(mask)
+                left_rows = ctx.cardinality(sub)
+                right_rows = ctx.cardinality(rest)
+                base = left[0] + right[0]
+                for op in JOIN_OPS:
+                    cost = base + join_cost_increment(
+                        op, left_rows, right_rows, out_rows, cfg
+                    )
+                    key = (cost, ctx.names(sub), ctx.names(rest), JOIN_OP_RANK[op])
+                    if chosen_key is None or key < chosen_key:
+                        chosen_key = key
+                        chosen = (cost, Join(left[1], right[1], op))
             sub = (sub - 1) & mask
         if chosen is not None:
             best[mask] = chosen
-    if full not in best:
+    if ctx.full_mask not in best:
         raise SimulatorError(f"query {query.id!r} has no cross-product-free plan")
-    return best[full][1]
+    return best[ctx.full_mask][1]
 
 
 def expert_baseline(
-    query: Query,
-    catalog: Catalog,
-    cfg: CostModelConfig,
+    ctx: QueryContext,
     n_runs: int = 10,
     base_seed: int = 0,
 ) -> ExpertBaseline:
-    """Execute the expert plan ``n_runs`` times (seeds base_seed + i) and
-    summarize latency variability; tolerance is twice the sample std."""
+    """Execute the context's expert plan ``n_runs`` times (seeds base_seed +
+    i) and summarize latency variability; tolerance is twice the sample
+    std."""
     if n_runs < 2:
         raise SimulatorError("expert baseline needs n_runs >= 2")
-    plan = expert_plan(query, catalog, cfg)
+    cost = ctx.cost(ctx.expert())
     latencies = np.array(
-        [execute(plan, query, catalog, cfg, base_seed + i) for i in range(n_runs)]
+        [_noisy_latency(cost, ctx.cfg, base_seed + i) for i in range(n_runs)]
     )
     mean = float(latencies.mean())
     std = float(latencies.std(ddof=1))
     return ExpertBaseline(
-        query_id=query.id,
+        query_id=ctx.query.id,
         mean_latency_ms=mean,
         std_latency_ms=std,
         tolerance_ms=2.0 * std,

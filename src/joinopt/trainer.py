@@ -7,8 +7,11 @@ random successor.  The beam keeps one entry per relation-set partition: the
 best-scored of the successors that have joined the same relation sets.
 Training feedback is noisy simulator latency; periodic evaluations are
 greedy and noiseless, so every evaluated latency is bounded below by the
-expert DP latency.  All randomness is derived from one base seed, making
-repeated runs bitwise identical.
+expert DP latency.  Set-up compiles each train and test query once into a
+``simulator.QueryContext`` that the expert baselines, partition selection
+and meta-task building share, so the expert DP runs once per query.  All
+randomness is derived from one base seed, making repeated runs bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import Catalog, Query, load_catalog, load_workload
-from .features import QueryContext, fragment_features, join_info, scan_info
+from .features import fragment_features
 from .metrics import (
     QueryTrace,
     Verdict,
@@ -42,13 +45,7 @@ from .model import (
     predict_batch,
     sgd_step,
 )
-from .plans import (
-    PlanNode,
-    PlanState,
-    apply_action,
-    legal_actions,
-    validate_plan,
-)
+from .plans import Join, PlanNode, validate_plan
 from .retention import (
     Experience,
     ReplayBuffer,
@@ -59,10 +56,14 @@ from .retention import (
 from .simulator import (
     CostModelConfig,
     ExpertBaseline,
+    QueryContext,
     execute,
     expert_baseline,
-    expert_plan,
+    initial_fragments,
+    join_fragments,
     noiseless_latency,
+    plan_infos,
+    successors,
 )
 from .transfer import (
     MetaTask,
@@ -89,6 +90,7 @@ __all__ = [
     "random_rollout",
     "build_meta_tasks",
     "meta_initialize",
+    "expert_baselines",
     "run_training",
     "run_repetitions",
     "evaluate_queries",
@@ -175,7 +177,6 @@ class RunConfig:
     base_seed: int = 1
     repetitions: int = 6
     baseline_runs: int = 10
-    dp_limit: int = 12
     window_fraction: float = 0.1
     convergence_sustain: int = 3
 
@@ -286,7 +287,6 @@ def config_to_doc(cfg: RunConfig) -> dict:
         "base_seed",
         "repetitions",
         "baseline_runs",
-        "dp_limit",
         "window_fraction",
         "convergence_sustain",
     ):
@@ -303,14 +303,9 @@ def config_to_doc(cfg: RunConfig) -> dict:
 
 @dataclass(frozen=True)
 class _BeamEntry:
-    infos: tuple  # FragmentInfo per fragment, sorted by relation-set key
-    labels: tuple  # predicted label per fragment; None for scans
+    infos: tuple  # the partial plan: FragmentInfo per fragment, in fragment order
+    labels: dict  # predicted label per composite fragment, by relation-set mask
     score: float
-
-
-def _entry_score(labels) -> float:
-    joined = [v for v in labels if v is not None]
-    return sum(joined) / len(joined) if joined else 0.0
 
 
 def plan_search(
@@ -326,67 +321,51 @@ def plan_search(
     """Beam search over partial plans scored by the value model.
 
     Successor states are scored by the mean predicted label over their
-    composite fragments (lower predicted latency wins).  The beam keeps at
-    most one entry per relation-set partition, the best-scored one, so
-    operator and child-order variants of one partition cannot crowd out
-    other partitions.  With probability epsilon per step the beam collapses
-    onto one uniformly random successor, so epsilon = 1 degenerates to a
-    uniform random legal rollout.
+    composite fragments, summed in fragment order (lower predicted latency
+    wins).  The beam keeps at most one entry per relation-set partition, the
+    best-scored one, so operator and child-order variants of one partition
+    cannot crowd out other partitions.  With probability epsilon per step the
+    beam collapses onto one uniformly random successor, so epsilon = 1
+    degenerates to a uniform random legal rollout.
     Deterministic for a fixed seed.
     """
     ctx = QueryContext(query, catalog, cost_cfg)
     rng = np.random.default_rng(rng_seed) if epsilon > 0 else None
-    scans = sorted(
-        (scan_info(t, ctx) for t in query.relations), key=lambda i: min(i.relset)
-    )
-    beam = [_BeamEntry(tuple(scans), tuple(None for _ in scans), 0.0)]
-    for _ in range(len(query.relations) - 1):
-        successors = []
+    beam = [_BeamEntry(initial_fragments(ctx), {}, 0.0)]
+    for _ in range(len(ctx.relations) - 1):
+        moves = []
         feature_rows = []
         for entry in beam:
-            state = PlanState(query.id, tuple(i.node for i in entry.infos))
-            for action in legal_actions(state, query, left_deep_only):
-                new_info = join_info(
-                    entry.infos[action.left_fragment],
-                    entry.infos[action.right_fragment],
-                    action.op,
-                    ctx,
-                )
-                kept = [
-                    (info, label)
-                    for k, (info, label) in enumerate(zip(entry.infos, entry.labels))
-                    if k not in (action.left_fragment, action.right_fragment)
-                ]
-                successors.append((kept, new_info))
-                feature_rows.append(fragment_features(new_info, ctx))
+            for i, j, op in successors(entry.infos, ctx, left_deep_only):
+                joined, infos = join_fragments(entry.infos, i, j, op, ctx)
+                moves.append((entry, joined, infos))
+                feature_rows.append(fragment_features(joined, ctx))
         predicted = predict_batch(model, np.stack(feature_rows))
         expanded = []
-        for (kept, new_info), label in zip(successors, predicted):
-            items = kept + [(new_info, float(label))]
-            items.sort(key=lambda pair: tuple(sorted(pair[0].relset)))
-            infos = tuple(info for info, _ in items)
-            labels = tuple(lab for _, lab in items)
-            expanded.append(_BeamEntry(infos, labels, _entry_score(labels)))
+        for (entry, joined, infos), label in zip(moves, predicted):
+            labels = {m: v for m, v in entry.labels.items() if not m & joined.mask}
+            labels[joined.mask] = float(label)
+            score = sum(labels[f.mask] for f in infos if f.mask in labels) / len(labels)
+            expanded.append(_BeamEntry(infos, labels, score))
         if rng is not None and rng.random() < epsilon:
             beam = [expanded[int(rng.integers(len(expanded)))]]
         else:
             expanded.sort(key=lambda e: e.score)
             best = {}  # first entry per partition is the best-scored
             for entry in expanded:
-                best.setdefault(tuple(info.relset for info in entry.infos), entry)
+                best.setdefault(tuple(info.mask for info in entry.infos), entry)
             beam = list(best.values())[:beam_width]
     return beam[0].infos[0].node
 
 
-def random_rollout(query: Query, rng: np.random.Generator) -> PlanNode:
-    """Uniformly random legal action sequence to a terminal plan."""
-    from .plans import initial_state
-
-    state = initial_state(query)
-    while not state.is_terminal:
-        actions = legal_actions(state, query)
-        state = apply_action(state, actions[int(rng.integers(len(actions)))])
-    return state.fragments[0]
+def random_rollout(ctx: QueryContext, rng: np.random.Generator) -> PlanNode:
+    """Uniformly random legal join sequence to a terminal plan."""
+    fragments = initial_fragments(ctx)
+    while len(fragments) > 1:
+        moves = successors(fragments, ctx, False)
+        i, j, op = moves[int(rng.integers(len(moves)))]
+        _, fragments = join_fragments(fragments, i, j, op, ctx)
+    return fragments[0].node
 
 
 # ---------------------------------------------------------------------------
@@ -394,56 +373,36 @@ def random_rollout(query: Query, rng: np.random.Generator) -> PlanNode:
 
 def build_meta_tasks(
     taskset: TaskSet,
-    queries_by_id: dict[str, Query],
-    catalog: Catalog,
-    cost_cfg: CostModelConfig,
+    contexts: dict[str, QueryContext],
     rollouts_per_query: int,
     rng_seed: int,
 ) -> list[MetaTask]:
     """Meta-training pools from simulator-executed plans: for each query the
-    expert DP plan plus uniform random rollouts, every join subplan labeled
-    with the noiseless latency of its full plan."""
+    expert DP plan plus uniform random rollouts, every join subplan (in
+    post-order) labeled with the noiseless latency of its full plan."""
     rng = np.random.default_rng(rng_seed)
     meta_tasks = []
     for task in taskset.tasks:
         rows = []
         labels = []
         for qid in task:
-            query = queries_by_id[qid]
-            ctx = QueryContext(query, catalog, cost_cfg)
-            plans = [expert_plan(query, catalog, cost_cfg)]
-            plans += [random_rollout(query, rng) for _ in range(rollouts_per_query)]
+            ctx = contexts[qid]
+            plans = [ctx.expert()]
+            plans += [random_rollout(ctx, rng) for _ in range(rollouts_per_query)]
             for plan in plans:
-                label = latency_to_label(
-                    noiseless_latency(plan, query, catalog, cost_cfg)
-                )
-                for feats in _join_features(plan, ctx):
-                    rows.append(feats)
-                    labels.append(label)
+                infos = plan_infos(plan, ctx)
+                label = latency_to_label(infos[-1].cost * ctx.cfg.latency_per_cost_unit)
+                for info in infos:
+                    if isinstance(info.node, Join):
+                        rows.append(fragment_features(info, ctx))
+                        labels.append(label)
         meta_tasks.append(MetaTask(np.stack(rows), np.array(labels)))
     return meta_tasks
 
 
-def _join_features(plan: PlanNode, ctx: QueryContext):
-    from .plans import Join
-
-    def build(node):
-        if isinstance(node, Join):
-            info = join_info(build(node.left), build(node.right), node.op, ctx)
-            feats.append(fragment_features(info, ctx))
-        else:
-            info = scan_info(node.table, ctx)
-        return info
-
-    feats = []
-    build(plan)
-    return feats
-
-
 def meta_initialize(
     cfg: RunConfig,
-    catalog: Catalog,
-    train_queries: list[Query],
+    train_contexts: list[QueryContext],
     params: ModelParams,
     base_seed: int,
 ) -> tuple[ModelParams, TaskSet]:
@@ -452,19 +411,12 @@ def meta_initialize(
     tc = cfg.transfer
     if tc.forced_policy is not None:
         policy = PartitioningPolicy(tc.forced_policy)
-        taskset = partition_workload(
-            train_queries, policy, tc.k_tasks, catalog, cfg.cost_model
-        )
+        taskset = partition_workload(train_contexts, policy, tc.k_tasks)
     else:
-        taskset = select_partitioning(
-            train_queries, tc.k_tasks, catalog, cfg.cost_model
-        )
-    queries_by_id = {q.id: q for q in train_queries}
+        taskset = select_partitioning(train_contexts, tc.k_tasks)
     meta_tasks = build_meta_tasks(
         taskset,
-        queries_by_id,
-        catalog,
-        cfg.cost_model,
+        {ctx.query.id: ctx for ctx in train_contexts},
         tc.rollouts_per_query,
         derive_seed(base_seed, "meta-data"),
     )
@@ -508,6 +460,7 @@ class RunResult:
     expert_noiseless: dict[str, float]
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
+    buffer: ReplayBuffer  # the replay buffer as training left it
     taskset: TaskSet | None = None
 
     def traces(self, split: str = "test") -> dict[str, QueryTrace]:
@@ -546,6 +499,22 @@ class RunResult:
     def final_wrl(self, split: str = "test") -> float:
         rec = self.records[-1]
         return rec.wrl_test if split == "test" else rec.wrl_train
+
+
+def expert_baselines(
+    contexts: list[QueryContext], cfg: RunConfig, base_seed: int
+) -> dict[str, ExpertBaseline]:
+    """Expert baseline per query, the i-th context's executions seeded by
+    ``derive_seed(base_seed, "baseline", i)``; ``train`` and ``eval`` both
+    pass the train queries' contexts, then the test queries'."""
+    return {
+        ctx.query.id: expert_baseline(
+            ctx,
+            n_runs=cfg.baseline_runs,
+            base_seed=derive_seed(base_seed, "baseline", idx),
+        )
+        for idx, ctx in enumerate(contexts)
+    }
 
 
 def evaluate_queries(
@@ -613,24 +582,17 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         1,
     )
     params = init_params(layer_sizes, derive_seed(seed, "init"))
+    contexts = [
+        QueryContext(q, catalog, cfg.cost_model) for q in train_queries + test_queries
+    ]
     taskset = None
     if cfg.transfer.enabled:
-        params, taskset = meta_initialize(cfg, catalog, train_queries, params, seed)
+        params, taskset = meta_initialize(
+            cfg, contexts[: len(train_queries)], params, seed
+        )
 
-    all_queries = train_queries + test_queries
-    baselines = {}
-    expert_noiseless = {}
-    for idx, query in enumerate(all_queries):
-        baselines[query.id] = expert_baseline(
-            query,
-            catalog,
-            cfg.cost_model,
-            n_runs=cfg.baseline_runs,
-            base_seed=derive_seed(seed, "baseline", idx),
-        )
-        expert_noiseless[query.id] = noiseless_latency(
-            expert_plan(query, catalog, cfg.cost_model), query, catalog, cfg.cost_model
-        )
+    baselines = expert_baselines(contexts, cfg, seed)
+    expert_noiseless = {ctx.query.id: ctx.latency(ctx.expert()) for ctx in contexts}
 
     expert_train = {q.id: baselines[q.id].mean_latency_ms for q in train_queries}
     expert_test = {q.id: baselines[q.id].mean_latency_ms for q in test_queries}
@@ -681,7 +643,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
                 derive_seed(seed, "exec", iteration, qidx),
             )
             experiences = extract_experiences(
-                plan, query, catalog, cfg.cost_model, latency, iteration, params
+                plan, query, catalog, cfg.cost_model, latency, iteration
             )
             fresh.extend(experiences)
             buffer.extend(experiences)
@@ -730,6 +692,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         expert_noiseless=expert_noiseless,
         train_ids=tuple(q.id for q in train_queries),
         test_ids=tuple(q.id for q in test_queries),
+        buffer=buffer,
         taskset=taskset,
     )
 

@@ -1,7 +1,10 @@
 """Knowledge transfer: workload partitioning and meta-learned initialization.
 
-Queries are scored by one of four partitioning policies, sorted ascending and
-chunked into equally sized tasks (the remainder joins the last task).  Each
+Queries, each given as its compiled ``simulator.QueryContext``, are scored by
+one of four partitioning policies, sorted ascending and chunked into equally
+sized tasks (the remainder joins the last task).  The estimated-cost policy
+reads the context's expert plan, so the DP runs once per query however many
+policies and embeddings ask for it.  Each
 candidate partition is rated with the Davies-Bouldin index over a shared
 4-feature query embedding, and the lowest-DBI policy wins.  The winning tasks
 feed first-order MAML: per-task inner SGD adaptation followed by an outer
@@ -17,9 +20,9 @@ from enum import Enum
 
 import numpy as np
 
-from .catalog import Catalog, Query
+from .catalog import Query
 from .model import ModelParams, TrainBatch, batch_grad, grad_sum, sgd_step
-from .simulator import CostModelConfig, estimate_cardinality, expert_plan, plan_cost
+from .simulator import QueryContext
 
 __all__ = [
     "PartitioningPolicy",
@@ -72,29 +75,21 @@ def halstead_complexity(query: Query) -> float:
     return (eta1 / 2.0) * (total_operands / eta2) * math.log2(eta1 + eta2)
 
 
-def policy_score(
-    query: Query,
-    policy: PartitioningPolicy,
-    catalog: Catalog,
-    cfg: CostModelConfig,
-) -> float:
+def policy_score(ctx: QueryContext, policy: PartitioningPolicy) -> float:
+    query = ctx.query
     if policy is PartitioningPolicy.HALSTEAD:
         return halstead_complexity(query)
     if policy is PartitioningPolicy.OPERATOR_COUNT:
         return float(sum(query.operator_tokens.values()))
     if policy is PartitioningPolicy.ESTIMATED_COST:
-        return plan_cost(expert_plan(query, catalog, cfg), query, catalog, cfg)
+        return ctx.cost(ctx.expert())
     if policy is PartitioningPolicy.ESTIMATED_ROWS:
-        return estimate_cardinality(query.relations, query, catalog)
+        return ctx.cardinality(ctx.full_mask)
     raise TransferError(f"unknown partitioning policy {policy!r}")
 
 
 def partition_workload(
-    workload: list[Query],
-    policy: PartitioningPolicy,
-    k_tasks: int,
-    catalog: Catalog,
-    cfg: CostModelConfig,
+    workload: list[QueryContext], policy: PartitioningPolicy, k_tasks: int
 ) -> TaskSet:
     """Sort by policy score (ties by query id) and chunk into k_tasks groups
     of floor(|W|/k) queries each; the remainder extends the last task."""
@@ -104,39 +99,35 @@ def partition_workload(
         raise TransferError(
             f"workload of {len(workload)} queries cannot fill {k_tasks} tasks"
         )
-    ranked = sorted(
-        workload, key=lambda q: (policy_score(q, policy, catalog, cfg), q.id)
-    )
+    ranked = sorted(workload, key=lambda c: (policy_score(c, policy), c.query.id))
     size = len(workload) // k_tasks
     tasks = []
     for i in range(k_tasks):
         chunk = ranked[i * size : (i + 1) * size] if i < k_tasks - 1 else ranked[(k_tasks - 1) * size :]
-        tasks.append(tuple(q.id for q in chunk))
+        tasks.append(tuple(c.query.id for c in chunk))
     return TaskSet(tasks=tuple(tasks), policy=policy)
 
 
-def query_embeddings(
-    workload: list[Query], catalog: Catalog, cfg: CostModelConfig
-) -> dict[str, np.ndarray]:
+def query_embeddings(workload: list[QueryContext]) -> dict[str, np.ndarray]:
     """Shared 4-feature embedding per query: z-scored (halstead, operator
     count, log1p expert cost, log1p estimated rows).  Constant columns map
     to zero."""
     raw = np.array(
         [
             [
-                halstead_complexity(q),
-                float(sum(q.operator_tokens.values())),
-                math.log1p(policy_score(q, PartitioningPolicy.ESTIMATED_COST, catalog, cfg)),
-                math.log1p(policy_score(q, PartitioningPolicy.ESTIMATED_ROWS, catalog, cfg)),
+                halstead_complexity(c.query),
+                float(sum(c.query.operator_tokens.values())),
+                math.log1p(policy_score(c, PartitioningPolicy.ESTIMATED_COST)),
+                math.log1p(policy_score(c, PartitioningPolicy.ESTIMATED_ROWS)),
             ]
-            for q in workload
+            for c in workload
         ]
     )
     mean = raw.mean(axis=0)
     std = raw.std(axis=0)
     std[std == 0] = 1.0
     normalized = (raw - mean) / std
-    return {q.id: normalized[i] for i, q in enumerate(workload)}
+    return {c.query.id: normalized[i] for i, c in enumerate(workload)}
 
 
 def davies_bouldin(tasks: TaskSet, embeddings: dict[str, np.ndarray]) -> float:
@@ -166,26 +157,22 @@ def davies_bouldin(tasks: TaskSet, embeddings: dict[str, np.ndarray]) -> float:
     return float(np.mean(ratios))
 
 
-def score_all_policies(
-    workload: list[Query], k_tasks: int, catalog: Catalog, cfg: CostModelConfig
-) -> list[TaskSet]:
+def score_all_policies(workload: list[QueryContext], k_tasks: int) -> list[TaskSet]:
     """Partition under every policy and fill in DBI scores, in enum order."""
-    embeddings = query_embeddings(workload, catalog, cfg)
+    embeddings = query_embeddings(workload)
     scored = []
     for policy in PartitioningPolicy:
-        tasks = partition_workload(workload, policy, k_tasks, catalog, cfg)
+        tasks = partition_workload(workload, policy, k_tasks)
         scored.append(
             dataclasses.replace(tasks, dbi_score=davies_bouldin(tasks, embeddings))
         )
     return scored
 
 
-def select_partitioning(
-    workload: list[Query], k_tasks: int, catalog: Catalog, cfg: CostModelConfig
-) -> TaskSet:
+def select_partitioning(workload: list[QueryContext], k_tasks: int) -> TaskSet:
     """The minimum-DBI partition across all four policies; ties keep the
     earliest policy in enum order."""
-    scored = score_all_policies(workload, k_tasks, catalog, cfg)
+    scored = score_all_policies(workload, k_tasks)
     best = scored[0]
     for candidate in scored[1:]:
         if candidate.dbi_score < best.dbi_score:

@@ -112,7 +112,7 @@ def _distinct_policy_orderings(train_docs, catalog) -> bool:
     """True when every pair of partitioning policies ranks the train queries
     differently (Spearman correlation of ranks < 1)."""
     from .catalog import Query, edge_key
-    from .simulator import CostModelConfig
+    from .simulator import CostModelConfig, QueryContext
     from .transfer import PartitioningPolicy, policy_score
 
     cfg = CostModelConfig(noise_rel_sigma=0.0)
@@ -127,8 +127,9 @@ def _distinct_policy_orderings(train_docs, catalog) -> bool:
         )
         for doc in train_docs
     ]
+    contexts = [QueryContext(q, catalog, cfg) for q in queries]
     scores = {
-        policy: np.array([policy_score(q, policy, catalog, cfg) for q in queries])
+        policy: np.array([policy_score(c, policy) for c in contexts])
         for policy in PartitioningPolicy
     }
     if any(len(set(v.round(12))) < 2 for v in scores.values()):

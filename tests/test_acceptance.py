@@ -38,7 +38,7 @@ from joinopt.retention import (
     sample_replay,
     td_error,
 )
-from joinopt.simulator import CostModelConfig, expert_plan, plan_cost
+from joinopt.simulator import CostModelConfig, QueryContext, expert_plan, plan_cost
 from joinopt.trainer import load_run_config, run_training
 from joinopt.transfer import (
     MetaTask,
@@ -103,7 +103,6 @@ def test_criterion_1_formula_oracles():
             reward_to_go=r,
             transition_reward=r if terminal else 0.0,
             stored_at=0,
-            predicted_latency_ms=0.0,
         )
         v_s = -(w * s + b)
         v_next = 0.0 if terminal else -(w * s_next + b)
@@ -141,7 +140,6 @@ def test_criterion_1_formula_oracles():
                     reward_to_go=-1.0,
                     transition_reward=0.0,
                     stored_at=int(rng.integers(0, 7)),
-                    predicted_latency_ms=0.0,
                 )
             )
         items = buffer.snapshot()
@@ -240,7 +238,6 @@ def test_criterion_2_sampling_fidelity():
                 reward_to_go=-1.0,
                 transition_reward=0.0,
                 stored_at=0,
-                predicted_latency_ms=0.0,
             )
         )
     _, stats = sample_replay(
@@ -321,10 +318,11 @@ def test_criterion_5_partitioning_contract():
         catalog = load_catalog(paths[0])
         workload = load_workload(paths[1], catalog)
         k = 2 + seed % 3
-        best = select_partitioning(workload, k, catalog, cfg)
-        scored = score_all_policies(workload, k, catalog, cfg)
+        contexts = [QueryContext(q, catalog, cfg) for q in workload]
+        best = select_partitioning(contexts, k)
+        scored = score_all_policies(contexts, k)
         ok &= best.dbi_score <= min(ts.dbi_score for ts in scored) + 1e-15
-        embeddings = query_embeddings(workload, catalog, cfg)
+        embeddings = query_embeddings(contexts)
         ok &= abs(best.dbi_score - davies_bouldin(best, embeddings)) <= 1e-12
         for ts in scored:
             ids = [q for task in ts.tasks for q in task]

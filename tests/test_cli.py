@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
 from joinopt.cli import main
+from joinopt.trainer import load_run_config, run_training
 
 from conftest import write_json
 
@@ -169,6 +171,30 @@ def test_eval_runs_against_checkpoint(project, capsys):
     assert len(rows) == 1 + 8  # 6 train + 2 test
 
 
+def test_eval_baselines_match_training(project):
+    """eval seeds its expert baselines as train does, so its expert latencies
+    (and hence its --history verdicts) agree with the run's."""
+    tmp_path, config = project
+    runs = tmp_path / "runs_for_eval"
+    assert main(["train", "--config", str(config), "--out", str(runs)]) == 0
+    out = tmp_path / "eval_baselines"
+    rc = main(
+        [
+            "eval", "--config", str(config),
+            "--model", str(runs / "rep0" / "model.npz"), "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    baselines = run_training(load_run_config(config)).baselines
+    rows = read_csv(out / "eval.csv")
+    header = rows[0]
+    qid_col = header.index("query_id")
+    mean_col = header.index("expert_mean_latency_ms")
+    assert len(rows) - 1 == len(baselines)
+    for row in rows[1:]:
+        assert float(row[mean_col]) == baselines[row[qid_col]].mean_latency_ms
+
+
 def test_eval_missing_checkpoint_errors(project, capsys):
     tmp_path, config = project
     rc = main(["eval", "--config", str(config), "--model", str(tmp_path / "none.npz")])
@@ -192,6 +218,12 @@ def test_replay_report(project):
     assert abs(sum(probabilities) - 1.0) < 1e-9
     buffer_doc = json.loads((out / "buffer.json").read_text())
     assert len(buffer_doc["experiences"]) == len(rows) - 1
+    # The report reads the buffer the run trained on, not a rebuilt one.
+    cfg = dataclasses.replace(load_run_config(config), iterations=2)
+    result = run_training(cfg)
+    assert len(rows) - 1 == result.records[-1].buffer_size == len(result.buffer)
+    assert [r[1] for r in rows[1:]] == [e.query_id for e in result.buffer.snapshot()]
+    assert {int(r[2]) for r in rows[1:]} == {1, 2}
 
 
 def test_unknown_flag_rejected(project, capsys):

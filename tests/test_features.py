@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from joinopt.features import (
-    QueryContext,
-    RECENCY_SLOT,
-    feature_dim,
-    fragment_features,
-    join_info,
-    plan_info,
-    scan_info,
-)
+from joinopt.features import RECENCY_SLOT, feature_dim, fragment_features
 from joinopt.plans import Join, JoinOp, Scan
-from joinopt.simulator import plan_cost
+from joinopt.simulator import (
+    QueryContext,
+    initial_fragments,
+    join_fragments,
+    join_info,
+    plan_cost,
+    plan_infos,
+    scan_info,
+    successors,
+)
+from joinopt.trainer import random_rollout
 
 from conftest import make_catalog, make_query, random_tree_catalog_and_query
 
@@ -49,60 +51,58 @@ def test_join_feature_values(ctx, chain3_catalog, chain3_query, default_cost):
 
 
 def test_incremental_info_matches_tree_walk(rng, default_cost):
-    """Search-path (incremental join_info) and extraction-path (plan_info)
-    must produce identical features for the same fragment."""
+    """Search-path (incremental join_fragments) and walk-path (plan_infos)
+    must produce identical summaries and features for the same fragment."""
     for _ in range(10):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(3, 6)))
         ctx = QueryContext(query, catalog, default_cost)
-        rels = sorted(query.relations)
-        # build a random legal plan incrementally
-        from joinopt.plans import apply_action, initial_state, legal_actions
-
-        state = initial_state(query)
-        infos = {frozenset((t,)): scan_info(t, ctx) for t in query.relations}
-        while not state.is_terminal:
-            actions = legal_actions(state, query)
-            action = actions[int(rng.integers(len(actions)))]
-            from joinopt.plans import plan_relations
-
-            left = state.fragments[action.left_fragment]
-            right = state.fragments[action.right_fragment]
-            new = join_info(
-                infos[plan_relations(left)], infos[plan_relations(right)], action.op, ctx
+        state = initial_fragments(ctx)
+        built = {f.mask: f for f in state}
+        while len(state) > 1:
+            moves = successors(state, ctx, False)
+            joined, state = join_fragments(
+                state, *moves[int(rng.integers(len(moves)))], ctx
             )
-            infos[new.relset] = new
-            state = apply_action(state, action)
-        plan = state.fragments[0]
-        incremental = infos[frozenset(query.relations)]
-        walked = plan_info(plan, ctx)
-        assert incremental.node == walked.node
-        np.testing.assert_array_equal(
-            fragment_features(incremental, ctx), fragment_features(walked, ctx)
-        )
+            built[joined.mask] = joined
+        walked = plan_infos(state[0].node, ctx)
+        assert len(walked) == 2 * len(query.relations) - 1
+        assert walked[-1].node == state[0].node
+        for info in walked:
+            assert info == built[info.mask]
+            np.testing.assert_array_equal(
+                fragment_features(info, ctx), fragment_features(built[info.mask], ctx)
+            )
+
+
+def test_plan_infos_is_post_order(default_cost):
+    catalog = make_catalog([(t, 10, 8, 1.0) for t in "abcd"])
+    query = make_query("q", ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
+    ctx = QueryContext(query, catalog, default_cost)
+    left = Join(Scan("a"), Scan("b"), JoinOp.HASH)
+    right = Join(Scan("c"), Scan("d"), JoinOp.MERGE)
+    plan = Join(left, right, JoinOp.NESTED_LOOP)
+    nodes = [info.node for info in plan_infos(plan, ctx)]
+    assert nodes == [Scan("a"), Scan("b"), left, Scan("c"), Scan("d"), right, plan]
 
 
 def test_fragment_cost_matches_plan_cost(rng, default_cost):
-    """The cost feature of a full plan equals plan_cost exactly."""
+    """The cost summary of a full plan equals plan_cost exactly."""
     for _ in range(5):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 6)))
         ctx = QueryContext(query, catalog, default_cost)
-        from joinopt.plans import apply_action, initial_state, legal_actions
-
-        state = initial_state(query)
-        while not state.is_terminal:
-            actions = legal_actions(state, query)
-            state = apply_action(state, actions[int(rng.integers(len(actions)))])
-        plan = state.fragments[0]
-        info = plan_info(plan, ctx)
-        assert info.cost == pytest.approx(plan_cost(plan, query, catalog, default_cost), rel=1e-12)
+        plan = random_rollout(ctx, rng)
+        info = plan_infos(plan, ctx)[-1]
+        assert info.cost == plan_cost(plan, query, catalog, default_cost)
 
 
 def test_cardinality_memo_consistency(ctx, chain3_catalog, chain3_query):
     from joinopt.simulator import estimate_cardinality
 
-    relset = frozenset(("a", "b"))
-    assert ctx.cardinality(relset) == estimate_cardinality(relset, chain3_query, chain3_catalog)
-    assert ctx.cardinality(relset) is ctx.cardinality(relset) or ctx.cardinality(relset) == ctx.cardinality(relset)
+    mask = ctx.bit["a"] | ctx.bit["b"]
+    first = ctx.cardinality(mask)
+    assert first == estimate_cardinality({"a", "b"}, chain3_query, chain3_catalog)
+    assert ctx.cardinality(mask) is first
+    assert ctx.names(mask) == ("a", "b")
 
 
 def test_depth_and_op_counts():
@@ -119,7 +119,7 @@ def test_depth_and_op_counts():
         Join(Scan("c"), Scan("d"), JoinOp.NESTED_LOOP),
         JoinOp.MERGE,
     )
-    info = plan_info(bushy, ctx)
+    info = plan_infos(bushy, ctx)[-1]
     assert info.depth == 2
     assert info.op_counts == (1, 1, 1)
     left_deep = Join(
@@ -127,6 +127,6 @@ def test_depth_and_op_counts():
         Scan("d"),
         JoinOp.HASH,
     )
-    info2 = plan_info(left_deep, ctx)
+    info2 = plan_infos(left_deep, ctx)[-1]
     assert info2.depth == 3
     assert info2.op_counts == (3, 0, 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from joinopt.features import feature_dim
-from joinopt.model import ModelParams, init_params, predict
+from joinopt.model import ModelParams
 from joinopt.plans import Join, JoinOp, Scan
 from joinopt.retention import (
     Experience,
@@ -41,7 +41,6 @@ def make_experience(
         reward_to_go=reward_to_go,
         transition_reward=transition_reward,
         stored_at=stored_at,
-        predicted_latency_ms=0.0,
     )
 
 
@@ -59,34 +58,26 @@ def star4():
     return catalog, query
 
 
-def extraction_model(catalog):
-    return init_params((feature_dim(catalog), 4, 1), 0)
-
-
 def test_extract_single_join(pair_catalog, pair_query, default_cost):
-    model = extraction_model(pair_catalog)
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
-    exps = extract_experiences(plan, pair_query, pair_catalog, default_cost, 12.5, 3, model)
+    exps = extract_experiences(plan, pair_query, pair_catalog, default_cost, 12.5, 3)
     assert len(exps) == 1
     (exp,) = exps
     assert exp.is_terminal
     assert exp.reward_to_go == -12.5
     assert exp.transition_reward == -12.5
     assert exp.stored_at == 3
-    assert exp.predicted_latency_ms == pytest.approx(
-        math.expm1(predict(model, exp.state_features))
-    )
+    assert exp.state_features.shape == (feature_dim(pair_catalog),)
 
 
 def test_extract_left_deep_chain(star4, default_cost):
     catalog, query = star4
-    model = extraction_model(catalog)
     plan = Join(
         Join(Join(Scan("f"), Scan("d1"), JoinOp.HASH), Scan("d2"), JoinOp.MERGE),
         Scan("d3"),
         JoinOp.HASH,
     )
-    exps = extract_experiences(plan, query, catalog, default_cost, 100.0, 0, model)
+    exps = extract_experiences(plan, query, catalog, default_cost, 100.0, 0)
     assert len(exps) == 3  # |relations| - 1
     by_terminal = [e for e in exps if e.is_terminal]
     assert len(by_terminal) == 1
@@ -124,42 +115,40 @@ def test_extract_bushy_plan(star4, default_cost):
         {("a", "b"): 0.1, ("b", "c"): 0.1, ("c", "d"): 0.1},
     )
     query = make_query("c4", ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-    model = extraction_model(catalog)
     left = Join(Scan("a"), Scan("b"), JoinOp.HASH)
     right = Join(Scan("c"), Scan("d"), JoinOp.MERGE)
     plan = Join(left, right, JoinOp.NESTED_LOOP)
-    exps = extract_experiences(plan, query, catalog, default_cost, 50.0, 1, model)
+    exps = extract_experiences(plan, query, catalog, default_cost, 50.0, 1)
     assert len(exps) == 3
     root = next(e for e in exps if e.is_terminal)
     inner = [e for e in exps if not e.is_terminal]
     assert len(inner) == 2
     for e in inner:
         assert np.array_equal(e.next_state_features, root.state_features)
+    # Pre-order: the root, then the left subtree's join, then the right's.
+    assert exps[0] is root
+    hash_slot, merge_slot = len(catalog.tables), len(catalog.tables) + 1
+    assert exps[1].state_features[hash_slot] == 1.0
+    assert exps[2].state_features[merge_slot] == 1.0
 
 
 def test_extract_rejects_partial_plan(star4, default_cost):
     catalog, query = star4
-    model = extraction_model(catalog)
     partial = Join(Scan("f"), Scan("d1"), JoinOp.HASH)
     with pytest.raises(RetentionError, match="cover"):
-        extract_experiences(partial, query, catalog, default_cost, 10.0, 0, model)
+        extract_experiences(partial, query, catalog, default_cost, 10.0, 0)
 
 
 def test_extract_count_random_plans(rng, default_cost):
-    from joinopt.plans import apply_action, initial_state, legal_actions
+    from joinopt.simulator import QueryContext
+    from joinopt.trainer import random_rollout
     from conftest import random_tree_catalog_and_query
 
     for _ in range(10):
         n = int(rng.integers(2, 7))
         catalog, query = random_tree_catalog_and_query(rng, n)
-        model = extraction_model(catalog)
-        state = initial_state(query)
-        while not state.is_terminal:
-            actions = legal_actions(state, query)
-            state = apply_action(state, actions[int(rng.integers(len(actions)))])
-        exps = extract_experiences(
-            state.fragments[0], query, catalog, default_cost, 5.0, 0, model
-        )
+        plan = random_rollout(QueryContext(query, catalog, default_cost), rng)
+        exps = extract_experiences(plan, query, catalog, default_cost, 5.0, 0)
         assert len(exps) == n - 1
 
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import edge_key
-from joinopt.plans import Join, JoinOp, Scan, plan_relations
+from joinopt.plans import Join, JoinOp, Scan, validate_plan
 from joinopt.simulator import (
+    DEFAULT_DP_LIMIT,
     CostModelConfig,
+    QueryContext,
     SimulatorError,
     estimate_cardinality,
     execute,
@@ -301,40 +303,48 @@ def test_expert_tie_break_deterministic(pair_catalog, pair_query):
     assert first == Join(Scan("r"), Scan("s"), JoinOp.HASH)
 
 
-def test_expert_dp_limit(chain3_catalog, chain3_query, default_cost):
-    with pytest.raises(SimulatorError, match="DP limit"):
-        expert_plan(chain3_query, chain3_catalog, default_cost, dp_limit=2)
+def test_expert_dp_limit(rng, default_cost):
+    """The DP refuses a query above DEFAULT_DP_LIMIT (12) relations."""
+    catalog, query = random_tree_catalog_and_query(rng, DEFAULT_DP_LIMIT + 1)
+    with pytest.raises(SimulatorError, match="above the DP limit 12"):
+        expert_plan(query, catalog, default_cost)
 
 
 def test_expert_covers_query(rng, default_cost):
     catalog, query = random_tree_catalog_and_query(rng, 6)
     plan = expert_plan(query, catalog, default_cost)
-    assert plan_relations(plan) == frozenset(query.relations)
+    assert validate_plan(plan) == frozenset(query.relations)
 
 
 # --- expert baseline ----------------------------------------------------------
 
 def test_baseline_noiseless_zero_tolerance(pair_catalog, pair_query):
     cfg = CostModelConfig(noise_rel_sigma=0.0)
-    baseline = expert_baseline(pair_query, pair_catalog, cfg, n_runs=10)
+    baseline = expert_baseline(QueryContext(pair_query, pair_catalog, cfg), n_runs=10)
     assert baseline.std_latency_ms == 0.0
     assert baseline.tolerance_ms == 0.0
     assert baseline.n_runs == 10
 
 
 def test_baseline_deterministic(pair_catalog, pair_query, default_cost):
-    a = expert_baseline(pair_query, pair_catalog, default_cost, n_runs=10, base_seed=5)
-    b = expert_baseline(pair_query, pair_catalog, default_cost, n_runs=10, base_seed=5)
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    a = expert_baseline(ctx, n_runs=10, base_seed=5)
+    b = expert_baseline(QueryContext(pair_query, pair_catalog, default_cost), n_runs=10, base_seed=5)
     assert a == b
+    # The executions are the expert plan's, seeded base_seed + i.
+    plan = expert_plan(pair_query, pair_catalog, default_cost)
+    runs = [execute(plan, pair_query, pair_catalog, default_cost, 5 + i) for i in range(10)]
+    assert a.mean_latency_ms == float(np.mean(runs))
 
 
 def test_baseline_tolerance_tracks_sigma(pair_catalog, pair_query):
     """Statistical oracle: averaged over many baselines, tolerance/mean is
     close to 2 x sigma."""
     cfg = CostModelConfig(noise_rel_sigma=0.05)
+    ctx = QueryContext(pair_query, pair_catalog, cfg)
     ratios = []
     for base_seed in range(0, 4000, 20):
-        b = expert_baseline(pair_query, pair_catalog, cfg, n_runs=10, base_seed=base_seed)
+        b = expert_baseline(ctx, n_runs=10, base_seed=base_seed)
         ratios.append(b.tolerance_ms / b.mean_latency_ms)
     mean_ratio = float(np.mean(ratios))
     # E[sample std] of a normal with n=10 is ~0.9727 sigma.
@@ -343,4 +353,4 @@ def test_baseline_tolerance_tracks_sigma(pair_catalog, pair_query):
 
 def test_baseline_requires_two_runs(pair_catalog, pair_query, default_cost):
     with pytest.raises(SimulatorError, match="n_runs"):
-        expert_baseline(pair_query, pair_catalog, default_cost, n_runs=1)
+        expert_baseline(QueryContext(pair_query, pair_catalog, default_cost), n_runs=1)

@@ -8,9 +8,12 @@ import pytest
 
 from joinopt.catalog import load_catalog, load_workload
 from joinopt.model import ModelParams, init_params, predict
-from joinopt.features import QueryContext, fragment_features, plan_info, feature_dim
-from joinopt.plans import plan_relations, validate_plan
-from joinopt.simulator import CostModelConfig, expert_plan, noiseless_latency, plan_cost
+from joinopt import simulator
+from joinopt import trainer as trainer_module
+from joinopt import transfer as transfer_module
+from joinopt.features import fragment_features, feature_dim
+from joinopt.plans import Join, validate_plan
+from joinopt.simulator import QueryContext, expert_plan, plan_cost, plan_infos
 from joinopt.trainer import (
     ConfigError,
     RunConfig,
@@ -75,6 +78,9 @@ def test_load_config_rejects_unknown_keys(workload_dir):
     path2 = config_file(workload_dir, retention={"nope": True})
     with pytest.raises(ConfigError, match="nope"):
         load_run_config(path2)
+    # dp_limit was never read; the DP limit is simulator.DEFAULT_DP_LIMIT.
+    with pytest.raises(ConfigError, match="unknown key 'dp_limit'"):
+        load_run_config(config_file(workload_dir, dp_limit=12))
 
 
 def test_load_config_validates_before_work(workload_dir):
@@ -117,7 +123,7 @@ def test_greedy_exhaustive_two_relation_picks_predict_minimum(pair_catalog, pair
     for left, right in (("r", "s"), ("s", "r")):
         for op in JoinOp:
             node = Join(Scan(left), Scan(right), op)
-            feats = fragment_features(plan_info(node, ctx), ctx)
+            feats = fragment_features(plan_infos(node, ctx)[-1], ctx)
             candidates.append((predict(model, feats), node))
     best = min(candidates, key=lambda pair: pair[0])[1]
     assert plan == best
@@ -192,8 +198,9 @@ def test_beam_with_cost_oracle_finds_expert_cost_on_star6():
 
 def test_random_rollout_is_legal(default_cost, rng):
     catalog, query = search_setup()
+    ctx = QueryContext(query, catalog, default_cost)
     for _ in range(10):
-        plan = random_rollout(query, rng)
+        plan = random_rollout(ctx, rng)
         assert validate_plan(plan) == frozenset(query.relations)
 
 
@@ -203,15 +210,24 @@ def test_build_meta_tasks_shapes(default_cost):
     catalog, query = search_setup()
     query2 = make_query("s2", ["a", "b"], [("a", "b")])
     taskset = TaskSet((("s3",), ("s2",)), PartitioningPolicy.HALSTEAD)
-    tasks = build_meta_tasks(
-        taskset, {"s3": query, "s2": query2}, catalog, default_cost,
-        rollouts_per_query=2, rng_seed=4,
-    )
+    contexts = {q.id: QueryContext(q, catalog, default_cost) for q in (query, query2)}
+    tasks = build_meta_tasks(taskset, contexts, rollouts_per_query=2, rng_seed=4)
     assert len(tasks) == 2
     # s3 has 3 plans x 2 joins, s2 has 3 plans x 1 join.
     assert tasks[0].features.shape == (6, feature_dim(catalog))
     assert tasks[1].features.shape == (3, feature_dim(catalog))
     assert np.isfinite(tasks[0].labels).all()
+    # The expert plan's rows come first, children before parents, each
+    # labeled with the plan's noiseless latency.
+    ctx = contexts["s3"]
+    expert_rows = [
+        fragment_features(info, ctx)
+        for info in plan_infos(ctx.expert(), ctx)
+        if isinstance(info.node, Join)
+    ]
+    assert len(expert_rows) == 2 and expert_rows[-1][-2] == 2.0  # root depth
+    np.testing.assert_array_equal(tasks[0].features[:2], np.stack(expert_rows))
+    assert tasks[0].labels[0] == math.log1p(ctx.latency(ctx.expert()))
 
 
 # --- run_training -------------------------------------------------------------------
@@ -260,6 +276,33 @@ def test_forced_policy_is_used(workload_dir):
     assert result.taskset.dbi_score is None  # not DBI-selected
 
 
+def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):
+    """Every set-up step (baselines, noiseless expert latency, partition
+    selection and meta-task building) reads one compiled context per query,
+    so the DP runs once per distinct query."""
+    calls = []
+    original = simulator.expert_plan
+
+    def counting(query, catalog, cfg):
+        calls.append(query.id)
+        return original(query, catalog, cfg)
+
+    # Patch every module that binds the DP, as the benchmark's tracer does.
+    for module in (simulator, trainer_module, transfer_module):
+        if getattr(module, "expert_plan", None) is original:
+            monkeypatch.setattr(module, "expert_plan", counting)
+    cfg = load_run_config(
+        config_file(
+            workload_dir,
+            iterations=1,
+            transfer={"enabled": True, "n_outer": 1, "n_inner": 1, "k_tasks": 2,
+                      "rollouts_per_query": 1},
+        )
+    )
+    result = run_training(cfg)
+    assert sorted(calls) == sorted(result.train_ids + result.test_ids)
+
+
 def test_eval_records_on_schedule(workload_dir):
     cfg = load_run_config(config_file(workload_dir, iterations=5, eval_interval=2))
     result = run_training(cfg)
@@ -284,6 +327,7 @@ def test_buffer_respects_capacity(workload_dir):
                                        retention={"capacity": 10}))
     result = run_training(cfg)
     assert all(r.buffer_size <= 10 for r in result.records)
+    assert len(result.buffer) == result.records[-1].buffer_size == 10
 
 
 def test_reproducibility_bitwise(workload_dir):

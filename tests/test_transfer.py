@@ -20,6 +20,8 @@ from joinopt.transfer import (
     select_partitioning,
 )
 
+from joinopt.simulator import QueryContext
+
 from conftest import make_catalog, make_query
 
 
@@ -105,18 +107,20 @@ def test_operator_count_of_published_example():
         operators={"SELECT": 1, "MIN": 1, "FROM": 1},
         operands={"t": 2, "title": 2},
     )
-    assert policy_score(q, PartitioningPolicy.OPERATOR_COUNT, None, None) == 3.0
+    assert policy_score(QueryContext(q, None, None), PartitioningPolicy.OPERATOR_COUNT) == 3.0
 
 
 def test_estimated_rows_score(pair_catalog, pair_query, default_cost):
-    score = policy_score(pair_query, PartitioningPolicy.ESTIMATED_ROWS, pair_catalog, default_cost)
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    score = policy_score(ctx, PartitioningPolicy.ESTIMATED_ROWS)
     assert score == pytest.approx(200.0)
 
 
 def test_estimated_cost_consistency(pair_catalog, pair_query, default_cost):
     from joinopt.simulator import expert_plan, plan_cost
 
-    score = policy_score(pair_query, PartitioningPolicy.ESTIMATED_COST, pair_catalog, default_cost)
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    score = policy_score(ctx, PartitioningPolicy.ESTIMATED_COST)
     expected = plan_cost(
         expert_plan(pair_query, pair_catalog, default_cost), pair_query, pair_catalog, default_cost
     )
@@ -126,46 +130,46 @@ def test_estimated_cost_consistency(pair_catalog, pair_query, default_cost):
 # --- partitioning -----------------------------------------------------------------
 
 def _scored_workload(scores):
-    """Queries whose operator-count score equals the given value."""
+    """Query contexts whose operator-count score equals the given value; the
+    operator-count policy reads neither a catalog nor a cost model."""
     queries = []
     for i, score in enumerate(scores):
-        queries.append(
-            make_query(
-                f"q{i}",
-                ["a", "b"],
-                [("a", "b")],
-                operators={"OP": int(score)},
-                operands={"a": 1, "b": 1},
-            )
+        query = make_query(
+            f"q{i}",
+            ["a", "b"],
+            [("a", "b")],
+            operators={"OP": int(score)},
+            operands={"a": 1, "b": 1},
         )
+        queries.append(QueryContext(query, None, None))
     return queries
 
 
 def test_partition_sorted_chunks(default_cost):
     workload = _scored_workload([5, 1, 3, 2, 6, 4])
-    ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 3, None, default_cost)
+    ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 3)
     # ascending by score: q1(1), q3(2), q2(3), q5(4), q0(5), q4(6)
     assert ts.tasks == (("q1", "q3"), ("q2", "q5"), ("q0", "q4"))
 
 
 def test_partition_remainder_goes_last(default_cost):
     workload = _scored_workload([1, 2, 3, 4, 5, 6, 7])
-    ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 3, None, default_cost)
+    ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 3)
     assert tuple(len(t) for t in ts.tasks) == (2, 2, 3)
 
 
 def test_partition_tie_break_by_id(default_cost):
     workload = _scored_workload([2, 2, 2, 2])
-    ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 2, None, default_cost)
+    ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 2)
     assert ts.tasks == (("q0", "q1"), ("q2", "q3"))
 
 
 def test_partition_validates_sizes(default_cost):
     workload = _scored_workload([1, 2])
     with pytest.raises(TransferError):
-        partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 3, None, default_cost)
+        partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 3)
     with pytest.raises(TransferError):
-        partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 1, None, default_cost)
+        partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 1)
 
 
 def test_partition_invariants_random(rng, default_cost):
@@ -173,7 +177,7 @@ def test_partition_invariants_random(rng, default_cost):
         n = int(rng.integers(4, 30))
         k = int(rng.integers(2, min(6, n) + 1))
         workload = _scored_workload(rng.integers(1, 100, size=n))
-        ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, k, None, default_cost)
+        ts = partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, k)
         ids = [q for task in ts.tasks for q in task]
         assert len(ids) == len(set(ids)) == n
         assert all(len(t) == n // k for t in ts.tasks[:-1])
@@ -184,14 +188,12 @@ def test_partition_stable_under_monotone_transform(default_cost):
     """Any strictly increasing transform of scores keeps the partition."""
     scores = [3, 9, 1, 7, 5, 2, 8]
     base = partition_workload(
-        _scored_workload(scores), PartitioningPolicy.OPERATOR_COUNT, 3, None, default_cost
+        _scored_workload(scores), PartitioningPolicy.OPERATOR_COUNT, 3
     )
     transformed = partition_workload(
         _scored_workload([s * 7 + 2 for s in scores]),
         PartitioningPolicy.OPERATOR_COUNT,
         3,
-        None,
-        default_cost,
     )
     assert base.tasks == transformed.tasks
 
@@ -271,8 +273,9 @@ def _banded_rows_workload():
 
 def test_select_partitioning_prefers_separating_policy(default_cost):
     catalog, workload = _banded_rows_workload()
-    best = select_partitioning(workload, 2, catalog, default_cost)
-    scored = score_all_policies(workload, 2, catalog, default_cost)
+    contexts = [QueryContext(q, catalog, default_cost) for q in workload]
+    best = select_partitioning(contexts, 2)
+    scored = score_all_policies(contexts, 2)
     by_policy = {ts.policy: ts.dbi_score for ts in scored}
     assert best.policy in (PartitioningPolicy.ESTIMATED_COST, PartitioningPolicy.ESTIMATED_ROWS)
     assert by_policy[best.policy] < by_policy[PartitioningPolicy.HALSTEAD]
@@ -294,14 +297,15 @@ def test_select_partitioning_tie_break_enum_order(default_cost):
         )
         for i in range(4)
     ]
-    best = select_partitioning(workload, 2, catalog, default_cost)
+    best = select_partitioning([QueryContext(q, catalog, default_cost) for q in workload], 2)
     assert best.policy is PartitioningPolicy.HALSTEAD
 
 
 def test_select_partitioning_dbi_consistency(default_cost):
     catalog, workload = _banded_rows_workload()
-    best = select_partitioning(workload, 2, catalog, default_cost)
-    emb = query_embeddings(workload, catalog, default_cost)
+    contexts = [QueryContext(q, catalog, default_cost) for q in workload]
+    best = select_partitioning(contexts, 2)
+    emb = query_embeddings(contexts)
     assert best.dbi_score == pytest.approx(davies_bouldin(best, emb))
 
 
@@ -321,8 +325,9 @@ def test_select_partitioning_is_argmin(rng, default_cost):
                 a, b = sorted(catalog.join_selectivities)[0] if catalog.join_selectivities else (names[0], names[1])
             workload.append(make_query(f"q{i}", [a, b], [(a, b)], operators=ops, operands=operands))
         k = int(rng.integers(2, 4))
-        best = select_partitioning(workload, k, catalog, default_cost)
-        scored = score_all_policies(workload, k, catalog, default_cost)
+        contexts = [QueryContext(q, catalog, default_cost) for q in workload]
+        best = select_partitioning(contexts, k)
+        scored = score_all_policies(contexts, k)
         assert best.dbi_score <= min(ts.dbi_score for ts in scored) + 1e-15
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from joinopt.catalog import load_catalog, load_workload
 from joinopt.simulator import CostModelConfig
+from joinopt.simulator import QueryContext
 from joinopt.transfer import PartitioningPolicy, policy_score
 from joinopt.workload_gen import GenError, generate, write_files
 
@@ -71,7 +72,9 @@ def test_policy_scores_not_rank_identical(tmp_path):
     workload = load_workload(tmp_path / "train.json", catalog)
     cfg = CostModelConfig()
     scores = {
-        policy: np.array([policy_score(q, policy, catalog, cfg) for q in workload])
+        policy: np.array(
+            [policy_score(QueryContext(q, catalog, cfg), policy) for q in workload]
+        )
         for policy in PartitioningPolicy
     }
     for policy, values in scores.items():
