@@ -303,7 +303,7 @@ def _cmd_replay_report(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     result = run_training(cfg)
     buffer = result.buffer
-    sampled, stats = sample_replay(
+    _, stats = sample_replay(
         buffer,
         result.params,
         cfg.retention.policy(),
@@ -311,24 +311,22 @@ def _cmd_replay_report(args) -> int:
         cfg.retention.gamma,
         cfg.retention.alpha_td,
         derive_seed(result.base_seed, "report-replay"),
-        with_stats=True,
     )
     counts = np.bincount(stats.sampled_indices, minlength=len(buffer))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dump_buffer(buffer, out / "buffer.json")
-    items = buffer.snapshot()
     with open(out / "replay_report.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["index", "query_id", "stored_at", "norm_td", "recency", "probability", "sampled_count"]
         )
-        for i, exp in enumerate(items):
+        for i, row in enumerate(buffer.order()):
             writer.writerow(
                 [
                     i,
-                    exp.query_id,
-                    exp.stored_at,
+                    buffer.query_id[row],
+                    int(buffer.stored_at[row]),
                     repr(float(stats.norm_td[i])),
                     repr(float(stats.recency[i])),
                     repr(float(stats.probabilities[i])),
@@ -336,7 +334,7 @@ def _cmd_replay_report(args) -> int:
                 ]
             )
     print(
-        f"buffer size={len(buffer)} sampled={len(sampled)} "
+        f"buffer size={len(buffer)} sampled={len(stats.sampled_indices)} "
         f"mean_norm_td={stats.mean_sampled_norm_td:.4f} "
         f"mean_recency={stats.mean_sampled_recency:.4f}"
     )

@@ -2,9 +2,9 @@
 
 Every join-rooted subplan of an executed plan becomes one experience, in
 pre-order; its features come from the simulator's single walk over the plan
-(``simulator.plan_infos``), and the buffer keeps no model output.  At
-sampling time each buffered experience gets a priority weight combining a
-recency score
+(``simulator.plan_infos``).  The replay buffer stores them as rows of column
+arrays and keeps no model output.  At sampling time each buffered experience
+gets a priority weight combining a recency score
 
     tau = 1 - (tau_current - tau_e) / T
 
@@ -13,10 +13,11 @@ with a min-max-normalized TD-error magnitude
     delta = r + gamma * V(s_next) - V(s)
     delta_hat = (|delta|^a - min|delta|^a) / (max|delta|^a - min|delta|^a)
 
-under one of four weighting policies; weights are normalized to a
-probability distribution and the replay budget is drawn from the resulting
-multinomial, with replacement.  Priorities are recomputed from the current
-model at every call and never stored.
+under one of four weighting policies, each formula evaluated once over all
+buffered rows; weights are normalized to a probability distribution and the
+replay budget is drawn from the resulting multinomial, with replacement, as
+one training batch.  Priorities are recomputed from the current model at
+every call and never stored.
 
 TD errors live in the model's label space: values are negated network
 outputs (the network predicts log1p latency, so higher output means worse)
@@ -25,7 +26,6 @@ and rewards pass through a signed log1p.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ import numpy as np
 
 from .catalog import Catalog, Query
 from .features import fragment_features
-from .model import ModelParams, predict, predict_batch
+from .model import ModelParams, TrainBatch, latency_to_label, predict_batch
 from .plans import Join, PlanNode
 from .simulator import CostModelConfig, QueryContext, plan_infos
 
@@ -123,34 +123,70 @@ class WeightingPolicy:
 
 
 class ReplayBuffer:
-    """Ring buffer of experiences, evicting strictly oldest-first."""
+    """Ring buffer of experiences, evicting strictly oldest-first.  Each
+    experience is one row of the column arrays, which the first push
+    allocates; ``next_state`` is zero where ``terminal``, and the signed-log1p
+    ``reward`` and the ``label`` (log1p latency) are computed at push time."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise RetentionError("capacity must be >= 1")
         self.capacity = capacity
-        self._items: list[Experience] = []
-        self._start = 0
+        self._size = 0
+        self._next = 0  # the row the next push writes
         self.tau_current = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def push(self, experience: Experience) -> None:
+        if self._size == 0:
+            # np.zeros pages are committed on first write, so rows that are
+            # never filled cost no memory.
+            n, dim = self.capacity, len(experience.state_features)
+            self.state = np.zeros((n, dim))
+            self.next_state = np.zeros((n, dim))
+            self.terminal = np.zeros(n, dtype=bool)
+            self.stored_at = np.zeros(n, dtype=np.int64)
+            self.reward_to_go = np.zeros(n)
+            self.transition_reward = np.zeros(n)
+            self.reward = np.zeros(n)
+            self.label = np.zeros(n)
+            self.query_id = np.empty(n, dtype=object)
+        row = self._next
+        self.state[row] = experience.state_features
+        self.terminal[row] = experience.is_terminal
+        self.next_state[row] = 0.0 if experience.is_terminal else experience.next_state_features
+        self.stored_at[row] = experience.stored_at
+        self.reward_to_go[row] = experience.reward_to_go
+        self.transition_reward[row] = experience.transition_reward
+        # math.log1p, one value at a time: np.log1p differs in the last bit
+        # on some inputs.
+        self.reward[row] = _signed_log1p(experience.transition_reward)
+        self.label[row] = latency_to_label(experience.latency_ms)
+        self.query_id[row] = experience.query_id
+        self._next = (row + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
         self.tau_current = max(self.tau_current, experience.stored_at)
-        if len(self._items) < self.capacity:
-            self._items.append(experience)
-        else:
-            self._items[self._start] = experience
-            self._start = (self._start + 1) % self.capacity
 
     def extend(self, experiences) -> None:
         for exp in experiences:
             self.push(exp)
 
-    def snapshot(self) -> list[Experience]:
-        """Buffered experiences, oldest first."""
-        return self._items[self._start :] + self._items[: self._start]
+    def order(self) -> np.ndarray:
+        """Row indices of the buffered experiences, oldest first."""
+        if self._size < self.capacity:
+            return np.arange(self._size)
+        return np.roll(np.arange(self.capacity), -self._next)
+
+    def batch(self, positions, recency) -> TrainBatch:
+        """The experiences at ``positions`` of ``order()`` as a training
+        batch: state features with the recency slot set to ``recency``,
+        labelled with log1p latency."""
+        rows = self.order()[positions]
+        features = self.state[rows]
+        features[:, -1] = recency
+        return TrainBatch(features, self.label[rows])
 
 
 def extract_experiences(
@@ -201,13 +237,14 @@ def extract_experiences(
     return experiences
 
 
-def recency_weight(tau_e: int, tau_current: int, span: float) -> float:
-    """1 - age/span, the linear recency score in [0, 1]."""
+def recency_weight(tau_e, tau_current, span):
+    """1 - age/span, the linear recency score in [0, 1]; ``tau_e`` may be an
+    array of storage iterations."""
     if span <= 0:
         raise RetentionError("normalization span must be > 0")
-    age = tau_current - tau_e
-    if age < 0 or age > span:
-        raise RetentionError(f"age {age} outside [0, {span}]")
+    age = np.subtract(tau_current, tau_e)
+    if np.any(age < 0) or np.any(age > span):
+        raise RetentionError(f"ages {np.min(age)}..{np.max(age)} outside [0, {span}]")
     return 1.0 - age / span
 
 
@@ -215,20 +252,18 @@ def _signed_log1p(value: float) -> float:
     return math.copysign(math.log1p(abs(value)), value)
 
 
-def _value_of(model: ModelParams, features: np.ndarray | None) -> float:
-    if features is None:
-        return 0.0
-    return -predict(model, features)
-
-
-def td_error(exp: Experience, model: ModelParams, gamma: float) -> float:
-    """One-step TD residual r + gamma*V(s') - V(s) in label space."""
-    reward = _signed_log1p(exp.transition_reward)
-    return (
-        reward
-        + gamma * _value_of(model, exp.next_state_features)
-        - _value_of(model, exp.state_features)
-    )
+def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarray:
+    """One-step TD residual r + gamma*V(s') - V(s) in label space, one per
+    buffered experience, oldest first; V is zero at a terminal."""
+    if not len(buffer):
+        raise RetentionError("the replay buffer is empty")
+    rows = buffer.order()
+    values = -predict_batch(model, buffer.state[rows])
+    next_values = np.zeros(len(rows))
+    live = ~buffer.terminal[rows]
+    if live.any():
+        next_values[live] = -predict_batch(model, buffer.next_state[rows[live]])
+    return buffer.reward[rows] + gamma * next_values - values
 
 
 def normalize_td(deltas, alpha_td: float) -> np.ndarray:
@@ -245,8 +280,9 @@ def normalize_td(deltas, alpha_td: float) -> np.ndarray:
     return (powered - low) / (high - low)
 
 
-def experience_weight(norm_td: float, recency: float, policy: WeightingPolicy) -> float:
-    """Priority weight in [0, 1] for one experience under a policy."""
+def experience_weight(norm_td, recency, policy: WeightingPolicy):
+    """Priority weight in [0, 1] under a policy, for one experience or
+    element-wise over arrays."""
     if policy.kind == "recency":
         return recency
     if policy.kind == "td_high":
@@ -258,7 +294,7 @@ def experience_weight(norm_td: float, recency: float, policy: WeightingPolicy) -
 
 @dataclass(frozen=True)
 class ReplayStats:
-    """Diagnostics for one sampling call."""
+    """Diagnostics for one sampling call, indexed like ``ReplayBuffer.order()``."""
 
     probabilities: np.ndarray
     norm_td: np.ndarray
@@ -274,27 +310,12 @@ class ReplayStats:
         return float(self.recency[self.sampled_indices].mean())
 
 
-def _priorities(items, model, policy, gamma, alpha_td):
-    state = np.stack([e.state_features for e in items])
-    values = -predict_batch(model, state)
-    next_values = np.zeros(len(items))
-    non_terminal = [i for i, e in enumerate(items) if not e.is_terminal]
-    if non_terminal:
-        nxt = np.stack([items[i].next_state_features for i in non_terminal])
-        next_values[non_terminal] = -predict_batch(model, nxt)
-    rewards = np.array([_signed_log1p(e.transition_reward) for e in items])
-    deltas = rewards + gamma * next_values - values
-    norm = normalize_td(deltas, alpha_td)
-
-    taus = np.array([e.stored_at for e in items], dtype=float)
-    tau_current = max(e.stored_at for e in items)
-    span = max(1.0, tau_current - taus.min())
-    recency = 1.0 - (tau_current - taus) / span
-
-    weights = np.array(
-        [experience_weight(d, t, policy) for d, t in zip(norm, recency)]
-    )
-    return weights, norm, recency
+def _priorities(buffer, model, policy, gamma, alpha_td):
+    norm = normalize_td(td_error(buffer, model, gamma), alpha_td)
+    taus = buffer.stored_at[buffer.order()].astype(float)
+    tau_current = taus.max()
+    recency = recency_weight(taus, tau_current, max(1.0, tau_current - taus.min()))
+    return experience_weight(norm, recency, policy), norm, recency
 
 
 def sample_replay(
@@ -305,50 +326,40 @@ def sample_replay(
     gamma: float,
     alpha_td: float,
     rng_seed: int,
-    with_stats: bool = False,
-):
+) -> tuple[TrainBatch, ReplayStats]:
     """Draw ``k_replay`` experiences with replacement from the priority
-    multinomial.  The recency feature slot of each returned copy is filled
-    with the experience's recency score.  Falls back to uniform sampling when
-    every weight is zero."""
-    items = buffer.snapshot()
-    if not items:
-        raise RetentionError("cannot sample from an empty replay buffer")
+    multinomial.  Returns them as a training batch in draw order, the
+    recency feature slot of each row filled with the experience's recency
+    score, together with the call's statistics.  Falls back to uniform
+    sampling when every weight is zero."""
     if k_replay < 1:
         raise RetentionError("k_replay must be >= 1")
-    weights, norm, recency = _priorities(items, model, policy, gamma, alpha_td)
+    weights, norm, recency = _priorities(buffer, model, policy, gamma, alpha_td)
     total = weights.sum()
     if total > 0:
         probabilities = weights / total
     else:
-        probabilities = np.full(len(items), 1.0 / len(items))
+        probabilities = np.full(len(buffer), 1.0 / len(buffer))
     rng = np.random.default_rng(rng_seed)
-    indices = rng.choice(len(items), size=k_replay, replace=True, p=probabilities)
-    sampled = []
-    for i in indices:
-        exp = items[i]
-        feats = exp.state_features.copy()
-        feats[-1] = recency[i]
-        sampled.append(dataclasses.replace(exp, state_features=feats))
-    if with_stats:
-        return sampled, ReplayStats(probabilities, norm, recency, indices)
-    return sampled
+    indices = rng.choice(len(buffer), size=k_replay, replace=True, p=probabilities)
+    stats = ReplayStats(probabilities, norm, recency, indices)
+    return buffer.batch(indices, recency[indices]), stats
 
 
 def dump_buffer(buffer: ReplayBuffer, path) -> None:
-    """Debugging dump of buffer contents as JSON; not a stability contract."""
-    rows = []
-    for exp in buffer.snapshot():
-        rows.append(
-            {
-                "query_id": exp.query_id,
-                "stored_at": exp.stored_at,
-                "latency_ms": exp.latency_ms,
-                "transition_reward": exp.transition_reward,
-                "terminal": exp.is_terminal,
-                "state_features": [float(v) for v in exp.state_features],
-            }
-        )
+    """Debugging dump of buffer contents as JSON, oldest first; not a
+    stability contract."""
+    rows = [
+        {
+            "query_id": buffer.query_id[row],
+            "stored_at": int(buffer.stored_at[row]),
+            "latency_ms": -float(buffer.reward_to_go[row]),
+            "transition_reward": float(buffer.transition_reward[row]),
+            "terminal": bool(buffer.terminal[row]),
+            "state_features": buffer.state[row].tolist(),
+        }
+        for row in buffer.order()
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump({"tau_current": buffer.tau_current, "experiences": rows}, fh, indent=2)
         fh.write("\n")

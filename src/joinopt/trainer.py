@@ -124,6 +124,12 @@ class ModelConfig:
     minibatch: int = 64
     train_passes: int = 1  # passes over each iteration's training sample
 
+    def __post_init__(self):
+        if self.minibatch < 1:
+            raise ConfigError("minibatch must be >= 1")
+        if self.train_passes < 1:
+            raise ConfigError("train_passes must be >= 1")
+
 
 @dataclass(frozen=True)
 class RetentionConfig:
@@ -134,6 +140,17 @@ class RetentionConfig:
     gamma: float = 1.0
     k_replay: int = 256
     capacity: int = 20000
+
+    def __post_init__(self):
+        if self.alpha_td <= 0:
+            raise ConfigError("alpha_td must be > 0")
+        if not (0.0 <= self.gamma <= 1.0):
+            raise ConfigError("gamma must lie in [0, 1]")
+        if self.k_replay < 1:
+            raise ConfigError("k_replay must be >= 1")
+        if self.capacity < 1:
+            raise ConfigError("capacity must be >= 1")
+        self.policy()  # validates the weighting name and beta_mix
 
     def policy(self) -> WeightingPolicy:
         if self.weighting == "hybrid":
@@ -160,6 +177,14 @@ class SearchConfig:
     epsilon: float = 0.5
     epsilon_decay: float = 0.95
     left_deep_only: bool = False
+
+    def __post_init__(self):
+        if self.beam_width < 1:
+            raise ConfigError("beam_width must be >= 1")
+        if not (0.0 <= self.epsilon <= 1.0):
+            raise ConfigError("epsilon must lie in [0, 1]")
+        if not (0.0 <= self.epsilon_decay <= 1.0):
+            raise ConfigError("epsilon_decay must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -189,15 +214,10 @@ class RunConfig:
             raise ConfigError("repetitions must be >= 1")
         if self.baseline_runs < 2:
             raise ConfigError("baseline_runs must be >= 2")
-        if self.search.beam_width < 1:
-            raise ConfigError("beam_width must be >= 1")
-        if not (0.0 <= self.search.epsilon <= 1.0):
-            raise ConfigError("epsilon must lie in [0, 1]")
-        if self.retention.k_replay < 1:
-            raise ConfigError("k_replay must be >= 1")
-        if self.model.minibatch < 1:
-            raise ConfigError("minibatch must be >= 1")
-        self.retention.policy()  # validates the weighting name
+        if not (0.0 < self.window_fraction <= 1.0):
+            raise ConfigError("window_fraction must lie in (0, 1]")
+        if self.convergence_sustain < 1:
+            raise ConfigError("convergence_sustain must be >= 1")
 
 
 _SECTION_TYPES = {
@@ -214,19 +234,40 @@ _PATH_KEYS = {
     "test_workload": "test_workload_path",
 }
 
-_LIST_FIELDS = {"hidden_sizes"}
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value accepted for each annotated field type: (description, check).
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[int, ...]": (
+        "a list of positive integers",
+        lambda v: isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v),
+    ),
+}
+
+
+def _check_type(key: str, value, annotation: str, where: str) -> None:
+    expected, accepts = _FIELD_TYPES[annotation]
+    if not accepts(value):
+        raise ConfigError(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
 
 
 def _build_section(cls, doc: dict, where: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - known
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
     kwargs = {}
     for key, value in doc.items():
-        if key in _LIST_FIELDS:
-            value = tuple(int(v) for v in value)
-        kwargs[key] = value
+        _check_type(key, value, types[key], where)
+        kwargs[key] = tuple(value) if isinstance(value, list) else value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -236,7 +277,9 @@ def _build_section(cls, doc: dict, where: str):
 def load_run_config(path) -> RunConfig:
     """Parse and validate a run-configuration JSON file.  Workload and
     catalog paths are resolved relative to the config file's directory.
-    Unknown keys are rejected by name."""
+    Unknown keys, values of the wrong JSON type (integer fields take no
+    booleans, boolean fields no numbers) and out-of-range values are rejected
+    by name, before any work."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -248,20 +291,22 @@ def load_run_config(path) -> RunConfig:
         ) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    scalar_fields = {
-        f.name
+    scalar_types = {
+        f.name: f.type
         for f in dataclasses.fields(RunConfig)
         if f.name not in _SECTION_TYPES and not f.name.endswith("_path")
     }
     kwargs = {}
     for key, value in doc.items():
         if key in _PATH_KEYS:
+            _check_type(key, value, "str", str(path))
             kwargs[_PATH_KEYS[key]] = str((path.parent / value).resolve())
         elif key in _SECTION_TYPES:
             if not isinstance(value, dict):
                 raise ConfigError(f"{path}: section {key!r} must be an object")
             kwargs[key] = _build_section(_SECTION_TYPES[key], value, f"{path}: {key}")
-        elif key in scalar_fields:
+        elif key in scalar_types:
+            _check_type(key, value, scalar_types[key], str(path))
             kwargs[key] = value
         else:
             raise ConfigError(f"{path}: unknown key {key!r}")
@@ -547,24 +592,19 @@ def evaluate_queries(
 
 def _train_on(
     params: ModelParams,
-    experiences: list[Experience],
+    batch: TrainBatch,
     minibatch: int,
     lr: float,
     passes: int = 1,
 ) -> ModelParams:
-    """SGD passes over the experiences in order, in minibatch chunks."""
-    batches = []
-    for lo in range(0, len(experiences), minibatch):
-        chunk = experiences[lo : lo + minibatch]
-        batches.append(
-            TrainBatch(
-                np.stack([e.state_features for e in chunk]),
-                np.array([latency_to_label(e.latency_ms) for e in chunk]),
-            )
-        )
+    """SGD passes over the batch rows in order, in minibatch chunks."""
+    chunks = [
+        TrainBatch(batch.features[lo : lo + minibatch], batch.labels[lo : lo + minibatch])
+        for lo in range(0, len(batch), minibatch)
+    ]
     for _ in range(passes):
-        for batch in batches:
-            params = sgd_step(params, batch_grad(params, batch), lr)
+        for chunk in chunks:
+            params = sgd_step(params, batch_grad(params, chunk), lr)
     return params
 
 
@@ -648,7 +688,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
             fresh.extend(experiences)
             buffer.extend(experiences)
         if cfg.retention.enabled:
-            sampled, stats = sample_replay(
+            batch, stats = sample_replay(
                 buffer,
                 params,
                 policy,
@@ -656,29 +696,22 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
                 cfg.retention.gamma,
                 cfg.retention.alpha_td,
                 derive_seed(seed, "replay", iteration),
-                with_stats=True,
             )
             last_norm_td = stats.mean_sampled_norm_td
             last_recency = stats.mean_sampled_recency
-            params = _train_on(
-                params, sampled, cfg.model.minibatch,
-                cfg.model.learning_rate, cfg.model.train_passes,
-            )
         else:
             # Ablation arm: same sample budget, but drawn uniformly from the
             # current iteration's experiences only (no history, no priorities).
+            current = ReplayBuffer(len(fresh))
+            current.extend(fresh)
             rng = np.random.default_rng(derive_seed(seed, "replay", iteration))
-            picks = rng.integers(0, len(fresh), size=cfg.retention.k_replay)
-            current = [
-                dataclasses.replace(
-                    fresh[i], state_features=_with_recency(fresh[i].state_features, 1.0)
-                )
-                for i in picks
-            ]
-            params = _train_on(
-                params, current, cfg.model.minibatch,
-                cfg.model.learning_rate, cfg.model.train_passes,
+            batch = current.batch(
+                rng.integers(0, len(current), size=cfg.retention.k_replay), 1.0
             )
+        params = _train_on(
+            params, batch, cfg.model.minibatch,
+            cfg.model.learning_rate, cfg.model.train_passes,
+        )
         epsilon *= cfg.search.epsilon_decay
         if iteration % cfg.eval_interval == 0 or iteration == cfg.iterations:
             record(iteration)
@@ -695,12 +728,6 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         buffer=buffer,
         taskset=taskset,
     )
-
-
-def _with_recency(features: np.ndarray, recency: float) -> np.ndarray:
-    out = features.copy()
-    out[-1] = recency
-    return out
 
 
 # ---------------------------------------------------------------------------

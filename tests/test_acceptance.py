@@ -96,19 +96,22 @@ def test_criterion_1_formula_oracles():
         r = -float(rng.uniform(0, 100))
         gamma = float(rng.uniform(0, 1))
         terminal = rng.uniform() < 0.5
-        exp = Experience(
-            query_id="q",
-            state_features=np.array([s]),
-            next_state_features=None if terminal else np.array([s_next]),
-            reward_to_go=r,
-            transition_reward=r if terminal else 0.0,
-            stored_at=0,
+        buffer = ReplayBuffer(1)
+        buffer.push(
+            Experience(
+                query_id="q",
+                state_features=np.array([s]),
+                next_state_features=None if terminal else np.array([s_next]),
+                reward_to_go=r,
+                transition_reward=r if terminal else 0.0,
+                stored_at=0,
+            )
         )
         v_s = -(w * s + b)
         v_next = 0.0 if terminal else -(w * s_next + b)
         r_hat = math.copysign(math.log1p(abs(r)), r) if terminal else 0.0
         want = r_hat + gamma * v_next - v_s
-        ok &= rel_err(td_error(exp, model, gamma), want) <= 1e-9
+        ok &= rel_err(td_error(buffer, model, gamma)[0], want) <= 1e-9
 
     # normalization: (|d|^a - min) / (max - min)
     for _ in range(6):
@@ -129,24 +132,25 @@ def test_criterion_1_formula_oracles():
     # probability normalization: w_i / sum(w)
     model = ModelParams((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
     for trial in range(5):
-        buffer = ReplayBuffer(64)
         n = int(rng.integers(2, 12))
-        for i in range(n):
-            buffer.push(
-                Experience(
-                    query_id="q",
-                    state_features=np.array([float(rng.normal() * 3)]),
-                    next_state_features=None,
-                    reward_to_go=-1.0,
-                    transition_reward=0.0,
-                    stored_at=int(rng.integers(0, 7)),
-                )
+        items = [
+            Experience(
+                query_id="q",
+                state_features=np.array([float(rng.normal() * 3)]),
+                next_state_features=None,
+                reward_to_go=-1.0,
+                transition_reward=0.0,
+                stored_at=int(rng.integers(0, 7)),
             )
-        items = buffer.snapshot()
+            for _ in range(n)
+        ]
+        buffer = ReplayBuffer(64)
+        buffer.extend(items)
         _, stats = sample_replay(
-            buffer, model, WeightingPolicy.hybrid(0.5), 4, 1.0, 1.0, trial, with_stats=True
+            buffer, model, WeightingPolicy.hybrid(0.5), 4, 1.0, 1.0, trial
         )
-        deltas = np.array([td_error(e, model, 1.0) for e in items])
+        # Terminal with r = 0 under the identity model: delta = -V(s) = s.
+        deltas = np.array([e.state_features[0] for e in items])
         norm = normalize_td(deltas, 1.0)
         ages = np.array([e.stored_at for e in items], dtype=float)
         span = max(1.0, ages.max() - ages.min())
@@ -241,8 +245,7 @@ def test_criterion_2_sampling_fidelity():
             )
         )
     _, stats = sample_replay(
-        buffer, model, WeightingPolicy.td_error_high(), 100_000, 1.0, 1.0, 424242,
-        with_stats=True,
+        buffer, model, WeightingPolicy.td_error_high(), 100_000, 1.0, 1.0, 424242
     )
     expected = np.array([0.0, 0.1, 0.2, 0.3, 0.4]) / 0.1 / 10  # = (0,.1,.2,.3,.4)/1
     expected = np.array([0.0, 0.25, 0.5, 0.75, 1.0])

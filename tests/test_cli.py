@@ -222,7 +222,7 @@ def test_replay_report(project):
     cfg = dataclasses.replace(load_run_config(config), iterations=2)
     result = run_training(cfg)
     assert len(rows) - 1 == result.records[-1].buffer_size == len(result.buffer)
-    assert [r[1] for r in rows[1:]] == [e.query_id for e in result.buffer.snapshot()]
+    assert [r[1] for r in rows[1:]] == list(result.buffer.query_id[result.buffer.order()])
     assert {int(r[2]) for r in rows[1:]} == {1, 2}
 
 
@@ -239,6 +239,26 @@ def test_bad_config_single_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:")
     assert "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"iterations": 1.5}, "iterations"),
+        ({"window_fraction": 0}, "window_fraction"),
+        ({"model": {"learning_rate": "0.1"}}, "learning_rate"),
+    ],
+)
+def test_train_bad_config_value_fails_before_work(project, capsys, overrides, key):
+    tmp_path, config = project
+    bad = write_json(tmp_path / "bad.json", {**json.loads(config.read_text()), **overrides})
+    out = tmp_path / "never"
+    rc = main(["train", "--config", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
 
 
 def test_eval_with_history_reports_verdicts(project):

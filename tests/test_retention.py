@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from joinopt.features import feature_dim
-from joinopt.model import ModelParams
+from joinopt.model import ModelParams, init_params
 from joinopt.plans import Join, JoinOp, Scan
 from joinopt.retention import (
     Experience,
@@ -164,6 +164,8 @@ def test_recency_weight_monotone_in_age():
     weights = [recency_weight(10 - age, 10, 10) for age in range(11)]
     assert all(a > b for a, b in zip(weights, weights[1:]))
     assert all(0.0 <= w <= 1.0 for w in weights)
+    # The array form gives the scalar results element-wise.
+    assert recency_weight(10 - np.arange(11), 10, 10).tolist() == weights
 
 
 def test_recency_weight_rejects_bad_age():
@@ -171,15 +173,23 @@ def test_recency_weight_rejects_bad_age():
         recency_weight(20, 10, 5)
     with pytest.raises(RetentionError):
         recency_weight(0, 10, 5)
+    with pytest.raises(RetentionError):
+        recency_weight(np.array([8.0, 4.0]), 10, 5)  # one age out of range
 
 
 # --- TD error -----------------------------------------------------------------
+
+def single_td_error(exp, model, gamma):
+    buffer = ReplayBuffer(1)
+    buffer.push(exp)
+    return td_error(buffer, model, gamma)
+
 
 def test_td_error_arithmetic():
     # V(s_t) = -10, V(s_{t+1}) = -4, r = 0, gamma = 1 -> delta = 6
     model = identity_model()
     exp = make_experience(state=10.0, next_state=4.0, transition_reward=0.0)
-    assert td_error(exp, model, gamma=1.0) == pytest.approx(6.0)
+    assert single_td_error(exp, model, gamma=1.0) == pytest.approx([6.0])
 
 
 def test_td_error_terminal():
@@ -188,13 +198,13 @@ def test_td_error_terminal():
     exp = make_experience(
         state=10.0, next_state=None, transition_reward=-math.expm1(8.0)
     )
-    assert td_error(exp, model, gamma=1.0) == pytest.approx(2.0)
+    assert single_td_error(exp, model, gamma=1.0) == pytest.approx([2.0])
 
 
 def test_td_error_gamma_zero():
     model = identity_model()
     exp = make_experience(state=7.0, next_state=3.0, transition_reward=0.0)
-    assert td_error(exp, model, gamma=0.0) == pytest.approx(7.0)  # -V(s_t) = 7
+    assert single_td_error(exp, model, gamma=0.0) == pytest.approx([7.0])  # -V(s_t) = 7
 
 
 # --- normalization -------------------------------------------------------------
@@ -251,6 +261,11 @@ def test_weight_range(rng):
         d, t = rng.uniform(), rng.uniform()
         for policy in policies:
             assert 0.0 <= experience_weight(d, t, policy) <= 1.0
+    # The array form gives the scalar results element-wise, bit for bit.
+    d, t = rng.uniform(size=50), rng.uniform(size=50)
+    for policy in policies:
+        scalar = [experience_weight(x, y, policy) for x, y in zip(d, t)]
+        assert experience_weight(d, t, policy).tolist() == scalar
 
 
 def test_hybrid_extremes_match_pure_orderings(rng):
@@ -279,9 +294,68 @@ def test_buffer_evicts_oldest_first():
     for i in range(5):
         buffer.push(make_experience(state=float(i), stored_at=i))
     assert len(buffer) == 3
-    states = [e.state_features[0] for e in buffer.snapshot()]
-    assert states == [2.0, 3.0, 4.0]
+    order = buffer.order()
+    assert buffer.state[order, 0].tolist() == [2.0, 3.0, 4.0]
+    assert buffer.stored_at[order].tolist() == [2, 3, 4]
     assert buffer.tau_current == 4
+
+
+def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
+    """Capacity + k pushes of mixed terminal and non-terminal experiences:
+    the buffer keeps the newest ``capacity`` oldest first, and its TD errors,
+    sampling probabilities and batch rows match per-experience hand formulas."""
+    capacity, extra, dim = 7, 5, 3
+    model = init_params((dim, 4, 1), 11)
+    pushed = []
+    for i in range(capacity + extra):
+        terminal = i % 3 == 0
+        latency = float(rng.uniform(1.0, 1e4))
+        pushed.append(
+            Experience(
+                query_id=f"q{i}",
+                state_features=rng.normal(size=dim),
+                next_state_features=None if terminal else rng.normal(size=dim),
+                reward_to_go=-latency,
+                transition_reward=-latency if terminal else 0.0,
+                stored_at=i // 2,
+            )
+        )
+    buffer = ReplayBuffer(capacity)
+    buffer.extend(pushed)
+    kept = pushed[extra:]
+    order = buffer.order()
+    assert len(buffer) == capacity
+    assert list(buffer.query_id[order]) == [e.query_id for e in kept]
+
+    def value(x):  # hand forward pass: ReLU hidden layer, linear output
+        hidden = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
+        return -float(hidden @ model.weights[1][:, 0] + model.biases[1][0])
+
+    gamma = 0.9
+    want_td = [
+        math.copysign(math.log1p(abs(e.transition_reward)), e.transition_reward)
+        + gamma * (0.0 if e.is_terminal else value(e.next_state_features))
+        - value(e.state_features)
+        for e in kept
+    ]
+    assert td_error(buffer, model, gamma) == pytest.approx(want_td, rel=1e-12)
+
+    powered = np.abs(want_td)
+    norm = (powered - powered.min()) / (powered.max() - powered.min())
+    taus = np.array([e.stored_at for e in kept], dtype=float)
+    span = max(1.0, taus.max() - taus.min())
+    recency = 1.0 - (taus.max() - taus) / span
+    weights = 0.25 * norm + 0.75 * recency
+    batch, stats = sample_replay(
+        buffer, model, WeightingPolicy.hybrid(0.25), 40, gamma, 1.0, 5
+    )
+    assert stats.probabilities == pytest.approx(weights / weights.sum(), rel=1e-9)
+    idx = stats.sampled_indices
+    want_features = buffer.state[order[idx]].copy()
+    want_features[:, -1] = stats.recency[idx]
+    assert np.array_equal(batch.features, want_features)
+    assert stats.recency[idx] == pytest.approx(recency[idx], rel=1e-12)
+    assert batch.labels.tolist() == [math.log1p(kept[i].latency_ms) for i in idx]
 
 
 # --- sampling --------------------------------------------------------------------
@@ -302,11 +376,12 @@ def test_sample_probabilities_from_weights():
     # All deltas equal -> norm 0.5 everywhere; recency: span 5, tau = 0,0,1
     # hybrid(0.5): w = [0.25, 0.25, 0.75]... use beta 1/3 to get [1,1,2]/norm?
     # Cleaner: recency-only gives w = [0, 0, 1] -> p = [0, 0, 1].
-    sampled, stats = sample_replay(
-        buffer, model, WeightingPolicy.recency_only(), 5, 1.0, 1.0, 0, with_stats=True
+    batch, stats = sample_replay(
+        buffer, model, WeightingPolicy.recency_only(), 5, 1.0, 1.0, 0
     )
     assert stats.probabilities == pytest.approx([0.0, 0.0, 1.0])
-    assert all(e.stored_at == 10 for e in sampled)
+    assert len(batch) == 5
+    assert buffer.stored_at[buffer.order()[stats.sampled_indices]].tolist() == [10] * 5
 
 
 def test_sample_probability_normalization(rng):
@@ -327,7 +402,7 @@ def test_sample_probability_normalization(rng):
         WeightingPolicy.td_error_high(),
         WeightingPolicy.hybrid(0.5),
     ):
-        _, stats = sample_replay(buffer, model, policy, 10, 1.0, 1.0, 1, with_stats=True)
+        _, stats = sample_replay(buffer, model, policy, 10, 1.0, 1.0, 1)
         assert stats.probabilities.min() >= 0.0
         assert abs(stats.probabilities.sum() - 1.0) < 1e-12
 
@@ -345,9 +420,8 @@ def test_sample_multinomial_frequencies():
     # normalized 0, .5, .5, 1 -> p = 0, .25, .25, .5.
     for s in (0.0, 1.0, 1.0, 2.0):
         buffer.push(make_experience(state=s, next_state=None, transition_reward=0.0))
-    sampled, stats = sample_replay(
-        buffer, model, WeightingPolicy.td_error_high(), 100_000, 1.0, 1.0, 7,
-        with_stats=True,
+    _, stats = sample_replay(
+        buffer, model, WeightingPolicy.td_error_high(), 100_000, 1.0, 1.0, 7
     )
     assert stats.probabilities == pytest.approx([0.0, 0.25, 0.25, 0.5])
     counts = np.bincount(stats.sampled_indices, minlength=4)
@@ -362,9 +436,11 @@ def test_sample_single_experience_repeats():
     model = identity_model()
     buffer = ReplayBuffer(10)
     buffer.push(make_experience(state=3.0, reward_to_go=-42.0))
-    sampled = sample_replay(buffer, model, WeightingPolicy.hybrid(), 5, 1.0, 1.0, 0)
-    assert len(sampled) == 5
-    assert all(e.reward_to_go == -42.0 for e in sampled)
+    batch, stats = sample_replay(buffer, model, WeightingPolicy.hybrid(), 5, 1.0, 1.0, 0)
+    assert len(batch) == 5
+    assert stats.sampled_indices.tolist() == [0] * 5
+    assert buffer.reward_to_go[buffer.order()[stats.sampled_indices]].tolist() == [-42.0] * 5
+    assert batch.labels.tolist() == [math.log1p(42.0)] * 5
 
 
 def test_sample_uniform_fallback_when_all_zero():
@@ -388,14 +464,14 @@ def test_sample_uniform_fallback_when_all_zero():
     buffer.push(make_experience(state=2.0, stored_at=0))
     orig = r._priorities
 
-    def zero_priorities(items, model, policy, gamma, alpha_td):
-        w, n, t = orig(items, model, policy, gamma, alpha_td)
+    def zero_priorities(buffer, model, policy, gamma, alpha_td):
+        w, n, t = orig(buffer, model, policy, gamma, alpha_td)
         return np.zeros_like(w), n, t
 
     r._priorities = zero_priorities
     try:
         _, stats = sample_replay(
-            buffer, model, WeightingPolicy.hybrid(), 1000, 1.0, 1.0, 3, with_stats=True
+            buffer, model, WeightingPolicy.hybrid(), 1000, 1.0, 1.0, 3
         )
     finally:
         r._priorities = orig
@@ -409,9 +485,11 @@ def test_sample_deterministic_per_seed():
     buffer = ReplayBuffer(100)
     for i in range(20):
         buffer.push(make_experience(state=float(i), stored_at=i))
-    a = sample_replay(buffer, model, WeightingPolicy.hybrid(), 16, 1.0, 1.0, 99)
-    b = sample_replay(buffer, model, WeightingPolicy.hybrid(), 16, 1.0, 1.0, 99)
-    assert all(np.array_equal(x.state_features, y.state_features) for x, y in zip(a, b))
+    a, stats_a = sample_replay(buffer, model, WeightingPolicy.hybrid(), 16, 1.0, 1.0, 99)
+    b, stats_b = sample_replay(buffer, model, WeightingPolicy.hybrid(), 16, 1.0, 1.0, 99)
+    assert np.array_equal(stats_a.sampled_indices, stats_b.sampled_indices)
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
 
 
 def test_sample_fills_recency_slot():
@@ -419,15 +497,15 @@ def test_sample_fills_recency_slot():
     buffer = ReplayBuffer(10)
     buffer.push(make_experience(state=1.0, stored_at=0))
     buffer.push(make_experience(state=2.0, stored_at=10))
-    sampled, stats = sample_replay(
-        buffer, model, WeightingPolicy.hybrid(), 50, 1.0, 1.0, 0, with_stats=True
+    batch, stats = sample_replay(
+        buffer, model, WeightingPolicy.hybrid(), 50, 1.0, 1.0, 0
     )
-    for exp in sampled:
-        expected = 1.0 if exp.stored_at == 10 else 0.0
-        assert exp.state_features[-1] == expected
-    # originals untouched
-    for exp in buffer.snapshot():
-        assert exp.state_features[-1] in (1.0, 2.0)
+    stored_at = buffer.stored_at[buffer.order()[stats.sampled_indices]]
+    for row, tau in zip(batch.features, stored_at):
+        expected = 1.0 if tau == 10 else 0.0
+        assert row[-1] == expected
+    # the buffered rows are untouched
+    assert buffer.state[buffer.order(), -1].tolist() == [1.0, 2.0]
 
 
 def test_sample_empty_buffer():

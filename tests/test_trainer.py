@@ -92,6 +92,42 @@ def test_load_config_validates_before_work(workload_dir):
         load_run_config(path2)
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"iterations": 1.5}, "iterations"),
+        ({"iterations": True}, "iterations"),
+        ({"catalog": 5}, "catalog"),
+        ({"model": {"learning_rate": "0.1"}}, "learning_rate"),
+        ({"model": {"hidden_sizes": "64"}}, "hidden_sizes"),
+        ({"model": {"hidden_sizes": [64.7, True]}}, "hidden_sizes"),
+        ({"model": {"hidden_sizes": [64, 0]}}, "hidden_sizes"),
+        ({"model": {"train_passes": 0}}, "train_passes"),
+        ({"retention": {"enabled": 1}}, "enabled"),
+        ({"retention": {"alpha_td": 0}}, "alpha_td"),
+        ({"retention": {"capacity": 0}}, "capacity"),
+        ({"retention": {"gamma": -1}}, "gamma"),
+        ({"retention": {"gamma": 1.5}}, "gamma"),
+        ({"search": {"epsilon_decay": -2}}, "epsilon_decay"),
+        ({"search": {"epsilon_decay": 1.5}}, "epsilon_decay"),
+        ({"window_fraction": 0}, "window_fraction"),
+        ({"window_fraction": 1.5}, "window_fraction"),
+        ({"convergence_sustain": 0}, "convergence_sustain"),
+    ],
+)
+def test_load_config_rejects_bad_type_or_range(workload_dir, overrides, key):
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(config_file(workload_dir, **overrides))
+
+
+def test_load_config_types(workload_dir):
+    cfg = load_run_config(
+        config_file(workload_dir, model={"hidden_sizes": [8, 4], "learning_rate": 1})
+    )
+    assert cfg.model.hidden_sizes == (8, 4)
+    assert cfg.model.learning_rate == 1  # a JSON integer is a number
+
+
 def test_derive_seed_stable():
     assert derive_seed(1, "search", 2, 3) == derive_seed(1, "search", 2, 3)
     assert derive_seed(1, "search", 2, 3) != derive_seed(1, "search", 2, 4)
