@@ -17,23 +17,23 @@ from pathlib import Path
 import numpy as np
 
 from . import workload_gen
-from .catalog import load_catalog, load_workload
-from .metrics import QueryTrace, classify_query, convergence_iteration, wrl
+from .metrics import wrl
 from .model import load_params, save_params
 from .retention import dump_buffer, sample_replay
-from .simulator import QueryContext
 from .trainer import (
     RunConfig,
+    RunHistory,
     config_to_doc,
     derive_seed,
-    expert_baselines,
+    evaluate_queries,
     load_run_config,
     meta_initialize,
+    prepare_run,
+    read_run_csv,
     run_repetitions,
     run_training,
     write_run_csv,
     write_summary_csv,
-    evaluate_queries,
     write_verdicts_csv,
 )
 from .transfer import score_all_policies
@@ -111,12 +111,8 @@ def _cmd_gen_workload(args) -> int:
 
 def _cmd_partition_report(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    catalog = load_catalog(cfg.catalog_path)
-    workload = load_workload(cfg.train_workload_path, catalog)
-    scored = score_all_policies(
-        [QueryContext(q, catalog, cfg.cost_model) for q in workload],
-        cfg.transfer.k_tasks,
-    )
+    setup = prepare_run(cfg, cfg.base_seed)
+    scored = score_all_policies(setup.train, cfg.transfer.k_tasks)
     best = min(range(len(scored)), key=lambda i: scored[i].dbi_score)
     rows = []
     for i, ts in enumerate(scored):
@@ -147,14 +143,8 @@ def _cmd_partition_report(args) -> int:
 
 def _cmd_meta_train(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
-    catalog = load_catalog(cfg.catalog_path)
-    workload = load_workload(cfg.train_workload_path, catalog)
-    from .model import init_params
-
-    layer_sizes = (len(catalog.tables) + 8, *cfg.model.hidden_sizes, 1)
-    params = init_params(layer_sizes, derive_seed(cfg.base_seed, "init"))
-    contexts = [QueryContext(q, catalog, cfg.cost_model) for q in workload]
-    params, taskset = meta_initialize(cfg, contexts, params, cfg.base_seed)
+    setup = prepare_run(cfg, cfg.base_seed)
+    params, taskset = meta_initialize(cfg, setup.train, setup.params, cfg.base_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "meta_params.npz"
@@ -194,64 +184,38 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _parse_run_history(path):
-    """Per-query traces and per-iteration test totals from a run.csv file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty run history")
-    traces = {}
-    test_totals = []
-    for row in rows:
-        iteration = int(row["iteration"])
-        total = 0.0
-        for column, value in row.items():
-            for prefix, split in (("train_latency_ms:", "train"), ("test_latency_ms:", "test")):
-                if column.startswith(prefix):
-                    qid = column[len(prefix):]
-                    traces.setdefault((split, qid), []).append((iteration, float(value)))
-                    if split == "test":
-                        total += float(value)
-        test_totals.append((iteration, total))
-    return traces, test_totals
-
-
 def _cmd_eval(args) -> int:
     cfg = _apply_overrides(load_run_config(args.config), args)
     params = load_params(args.model)
-    catalog = load_catalog(cfg.catalog_path)
-    train_queries = load_workload(cfg.train_workload_path, catalog)
-    test_queries = load_workload(cfg.test_workload_path, catalog)
-    history = _parse_run_history(args.history) if args.history else None
+    setup = prepare_run(cfg, cfg.base_seed)
+    train_ids = tuple(ctx.query.id for ctx in setup.train)
+    test_ids = tuple(ctx.query.id for ctx in setup.test)
+    records = read_run_csv(args.history, train_ids, test_ids) if args.history else None
     # Seeded as in train, so the verdicts match the run's verdicts.csv.
-    baselines = expert_baselines(
-        [QueryContext(q, catalog, cfg.cost_model) for q in train_queries + test_queries],
-        cfg,
-        cfg.base_seed,
-    )
+    baselines = setup.baselines()
+    history, verdicts = None, {}
+    if records is not None:
+        history = RunHistory(cfg, records, baselines, train_ids, test_ids)
+        verdicts = {split: history.verdicts(split) for split in ("train", "test")}
 
     rows = []
     wrls = {}
-    for split, queries in (("train", train_queries), ("test", test_queries)):
-        latencies = evaluate_queries(queries, params, catalog, cfg, cfg.base_seed, 0)
+    for split, contexts in (("train", setup.train), ("test", setup.test)):
+        latencies = evaluate_queries(contexts, params, cfg, cfg.base_seed, 0)
         expert = {}
-        for query in queries:
-            baseline = baselines[query.id]
-            expert[query.id] = baseline.mean_latency_ms
-            row = {
-                "split": split,
-                "query_id": query.id,
-                "learned_latency_ms": repr(latencies[query.id]),
-                "expert_mean_latency_ms": repr(baseline.mean_latency_ms),
-                "expert_tolerance_ms": repr(baseline.tolerance_ms),
-                "verdict": "",
-            }
-            if history is not None:
-                points = history[0].get((split, query.id))
-                if points:
-                    trace = QueryTrace(query.id, tuple(points), baseline)
-                    row["verdict"] = classify_query(trace, cfg.window_fraction).verdict.value
-            rows.append(row)
+        for qid in latencies:
+            baseline = baselines[qid]
+            expert[qid] = baseline.mean_latency_ms
+            rows.append(
+                {
+                    "split": split,
+                    "query_id": qid,
+                    "learned_latency_ms": repr(latencies[qid]),
+                    "expert_mean_latency_ms": repr(baseline.mean_latency_ms),
+                    "expert_tolerance_ms": repr(baseline.tolerance_ms),
+                    "verdict": verdicts[split][qid].verdict.value if verdicts else "",
+                }
+            )
         wrls[split] = wrl(latencies, expert)
         print(f"{split} WRL={wrls[split]:.4f}")
     for row in rows:
@@ -261,21 +225,12 @@ def _cmd_eval(args) -> int:
             f"learned={float(row['learned_latency_ms']):.3f}ms "
             f"expert={float(row['expert_mean_latency_ms']):.3f}ms{verdict}"
         )
-    convergence = None
+    conv_value = ""
     if history is not None:
-        expert_total = sum(baselines[q.id].mean_latency_ms for q in test_queries)
-        tolerance_total = sum(baselines[q.id].tolerance_ms for q in test_queries)
-        convergence = convergence_iteration(
-            history[1], expert_total, tolerance_total, cfg.convergence_sustain
-        )
-        print(
-            "convergence iteration="
-            + ("NC" if convergence is None else str(convergence))
-        )
+        convergence = history.convergence()
+        conv_value = "NC" if convergence is None else str(convergence)
+        print(f"convergence iteration={conv_value}")
     if args.out:
-        conv_value = ""
-        if history is not None:
-            conv_value = "NC" if convergence is None else str(convergence)
         for row in rows:
             row["convergence_iteration"] = conv_value
         out = Path(args.out)
@@ -370,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     part.add_argument("--config", required=True, help="run-configuration file")
     part.add_argument("--k-tasks", type=int, default=None, help="override task count")
-    part.add_argument("--seed", type=int, default=None, help="override base seed")
     part.add_argument("--out", default=None, help="directory for partition_report.csv")
     part.set_defaults(func=_cmd_partition_report)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog, Query
-from .features import fragment_features
+from .features import RECENCY_SLOT, fragment_features
 from .model import ModelParams, TrainBatch, latency_to_label, predict_batch
 from .plans import Join, PlanNode
 from .simulator import CostModelConfig, QueryContext, plan_infos
@@ -185,7 +185,7 @@ class ReplayBuffer:
         labelled with log1p latency."""
         rows = self.order()[positions]
         features = self.state[rows]
-        features[:, -1] = recency
+        features[:, RECENCY_SLOT] = recency
         return TrainBatch(features, self.label[rows])
 
 

@@ -7,15 +7,18 @@ random successor.  The beam keeps one entry per relation-set partition: the
 best-scored of the successors that have joined the same relation sets.
 Training feedback is noisy simulator latency; periodic evaluations are
 greedy and noiseless, so every evaluated latency is bounded below by the
-expert DP latency.  Set-up compiles each train and test query once into a
-``simulator.QueryContext`` that the expert baselines, partition selection
-and meta-task building share, so the expert DP runs once per query.  All
-randomness is derived from one base seed, making repeated runs bitwise
-identical.
+expert DP latency.  ``prepare_run`` is the set-up of every command: it
+compiles each train and test query once into a ``simulator.QueryContext``
+that the expert baselines, partition selection, meta-task building and
+evaluation share, so the expert DP runs once per query.  ``RunHistory``
+judges a run's evaluation records, whether the run just trained or its
+run.csv was read back.  All randomness is derived from one base seed,
+making repeated runs bitwise identical.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -28,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import Catalog, Query, load_catalog, load_workload
-from .features import fragment_features
+from .features import feature_dim, fragment_features
 from .metrics import (
     QueryTrace,
+    RobustnessVerdict,
     Verdict,
     classify_query,
     convergence_iteration,
@@ -45,7 +49,7 @@ from .model import (
     predict_batch,
     sgd_step,
 )
-from .plans import Join, PlanNode, validate_plan
+from .plans import Join, PlanNode
 from .retention import (
     Experience,
     ReplayBuffer,
@@ -61,7 +65,6 @@ from .simulator import (
     expert_baseline,
     initial_fragments,
     join_fragments,
-    noiseless_latency,
     plan_infos,
     successors,
 )
@@ -82,7 +85,9 @@ __all__ = [
     "SearchConfig",
     "RunConfig",
     "IterationRecord",
+    "RunHistory",
     "RunResult",
+    "RunSetup",
     "RepetitionResult",
     "load_run_config",
     "derive_seed",
@@ -90,11 +95,12 @@ __all__ = [
     "random_rollout",
     "build_meta_tasks",
     "meta_initialize",
-    "expert_baselines",
+    "prepare_run",
     "run_training",
     "run_repetitions",
     "evaluate_queries",
     "write_run_csv",
+    "read_run_csv",
     "write_summary_csv",
     "write_verdicts_csv",
 ]
@@ -117,6 +123,11 @@ def derive_seed(*parts) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     hidden_sizes: tuple[int, ...] = (64, 64)
@@ -125,10 +136,9 @@ class ModelConfig:
     train_passes: int = 1  # passes over each iteration's training sample
 
     def __post_init__(self):
-        if self.minibatch < 1:
-            raise ConfigError("minibatch must be >= 1")
-        if self.train_passes < 1:
-            raise ConfigError("train_passes must be >= 1")
+        _require(self.learning_rate > 0, "learning_rate must be > 0")
+        _require(self.minibatch >= 1, "minibatch must be >= 1")
+        _require(self.train_passes >= 1, "train_passes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -142,14 +152,10 @@ class RetentionConfig:
     capacity: int = 20000
 
     def __post_init__(self):
-        if self.alpha_td <= 0:
-            raise ConfigError("alpha_td must be > 0")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ConfigError("gamma must lie in [0, 1]")
-        if self.k_replay < 1:
-            raise ConfigError("k_replay must be >= 1")
-        if self.capacity < 1:
-            raise ConfigError("capacity must be >= 1")
+        _require(self.alpha_td > 0, "alpha_td must be > 0")
+        _require(0.0 <= self.gamma <= 1.0, "gamma must lie in [0, 1]")
+        _require(self.k_replay >= 1, "k_replay must be >= 1")
+        _require(self.capacity >= 1, "capacity must be >= 1")
         self.policy()  # validates the weighting name and beta_mix
 
     def policy(self) -> WeightingPolicy:
@@ -170,6 +176,20 @@ class TransferConfig:
     batch_size: int = 64
     forced_policy: str | None = None  # bypass DBI selection for ablations
 
+    def __post_init__(self):
+        _require(self.k_tasks >= 2, "k_tasks must be >= 2")
+        _require(self.inner_lr > 0, "inner_lr must be > 0")
+        _require(self.outer_lr > 0, "outer_lr must be > 0")
+        _require(self.n_inner >= 0, "n_inner must be >= 0")
+        _require(self.n_outer >= 1, "n_outer must be >= 1")
+        _require(self.rollouts_per_query >= 0, "rollouts_per_query must be >= 0")
+        _require(self.batch_size >= 1, "batch_size must be >= 1")
+        policies = [p.value for p in PartitioningPolicy]
+        _require(
+            self.forced_policy in (None, *policies),
+            f"forced_policy must be null or one of {policies}",
+        )
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -179,12 +199,9 @@ class SearchConfig:
     left_deep_only: bool = False
 
     def __post_init__(self):
-        if self.beam_width < 1:
-            raise ConfigError("beam_width must be >= 1")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ConfigError("epsilon must lie in [0, 1]")
-        if not (0.0 <= self.epsilon_decay <= 1.0):
-            raise ConfigError("epsilon_decay must lie in [0, 1]")
+        _require(self.beam_width >= 1, "beam_width must be >= 1")
+        _require(0.0 <= self.epsilon <= 1.0, "epsilon must lie in [0, 1]")
+        _require(0.0 <= self.epsilon_decay <= 1.0, "epsilon_decay must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -206,18 +223,12 @@ class RunConfig:
     convergence_sustain: int = 3
 
     def __post_init__(self):
-        if self.iterations < 0:
-            raise ConfigError("iterations must be >= 0")
-        if self.eval_interval < 1:
-            raise ConfigError("eval_interval must be >= 1")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be >= 1")
-        if self.baseline_runs < 2:
-            raise ConfigError("baseline_runs must be >= 2")
-        if not (0.0 < self.window_fraction <= 1.0):
-            raise ConfigError("window_fraction must lie in (0, 1]")
-        if self.convergence_sustain < 1:
-            raise ConfigError("convergence_sustain must be >= 1")
+        _require(self.iterations >= 0, "iterations must be >= 0")
+        _require(self.eval_interval >= 1, "eval_interval must be >= 1")
+        _require(self.repetitions >= 1, "repetitions must be >= 1")
+        _require(self.baseline_runs >= 2, "baseline_runs must be >= 2")
+        _require(0.0 < self.window_fraction <= 1.0, "window_fraction must lie in (0, 1]")
+        _require(self.convergence_sustain >= 1, "convergence_sustain must be >= 1")
 
 
 _SECTION_TYPES = {
@@ -496,17 +507,16 @@ class IterationRecord:
 
 
 @dataclass
-class RunResult:
+class RunHistory:
+    """A run's evaluation records judged against its expert baselines: the
+    per-query traces, robustness verdicts and convergence iteration that
+    ``train`` writes and ``eval --history`` reads back."""
+
     config: RunConfig
-    base_seed: int
     records: list[IterationRecord]
-    params: ModelParams
     baselines: dict[str, ExpertBaseline]
-    expert_noiseless: dict[str, float]
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
-    buffer: ReplayBuffer  # the replay buffer as training left it
-    taskset: TaskSet | None = None
 
     def traces(self, split: str = "test") -> dict[str, QueryTrace]:
         ids = self.test_ids if split == "test" else self.train_ids
@@ -519,16 +529,16 @@ class RunResult:
             out[qid] = QueryTrace(qid, points, self.baselines[qid])
         return out
 
-    def verdicts(self, split: str = "test") -> dict[str, Verdict]:
+    def verdicts(self, split: str = "test") -> dict[str, RobustnessVerdict]:
         return {
-            qid: classify_query(trace, self.config.window_fraction).verdict
+            qid: classify_query(trace, self.config.window_fraction)
             for qid, trace in self.traces(split).items()
         }
 
     def regression_count(self, split: str = "test") -> int:
         """Plateau + Rebound count over the split."""
         return sum(
-            1 for v in self.verdicts(split).values() if v is not Verdict.SUPERIOR
+            1 for v in self.verdicts(split).values() if v.verdict is not Verdict.SUPERIOR
         )
 
     def convergence(self) -> int | None:
@@ -546,47 +556,74 @@ class RunResult:
         return rec.wrl_test if split == "test" else rec.wrl_train
 
 
-def expert_baselines(
-    contexts: list[QueryContext], cfg: RunConfig, base_seed: int
-) -> dict[str, ExpertBaseline]:
-    """Expert baseline per query, the i-th context's executions seeded by
-    ``derive_seed(base_seed, "baseline", i)``; ``train`` and ``eval`` both
-    pass the train queries' contexts, then the test queries'."""
-    return {
-        ctx.query.id: expert_baseline(
-            ctx,
-            n_runs=cfg.baseline_runs,
-            base_seed=derive_seed(base_seed, "baseline", idx),
-        )
-        for idx, ctx in enumerate(contexts)
-    }
+@dataclass
+class RunResult(RunHistory):
+    base_seed: int
+    params: ModelParams
+    expert_noiseless: dict[str, float]
+    buffer: ReplayBuffer  # the replay buffer as training left it
+    taskset: TaskSet | None = None
+
+
+@dataclass(frozen=True)
+class RunSetup:
+    """What every command starts from: the catalog, one compiled context per
+    train and test query, and the initial model."""
+
+    config: RunConfig
+    seed: int
+    catalog: Catalog
+    train: list[QueryContext]
+    test: list[QueryContext]
+    params: ModelParams
+
+    def baselines(self) -> dict[str, ExpertBaseline]:
+        """Expert baseline per query, train queries then test queries, the
+        i-th one's executions seeded by ``derive_seed(seed, "baseline", i)``."""
+        return {
+            ctx.query.id: expert_baseline(
+                ctx,
+                n_runs=self.config.baseline_runs,
+                base_seed=derive_seed(self.seed, "baseline", idx),
+            )
+            for idx, ctx in enumerate(self.train + self.test)
+        }
+
+
+def prepare_run(cfg: RunConfig, seed: int) -> RunSetup:
+    """Load the catalog and both workloads, compile each query, and build the
+    initial model, seeded by ``derive_seed(seed, "init")``."""
+    catalog = load_catalog(cfg.catalog_path)
+    train, test = (
+        [QueryContext(q, catalog, cfg.cost_model) for q in load_workload(path, catalog)]
+        for path in (cfg.train_workload_path, cfg.test_workload_path)
+    )
+    layer_sizes = (feature_dim(catalog), *cfg.model.hidden_sizes, 1)
+    params = init_params(layer_sizes, derive_seed(seed, "init"))
+    return RunSetup(cfg, seed, catalog, train, test, params)
 
 
 def evaluate_queries(
-    queries: list[Query],
+    contexts: list[QueryContext],
     params: ModelParams,
-    catalog: Catalog,
     cfg: RunConfig,
     base_seed: int,
     iteration: int,
 ) -> dict[str, float]:
-    """Greedy noiseless evaluation of every query; validates plan legality."""
+    """Greedy noiseless latency of every query's searched plan."""
     latencies = {}
-    for idx, query in enumerate(queries):
+    for idx, ctx in enumerate(contexts):
         plan = plan_search(
-            query,
+            ctx.query,
             params,
-            catalog,
+            ctx.catalog,
             cfg.cost_model,
             beam_width=cfg.search.beam_width,
             epsilon=0.0,
             rng_seed=derive_seed(base_seed, "eval", iteration, idx),
             left_deep_only=cfg.search.left_deep_only,
         )
-        covered = validate_plan(plan)
-        if covered != frozenset(query.relations):
-            raise RuntimeError(f"evaluation produced a partial plan for {query.id!r}")
-        latencies[query.id] = noiseless_latency(plan, query, catalog, cfg.cost_model)
+        latencies[ctx.query.id] = ctx.latency(plan)
     return latencies
 
 
@@ -611,31 +648,19 @@ def _train_on(
 def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     """One training run; fully reproducible for a given config and seed."""
     seed = cfg.base_seed if base_seed is None else base_seed
-    catalog = load_catalog(cfg.catalog_path)
-    train_queries = load_workload(cfg.train_workload_path, catalog)
-    test_queries = load_workload(cfg.test_workload_path, catalog)
+    setup = prepare_run(cfg, seed)
     started = time.perf_counter()
-
-    layer_sizes = (
-        len(catalog.tables) + 8,
-        *cfg.model.hidden_sizes,
-        1,
-    )
-    params = init_params(layer_sizes, derive_seed(seed, "init"))
-    contexts = [
-        QueryContext(q, catalog, cfg.cost_model) for q in train_queries + test_queries
-    ]
+    params = setup.params
     taskset = None
     if cfg.transfer.enabled:
-        params, taskset = meta_initialize(
-            cfg, contexts[: len(train_queries)], params, seed
-        )
+        params, taskset = meta_initialize(cfg, setup.train, params, seed)
 
-    baselines = expert_baselines(contexts, cfg, seed)
-    expert_noiseless = {ctx.query.id: ctx.latency(ctx.expert()) for ctx in contexts}
-
-    expert_train = {q.id: baselines[q.id].mean_latency_ms for q in train_queries}
-    expert_test = {q.id: baselines[q.id].mean_latency_ms for q in test_queries}
+    baselines = setup.baselines()
+    expert_noiseless = {
+        ctx.query.id: ctx.latency(ctx.expert()) for ctx in setup.train + setup.test
+    }
+    expert_train = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.train}
+    expert_test = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.test}
 
     buffer = ReplayBuffer(cfg.retention.capacity)
     policy = cfg.retention.policy()
@@ -644,8 +669,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     last_recency = math.nan
 
     def record(iteration: int):
-        train_lat = evaluate_queries(train_queries, params, catalog, cfg, seed, iteration)
-        test_lat = evaluate_queries(test_queries, params, catalog, cfg, seed, iteration)
+        train_lat = evaluate_queries(setup.train, params, cfg, seed, iteration)
+        test_lat = evaluate_queries(setup.test, params, cfg, seed, iteration)
         records.append(
             IterationRecord(
                 iteration=iteration,
@@ -664,7 +689,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     epsilon = cfg.search.epsilon
     for iteration in range(1, cfg.iterations + 1):
         fresh: list[Experience] = []
-        for qidx, query in enumerate(train_queries):
+        for qidx, ctx in enumerate(setup.train):
+            query, catalog = ctx.query, ctx.catalog
             plan = plan_search(
                 query,
                 params,
@@ -723,8 +749,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         params=params,
         baselines=baselines,
         expert_noiseless=expert_noiseless,
-        train_ids=tuple(q.id for q in train_queries),
-        test_ids=tuple(q.id for q in test_queries),
+        train_ids=tuple(c.query.id for c in setup.train),
+        test_ids=tuple(c.query.id for c in setup.test),
         buffer=buffer,
         taskset=taskset,
     )
@@ -744,39 +770,22 @@ class RepetitionResult:
     def median_regressions(self, split: str = "test") -> float:
         return statistics.median(run.regression_count(split) for run in self.runs)
 
-    def convergence_iterations(self) -> list[int | None]:
-        return [run.convergence() for run in self.runs]
-
     def median_convergence(self) -> float | None:
-        values = [
-            math.inf if c is None else float(c) for c in self.convergence_iterations()
-        ]
-        med = statistics.median(values)
-        return None if math.isinf(med) else med
-
-    def median_wrl_curve(self, split: str = "test") -> list[tuple[int, float]]:
-        """Median WRL across repetitions at each evaluated iteration; all
-        repetitions share the evaluation schedule."""
-        curve = []
-        for idx, rec in enumerate(self.runs[0].records):
-            values = [
-                run.records[idx].wrl_test if split == "test" else run.records[idx].wrl_train
-                for run in self.runs
-            ]
-            curve.append((rec.iteration, statistics.median(values)))
-        return curve
-
-    def no_convergence_count(self) -> int:
-        return sum(1 for c in self.convergence_iterations() if c is None)
+        return _median_convergence([run.convergence() for run in self.runs])
 
 
-def run_repetitions(cfg: RunConfig, n_reps: int | None = None) -> RepetitionResult:
-    """Repeated runs with seeds base_seed .. base_seed + n - 1."""
-    reps = cfg.repetitions if n_reps is None else n_reps
-    if reps < 1:
-        raise ConfigError("repetitions must be >= 1")
-    runs = [run_training(cfg, base_seed=cfg.base_seed + r) for r in range(reps)]
-    return RepetitionResult(runs)
+def _median_convergence(iterations: list[int | None]) -> float | None:
+    """Median convergence iteration, a run that never converged counting as
+    later than any that did; None when the median is such a run."""
+    med = statistics.median(math.inf if c is None else float(c) for c in iterations)
+    return None if math.isinf(med) else med
+
+
+def run_repetitions(cfg: RunConfig) -> RepetitionResult:
+    """Repeated runs with seeds base_seed .. base_seed + repetitions - 1."""
+    return RepetitionResult(
+        [run_training(cfg, base_seed=cfg.base_seed + r) for r in range(cfg.repetitions)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -789,135 +798,130 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_RECORD_COLUMNS = (
+    "iteration",
+    "wrl_train",
+    "wrl_test",
+    "buffer_size",
+    "mean_sampled_norm_td",
+    "mean_sampled_recency",
+)
+
+
+def _run_csv_columns(train_ids, test_ids) -> list[str]:
+    return [
+        *_RECORD_COLUMNS,
+        *(f"train_latency_ms:{qid}" for qid in train_ids),
+        *(f"test_latency_ms:{qid}" for qid in test_ids),
+        WALL_CLOCK_COLUMN,
+    ]
+
+
 def write_run_csv(result: RunResult, path) -> None:
     """One row per evaluation record.  The wall-clock column is last and is
     excluded from reproducibility comparisons."""
-    columns = [
-        "iteration",
-        "wrl_train",
-        "wrl_test",
-        "buffer_size",
-        "mean_sampled_norm_td",
-        "mean_sampled_recency",
-    ]
-    columns += [f"train_latency_ms:{qid}" for qid in result.train_ids]
-    columns += [f"test_latency_ms:{qid}" for qid in result.test_ids]
-    columns.append(WALL_CLOCK_COLUMN)
-    lines = [",".join(columns)]
+    lines = [",".join(_run_csv_columns(result.train_ids, result.test_ids))]
     for rec in result.records:
-        row = [
-            _fmt(rec.iteration),
-            _fmt(rec.wrl_train),
-            _fmt(rec.wrl_test),
-            _fmt(rec.buffer_size),
-            _fmt(rec.mean_sampled_norm_td),
-            _fmt(rec.mean_sampled_recency),
-        ]
-        row += [_fmt(rec.train_latencies[qid]) for qid in result.train_ids]
-        row += [_fmt(rec.test_latencies[qid]) for qid in result.test_ids]
-        row.append(_fmt(rec.wall_clock_ms))
-        lines.append(",".join(row))
+        row = [getattr(rec, name) for name in _RECORD_COLUMNS]
+        row += [rec.train_latencies[qid] for qid in result.train_ids]
+        row += [rec.test_latencies[qid] for qid in result.test_ids]
+        row.append(rec.wall_clock_ms)
+        lines.append(",".join(map(_fmt, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_summary_csv(result: RepetitionResult, path) -> None:
-    """Per-repetition summary plus a final median row."""
-    columns = [
-        "rep",
-        "seed",
-        "final_wrl_train",
-        "final_wrl_test",
-        "convergence_iteration",
-        "plateau_test",
-        "rebound_test",
-        "plateau_train",
-        "rebound_train",
-        "regressions_total",
+def read_run_csv(path, train_ids, test_ids) -> list[IterationRecord]:
+    """The records of a run.csv that ``write_run_csv`` wrote for a run with
+    these query ids.  A missing or unexpected column, a short or long row and
+    a malformed value are refused by name."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    header = rows[0] if rows else []
+    expected = _run_csv_columns(train_ids, test_ids)
+    problems = [
+        f"{kind} column(s) {columns}"
+        for kind, columns in (
+            ("missing", [c for c in expected if c not in header]),
+            ("unexpected", [c for c in header if c not in expected]),
+        )
+        if columns
     ]
-    lines = [",".join(columns)]
-    for rep, run in enumerate(result.runs):
-        test_v = run.verdicts("test")
-        train_v = run.verdicts("train")
-        conv = run.convergence()
-        lines.append(
-            ",".join(
-                [
-                    str(rep),
-                    str(run.base_seed),
-                    _fmt(run.final_wrl("train")),
-                    _fmt(run.final_wrl("test")),
-                    "NC" if conv is None else str(conv),
-                    str(sum(1 for v in test_v.values() if v is Verdict.PLATEAU)),
-                    str(sum(1 for v in test_v.values() if v is Verdict.REBOUND)),
-                    str(sum(1 for v in train_v.values() if v is Verdict.PLATEAU)),
-                    str(sum(1 for v in train_v.values() if v is Verdict.REBOUND)),
-                    str(run.regression_count("test") + run.regression_count("train")),
-                ]
+    if problems:
+        raise ValueError(f"{path}: {', '.join(problems)}")
+    records = []
+    for line, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{line}: {len(row)} values for {len(header)} columns")
+        cells = dict(zip(header, row))
+        try:
+            records.append(
+                IterationRecord(
+                    iteration=int(cells["iteration"]),
+                    train_latencies={
+                        qid: float(cells[f"train_latency_ms:{qid}"]) for qid in train_ids
+                    },
+                    test_latencies={
+                        qid: float(cells[f"test_latency_ms:{qid}"]) for qid in test_ids
+                    },
+                    wrl_train=float(cells["wrl_train"]),
+                    wrl_test=float(cells["wrl_test"]),
+                    buffer_size=int(cells["buffer_size"]),
+                    mean_sampled_norm_td=float(cells["mean_sampled_norm_td"]),
+                    mean_sampled_recency=float(cells["mean_sampled_recency"]),
+                    wall_clock_ms=float(cells[WALL_CLOCK_COLUMN]),
+                )
             )
-        )
-    median_conv = result.median_convergence()
-    lines.append(
-        ",".join(
-            [
-                "median",
-                "",
-                _fmt(statistics.median(r.final_wrl("train") for r in result.runs)),
-                _fmt(result.median_final_wrl("test")),
-                "NC" if median_conv is None else _fmt(median_conv),
-                _fmt(statistics.median(
-                    sum(1 for v in r.verdicts("test").values() if v is Verdict.PLATEAU)
-                    for r in result.runs
-                )),
-                _fmt(statistics.median(
-                    sum(1 for v in r.verdicts("test").values() if v is Verdict.REBOUND)
-                    for r in result.runs
-                )),
-                _fmt(statistics.median(
-                    sum(1 for v in r.verdicts("train").values() if v is Verdict.PLATEAU)
-                    for r in result.runs
-                )),
-                _fmt(statistics.median(
-                    sum(1 for v in r.verdicts("train").values() if v is Verdict.REBOUND)
-                    for r in result.runs
-                )),
-                _fmt(statistics.median(
-                    r.regression_count("test") + r.regression_count("train")
-                    for r in result.runs
-                )),
-            ]
-        )
-    )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+    return records
+
+
+def _summary_row(rep: int, run: RunResult) -> dict:
+    counts = {}
+    for split in ("test", "train"):
+        verdicts = [v.verdict for v in run.verdicts(split).values()]
+        for verdict in (Verdict.PLATEAU, Verdict.REBOUND):
+            counts[f"{verdict.value}_{split}"] = verdicts.count(verdict)
+    return {
+        "rep": rep,
+        "seed": run.base_seed,
+        "final_wrl_train": run.final_wrl("train"),
+        "final_wrl_test": run.final_wrl("test"),
+        "convergence_iteration": run.convergence(),
+        **counts,
+        "regressions_total": sum(counts.values()),
+    }
+
+
+def write_summary_csv(result: RepetitionResult, path) -> None:
+    """Per-repetition summary plus a final median row, taken column by
+    column over the repetitions' rows."""
+    rows = [_summary_row(rep, run) for rep, run in enumerate(result.runs)]
+    columns = list(rows[0])
+    median = {"rep": "median", "seed": ""}
+    for column in columns[2:]:
+        values = [row[column] for row in rows]
+        if column == "convergence_iteration":
+            median[column] = _median_convergence(values)
+        else:
+            median[column] = statistics.median(values)
+    lines = [",".join(columns)]
+    for row in rows + [median]:
+        lines.append(",".join("NC" if row[c] is None else _fmt(row[c]) for c in columns))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_verdicts_csv(result: RepetitionResult, path) -> None:
-    columns = [
-        "rep",
-        "split",
-        "query_id",
-        "verdict",
-        "first_superior_iteration",
-        "regression_iteration",
-    ]
-    lines = [",".join(columns)]
+    lines = ["rep,split,query_id,verdict,first_superior_iteration,regression_iteration"]
     for rep, run in enumerate(result.runs):
         for split in ("train", "test"):
-            for qid, trace in sorted(run.traces(split).items()):
-                verdict = classify_query(trace, run.config.window_fraction)
-                lines.append(
-                    ",".join(
-                        [
-                            str(rep),
-                            split,
-                            qid,
-                            verdict.verdict.value,
-                            ""
-                            if verdict.first_superior_iteration is None
-                            else str(verdict.first_superior_iteration),
-                            ""
-                            if verdict.regression_iteration is None
-                            else str(verdict.regression_iteration),
-                        ]
-                    )
-                )
+            for qid, v in sorted(run.verdicts(split).items()):
+                cells = [
+                    rep, split, qid, v.verdict.value,
+                    v.first_superior_iteration, v.regression_iteration,
+                ]
+                lines.append(",".join("" if c is None else str(c) for c in cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -230,6 +230,10 @@ def test_unknown_flag_rejected(project, capsys):
     tmp_path, config = project
     with pytest.raises(SystemExit):
         main(["train", "--config", str(config), "--out", str(tmp_path / "x"), "--frobnicate"])
+    # Partitioning draws no random numbers, so partition-report takes no seed.
+    with pytest.raises(SystemExit) as exc:
+        main(["partition-report", "--config", str(config), "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_bad_config_single_line_error(tmp_path, capsys):
@@ -282,6 +286,78 @@ def test_eval_with_history_reports_verdicts(project):
     assert verdicts <= {"superior", "plateau", "rebound"}
     conv = {row[header.index("convergence_iteration")] for row in rows[1:]}
     assert len(conv) == 1  # same value on every row
+
+
+def test_eval_history_prints_the_runs_verdicts(project, capsys):
+    """eval --history judges run.csv with the code train used, so it prints
+    rep 0's verdicts from verdicts.csv and its convergence from summary.csv."""
+    tmp_path, config = project
+    runs = tmp_path / "verdict_runs"
+    assert main(["train", "--config", str(config), "--out", str(runs)]) == 0
+    capsys.readouterr()
+    rc = main(
+        [
+            "eval", "--config", str(config),
+            "--model", str(runs / "rep0" / "model.npz"),
+            "--history", str(runs / "rep0" / "run.csv"),
+        ]
+    )
+    assert rc == 0
+    printed, convergence = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        fields = line.split()
+        if fields[-1].startswith("verdict="):
+            printed[(fields[0], fields[1])] = fields[-1].removeprefix("verdict=")
+        if line.startswith("convergence iteration="):
+            convergence = line.removeprefix("convergence iteration=")
+    expected = {
+        (row[1], row[2]): row[3]
+        for row in read_csv(runs / "verdicts.csv")[1:]
+        if row[0] == "0"
+    }
+    assert printed == expected and len(expected) == 8
+    assert convergence == read_csv(runs / "summary.csv")[1][4]
+
+
+def _eval_history_error(project, capsys, edit):
+    tmp_path, config = project
+    runs = tmp_path / "bad_history_runs"
+    assert main(["train", "--config", str(config), "--out", str(runs)]) == 0
+    rows = read_csv(runs / "rep0" / "run.csv")
+    history = tmp_path / "history.csv"
+    with open(history, "w", newline="") as fh:
+        csv.writer(fh).writerows(edit(rows))
+    capsys.readouterr()
+    rc = main(
+        [
+            "eval", "--config", str(config),
+            "--model", str(runs / "rep0" / "model.npz"), "--history", str(history),
+        ]
+    )
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_eval_history_without_iteration_column(project, capsys):
+    err = _eval_history_error(project, capsys, lambda rows: [row[1:] for row in rows])
+    assert "missing column(s) ['iteration']" in err
+
+
+def test_eval_history_missing_query_column(project, capsys):
+    """A history that lacks one test query's column is refused by name, not
+    judged with that query's verdict left blank."""
+    dropped = []
+
+    def drop_first_test_column(rows):
+        col = next(i for i, c in enumerate(rows[0]) if c.startswith("test_latency_ms:"))
+        dropped.append(rows[0][col])
+        return [row[:col] + row[col + 1:] for row in rows]
+
+    err = _eval_history_error(project, capsys, drop_first_test_column)
+    assert f"missing column(s) ['{dropped[0]}']" in err
 
 
 GOLDEN_HEADERS = {

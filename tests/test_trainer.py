@@ -23,6 +23,7 @@ from joinopt.trainer import (
     plan_search,
     random_rollout,
     run_repetitions,
+    read_run_csv,
     run_training,
     write_run_csv,
 )
@@ -113,6 +114,16 @@ def test_load_config_validates_before_work(workload_dir):
         ({"window_fraction": 0}, "window_fraction"),
         ({"window_fraction": 1.5}, "window_fraction"),
         ({"convergence_sustain": 0}, "convergence_sustain"),
+        ({"model": {"learning_rate": -1}}, "learning_rate"),
+        ({"model": {"learning_rate": 0}}, "learning_rate"),
+        ({"transfer": {"inner_lr": 0}}, "inner_lr"),
+        ({"transfer": {"outer_lr": -0.1}}, "outer_lr"),
+        ({"transfer": {"enabled": False, "k_tasks": 1}}, "k_tasks"),
+        ({"transfer": {"n_outer": 0}}, "n_outer"),
+        ({"transfer": {"n_inner": -1}}, "n_inner"),
+        ({"transfer": {"rollouts_per_query": -1}}, "rollouts_per_query"),
+        ({"transfer": {"batch_size": 0}}, "batch_size"),
+        ({"transfer": {"enabled": False, "forced_policy": "bogus"}}, "forced_policy"),
     ],
 )
 def test_load_config_rejects_bad_type_or_range(workload_dir, overrides, key):
@@ -437,3 +448,38 @@ def test_run_csv_layout(workload_dir, tmp_path):
     assert header[-1] == "wall_clock_ms"
     assert len(lines) == 1 + len(result.records)
     assert all(len(line.split(",")) == len(header) for line in lines[1:])
+
+
+def test_read_run_csv_inverts_write(workload_dir, tmp_path):
+    cfg = load_run_config(config_file(workload_dir, iterations=2, eval_interval=1))
+    result = run_training(cfg)
+    out = tmp_path / "run.csv"
+    write_run_csv(result, out)
+    records = read_run_csv(out, result.train_ids, result.test_ids)
+    assert len(records) == len(result.records)
+    assert math.isnan(records[0].mean_sampled_norm_td)  # iteration 0 sampled nothing
+    for got, want in zip(records, result.records):
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, float) and math.isnan(b):
+                assert math.isnan(a), f.name
+            else:
+                assert a == b and type(a) is type(b), f.name
+        assert list(got.test_latencies) == list(result.test_ids)
+
+
+def test_read_run_csv_refuses_other_queries(workload_dir, tmp_path):
+    cfg = load_run_config(config_file(workload_dir, iterations=1, eval_interval=1))
+    result = run_training(cfg)
+    out = tmp_path / "run.csv"
+    write_run_csv(result, out)
+    with pytest.raises(ValueError, match="missing column.*'test_latency_ms:extra'"):
+        read_run_csv(out, result.train_ids, result.test_ids + ("extra",))
+    dropped = result.test_ids[0]
+    with pytest.raises(ValueError, match=f"unexpected column.*'test_latency_ms:{dropped}'"):
+        read_run_csv(out, result.train_ids, result.test_ids[1:])
+    lines = out.read_text().split("\n")
+    lines[1] = lines[1].replace(",", ",x", 1)
+    out.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match="run.csv:2:"):
+        read_run_csv(out, result.train_ids, result.test_ids)
