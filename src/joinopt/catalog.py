@@ -20,6 +20,8 @@ __all__ = [
     "WorkloadError",
     "load_catalog",
     "load_workload",
+    "catalog_from_doc",
+    "workload_from_doc",
     "edge_key",
 ]
 
@@ -188,23 +190,28 @@ def _load_json(path, error_cls):
         ) from None
 
 
-def _require(doc: Mapping, key: str, path, error_cls):
+def _require(doc: Mapping, key: str, where, error_cls):
     if key not in doc:
-        raise error_cls(f"{path}: missing required key {key!r}")
+        raise error_cls(f"{where}: missing required key {key!r}")
     return doc[key]
 
 
 def load_catalog(path) -> Catalog:
-    """Load and validate a catalog file.
+    """Load and validate a catalog file (see ``catalog_from_doc``)."""
+    return catalog_from_doc(_load_json(path, CatalogError), path)
 
-    Raises CatalogError with the offending field named when the document is
-    malformed or an invariant (unique names, selectivity ranges) is violated.
+
+def catalog_from_doc(doc, where) -> Catalog:
+    """Build and validate a catalog from its JSON document.
+
+    Raises CatalogError, prefixed with ``where``, with the offending field
+    named when the document is malformed or an invariant (unique names,
+    selectivity ranges) is violated.
     """
-    doc = _load_json(path, CatalogError)
     if not isinstance(doc, dict):
-        raise CatalogError(f"{path}: top level must be an object")
-    tables_raw = _require(doc, "tables", path, CatalogError)
-    sel_raw = _require(doc, "selectivities", path, CatalogError)
+        raise CatalogError(f"{where}: top level must be an object")
+    tables_raw = _require(doc, "tables", where, CatalogError)
+    sel_raw = _require(doc, "selectivities", where, CatalogError)
     tables = []
     for i, entry in enumerate(tables_raw):
         try:
@@ -217,9 +224,9 @@ def load_catalog(path) -> Catalog:
                 )
             )
         except KeyError as exc:
-            raise CatalogError(f"{path}: tables[{i}]: missing field {exc.args[0]!r}") from None
+            raise CatalogError(f"{where}: tables[{i}]: missing field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
-            raise CatalogError(f"{path}: tables[{i}]: {exc}") from None
+            raise CatalogError(f"{where}: tables[{i}]: {exc}") from None
     selectivities = {}
     for i, entry in enumerate(sel_raw):
         try:
@@ -227,10 +234,10 @@ def load_catalog(path) -> Catalog:
             selectivities[edge_key(str(a), str(b))] = float(entry["selectivity"])
         except KeyError as exc:
             raise CatalogError(
-                f"{path}: selectivities[{i}]: missing field {exc.args[0]!r}"
+                f"{where}: selectivities[{i}]: missing field {exc.args[0]!r}"
             ) from None
         except (TypeError, ValueError) as exc:
-            raise CatalogError(f"{path}: selectivities[{i}]: {exc}") from None
+            raise CatalogError(f"{where}: selectivities[{i}]: {exc}") from None
     try:
         return Catalog(
             tables=tuple(tables),
@@ -238,19 +245,24 @@ def load_catalog(path) -> Catalog:
             default_selectivity=float(doc.get("default_selectivity", 0.1)),
         )
     except CatalogError as exc:
-        raise CatalogError(f"{path}: {exc}") from None
+        raise CatalogError(f"{where}: {exc}") from None
 
 
 def load_workload(path, catalog: Catalog) -> list[Query]:
-    """Load a workload file against a catalog.
+    """Load a workload file against a catalog (see ``workload_from_doc``)."""
+    return workload_from_doc(_load_json(path, WorkloadError), catalog, path)
+
+
+def workload_from_doc(doc, catalog: Catalog, where) -> list[Query]:
+    """Build a workload from its JSON document against a catalog.
 
     Every referenced table must exist in the catalog; query ids must be
-    unique and each join graph connected.
+    unique and each join graph connected.  Raises WorkloadError prefixed
+    with ``where``.
     """
-    doc = _load_json(path, WorkloadError)
     if not isinstance(doc, dict):
-        raise WorkloadError(f"{path}: top level must be an object")
-    queries_raw = _require(doc, "queries", path, WorkloadError)
+        raise WorkloadError(f"{where}: top level must be an object")
+    queries_raw = _require(doc, "queries", where, WorkloadError)
     known = set(catalog.table_names)
     queries = []
     ids = set()
@@ -270,18 +282,16 @@ def load_workload(path, catalog: Catalog) -> list[Query]:
                 predicate_count=int(entry.get("predicate_count", 0)),
             )
         except KeyError as exc:
-            raise WorkloadError(f"{path}: queries[{i}]: missing field {exc.args[0]!r}") from None
-        except WorkloadError as exc:
-            raise WorkloadError(f"{path}: queries[{i}]: {exc}") from None
+            raise WorkloadError(f"{where}: queries[{i}]: missing field {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
-            raise WorkloadError(f"{path}: queries[{i}]: {exc}") from None
+            raise WorkloadError(f"{where}: queries[{i}]: {exc}") from None
         if query.id in ids:
-            raise WorkloadError(f"{path}: duplicate query id {query.id!r}")
+            raise WorkloadError(f"{where}: duplicate query id {query.id!r}")
         ids.add(query.id)
         for rel in query.relations:
             if rel not in known:
                 raise WorkloadError(
-                    f"{path}: query {query.id!r}: unknown table {rel!r}"
+                    f"{where}: query {query.id!r}: unknown table {rel!r}"
                 )
         queries.append(query)
     return queries

@@ -3,13 +3,16 @@
 Commands: gen-workload, partition-report, meta-train, train, eval,
 replay-report.  Every command derives all randomness from a single seed, so
 identical flags produce byte-identical artifacts (wall-clock columns aside).
-Errors exit nonzero with one machine-parseable line on stderr.
+Errors exit nonzero with one machine-parseable line on stderr.  The five
+commands that read a run config load it once, in ``main``, and apply their
+override flags from the one table ``_OVERRIDES``.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,8 +22,9 @@ import numpy as np
 from . import workload_gen
 from .metrics import wrl
 from .model import load_params, save_params
-from .retention import dump_buffer, sample_replay
+from .retention import WeightingPolicy, dump_buffer, sample_replay
 from .trainer import (
+    ConfigError,
     RunConfig,
     RunHistory,
     config_to_doc,
@@ -36,64 +40,68 @@ from .trainer import (
     write_summary_csv,
     write_verdicts_csv,
 )
-from .transfer import score_all_policies
+from .transfer import PartitioningPolicy, score_all_policies
 
 __all__ = ["main"]
 
-_WEIGHTING_FLAGS = {
-    "recency": "recency",
-    "td-low": "td_low",
-    "td-high": "td_high",
-    "hybrid": "hybrid",
-}
 
-_POLICY_FLAGS = {
-    "halstead": "halstead",
-    "operator-count": "operator_count",
-    "estimated-cost": "estimated_cost",
-    "estimated-rows": "estimated_rows",
+def _flag_choices(values) -> list[str]:
+    return sorted(v.replace("_", "-") for v in values)
+
+
+# Every run-config override: flag -> (config section, None for the top level;
+# key; argparse spec).  A switch sets its key to False, and a choice spelled
+# with dashes names the config value spelled with underscores.
+_OVERRIDES = {
+    "--seed": (None, "base_seed", dict(type=int, help="override base seed")),
+    "--reps": (None, "repetitions", dict(type=int, help="override repetitions")),
+    "--iterations": (
+        None, "iterations", dict(type=int, help="override training iterations")
+    ),
+    "--k-tasks": ("transfer", "k_tasks", dict(type=int, help="override task count")),
+    "--no-transfer": (
+        "transfer", "enabled",
+        dict(action="store_true", help="disable meta initialization"),
+    ),
+    "--no-retention": (
+        "retention", "enabled",
+        dict(action="store_true", help="train only on each iteration's fresh experiences"),
+    ),
+    "--weighting": (
+        "retention", "weighting",
+        dict(choices=_flag_choices(WeightingPolicy.KINDS), help="replay weighting policy"),
+    ),
+    "--policy": (
+        "transfer", "forced_policy",
+        dict(
+            choices=_flag_choices(p.value for p in PartitioningPolicy),
+            help="force a partitioning policy instead of DBI selection",
+        ),
+    ),
 }
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    import dataclasses
-
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, base_seed=args.seed)
-    if getattr(args, "reps", None) is not None:
-        cfg = dataclasses.replace(cfg, repetitions=args.reps)
-    if getattr(args, "iterations", None) is not None:
-        cfg = dataclasses.replace(cfg, iterations=args.iterations)
-    if getattr(args, "k_tasks", None) is not None:
-        cfg = dataclasses.replace(
-            cfg, transfer=dataclasses.replace(cfg.transfer, k_tasks=args.k_tasks)
-        )
-    if getattr(args, "no_transfer", False):
-        cfg = dataclasses.replace(
-            cfg, transfer=dataclasses.replace(cfg.transfer, enabled=False)
-        )
-    if getattr(args, "no_retention", False):
-        cfg = dataclasses.replace(
-            cfg, retention=dataclasses.replace(cfg.retention, enabled=False)
-        )
-    if getattr(args, "weighting", None) is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            retention=dataclasses.replace(
-                cfg.retention, weighting=_WEIGHTING_FLAGS[args.weighting]
-            ),
-        )
-    if getattr(args, "policy", None) is not None:
-        cfg = dataclasses.replace(
-            cfg,
-            transfer=dataclasses.replace(
-                cfg.transfer, forced_policy=_POLICY_FLAGS[args.policy]
-            ),
-        )
+    for flag, (section, key, spec) in _OVERRIDES.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None or value is False:
+            continue
+        if spec.get("action") == "store_true":
+            value = False
+        elif "choices" in spec:
+            value = value.replace("-", "_")
+        try:
+            if section is None:
+                cfg = dataclasses.replace(cfg, **{key: value})
+            else:
+                changed = dataclasses.replace(getattr(cfg, section), **{key: value})
+                cfg = dataclasses.replace(cfg, **{section: changed})
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
     return cfg
 
 
-def _cmd_gen_workload(args) -> int:
+def _cmd_gen_workload(args, _cfg) -> int:
     catalog_doc, train_doc, test_doc = workload_gen.generate(
         n_tables=args.tables,
         shape=args.shape,
@@ -109,8 +117,7 @@ def _cmd_gen_workload(args) -> int:
     return 0
 
 
-def _cmd_partition_report(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def _cmd_partition_report(args, cfg: RunConfig) -> int:
     setup = prepare_run(cfg, cfg.base_seed)
     scored = score_all_policies(setup.train, cfg.transfer.k_tasks)
     best = min(range(len(scored)), key=lambda i: scored[i].dbi_score)
@@ -141,8 +148,7 @@ def _cmd_partition_report(args) -> int:
     return 0
 
 
-def _cmd_meta_train(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def _cmd_meta_train(args, cfg: RunConfig) -> int:
     setup = prepare_run(cfg, cfg.base_seed)
     params, taskset = meta_initialize(cfg, setup.train, setup.params, cfg.base_seed)
     out = Path(args.out)
@@ -154,8 +160,7 @@ def _cmd_meta_train(args) -> int:
     return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def _cmd_train(args, cfg: RunConfig) -> int:
     result = run_repetitions(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,8 +189,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def _cmd_eval(args, cfg: RunConfig) -> int:
     params = load_params(args.model)
     setup = prepare_run(cfg, cfg.base_seed)
     train_ids = tuple(ctx.query.id for ctx in setup.train)
@@ -196,6 +200,12 @@ def _cmd_eval(args) -> int:
     history, verdicts = None, {}
     if records is not None:
         history = RunHistory(cfg, records, baselines, train_ids, test_ids)
+        foreign = history.first_foreign_record()
+        if foreign is not None:
+            raise ValueError(
+                f"{args.history}: iteration {foreign.iteration}: recorded WRL does not "
+                f"match the expert baselines of seed {cfg.base_seed}; pass the run's --seed"
+            )
         verdicts = {split: history.verdicts(split) for split in ("train", "test")}
 
     rows = []
@@ -254,8 +264,7 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_replay_report(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+def _cmd_replay_report(args, cfg: RunConfig) -> int:
     result = run_training(cfg)
     buffer = result.buffer
     _, stats = sample_replay(
@@ -297,6 +306,16 @@ def _cmd_replay_report(args) -> int:
     return 0
 
 
+def _run_command(sub, name, func, summary, flags):
+    """A subcommand that reads a run config, overridable by these flags."""
+    cmd = sub.add_parser(name, help=summary)
+    cmd.add_argument("--config", required=True, help="run-configuration file")
+    for flag in flags:
+        cmd.add_argument(flag, **_OVERRIDES[flag][2])
+    cmd.set_defaults(func=func)
+    return cmd
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="joinopt",
@@ -320,80 +339,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.set_defaults(func=_cmd_gen_workload)
 
-    part = sub.add_parser(
-        "partition-report", help="score all partitioning policies by DBI"
+    part = _run_command(
+        sub, "partition-report", _cmd_partition_report,
+        "score all partitioning policies by DBI", ("--k-tasks",),
     )
-    part.add_argument("--config", required=True, help="run-configuration file")
-    part.add_argument("--k-tasks", type=int, default=None, help="override task count")
     part.add_argument("--out", default=None, help="directory for partition_report.csv")
-    part.set_defaults(func=_cmd_partition_report)
 
-    meta = sub.add_parser("meta-train", help="produce a meta-learned checkpoint")
-    meta.add_argument("--config", required=True, help="run-configuration file")
-    meta.add_argument("--seed", type=int, default=None, help="override base seed")
-    meta.add_argument("--k-tasks", type=int, default=None, help="override task count")
-    meta.add_argument(
-        "--policy",
-        choices=sorted(_POLICY_FLAGS),
-        default=None,
-        help="force a partitioning policy instead of DBI selection",
+    meta = _run_command(
+        sub, "meta-train", _cmd_meta_train,
+        "produce a meta-learned checkpoint", ("--seed", "--k-tasks", "--policy"),
     )
     meta.add_argument("--out", required=True, help="output directory")
-    meta.set_defaults(func=_cmd_meta_train)
 
-    train = sub.add_parser("train", help="run training repetitions and export CSVs")
-    train.add_argument("--config", required=True, help="run-configuration file")
-    train.add_argument("--seed", type=int, default=None, help="override base seed")
-    train.add_argument("--reps", type=int, default=None, help="override repetitions")
-    train.add_argument(
-        "--iterations", type=int, default=None, help="override training iterations"
+    train = _run_command(
+        sub, "train", _cmd_train,
+        "run training repetitions and export CSVs", tuple(_OVERRIDES),
     )
     train.add_argument("--out", required=True, help="output directory")
-    train.add_argument(
-        "--no-transfer", action="store_true", help="disable meta initialization"
-    )
-    train.add_argument(
-        "--no-retention",
-        action="store_true",
-        help="train only on each iteration's fresh experiences",
-    )
-    train.add_argument(
-        "--weighting",
-        choices=sorted(_WEIGHTING_FLAGS),
-        default=None,
-        help="replay weighting policy",
-    )
-    train.add_argument(
-        "--policy",
-        choices=sorted(_POLICY_FLAGS),
-        default=None,
-        help="force a partitioning policy instead of DBI selection",
-    )
-    train.add_argument("--k-tasks", type=int, default=None, help="override task count")
-    train.set_defaults(func=_cmd_train)
 
-    ev = sub.add_parser("eval", help="evaluate a checkpoint against the expert")
-    ev.add_argument("--config", required=True, help="run-configuration file")
+    ev = _run_command(
+        sub, "eval", _cmd_eval, "evaluate a checkpoint against the expert", ("--seed",)
+    )
     ev.add_argument("--model", required=True, help="model checkpoint (.npz)")
-    ev.add_argument("--seed", type=int, default=None, help="override base seed")
     ev.add_argument(
         "--history", default=None,
         help="a run.csv file; adds per-query verdicts and the convergence iteration",
     )
     ev.add_argument("--out", default=None, help="directory for eval.csv")
-    ev.set_defaults(func=_cmd_eval)
 
-    rep = sub.add_parser(
-        "replay-report",
-        help="train, then report the replay buffer the run trained on",
-    )
-    rep.add_argument("--config", required=True, help="run-configuration file")
-    rep.add_argument("--seed", type=int, default=None, help="override base seed")
-    rep.add_argument(
-        "--iterations", type=int, default=None, help="override training iterations"
+    rep = _run_command(
+        sub, "replay-report", _cmd_replay_report,
+        "train, then report the replay buffer the run trained on",
+        ("--seed", "--iterations"),
     )
     rep.add_argument("--out", required=True, help="output directory")
-    rep.set_defaults(func=_cmd_replay_report)
 
     return parser
 
@@ -402,7 +381,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = None
+        if "config" in args:
+            cfg = _apply_overrides(load_run_config(args.config), args)
+        return args.func(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

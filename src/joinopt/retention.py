@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, Query
 from .features import RECENCY_SLOT, fragment_features
 from .model import ModelParams, TrainBatch, latency_to_label, predict_batch
 from .plans import Join, PlanNode
-from .simulator import CostModelConfig, QueryContext, plan_infos
+from .simulator import QueryContext, plan_infos
 
 __all__ = [
     "Experience",
@@ -191,9 +190,7 @@ class ReplayBuffer:
 
 def extract_experiences(
     plan: PlanNode,
-    query: Query,
-    catalog: Catalog,
-    cfg: CostModelConfig,
+    ctx: QueryContext,
     latency_ms: float,
     iteration: int,
 ) -> list[Experience]:
@@ -206,11 +203,10 @@ def extract_experiences(
     """
     if latency_ms <= 0:
         raise RetentionError("latency must be > 0")
-    ctx = QueryContext(query, catalog, cfg)
     infos = plan_infos(plan, ctx)
     if infos[-1].mask != ctx.full_mask:
         raise RetentionError(
-            f"plan does not cover query {query.id!r}; cannot extract experiences"
+            f"plan does not cover query {ctx.query.id!r}; cannot extract experiences"
         )
     by_node = {id(info.node): info for info in infos}
     experiences = []
@@ -222,7 +218,7 @@ def extract_experiences(
         terminal = enclosing is None
         experiences.append(
             Experience(
-                query_id=query.id,
+                query_id=ctx.query.id,
                 state_features=feats,
                 next_state_features=None if terminal else enclosing,
                 reward_to_go=-latency_ms,

@@ -47,7 +47,6 @@ __all__ = [
     "initial_fragments",
     "successors",
     "join_fragments",
-    "plan_cost",
     "execute",
     "noiseless_latency",
     "expert_plan",
@@ -369,13 +368,6 @@ def join_fragments(
     return joined, tuple(rest)
 
 
-def plan_cost(
-    plan: PlanNode, query: Query, catalog: Catalog, cfg: CostModelConfig
-) -> float:
-    """Deterministic cost of a complete plan for the query."""
-    return QueryContext(query, catalog, cfg).cost(plan)
-
-
 def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:
     if cfg.noise_rel_sigma > 0:
         eps = float(np.random.default_rng(rng_seed).normal(0.0, cfg.noise_rel_sigma))
@@ -384,20 +376,14 @@ def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:
     return cost * cfg.latency_per_cost_unit * max(0.01, 1.0 + eps)
 
 
-def execute(
-    plan: PlanNode,
-    query: Query,
-    catalog: Catalog,
-    cfg: CostModelConfig,
-    rng_seed: int,
-) -> float:
+def execute(plan: PlanNode, ctx: QueryContext, rng_seed: int) -> float:
     """Simulated execution latency in milliseconds.
 
     Multiplicative Gaussian noise with relative sigma ``noise_rel_sigma``,
     floored at 1% of the noiseless latency; the same seed always yields the
     same latency.
     """
-    return _noisy_latency(plan_cost(plan, query, catalog, cfg), cfg, rng_seed)
+    return _noisy_latency(ctx.cost(plan), ctx.cfg, rng_seed)
 
 
 def noiseless_latency(

@@ -204,11 +204,17 @@ class SearchConfig:
         _require(0.0 <= self.epsilon_decay <= 1.0, "epsilon_decay must lie in [0, 1]")
 
 
+def _path_field(key: str):
+    """A path, spelled ``key`` in the config file and resolved against the
+    file's directory."""
+    return field(metadata={"key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    catalog_path: str
-    train_workload_path: str
-    test_workload_path: str
+    catalog_path: str = _path_field("catalog")
+    train_workload_path: str = _path_field("train_workload")
+    test_workload_path: str = _path_field("test_workload")
     cost_model: CostModelConfig = CostModelConfig()
     model: ModelConfig = ModelConfig()
     retention: RetentionConfig = RetentionConfig()
@@ -223,27 +229,12 @@ class RunConfig:
     convergence_sustain: int = 3
 
     def __post_init__(self):
-        _require(self.iterations >= 0, "iterations must be >= 0")
+        _require(self.iterations >= 1, "iterations must be >= 1")
         _require(self.eval_interval >= 1, "eval_interval must be >= 1")
         _require(self.repetitions >= 1, "repetitions must be >= 1")
         _require(self.baseline_runs >= 2, "baseline_runs must be >= 2")
         _require(0.0 < self.window_fraction <= 1.0, "window_fraction must lie in (0, 1]")
         _require(self.convergence_sustain >= 1, "convergence_sustain must be >= 1")
-
-
-_SECTION_TYPES = {
-    "cost_model": CostModelConfig,
-    "model": ModelConfig,
-    "retention": RetentionConfig,
-    "transfer": TransferConfig,
-    "search": SearchConfig,
-}
-
-_PATH_KEYS = {
-    "catalog": "catalog_path",
-    "train_workload": "train_workload_path",
-    "test_workload": "test_workload_path",
-}
 
 
 def _is_int(value) -> bool:
@@ -264,24 +255,39 @@ _FIELD_TYPES = {
 }
 
 
-def _check_type(key: str, value, annotation: str, where: str) -> None:
-    expected, accepts = _FIELD_TYPES[annotation]
-    if not accepts(value):
-        raise ConfigError(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
-
-
-def _build_section(cls, doc: dict, where: str):
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(types)
+def _build(cls, doc: dict, where: str, base: Path):
+    """``cls`` from its config document: unknown keys, then each value's
+    JSON type, then the dataclass's own range checks.  A field whose default
+    is a dataclass is a section, built the same way from its own object."""
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
     kwargs = {}
-    for key, value in doc.items():
-        _check_type(key, value, types[key], where)
-        kwargs[key] = tuple(value) if isinstance(value, list) else value
+    for key, f in fields.items():
+        if key not in doc:
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{where}: missing required key {key!r}")
+            continue
+        value = doc[key]
+        if dataclasses.is_dataclass(f.default):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}: section {key!r} must be an object")
+            value = _build(type(f.default), value, f"{where}: {key}", base)
+        else:
+            expected, accepts = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise ConfigError(
+                    f"{where}: {key!r} must be {expected}, got {json.dumps(value)}"
+                )
+            if "key" in f.metadata:
+                value = str((base / value).resolve())
+            elif isinstance(value, list):
+                value = tuple(value)
+        kwargs[f.name] = value
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -302,53 +308,16 @@ def load_run_config(path) -> RunConfig:
         ) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    scalar_types = {
-        f.name: f.type
-        for f in dataclasses.fields(RunConfig)
-        if f.name not in _SECTION_TYPES and not f.name.endswith("_path")
-    }
-    kwargs = {}
-    for key, value in doc.items():
-        if key in _PATH_KEYS:
-            _check_type(key, value, "str", str(path))
-            kwargs[_PATH_KEYS[key]] = str((path.parent / value).resolve())
-        elif key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{path}: section {key!r} must be an object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, f"{path}: {key}")
-        elif key in scalar_types:
-            _check_type(key, value, scalar_types[key], str(path))
-            kwargs[key] = value
-        else:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for required in _PATH_KEYS:
-        if _PATH_KEYS[required] not in kwargs:
-            raise ConfigError(f"{path}: missing required key {required!r}")
-    try:
-        return RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _build(RunConfig, doc, str(path), path.parent)
 
 
 def config_to_doc(cfg: RunConfig) -> dict:
-    """Resolved configuration as a JSON-serializable document."""
-    doc = {
-        "catalog": cfg.catalog_path,
-        "train_workload": cfg.train_workload_path,
-        "test_workload": cfg.test_workload_path,
-    }
-    for name in (
-        "iterations",
-        "eval_interval",
-        "base_seed",
-        "repetitions",
-        "baseline_runs",
-        "window_fraction",
-        "convergence_sustain",
-    ):
-        doc[name] = getattr(cfg, name)
-    for section, cls in _SECTION_TYPES.items():
-        doc[section] = dataclasses.asdict(getattr(cfg, section))
+    """Resolved configuration as a JSON-serializable document, spelled as
+    ``load_run_config`` reads it."""
+    doc = dataclasses.asdict(cfg)
+    for f in dataclasses.fields(RunConfig):
+        if "key" in f.metadata:
+            doc[f.metadata["key"]] = doc.pop(f.name)
     doc["model"]["hidden_sizes"] = list(cfg.model.hidden_sizes)
     return doc
 
@@ -555,6 +524,22 @@ class RunHistory:
         rec = self.records[-1]
         return rec.wrl_test if split == "test" else rec.wrl_train
 
+    def first_foreign_record(self) -> IterationRecord | None:
+        """The first record whose WRLs are not its latencies' WRLs against
+        these baselines, as recorded under other baselines (another seed);
+        None when every record agrees."""
+        expert = {
+            split: {q: self.baselines[q].mean_latency_ms for q in ids}
+            for split, ids in (("train", self.train_ids), ("test", self.test_ids))
+        }
+        for rec in self.records:
+            if (rec.wrl_train, rec.wrl_test) != (
+                wrl(rec.train_latencies, expert["train"]),
+                wrl(rec.test_latencies, expert["test"]),
+            ):
+                return rec
+        return None
+
 
 @dataclass
 class RunResult(RunHistory):
@@ -690,27 +675,18 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     for iteration in range(1, cfg.iterations + 1):
         fresh: list[Experience] = []
         for qidx, ctx in enumerate(setup.train):
-            query, catalog = ctx.query, ctx.catalog
             plan = plan_search(
-                query,
+                ctx.query,
                 params,
-                catalog,
+                ctx.catalog,
                 cfg.cost_model,
                 beam_width=cfg.search.beam_width,
                 epsilon=epsilon,
                 rng_seed=derive_seed(seed, "search", iteration, qidx),
                 left_deep_only=cfg.search.left_deep_only,
             )
-            latency = execute(
-                plan,
-                query,
-                catalog,
-                cfg.cost_model,
-                derive_seed(seed, "exec", iteration, qidx),
-            )
-            experiences = extract_experiences(
-                plan, query, catalog, cfg.cost_model, latency, iteration
-            )
+            latency = execute(plan, ctx, derive_seed(seed, "exec", iteration, qidx))
+            experiences = extract_experiences(plan, ctx, latency, iteration)
             fresh.extend(experiences)
             buffer.extend(experiences)
         if cfg.retention.enabled:

@@ -108,25 +108,17 @@ def _tokens(rng, relations, internal_edges, predicate_count):
     return operators, operands
 
 
-def _distinct_policy_orderings(train_docs, catalog) -> bool:
+def _distinct_policy_orderings(catalog_doc, train_doc) -> bool:
     """True when every pair of partitioning policies ranks the train queries
-    differently (Spearman correlation of ranks < 1)."""
-    from .catalog import Query, edge_key
+    differently (Spearman correlation of ranks < 1).  The documents are read
+    as ``load_catalog`` and ``load_workload`` read the written files."""
+    from .catalog import catalog_from_doc, workload_from_doc
     from .simulator import CostModelConfig, QueryContext
     from .transfer import PartitioningPolicy, policy_score
 
     cfg = CostModelConfig(noise_rel_sigma=0.0)
-    queries = [
-        Query(
-            id=doc["id"],
-            relations=tuple(doc["relations"]),
-            join_edges=frozenset(edge_key(a, b) for a, b in doc["join_edges"]),
-            operator_tokens=doc["operator_tokens"],
-            operand_tokens=doc["operand_tokens"],
-            predicate_count=doc["predicate_count"],
-        )
-        for doc in train_docs
-    ]
+    catalog = catalog_from_doc(catalog_doc, "generated catalog")
+    queries = workload_from_doc(train_doc, catalog, "generated train workload")
     contexts = [QueryContext(q, catalog, cfg) for q in queries]
     scores = {
         policy: np.array([policy_score(c, policy) for c in contexts])
@@ -152,8 +144,6 @@ def generate(
     max_relations: int | None = None,
 ):
     """Returns (catalog_doc, train_doc, test_doc) as plain dicts."""
-    from .catalog import Catalog, TableStats
-
     if n_tables < 2:
         raise GenError("need at least 2 tables")
     if n_train < 1 or n_test < 0:
@@ -213,30 +203,19 @@ def generate(
             "selectivities": selectivities,
             "default_selectivity": 0.1,
         }
-        catalog = Catalog(
-            tables=tuple(
-                TableStats(t["name"], t["row_count"], t["row_width_bytes"], t["filter_selectivity"])
-                for t in tables
-            ),
-            join_selectivities={
-                tuple(sorted(e["tables"])): e["selectivity"] for e in selectivities
-            },
-            default_selectivity=catalog_doc["default_selectivity"],
-        )
         queries = [make_query(rng, f"q{i + 1:02d}") for i in range(n_train + n_test)]
+        train_doc = {"queries": queries[:n_train]}
         # Schemas with < 3 tables or tiny train sets cannot support four
         # distinct orderings; accept the first draw there.
         trivial = n_tables < 3 or n_train < 4
-        if trivial or _distinct_policy_orderings(queries[:n_train], catalog):
+        if trivial or _distinct_policy_orderings(catalog_doc, train_doc):
             break
     else:
         raise GenError(
             "could not generate a workload with distinct policy orderings; "
             "try more queries or a different seed"
         )
-    train_doc = {"queries": queries[:n_train]}
-    test_doc = {"queries": queries[n_train:]}
-    return catalog_doc, train_doc, test_doc
+    return catalog_doc, train_doc, {"queries": queries[n_train:]}
 
 
 def write_files(out_dir, catalog_doc, train_doc, test_doc):

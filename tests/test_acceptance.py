@@ -38,7 +38,7 @@ from joinopt.retention import (
     sample_replay,
     td_error,
 )
-from joinopt.simulator import CostModelConfig, QueryContext, expert_plan, plan_cost
+from joinopt.simulator import CostModelConfig, QueryContext, expert_plan
 from joinopt.trainer import load_run_config, run_training
 from joinopt.transfer import (
     MetaTask,
@@ -269,7 +269,7 @@ def test_criterion_3_expert_optimality():
     for trial in range(200):
         n = int(rng.integers(2, 6))
         catalog, query = random_tree_catalog_and_query(rng, n, qid=f"t{trial}")
-        dp_cost = plan_cost(expert_plan(query, catalog, cfg), query, catalog, cfg)
+        dp_cost = QueryContext(query, catalog, cfg).cost(expert_plan(query, catalog, cfg))
         ok &= dp_cost == brute_force_min_cost(query, catalog, cfg)
         if not ok:
             break

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from joinopt import cli
 from joinopt.cli import main
-from joinopt.trainer import load_run_config, run_training
+from joinopt.trainer import config_to_doc, load_run_config, run_training
 
 from conftest import write_json
 
@@ -256,13 +257,190 @@ def test_bad_config_single_line_error(tmp_path, capsys):
 def test_train_bad_config_value_fails_before_work(project, capsys, overrides, key):
     tmp_path, config = project
     bad = write_json(tmp_path / "bad.json", {**json.loads(config.read_text()), **overrides})
+    _assert_fails_before_work(tmp_path, capsys, ["--config", str(bad)], key)
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--iterations", "0"], "--iterations: iterations"),
+        (["--reps", "0"], "--reps: repetitions"),
+        (["--k-tasks", "1"], "--k-tasks: k_tasks"),
+    ],
+)
+def test_train_bad_override_fails_before_work(project, capsys, flags, key):
+    tmp_path, config = project
+    _assert_fails_before_work(tmp_path, capsys, ["--config", str(config), *flags], key)
+
+
+def _assert_fails_before_work(tmp_path, capsys, argv, key):
     out = tmp_path / "never"
-    rc = main(["train", "--config", str(bad), "--out", str(out)])
+    rc = main(["train", *argv, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert key in err
     assert not out.exists()
+
+
+def _flat(doc, prefix=""):
+    flat = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
+
+
+def _changed(before, after):
+    before, after = _flat(before), _flat(after)
+    assert before.keys() == after.keys()
+    return {key: after[key] for key in after if after[key] != before[key]}
+
+
+@pytest.mark.parametrize(
+    "flags, changed",
+    [
+        (["--seed", "9"], {"base_seed": 9}),
+        (["--reps", "2"], {"repetitions": 2}),
+        (["--iterations", "2"], {"iterations": 2}),
+        (["--k-tasks", "3"], {"transfer.k_tasks": 3}),
+        (["--no-transfer"], {"transfer.enabled": False}),
+        (["--no-retention"], {"retention.enabled": False}),
+        (["--weighting", "td-low"], {"retention.weighting": "td_low"}),
+        (["--policy", "estimated-rows"], {"transfer.forced_policy": "estimated_rows"}),
+    ],
+)
+def test_train_override_changes_only_its_key(project, flags, changed):
+    """Each override flag of train changes exactly its own key of the
+    config.json that the run writes."""
+    tmp_path, config = project
+    doc = json.loads(config.read_text())
+    doc["transfer"] = {**doc["transfer"], "enabled": True, "n_outer": 1, "n_inner": 1}
+    config = write_json(tmp_path / "with_transfer.json", doc)
+    written = []
+    for name, extra in (("plain", []), ("flagged", flags)):
+        out = tmp_path / name
+        argv = ["train", "--config", str(config), "--out", str(out)]
+        for flag, value in (("--reps", "1"), ("--iterations", "1")):
+            if flag not in extra:
+                argv += [flag, value]
+        assert main(argv + extra) == 0
+        written.append(json.loads((out / "config.json").read_text()))
+    assert _changed(*written) == changed
+
+
+@pytest.mark.parametrize(
+    "command, flags, changed",
+    [
+        (
+            "meta-train",
+            ["--seed", "9", "--k-tasks", "3", "--policy", "halstead"],
+            {"base_seed": 9, "transfer.k_tasks": 3, "transfer.forced_policy": "halstead"},
+        ),
+        ("eval", ["--seed", "9"], {"base_seed": 9}),
+        ("replay-report", ["--seed", "9", "--iterations", "2"], {"base_seed": 9, "iterations": 2}),
+        ("partition-report", ["--k-tasks", "3"], {"transfer.k_tasks": 3}),
+    ],
+)
+def test_command_overrides_reach_the_command(project, monkeypatch, command, flags, changed):
+    tmp_path, config = project
+    seen = []
+    monkeypatch.setattr(
+        cli, "_cmd_" + command.replace("-", "_"), lambda args, cfg: seen.append(cfg) or 0
+    )
+    required = {"meta-train": ["--out", "x"], "eval": ["--model", "m.npz"],
+                "replay-report": ["--out", "x"]}
+    assert main([command, "--config", str(config), *required.get(command, []), *flags]) == 0
+    assert _changed(config_to_doc(load_run_config(config)), config_to_doc(seen[0])) == changed
+
+
+# Every option of every subcommand: (choices, type, action, default,
+# required, help).  Declaring the overrides once must not change them.
+COMMAND_OPTIONS = {
+    "gen-workload": {
+        "--out": (None, None, "_StoreAction", None, True, "output directory"),
+        "--tables": (None, "int", "_StoreAction", 6, False, "number of tables (>= 2)"),
+        "--shape": (["chain", "snowflake", "star"], None, "_StoreAction", "star", False,
+                    "schema shape"),
+        "--train-queries": (None, "int", "_StoreAction", 10, False, "train query count"),
+        "--test-queries": (None, "int", "_StoreAction", 3, False, "test query count"),
+        "--seed": (None, "int", "_StoreAction", 1, False, "generator seed"),
+        "--min-relations": (None, "int", "_StoreAction", 2, False, "smallest query size"),
+        "--max-relations": (None, "int", "_StoreAction", None, False, "largest query size"),
+    },
+    "partition-report": {
+        "--config": (None, None, "_StoreAction", None, True, "run-configuration file"),
+        "--k-tasks": (None, "int", "_StoreAction", None, False, "override task count"),
+        "--out": (None, None, "_StoreAction", None, False, "directory for partition_report.csv"),
+    },
+    "meta-train": {
+        "--config": (None, None, "_StoreAction", None, True, "run-configuration file"),
+        "--seed": (None, "int", "_StoreAction", None, False, "override base seed"),
+        "--k-tasks": (None, "int", "_StoreAction", None, False, "override task count"),
+        "--policy": (
+            ["estimated-cost", "estimated-rows", "halstead", "operator-count"], None,
+            "_StoreAction", None, False, "force a partitioning policy instead of DBI selection",
+        ),
+        "--out": (None, None, "_StoreAction", None, True, "output directory"),
+    },
+    "train": {
+        "--config": (None, None, "_StoreAction", None, True, "run-configuration file"),
+        "--seed": (None, "int", "_StoreAction", None, False, "override base seed"),
+        "--reps": (None, "int", "_StoreAction", None, False, "override repetitions"),
+        "--iterations": (None, "int", "_StoreAction", None, False,
+                         "override training iterations"),
+        "--out": (None, None, "_StoreAction", None, True, "output directory"),
+        "--no-transfer": (None, None, "_StoreTrueAction", False, False,
+                          "disable meta initialization"),
+        "--no-retention": (None, None, "_StoreTrueAction", False, False,
+                           "train only on each iteration's fresh experiences"),
+        "--weighting": (["hybrid", "recency", "td-high", "td-low"], None, "_StoreAction",
+                        None, False, "replay weighting policy"),
+        "--policy": (
+            ["estimated-cost", "estimated-rows", "halstead", "operator-count"], None,
+            "_StoreAction", None, False, "force a partitioning policy instead of DBI selection",
+        ),
+        "--k-tasks": (None, "int", "_StoreAction", None, False, "override task count"),
+    },
+    "eval": {
+        "--config": (None, None, "_StoreAction", None, True, "run-configuration file"),
+        "--model": (None, None, "_StoreAction", None, True, "model checkpoint (.npz)"),
+        "--seed": (None, "int", "_StoreAction", None, False, "override base seed"),
+        "--history": (None, None, "_StoreAction", None, False,
+                      "a run.csv file; adds per-query verdicts and the convergence iteration"),
+        "--out": (None, None, "_StoreAction", None, False, "directory for eval.csv"),
+    },
+    "replay-report": {
+        "--config": (None, None, "_StoreAction", None, True, "run-configuration file"),
+        "--seed": (None, "int", "_StoreAction", None, False, "override base seed"),
+        "--iterations": (None, "int", "_StoreAction", None, False,
+                         "override training iterations"),
+        "--out": (None, None, "_StoreAction", None, True, "output directory"),
+    },
+}
+
+
+def test_subcommand_options_are_stable():
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    got = {
+        name: {
+            a.option_strings[-1]: (
+                sorted(a.choices) if a.choices else None,
+                getattr(a.type, "__name__", None),
+                type(a).__name__,
+                a.default,
+                a.required,
+                a.help,
+            )
+            for a in command._actions
+            if a.option_strings and a.dest != "help"
+        }
+        for name, command in commands.items()
+    }
+    assert got == COMMAND_OPTIONS
 
 
 def test_eval_with_history_reports_verdicts(project):
@@ -317,6 +495,37 @@ def test_eval_history_prints_the_runs_verdicts(project, capsys):
     }
     assert printed == expected and len(expected) == 8
     assert convergence == read_csv(runs / "summary.csv")[1][4]
+
+
+def test_eval_history_needs_the_runs_seed(project, capsys):
+    """A history judged against another seed's baselines is refused; with
+    the run's seed, eval prints that repetition's verdicts."""
+    tmp_path, config = project
+    runs = tmp_path / "two_reps"
+    assert main(["train", "--config", str(config), "--reps", "2", "--out", str(runs)]) == 0
+    argv = [
+        "eval", "--config", str(config),
+        "--model", str(runs / "rep1" / "model.npz"),
+        "--history", str(runs / "rep1" / "run.csv"),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "run.csv" in captured.err and "--seed" in captured.err
+    assert main(argv + ["--seed", "6"]) == 0  # the config's base_seed is 5
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        fields = line.split()
+        if fields[-1].startswith("verdict="):
+            printed[(fields[0], fields[1])] = fields[-1].removeprefix("verdict=")
+    expected = {
+        (row[1], row[2]): row[3]
+        for row in read_csv(runs / "verdicts.csv")[1:]
+        if row[0] == "1"
+    }
+    assert printed == expected and len(expected) == 8
 
 
 def _eval_history_error(project, capsys, edit):

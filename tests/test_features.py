@@ -10,7 +10,6 @@ from joinopt.simulator import (
     initial_fragments,
     join_fragments,
     join_info,
-    plan_cost,
     plan_infos,
     scan_info,
     successors,
@@ -86,13 +85,13 @@ def test_plan_infos_is_post_order(default_cost):
 
 
 def test_fragment_cost_matches_plan_cost(rng, default_cost):
-    """The cost summary of a full plan equals plan_cost exactly."""
+    """The cost summary of a full plan equals QueryContext.cost exactly."""
     for _ in range(5):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 6)))
         ctx = QueryContext(query, catalog, default_cost)
         plan = random_rollout(ctx, rng)
         info = plan_infos(plan, ctx)[-1]
-        assert info.cost == plan_cost(plan, query, catalog, default_cost)
+        assert info.cost == QueryContext(query, catalog, default_cost).cost(plan)
 
 
 def test_cardinality_memo_consistency(ctx, chain3_catalog, chain3_query):

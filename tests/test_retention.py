@@ -18,6 +18,7 @@ from joinopt.retention import (
     sample_replay,
     td_error,
 )
+from joinopt.simulator import QueryContext
 
 from conftest import make_catalog, make_query
 
@@ -60,7 +61,8 @@ def star4():
 
 def test_extract_single_join(pair_catalog, pair_query, default_cost):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
-    exps = extract_experiences(plan, pair_query, pair_catalog, default_cost, 12.5, 3)
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    exps = extract_experiences(plan, ctx, 12.5, 3)
     assert len(exps) == 1
     (exp,) = exps
     assert exp.is_terminal
@@ -77,7 +79,7 @@ def test_extract_left_deep_chain(star4, default_cost):
         Scan("d3"),
         JoinOp.HASH,
     )
-    exps = extract_experiences(plan, query, catalog, default_cost, 100.0, 0)
+    exps = extract_experiences(plan, QueryContext(query, catalog, default_cost), 100.0, 0)
     assert len(exps) == 3  # |relations| - 1
     by_terminal = [e for e in exps if e.is_terminal]
     assert len(by_terminal) == 1
@@ -118,7 +120,7 @@ def test_extract_bushy_plan(star4, default_cost):
     left = Join(Scan("a"), Scan("b"), JoinOp.HASH)
     right = Join(Scan("c"), Scan("d"), JoinOp.MERGE)
     plan = Join(left, right, JoinOp.NESTED_LOOP)
-    exps = extract_experiences(plan, query, catalog, default_cost, 50.0, 1)
+    exps = extract_experiences(plan, QueryContext(query, catalog, default_cost), 50.0, 1)
     assert len(exps) == 3
     root = next(e for e in exps if e.is_terminal)
     inner = [e for e in exps if not e.is_terminal]
@@ -136,7 +138,7 @@ def test_extract_rejects_partial_plan(star4, default_cost):
     catalog, query = star4
     partial = Join(Scan("f"), Scan("d1"), JoinOp.HASH)
     with pytest.raises(RetentionError, match="cover"):
-        extract_experiences(partial, query, catalog, default_cost, 10.0, 0)
+        extract_experiences(partial, QueryContext(query, catalog, default_cost), 10.0, 0)
 
 
 def test_extract_count_random_plans(rng, default_cost):
@@ -148,7 +150,7 @@ def test_extract_count_random_plans(rng, default_cost):
         n = int(rng.integers(2, 7))
         catalog, query = random_tree_catalog_and_query(rng, n)
         plan = random_rollout(QueryContext(query, catalog, default_cost), rng)
-        exps = extract_experiences(plan, query, catalog, default_cost, 5.0, 0)
+        exps = extract_experiences(plan, QueryContext(query, catalog, default_cost), 5.0, 0)
         assert len(exps) == n - 1
 
 

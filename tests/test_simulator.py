@@ -15,7 +15,6 @@ from joinopt.simulator import (
     expert_baseline,
     expert_plan,
     noiseless_latency,
-    plan_cost,
 )
 
 from conftest import make_catalog, make_query, random_tree_catalog_and_query
@@ -56,7 +55,7 @@ def brute_force_min_cost(query, catalog, cfg):
     """Minimum cost over every cross-product-free plan, by exhaustive
     enumeration of per-tree costs (no pruning, no best-per-subset table; the
     min is taken only at the end, over complete plans).  Costs compose as
-    (left + right) + increment, matching plan_cost's recursion bitwise."""
+    (left + right) + increment, matching QueryContext.cost's recursion bitwise."""
     from joinopt.plans import JOIN_OPS
     from joinopt.simulator import estimate_cardinality, join_cost_increment, scan_cost
 
@@ -151,13 +150,13 @@ def test_scan_cost_charges_unfiltered_rows(unit_cost):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     # scans 100 + 200; |left| = 50, |right| = 200, |out| = 100
     expected = 300.0 + 50.0 + (50.0 + 200.0 + 100.0)
-    assert plan_cost(plan, query, catalog, unit_cost) == pytest.approx(expected)
+    assert QueryContext(query, catalog, unit_cost).cost(plan) == pytest.approx(expected)
 
 
 def test_hash_join_cost_hand_value(pair_catalog, pair_query, unit_cost):
     # scans 100 + 200, build 100, cpu (100 + 200 + 200) -> 900
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
-    assert plan_cost(plan, pair_query, pair_catalog, unit_cost) == pytest.approx(900.0)
+    assert QueryContext(pair_query, pair_catalog, unit_cost).cost(plan) == pytest.approx(900.0)
 
 
 def test_zero_coefficients_zero_cost(pair_catalog, pair_query):
@@ -172,12 +171,12 @@ def test_zero_coefficients_zero_cost(pair_catalog, pair_query):
     )
     for op in JoinOp:
         plan = Join(Scan("r"), Scan("s"), op)
-        assert plan_cost(plan, pair_query, pair_catalog, cfg) == 0.0
+        assert QueryContext(pair_query, pair_catalog, cfg).cost(plan) == 0.0
 
 
 def test_nlj_and_merge_cost_formulas(pair_catalog, pair_query, unit_cost):
     nlj = Join(Scan("r"), Scan("s"), JoinOp.NESTED_LOOP)
-    assert plan_cost(nlj, pair_query, pair_catalog, unit_cost) == pytest.approx(
+    assert QueryContext(pair_query, pair_catalog, unit_cost).cost(nlj) == pytest.approx(
         300.0 + 100.0 * 200.0
     )
     merge = Join(Scan("r"), Scan("s"), JoinOp.MERGE)
@@ -187,13 +186,13 @@ def test_nlj_and_merge_cost_formulas(pair_catalog, pair_query, unit_cost):
         + 200.0 * math.log2(201.0)
         + 200.0
     )
-    assert plan_cost(merge, pair_query, pair_catalog, unit_cost) == pytest.approx(expected)
+    assert QueryContext(pair_query, pair_catalog, unit_cost).cost(merge) == pytest.approx(expected)
 
 
 def test_plan_query_mismatch(chain3_catalog, chain3_query, unit_cost):
     partial = Join(Scan("a"), Scan("b"), JoinOp.HASH)
     with pytest.raises(SimulatorError, match="covers"):
-        plan_cost(partial, chain3_query, chain3_catalog, unit_cost)
+        QueryContext(chain3_query, chain3_catalog, unit_cost).cost(partial)
 
 
 def test_plan_cost_monotone_in_coefficients(rng):
@@ -214,9 +213,9 @@ def test_plan_cost_monotone_in_coefficients(rng):
         for name in fields:
             doubled = dataclasses.replace(base, **{name: getattr(base, name) * 2})
             for plan in plans:
-                assert plan_cost(plan, query, catalog, doubled) >= plan_cost(
-                    plan, query, catalog, base
-                )
+                assert QueryContext(query, catalog, doubled).cost(plan) >= QueryContext(
+                    query, catalog, base
+                ).cost(plan)
 
 
 # --- execute -----------------------------------------------------------------
@@ -224,16 +223,18 @@ def test_plan_cost_monotone_in_coefficients(rng):
 def test_execute_noiseless_equals_cost_times_unit(pair_catalog, pair_query):
     cfg = CostModelConfig(noise_rel_sigma=0.0)
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
-    expected = plan_cost(plan, pair_query, pair_catalog, cfg) * cfg.latency_per_cost_unit
-    assert execute(plan, pair_query, pair_catalog, cfg, rng_seed=7) == expected
+    ctx = QueryContext(pair_query, pair_catalog, cfg)
+    expected = ctx.cost(plan) * cfg.latency_per_cost_unit
+    assert execute(plan, ctx, rng_seed=7) == expected
     assert noiseless_latency(plan, pair_query, pair_catalog, cfg) == expected
 
 
 def test_execute_deterministic_per_seed(pair_catalog, pair_query, default_cost):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
-    a = execute(plan, pair_query, pair_catalog, default_cost, rng_seed=42)
-    b = execute(plan, pair_query, pair_catalog, default_cost, rng_seed=42)
-    c = execute(plan, pair_query, pair_catalog, default_cost, rng_seed=43)
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    a = execute(plan, ctx, rng_seed=42)
+    b = execute(plan, ctx, rng_seed=42)
+    c = execute(plan, ctx, rng_seed=43)
     assert a == b
     assert a != c
 
@@ -243,9 +244,8 @@ def test_execute_noise_statistics(pair_catalog, pair_query):
     for sigma = 0.05."""
     cfg = CostModelConfig(noise_rel_sigma=0.05)
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
-    draws = np.array(
-        [execute(plan, pair_query, pair_catalog, cfg, rng_seed=s) for s in range(10_000)]
-    )
+    ctx = QueryContext(pair_query, pair_catalog, cfg)
+    draws = np.array([execute(plan, ctx, rng_seed=s) for s in range(10_000)])
     ratio = draws.std(ddof=1) / draws.mean()
     assert 0.04 <= ratio <= 0.06
 
@@ -254,7 +254,8 @@ def test_execute_floor_prevents_nonpositive(pair_catalog, pair_query):
     cfg = CostModelConfig(noise_rel_sigma=5.0)  # many draws below -1
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     base = noiseless_latency(plan, pair_query, pair_catalog, cfg)
-    lats = [execute(plan, pair_query, pair_catalog, cfg, rng_seed=s) for s in range(200)]
+    ctx = QueryContext(pair_query, pair_catalog, cfg)
+    lats = [execute(plan, ctx, rng_seed=s) for s in range(200)]
     assert min(lats) >= 0.01 * base > 0
 
 
@@ -263,7 +264,7 @@ def test_execute_floor_prevents_nonpositive(pair_catalog, pair_query):
 def test_expert_two_relations_exhaustive(pair_catalog, pair_query, default_cost):
     plan = expert_plan(pair_query, pair_catalog, default_cost)
     best = brute_force_min_cost(pair_query, pair_catalog, default_cost)
-    assert plan_cost(plan, pair_query, pair_catalog, default_cost) == pytest.approx(best)
+    assert QueryContext(pair_query, pair_catalog, default_cost).cost(plan) == pytest.approx(best)
 
 
 def test_expert_four_relation_chain_matches_brute_force(default_cost):
@@ -273,7 +274,7 @@ def test_expert_four_relation_chain_matches_brute_force(default_cost):
     )
     query = make_query("c4", ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
     plan = expert_plan(query, catalog, default_cost)
-    got = plan_cost(plan, query, catalog, default_cost)
+    got = QueryContext(query, catalog, default_cost).cost(plan)
     assert got == pytest.approx(brute_force_min_cost(query, catalog, default_cost))
 
 
@@ -281,7 +282,7 @@ def test_expert_matches_brute_force_random(rng, default_cost):
     for trial in range(25):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 6)))
         plan = expert_plan(query, catalog, default_cost)
-        got = plan_cost(plan, query, catalog, default_cost)
+        got = QueryContext(query, catalog, default_cost).cost(plan)
         best = brute_force_min_cost(query, catalog, default_cost)
         assert got == pytest.approx(best, rel=1e-12)
 
@@ -333,7 +334,7 @@ def test_baseline_deterministic(pair_catalog, pair_query, default_cost):
     assert a == b
     # The executions are the expert plan's, seeded base_seed + i.
     plan = expert_plan(pair_query, pair_catalog, default_cost)
-    runs = [execute(plan, pair_query, pair_catalog, default_cost, 5 + i) for i in range(10)]
+    runs = [execute(plan, ctx, 5 + i) for i in range(10)]
     assert a.mean_latency_ms == float(np.mean(runs))
 
 

@@ -13,11 +13,12 @@ from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
 from joinopt.features import fragment_features, feature_dim
 from joinopt.plans import Join, validate_plan
-from joinopt.simulator import QueryContext, expert_plan, plan_cost, plan_infos
+from joinopt.simulator import QueryContext, expert_plan, plan_infos
 from joinopt.trainer import (
     ConfigError,
     RunConfig,
     build_meta_tasks,
+    config_to_doc,
     derive_seed,
     load_run_config,
     plan_search,
@@ -77,7 +78,7 @@ def test_load_config_rejects_unknown_keys(workload_dir):
     with pytest.raises(ConfigError, match="bogus_knob"):
         load_run_config(path)
     path2 = config_file(workload_dir, retention={"nope": True})
-    with pytest.raises(ConfigError, match="nope"):
+    with pytest.raises(ConfigError, match="retention: unknown key 'nope'"):
         load_run_config(path2)
     # dp_limit was never read; the DP limit is simulator.DEFAULT_DP_LIMIT.
     with pytest.raises(ConfigError, match="unknown key 'dp_limit'"):
@@ -124,11 +125,29 @@ def test_load_config_validates_before_work(workload_dir):
         ({"transfer": {"rollouts_per_query": -1}}, "rollouts_per_query"),
         ({"transfer": {"batch_size": 0}}, "batch_size"),
         ({"transfer": {"enabled": False, "forced_policy": "bogus"}}, "forced_policy"),
+        ({"iterations": 0}, "iterations"),
     ],
 )
 def test_load_config_rejects_bad_type_or_range(workload_dir, overrides, key):
     with pytest.raises(ConfigError, match=key):
         load_run_config(config_file(workload_dir, **overrides))
+
+
+def test_config_doc_loads_back_to_the_same_config(workload_dir):
+    """config.json is the resolved config spelled as the loader reads it."""
+    cfg = load_run_config(
+        config_file(
+            workload_dir,
+            model={"hidden_sizes": [8, 4]},
+            transfer={"forced_policy": "halstead"},
+            cost_model={"noise_rel_sigma": 0.0},
+        )
+    )
+    doc = config_to_doc(cfg)
+    assert doc["catalog"] == cfg.catalog_path and "catalog_path" not in doc
+    assert doc["model"]["hidden_sizes"] == [8, 4]
+    again = write_json(workload_dir / "resolved.json", doc)
+    assert load_run_config(again) == cfg
 
 
 def test_load_config_types(workload_dir):
@@ -235,8 +254,8 @@ def test_beam_with_cost_oracle_finds_expert_cost_on_star6():
         plan = plan_search(
             query, oracle, catalog, cfg.cost_model, beam_width=8, epsilon=0.0, rng_seed=0
         )
-        got = plan_cost(plan, query, catalog, cfg.cost_model)
-        want = plan_cost(expert_plan(query, catalog, cfg.cost_model), query, catalog, cfg.cost_model)
+        ctx = QueryContext(query, catalog, cfg.cost_model)
+        got, want = ctx.cost(plan), ctx.cost(ctx.expert())
         if got != pytest.approx(want, rel=1e-9):
             worse[query.id] = round(got / want, 3)
     assert len(queries) == 13
@@ -278,15 +297,6 @@ def test_build_meta_tasks_shapes(default_cost):
 
 
 # --- run_training -------------------------------------------------------------------
-
-def test_zero_iterations_single_record(workload_dir):
-    cfg = load_run_config(config_file(workload_dir, iterations=0))
-    result = run_training(cfg)
-    assert len(result.records) == 1
-    assert result.records[0].iteration == 0
-    assert result.records[0].buffer_size == 0
-    assert math.isnan(result.records[0].mean_sampled_norm_td)
-
 
 def test_training_smoke_with_retention_disabled(workload_dir):
     cfg = load_run_config(config_file(workload_dir))

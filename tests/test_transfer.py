@@ -117,12 +117,12 @@ def test_estimated_rows_score(pair_catalog, pair_query, default_cost):
 
 
 def test_estimated_cost_consistency(pair_catalog, pair_query, default_cost):
-    from joinopt.simulator import expert_plan, plan_cost
+    from joinopt.simulator import expert_plan
 
     ctx = QueryContext(pair_query, pair_catalog, default_cost)
     score = policy_score(ctx, PartitioningPolicy.ESTIMATED_COST)
-    expected = plan_cost(
-        expert_plan(pair_query, pair_catalog, default_cost), pair_query, pair_catalog, default_cost
+    expected = QueryContext(pair_query, pair_catalog, default_cost).cost(
+        expert_plan(pair_query, pair_catalog, default_cost)
     )
     assert score == expected
 
