@@ -13,9 +13,13 @@ Layout, for a catalog with T tables (dimension d = T + 8):
     [T+7]   normalized recency, 0 at extraction, filled at sampling time
 
 The recency slot index is exposed as ``RECENCY_SLOT`` (negative, from the
-end).  A fragment is featurized from its ``simulator.FragmentInfo`` summary
-and the query's ``simulator.QueryContext``, so search featurizes each
-successor from its children's summaries without re-walking a subtree.
+end).  ``feature_matrix`` is the one builder of this layout: it takes the
+fragments as columns (relation-set masks, depths, operator counts, costs),
+reads the membership columns straight from the mask bits and the two size
+slots from the ``simulator.QueryContext``'s per-mask memo, so plan search
+featurizes a whole frontier of ``simulator.join_columns`` at once.
+``fragment_rows`` and ``fragment_features`` feed it ``simulator.FragmentInfo``
+summaries, one row per mask.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from .simulator import FragmentInfo, QueryContext
 __all__ = [
     "RECENCY_SLOT",
     "feature_dim",
+    "feature_matrix",
+    "fragment_rows",
     "fragment_features",
 ]
 
@@ -40,23 +46,52 @@ def feature_dim(catalog: Catalog) -> int:
     return len(catalog.tables) + 8
 
 
+def _mask_bits(masks: list[int], width: int) -> np.ndarray:
+    """[n, width] matrix of the low ``width`` bits of each mask, lowest first."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def feature_matrix(
+    ctx: QueryContext,
+    masks: list[int],
+    depths: list[int],
+    op_counts,
+    costs: list[float],
+) -> np.ndarray:
+    """One feature row per cost.  The rows come in equal runs, one run per
+    relation-set mask and depth; ``op_counts`` ([rows, 3]) and ``costs``
+    give each row's own.  The recency slot is 0."""
+    t = len(ctx.catalog.tables)
+    per_mask = np.zeros((len(masks), t + 8))
+    per_mask[:, ctx.relation_slots] = _mask_bits(masks, len(ctx.relations))
+    per_mask[:, t + 3 : t + 5] = list(map(ctx.log_size, masks))
+    per_mask[:, t + 6] = depths
+    out = np.repeat(per_mask, len(costs) // max(len(masks), 1), axis=0)
+    out[:, t : t + 3] = op_counts
+    # math.log1p, one value at a time: np.log1p differs in the last bit on
+    # some inputs.
+    out[:, t + 5] = list(map(math.log1p, costs))
+    return out
+
+
+def fragment_rows(infos: list[FragmentInfo], ctx: QueryContext) -> np.ndarray:
+    """``feature_matrix`` of fragment summaries, one row each."""
+    return feature_matrix(
+        ctx,
+        [info.mask for info in infos],
+        [info.depth for info in infos],
+        [info.op_counts for info in infos],
+        [info.cost for info in infos],
+    )
+
+
 def fragment_features(
     info: FragmentInfo, ctx: QueryContext, recency: float = 0.0
 ) -> np.ndarray:
-    catalog = ctx.catalog
-    vec = np.zeros(feature_dim(catalog))
-    names = ctx.names(info.mask)
-    for rel in names:
-        vec[ctx.catalog_slots[rel]] = 1.0
-    widths = [catalog.table(r).row_width_bytes for r in names]
-    avg_width = sum(widths) / len(widths)
-    t = len(catalog.tables)
-    vec[t + 0] = info.op_counts[0]
-    vec[t + 1] = info.op_counts[1]
-    vec[t + 2] = info.op_counts[2]
-    vec[t + 3] = math.log1p(info.rows)
-    vec[t + 4] = math.log1p(info.rows * avg_width)
-    vec[t + 5] = math.log1p(info.cost)
-    vec[t + 6] = info.depth
-    vec[t + 7] = recency
+    """The feature row of one fragment summary."""
+    vec = fragment_rows([info], ctx)[0]
+    vec[RECENCY_SLOT] = recency
     return vec

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import RECENCY_SLOT, fragment_features
+from .features import RECENCY_SLOT, fragment_rows
 from .model import ModelParams, TrainBatch, latency_to_label, predict_batch
 from .plans import Join, PlanNode
 from .simulator import QueryContext, plan_infos
@@ -208,13 +208,14 @@ def extract_experiences(
         raise RetentionError(
             f"plan does not cover query {ctx.query.id!r}; cannot extract experiences"
         )
-    by_node = {id(info.node): info for info in infos}
+    joins = [info for info in infos if isinstance(info.node, Join)]
+    rows = dict(zip((id(info.node) for info in joins), fragment_rows(joins, ctx)))
     experiences = []
 
     def walk(node, enclosing: np.ndarray | None):
         if not isinstance(node, Join):
             return
-        feats = fragment_features(by_node[id(node)], ctx)
+        feats = rows[id(node)]
         terminal = enclosing is None
         experiences.append(
             Experience(

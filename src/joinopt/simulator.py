@@ -10,22 +10,32 @@ model, with fixed lexicographic tie-breaking so results are reproducible.
 
 A ``QueryContext`` compiles one (query, catalog, cost config) once.  Every
 relation set is a bitmask over the query's sorted relation names; the context
-holds the relation index, the adjacency masks, cardinalities memoized by
-mask, and the expert plan, computed on first use and then kept.  A
+holds the relation index, the adjacency masks, cardinalities and log sizes
+memoized by mask, and the expert plan, computed on first use and then kept.
+Each context registers itself in a weak registry keyed by the identities of
+its query and catalog and by its cost config, so ``query_context`` (and
+through it ``plan_search``, ``noiseless_latency`` and ``expert_plan``)
+reuses a context that a caller still holds, such as a run's, instead of
+compiling another; the registry keeps no context alive by itself.  A
 ``FragmentInfo`` summarizes one plan fragment (mask, rows, cost, depth,
 operator counts) and composes bottom-up: ``plan_infos`` is the one walk that
 summarizes every node of a plan tree, and plan cost, execution, experience
 extraction and meta-task features all read it.  A partial plan is a tuple of
 disjoint fragment summaries in fragment order (by lowest relation bit);
-``successors`` enumerates its legal joins and ``join_fragments`` applies one.
+``legal_pairs`` enumerates the fragment pairs it may join, ``successors``
+adds the three operators, and ``join_fragments`` applies one join.
+``join_columns`` summarizes every join of a list of fragment pairs as
+columns, without building a fragment per join, for scoring a whole search
+frontier at once.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +47,9 @@ __all__ = [
     "ExpertBaseline",
     "SimulatorError",
     "QueryContext",
+    "query_context",
     "FragmentInfo",
+    "JoinColumns",
     "estimate_cardinality",
     "scan_cost",
     "join_cost_increment",
@@ -45,8 +57,10 @@ __all__ = [
     "join_info",
     "plan_infos",
     "initial_fragments",
+    "legal_pairs",
     "successors",
     "join_fragments",
+    "join_columns",
     "execute",
     "noiseless_latency",
     "expert_plan",
@@ -161,9 +175,10 @@ class QueryContext:
     """One query compiled against a catalog and cost config.
 
     Relation ``i`` of the sorted relation names is bit ``1 << i``, so a
-    mask's names come out sorted.  Construction reads only the query;
-    cardinalities, names and neighbour masks are memoized per mask on first
-    use, and ``expert()`` runs the DP once and keeps its plan.
+    mask's names come out sorted.  Construction reads only the query and
+    registers the context for ``query_context``; cardinalities, log sizes,
+    names and neighbour masks are memoized per mask on first use, and
+    ``expert()`` runs the DP once, on this context, and keeps its plan.
     """
 
     def __init__(self, query: Query, catalog: Catalog, cfg: CostModelConfig):
@@ -180,8 +195,10 @@ class QueryContext:
         self.adjacency = tuple(adjacency[r] for r in self.relations)
         self._names: dict[int, tuple[str, ...]] = {}
         self._card: dict[int, float] = {}
+        self._log_size: dict[int, tuple[float, float]] = {}
         self._neighbors: dict[int, int] = {}
         self._expert: PlanNode | None = None
+        _CONTEXTS[(id(query), id(catalog), cfg)] = self
 
     def names(self, mask: int) -> tuple[str, ...]:
         """Sorted relation names of a mask."""
@@ -200,6 +217,19 @@ class QueryContext:
             )
         return got
 
+    def log_size(self, mask: int) -> tuple[float, float]:
+        """log1p of the mask's estimated rows and of its data volume, rows
+        times the mean row width of its relations."""
+        got = self._log_size.get(mask)
+        if got is None:
+            widths = [self.catalog.table(r).row_width_bytes for r in self.names(mask)]
+            rows = self.cardinality(mask)
+            got = self._log_size[mask] = (
+                math.log1p(rows),
+                math.log1p(rows * (sum(widths) / len(widths))),
+            )
+        return got
+
     def neighbors(self, mask: int) -> int:
         """Union of the adjacency masks of the mask's relations."""
         got = self._neighbors.get(mask)
@@ -212,9 +242,10 @@ class QueryContext:
         return got
 
     @cached_property
-    def catalog_slots(self) -> dict[str, int]:
-        """Position of each catalog table in catalog order."""
-        return {name: i for i, name in enumerate(self.catalog.table_names)}
+    def relation_slots(self) -> np.ndarray:
+        """Catalog position of each relation, in relation (bit) order."""
+        order = {name: i for i, name in enumerate(self.catalog.table_names)}
+        return np.array([order[r] for r in self.relations])
 
     def expert(self) -> PlanNode:
         """The expert DP plan, computed by the first call."""
@@ -235,6 +266,21 @@ class QueryContext:
     def latency(self, plan: PlanNode) -> float:
         """Noiseless latency of a complete plan: cost times the latency unit."""
         return self.cost(plan) * self.cfg.latency_per_cost_unit
+
+
+# Every live context, by (id(query), id(catalog), cost config).  Values are
+# weak, so an entry lasts only while something else holds its context, and a
+# live context holds its query and catalog, so their ids are not reused.
+_CONTEXTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def query_context(query: Query, catalog: Catalog, cfg: CostModelConfig) -> QueryContext:
+    """The live context compiled for these query and catalog objects and
+    this cost config, or a newly compiled one."""
+    ctx = _CONTEXTS.get((id(query), id(catalog), cfg))
+    if ctx is not None and ctx.query is query and ctx.catalog is catalog:
+        return ctx
+    return QueryContext(query, catalog, cfg)
 
 
 @dataclass(frozen=True)
@@ -321,18 +367,18 @@ def initial_fragments(ctx: QueryContext) -> tuple[FragmentInfo, ...]:
     return tuple(scan_info(r, ctx) for r in ctx.relations)
 
 
-def successors(
+def legal_pairs(
     fragments: tuple[FragmentInfo, ...], ctx: QueryContext, left_deep_only: bool
-) -> list[tuple[int, int, JoinOp]]:
-    """Every legal join of a partial plan as (left index, right index,
-    operator): ordered fragment pairs linked by a join edge, so cross
-    products are never proposed, times the three operators.  Empty once one
-    fragment remains.  With ``left_deep_only`` the right side is always a
-    scan, and the left side is the composite fragment once one exists."""
+) -> list[tuple[int, int]]:
+    """Every fragment pair a partial plan may join, as (left index, right
+    index): ordered pairs linked by a join edge, so cross products are never
+    proposed.  Empty once one fragment remains.  With ``left_deep_only`` the
+    right side is always a scan, and the left side is the composite fragment
+    once one exists."""
     reach = [ctx.neighbors(f.mask) for f in fragments]
     composite = [f.depth > 0 for f in fragments]
     pinned = left_deep_only and any(composite)
-    moves = []
+    pairs = []
     for i in range(len(fragments)):
         if pinned and not composite[i]:
             continue
@@ -340,8 +386,20 @@ def successors(
             if i == j or (left_deep_only and composite[j]):
                 continue
             if reach[i] & right.mask:
-                moves.extend((i, j, op) for op in JOIN_OPS)
-    return moves
+                pairs.append((i, j))
+    return pairs
+
+
+def successors(
+    fragments: tuple[FragmentInfo, ...], ctx: QueryContext, left_deep_only: bool
+) -> list[tuple[int, int, JoinOp]]:
+    """Every legal join of a partial plan as (left index, right index,
+    operator): each of ``legal_pairs`` times the three operators."""
+    return [
+        (i, j, op)
+        for i, j in legal_pairs(fragments, ctx, left_deep_only)
+        for op in JOIN_OPS
+    ]
 
 
 def join_fragments(
@@ -368,6 +426,41 @@ def join_fragments(
     return joined, tuple(rest)
 
 
+class JoinColumns(NamedTuple):
+    """Summaries of the joins of many fragment pairs as columns: what
+    ``join_info`` would return for each join, less the plan nodes.  Each
+    pair gives one relation-set mask and depth and, for its three operators
+    in ``JOIN_OPS`` order, three rows of operator counts and costs."""
+
+    masks: list[int]  # one per pair
+    depths: list[int]  # one per pair
+    op_counts: np.ndarray  # [3 * pairs, 3]: hash, merge, nested loop
+    costs: list[float]  # 3 * pairs
+
+
+def join_columns(
+    pairs: list[tuple[FragmentInfo, FragmentInfo]], ctx: QueryContext
+) -> JoinColumns:
+    """The joins of each (left, right) fragment pair, by every operator."""
+    masks, depths, counts, costs = [], [], [], []
+    for left, right in pairs:
+        mask = left.mask | right.mask
+        masks.append(mask)
+        depths.append(1 + max(left.depth, right.depth))
+        counts.append(left.op_counts + right.op_counts)
+        rows = ctx.cardinality(mask)
+        children = left.cost + right.cost
+        costs += [
+            children + join_cost_increment(op, left.rows, right.rows, rows, ctx.cfg)
+            for op in JOIN_OPS
+        ]
+    children_counts = np.array(counts, dtype=float).reshape(-1, 2, 3).sum(axis=1)
+    op_counts = np.repeat(children_counts, len(JOIN_OPS), axis=0)
+    own = np.eye(3)[[_OP_SLOT[op] for op in JOIN_OPS]]  # the join's own operator
+    op_counts += np.tile(own, (len(pairs), 1))
+    return JoinColumns(masks, depths, op_counts, costs)
+
+
 def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:
     if cfg.noise_rel_sigma > 0:
         eps = float(np.random.default_rng(rng_seed).normal(0.0, cfg.noise_rel_sigma))
@@ -390,7 +483,7 @@ def noiseless_latency(
     plan: PlanNode, query: Query, catalog: Catalog, cfg: CostModelConfig
 ) -> float:
     """Latency with the noise term removed: cost times the latency unit."""
-    return QueryContext(query, catalog, cfg).latency(plan)
+    return query_context(query, catalog, cfg).latency(plan)
 
 
 def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNode:
@@ -400,9 +493,10 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
     edge-linked parts (both orders), and all three join operators.  Ties are
     broken by the lexicographically smallest (left, right) pair of sorted
     relation-name tuples, then by operator rank Hash < Merge < NLJ.  Queries
-    of more than ``DEFAULT_DP_LIMIT`` relations are refused.
+    of more than ``DEFAULT_DP_LIMIT`` relations are refused.  The DP's
+    cardinalities are memoized in the query's live context, if it has one.
     """
-    ctx = QueryContext(query, catalog, cfg)
+    ctx = query_context(query, catalog, cfg)
     rels = ctx.relations
     n = len(rels)
     if n > DEFAULT_DP_LIMIT:

@@ -5,12 +5,16 @@ Planning is beam search over partial-plan states scored by the value model,
 with epsilon-greedy exploration that collapses the beam onto one uniformly
 random successor.  The beam keeps one entry per relation-set partition: the
 best-scored of the successors that have joined the same relation sets.
+Each step scores every successor of the beam as one feature matrix in one
+forward pass, and builds plan fragments only for the successors it keeps.
 Training feedback is noisy simulator latency; periodic evaluations are
 greedy and noiseless, so every evaluated latency is bounded below by the
 expert DP latency.  ``prepare_run`` is the set-up of every command: it
 compiles each train and test query once into a ``simulator.QueryContext``
-that the expert baselines, partition selection, meta-task building and
-evaluation share, so the expert DP runs once per query.  ``RunHistory``
+that the expert baselines, partition selection, meta-task building, plan
+search and evaluation share (plan search finds it through the simulator's
+context registry), so the expert DP runs once per query and cardinalities
+are estimated once per relation set.  ``RunHistory``
 judges a run's evaluation records, whether the run just trained or its
 run.csv was read back.  All randomness is derived from one base seed,
 making repeated runs bitwise identical.
@@ -31,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import Catalog, Query, load_catalog, load_workload
-from .features import feature_dim, fragment_features
+from .features import feature_dim, feature_matrix, fragment_rows
 from .metrics import (
     QueryTrace,
     RobustnessVerdict,
@@ -49,7 +53,7 @@ from .model import (
     predict_batch,
     sgd_step,
 )
-from .plans import Join, PlanNode
+from .plans import JOIN_OPS, Join, PlanNode
 from .retention import (
     Experience,
     ReplayBuffer,
@@ -64,8 +68,11 @@ from .simulator import (
     execute,
     expert_baseline,
     initial_fragments,
+    join_columns,
     join_fragments,
+    legal_pairs,
     plan_infos,
+    query_context,
     successors,
 )
 from .transfer import (
@@ -329,8 +336,7 @@ def config_to_doc(cfg: RunConfig) -> dict:
 @dataclass(frozen=True)
 class _BeamEntry:
     infos: tuple  # the partial plan: FragmentInfo per fragment, in fragment order
-    labels: dict  # predicted label per composite fragment, by relation-set mask
-    score: float
+    labels: tuple  # (mask, predicted label) per composite fragment, in fragment order
 
 
 def plan_search(
@@ -353,33 +359,58 @@ def plan_search(
     beam collapses onto one uniformly random successor, so epsilon = 1
     degenerates to a uniform random legal rollout.
     Deterministic for a fixed seed.
+
+    Each step featurizes every successor of the beam (entry, then legal
+    pair, then operator) as one matrix from ``join_columns`` and scores it
+    with one ``predict_batch``; only the successors the beam keeps become
+    fragments.  The query's context is the caller's live one, if any.
     """
-    ctx = QueryContext(query, catalog, cost_cfg)
+    ctx = query_context(query, catalog, cost_cfg)
     rng = np.random.default_rng(rng_seed) if epsilon > 0 else None
-    beam = [_BeamEntry(initial_fragments(ctx), {}, 0.0)]
+    beam = [_BeamEntry(initial_fragments(ctx), ())]
+    n_ops = len(JOIN_OPS)
     for _ in range(len(ctx.relations) - 1):
-        moves = []
-        feature_rows = []
-        for entry in beam:
-            for i, j, op in successors(entry.infos, ctx, left_deep_only):
-                joined, infos = join_fragments(entry.infos, i, j, op, ctx)
-                moves.append((entry, joined, infos))
-                feature_rows.append(fragment_features(joined, ctx))
-        predicted = predict_batch(model, np.stack(feature_rows))
-        expanded = []
-        for (entry, joined, infos), label in zip(moves, predicted):
-            labels = {m: v for m, v in entry.labels.items() if not m & joined.mask}
-            labels[joined.mask] = float(label)
-            score = sum(labels[f.mask] for f in infos if f.mask in labels) / len(labels)
-            expanded.append(_BeamEntry(infos, labels, score))
+        moves = [
+            (entry, i, j)
+            for entry in beam
+            for i, j in legal_pairs(entry.infos, ctx, left_deep_only)
+        ]
+        columns = join_columns([(e.infos[i], e.infos[j]) for e, i, j in moves], ctx)
+        predicted = predict_batch(model, feature_matrix(ctx, *columns)).tolist()
+
+        def successor(k: int) -> _BeamEntry:
+            entry, i, j = moves[k // n_ops]
+            joined, infos = join_fragments(entry.infos, i, j, JOIN_OPS[k % n_ops], ctx)
+            labels = [(m, v) for m, v in entry.labels if not m & joined.mask]
+            labels.append((joined.mask, predicted[k]))
+            return _BeamEntry(infos, tuple(sorted(labels, key=lambda mv: mv[0] & -mv[0])))
+
         if rng is not None and rng.random() < epsilon:
-            beam = [expanded[int(rng.integers(len(expanded)))]]
-        else:
-            expanded.sort(key=lambda e: e.score)
-            best = {}  # first entry per partition is the best-scored
-            for entry in expanded:
-                best.setdefault(tuple(info.mask for info in entry.infos), entry)
-            beam = list(best.values())[:beam_width]
+            beam = [successor(int(rng.integers(len(predicted))))]
+            continue
+        scores = []
+        for p, ((entry, _, _), mask) in enumerate(zip(moves, columns.masks)):
+            # The successors' composite labels in fragment order: the
+            # entry's untouched ones, with the join's at its lowest bit.
+            low = mask & -mask
+            before = [v for m, v in entry.labels if not m & mask and m & -m < low]
+            after = [v for m, v in entry.labels if not m & mask and m & -m > low]
+            for label in predicted[n_ops * p : n_ops * (p + 1)]:
+                ordered = before + [label] + after
+                scores.append(sum(ordered) / len(ordered))
+        beam = []
+        partitions = set()
+        for k in sorted(range(len(scores)), key=scores.__getitem__):
+            entry, _, _ = moves[k // n_ops]
+            mask = columns.masks[k // n_ops]
+            partition = frozenset(
+                [f.mask for f in entry.infos if not f.mask & mask] + [mask]
+            )
+            if partition not in partitions:
+                partitions.add(partition)
+                beam.append(successor(k))
+                if len(beam) == beam_width:
+                    break
     return beam[0].infos[0].node
 
 
@@ -417,11 +448,10 @@ def build_meta_tasks(
             for plan in plans:
                 infos = plan_infos(plan, ctx)
                 label = latency_to_label(infos[-1].cost * ctx.cfg.latency_per_cost_unit)
-                for info in infos:
-                    if isinstance(info.node, Join):
-                        rows.append(fragment_features(info, ctx))
-                        labels.append(label)
-        meta_tasks.append(MetaTask(np.stack(rows), np.array(labels)))
+                joins = [info for info in infos if isinstance(info.node, Join)]
+                rows.append(fragment_rows(joins, ctx))
+                labels += [label] * len(joins)
+        meta_tasks.append(MetaTask(np.concatenate(rows), np.array(labels)))
     return meta_tasks
 
 
@@ -577,7 +607,9 @@ class RunSetup:
 
 def prepare_run(cfg: RunConfig, seed: int) -> RunSetup:
     """Load the catalog and both workloads, compile each query, and build the
-    initial model, seeded by ``derive_seed(seed, "init")``."""
+    initial model, seeded by ``derive_seed(seed, "init")``.  The compiled
+    contexts register themselves, so ``plan_search`` and the expert DP use
+    them for as long as the set-up is held."""
     catalog = load_catalog(cfg.catalog_path)
     train, test = (
         [QueryContext(q, catalog, cfg.cost_model) for q in load_workload(path, catalog)]

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from joinopt.features import RECENCY_SLOT, feature_dim, fragment_features
-from joinopt.plans import Join, JoinOp, Scan
+from joinopt.features import RECENCY_SLOT, feature_dim, feature_matrix, fragment_features
+from joinopt.plans import JOIN_OPS, Join, JoinOp, Scan
 from joinopt.simulator import (
     QueryContext,
     initial_fragments,
+    join_columns,
     join_fragments,
     join_info,
+    legal_pairs,
     plan_infos,
     scan_info,
     successors,
@@ -129,3 +131,50 @@ def test_depth_and_op_counts():
     info2 = plan_infos(left_deep, ctx)[-1]
     assert info2.depth == 3
     assert info2.op_counts == (3, 0, 0)
+
+
+def scalar_features(info, ctx):
+    """The feature layout written out one slot at a time, as the reference
+    for the batched builder."""
+    catalog = ctx.catalog
+    t = len(catalog.tables)
+    vec = np.zeros(t + 8)
+    names = ctx.names(info.mask)
+    for rel in names:
+        vec[catalog.table_names.index(rel)] = 1.0
+    widths = [catalog.table(r).row_width_bytes for r in names]
+    vec[t : t + 3] = info.op_counts
+    vec[t + 3] = math.log1p(info.rows)
+    vec[t + 4] = math.log1p(info.rows * (sum(widths) / len(widths)))
+    vec[t + 5] = math.log1p(info.cost)
+    vec[t + 6] = info.depth
+    return vec
+
+
+@pytest.mark.parametrize("left_deep", [False, True])
+def test_frontier_rows_equal_fragment_features(rng, default_cost, left_deep):
+    """Every row that plan search scores for a partial plan, built as one
+    matrix from join_columns, equals bit for bit the features of the
+    fragment that join_fragments builds for the same (pair, operator), and
+    the one-slot-at-a-time reference; the rows run over the legal joins in
+    successors order."""
+    checked = 0
+    for _ in range(12):
+        catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 9)))
+        ctx = QueryContext(query, catalog, default_cost)
+        state = initial_fragments(ctx)
+        while len(state) > 1:
+            pairs = legal_pairs(state, ctx, left_deep)
+            matrix = feature_matrix(
+                ctx, *join_columns([(state[i], state[j]) for i, j in pairs], ctx)
+            )
+            moves = successors(state, ctx, left_deep)
+            assert moves == [(i, j, op) for i, j in pairs for op in JOIN_OPS]
+            assert matrix.shape == (len(moves), feature_dim(catalog))
+            for row, (i, j, op) in zip(matrix, moves):
+                joined, _ = join_fragments(state, i, j, op, ctx)
+                assert np.array_equal(row, fragment_features(joined, ctx))
+                assert np.array_equal(row, scalar_features(joined, ctx))
+                checked += 1
+            _, state = join_fragments(state, *moves[int(rng.integers(len(moves)))], ctx)
+    assert checked > 200

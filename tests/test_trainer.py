@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 from pathlib import Path
@@ -20,8 +21,10 @@ from joinopt.trainer import (
     build_meta_tasks,
     config_to_doc,
     derive_seed,
+    evaluate_queries,
     load_run_config,
     plan_search,
+    prepare_run,
     random_rollout,
     run_repetitions,
     read_run_csv,
@@ -262,6 +265,52 @@ def test_beam_with_cost_oracle_finds_expert_cost_on_star6():
     assert worse == {}
 
 
+GOLDEN_PLANS = Path(__file__).resolve().parent / "golden_plans.json"
+
+
+def searched_plans() -> dict[str, str]:
+    """``plan_repr`` of ``plan_search`` for the 13 bundled star6 queries and
+    two generated 10-12 relation snowflake queries, under two 64-64 model
+    initializations, widths 1 and 8, epsilon 0 and 0.5, bushy and
+    left-deep."""
+    from joinopt.catalog import catalog_from_doc, workload_from_doc
+    from joinopt.plans import plan_repr
+
+    cfg = load_run_config(BUNDLE / "experiment.json")
+    star = load_catalog(cfg.catalog_path)
+    star_queries = load_workload(cfg.train_workload_path, star) + load_workload(
+        cfg.test_workload_path, star
+    )
+    catalog_doc, train_doc, _ = generate(12, "snowflake", 2, 0, seed=7, min_relations=10)
+    snow = catalog_from_doc(catalog_doc, "snowflake")
+    snow_queries = workload_from_doc(train_doc, snow, "snowflake")
+    plans = {}
+    for name, catalog, queries in (("star6", star, star_queries), ("snow12", snow, snow_queries)):
+        for init in (0, 1):
+            model = init_params((feature_dim(catalog), 64, 64, 1), init)
+            for query in queries:
+                for width in (1, 8):
+                    for epsilon in (0.0, 0.5):
+                        for left_deep in (False, True):
+                            key = f"{name}/{query.id}/init{init}/w{width}/e{epsilon}/ld{int(left_deep)}"
+                            plan = plan_search(
+                                query, model, catalog, cfg.cost_model, width, epsilon,
+                                rng_seed=derive_seed(init, query.id), left_deep_only=left_deep,
+                            )
+                            plans[key] = plan_repr(plan)
+    return plans
+
+
+def test_search_plans_match_golden():
+    """Plans recorded from the one-successor-at-a-time beam search; a faster
+    search must return exactly the same plans."""
+    golden = json.loads(GOLDEN_PLANS.read_text(encoding="utf-8"))
+    got = searched_plans()
+    assert len(got) == (13 + 2) * 2 * 8
+    assert {k: v for k, v in got.items() if golden.get(k) != v} == {}
+    assert got.keys() == golden.keys()
+
+
 def test_random_rollout_is_legal(default_cost, rng):
     catalog, query = search_setup()
     ctx = QueryContext(query, catalog, default_cost)
@@ -358,6 +407,42 @@ def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):
     )
     result = run_training(cfg)
     assert sorted(calls) == sorted(result.train_ids + result.test_ids)
+
+
+def test_search_and_expert_reuse_the_runs_contexts(workload_dir, monkeypatch):
+    """plan_search and the expert DP find the contexts that prepare_run
+    compiled, so a repeated evaluation estimates no cardinality and the DP
+    compiles no context of its own; the registry lets the contexts go with
+    the set-up."""
+    cfg = load_run_config(config_file(workload_dir))
+    setup = prepare_run(cfg, cfg.base_seed)
+    contexts = setup.train + setup.test
+    first = evaluate_queries(contexts, setup.params, cfg, 1, 0)
+    estimates = []
+    compiled = []
+    estimate = simulator.estimate_cardinality
+    compile_ = simulator.QueryContext.__init__
+    monkeypatch.setattr(
+        simulator, "estimate_cardinality", lambda *a: estimates.append(a[1].id) or estimate(*a)
+    )
+    monkeypatch.setattr(
+        simulator.QueryContext, "__init__", lambda self, *a: compiled.append(a[0].id) or compile_(self, *a)
+    )
+    assert evaluate_queries(contexts, setup.params, cfg, 1, 0) == first
+    assert estimates == []
+    expert = contexts[0].expert()
+    assert compiled == []
+    assert simulator.expert_plan(contexts[0].query, setup.catalog, cfg.cost_model) == expert
+    assert compiled == []
+    monkeypatch.undo()
+
+    catalog = setup.catalog
+    registered = [c for c in simulator._CONTEXTS.values() if c.catalog is catalog]
+    assert len(registered) == len(contexts)
+    del setup, contexts, registered
+    gc.collect()
+    assert [c for c in simulator._CONTEXTS.values() if c.catalog is catalog] == []
+    assert len(simulator._CONTEXTS) == 0
 
 
 def test_eval_records_on_schedule(workload_dir):
