@@ -18,8 +18,8 @@ fragments as columns (relation-set masks, depths, operator counts, costs),
 reads the membership columns straight from the mask bits and the two size
 slots from the ``simulator.QueryContext``'s per-mask memo, so plan search
 featurizes a whole frontier of ``simulator.join_columns`` at once.
-``fragment_rows`` and ``fragment_features`` feed it ``simulator.FragmentInfo``
-summaries, one row per mask.
+``fragment_rows`` feeds it ``simulator.FragmentInfo`` summaries, one row
+each.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "feature_dim",
     "feature_matrix",
     "fragment_rows",
-    "fragment_features",
 ]
 
 RECENCY_SLOT = -1
@@ -87,11 +86,3 @@ def fragment_rows(infos: list[FragmentInfo], ctx: QueryContext) -> np.ndarray:
         [info.cost for info in infos],
     )
 
-
-def fragment_features(
-    info: FragmentInfo, ctx: QueryContext, recency: float = 0.0
-) -> np.ndarray:
-    """The feature row of one fragment summary."""
-    vec = fragment_rows([info], ctx)[0]
-    vec[RECENCY_SLOT] = recency
-    return vec

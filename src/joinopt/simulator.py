@@ -315,21 +315,35 @@ def scan_info(table: str, ctx: QueryContext) -> FragmentInfo:
     )
 
 
+def _join_summary(
+    left: FragmentInfo, right: FragmentInfo, op: JoinOp, rows: float, cfg: CostModelConfig
+) -> tuple[float, int, tuple[int, int, int]]:
+    """Cost, depth and operator counts of joining ``left`` and ``right`` by
+    ``op`` into ``rows`` rows: how a join's summary composes from its
+    children's."""
+    increment = join_cost_increment(op, left.rows, right.rows, rows, cfg)
+    counts = [c + d for c, d in zip(left.op_counts, right.op_counts)]
+    counts[_OP_SLOT[op]] += 1
+    return (
+        (left.cost + right.cost) + increment,
+        1 + max(left.depth, right.depth),
+        tuple(counts),
+    )
+
+
 def join_info(
     left: FragmentInfo, right: FragmentInfo, op: JoinOp, ctx: QueryContext
 ) -> FragmentInfo:
     mask = left.mask | right.mask
     rows = ctx.cardinality(mask)
-    increment = join_cost_increment(op, left.rows, right.rows, rows, ctx.cfg)
-    counts = list(c + d for c, d in zip(left.op_counts, right.op_counts))
-    counts[_OP_SLOT[op]] += 1
+    cost, depth, counts = _join_summary(left, right, op, rows, ctx.cfg)
     return FragmentInfo(
         node=Join(left.node, right.node, op),
         mask=mask,
         rows=rows,
-        cost=left.cost + right.cost + increment,
-        depth=1 + max(left.depth, right.depth),
-        op_counts=tuple(counts),
+        cost=cost,
+        depth=depth,
+        op_counts=counts,
     )
 
 
@@ -445,20 +459,14 @@ def join_columns(
     masks, depths, counts, costs = [], [], [], []
     for left, right in pairs:
         mask = left.mask | right.mask
-        masks.append(mask)
-        depths.append(1 + max(left.depth, right.depth))
-        counts.append(left.op_counts + right.op_counts)
         rows = ctx.cardinality(mask)
-        children = left.cost + right.cost
-        costs += [
-            children + join_cost_increment(op, left.rows, right.rows, rows, ctx.cfg)
-            for op in JOIN_OPS
-        ]
-    children_counts = np.array(counts, dtype=float).reshape(-1, 2, 3).sum(axis=1)
-    op_counts = np.repeat(children_counts, len(JOIN_OPS), axis=0)
-    own = np.eye(3)[[_OP_SLOT[op] for op in JOIN_OPS]]  # the join's own operator
-    op_counts += np.tile(own, (len(pairs), 1))
-    return JoinColumns(masks, depths, op_counts, costs)
+        for op in JOIN_OPS:
+            cost, depth, op_counts = _join_summary(left, right, op, rows, ctx.cfg)
+            costs.append(cost)
+            counts.append(op_counts)
+        masks.append(mask)
+        depths.append(depth)
+    return JoinColumns(masks, depths, np.array(counts, dtype=float).reshape(-1, 3), costs)
 
 
 def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:

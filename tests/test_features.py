@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from joinopt.features import RECENCY_SLOT, feature_dim, feature_matrix, fragment_features
+from joinopt.features import RECENCY_SLOT, feature_dim, feature_matrix, fragment_rows
 from joinopt.plans import JOIN_OPS, Join, JoinOp, Scan
 from joinopt.simulator import (
     QueryContext,
@@ -30,7 +30,7 @@ def test_feature_layout(ctx, chain3_catalog):
     d = feature_dim(chain3_catalog)
     assert d == 3 + 8
     info = scan_info("a", ctx)
-    vec = fragment_features(info, ctx)
+    vec = fragment_rows([info], ctx)[0]
     assert vec.shape == (d,)
     assert vec[0] == 1.0 and vec[1] == 0.0 and vec[2] == 0.0  # multi-hot a
     assert vec[3:6].tolist() == [0.0, 0.0, 0.0]  # no joins yet
@@ -41,14 +41,14 @@ def test_feature_layout(ctx, chain3_catalog):
 
 def test_join_feature_values(ctx, chain3_catalog, chain3_query, default_cost):
     joined = join_info(scan_info("a", ctx), scan_info("b", ctx), JoinOp.HASH, ctx)
-    vec = fragment_features(joined, ctx, recency=0.7)
+    vec = fragment_rows([joined], ctx)[0]
     assert vec[0] == 1.0 and vec[1] == 1.0 and vec[2] == 0.0
     assert vec[3] == 1.0  # one hash join
     rows = 100.0 * 100.0 * 0.1
     assert vec[6] == pytest.approx(math.log1p(rows))
     assert vec[7] == pytest.approx(math.log1p(rows * 16.0))  # mean width 16
     assert vec[9] == 1.0  # depth
-    assert vec[RECENCY_SLOT] == pytest.approx(0.7)
+    assert vec[RECENCY_SLOT] == 0.0  # filled at sampling time
 
 
 def test_incremental_info_matches_tree_walk(rng, default_cost):
@@ -70,9 +70,10 @@ def test_incremental_info_matches_tree_walk(rng, default_cost):
         assert walked[-1].node == state[0].node
         for info in walked:
             assert info == built[info.mask]
-            np.testing.assert_array_equal(
-                fragment_features(info, ctx), fragment_features(built[info.mask], ctx)
-            )
+        np.testing.assert_array_equal(
+            fragment_rows(walked, ctx),
+            fragment_rows([built[info.mask] for info in walked], ctx),
+        )
 
 
 def test_plan_infos_is_post_order(default_cost):
@@ -152,12 +153,12 @@ def scalar_features(info, ctx):
 
 
 @pytest.mark.parametrize("left_deep", [False, True])
-def test_frontier_rows_equal_fragment_features(rng, default_cost, left_deep):
+def test_frontier_rows_equal_joined_fragment_rows(rng, default_cost, left_deep):
     """Every row that plan search scores for a partial plan, built as one
-    matrix from join_columns, equals bit for bit the features of the
-    fragment that join_fragments builds for the same (pair, operator), and
-    the one-slot-at-a-time reference; the rows run over the legal joins in
-    successors order."""
+    matrix from join_columns, equals bit for bit the one-slot-at-a-time
+    reference of the fragment that join_fragments builds for the same
+    (pair, operator), and that fragment's own row; the rows run over the
+    legal joins in successors order."""
     checked = 0
     for _ in range(12):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 9)))
@@ -173,8 +174,8 @@ def test_frontier_rows_equal_fragment_features(rng, default_cost, left_deep):
             assert matrix.shape == (len(moves), feature_dim(catalog))
             for row, (i, j, op) in zip(matrix, moves):
                 joined, _ = join_fragments(state, i, j, op, ctx)
-                assert np.array_equal(row, fragment_features(joined, ctx))
                 assert np.array_equal(row, scalar_features(joined, ctx))
+                assert np.array_equal(row, fragment_rows([joined], ctx)[0])
                 checked += 1
             _, state = join_fragments(state, *moves[int(rng.integers(len(moves)))], ctx)
     assert checked > 200

@@ -12,7 +12,7 @@ from joinopt.model import ModelParams, init_params, predict
 from joinopt import simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
-from joinopt.features import fragment_features, feature_dim
+from joinopt.features import feature_dim, fragment_rows
 from joinopt.plans import Join, validate_plan
 from joinopt.simulator import QueryContext, expert_plan, plan_infos
 from joinopt.trainer import (
@@ -192,7 +192,7 @@ def test_greedy_exhaustive_two_relation_picks_predict_minimum(pair_catalog, pair
     for left, right in (("r", "s"), ("s", "r")):
         for op in JoinOp:
             node = Join(Scan(left), Scan(right), op)
-            feats = fragment_features(plan_infos(node, ctx)[-1], ctx)
+            feats = fragment_rows(plan_infos(node, ctx)[-1:], ctx)[0]
             candidates.append((predict(model, feats), node))
     best = min(candidates, key=lambda pair: pair[0])[1]
     assert plan == best
@@ -335,13 +335,12 @@ def test_build_meta_tasks_shapes(default_cost):
     # The expert plan's rows come first, children before parents, each
     # labeled with the plan's noiseless latency.
     ctx = contexts["s3"]
-    expert_rows = [
-        fragment_features(info, ctx)
-        for info in plan_infos(ctx.expert(), ctx)
-        if isinstance(info.node, Join)
-    ]
+    expert_rows = fragment_rows(
+        [info for info in plan_infos(ctx.expert(), ctx) if isinstance(info.node, Join)],
+        ctx,
+    )
     assert len(expert_rows) == 2 and expert_rows[-1][-2] == 2.0  # root depth
-    np.testing.assert_array_equal(tasks[0].features[:2], np.stack(expert_rows))
+    np.testing.assert_array_equal(tasks[0].features[:2], expert_rows)
     assert tasks[0].labels[0] == math.log1p(ctx.latency(ctx.expert()))
 
 

@@ -1,16 +1,17 @@
 """Record a before/after benchmark comparison as ``BENCH_<label>.json``.
 
-    python3 tools/bench_pairs.py --before DIR --after DIR --label NAME \
-        [--pairs WORKLOAD=N ...] [--seed N] [--traced 0|1] [--out FILE]
+    python3 tools/bench_pairs.py --before DIR --after DIR --label NAME
 
-DIR is a joinopt checkout (a ``git archive`` of a commit is enough).  For
-each workload, ``perfbench/run.py`` runs N times in each checkout, in
-alternating pairs: even pairs run the ``before`` side first, odd pairs the
-``after`` side.  Every run's JSON line is kept as printed.  After each pair
-the ``run.csv`` of every workload process (the measured one and its set-up
-replicas) is compared between the two sides with the ``wall_clock_ms``
-column removed.  With ``--traced 1`` each side also makes one ``--trace 1``
-run per workload.  The file also records the host, ``nproc``, Python, numpy
+DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
+file names each side by its directory's name, so name the directories after
+their commits.  For each workload, ``perfbench/run.py --seed 1`` runs the
+number of times ``PAIRS`` gives in each checkout, in alternating pairs: even
+pairs run the ``before`` side first, odd pairs the ``after`` side.  Every
+run's JSON line is kept as printed.  After each pair the ``run.csv`` of
+every workload process (the measured one and its set-up replicas) is
+compared between the two sides with the ``wall_clock_ms`` column removed.
+Each side then makes one ``--trace 1`` run per workload.  The file, written
+to the current directory, also records the host, ``nproc``, Python, numpy
 and BLAS, and per metric each side's median and quartiles and the number of
 pairs the ``after`` side won (lower is better for every end-to-end metric;
 ties count for neither side).
@@ -29,19 +30,21 @@ import time
 from pathlib import Path
 
 PROCESSES = ("main", "replica1", "replica2")
+PAIRS = {"snowflake12-train": 10, "star6-train": 3, "chain8-replay": 3}
+SEED = 1
 
 
-def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, trace: int) -> dict:
     """One ``perfbench/run.py`` call: its JSON line, the platform fields of
     its summary.json and each process's run.csv without the wall-clock
     column."""
     started = time.time()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--trace", str(trace)],
+         "--seed", str(SEED), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}"
+    out = checkout / "perfbench" / "out" / f"{workload}-seed{SEED}-trace{trace}"
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     return {
         "started_unix": round(started, 1),
@@ -86,52 +89,41 @@ def main(argv=None):
     parser.add_argument("--before", required=True, type=Path)
     parser.add_argument("--after", required=True, type=Path)
     parser.add_argument("--label", required=True)
-    parser.add_argument(
-        "--pairs", nargs="+", default=["snowflake12-train=10", "star6-train=3", "chain8-replay=3"],
-        help="WORKLOAD=N: N alternating pairs of runs of WORKLOAD",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--traced", type=int, choices=(0, 1), default=1)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
     doc = {
         "label": args.label,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed}",
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED}",
         "checkouts": {side: path.name for side, path in sides.items()},
         "host": platform.node(),
         "nproc": os.cpu_count(),
         "workloads": {},
     }
-    for spec in args.pairs:
-        workload, count = spec.split("=")
+    for workload, count in PAIRS.items():
         pairs = []
-        for index in range(int(count)):
+        for index in range(count):
             order = ("before", "after") if index % 2 == 0 else ("after", "before")
             pair = {"pair": index, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, args.seed, 0)
+                pair[side] = run_once(sides[side], workload, 0)
                 print(f"{workload} pair {index} {side}: {json.dumps(pair[side]['line'])}",
                       file=sys.stderr)
             pair["run_csv_equal"] = pair["before"].pop("run_csv") == pair["after"].pop("run_csv")
             pairs.append(pair)
-        entry = {
+        traced = {side: run_once(path, workload, 1) for side, path in sides.items()}
+        doc["workloads"][workload] = {
             "pairs": pairs,
             "run_csv_equal_in_every_pair": all(p["run_csv_equal"] for p in pairs),
             "end_to_end": compare(pairs),
-        }
-        if args.traced:
-            traced = {side: run_once(path, workload, args.seed, 1) for side, path in sides.items()}
-            entry["traced_run_csv_equal"] = (
+            "traced_run_csv_equal": (
                 traced["before"].pop("run_csv") == traced["after"].pop("run_csv")
-            )
-            entry["traced"] = traced
-        doc["workloads"][workload] = entry
+            ),
+            "traced": traced,
+        }
     first = next(iter(doc["workloads"].values()))["pairs"][0]["before"]["platform"]
     doc.update({k: first[k] for k in ("python", "numpy", "blas")})
-    out = args.out or Path(f"BENCH_{args.label}.json")
-    out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    Path(f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
