@@ -32,6 +32,7 @@ frontier at once.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -296,9 +297,6 @@ class FragmentInfo:
     op_counts: tuple[int, int, int]  # hash, merge, nested loop
 
 
-_OP_SLOT = {JoinOp.HASH: 0, JoinOp.MERGE: 1, JoinOp.NESTED_LOOP: 2}
-
-
 def scan_info(table: str, ctx: QueryContext) -> FragmentInfo:
     mask = ctx.bit.get(table)
     if mask is None:
@@ -315,35 +313,38 @@ def scan_info(table: str, ctx: QueryContext) -> FragmentInfo:
     )
 
 
-def _join_summary(
-    left: FragmentInfo, right: FragmentInfo, op: JoinOp, rows: float, cfg: CostModelConfig
-) -> tuple[float, int, tuple[int, int, int]]:
-    """Cost, depth and operator counts of joining ``left`` and ``right`` by
-    ``op`` into ``rows`` rows: how a join's summary composes from its
-    children's."""
-    increment = join_cost_increment(op, left.rows, right.rows, rows, cfg)
-    counts = [c + d for c, d in zip(left.op_counts, right.op_counts)]
-    counts[_OP_SLOT[op]] += 1
-    return (
-        (left.cost + right.cost) + increment,
-        1 + max(left.depth, right.depth),
-        tuple(counts),
-    )
+def _join_summaries(
+    left: FragmentInfo, right: FragmentInfo, ctx: QueryContext
+) -> tuple[int, float, list[float], list[int], int]:
+    """The joins of ``left`` and ``right`` by each operator, in ``JOIN_OPS``
+    order: their relation-set mask and rows, their costs, their operator
+    counts (three per join, flat) and their depth.  This is how a join's
+    summary composes from its children's."""
+    mask = left.mask | right.mask
+    rows = ctx.cardinality(mask)
+    children = left.cost + right.cost
+    costs = [
+        children + join_cost_increment(op, left.rows, right.rows, rows, ctx.cfg)
+        for op in JOIN_OPS
+    ]
+    # Operator counts are in JOIN_OPS order; each join adds its own.
+    h, m, n = map(operator.add, left.op_counts, right.op_counts)
+    counts = [h + 1, m, n, h, m + 1, n, h, m, n + 1]
+    return mask, rows, costs, counts, 1 + max(left.depth, right.depth)
 
 
 def join_info(
     left: FragmentInfo, right: FragmentInfo, op: JoinOp, ctx: QueryContext
 ) -> FragmentInfo:
-    mask = left.mask | right.mask
-    rows = ctx.cardinality(mask)
-    cost, depth, counts = _join_summary(left, right, op, rows, ctx.cfg)
+    mask, rows, costs, counts, depth = _join_summaries(left, right, ctx)
+    k = JOIN_OPS.index(op)
     return FragmentInfo(
         node=Join(left.node, right.node, op),
         mask=mask,
         rows=rows,
-        cost=cost,
+        cost=costs[k],
         depth=depth,
-        op_counts=counts,
+        op_counts=tuple(counts[3 * k : 3 * k + 3]),
     )
 
 
@@ -458,14 +459,11 @@ def join_columns(
     """The joins of each (left, right) fragment pair, by every operator."""
     masks, depths, counts, costs = [], [], [], []
     for left, right in pairs:
-        mask = left.mask | right.mask
-        rows = ctx.cardinality(mask)
-        for op in JOIN_OPS:
-            cost, depth, op_counts = _join_summary(left, right, op, rows, ctx.cfg)
-            costs.append(cost)
-            counts.append(op_counts)
+        mask, _, op_costs, op_counts, depth = _join_summaries(left, right, ctx)
         masks.append(mask)
         depths.append(depth)
+        costs += op_costs
+        counts += op_counts
     return JoinColumns(masks, depths, np.array(counts, dtype=float).reshape(-1, 3), costs)
 
 
