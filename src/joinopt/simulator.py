@@ -26,7 +26,8 @@ disjoint fragment summaries in fragment order (by lowest relation bit);
 adds the three operators, and ``join_fragments`` applies one join.
 ``join_columns`` summarizes every join of a list of fragment pairs as
 columns, without building a fragment per join, for scoring a whole search
-frontier at once.
+frontier at once; it and ``join_info`` compose a join's summary from its
+children's through one helper.
 """
 
 from __future__ import annotations
