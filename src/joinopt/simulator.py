@@ -9,9 +9,14 @@ dynamic program over connected relation subsets, minimizing this same cost
 model, with fixed lexicographic tie-breaking so results are reproducible.
 
 A ``QueryContext`` compiles one (query, catalog, cost config) once.  Every
-relation set is a bitmask over the query's sorted relation names; the context
-holds the relation index, the adjacency masks, cardinalities and log sizes
-memoized by mask, and the expert plan, computed on first use and then kept.
+relation set is a bitmask over the query's sorted relation names, and names
+are read back only for the DP's tie-break and for error messages.  The
+context holds the relation index and adjacency masks; on first use it
+compiles each relation's filtered rows, row width and scan summary (its
+``scans``, the start of every plan) and each join edge as a (two-bit mask,
+selectivity) pair; cardinalities and log sizes are products and sums over
+those, memoized by mask, and the expert plan is computed on first use and
+then kept.
 Each context registers itself in a weak registry keyed by the identities of
 its query and catalog and by its cost config, so ``query_context`` (and
 through it ``plan_search``, ``noiseless_latency`` and ``expert_plan``)
@@ -21,9 +26,10 @@ compiling another; the registry keeps no context alive by itself.  A
 operator counts) and composes bottom-up: ``plan_infos`` is the one walk that
 summarizes every node of a plan tree, and plan cost, execution, experience
 extraction and meta-task features all read it.  A partial plan is a tuple of
-disjoint fragment summaries in fragment order (by lowest relation bit);
-``legal_pairs`` enumerates the fragment pairs it may join, ``successors``
-adds the three operators, and ``join_fragments`` applies one join.
+disjoint fragment summaries in fragment order (by lowest relation bit),
+starting from the context's ``scans``; ``legal_pairs`` enumerates the
+fragment pairs it may join (each by any of the three operators), and
+``join_fragments`` applies one join.
 ``join_columns`` summarizes every join of a list of fragment pairs as
 columns, without building a fragment per join, for scoring a whole search
 frontier at once; it and ``join_info`` compose a join's summary from its
@@ -37,7 +43,7 @@ import operator
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,15 +58,11 @@ __all__ = [
     "query_context",
     "FragmentInfo",
     "JoinColumns",
-    "estimate_cardinality",
     "scan_cost",
     "join_cost_increment",
-    "scan_info",
     "join_info",
     "plan_infos",
-    "initial_fragments",
     "legal_pairs",
-    "successors",
     "join_fragments",
     "join_columns",
     "execute",
@@ -118,33 +120,6 @@ class ExpertBaseline:
             raise SimulatorError("baseline needs at least 2 runs")
 
 
-def estimate_cardinality(
-    relations: Iterable[str], query: Query, catalog: Catalog
-) -> float:
-    """Estimated output rows for joining a relation set of the query.
-
-    Depends only on the set: product of filtered base rows times the
-    selectivity of every query join edge internal to the set.
-    """
-    relset = frozenset(relations)
-    if not relset:
-        raise SimulatorError("cannot estimate cardinality of an empty relation set")
-    unknown = relset - set(query.relations)
-    if unknown:
-        raise SimulatorError(
-            f"relations {sorted(unknown)} are not part of query {query.id!r}"
-        )
-    # Multiply in canonical order so equal sets give bitwise-equal results
-    # regardless of how the input container was built.
-    rows = 1.0
-    for rel in sorted(relset):
-        rows *= catalog.table(rel).base_rows
-    for a, b in sorted(query.join_edges):
-        if a in relset and b in relset:
-            rows *= catalog.edge_selectivity(a, b)
-    return rows
-
-
 def scan_cost(base_rows: float, cfg: CostModelConfig) -> float:
     """Scans are charged for every base row; filtering happens afterwards."""
     return cfg.scan_cost_per_row * base_rows
@@ -178,9 +153,11 @@ class QueryContext:
 
     Relation ``i`` of the sorted relation names is bit ``1 << i``, so a
     mask's names come out sorted.  Construction reads only the query and
-    registers the context for ``query_context``; cardinalities, log sizes,
-    names and neighbour masks are memoized per mask on first use, and
-    ``expert()`` runs the DP once, on this context, and keeps its plan.
+    registers the context for ``query_context``; the catalog is first read
+    when the relations' statistics, join edges and ``scans`` are compiled,
+    on first use.  Cardinalities, log sizes, names and neighbour masks are
+    memoized per mask on first use, and ``expert()`` runs the DP once, on
+    this context, and keeps its plan.
     """
 
     def __init__(self, query: Query, catalog: Catalog, cfg: CostModelConfig):
@@ -211,12 +188,54 @@ class QueryContext:
             )
         return got
 
+    @cached_property
+    def _base_rows(self) -> tuple[float, ...]:
+        """Filtered base rows of each relation, in bit order."""
+        return tuple(self.catalog.table(r).base_rows for r in self.relations)
+
+    @cached_property
+    def _widths(self) -> tuple[int, ...]:
+        """Row width of each relation, in bit order."""
+        return tuple(self.catalog.table(r).row_width_bytes for r in self.relations)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, float], ...]:
+        """Each join edge as (two-bit mask, selectivity), in sorted edge order."""
+        return tuple(
+            (self.bit[a] | self.bit[b], self.catalog.edge_selectivity(a, b))
+            for a, b in sorted(self.query.join_edges)
+        )
+
+    @cached_property
+    def scans(self) -> tuple[FragmentInfo, ...]:
+        """One Scan fragment per relation, in bit order: the start of every
+        plan and the leaves of every walk."""
+        return tuple(
+            FragmentInfo(
+                node=Scan(r),
+                mask=1 << i,
+                rows=self.cardinality(1 << i),
+                cost=scan_cost(self.catalog.table(r).row_count, self.cfg),
+                depth=0,
+                op_counts=(0, 0, 0),
+            )
+            for i, r in enumerate(self.relations)
+        )
+
     def cardinality(self, mask: int) -> float:
+        """Estimated rows of a relation set: the product of its relations'
+        filtered base rows, in bit order, times the selectivity of every
+        join edge inside it, in sorted edge order."""
         got = self._card.get(mask)
         if got is None:
-            got = self._card[mask] = estimate_cardinality(
-                self.names(mask), self.query, self.catalog
-            )
+            got = 1.0
+            for i, rows in enumerate(self._base_rows):
+                if mask >> i & 1:
+                    got *= rows
+            for edge, selectivity in self._edges:
+                if mask & edge == edge:
+                    got *= selectivity
+            self._card[mask] = got
         return got
 
     def log_size(self, mask: int) -> tuple[float, float]:
@@ -224,7 +243,7 @@ class QueryContext:
         times the mean row width of its relations."""
         got = self._log_size.get(mask)
         if got is None:
-            widths = [self.catalog.table(r).row_width_bytes for r in self.names(mask)]
+            widths = [w for i, w in enumerate(self._widths) if mask >> i & 1]
             rows = self.cardinality(mask)
             got = self._log_size[mask] = (
                 math.log1p(rows),
@@ -298,22 +317,6 @@ class FragmentInfo:
     op_counts: tuple[int, int, int]  # hash, merge, nested loop
 
 
-def scan_info(table: str, ctx: QueryContext) -> FragmentInfo:
-    mask = ctx.bit.get(table)
-    if mask is None:
-        raise SimulatorError(
-            f"relations [{table!r}] are not part of query {ctx.query.id!r}"
-        )
-    return FragmentInfo(
-        node=Scan(table),
-        mask=mask,
-        rows=ctx.cardinality(mask),
-        cost=scan_cost(ctx.catalog.table(table).row_count, ctx.cfg),
-        depth=0,
-        op_counts=(0, 0, 0),
-    )
-
-
 def _join_summaries(
     left: FragmentInfo, right: FragmentInfo, ctx: QueryContext
 ) -> tuple[int, float, list[float], list[int], int]:
@@ -351,14 +354,20 @@ def join_info(
 
 def plan_infos(plan: PlanNode, ctx: QueryContext) -> list[FragmentInfo]:
     """Summary of every node of a plan tree, children before parents and
-    left before right, so the root's is last.  The summaries' nodes form a
-    copy of the tree: each Join's children are the nodes of its children's
-    summaries."""
+    left before right, so the root's is last.  Leaves are the context's
+    ``scans``, shared by every walk; each Join is copied, its children being
+    the nodes of its children's summaries.  A scan of a relation outside the
+    query raises ``SimulatorError``."""
     infos = []
 
     def walk(node):
         if isinstance(node, Scan):
-            info = scan_info(node.table, ctx)
+            mask = ctx.bit.get(node.table)
+            if mask is None:
+                raise SimulatorError(
+                    f"relation {node.table!r} is not part of query {ctx.query.id!r}"
+                )
+            info = ctx.scans[mask.bit_length() - 1]
         else:
             left = walk(node.left)
             right = walk(node.right)
@@ -376,11 +385,6 @@ def _fragment_order(info: FragmentInfo) -> int:
     # Disjoint fragments differ in their lowest relation, so ordering by the
     # lowest bit is ordering by sorted relation names.
     return info.mask & -info.mask
-
-
-def initial_fragments(ctx: QueryContext) -> tuple[FragmentInfo, ...]:
-    """The start of every plan: one Scan fragment per relation."""
-    return tuple(scan_info(r, ctx) for r in ctx.relations)
 
 
 def legal_pairs(
@@ -404,18 +408,6 @@ def legal_pairs(
             if reach[i] & right.mask:
                 pairs.append((i, j))
     return pairs
-
-
-def successors(
-    fragments: tuple[FragmentInfo, ...], ctx: QueryContext, left_deep_only: bool
-) -> list[tuple[int, int, JoinOp]]:
-    """Every legal join of a partial plan as (left index, right index,
-    operator): each of ``legal_pairs`` times the three operators."""
-    return [
-        (i, j, op)
-        for i, j in legal_pairs(fragments, ctx, left_deep_only)
-        for op in JOIN_OPS
-    ]
 
 
 def join_fragments(
@@ -504,17 +496,14 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
     cardinalities are memoized in the query's live context, if it has one.
     """
     ctx = query_context(query, catalog, cfg)
-    rels = ctx.relations
-    n = len(rels)
+    n = len(ctx.relations)
     if n > DEFAULT_DP_LIMIT:
         raise SimulatorError(
             f"query {query.id!r} joins {n} relations, above the DP limit {DEFAULT_DP_LIMIT}"
         )
     # best[mask] = (cost, plan); built in increasing mask order so every
     # proper submask is ready.  Only connected masks ever gain an entry.
-    best: dict[int, tuple[float, PlanNode]] = {}
-    for i in range(n):
-        best[1 << i] = (scan_cost(catalog.table(rels[i]).row_count, cfg), Scan(rels[i]))
+    best = {scan.mask: (scan.cost, scan.node) for scan in ctx.scans}
     for mask in range(1, ctx.full_mask + 1):
         if mask & (mask - 1) == 0:
             continue

@@ -45,6 +45,7 @@ from .metrics import (
     wrl,
 )
 from .model import (
+    ModelError,
     ModelParams,
     TrainBatch,
     batch_grad,
@@ -67,20 +68,20 @@ from .simulator import (
     QueryContext,
     execute,
     expert_baseline,
-    initial_fragments,
     join_columns,
     join_fragments,
     legal_pairs,
     plan_infos,
     query_context,
-    successors,
 )
 from .transfer import (
     MetaTask,
     PartitioningPolicy,
     TaskSet,
+    davies_bouldin,
     maml_outer,
     partition_workload,
+    query_embeddings,
     select_partitioning,
 )
 
@@ -367,7 +368,7 @@ def plan_search(
     """
     ctx = query_context(query, catalog, cost_cfg)
     rng = np.random.default_rng(rng_seed) if epsilon > 0 else None
-    beam = [_BeamEntry(initial_fragments(ctx), ())]
+    beam = [_BeamEntry(ctx.scans, ())]
     n_ops = len(JOIN_OPS)
     for _ in range(len(ctx.relations) - 1):
         moves = [
@@ -416,11 +417,13 @@ def plan_search(
 
 def random_rollout(ctx: QueryContext, rng: np.random.Generator) -> PlanNode:
     """Uniformly random legal join sequence to a terminal plan."""
-    fragments = initial_fragments(ctx)
+    fragments = ctx.scans
     while len(fragments) > 1:
-        moves = successors(fragments, ctx, False)
-        i, j, op = moves[int(rng.integers(len(moves)))]
-        _, fragments = join_fragments(fragments, i, j, op, ctx)
+        # One draw over every (pair, operator) move, operators innermost.
+        pairs = legal_pairs(fragments, ctx, False)
+        k = int(rng.integers(len(JOIN_OPS) * len(pairs)))
+        i, j = pairs[k // len(JOIN_OPS)]
+        _, fragments = join_fragments(fragments, i, j, JOIN_OPS[k % len(JOIN_OPS)], ctx)
     return fragments[0].node
 
 
@@ -461,12 +464,15 @@ def meta_initialize(
     params: ModelParams,
     base_seed: int,
 ) -> tuple[ModelParams, TaskSet]:
-    """Partition the training workload (DBI-selected or forced policy) and
-    run first-order MAML from the given initialization."""
+    """Partition the training workload (DBI-selected, or by the forced
+    policy and then DBI-scored) and run first-order MAML from the given
+    initialization."""
     tc = cfg.transfer
     if tc.forced_policy is not None:
         policy = PartitioningPolicy(tc.forced_policy)
         taskset = partition_workload(train_contexts, policy, tc.k_tasks)
+        dbi = davies_bouldin(taskset, query_embeddings(train_contexts))
+        taskset = dataclasses.replace(taskset, dbi_score=dbi)
     else:
         taskset = select_partitioning(train_contexts, tc.k_tasks)
     meta_tasks = build_meta_tasks(
@@ -475,9 +481,8 @@ def meta_initialize(
         tc.rollouts_per_query,
         derive_seed(base_seed, "meta-data"),
     )
-    params = maml_outer(
-        params,
-        meta_tasks,
+    params = _sgd_phase(
+        0, "maml", maml_outer, params, meta_tasks,
         inner_lr=tc.inner_lr,
         outer_lr=tc.outer_lr,
         n_inner=tc.n_inner,
@@ -644,6 +649,17 @@ def evaluate_queries(
     return latencies
 
 
+def _sgd_phase(iteration: int, phase: str, train, *args, **kwargs) -> ModelParams:
+    """``train(*args, **kwargs)``, an SGD phase whose divergence is reported
+    once: numpy's overflow warnings are silenced, and the ModelError raised
+    for the non-finite parameters names the iteration and the phase."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return train(*args, **kwargs)
+        except ModelError as exc:
+            raise ModelError(f"iteration {iteration}: {phase}: {exc}") from exc
+
+
 def _train_on(
     params: ModelParams,
     batch: TrainBatch,
@@ -742,8 +758,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
             batch = current.batch(
                 rng.integers(0, len(current), size=cfg.retention.k_replay), 1.0
             )
-        params = _train_on(
-            params, batch, cfg.model.minibatch,
+        params = _sgd_phase(
+            iteration, "sgd", _train_on, params, batch, cfg.model.minibatch,
             cfg.model.learning_rate, cfg.model.train_passes,
         )
         epsilon *= cfg.search.epsilon_decay

@@ -1,6 +1,9 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +154,43 @@ def test_meta_train_writes_checkpoint(project):
     rc = main(["meta-train", "--config", str(config), "--out", str(out)])
     assert rc == 0
     assert (out / "meta_params.npz").exists()
+
+
+@pytest.mark.parametrize("policy", ["halstead", "estimated_rows"])
+def test_meta_train_forced_policy_prints_its_dbi(project, capsys, policy):
+    """A forced partition is scored as partition-report scores it."""
+    tmp_path, config = project
+    flag = policy.replace("_", "-")
+    argv = ["--config", str(config), "--k-tasks", "2"]
+    assert main(["meta-train", *argv, "--out", str(tmp_path / "meta"), "--policy", flag]) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    assert printed.startswith(f"policy={policy} dbi=")
+    assert main(["partition-report", *argv, "--out", str(tmp_path / "report")]) == 0
+    reported = {row[0]: row[3] for row in read_csv(tmp_path / "report" / "partition_report.csv")}
+    assert float(printed.split("dbi=")[1]) == float(reported[policy])
+
+
+def test_divergence_names_iteration_and_phase(tmp_path):
+    """A learning rate that makes SGD diverge fails the run with one stderr
+    line naming the iteration and the phase, and no numpy warning."""
+    star6 = Path(__file__).resolve().parents[1] / "data" / "star6"
+    doc = json.loads((star6 / "experiment.json").read_text())
+    for key in ("catalog", "train_workload", "test_workload"):
+        doc[key] = str(star6 / doc[key])
+    doc.update(iterations=2, repetitions=1)
+    doc["model"] = {**doc.get("model", {}), "learning_rate": 1e6}
+    config = write_json(tmp_path / "diverge.json", doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "joinopt.cli", "train", "--config", str(config),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: iteration 1: sgd: layer 0: non-finite parameter"
+    ]
 
 
 def test_eval_runs_against_checkpoint(project, capsys):

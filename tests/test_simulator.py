@@ -10,7 +10,6 @@ from joinopt.simulator import (
     CostModelConfig,
     QueryContext,
     SimulatorError,
-    estimate_cardinality,
     execute,
     expert_baseline,
     expert_plan,
@@ -51,13 +50,27 @@ def enumerate_plans(query):
     yield from plans_for(frozenset(query.relations))
 
 
+def hand_cardinality(names, query, catalog):
+    """Filtered base rows of the named relations multiplied in sorted-name
+    order, then the selectivity of each join edge inside the set, in sorted
+    edge order."""
+    rows = 1.0
+    for rel in sorted(names):
+        rows *= catalog.table(rel).row_count * catalog.table(rel).filter_selectivity
+    for a, b in sorted(query.join_edges):
+        if a in names and b in names:
+            rows *= catalog.edge_selectivity(a, b)
+    return rows
+
+
 def brute_force_min_cost(query, catalog, cfg):
     """Minimum cost over every cross-product-free plan, by exhaustive
     enumeration of per-tree costs (no pruning, no best-per-subset table; the
     min is taken only at the end, over complete plans).  Costs compose as
-    (left + right) + increment, matching QueryContext.cost's recursion bitwise."""
+    (left + right) + increment, matching QueryContext.cost's recursion bitwise;
+    cardinalities are the test's own hand product."""
     from joinopt.plans import JOIN_OPS
-    from joinopt.simulator import estimate_cardinality, join_cost_increment, scan_cost
+    from joinopt.simulator import join_cost_increment, scan_cost
 
     rels = sorted(query.relations)
     n = len(rels)
@@ -71,7 +84,7 @@ def brute_force_min_cost(query, catalog, cfg):
     def cardinality(mask):
         if mask not in card:
             names = [rels[i] for i in range(n) if mask >> i & 1]
-            card[mask] = estimate_cardinality(names, query, catalog)
+            card[mask] = hand_cardinality(names, query, catalog)
         return card[mask]
 
     costs = {
@@ -104,38 +117,45 @@ def brute_force_min_cost(query, catalog, cfg):
 
 # --- cardinality -------------------------------------------------------------
 
-def test_cardinality_single_relation(pair_catalog, pair_query):
-    assert estimate_cardinality({"r"}, pair_query, pair_catalog) == 100.0
+def test_cardinality_single_relation(pair_catalog, pair_query, default_cost):
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    assert ctx.cardinality(ctx.bit["r"]) == 100.0
 
 
-def test_cardinality_two_relations(pair_catalog, pair_query):
+def test_cardinality_two_relations(pair_catalog, pair_query, default_cost):
     # 100 x 200 x 0.01 = 200
-    assert estimate_cardinality({"r", "s"}, pair_query, pair_catalog) == pytest.approx(200.0)
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    assert ctx.cardinality(ctx.full_mask) == pytest.approx(200.0)
 
 
-def test_cardinality_three_relation_chain(chain3_catalog, chain3_query):
+def test_cardinality_three_relation_chain(chain3_catalog, chain3_query, default_cost):
     # 100^3 x 0.1 x 0.05 = 5000 (hand arithmetic)
-    got = estimate_cardinality({"a", "b", "c"}, chain3_query, chain3_catalog)
-    assert got == pytest.approx(5000.0)
+    ctx = QueryContext(chain3_query, chain3_catalog, default_cost)
+    assert ctx.cardinality(ctx.full_mask) == pytest.approx(5000.0)
 
 
-def test_cardinality_rejects_empty(pair_catalog, pair_query):
-    with pytest.raises(SimulatorError, match="empty"):
-        estimate_cardinality(set(), pair_query, pair_catalog)
-
-
-def test_cardinality_is_set_function(rng):
-    """Invariant under any ordering of the same relation set."""
+def test_cardinality_equals_hand_product(rng, default_cost):
+    """For every relation set of random queries, the context's cardinality
+    and log sizes equal, bit for bit, the hand product in sorted-name and
+    sorted-edge order and the log1p of it and of its volume."""
     for trial in range(20):
-        catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 6)))
-        rels = list(query.relations)
-        rng.shuffle(rels)
-        k = int(rng.integers(1, len(rels) + 1))
-        subset = rels[:k]
-        a = estimate_cardinality(subset, query, catalog)
-        b = estimate_cardinality(reversed(subset), query, catalog)
-        c = estimate_cardinality(frozenset(subset), query, catalog)
-        assert a == b == c
+        catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 7)))
+        ctx = QueryContext(query, catalog, default_cost)
+        for mask in range(1, ctx.full_mask + 1):
+            names = [r for r in query.relations if mask & ctx.bit[r]]
+            rows = hand_cardinality(names, query, catalog)
+            widths = [catalog.table(r).row_width_bytes for r in sorted(names)]
+            assert ctx.cardinality(mask) == rows
+            assert ctx.log_size(mask) == (
+                math.log1p(rows),
+                math.log1p(rows * (sum(widths) / len(widths))),
+            )
+
+
+def test_plan_with_unknown_relation_is_rejected(pair_catalog, pair_query, default_cost):
+    ctx = QueryContext(pair_query, pair_catalog, default_cost)
+    with pytest.raises(SimulatorError, match="'x' is not part of query 'pair'"):
+        ctx.cost(Join(Scan("r"), Scan("x"), JoinOp.HASH))
 
 
 # --- plan cost ---------------------------------------------------------------

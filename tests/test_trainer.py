@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import load_catalog, load_workload
-from joinopt.model import ModelParams, init_params, predict
+from joinopt.model import ModelError, ModelParams, init_params, predict
 from joinopt import simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
@@ -378,7 +378,23 @@ def test_forced_policy_is_used(workload_dir):
     )
     result = run_training(cfg)
     assert result.taskset.policy is PartitioningPolicy.OPERATOR_COUNT
-    assert result.taskset.dbi_score is None  # not DBI-selected
+    # Not DBI-selected, but DBI-scored as partition selection scores it.
+    scored = transfer_module.score_all_policies(prepare_run(cfg, cfg.base_seed).train, 2)
+    assert result.taskset == next(
+        ts for ts in scored if ts.policy is PartitioningPolicy.OPERATOR_COUNT
+    )
+
+
+def test_meta_init_divergence_names_its_phase(workload_dir):
+    cfg = load_run_config(
+        config_file(
+            workload_dir,
+            transfer={"enabled": True, "n_outer": 2, "n_inner": 1, "k_tasks": 2,
+                      "rollouts_per_query": 1, "outer_lr": 1e6, "inner_lr": 1e6},
+        )
+    )
+    with pytest.raises(ModelError, match="^iteration 0: maml: layer 0: non-finite parameter$"):
+        run_training(cfg)
 
 
 def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):
@@ -410,25 +426,22 @@ def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):
 
 def test_search_and_expert_reuse_the_runs_contexts(workload_dir, monkeypatch):
     """plan_search and the expert DP find the contexts that prepare_run
-    compiled, so a repeated evaluation estimates no cardinality and the DP
-    compiles no context of its own; the registry lets the contexts go with
-    the set-up."""
+    compiled, so a repeated evaluation grows no context's cardinality memo
+    and the DP compiles no context of its own; the registry lets the
+    contexts go with the set-up."""
     cfg = load_run_config(config_file(workload_dir))
     setup = prepare_run(cfg, cfg.base_seed)
     contexts = setup.train + setup.test
     first = evaluate_queries(contexts, setup.params, cfg, 1, 0)
-    estimates = []
+    memo_sizes = [len(ctx._card) for ctx in contexts]
     compiled = []
-    estimate = simulator.estimate_cardinality
     compile_ = simulator.QueryContext.__init__
-    monkeypatch.setattr(
-        simulator, "estimate_cardinality", lambda *a: estimates.append(a[1].id) or estimate(*a)
-    )
     monkeypatch.setattr(
         simulator.QueryContext, "__init__", lambda self, *a: compiled.append(a[0].id) or compile_(self, *a)
     )
     assert evaluate_queries(contexts, setup.params, cfg, 1, 0) == first
-    assert estimates == []
+    assert [len(ctx._card) for ctx in contexts] == memo_sizes
+    assert compiled == []
     expert = contexts[0].expert()
     assert compiled == []
     assert simulator.expert_plan(contexts[0].query, setup.catalog, cfg.cost_model) == expert
