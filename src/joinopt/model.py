@@ -1,7 +1,9 @@
 """Small feed-forward value network with analytic backpropagation.
 
 ReLU hidden layers, linear scalar output, mean-squared-error loss, plain SGD.
-Parameters are immutable values; every operation returns new arrays.  The
+Parameters are immutable values; every operation returns new arrays.
+Constructing them checks shapes only: ``check_finite`` scans the values, and
+runs when an SGD phase ends and when a checkpoint is loaded.  The
 network is trained on log1p-transformed latencies; ``latency_to_label`` and
 ``label_to_latency`` convert between milliseconds and that label space.
 """
@@ -23,6 +25,7 @@ __all__ = [
     "batch_loss",
     "batch_grad",
     "sgd_step",
+    "check_finite",
     "save_params",
     "load_params",
     "latency_to_label",
@@ -77,8 +80,6 @@ class ModelParams:
                 )
             if b.shape != (sizes[i + 1],):
                 raise ModelError(f"layer {i}: bias shape {b.shape} != {(sizes[i + 1],)}")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ModelError(f"layer {i}: non-finite parameter")
 
     @property
     def input_dim(self) -> int:
@@ -193,19 +194,13 @@ def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
     return ModelParams(params.layer_sizes, weights, biases)
 
 
-def grad_sum(grads: list[ModelParams]) -> ModelParams:
-    """Element-wise sum of same-shaped gradients."""
-    if not grads:
-        raise ModelError("cannot sum an empty gradient list")
-    first = grads[0]
-    for g in grads[1:]:
-        if g.layer_sizes != first.layer_sizes:
-            raise ModelError("gradient shapes differ")
-    weights = tuple(
-        sum(g.weights[i] for g in grads) for i in range(len(first.weights))
-    )
-    biases = tuple(sum(g.biases[i] for g in grads) for i in range(len(first.biases)))
-    return ModelParams(first.layer_sizes, weights, biases)
+def check_finite(params: ModelParams) -> ModelParams:
+    """``params``, after raising ModelError for the first layer holding a
+    NaN or infinite weight or bias."""
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ModelError(f"layer {i}: non-finite parameter")
+    return params
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -234,4 +229,4 @@ def load_params(path) -> ModelParams:
         raise ModelError(f"{path}: checkpoint not found") from None
     except KeyError as exc:
         raise ModelError(f"{path}: malformed checkpoint, missing {exc.args[0]!r}") from None
-    return ModelParams(sizes, weights, biases)
+    return check_finite(ModelParams(sizes, weights, biases))

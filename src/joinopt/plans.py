@@ -1,7 +1,8 @@
 """Binary join trees.
 
 A plan is a binary tree of Scan leaves and Join nodes; every base table of
-the query appears in exactly one Scan.  The partial-plan MDP over these trees
+the query appears in exactly one Scan (``simulator.plan_infos`` rejects a
+plan that scans a table twice).  The partial-plan MDP over these trees
 (states of disjoint fragments, joins of two fragments as actions) works on
 fragment summaries and lives in ``simulator``.
 """
@@ -19,7 +20,6 @@ __all__ = [
     "PlanNode",
     "PlanError",
     "plan_repr",
-    "validate_plan",
 ]
 
 
@@ -58,15 +58,3 @@ def plan_repr(node: PlanNode) -> str:
     if isinstance(node, Scan):
         return node.table
     return f"({plan_repr(node.left)} {node.op.name} {plan_repr(node.right)})"
-
-
-def validate_plan(node: PlanNode) -> frozenset[str]:
-    """Check the base-table-once invariant; returns the covered relation set."""
-    if isinstance(node, Scan):
-        return frozenset((node.table,))
-    left = validate_plan(node.left)
-    right = validate_plan(node.right)
-    overlap = left & right
-    if overlap:
-        raise PlanError(f"table(s) {sorted(overlap)} appear on both sides of a join")
-    return left | right

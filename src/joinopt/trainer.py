@@ -49,6 +49,7 @@ from .model import (
     ModelParams,
     TrainBatch,
     batch_grad,
+    check_finite,
     init_params,
     latency_to_label,
     predict_batch,
@@ -75,13 +76,10 @@ from .simulator import (
     query_context,
 )
 from .transfer import (
-    MetaTask,
     PartitioningPolicy,
     TaskSet,
-    davies_bouldin,
     maml_outer,
-    partition_workload,
-    query_embeddings,
+    score_all_policies,
     select_partitioning,
 )
 
@@ -167,9 +165,7 @@ class RetentionConfig:
         self.policy()  # validates the weighting name and beta_mix
 
     def policy(self) -> WeightingPolicy:
-        if self.weighting == "hybrid":
-            return WeightingPolicy.hybrid(self.beta_mix)
-        return WeightingPolicy(self.weighting)
+        return WeightingPolicy(self.weighting, self.beta_mix)
 
 
 @dataclass(frozen=True)
@@ -435,10 +431,11 @@ def build_meta_tasks(
     contexts: dict[str, QueryContext],
     rollouts_per_query: int,
     rng_seed: int,
-) -> list[MetaTask]:
-    """Meta-training pools from simulator-executed plans: for each query the
-    expert DP plan plus uniform random rollouts, every join subplan (in
-    post-order) labeled with the noiseless latency of its full plan."""
+) -> list[TrainBatch]:
+    """One meta task per task of the partition, pooling rows from
+    simulator-executed plans: for each query the expert DP plan plus uniform
+    random rollouts, every join subplan (in post-order) labeled with the
+    noiseless latency of its full plan."""
     rng = np.random.default_rng(rng_seed)
     meta_tasks = []
     for task in taskset.tasks:
@@ -454,7 +451,7 @@ def build_meta_tasks(
                 joins = [info for info in infos if isinstance(info.node, Join)]
                 rows.append(fragment_rows(joins, ctx))
                 labels += [label] * len(joins)
-        meta_tasks.append(MetaTask(np.concatenate(rows), np.array(labels)))
+        meta_tasks.append(TrainBatch(np.concatenate(rows), np.array(labels)))
     return meta_tasks
 
 
@@ -468,13 +465,12 @@ def meta_initialize(
     policy and then DBI-scored) and run first-order MAML from the given
     initialization."""
     tc = cfg.transfer
-    if tc.forced_policy is not None:
-        policy = PartitioningPolicy(tc.forced_policy)
-        taskset = partition_workload(train_contexts, policy, tc.k_tasks)
-        dbi = davies_bouldin(taskset, query_embeddings(train_contexts))
-        taskset = dataclasses.replace(taskset, dbi_score=dbi)
-    else:
+    if tc.forced_policy is None:
         taskset = select_partitioning(train_contexts, tc.k_tasks)
+    else:
+        policy = PartitioningPolicy(tc.forced_policy)
+        scored = score_all_policies(train_contexts, tc.k_tasks)
+        taskset = next(t for t in scored if t.policy is policy)
     meta_tasks = build_meta_tasks(
         taskset,
         {ctx.query.id: ctx for ctx in train_contexts},
@@ -650,14 +646,16 @@ def evaluate_queries(
 
 
 def _sgd_phase(iteration: int, phase: str, train, *args, **kwargs) -> ModelParams:
-    """``train(*args, **kwargs)``, an SGD phase whose divergence is reported
-    once: numpy's overflow warnings are silenced, and the ModelError raised
-    for the non-finite parameters names the iteration and the phase."""
+    """``train(*args, **kwargs)``, an SGD phase whose parameters are checked
+    once, when it ends: numpy's overflow warnings are silenced while it runs,
+    and the ModelError raised for non-finite parameters names the iteration
+    and the phase."""
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return train(*args, **kwargs)
-        except ModelError as exc:
-            raise ModelError(f"iteration {iteration}: {phase}: {exc}") from exc
+        params = train(*args, **kwargs)
+    try:
+        return check_finite(params)
+    except ModelError as exc:
+        raise ModelError(f"iteration {iteration}: {phase}: {exc}") from exc
 
 
 def _train_on(

@@ -6,9 +6,10 @@ sized tasks (the remainder joins the last task).  The estimated-cost policy
 reads the context's expert plan, so the DP runs once per query however many
 policies and embeddings ask for it.  Each
 candidate partition is rated with the Davies-Bouldin index over a shared
-4-feature query embedding, and the lowest-DBI policy wins.  The winning tasks
-feed first-order MAML: per-task inner SGD adaptation followed by an outer
-step on the summed post-adaptation gradients.
+4-feature query embedding, and the lowest-DBI policy wins.  The winning tasks,
+each a ``TrainBatch`` pooling its queries' rows, feed first-order MAML:
+per-task inner SGD adaptation followed by an outer step on the summed
+post-adaptation gradients.
 """
 
 from __future__ import annotations
@@ -21,13 +22,12 @@ from enum import Enum
 import numpy as np
 
 from .catalog import Query
-from .model import ModelParams, TrainBatch, batch_grad, grad_sum, sgd_step
+from .model import ModelParams, TrainBatch, batch_grad, sgd_step
 from .simulator import QueryContext
 
 __all__ = [
     "PartitioningPolicy",
     "TaskSet",
-    "MetaTask",
     "TransferError",
     "halstead_complexity",
     "policy_score",
@@ -172,57 +172,28 @@ def score_all_policies(workload: list[QueryContext], k_tasks: int) -> list[TaskS
 def select_partitioning(workload: list[QueryContext], k_tasks: int) -> TaskSet:
     """The minimum-DBI partition across all four policies; ties keep the
     earliest policy in enum order."""
-    scored = score_all_policies(workload, k_tasks)
-    best = scored[0]
-    for candidate in scored[1:]:
-        if candidate.dbi_score < best.dbi_score:
-            best = candidate
-    return best
-
-
-@dataclass(frozen=True)
-class MetaTask:
-    """Pool of (features, label) rows for one task; support and query batches
-    are drawn from this pool during meta-training."""
-
-    features: np.ndarray  # [n, d]
-    labels: np.ndarray  # [n]
-
-    def __post_init__(self):
-        if self.features.ndim != 2 or self.features.shape[0] < 1:
-            raise TransferError("meta task needs a nonempty [n, d] feature matrix")
-        if self.labels.shape != (self.features.shape[0],):
-            raise TransferError("meta task labels must match feature rows")
-
-    def sample(self, rng: np.random.Generator, batch_size: int) -> TrainBatch:
-        n = self.features.shape[0]
-        take = min(batch_size, n)
-        idx = rng.choice(n, size=take, replace=False)
-        return TrainBatch(self.features[idx], self.labels[idx])
+    return min(score_all_policies(workload, k_tasks), key=lambda t: t.dbi_score)
 
 
 def maml_inner(
     params: ModelParams,
-    task_batches: list[TrainBatch],
+    batch: TrainBatch,
     inner_lr: float,
     n_inner: int,
 ) -> ModelParams:
-    """n_inner SGD steps on the task's loss starting from params, cycling
-    through the given batches; the input params are untouched."""
+    """n_inner SGD steps on the batch's loss starting from params; the input
+    params are untouched."""
     if n_inner < 0:
         raise TransferError("n_inner must be >= 0")
-    if n_inner > 0 and not task_batches:
-        raise TransferError("maml_inner needs at least one batch")
     adapted = params
-    for step in range(n_inner):
-        batch = task_batches[step % len(task_batches)]
+    for _ in range(n_inner):
         adapted = sgd_step(adapted, batch_grad(adapted, batch), inner_lr)
     return adapted
 
 
 def maml_outer(
     params: ModelParams,
-    tasks: list[MetaTask],
+    tasks: list[TrainBatch],
     inner_lr: float,
     outer_lr: float,
     n_inner: int,
@@ -232,19 +203,30 @@ def maml_outer(
 ) -> ModelParams:
     """First-order MAML: each outer iteration adapts to every task on a
     support batch, evaluates the loss gradient at the adapted parameters on a
-    query batch, and applies one outer step on the summed gradients (the
-    adaptation Jacobian is treated as identity)."""
+    query batch, and applies one outer step on the gradients summed left to
+    right (the adaptation Jacobian is treated as identity).  Support and
+    query batches are drawn from each task's rows without replacement."""
     if not tasks:
         raise TransferError("maml_outer needs at least one task")
     if n_outer < 1:
         raise TransferError("n_outer must be >= 1")
     rng = np.random.default_rng(rng_seed)
+
+    def sample(task: TrainBatch) -> TrainBatch:
+        idx = rng.choice(len(task), size=min(batch_size, len(task)), replace=False)
+        return TrainBatch(task.features[idx], task.labels[idx])
+
     for _ in range(n_outer):
         grads = []
         for task in tasks:
-            support = task.sample(rng, batch_size)
-            query_batch = task.sample(rng, batch_size)
-            adapted = maml_inner(params, [support], inner_lr, n_inner)
+            support = sample(task)
+            query_batch = sample(task)
+            adapted = maml_inner(params, support, inner_lr, n_inner)
             grads.append(batch_grad(adapted, query_batch))
-        params = sgd_step(params, grad_sum(grads), outer_lr)
+        summed = ModelParams(
+            params.layer_sizes,
+            tuple(sum(w) for w in zip(*(g.weights for g in grads))),
+            tuple(sum(b) for b in zip(*(g.biases for g in grads))),
+        )
+        params = sgd_step(params, summed, outer_lr)
     return params

@@ -41,7 +41,6 @@ from joinopt.retention import (
 from joinopt.simulator import CostModelConfig, QueryContext, expert_plan
 from joinopt.trainer import load_run_config, run_training
 from joinopt.transfer import (
-    MetaTask,
     davies_bouldin,
     halstead_complexity,
     maml_outer,
@@ -340,8 +339,7 @@ def test_criterion_5_partitioning_contract():
 # 6. MAML efficiency (directional)
 
 
-def adaptation_steps(params, task, lr, threshold, max_steps=400):
-    batch = TrainBatch(task.features, task.labels)
+def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
         if batch_loss(params, batch) <= threshold:
             return step
@@ -358,10 +356,10 @@ def test_criterion_6_maml_efficiency():
         for _ in range(8):
             a, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
             X = rng.uniform(0, 1, size=(24, 1))
-            tasks.append(MetaTask(X, a * X[:, 0] + b))
+            tasks.append(TrainBatch(X, a * X[:, 0] + b))
         a, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
         X = rng.uniform(0, 1, size=(24, 1))
-        held_out = MetaTask(X, a * X[:, 0] + b)
+        held_out = TrainBatch(X, a * X[:, 0] + b)
         params = init_params((1, 16, 1), seed)
         meta = maml_outer(
             params, tasks, inner_lr=0.05, outer_lr=0.02, n_inner=3, n_outer=120,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -265,6 +266,19 @@ def test_checkpoint_round_trip(tmp_path):
 def test_load_missing_checkpoint(tmp_path):
     with pytest.raises(ModelError, match="not found"):
         load_params(tmp_path / "missing.npz")
+
+
+@pytest.mark.parametrize("layer, array, value", [(1, "weights", np.nan), (0, "biases", np.inf)])
+def test_load_rejects_non_finite_checkpoint(tmp_path, layer, array, value):
+    """A checkpoint is input from outside the program: its values are
+    scanned on load, although constructing parameters checks shapes only."""
+    params = init_params((3, 4, 1), 7)
+    bad = [x.copy() for x in getattr(params, array)]
+    bad[layer].flat[0] = value
+    path = tmp_path / "model.npz"
+    save_params(dataclasses.replace(params, **{array: tuple(bad)}), path)
+    with pytest.raises(ModelError, match=f"^layer {layer}: non-finite parameter$"):
+        load_params(path)
 
 
 def test_label_transform_round_trip():

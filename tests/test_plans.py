@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joinopt.plans import JOIN_OPS, Join, JoinOp, PlanError, Scan, validate_plan
+from joinopt.plans import JOIN_OPS, Join, JoinOp, PlanError, Scan
 from joinopt.simulator import (
     CostModelConfig,
     QueryContext,
+    SimulatorError,
     join_fragments,
     join_info,
     legal_pairs,
+    plan_infos,
 )
 
 from conftest import make_catalog, make_query, random_tree_catalog_and_query
@@ -98,7 +100,7 @@ def test_full_rollout_reaches_terminal(chain3, chain3_query):
         )
     assert len(state) == 1
     assert state[0].mask == chain3.full_mask
-    assert validate_plan(state[0].node) == frozenset(chain3_query.relations)
+    assert plan_infos(state[0].node, chain3)[-1].mask == chain3.full_mask
 
 
 def test_apply_action_rejects_bad_indices(pair):
@@ -117,10 +119,10 @@ def test_apply_action_rejects_overlapping_fragments(pair):
         join_fragments(bad, 0, 1, JoinOp.HASH, pair)
 
 
-def test_validate_plan_rejects_duplicate_table():
-    tree = Join(Scan("a"), Join(Scan("a"), Scan("b"), JoinOp.HASH), JoinOp.MERGE)
-    with pytest.raises(PlanError, match="both sides"):
-        validate_plan(tree)
+def test_plan_infos_rejects_duplicate_table(pair):
+    tree = Join(Scan("r"), Join(Scan("r"), Scan("s"), JoinOp.HASH), JoinOp.MERGE)
+    with pytest.raises(SimulatorError, match="plan joins overlapping relation sets"):
+        plan_infos(tree, pair)
 
 
 def test_left_deep_restriction(chain3):
@@ -155,8 +157,8 @@ def test_random_rollouts_preserve_invariants(n_rels, seed, left_deep):
         pairs = legal_pairs(state, ctx, left_deep)
         assert pairs, "connected query must always have a legal join"
         for i, j in pairs:
-            left = validate_plan(state[i].node)
-            right = validate_plan(state[j].node)
+            left = ctx.names(plan_infos(state[i].node, ctx)[-1].mask)
+            right = ctx.names(plan_infos(state[j].node, ctx)[-1].mask)
             assert query.edges_between(left, right)
             if left_deep:
                 assert isinstance(state[j].node, Scan)
@@ -164,7 +166,7 @@ def test_random_rollouts_preserve_invariants(n_rels, seed, left_deep):
         i, j = pairs[k // len(JOIN_OPS)]
         _, state = join_fragments(state, i, j, JOIN_OPS[k % len(JOIN_OPS)], ctx)
         steps += 1
-        relsets = [validate_plan(f.node) for f in state]
+        relsets = [frozenset(ctx.names(plan_infos(f.node, ctx)[-1].mask)) for f in state]
         union = frozenset().union(*relsets)
         assert union == frozenset(query.relations)
         assert sum(len(r) for r in relsets) == len(query.relations)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import edge_key
-from joinopt.plans import Join, JoinOp, Scan, validate_plan
+from joinopt.plans import Join, JoinOp, Scan
 from joinopt.simulator import (
     DEFAULT_DP_LIMIT,
     CostModelConfig,
@@ -14,6 +14,7 @@ from joinopt.simulator import (
     expert_baseline,
     expert_plan,
     noiseless_latency,
+    plan_infos,
 )
 
 from conftest import make_catalog, make_query, random_tree_catalog_and_query
@@ -334,7 +335,8 @@ def test_expert_dp_limit(rng, default_cost):
 def test_expert_covers_query(rng, default_cost):
     catalog, query = random_tree_catalog_and_query(rng, 6)
     plan = expert_plan(query, catalog, default_cost)
-    assert validate_plan(plan) == frozenset(query.relations)
+    ctx = QueryContext(query, catalog, default_cost)
+    assert plan_infos(plan, ctx)[-1].mask == ctx.full_mask
 
 
 # --- expert baseline ----------------------------------------------------------

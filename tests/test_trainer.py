@@ -13,7 +13,7 @@ from joinopt import simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
 from joinopt.features import feature_dim, fragment_rows
-from joinopt.plans import Join, validate_plan
+from joinopt.plans import Join
 from joinopt.simulator import QueryContext, expert_plan, plan_infos
 from joinopt.trainer import (
     ConfigError,
@@ -113,6 +113,9 @@ def test_load_config_validates_before_work(workload_dir):
         ({"retention": {"capacity": 0}}, "capacity"),
         ({"retention": {"gamma": -1}}, "gamma"),
         ({"retention": {"gamma": 1.5}}, "gamma"),
+        ({"retention": {"weighting": "recency", "beta_mix": 5.0}}, "retention: beta_mix"),
+        ({"retention": {"weighting": "td_low", "beta_mix": -0.5}}, "retention: beta_mix"),
+        ({"retention": {"weighting": "hybrid", "beta_mix": 5.0}}, "retention: beta_mix"),
         ({"search": {"epsilon_decay": -2}}, "epsilon_decay"),
         ({"search": {"epsilon_decay": 1.5}}, "epsilon_decay"),
         ({"window_fraction": 0}, "window_fraction"),
@@ -233,7 +236,8 @@ def test_search_returns_valid_plan(default_cost, rng):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 7)))
         model = init_params((feature_dim(catalog), 8, 1), trial)
         plan = plan_search(query, model, catalog, default_cost, 3, 0.5, rng_seed=trial)
-        assert validate_plan(plan) == frozenset(query.relations)
+        ctx = QueryContext(query, catalog, default_cost)
+        assert plan_infos(plan, ctx)[-1].mask == ctx.full_mask
 
 
 def test_beam_with_cost_oracle_finds_expert_cost_on_star6():
@@ -316,7 +320,7 @@ def test_random_rollout_is_legal(default_cost, rng):
     ctx = QueryContext(query, catalog, default_cost)
     for _ in range(10):
         plan = random_rollout(ctx, rng)
-        assert validate_plan(plan) == frozenset(query.relations)
+        assert plan_infos(plan, ctx)[-1].mask == ctx.full_mask
 
 
 # --- meta task construction --------------------------------------------------------

@@ -5,7 +5,6 @@ import pytest
 
 from joinopt.model import ModelParams, TrainBatch, batch_grad, batch_loss, init_params, sgd_step
 from joinopt.transfer import (
-    MetaTask,
     PartitioningPolicy,
     TaskSet,
     TransferError,
@@ -342,7 +341,7 @@ def _quadratic_task(rng, n=32):
 def test_maml_inner_single_step_equals_sgd(rng):
     params = init_params((1, 4, 1), 3)
     batch = _quadratic_task(rng)
-    inner = maml_inner(params, [batch], inner_lr=0.01, n_inner=1)
+    inner = maml_inner(params, batch, inner_lr=0.01, n_inner=1)
     direct = sgd_step(params, batch_grad(params, batch), 0.01)
     for a, b in zip(inner.weights, direct.weights):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -353,7 +352,7 @@ def test_maml_inner_single_step_equals_sgd(rng):
 def test_maml_inner_zero_lr_identity(rng):
     params = init_params((1, 4, 1), 3)
     batch = _quadratic_task(rng)
-    adapted = maml_inner(params, [batch], inner_lr=0.0, n_inner=5)
+    adapted = maml_inner(params, batch, inner_lr=0.0, n_inner=5)
     for a, b in zip(adapted.weights, params.weights):
         assert np.array_equal(a, b)
 
@@ -364,16 +363,16 @@ def test_maml_inner_scalar_hand_trace():
     params = ModelParams((1, 1), (np.array([[0.0]]),), (np.array([0.0]),))
     # With input 0, prediction = bias; loss = (bias - 1)^2.
     batch = TrainBatch(np.array([[0.0]]), np.array([1.0]))
-    one = maml_inner(params, [batch], inner_lr=0.1, n_inner=1)
+    one = maml_inner(params, batch, inner_lr=0.1, n_inner=1)
     assert one.biases[0][0] == pytest.approx(0.2)
-    two = maml_inner(params, [batch], inner_lr=0.1, n_inner=2)
+    two = maml_inner(params, batch, inner_lr=0.1, n_inner=2)
     assert two.biases[0][0] == pytest.approx(0.36)
 
 
 def test_maml_inner_leaves_input_unchanged(rng):
     params = init_params((1, 4, 1), 3)
     snapshot = [w.copy() for w in params.weights]
-    maml_inner(params, [_quadratic_task(rng)], inner_lr=0.05, n_inner=3)
+    maml_inner(params, _quadratic_task(rng), inner_lr=0.05, n_inner=3)
     for a, b in zip(params.weights, snapshot):
         assert np.array_equal(a, b)
 
@@ -383,9 +382,8 @@ def test_maml_outer_no_inner_is_plain_sgd(rng):
     outer_lr on the task gradient at the initial parameters."""
     params = init_params((1, 4, 1), 5)
     batch = _quadratic_task(rng, n=16)
-    task = MetaTask(batch.features, batch.labels)
     out = maml_outer(
-        params, [task], inner_lr=0.1, outer_lr=0.02, n_inner=0, n_outer=1,
+        params, [batch], inner_lr=0.1, outer_lr=0.02, n_inner=0, n_outer=1,
         batch_size=999, rng_seed=0,
     )
     direct = sgd_step(params, batch_grad(params, batch), 0.02)
@@ -395,7 +393,7 @@ def test_maml_outer_no_inner_is_plain_sgd(rng):
 
 def test_maml_outer_zero_lr_identity(rng):
     params = init_params((1, 4, 1), 5)
-    task = MetaTask(*(lambda b: (b.features, b.labels))(_quadratic_task(rng)))
+    task = _quadratic_task(rng)
     out = maml_outer(params, [task], 0.05, 0.0, 2, 10, rng_seed=4)
     for a, b in zip(out.weights, params.weights):
         assert np.array_equal(a, b)
@@ -403,7 +401,7 @@ def test_maml_outer_zero_lr_identity(rng):
 
 def test_maml_outer_deterministic(rng):
     params = init_params((1, 8, 1), 5)
-    tasks = [MetaTask(*(lambda b: (b.features, b.labels))(_quadratic_task(rng))) for _ in range(3)]
+    tasks = [_quadratic_task(rng) for _ in range(3)]
     a = maml_outer(params, tasks, 0.01, 0.005, 2, 5, rng_seed=11)
     b = maml_outer(params, tasks, 0.01, 0.005, 2, 5, rng_seed=11)
     for wa, wb in zip(a.weights, b.weights):
@@ -417,12 +415,11 @@ def linear_task_family(rng, n_tasks, n_points=24):
         a = rng.uniform(0.5, 2.0)
         b = rng.uniform(0.5, 2.0)
         X = rng.uniform(0, 1, size=(n_points, 1))
-        tasks.append(MetaTask(X, a * X[:, 0] + b))
+        tasks.append(TrainBatch(X, a * X[:, 0] + b))
     return tasks
 
 
-def adaptation_steps(params, task, lr, threshold, max_steps=400):
-    batch = TrainBatch(task.features, task.labels)
+def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
         if batch_loss(params, batch) <= threshold:
             return step
@@ -453,6 +450,6 @@ def test_maml_outer_validates_inputs(rng):
     params = init_params((1, 4, 1), 0)
     with pytest.raises(TransferError):
         maml_outer(params, [], 0.1, 0.1, 1, 1)
-    task = MetaTask(np.zeros((2, 1)), np.zeros(2))
+    task = TrainBatch(np.zeros((2, 1)), np.zeros(2))
     with pytest.raises(TransferError):
         maml_outer(params, [task], 0.1, 0.1, 1, 0)
