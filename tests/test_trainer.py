@@ -113,9 +113,6 @@ def test_load_config_validates_before_work(workload_dir):
         ({"retention": {"capacity": 0}}, "capacity"),
         ({"retention": {"gamma": -1}}, "gamma"),
         ({"retention": {"gamma": 1.5}}, "gamma"),
-        ({"retention": {"weighting": "recency", "beta_mix": 5.0}}, "retention: beta_mix"),
-        ({"retention": {"weighting": "td_low", "beta_mix": -0.5}}, "retention: beta_mix"),
-        ({"retention": {"weighting": "hybrid", "beta_mix": 5.0}}, "retention: beta_mix"),
         ({"search": {"epsilon_decay": -2}}, "epsilon_decay"),
         ({"search": {"epsilon_decay": 1.5}}, "epsilon_decay"),
         ({"window_fraction": 0}, "window_fraction"),
@@ -132,6 +129,9 @@ def test_load_config_validates_before_work(workload_dir):
         ({"transfer": {"batch_size": 0}}, "batch_size"),
         ({"transfer": {"enabled": False, "forced_policy": "bogus"}}, "forced_policy"),
         ({"iterations": 0}, "iterations"),
+        ({"retention": {"weighting": "recency", "beta_mix": 5.0}}, "retention: beta_mix"),
+        ({"retention": {"weighting": "td_low", "beta_mix": -0.5}}, "retention: beta_mix"),
+        ({"retention": {"weighting": "hybrid", "beta_mix": 5.0}}, "retention: beta_mix"),
     ],
 )
 def test_load_config_rejects_bad_type_or_range(workload_dir, overrides, key):
