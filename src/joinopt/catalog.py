@@ -4,10 +4,18 @@ Catalog files and workload files are JSON documents.  A catalog file carries
 the top-level keys ``tables``, ``selectivities`` and ``default_selectivity``;
 a workload file carries the top-level key ``queries``.  The exact field names
 are part of this repo's contract and are validated on load.
+
+``_build`` is the one JSON-document builder: run configs, catalogs and
+workloads all go through it, so one set of rules holds for every input file.
+Unknown keys are refused, each value's JSON type is checked against its
+dataclass field (an integer field takes only a JSON integer), and then the
+dataclass's own checks run.  Every failure is one error line naming the file,
+the entry (``tables[3]``, ``queries[0]``) and the key.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -178,22 +186,129 @@ def _connected(relations: Iterable[str], edges: frozenset[tuple[str, str]]) -> b
     return len(seen) == len(rels)
 
 
-def _load_json(path, error_cls):
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _is_pair(value) -> bool:
+    return _is_names(value) and len(value) == 2
+
+
+# JSON value accepted for each annotated field type: (description, check).
+# The builder turns an accepted list into a tuple.
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[int, ...]": (
+        "a list of positive integers",
+        lambda v: isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v),
+    ),
+    "tuple[str, ...]": ("a list of strings", _is_names),
+    "tuple[str, str]": ("a pair of table names", _is_pair),
+    "frozenset[tuple[str, str]]": (
+        "a list of table-name pairs",
+        lambda v: isinstance(v, list) and all(_is_pair(x) for x in v),
+    ),
+    "Mapping[str, int]": (
+        "an object of integer counts",
+        lambda v: isinstance(v, dict) and all(_is_int(x) for x in v.values()),
+    ),
+}
+
+
+def _entries(cls):
+    """A field read from a JSON list whose every item is an object that
+    ``_build`` turns into ``cls``."""
+    return field(metadata={"entries": cls})
+
+
+def _build(cls, doc, where: str, error, base=None):
+    """``cls`` from its JSON object: unknown keys, then each value's JSON
+    type, then the dataclass's own checks; every failure raises ``error``
+    prefixed with ``where``.  A field whose default is a dataclass is a
+    section, and a field made by ``_entries`` a list of entries; both are
+    built the same way from their own objects.  A field spelled by a ``key``
+    in its metadata is a path, resolved against the directory ``base``."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: must be an object, got {json.dumps(doc)}")
+    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise error(f"{where}: unknown key {unknown[0]!r}")
+    kwargs = {}
+    for key, f in fields.items():
+        if key not in doc:
+            if f.default is dataclasses.MISSING:
+                raise error(f"{where}: missing required key {key!r}")
+            continue
+        value = doc[key]
+        if dataclasses.is_dataclass(f.default):
+            if not isinstance(value, dict):
+                raise error(f"{where}: section {key!r} must be an object")
+            value = _build(type(f.default), value, f"{where}: {key}", error, base)
+        elif "entries" in f.metadata:
+            if not isinstance(value, list):
+                raise error(f"{where}: {key!r} must be a list, got {json.dumps(value)}")
+            value = tuple(
+                _build(f.metadata["entries"], item, f"{where}: {key}[{i}]", error)
+                for i, item in enumerate(value)
+            )
+        else:
+            expected, accepts = _FIELD_TYPES[f.type]
+            if not accepts(value):
+                raise error(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
+            if "key" in f.metadata:
+                value = str((base / value).resolve())
+            elif isinstance(value, list):
+                value = tuple(value)
+        kwargs[f.name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from None
+
+
+def _load_json(path, error):
+    """The JSON object in the file at ``path``; ``error`` otherwise."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
-        raise error_cls(f"{path}: file not found") from None
+        raise error(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
-        raise error_cls(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from None
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if not isinstance(doc, dict):
+        raise error(f"{path}: top level must be an object")
+    return doc
 
 
-def _require(doc: Mapping, key: str, where, error_cls):
-    if key not in doc:
-        raise error_cls(f"{where}: missing required key {key!r}")
-    return doc[key]
+@dataclass(frozen=True)
+class _Selectivity:
+    """One entry of a catalog file's ``selectivities``."""
+
+    tables: tuple[str, str]
+    selectivity: float
+
+
+@dataclass(frozen=True)
+class _CatalogDoc:
+    tables: tuple[TableStats, ...] = _entries(TableStats)
+    selectivities: tuple[_Selectivity, ...] = _entries(_Selectivity)
+    default_selectivity: float = 0.1
+
+
+@dataclass(frozen=True)
+class _WorkloadDoc:
+    queries: tuple[Query, ...] = _entries(Query)
 
 
 def load_catalog(path) -> Catalog:
@@ -204,45 +319,16 @@ def load_catalog(path) -> Catalog:
 def catalog_from_doc(doc, where) -> Catalog:
     """Build and validate a catalog from its JSON document.
 
-    Raises CatalogError, prefixed with ``where``, with the offending field
-    named when the document is malformed or an invariant (unique names,
-    selectivity ranges) is violated.
+    Raises CatalogError, prefixed with ``where``, with the offending entry
+    and key named when the document is malformed or an invariant (unique
+    names, selectivity ranges) is violated.
     """
-    if not isinstance(doc, dict):
-        raise CatalogError(f"{where}: top level must be an object")
-    tables_raw = _require(doc, "tables", where, CatalogError)
-    sel_raw = _require(doc, "selectivities", where, CatalogError)
-    tables = []
-    for i, entry in enumerate(tables_raw):
-        try:
-            tables.append(
-                TableStats(
-                    name=str(entry["name"]),
-                    row_count=int(entry["row_count"]),
-                    row_width_bytes=int(entry["row_width_bytes"]),
-                    filter_selectivity=float(entry.get("filter_selectivity", 1.0)),
-                )
-            )
-        except KeyError as exc:
-            raise CatalogError(f"{where}: tables[{i}]: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise CatalogError(f"{where}: tables[{i}]: {exc}") from None
-    selectivities = {}
-    for i, entry in enumerate(sel_raw):
-        try:
-            a, b = entry["tables"]
-            selectivities[edge_key(str(a), str(b))] = float(entry["selectivity"])
-        except KeyError as exc:
-            raise CatalogError(
-                f"{where}: selectivities[{i}]: missing field {exc.args[0]!r}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise CatalogError(f"{where}: selectivities[{i}]: {exc}") from None
+    doc = _build(_CatalogDoc, doc, where, CatalogError)
     try:
         return Catalog(
-            tables=tuple(tables),
-            join_selectivities=selectivities,
-            default_selectivity=float(doc.get("default_selectivity", 0.1)),
+            tables=doc.tables,
+            join_selectivities={s.tables: s.selectivity for s in doc.selectivities},
+            default_selectivity=doc.default_selectivity,
         )
     except CatalogError as exc:
         raise CatalogError(f"{where}: {exc}") from None
@@ -260,31 +346,10 @@ def workload_from_doc(doc, catalog: Catalog, where) -> list[Query]:
     unique and each join graph connected.  Raises WorkloadError prefixed
     with ``where``.
     """
-    if not isinstance(doc, dict):
-        raise WorkloadError(f"{where}: top level must be an object")
-    queries_raw = _require(doc, "queries", where, WorkloadError)
+    queries = _build(_WorkloadDoc, doc, where, WorkloadError).queries
     known = set(catalog.table_names)
-    queries = []
     ids = set()
-    for i, entry in enumerate(queries_raw):
-        try:
-            qid = str(entry["id"])
-            relations = tuple(str(r) for r in entry["relations"])
-            edges = frozenset(
-                edge_key(str(a), str(b)) for a, b in entry["join_edges"]
-            )
-            query = Query(
-                id=qid,
-                relations=relations,
-                join_edges=edges,
-                operator_tokens={str(k): int(v) for k, v in entry["operator_tokens"].items()},
-                operand_tokens={str(k): int(v) for k, v in entry["operand_tokens"].items()},
-                predicate_count=int(entry.get("predicate_count", 0)),
-            )
-        except KeyError as exc:
-            raise WorkloadError(f"{where}: queries[{i}]: missing field {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise WorkloadError(f"{where}: queries[{i}]: {exc}") from None
+    for query in queries:
         if query.id in ids:
             raise WorkloadError(f"{where}: duplicate query id {query.id!r}")
         ids.add(query.id)
@@ -293,5 +358,4 @@ def workload_from_doc(doc, catalog: Catalog, where) -> list[Query]:
                 raise WorkloadError(
                     f"{where}: query {query.id!r}: unknown table {rel!r}"
                 )
-        queries.append(query)
-    return queries
+    return list(queries)

@@ -104,22 +104,6 @@ class WeightingPolicy:
         if not (0.0 <= self.beta_mix <= 1.0):
             raise RetentionError("beta_mix must lie in [0, 1]")
 
-    @classmethod
-    def recency_only(cls) -> "WeightingPolicy":
-        return cls("recency")
-
-    @classmethod
-    def td_error_low(cls) -> "WeightingPolicy":
-        return cls("td_low")
-
-    @classmethod
-    def td_error_high(cls) -> "WeightingPolicy":
-        return cls("td_high")
-
-    @classmethod
-    def hybrid(cls, beta_mix: float = 0.5) -> "WeightingPolicy":
-        return cls("hybrid", beta_mix)
-
 
 class ReplayBuffer:
     """Ring buffer of experiences, evicting strictly oldest-first.  Each

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 import statistics
 import time
@@ -34,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import Catalog, Query, load_catalog, load_workload
+from .catalog import Catalog, Query, _build, _load_json, load_catalog, load_workload
 from .features import feature_dim, feature_matrix, fragment_rows
 from .metrics import (
     QueryTrace,
@@ -241,60 +240,6 @@ class RunConfig:
         _require(self.convergence_sustain >= 1, "convergence_sustain must be >= 1")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# JSON value accepted for each annotated field type: (description, check).
-_FIELD_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "bool": ("a boolean", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "tuple[int, ...]": (
-        "a list of positive integers",
-        lambda v: isinstance(v, list) and all(_is_int(x) and x >= 1 for x in v),
-    ),
-}
-
-
-def _build(cls, doc: dict, where: str, base: Path):
-    """``cls`` from its config document: unknown keys, then each value's
-    JSON type, then the dataclass's own range checks.  A field whose default
-    is a dataclass is a section, built the same way from its own object."""
-    fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(doc) - set(fields))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-    kwargs = {}
-    for key, f in fields.items():
-        if key not in doc:
-            if f.default is dataclasses.MISSING:
-                raise ConfigError(f"{where}: missing required key {key!r}")
-            continue
-        value = doc[key]
-        if dataclasses.is_dataclass(f.default):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}: section {key!r} must be an object")
-            value = _build(type(f.default), value, f"{where}: {key}", base)
-        else:
-            expected, accepts = _FIELD_TYPES[f.type]
-            if not accepts(value):
-                raise ConfigError(
-                    f"{where}: {key!r} must be {expected}, got {json.dumps(value)}"
-                )
-            if "key" in f.metadata:
-                value = str((base / value).resolve())
-            elif isinstance(value, list):
-                value = tuple(value)
-        kwargs[f.name] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
 def load_run_config(path) -> RunConfig:
     """Parse and validate a run-configuration JSON file.  Workload and
     catalog paths are resolved relative to the config file's directory.
@@ -302,17 +247,7 @@ def load_run_config(path) -> RunConfig:
     booleans, boolean fields no numbers) and out-of-range values are rejected
     by name, before any work."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: config file not found") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return _build(RunConfig, doc, str(path), path.parent)
+    return _build(RunConfig, _load_json(path, ConfigError), str(path), ConfigError, path.parent)
 
 
 def config_to_doc(cfg: RunConfig) -> dict:

@@ -125,7 +125,7 @@ def test_criterion_1_formula_oracles():
     for _ in range(8):
         d, tau, beta = rng.uniform(), rng.uniform(), rng.uniform()
         want = beta * d + (1 - beta) * tau
-        got = experience_weight(d, tau, WeightingPolicy.hybrid(beta))
+        got = experience_weight(d, tau, WeightingPolicy("hybrid", beta))
         ok &= rel_err(got, want) <= 1e-9
 
     # probability normalization: w_i / sum(w)
@@ -146,7 +146,7 @@ def test_criterion_1_formula_oracles():
         buffer = ReplayBuffer(64)
         buffer.extend(items)
         _, stats = sample_replay(
-            buffer, model, WeightingPolicy.hybrid(0.5), 4, 1.0, 1.0, trial
+            buffer, model, WeightingPolicy("hybrid", 0.5), 4, 1.0, 1.0, trial
         )
         # Terminal with r = 0 under the identity model: delta = -V(s) = s.
         deltas = np.array([e.state_features[0] for e in items])
@@ -244,7 +244,7 @@ def test_criterion_2_sampling_fidelity():
             )
         )
     _, stats = sample_replay(
-        buffer, model, WeightingPolicy.td_error_high(), 100_000, 1.0, 1.0, 424242
+        buffer, model, WeightingPolicy("td_high"), 100_000, 1.0, 1.0, 424242
     )
     expected = np.array([0.0, 0.1, 0.2, 0.3, 0.4]) / 0.1 / 10  # = (0,.1,.2,.3,.4)/1
     expected = np.array([0.0, 0.25, 0.5, 0.75, 1.0])

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from joinopt.catalog import (
@@ -70,6 +72,14 @@ def test_load_catalog_bad_json_has_line_info(tmp_path):
         load_catalog(path)
 
 
+def test_load_catalog_not_utf8_names_file(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_bytes(b'{"tables": "\xff"}')
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte at byte 12"
+
+
 def test_table_stats_validation():
     with pytest.raises(CatalogError, match="row_count"):
         TableStats("t", 0, 8)
@@ -139,6 +149,64 @@ def test_load_workload_duplicate_id(tmp_path):
     path = write_json(tmp_path / "w.json", _workload_doc([entry, entry]))
     with pytest.raises(WorkloadError, match="duplicate query id"):
         load_workload(path, catalog)
+
+
+# (file, where the bad value goes, the value, the error after the file name)
+MALFORMED = [
+    ("catalog", ["tables"], 5, "'tables' must be a list, got 5"),
+    ("catalog", ["selectivities"], {}, "'selectivities' must be a list, got {}"),
+    ("workload", ["queries"], 7, "'queries' must be a list, got 7"),
+    ("catalog", ["tables", 1], "dim1", 'tables[1]: must be an object, got "dim1"'),
+    ("workload", ["queries", 0], ["q0"], 'queries[0]: must be an object, got ["q0"]'),
+    (
+        "workload", ["queries", 0, "operator_tokens"], [1, 2],
+        "queries[0]: 'operator_tokens' must be an object of integer counts, got [1, 2]",
+    ),
+    (
+        "workload", ["queries", 0, "join_edges"], [["fact"]],
+        "queries[0]: 'join_edges' must be a list of table-name pairs, got [[\"fact\"]]",
+    ),
+    (
+        "catalog", ["selectivities", 0, "tables"], ["fact"],
+        "selectivities[0]: 'tables' must be a pair of table names, got [\"fact\"]",
+    ),
+    ("catalog", ["default_selectivity"], "x", "'default_selectivity' must be a number, got \"x\""),
+    ("catalog", ["tables", 0, "row_count"], 12.7, "tables[0]: 'row_count' must be an integer, got 12.7"),
+    ("catalog", ["tables", 0, "row_count"], True, "tables[0]: 'row_count' must be an integer, got true"),
+    (
+        "catalog", ["tables", 0, "row_count"], "1000",
+        "tables[0]: 'row_count' must be an integer, got \"1000\"",
+    ),
+    ("catalog", ["comment"], "x", "unknown key 'comment'"),
+    ("catalog", ["tables", 2, "rows"], 200, "tables[2]: unknown key 'rows'"),
+    ("workload", ["comment"], "x", "unknown key 'comment'"),
+    ("workload", ["queries", 0, "sql"], "SELECT 1", "queries[0]: unknown key 'sql'"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, path, value, message",
+    MALFORMED,
+    ids=[f"{k}:{'.'.join(map(str, p))}:{type(v).__name__}" for k, p, v, _ in MALFORMED],
+)
+def test_malformed_document_names_entry_and_key(tmp_path, kind, path, value, message):
+    docs = {
+        "catalog": copy.deepcopy(STAR3),
+        "workload": _workload_doc([_query_entry("q0", ["fact", "dim1"], [["fact", "dim1"]])]),
+    }
+    target = docs[kind]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    catalog_path = write_json(tmp_path / "catalog.json", docs["catalog"])
+    workload_path = write_json(tmp_path / "workload.json", docs["workload"])
+    bad_path, error = {
+        "catalog": (catalog_path, CatalogError),
+        "workload": (workload_path, WorkloadError),
+    }[kind]
+    with pytest.raises(error) as exc:
+        load_workload(workload_path, load_catalog(catalog_path))
+    assert str(exc.value) == f"{bad_path}: {message}"
 
 
 def test_query_requires_connected_graph():

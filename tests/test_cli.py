@@ -286,6 +286,17 @@ def test_bad_config_single_line_error(tmp_path, capsys):
     assert "\n" not in err
 
 
+def test_malformed_catalog_single_line_error(project, capsys):
+    tmp_path, config = project
+    catalog = tmp_path / "data" / "catalog.json"
+    write_json(catalog, {**json.loads(catalog.read_text()), "tables": 5})
+    rc = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {catalog.resolve()}: 'tables' must be a list, got 5\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [

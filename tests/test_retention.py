@@ -235,29 +235,29 @@ def test_normalize_td_uses_magnitude_and_preserves_order(rng):
 # --- weighting policies ---------------------------------------------------------
 
 def test_experience_weight_hybrid():
-    policy = WeightingPolicy.hybrid(0.5)
+    policy = WeightingPolicy("hybrid", 0.5)
     assert experience_weight(0.8, 0.4, policy) == pytest.approx(0.6)
 
 
 def test_hybrid_zero_equals_recency(rng):
-    hybrid0 = WeightingPolicy.hybrid(0.0)
-    recency = WeightingPolicy.recency_only()
+    hybrid0 = WeightingPolicy("hybrid", 0.0)
+    recency = WeightingPolicy("recency")
     for _ in range(20):
         d, t = rng.uniform(), rng.uniform()
         assert experience_weight(d, t, hybrid0) == experience_weight(d, t, recency)
 
 
 def test_td_low_inverts():
-    assert experience_weight(0.0, 0.3, WeightingPolicy.td_error_low()) == 1.0
-    assert experience_weight(1.0, 0.3, WeightingPolicy.td_error_low()) == 0.0
+    assert experience_weight(0.0, 0.3, WeightingPolicy("td_low")) == 1.0
+    assert experience_weight(1.0, 0.3, WeightingPolicy("td_low")) == 0.0
 
 
 def test_weight_range(rng):
     policies = [
-        WeightingPolicy.recency_only(),
-        WeightingPolicy.td_error_low(),
-        WeightingPolicy.td_error_high(),
-        WeightingPolicy.hybrid(0.3),
+        WeightingPolicy("recency"),
+        WeightingPolicy("td_low"),
+        WeightingPolicy("td_high"),
+        WeightingPolicy("hybrid", 0.3),
     ]
     for _ in range(50):
         d, t = rng.uniform(), rng.uniform()
@@ -274,11 +274,11 @@ def test_hybrid_extremes_match_pure_orderings(rng):
     """Hybrid(1) orders like TDErrorHigh; Hybrid(0) like RecencyOnly."""
     d = rng.uniform(size=40)
     t = rng.uniform(size=40)
-    h1 = [experience_weight(x, y, WeightingPolicy.hybrid(1.0)) for x, y in zip(d, t)]
-    th = [experience_weight(x, y, WeightingPolicy.td_error_high()) for x, y in zip(d, t)]
+    h1 = [experience_weight(x, y, WeightingPolicy("hybrid", 1.0)) for x, y in zip(d, t)]
+    th = [experience_weight(x, y, WeightingPolicy("td_high")) for x, y in zip(d, t)]
     assert np.array_equal(np.argsort(h1, kind="stable"), np.argsort(th, kind="stable"))
-    h0 = [experience_weight(x, y, WeightingPolicy.hybrid(0.0)) for x, y in zip(d, t)]
-    rc = [experience_weight(x, y, WeightingPolicy.recency_only()) for x, y in zip(d, t)]
+    h0 = [experience_weight(x, y, WeightingPolicy("hybrid", 0.0)) for x, y in zip(d, t)]
+    rc = [experience_weight(x, y, WeightingPolicy("recency")) for x, y in zip(d, t)]
     assert np.array_equal(np.argsort(h0, kind="stable"), np.argsort(rc, kind="stable"))
 
 
@@ -286,7 +286,7 @@ def test_weighting_policy_validation():
     with pytest.raises(RetentionError):
         WeightingPolicy("bogus")
     with pytest.raises(RetentionError):
-        WeightingPolicy.hybrid(1.5)
+        WeightingPolicy("hybrid", 1.5)
 
 
 # --- buffer ---------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
     recency = 1.0 - (taus.max() - taus) / span
     weights = 0.25 * norm + 0.75 * recency
     batch, stats = sample_replay(
-        buffer, model, WeightingPolicy.hybrid(0.25), 40, gamma, 1.0, 5
+        buffer, model, WeightingPolicy("hybrid", 0.25), 40, gamma, 1.0, 5
     )
     assert stats.probabilities == pytest.approx(weights / weights.sum(), rel=1e-9)
     idx = stats.sampled_indices
@@ -379,7 +379,7 @@ def test_sample_probabilities_from_weights():
     # hybrid(0.5): w = [0.25, 0.25, 0.75]... use beta 1/3 to get [1,1,2]/norm?
     # Cleaner: recency-only gives w = [0, 0, 1] -> p = [0, 0, 1].
     batch, stats = sample_replay(
-        buffer, model, WeightingPolicy.recency_only(), 5, 1.0, 1.0, 0
+        buffer, model, WeightingPolicy("recency"), 5, 1.0, 1.0, 0
     )
     assert stats.probabilities == pytest.approx([0.0, 0.0, 1.0])
     assert len(batch) == 5
@@ -399,10 +399,10 @@ def test_sample_probability_normalization(rng):
             )
         )
     for policy in (
-        WeightingPolicy.recency_only(),
-        WeightingPolicy.td_error_low(),
-        WeightingPolicy.td_error_high(),
-        WeightingPolicy.hybrid(0.5),
+        WeightingPolicy("recency"),
+        WeightingPolicy("td_low"),
+        WeightingPolicy("td_high"),
+        WeightingPolicy("hybrid", 0.5),
     ):
         _, stats = sample_replay(buffer, model, policy, 10, 1.0, 1.0, 1)
         assert stats.probabilities.min() >= 0.0
@@ -423,7 +423,7 @@ def test_sample_multinomial_frequencies():
     for s in (0.0, 1.0, 1.0, 2.0):
         buffer.push(make_experience(state=s, next_state=None, transition_reward=0.0))
     _, stats = sample_replay(
-        buffer, model, WeightingPolicy.td_error_high(), 100_000, 1.0, 1.0, 7
+        buffer, model, WeightingPolicy("td_high"), 100_000, 1.0, 1.0, 7
     )
     assert stats.probabilities == pytest.approx([0.0, 0.25, 0.25, 0.5])
     counts = np.bincount(stats.sampled_indices, minlength=4)
@@ -438,7 +438,7 @@ def test_sample_single_experience_repeats():
     model = identity_model()
     buffer = ReplayBuffer(10)
     buffer.push(make_experience(state=3.0, reward_to_go=-42.0))
-    batch, stats = sample_replay(buffer, model, WeightingPolicy.hybrid(), 5, 1.0, 1.0, 0)
+    batch, stats = sample_replay(buffer, model, WeightingPolicy("hybrid"), 5, 1.0, 1.0, 0)
     assert len(batch) == 5
     assert stats.sampled_indices.tolist() == [0] * 5
     assert buffer.reward_to_go[buffer.order()[stats.sampled_indices]].tolist() == [-42.0] * 5
@@ -473,7 +473,7 @@ def test_sample_uniform_fallback_when_all_zero():
     r._priorities = zero_priorities
     try:
         _, stats = sample_replay(
-            buffer, model, WeightingPolicy.hybrid(), 1000, 1.0, 1.0, 3
+            buffer, model, WeightingPolicy("hybrid"), 1000, 1.0, 1.0, 3
         )
     finally:
         r._priorities = orig
@@ -487,8 +487,8 @@ def test_sample_deterministic_per_seed():
     buffer = ReplayBuffer(100)
     for i in range(20):
         buffer.push(make_experience(state=float(i), stored_at=i))
-    a, stats_a = sample_replay(buffer, model, WeightingPolicy.hybrid(), 16, 1.0, 1.0, 99)
-    b, stats_b = sample_replay(buffer, model, WeightingPolicy.hybrid(), 16, 1.0, 1.0, 99)
+    a, stats_a = sample_replay(buffer, model, WeightingPolicy("hybrid"), 16, 1.0, 1.0, 99)
+    b, stats_b = sample_replay(buffer, model, WeightingPolicy("hybrid"), 16, 1.0, 1.0, 99)
     assert np.array_equal(stats_a.sampled_indices, stats_b.sampled_indices)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
@@ -500,7 +500,7 @@ def test_sample_fills_recency_slot():
     buffer.push(make_experience(state=1.0, stored_at=0))
     buffer.push(make_experience(state=2.0, stored_at=10))
     batch, stats = sample_replay(
-        buffer, model, WeightingPolicy.hybrid(), 50, 1.0, 1.0, 0
+        buffer, model, WeightingPolicy("hybrid"), 50, 1.0, 1.0, 0
     )
     stored_at = buffer.stored_at[buffer.order()[stats.sampled_indices]]
     for row, tau in zip(batch.features, stored_at):
@@ -512,4 +512,4 @@ def test_sample_fills_recency_slot():
 
 def test_sample_empty_buffer():
     with pytest.raises(RetentionError, match="empty"):
-        sample_replay(ReplayBuffer(5), identity_model(), WeightingPolicy.hybrid(), 1, 1.0, 1.0, 0)
+        sample_replay(ReplayBuffer(5), identity_model(), WeightingPolicy("hybrid"), 1, 1.0, 1.0, 0)

@@ -34,16 +34,18 @@ PAIRS = {"snowflake12-train": 10, "star6-train": 3, "chain8-replay": 3}
 SEED = 1
 
 
-def run_once(checkout: Path, workload: str, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, trace: int, label: str) -> dict:
     """One ``perfbench/run.py`` call: its JSON line, the platform fields of
     its summary.json and each process's run.csv without the wall-clock
-    column."""
+    column.  A failing call exits with ``label`` and the call's stderr."""
     started = time.time()
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(SEED), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkout, capture_output=True, text=True,
     )
+    if proc.returncode != 0:
+        sys.exit(f"{label}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
     out = checkout / "perfbench" / "out" / f"{workload}-seed{SEED}-trace{trace}"
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     return {
@@ -106,12 +108,15 @@ def main(argv=None):
             order = ("before", "after") if index % 2 == 0 else ("after", "before")
             pair = {"pair": index, "first": order[0]}
             for side in order:
-                pair[side] = run_once(sides[side], workload, 0)
+                pair[side] = run_once(sides[side], workload, 0, f"{workload} pair {index} {side}")
                 print(f"{workload} pair {index} {side}: {json.dumps(pair[side]['line'])}",
                       file=sys.stderr)
             pair["run_csv_equal"] = pair["before"].pop("run_csv") == pair["after"].pop("run_csv")
             pairs.append(pair)
-        traced = {side: run_once(path, workload, 1) for side, path in sides.items()}
+        traced = {
+            side: run_once(path, workload, 1, f"{workload} traced {side}")
+            for side, path in sides.items()
+        }
         doc["workloads"][workload] = {
             "pairs": pairs,
             "run_csv_equal_in_every_pair": all(p["run_csv_equal"] for p in pairs),
