@@ -321,13 +321,18 @@ def catalog_from_doc(doc, where) -> Catalog:
 
     Raises CatalogError, prefixed with ``where``, with the offending entry
     and key named when the document is malformed or an invariant (unique
-    names, selectivity ranges) is violated.
+    names, one selectivity per table pair in either order, selectivity
+    ranges) is violated.
     """
     doc = _build(_CatalogDoc, doc, where, CatalogError)
+    pairs = [edge_key(*entry.tables) for entry in doc.selectivities]
+    for i, pair in enumerate(pairs):
+        if pairs.index(pair) < i:
+            raise CatalogError(f"{where}: selectivities[{i}]: duplicate selectivity for {pair!r}")
     try:
         return Catalog(
             tables=doc.tables,
-            join_selectivities={s.tables: s.selectivity for s in doc.selectivities},
+            join_selectivities={p: s.selectivity for p, s in zip(pairs, doc.selectivities)},
             default_selectivity=doc.default_selectivity,
         )
     except CatalogError as exc:

@@ -11,6 +11,7 @@ network is trained on log1p-transformed latencies; ``latency_to_label`` and
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,16 +218,22 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
+    """The checkpoint ``save_params`` wrote to ``path``.  A missing,
+    unreadable or malformed file raises one ModelError naming it."""
     try:
         with np.load(path) as data:
-            version = int(data["format_version"])
-            if version != CHECKPOINT_FORMAT_VERSION:
+            version = data["format_version"]
+            if version.shape != () or int(version) != CHECKPOINT_FORMAT_VERSION:
                 raise ModelError(f"unsupported checkpoint format version {version}")
             sizes = tuple(int(s) for s in data["layer_sizes"])
             weights = tuple(data[f"w{i}"] for i in range(len(sizes) - 1))
             biases = tuple(data[f"b{i}"] for i in range(len(sizes) - 1))
+            params = ModelParams(sizes, weights, biases)
     except FileNotFoundError:
         raise ModelError(f"{path}: checkpoint not found") from None
     except KeyError as exc:
         raise ModelError(f"{path}: malformed checkpoint, missing {exc.args[0]!r}") from None
-    return check_finite(ModelParams(sizes, weights, biases))
+    except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
+        # ModelError included: a ValueError.
+        raise ModelError(f"{path}: {exc}") from None
+    return check_finite(params)

@@ -1,10 +1,13 @@
 """Knowledge retention: experience extraction and selective replay.
 
-Every join-rooted subplan of an executed plan becomes one experience, in
-pre-order; its features come from the simulator's single walk over the plan
-(``simulator.plan_infos``).  The replay buffer stores them as rows of column
-arrays and keeps no model output.  At sampling time each buffered experience
-gets a priority weight combining a recency score
+Every join-rooted subplan of an executed plan is one experience.  The plan's
+experiences form one ``PlanBlock``: its join rows in pre-order, their
+features from the simulator's single walk over the plan
+(``simulator.plan_infos``), and for each row the block index of its smallest
+enclosing join, the experience's successor state (-1 at the root, which is
+terminal).  The replay buffer writes a block as rows of column arrays and
+keeps no model output.  At sampling time each buffered experience gets a
+priority weight combining a recency score
 
     tau = 1 - (tau_current - tau_e) / T
 
@@ -17,17 +20,18 @@ under one of four weighting policies, each formula evaluated once over all
 buffered rows; weights are normalized to a probability distribution and the
 replay budget is drawn from the resulting multinomial, with replacement, as
 one training batch.  Priorities are recomputed from the current model at
-every call and never stored.
+every call and never stored.  One forward pass scores every row, and
+V(s_next) is the value of the row's enclosing join in that same pass.
 
 TD errors live in the model's label space: values are negated network
 outputs (the network predicts log1p latency, so higher output means worse)
-and rewards pass through a signed log1p.
+and the reward, nonzero only at a plan root, is the negated label
+-log1p(latency).
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +42,13 @@ from .plans import Join, PlanNode
 from .simulator import QueryContext, plan_infos
 
 __all__ = [
-    "Experience",
+    "PlanBlock",
     "ReplayBuffer",
     "WeightingPolicy",
     "ReplayStats",
     "RetentionError",
     "extract_experiences",
+    "fresh_batch",
     "recency_weight",
     "td_error",
     "normalize_td",
@@ -58,33 +63,25 @@ class RetentionError(ValueError):
 
 
 @dataclass(frozen=True)
-class Experience:
-    """A featurized join-rooted subplan with its successor and rewards.
+class PlanBlock:
+    """The experiences of one executed plan, one row each in pre-order.
 
-    ``next_state_features`` is None for the plan root (terminal).
-    ``reward_to_go`` is the negated full-plan latency and labels regression;
-    ``transition_reward`` is 0 except at the root, where the delayed reward
-    (again negated latency) arrives.
-    """
+    ``parent[i]`` is the block index of row i's smallest enclosing join,
+    which comes before it; it is -1 at the root, the one terminal row.
+    Every row is labelled with the plan's latency."""
 
     query_id: str
-    state_features: np.ndarray
-    next_state_features: np.ndarray | None
-    reward_to_go: float
-    transition_reward: float
-    stored_at: int
+    iteration: int
+    latency_ms: float
+    features: np.ndarray  # [n, d]
+    parent: np.ndarray  # [n]
 
-    def __post_init__(self):
-        if self.stored_at < 0:
-            raise RetentionError("stored_at must be >= 0")
+    def __len__(self) -> int:
+        return len(self.parent)
 
     @property
-    def is_terminal(self) -> bool:
-        return self.next_state_features is None
-
-    @property
-    def latency_ms(self) -> float:
-        return -self.reward_to_go
+    def label(self) -> float:
+        return latency_to_label(self.latency_ms)
 
 
 @dataclass(frozen=True)
@@ -106,61 +103,64 @@ class WeightingPolicy:
 
 
 class ReplayBuffer:
-    """Ring buffer of experiences, evicting strictly oldest-first.  Each
-    experience is one row of the column arrays, which the first push
-    allocates; ``next_state`` is zero where ``terminal``, and the signed-log1p
-    ``reward`` and the ``label`` (log1p latency) are computed at push time."""
+    """Ring buffer of experiences, one row each, evicting strictly
+    oldest-first.  Rows are numbered in write order, and row number s lives
+    at ``s % capacity`` of the column arrays, which the first ``extend``
+    allocates.  ``parent`` holds each row's block index of its enclosing
+    join (-1 at a plan root) and ``root`` the number of its plan's root.
+
+    Blocks list the root first, so a ring write can leave the oldest plan
+    partly evicted.  ``kept`` then holds the features of that plan's evicted
+    rows, from its root (row number ``kept_from``) on, so that ``td_error``
+    can score the enclosing joins of its live rows in the same pass."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise RetentionError("capacity must be >= 1")
         self.capacity = capacity
-        self._size = 0
-        self._next = 0  # the row the next push writes
-        self.tau_current = 0
+        self.oldest = self.end = 0  # numbers of the oldest row and of the next
+        self.kept_from = 0
 
     def __len__(self) -> int:
-        return self._size
+        return self.end - self.oldest
 
-    def push(self, experience: Experience) -> None:
-        if self._size == 0:
+    def extend(self, block: PlanBlock) -> None:
+        """Write the block's rows in one call; a block longer than the
+        capacity leaves only its tail in the ring."""
+        cap, start, end = self.capacity, self.end, self.end + len(block)
+        if not self.end:
             # np.zeros pages are committed on first write, so rows that are
             # never filled cost no memory.
-            n, dim = self.capacity, len(experience.state_features)
-            self.state = np.zeros((n, dim))
-            self.next_state = np.zeros((n, dim))
-            self.terminal = np.zeros(n, dtype=bool)
-            self.stored_at = np.zeros(n, dtype=np.int64)
-            self.reward_to_go = np.zeros(n)
-            self.transition_reward = np.zeros(n)
-            self.reward = np.zeros(n)
-            self.label = np.zeros(n)
-            self.query_id = np.empty(n, dtype=object)
-        row = self._next
-        self.state[row] = experience.state_features
-        self.terminal[row] = experience.is_terminal
-        self.next_state[row] = 0.0 if experience.is_terminal else experience.next_state_features
-        self.stored_at[row] = experience.stored_at
-        self.reward_to_go[row] = experience.reward_to_go
-        self.transition_reward[row] = experience.transition_reward
-        # math.log1p, one value at a time: np.log1p differs in the last bit
-        # on some inputs.
-        self.reward[row] = _signed_log1p(experience.transition_reward)
-        self.label[row] = latency_to_label(experience.latency_ms)
-        self.query_id[row] = experience.query_id
-        self._next = (row + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
-        self.tau_current = max(self.tau_current, experience.stored_at)
-
-    def extend(self, experiences) -> None:
-        for exp in experiences:
-            self.push(exp)
+            self.state = np.zeros((cap, block.features.shape[1]))
+            self.parent = np.zeros(cap, dtype=np.int64)
+            self.root = np.zeros(cap, dtype=np.int64)
+            self.stored_at = np.zeros(cap, dtype=np.int64)
+            self.latency = np.zeros(cap)
+            self.label = np.zeros(cap)
+            self.query_id = np.empty(cap, dtype=object)
+            self.kept = block.features[:0]
+        oldest = max(0, end - cap)  # the oldest row left after this write
+        if oldest >= start:  # this block is now the oldest plan
+            self.kept_from, self.kept = start, block.features[: oldest - start]
+        elif oldest > self.oldest:  # rows are evicted; keep those of the oldest plan
+            root = int(self.root[oldest % cap])
+            evicted = np.arange(max(root, self.oldest), oldest) % cap
+            self.kept = np.concatenate([self.kept[root - self.kept_from :], self.state[evicted]])
+            self.kept_from = root
+        head = max(start, oldest) - start  # rows of the block that the ring never holds
+        rows = np.arange(start + head, end) % cap
+        self.state[rows] = block.features[head:]
+        self.parent[rows] = block.parent[head:]
+        self.root[rows] = start
+        self.stored_at[rows] = block.iteration
+        self.latency[rows] = block.latency_ms
+        self.label[rows] = block.label
+        self.query_id[rows] = block.query_id
+        self.oldest, self.end = oldest, end
 
     def order(self) -> np.ndarray:
         """Row indices of the buffered experiences, oldest first."""
-        if self._size < self.capacity:
-            return np.arange(self._size)
-        return np.roll(np.arange(self.capacity), -self._next)
+        return np.arange(self.oldest, self.end) % self.capacity
 
     def batch(self, positions, recency) -> TrainBatch:
         """The experiences at ``positions`` of ``order()`` as a training
@@ -177,14 +177,10 @@ def extract_experiences(
     ctx: QueryContext,
     latency_ms: float,
     iteration: int,
-) -> list[Experience]:
-    """One experience per join node of an executed terminal plan, in
-    pre-order (root first, then the left subtree, then the right).
-
-    The successor of each subplan is its smallest enclosing join (None for
-    the root).  All experiences of the plan share reward_to_go = -latency;
-    only the root carries a nonzero transition reward.
-    """
+) -> PlanBlock:
+    """The block of an executed terminal plan: one row per join node, in
+    pre-order (root first, then the left subtree, then the right), each
+    pointing at its smallest enclosing join."""
     if latency_ms <= 0:
         raise RetentionError("latency must be > 0")
     infos = plan_infos(plan, ctx)
@@ -192,30 +188,28 @@ def extract_experiences(
         raise RetentionError(
             f"plan does not cover query {ctx.query.id!r}; cannot extract experiences"
         )
-    joins = [info for info in infos if isinstance(info.node, Join)]
-    rows = dict(zip((id(info.node) for info in joins), fragment_rows(joins, ctx)))
-    experiences = []
+    info_of = {id(info.node): info for info in infos}
+    joins, parent, stack = [], [], [(infos[-1].node, -1)]
+    while stack:  # pre-order: a join, then its left subtree, then its right
+        node, up = stack.pop()
+        if isinstance(node, Join):
+            joins.append(info_of[id(node)])
+            parent.append(up)
+            stack += [(node.right, len(joins) - 1), (node.left, len(joins) - 1)]
+    return PlanBlock(
+        ctx.query.id, iteration, latency_ms, fragment_rows(joins, ctx), np.array(parent)
+    )
 
-    def walk(node, enclosing: np.ndarray | None):
-        if not isinstance(node, Join):
-            return
-        feats = rows[id(node)]
-        terminal = enclosing is None
-        experiences.append(
-            Experience(
-                query_id=ctx.query.id,
-                state_features=feats,
-                next_state_features=None if terminal else enclosing,
-                reward_to_go=-latency_ms,
-                transition_reward=-latency_ms if terminal else 0.0,
-                stored_at=iteration,
-            )
-        )
-        walk(node.left, feats)
-        walk(node.right, feats)
 
-    walk(infos[-1].node, None)
-    return experiences
+def fresh_batch(blocks: list[PlanBlock], k: int, rng: np.random.Generator) -> TrainBatch:
+    """``k`` rows drawn uniformly, with replacement, from the blocks' rows
+    taken block after block, as a training batch of fresh experiences:
+    recency slot 1.0, labelled with log1p latency."""
+    labels = np.repeat([block.label for block in blocks], list(map(len, blocks)))
+    drawn = rng.integers(0, len(labels), size=k)
+    features = np.concatenate([block.features for block in blocks])[drawn]
+    features[:, RECENCY_SLOT] = 1.0
+    return TrainBatch(features, labels[drawn])
 
 
 def recency_weight(tau_e, tau_current, span):
@@ -229,22 +223,24 @@ def recency_weight(tau_e, tau_current, span):
     return 1.0 - age / span
 
 
-def _signed_log1p(value: float) -> float:
-    return math.copysign(math.log1p(abs(value)), value)
-
-
 def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarray:
     """One-step TD residual r + gamma*V(s') - V(s) in label space, one per
-    buffered experience, oldest first; V is zero at a terminal."""
+    buffered experience, oldest first; V is zero at a terminal.  One forward
+    pass scores the buffered rows, oldest first, then the oldest plan's
+    evicted rows; V(s') is the value of the row's enclosing join in it."""
     if not len(buffer):
         raise RetentionError("the replay buffer is empty")
     rows = buffer.order()
-    values = -predict_batch(model, buffer.state[rows])
+    values = -predict_batch(model, np.concatenate([buffer.state[rows], buffer.kept]))
+    parent = buffer.parent[rows]
+    live = parent >= 0
+    up = buffer.root[rows] + parent  # the enclosing join's number
+    # A live row's place in the pass, or, evicted, the block index in kept.
+    at = np.where(up >= buffer.oldest, up - buffer.oldest, len(rows) + parent)
     next_values = np.zeros(len(rows))
-    live = ~buffer.terminal[rows]
-    if live.any():
-        next_values[live] = -predict_batch(model, buffer.next_state[rows[live]])
-    return buffer.reward[rows] + gamma * next_values - values
+    next_values[live] = values[at[live]]
+    reward = np.where(live, 0.0, -buffer.label[rows])
+    return reward + gamma * next_values - values[: len(rows)]
 
 
 def normalize_td(deltas, alpha_td: float) -> np.ndarray:
@@ -330,17 +326,19 @@ def sample_replay(
 def dump_buffer(buffer: ReplayBuffer, path) -> None:
     """Debugging dump of buffer contents as JSON, oldest first; not a
     stability contract."""
+    order = buffer.order()
     rows = [
         {
             "query_id": buffer.query_id[row],
             "stored_at": int(buffer.stored_at[row]),
-            "latency_ms": -float(buffer.reward_to_go[row]),
-            "transition_reward": float(buffer.transition_reward[row]),
-            "terminal": bool(buffer.terminal[row]),
+            "latency_ms": float(buffer.latency[row]),
+            "transition_reward": -float(buffer.latency[row]) if buffer.parent[row] < 0 else 0.0,
+            "terminal": bool(buffer.parent[row] < 0),
             "state_features": buffer.state[row].tolist(),
         }
-        for row in buffer.order()
+        for row in order
     ]
+    tau_current = int(buffer.stored_at[order].max()) if len(buffer) else 0
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"tau_current": buffer.tau_current, "experiences": rows}, fh, indent=2)
+        json.dump({"tau_current": tau_current, "experiences": rows}, fh, indent=2)
         fh.write("\n")

@@ -56,10 +56,10 @@ from .model import (
 )
 from .plans import JOIN_OPS, Join, PlanNode
 from .retention import (
-    Experience,
     ReplayBuffer,
     WeightingPolicy,
     extract_experiences,
+    fresh_batch,
     sample_replay,
 )
 from .simulator import (
@@ -654,7 +654,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     record(0)
     epsilon = cfg.search.epsilon
     for iteration in range(1, cfg.iterations + 1):
-        fresh: list[Experience] = []
+        blocks = []
         for qidx, ctx in enumerate(setup.train):
             plan = plan_search(
                 ctx.query,
@@ -667,9 +667,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
                 left_deep_only=cfg.search.left_deep_only,
             )
             latency = execute(plan, ctx, derive_seed(seed, "exec", iteration, qidx))
-            experiences = extract_experiences(plan, ctx, latency, iteration)
-            fresh.extend(experiences)
-            buffer.extend(experiences)
+            blocks.append(extract_experiences(plan, ctx, latency, iteration))
+            buffer.extend(blocks[-1])
         if cfg.retention.enabled:
             batch, stats = sample_replay(
                 buffer,
@@ -685,12 +684,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         else:
             # Ablation arm: same sample budget, but drawn uniformly from the
             # current iteration's experiences only (no history, no priorities).
-            current = ReplayBuffer(len(fresh))
-            current.extend(fresh)
             rng = np.random.default_rng(derive_seed(seed, "replay", iteration))
-            batch = current.batch(
-                rng.integers(0, len(current), size=cfg.retention.k_replay), 1.0
-            )
+            batch = fresh_batch(blocks, cfg.retention.k_replay, rng)
         params = _sgd_phase(
             iteration, "sgd", _train_on, params, batch, cfg.model.minibatch,
             cfg.model.learning_rate, cfg.model.train_passes,

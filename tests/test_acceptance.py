@@ -29,7 +29,7 @@ from joinopt.model import (
 )
 from joinopt.metrics import wrl
 from joinopt.retention import (
-    Experience,
+    PlanBlock,
     ReplayBuffer,
     WeightingPolicy,
     experience_weight,
@@ -95,22 +95,23 @@ def test_criterion_1_formula_oracles():
         r = -float(rng.uniform(0, 100))
         gamma = float(rng.uniform(0, 1))
         terminal = rng.uniform() < 0.5
-        buffer = ReplayBuffer(1)
-        buffer.push(
-            Experience(
-                query_id="q",
-                state_features=np.array([s]),
-                next_state_features=None if terminal else np.array([s_next]),
-                reward_to_go=r,
-                transition_reward=r if terminal else 0.0,
-                stored_at=0,
+        # A terminal's reward comes from its latency -r; a next state is
+        # the root of a two-row block.
+        buffer = ReplayBuffer(2)
+        buffer.extend(
+            PlanBlock(
+                "q",
+                0,
+                -r,
+                np.array([[s]] if terminal else [[s_next], [s]]),
+                [-1] if terminal else [-1, 0],
             )
         )
         v_s = -(w * s + b)
         v_next = 0.0 if terminal else -(w * s_next + b)
         r_hat = math.copysign(math.log1p(abs(r)), r) if terminal else 0.0
         want = r_hat + gamma * v_next - v_s
-        ok &= rel_err(td_error(buffer, model, gamma)[0], want) <= 1e-9
+        ok &= rel_err(td_error(buffer, model, gamma)[-1], want) <= 1e-9
 
     # normalization: (|d|^a - min) / (max - min)
     for _ in range(6):
@@ -132,26 +133,20 @@ def test_criterion_1_formula_oracles():
     model = ModelParams((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
     for trial in range(5):
         n = int(rng.integers(2, 12))
-        items = [
-            Experience(
-                query_id="q",
-                state_features=np.array([float(rng.normal() * 3)]),
-                next_state_features=None,
-                reward_to_go=-1.0,
-                transition_reward=0.0,
-                stored_at=int(rng.integers(0, 7)),
-            )
-            for _ in range(n)
-        ]
+        # Terminals of latency 0, so r = 0.
+        items = []
         buffer = ReplayBuffer(64)
-        buffer.extend(items)
+        for _ in range(n):
+            state = np.array([[float(rng.normal() * 3)]])
+            items.append(PlanBlock("q", int(rng.integers(0, 7)), 0.0, state, [-1]))
+            buffer.extend(items[-1])
         _, stats = sample_replay(
             buffer, model, WeightingPolicy("hybrid", 0.5), 4, 1.0, 1.0, trial
         )
         # Terminal with r = 0 under the identity model: delta = -V(s) = s.
-        deltas = np.array([e.state_features[0] for e in items])
+        deltas = np.array([e.features[0, 0] for e in items])
         norm = normalize_td(deltas, 1.0)
-        ages = np.array([e.stored_at for e in items], dtype=float)
+        ages = np.array([e.iteration for e in items], dtype=float)
         span = max(1.0, ages.max() - ages.min())
         taus = 1.0 - (ages.max() - ages) / span
         weights = 0.5 * norm + 0.5 * taus
@@ -233,16 +228,7 @@ def test_criterion_2_sampling_fidelity():
     # Terminal experiences with r = 0: |delta| = |state|; states chosen so
     # normalized weights are (0, 1, 2, 3, 4) / 10.
     for s in (0.0, 1.0, 2.0, 3.0, 4.0):
-        buffer.push(
-            Experience(
-                query_id="q",
-                state_features=np.array([s]),
-                next_state_features=None,
-                reward_to_go=-1.0,
-                transition_reward=0.0,
-                stored_at=0,
-            )
-        )
+        buffer.extend(PlanBlock("q", 0, 0.0, np.array([[s]]), [-1]))
     _, stats = sample_replay(
         buffer, model, WeightingPolicy("td_high"), 100_000, 1.0, 1.0, 424242
     )

@@ -181,6 +181,14 @@ MALFORMED = [
     ("catalog", ["tables", 2, "rows"], 200, "tables[2]: unknown key 'rows'"),
     ("workload", ["comment"], "x", "unknown key 'comment'"),
     ("workload", ["queries", 0, "sql"], "SELECT 1", "queries[0]: unknown key 'sql'"),
+    (
+        "catalog", ["selectivities", 1, "tables"], ["dim1", "fact"],
+        "selectivities[1]: duplicate selectivity for ('dim1', 'fact')",
+    ),
+    (
+        "catalog", ["selectivities", 1], {"tables": ["fact", "dim1"], "selectivity": 0.5},
+        "selectivities[1]: duplicate selectivity for ('dim1', 'fact')",
+    ),
 ]
 
 

@@ -245,6 +245,17 @@ def test_eval_missing_checkpoint_errors(project, capsys):
     assert "\n" not in err.strip()
 
 
+def test_eval_malformed_checkpoint_errors(project, capsys):
+    tmp_path, config = project
+    model = tmp_path / "bad.npz"
+    model.write_bytes(b"PK\x03\x04" + bytes(100))  # a zip header, then no archive
+    rc = main(["eval", "--config", str(config), "--model", str(model)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: ")
+    assert "\n" not in err.strip()
+
+
 def test_replay_report(project):
     tmp_path, config = project
     out = tmp_path / "replay"

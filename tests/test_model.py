@@ -268,6 +268,35 @@ def test_load_missing_checkpoint(tmp_path):
         load_params(tmp_path / "missing.npz")
 
 
+def _corrupt_zip(path):
+    save_params(init_params((3, 4, 1), 7), path)
+    path.write_bytes(path.read_bytes()[:10] + bytes(200))  # zip header, corrupt body
+
+
+def _vector_version(path):
+    params = init_params((3, 4, 1), 7)
+    arrays = {"format_version": np.array([1, 1]), "layer_sizes": np.array(params.layer_sizes)}
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _text_file(path):
+    path.write_text("not a checkpoint\n")
+
+
+@pytest.mark.parametrize("write", [_corrupt_zip, _vector_version, _text_file])
+def test_load_malformed_checkpoint_names_the_file(tmp_path, write):
+    path = tmp_path / "model.npz"
+    write(path)
+    with pytest.raises(ModelError) as exc:
+        load_params(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ")
+    assert "\n" not in message
+
+
 @pytest.mark.parametrize("layer, array, value", [(1, "weights", np.nan), (0, "biases", np.inf)])
 def test_load_rejects_non_finite_checkpoint(tmp_path, layer, array, value):
     """A checkpoint is input from outside the program: its values are

@@ -7,12 +7,13 @@ from joinopt.features import feature_dim
 from joinopt.model import ModelParams, init_params
 from joinopt.plans import Join, JoinOp, Scan
 from joinopt.retention import (
-    Experience,
+    PlanBlock,
     ReplayBuffer,
     RetentionError,
     WeightingPolicy,
     experience_weight,
     extract_experiences,
+    fresh_batch,
     normalize_td,
     recency_weight,
     sample_replay,
@@ -28,21 +29,12 @@ def identity_model():
     return ModelParams((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
 
 
-def make_experience(
-    state=0.0,
-    next_state=None,
-    reward_to_go=-1.0,
-    transition_reward=0.0,
-    stored_at=0,
-):
-    return Experience(
-        query_id="q",
-        state_features=np.array([float(state)]),
-        next_state_features=None if next_state is None else np.array([float(next_state)]),
-        reward_to_go=reward_to_go,
-        transition_reward=transition_reward,
-        stored_at=stored_at,
-    )
+def make_block(*states, parent=(-1,), latency=0.0, iteration=0, query_id="q"):
+    """A plan block of one-feature rows.  A single row is a terminal whose
+    reward is -log1p(latency); a hand-set next state is the root of a
+    two-row block, ``make_block(next_state, state, parent=(-1, 0))``."""
+    features = np.array(states, dtype=float)[:, None]
+    return PlanBlock(query_id, iteration, latency, features, np.array(parent))
 
 
 # --- extraction ---------------------------------------------------------------
@@ -62,14 +54,13 @@ def star4():
 def test_extract_single_join(pair_catalog, pair_query, default_cost):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     ctx = QueryContext(pair_query, pair_catalog, default_cost)
-    exps = extract_experiences(plan, ctx, 12.5, 3)
-    assert len(exps) == 1
-    (exp,) = exps
-    assert exp.is_terminal
-    assert exp.reward_to_go == -12.5
-    assert exp.transition_reward == -12.5
-    assert exp.stored_at == 3
-    assert exp.state_features.shape == (feature_dim(pair_catalog),)
+    block = extract_experiences(plan, ctx, 12.5, 3)
+    assert len(block) == 1
+    assert block.parent.tolist() == [-1]  # the root is terminal
+    assert block.latency_ms == 12.5
+    assert block.label == math.log1p(12.5)
+    assert block.iteration == 3
+    assert block.features.shape == (1, feature_dim(pair_catalog))
 
 
 def test_extract_left_deep_chain(star4, default_cost):
@@ -79,26 +70,14 @@ def test_extract_left_deep_chain(star4, default_cost):
         Scan("d3"),
         JoinOp.HASH,
     )
-    exps = extract_experiences(plan, QueryContext(query, catalog, default_cost), 100.0, 0)
-    assert len(exps) == 3  # |relations| - 1
-    by_terminal = [e for e in exps if e.is_terminal]
-    assert len(by_terminal) == 1
-    # Chained successor links: each non-root's next state is its parent.
-    root = by_terminal[0]
-    non_roots = [e for e in exps if not e.is_terminal]
-    # The middle join's successor is the root; the innermost's successor is
-    # the middle join.  Match by feature identity.
-    matched = 0
-    for e in non_roots:
-        for other in exps:
-            if e.next_state_features is not None and np.array_equal(
-                e.next_state_features, other.state_features
-            ):
-                matched += 1
-                break
-    assert matched == len(non_roots)
-    assert all(e.transition_reward == 0.0 for e in non_roots)
-    assert all(e.reward_to_go == -100.0 for e in exps)
+    block = extract_experiences(plan, QueryContext(query, catalog, default_cost), 100.0, 0)
+    assert len(block) == 3  # |relations| - 1
+    # Chained successor links: the middle join's successor is the root, the
+    # innermost's is the middle join.
+    assert block.parent.tolist() == [-1, 0, 1]
+    depth_slot = len(catalog.tables) + 6
+    assert block.features[:, depth_slot].tolist() == [3.0, 2.0, 1.0]
+    assert block.latency_ms == 100.0
 
 
 def test_extract_bushy_plan(star4, default_cost):
@@ -120,18 +99,13 @@ def test_extract_bushy_plan(star4, default_cost):
     left = Join(Scan("a"), Scan("b"), JoinOp.HASH)
     right = Join(Scan("c"), Scan("d"), JoinOp.MERGE)
     plan = Join(left, right, JoinOp.NESTED_LOOP)
-    exps = extract_experiences(plan, QueryContext(query, catalog, default_cost), 50.0, 1)
-    assert len(exps) == 3
-    root = next(e for e in exps if e.is_terminal)
-    inner = [e for e in exps if not e.is_terminal]
-    assert len(inner) == 2
-    for e in inner:
-        assert np.array_equal(e.next_state_features, root.state_features)
-    # Pre-order: the root, then the left subtree's join, then the right's.
-    assert exps[0] is root
+    block = extract_experiences(plan, QueryContext(query, catalog, default_cost), 50.0, 1)
+    # Pre-order: the root, then the left subtree's join, then the right's;
+    # both inner joins point at the root.
+    assert block.parent.tolist() == [-1, 0, 0]
     hash_slot, merge_slot = len(catalog.tables), len(catalog.tables) + 1
-    assert exps[1].state_features[hash_slot] == 1.0
-    assert exps[2].state_features[merge_slot] == 1.0
+    assert block.features[1, hash_slot] == 1.0
+    assert block.features[2, merge_slot] == 1.0
 
 
 def test_extract_rejects_partial_plan(star4, default_cost):
@@ -150,8 +124,9 @@ def test_extract_count_random_plans(rng, default_cost):
         n = int(rng.integers(2, 7))
         catalog, query = random_tree_catalog_and_query(rng, n)
         plan = random_rollout(QueryContext(query, catalog, default_cost), rng)
-        exps = extract_experiences(plan, QueryContext(query, catalog, default_cost), 5.0, 0)
-        assert len(exps) == n - 1
+        block = extract_experiences(plan, QueryContext(query, catalog, default_cost), 5.0, 0)
+        assert len(block) == n - 1
+        assert block.features.shape[0] == n - 1
 
 
 # --- recency ------------------------------------------------------------------
@@ -181,32 +156,50 @@ def test_recency_weight_rejects_bad_age():
 
 # --- TD error -----------------------------------------------------------------
 
-def single_td_error(exp, model, gamma):
-    buffer = ReplayBuffer(1)
-    buffer.push(exp)
-    return td_error(buffer, model, gamma)
+def last_td_error(block, model, gamma):
+    """TD error of the block's last row."""
+    buffer = ReplayBuffer(len(block))
+    buffer.extend(block)
+    return td_error(buffer, model, gamma)[-1]
 
 
 def test_td_error_arithmetic():
     # V(s_t) = -10, V(s_{t+1}) = -4, r = 0, gamma = 1 -> delta = 6
     model = identity_model()
-    exp = make_experience(state=10.0, next_state=4.0, transition_reward=0.0)
-    assert single_td_error(exp, model, gamma=1.0) == pytest.approx([6.0])
+    block = make_block(4.0, 10.0, parent=(-1, 0))
+    assert last_td_error(block, model, gamma=1.0) == pytest.approx(6.0)
 
 
 def test_td_error_terminal():
-    # r~ = -8 (transition reward -(e^8 - 1)), V(terminal) = 0, V(s_t) = -10
+    # r~ = -8 (latency e^8 - 1), V(terminal) = 0, V(s_t) = -10
     model = identity_model()
-    exp = make_experience(
-        state=10.0, next_state=None, transition_reward=-math.expm1(8.0)
-    )
-    assert single_td_error(exp, model, gamma=1.0) == pytest.approx([2.0])
+    block = make_block(10.0, latency=math.expm1(8.0))
+    assert last_td_error(block, model, gamma=1.0) == pytest.approx(2.0)
 
 
 def test_td_error_gamma_zero():
     model = identity_model()
-    exp = make_experience(state=7.0, next_state=3.0, transition_reward=0.0)
-    assert single_td_error(exp, model, gamma=0.0) == pytest.approx([7.0])  # -V(s_t) = 7
+    block = make_block(3.0, 7.0, parent=(-1, 0))
+    assert last_td_error(block, model, gamma=0.0) == pytest.approx(7.0)  # -V(s_t) = 7
+
+
+def test_td_error_makes_one_forward_pass(monkeypatch):
+    from joinopt import retention as r
+
+    calls = []
+
+    original = r.predict_batch
+
+    def counting(model, features):
+        calls.append(len(features))
+        return original(model, features)
+
+    monkeypatch.setattr(r, "predict_batch", counting)
+    buffer = ReplayBuffer(3)
+    buffer.extend(make_block(1.0, 2.0, 3.0, parent=(-1, 0, 1)))
+    buffer.extend(make_block(4.0))  # evicts the first plan's root
+    td_error(buffer, identity_model(), 1.0)
+    assert calls == [4]  # the three buffered rows, then the evicted root
 
 
 # --- normalization -------------------------------------------------------------
@@ -294,57 +287,82 @@ def test_weighting_policy_validation():
 def test_buffer_evicts_oldest_first():
     buffer = ReplayBuffer(capacity=3)
     for i in range(5):
-        buffer.push(make_experience(state=float(i), stored_at=i))
+        buffer.extend(make_block(float(i), iteration=i))
     assert len(buffer) == 3
+    assert buffer.oldest == 2
     order = buffer.order()
     assert buffer.state[order, 0].tolist() == [2.0, 3.0, 4.0]
     assert buffer.stored_at[order].tolist() == [2, 3, 4]
-    assert buffer.tau_current == 4
 
 
-def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
-    """Capacity + k pushes of mixed terminal and non-terminal experiences:
-    the buffer keeps the newest ``capacity`` oldest first, and its TD errors,
-    sampling probabilities and batch rows match per-experience hand formulas."""
-    capacity, extra, dim = 7, 5, 3
+def small_model(dim):
     model = init_params((dim, 4, 1), 11)
-    pushed = []
-    for i in range(capacity + extra):
-        terminal = i % 3 == 0
-        latency = float(rng.uniform(1.0, 1e4))
-        pushed.append(
-            Experience(
-                query_id=f"q{i}",
-                state_features=rng.normal(size=dim),
-                next_state_features=None if terminal else rng.normal(size=dim),
-                reward_to_go=-latency,
-                transition_reward=-latency if terminal else 0.0,
-                stored_at=i // 2,
-            )
-        )
-    buffer = ReplayBuffer(capacity)
-    buffer.extend(pushed)
-    kept = pushed[extra:]
-    order = buffer.order()
-    assert len(buffer) == capacity
-    assert list(buffer.query_id[order]) == [e.query_id for e in kept]
 
     def value(x):  # hand forward pass: ReLU hidden layer, linear output
         hidden = np.maximum(x @ model.weights[0] + model.biases[0], 0.0)
         return -float(hidden @ model.weights[1][:, 0] + model.biases[1][0])
 
-    gamma = 0.9
-    want_td = [
-        math.copysign(math.log1p(abs(e.transition_reward)), e.transition_reward)
-        + gamma * (0.0 if e.is_terminal else value(e.next_state_features))
-        - value(e.state_features)
-        for e in kept
+    return model, value
+
+
+def hand_td(rows, value, gamma):
+    """r + gamma * V(s') - V(s) per (features, enclosing features or None,
+    latency) row."""
+    return [
+        (-math.log1p(latency) if enclosing is None else gamma * value(enclosing))
+        - value(features)
+        for features, enclosing, latency in rows
     ]
+
+
+def block_rows(block):
+    """(features, enclosing join's features or None, latency) per row."""
+    return [
+        (x, None if up < 0 else block.features[up], block.latency_ms)
+        for x, up in zip(block.features, block.parent)
+    ]
+
+
+def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
+    """Plans of one and two rows, written until the ring wraps and a plan is
+    split: the buffer keeps the newest ``capacity`` rows oldest first, and
+    their TD errors, sampling probabilities and batch rows match per-row hand
+    formulas.  A hand-set next state is the root of its plan's block."""
+    capacity, dim = 7, 3
+    model, value = small_model(dim)
+    blocks = []
+    for i in range(10):
+        terminal = i % 3 == 0
+        blocks.append(
+            PlanBlock(
+                f"q{i}",
+                i // 2,
+                float(rng.uniform(1.0, 1e4)),
+                rng.normal(size=(1 if terminal else 2, dim)),
+                [-1] if terminal else [-1, 0],
+            )
+        )
+    buffer = ReplayBuffer(capacity)
+    for block in blocks:
+        buffer.extend(block)
+    rows = [row for block in blocks for row in block_rows(block)][-capacity:]
+    ids = [block.query_id for block in blocks for _ in range(len(block))][-capacity:]
+    taus = np.array(
+        [block.iteration for block in blocks for _ in range(len(block))][-capacity:],
+        dtype=float,
+    )
+    order = buffer.order()
+    assert len(buffer) == capacity
+    assert list(buffer.query_id[order]) == ids
+    # The oldest buffered row is the child of a plan whose root was evicted.
+    assert buffer.parent[order[0]] == 0 and buffer.root[order[0]] == buffer.oldest - 1
+
+    gamma = 0.9
+    want_td = hand_td(rows, value, gamma)
     assert td_error(buffer, model, gamma) == pytest.approx(want_td, rel=1e-12)
 
     powered = np.abs(want_td)
     norm = (powered - powered.min()) / (powered.max() - powered.min())
-    taus = np.array([e.stored_at for e in kept], dtype=float)
     span = max(1.0, taus.max() - taus.min())
     recency = 1.0 - (taus.max() - taus) / span
     weights = 0.25 * norm + 0.75 * recency
@@ -357,7 +375,80 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
     want_features[:, -1] = stats.recency[idx]
     assert np.array_equal(batch.features, want_features)
     assert stats.recency[idx] == pytest.approx(recency[idx], rel=1e-12)
-    assert batch.labels.tolist() == [math.log1p(kept[i].latency_ms) for i in idx]
+    assert batch.labels.tolist() == [math.log1p(rows[i][2]) for i in idx]
+
+
+def test_split_plan_reads_its_evicted_enclosing_join(rng):
+    """Ring writes that evict a plan's root, then its middle join: each
+    surviving child's TD uses the value of its evicted enclosing join."""
+    dim, gamma = 3, 0.8
+    model, value = small_model(dim)
+    plan = PlanBlock("p", 0, 50.0, rng.normal(size=(3, dim)), [-1, 0, 1])
+    buffer = ReplayBuffer(3)
+    buffer.extend(plan)
+    rows = block_rows(plan)
+    for step in (1, 2):
+        other = PlanBlock(f"o{step}", step, 7.0, rng.normal(size=(1, dim)), [-1])
+        buffer.extend(other)
+        rows += block_rows(other)
+        assert buffer.oldest == step
+        want = hand_td(rows[-3:], value, gamma)
+        assert td_error(buffer, model, gamma) == pytest.approx(want, rel=1e-12)
+
+
+def test_block_wraps_past_the_ring_end(rng):
+    dim, gamma = 2, 0.7
+    model, value = small_model(dim)
+    first = PlanBlock("a", 0, 3.0, rng.normal(size=(3, dim)), [-1, 0, 0])
+    second = PlanBlock("b", 1, 9.0, rng.normal(size=(4, dim)), [-1, 0, 1, 0])
+    buffer = ReplayBuffer(5)
+    buffer.extend(first)
+    buffer.extend(second)
+    # Rows 3 and 4 of the ring, then rows 0 and 1 again.
+    assert buffer.order().tolist() == [2, 3, 4, 0, 1]
+    assert np.array_equal(
+        buffer.state[buffer.order()], np.vstack([first.features[2:], second.features])
+    )
+    rows = (block_rows(first) + block_rows(second))[2:]
+    assert td_error(buffer, model, gamma) == pytest.approx(hand_td(rows, value, gamma), rel=1e-12)
+
+
+def test_block_longer_than_capacity(rng):
+    """Only the tail of a block longer than the ring is buffered; its rows
+    still reach enclosing joins that were never written to the ring."""
+    dim, gamma = 2, 0.9
+    model, value = small_model(dim)
+    chain = PlanBlock("c", 2, 40.0, rng.normal(size=(5, dim)), [-1, 0, 1, 2, 3])
+    buffer = ReplayBuffer(3)
+    buffer.extend(chain)
+    assert len(buffer) == 3 and buffer.oldest == 2
+    assert np.array_equal(buffer.state[buffer.order()], chain.features[2:])
+    want = hand_td(block_rows(chain)[2:], value, gamma)
+    assert td_error(buffer, model, gamma) == pytest.approx(want, rel=1e-12)
+    tail = PlanBlock("d", 3, 4.0, rng.normal(size=(1, dim)), [-1])
+    buffer.extend(tail)
+    want = hand_td(block_rows(chain)[3:] + block_rows(tail), value, gamma)
+    assert td_error(buffer, model, gamma) == pytest.approx(want, rel=1e-12)
+
+
+def test_fresh_batch_matches_uniform_hand_oracle(rng):
+    """The fresh-only batch: rows drawn uniformly from this iteration's
+    blocks, taken block after block, recency slot 1.0, labelled with their
+    plan's log1p latency."""
+    blocks = [
+        PlanBlock(f"q{i}", 4, float(10 * (i + 1)), rng.normal(size=(n, 3)), [-1] + [0] * (n - 1))
+        for i, n in enumerate((2, 1, 3))
+    ]
+    rows = [(x.copy(), b.latency_ms) for b in blocks for x in b.features]
+    batch = fresh_batch(blocks, 20, np.random.default_rng(8))
+    drawn = np.random.default_rng(8).integers(0, len(rows), size=20)
+    for got, got_label, pos in zip(batch.features, batch.labels, drawn):
+        features, latency = rows[pos]
+        assert got[:-1].tolist() == features[:-1].tolist()
+        assert got[-1] == 1.0
+        assert got_label == math.log1p(latency)
+    # The blocks themselves are untouched.
+    assert [x.tolist() for b in blocks for x in b.features] == [x.tolist() for x, _ in rows]
 
 
 # --- sampling --------------------------------------------------------------------
@@ -372,9 +463,9 @@ def test_sample_probabilities_from_weights():
     # is recency with stored_at 5, 5, 10 and span 10 via an older anchor.
     # Keep it direct: verify via ReplayStats probabilities on a crafted case.
     model = identity_model()
-    buffer.push(make_experience(state=1.0, stored_at=5))
-    buffer.push(make_experience(state=1.0, stored_at=5))
-    buffer.push(make_experience(state=1.0, stored_at=10))
+    buffer.extend(make_block(1.0, iteration=5))
+    buffer.extend(make_block(1.0, iteration=5))
+    buffer.extend(make_block(1.0, iteration=10))
     # All deltas equal -> norm 0.5 everywhere; recency: span 5, tau = 0,0,1
     # hybrid(0.5): w = [0.25, 0.25, 0.75]... use beta 1/3 to get [1,1,2]/norm?
     # Cleaner: recency-only gives w = [0, 0, 1] -> p = [0, 0, 1].
@@ -390,12 +481,17 @@ def test_sample_probability_normalization(rng):
     model = identity_model()
     buffer = ReplayBuffer(100)
     for i in range(40):
-        buffer.push(
-            make_experience(
-                state=float(rng.normal()),
-                next_state=float(rng.normal()) if rng.uniform() < 0.7 else None,
-                transition_reward=-abs(float(rng.normal())) * 10,
-                stored_at=int(rng.integers(0, 20)),
+        state = float(rng.normal())
+        if rng.uniform() < 0.7:  # a hand-set next state: the block's root
+            states, parent = (float(rng.normal()), state), (-1, 0)
+        else:
+            states, parent = (state,), (-1,)
+        buffer.extend(
+            make_block(
+                *states,
+                parent=parent,
+                latency=abs(float(rng.normal())) * 10,
+                iteration=int(rng.integers(0, 20)),
             )
         )
     for policy in (
@@ -421,7 +517,7 @@ def test_sample_multinomial_frequencies():
     # min-max rescales; instead use four experiences with |delta| 0,1,1,2 ->
     # normalized 0, .5, .5, 1 -> p = 0, .25, .25, .5.
     for s in (0.0, 1.0, 1.0, 2.0):
-        buffer.push(make_experience(state=s, next_state=None, transition_reward=0.0))
+        buffer.extend(make_block(s))
     _, stats = sample_replay(
         buffer, model, WeightingPolicy("td_high"), 100_000, 1.0, 1.0, 7
     )
@@ -437,11 +533,11 @@ def test_sample_multinomial_frequencies():
 def test_sample_single_experience_repeats():
     model = identity_model()
     buffer = ReplayBuffer(10)
-    buffer.push(make_experience(state=3.0, reward_to_go=-42.0))
+    buffer.extend(make_block(3.0, latency=42.0))
     batch, stats = sample_replay(buffer, model, WeightingPolicy("hybrid"), 5, 1.0, 1.0, 0)
     assert len(batch) == 5
     assert stats.sampled_indices.tolist() == [0] * 5
-    assert buffer.reward_to_go[buffer.order()[stats.sampled_indices]].tolist() == [-42.0] * 5
+    assert buffer.latency[buffer.order()[stats.sampled_indices]].tolist() == [42.0] * 5
     assert batch.labels.tolist() == [math.log1p(42.0)] * 5
 
 
@@ -462,8 +558,8 @@ def test_sample_uniform_fallback_when_all_zero():
     # differ; directly exercise the branch with weights forced to zero.
     from joinopt import retention as r
 
-    buffer.push(make_experience(state=1.0, stored_at=0))
-    buffer.push(make_experience(state=2.0, stored_at=0))
+    buffer.extend(make_block(1.0, iteration=0))
+    buffer.extend(make_block(2.0, iteration=0))
     orig = r._priorities
 
     def zero_priorities(buffer, model, policy, gamma, alpha_td):
@@ -486,7 +582,7 @@ def test_sample_deterministic_per_seed():
     model = identity_model()
     buffer = ReplayBuffer(100)
     for i in range(20):
-        buffer.push(make_experience(state=float(i), stored_at=i))
+        buffer.extend(make_block(float(i), iteration=i))
     a, stats_a = sample_replay(buffer, model, WeightingPolicy("hybrid"), 16, 1.0, 1.0, 99)
     b, stats_b = sample_replay(buffer, model, WeightingPolicy("hybrid"), 16, 1.0, 1.0, 99)
     assert np.array_equal(stats_a.sampled_indices, stats_b.sampled_indices)
@@ -497,8 +593,8 @@ def test_sample_deterministic_per_seed():
 def test_sample_fills_recency_slot():
     model = identity_model()
     buffer = ReplayBuffer(10)
-    buffer.push(make_experience(state=1.0, stored_at=0))
-    buffer.push(make_experience(state=2.0, stored_at=10))
+    buffer.extend(make_block(1.0, iteration=0))
+    buffer.extend(make_block(2.0, iteration=10))
     batch, stats = sample_replay(
         buffer, model, WeightingPolicy("hybrid"), 50, 1.0, 1.0, 0
     )

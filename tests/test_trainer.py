@@ -9,7 +9,7 @@ import pytest
 
 from joinopt.catalog import load_catalog, load_workload
 from joinopt.model import ModelError, ModelParams, init_params, predict
-from joinopt import simulator
+from joinopt import retention, simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
 from joinopt.features import feature_dim, fragment_rows
@@ -356,6 +356,40 @@ def test_training_smoke_with_retention_disabled(workload_dir):
     result = run_training(cfg)
     assert result.records[-1].iteration == 4
     assert result.records[-1].buffer_size > 0  # buffer still fills; training ignores it
+
+
+def test_no_retention_batch_is_uniform_over_this_iterations_rows(workload_dir, monkeypatch):
+    """The fresh-only arm draws its batch uniformly from the rows of the
+    iteration's plans, recency slot 1.0, even when they outnumber the
+    buffer's capacity."""
+    cfg = load_run_config(config_file(workload_dir, iterations=2, retention={"capacity": 2}))
+    cfg = dataclasses.replace(cfg, retention=dataclasses.replace(cfg.retention, enabled=False))
+    blocks, batches = [], []
+
+    def extract(plan, ctx, latency, iteration):
+        block = retention.extract_experiences(plan, ctx, latency, iteration)
+        blocks.append(block)
+        return block
+
+    def train_on(params, batch, *args):
+        batches.append(batch)
+        return params
+
+    monkeypatch.setattr(trainer_module, "extract_experiences", extract)
+    monkeypatch.setattr(trainer_module, "_train_on", train_on)
+    run_training(cfg)
+    assert len(batches) == cfg.iterations
+    per_iteration = len(blocks) // cfg.iterations
+    for iteration, batch in enumerate(batches, start=1):
+        fresh = blocks[(iteration - 1) * per_iteration : iteration * per_iteration]
+        rows = [(x, b.latency_ms) for b in fresh for x in b.features]
+        assert len(rows) > cfg.retention.capacity
+        rng = np.random.default_rng(derive_seed(cfg.base_seed, "replay", iteration))
+        drawn = rng.integers(0, len(rows), size=cfg.retention.k_replay)
+        want = np.array([rows[i][0] for i in drawn])
+        want[:, -1] = 1.0
+        assert np.array_equal(batch.features, want)
+        assert batch.labels.tolist() == [math.log1p(rows[i][1]) for i in drawn]
 
 
 def test_training_smoke_with_transfer(workload_dir):
