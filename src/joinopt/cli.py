@@ -211,7 +211,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     rows = []
     wrls = {}
     for split, contexts in (("train", setup.train), ("test", setup.test)):
-        latencies = evaluate_queries(contexts, params, cfg, cfg.base_seed, 0)
+        latencies = evaluate_queries(contexts, params, cfg)
         expert = {}
         for qid in latencies:
             baseline = baselines[qid]

@@ -6,7 +6,13 @@ edge internal to the relation set.  Execution latency is cost times a
 configurable unit, perturbed by seeded multiplicative Gaussian noise floored
 at 1% so latency stays positive.  The expert optimizer is an exhaustive
 dynamic program over connected relation subsets, minimizing this same cost
-model, with fixed lexicographic tie-breaking so results are reproducible.
+model.  It visits each split of a connected set into two connected parts
+linked by a join edge once (DPccp enumeration), scores both child orders
+by all three operators, and breaks exact cost ties by the left then the
+right part's sorted relation names and then the operator rank, so results
+are reproducible.  Its work grows with the number of such splits: for n
+relations, (n^3 - n) / 6 for a chain, (n - 1) * 2^(n - 2) for a star and
+(3^n - 2^(n+1) + 1) / 2 for a clique, the worst case.
 
 A ``QueryContext`` compiles one (query, catalog, cost config) once.  Every
 relation set is a bitmask over the query's sorted relation names, and names
@@ -485,15 +491,72 @@ def noiseless_latency(
     return query_context(query, catalog, cfg).latency(plan)
 
 
+def _connected_splits(ctx: QueryContext) -> dict[int, list[int]]:
+    """Every split of a connected relation set into two connected, disjoint
+    parts linked by a join edge, each unordered pair once: the set's mask
+    maps to the masks of one part of each of its splits, the other part
+    being the rest.
+
+    This is DPccp's enumeration (Moerkotte and Neumann, VLDB 2006).  Each
+    first part grows from its lowest relation through neighbours above it.
+    Each second part grows from one neighbour of the first part, above the
+    first part's lowest relation, through neighbours outside the first part
+    and outside the first part's lower-numbered neighbours.  So no pair is
+    produced twice, and only splits that exist are produced:
+    (3^n - 2^(n+1) + 1) / 2 of them for a clique of n relations, the most
+    any graph has, and far fewer for chains, stars and snowflakes."""
+    splits: dict[int, list[int]] = {}
+
+    def grown(start: int, excluded: int):
+        # Every connected set that adds to ``start`` relations outside
+        # ``excluded`` (which holds ``start``), each once.
+        frontier = ctx.neighbors(start) & ~excluded
+        if not frontier:
+            return
+        additions = []
+        sub = frontier
+        while sub:
+            additions.append(sub)
+            sub = (sub - 1) & frontier
+        for sub in additions:
+            yield start | sub
+        for sub in additions:
+            yield from grown(start | sub, excluded | frontier)
+
+    for i in range(len(ctx.relations)):
+        lowest = 1 << i
+        below = (lowest << 1) - 1
+        for first in (lowest, *grown(lowest, below)):
+            excluded = first | below
+            frontier = ctx.neighbors(first) & ~excluded
+            rest = frontier
+            while rest:
+                start = rest & -rest
+                rest ^= start
+                # The second part starts at ``start`` and avoids the first
+                # part's neighbours up to it, which start splits of their own.
+                avoided = excluded | frontier & ((start << 1) - 1)
+                for second in (start, *grown(start, avoided)):
+                    splits.setdefault(first | second, []).append(first)
+    return splits
+
+
 def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNode:
     """Cost-minimal cross-product-free bushy plan by exhaustive DP.
 
-    Considers every connected relation subset, every split into two connected
-    edge-linked parts (both orders), and all three join operators.  Ties are
-    broken by the lexicographically smallest (left, right) pair of sorted
-    relation-name tuples, then by operator rank Hash < Merge < NLJ.  Queries
-    of more than ``DEFAULT_DP_LIMIT`` relations are refused.  The DP's
-    cardinalities are memoized in the query's live context, if it has one.
+    Considers every split of a connected relation set into two connected
+    parts linked by a join edge (``_connected_splits``, each unordered pair
+    once), both child orders of each split, and all three join operators;
+    sets are solved in increasing size, so both parts are final before
+    either is used.  Ties are broken by the lexicographically smallest
+    (left, right) pair of sorted relation-name tuples, then by operator rank
+    Hash < Merge < NLJ; the name tuples are built only on an exact cost tie.
+    These are the candidates and the key of a scan of every submask of every
+    set, so the plan is that scan's, child order and operators included.
+    The work grows with the number of splits, which a clique maximizes.
+    Queries of more than ``DEFAULT_DP_LIMIT`` relations are refused.  The
+    DP's cardinalities are memoized in the query's live context, if it has
+    one.
     """
     ctx = query_context(query, catalog, cfg)
     n = len(ctx.relations)
@@ -501,40 +564,48 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
         raise SimulatorError(
             f"query {query.id!r} joins {n} relations, above the DP limit {DEFAULT_DP_LIMIT}"
         )
-    # best[mask] = (cost, plan); built in increasing mask order so every
-    # proper submask is ready.  Only connected masks ever gain an entry.
-    best = {scan.mask: (scan.cost, scan.node) for scan in ctx.scans}
-    for mask in range(1, ctx.full_mask + 1):
-        if mask & (mask - 1) == 0:
-            continue
-        out_rows = None
-        chosen = None
-        chosen_key = None
-        sub = (mask - 1) & mask
-        while sub:
-            rest = mask ^ sub
-            left = best.get(sub)
-            right = best.get(rest)
-            if left is not None and right is not None and ctx.neighbors(sub) & rest:
-                if out_rows is None:
-                    out_rows = ctx.cardinality(mask)
-                left_rows = ctx.cardinality(sub)
-                right_rows = ctx.cardinality(rest)
-                base = left[0] + right[0]
+
+    def tie_key(left, right, op):
+        return ctx.names(left), ctx.names(right), JOIN_OP_RANK[op]
+
+    # cost[mask] is the best plan's cost and choice[mask] its (left mask,
+    # right mask, operator); only connected masks ever gain an entry.
+    cost = {scan.mask: scan.cost for scan in ctx.scans}
+    choice: dict[int, tuple[int, int, JoinOp]] = {}
+    splits = _connected_splits(ctx)
+    for mask in sorted(splits, key=int.bit_count):
+        out_rows = ctx.cardinality(mask)
+        chosen_cost = chosen = None
+        for part in splits[mask]:
+            other = mask ^ part
+            base = cost[part] + cost[other]
+            part_rows = ctx.cardinality(part)
+            other_rows = ctx.cardinality(other)
+            for left, right, left_rows, right_rows in (
+                (part, other, part_rows, other_rows),
+                (other, part, other_rows, part_rows),
+            ):
                 for op in JOIN_OPS:
-                    cost = base + join_cost_increment(
-                        op, left_rows, right_rows, out_rows, cfg
-                    )
-                    key = (cost, ctx.names(sub), ctx.names(rest), JOIN_OP_RANK[op])
-                    if chosen_key is None or key < chosen_key:
-                        chosen_key = key
-                        chosen = (cost, Join(left[1], right[1], op))
-            sub = (sub - 1) & mask
-        if chosen is not None:
-            best[mask] = chosen
-    if ctx.full_mask not in best:
+                    c = base + join_cost_increment(op, left_rows, right_rows, out_rows, cfg)
+                    if (
+                        chosen is None
+                        or c < chosen_cost
+                        or c == chosen_cost
+                        and tie_key(left, right, op) < tie_key(*chosen)
+                    ):
+                        chosen_cost, chosen = c, (left, right, op)
+        cost[mask] = chosen_cost
+        choice[mask] = chosen
+    if ctx.full_mask not in cost:
         raise SimulatorError(f"query {query.id!r} has no cross-product-free plan")
-    return best[ctx.full_mask][1]
+
+    def build(mask):
+        if mask not in choice:
+            return ctx.scans[mask.bit_length() - 1].node
+        left, right, op = choice[mask]
+        return Join(build(left), build(right), op)
+
+    return build(ctx.full_mask)
 
 
 def expert_baseline(

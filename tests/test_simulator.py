@@ -1,10 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from joinopt.catalog import edge_key
-from joinopt.plans import Join, JoinOp, Scan
+from joinopt.catalog import Catalog, edge_key, load_catalog, load_workload
+from joinopt.plans import JOIN_OP_RANK, JOIN_OPS, Join, JoinOp, Scan
 from joinopt.simulator import (
     DEFAULT_DP_LIMIT,
     CostModelConfig,
@@ -13,8 +14,10 @@ from joinopt.simulator import (
     execute,
     expert_baseline,
     expert_plan,
+    join_cost_increment,
     noiseless_latency,
     plan_infos,
+    query_context,
 )
 
 from conftest import make_catalog, make_query, random_tree_catalog_and_query
@@ -114,6 +117,60 @@ def brute_force_min_cost(query, catalog, cfg):
         if out:
             costs[mask] = out
     return min(costs[full])
+
+
+def subset_dp_plan(query, catalog, cfg):
+    """The expert DP as a scan of every submask of every relation set: each
+    submask that is solved, whose rest is solved and linked to it by an
+    edge, is a left child, by each operator, under the key (cost, left
+    names, right names, operator rank).  The same candidates and key as
+    ``expert_plan``, so the same plan, reached without its pair
+    enumeration."""
+    ctx = query_context(query, catalog, cfg)
+    best = {scan.mask: (scan.cost, scan.node) for scan in ctx.scans}
+    for mask in range(1, ctx.full_mask + 1):
+        if mask & (mask - 1) == 0:
+            continue
+        out_rows = None
+        chosen = None
+        chosen_key = None
+        sub = (mask - 1) & mask
+        while sub:
+            rest = mask ^ sub
+            left = best.get(sub)
+            right = best.get(rest)
+            if left is not None and right is not None and ctx.neighbors(sub) & rest:
+                if out_rows is None:
+                    out_rows = ctx.cardinality(mask)
+                left_rows = ctx.cardinality(sub)
+                right_rows = ctx.cardinality(rest)
+                base = left[0] + right[0]
+                for op in JOIN_OPS:
+                    cost = base + join_cost_increment(
+                        op, left_rows, right_rows, out_rows, cfg
+                    )
+                    key = (cost, ctx.names(sub), ctx.names(rest), JOIN_OP_RANK[op])
+                    if chosen_key is None or key < chosen_key:
+                        chosen_key = key
+                        chosen = (cost, Join(left[1], right[1], op))
+            sub = (sub - 1) & mask
+        if chosen is not None:
+            best[mask] = chosen
+    return best[ctx.full_mask][1]
+
+
+def with_extra_edges(rng, catalog, query, draws):
+    """The query with ``draws`` random relation pairs added as join edges
+    (repeats count once), each new edge with a random selectivity."""
+    names = query.relations
+    edges = set(query.join_edges)
+    for _ in range(draws):
+        i, j = rng.choice(len(names), size=2, replace=False)
+        edges.add(edge_key(names[int(i)], names[int(j)]))
+    selectivities = dict(catalog.join_selectivities)
+    for edge in sorted(edges - selectivities.keys()):
+        selectivities[edge] = float(10 ** rng.uniform(-3, -0.3))
+    return Catalog(catalog.tables, selectivities), make_query(query.id, names, edges)
 
 
 # --- cardinality -------------------------------------------------------------
@@ -308,21 +365,50 @@ def test_expert_matches_brute_force_random(rng, default_cost):
         assert got == pytest.approx(best, rel=1e-12)
 
 
+# Only scans are charged, so every join of a relation set costs the same: a
+# full tie that the names and the operator rank must break.
+SCAN_ONLY_COST = CostModelConfig(
+    cpu_cost_per_row=0,
+    hash_build_cost_per_row=0,
+    nlj_cost_per_row_pair=0,
+    merge_sort_cost_per_row_log_row=0,
+    scan_cost_per_row=1.0,
+    latency_per_cost_unit=1.0,
+    noise_rel_sigma=0.0,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_expert_tie_break_deterministic(pair_catalog, pair_query):
-    cfg = CostModelConfig(
-        cpu_cost_per_row=0,
-        hash_build_cost_per_row=0,
-        nlj_cost_per_row_pair=0,
-        merge_sort_cost_per_row_log_row=0,
-        scan_cost_per_row=1.0,
-        latency_per_cost_unit=1.0,
-        noise_rel_sigma=0.0,
-    )
-    # All joins cost the same (only scans are charged): full tie.
-    first = expert_plan(pair_query, pair_catalog, cfg)
-    second = expert_plan(pair_query, pair_catalog, cfg)
+    first = expert_plan(pair_query, pair_catalog, SCAN_ONLY_COST)
+    second = expert_plan(pair_query, pair_catalog, SCAN_ONLY_COST)
     assert first == second
     assert first == Join(Scan("r"), Scan("s"), JoinOp.HASH)
+
+
+def test_expert_plan_equals_subset_dp(rng, default_cost):
+    """The pair-enumerating DP returns the submask scan's plan, child order
+    and operators included: on random trees, trees with extra edges and
+    dense graphs of 2-12 relations (dense ones up to 9) under the default
+    and the scan-only cost models, and on every bundled query."""
+    cases = []
+    for n in range(2, DEFAULT_DP_LIMIT + 1):
+        catalog, query = random_tree_catalog_and_query(rng, n, qid=f"tree{n}")
+        cases.append((catalog, query))
+        cases.append(with_extra_edges(rng, catalog, query, n // 2))
+        if n <= 9:
+            cases.append(with_extra_edges(rng, catalog, query, n * (n - 1) // 2))
+    for catalog, query in cases:
+        for cfg in (default_cost, SCAN_ONLY_COST):
+            assert expert_plan(query, catalog, cfg) == subset_dp_plan(query, catalog, cfg), query
+    for workload in ("data/star6", "perfbench/workloads/chain8", "perfbench/workloads/snowflake12"):
+        catalog = load_catalog(ROOT / workload / "catalog.json")
+        for split in ("train.json", "test.json"):
+            for query in load_workload(ROOT / workload / split, catalog):
+                assert expert_plan(query, catalog, default_cost) == subset_dp_plan(
+                    query, catalog, default_cost
+                ), (workload, query.id)
 
 
 def test_expert_dp_limit(rng, default_cost):

@@ -470,14 +470,14 @@ def test_search_and_expert_reuse_the_runs_contexts(workload_dir, monkeypatch):
     cfg = load_run_config(config_file(workload_dir))
     setup = prepare_run(cfg, cfg.base_seed)
     contexts = setup.train + setup.test
-    first = evaluate_queries(contexts, setup.params, cfg, 1, 0)
+    first = evaluate_queries(contexts, setup.params, cfg)
     memo_sizes = [len(ctx._card) for ctx in contexts]
     compiled = []
     compile_ = simulator.QueryContext.__init__
     monkeypatch.setattr(
         simulator.QueryContext, "__init__", lambda self, *a: compiled.append(a[0].id) or compile_(self, *a)
     )
-    assert evaluate_queries(contexts, setup.params, cfg, 1, 0) == first
+    assert evaluate_queries(contexts, setup.params, cfg) == first
     assert [len(ctx._card) for ctx in contexts] == memo_sizes
     assert compiled == []
     expert = contexts[0].expert()
