@@ -499,36 +499,37 @@ def _connected_splits(ctx: QueryContext) -> dict[int, list[int]]:
 
     This is DPccp's enumeration (Moerkotte and Neumann, VLDB 2006).  Each
     first part grows from its lowest relation through neighbours above it.
-    Each second part grows from one neighbour of the first part, above the
-    first part's lowest relation, through neighbours outside the first part
-    and outside the first part's lower-numbered neighbours.  So no pair is
-    produced twice, and only splits that exist are produced:
+    Each second part grows from one neighbour of the first part above that
+    part's lowest relation, its start, and never takes in the first part, a
+    relation below the first part's lowest, or a neighbour of the first
+    part below its start.  So no pair is produced twice, and only splits
+    that exist are produced:
     (3^n - 2^(n+1) + 1) / 2 of them for a clique of n relations, the most
     any graph has, and far fewer for chains, stars and snowflakes."""
     splits: dict[int, list[int]] = {}
+    neighbors = ctx.neighbors
 
-    def grown(start: int, excluded: int):
-        # Every connected set that adds to ``start`` relations outside
-        # ``excluded`` (which holds ``start``), each once.
-        frontier = ctx.neighbors(start) & ~excluded
-        if not frontier:
-            return
-        additions = []
-        sub = frontier
-        while sub:
-            additions.append(sub)
-            sub = (sub - 1) & frontier
-        for sub in additions:
-            yield start | sub
-        for sub in additions:
-            yield from grown(start | sub, excluded | frontier)
+    def grown(start: int, excluded: int, out: list[int]) -> list[int]:
+        # Appends to ``out`` every connected set that adds to ``start``
+        # relations outside ``excluded`` (which holds ``start``), each once.
+        frontier = neighbors(start) & ~excluded
+        if frontier:
+            additions = []
+            sub = frontier
+            while sub:
+                additions.append(start | sub)
+                sub = (sub - 1) & frontier
+            out += additions
+            for bigger in additions:
+                grown(bigger, excluded | frontier, out)
+        return out
 
     for i in range(len(ctx.relations)):
         lowest = 1 << i
         below = (lowest << 1) - 1
-        for first in (lowest, *grown(lowest, below)):
+        for first in grown(lowest, below, [lowest]):
             excluded = first | below
-            frontier = ctx.neighbors(first) & ~excluded
+            frontier = neighbors(first) & ~excluded
             rest = frontier
             while rest:
                 start = rest & -rest
@@ -536,7 +537,7 @@ def _connected_splits(ctx: QueryContext) -> dict[int, list[int]]:
                 # The second part starts at ``start`` and avoids the first
                 # part's neighbours up to it, which start splits of their own.
                 avoided = excluded | frontier & ((start << 1) - 1)
-                for second in (start, *grown(start, avoided)):
+                for second in grown(start, avoided, [start]):
                     splits.setdefault(first | second, []).append(first)
     return splits
 
@@ -572,15 +573,16 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
     # right mask, operator); only connected masks ever gain an entry.
     cost = {scan.mask: scan.cost for scan in ctx.scans}
     choice: dict[int, tuple[int, int, JoinOp]] = {}
+    cardinality = ctx.cardinality
     splits = _connected_splits(ctx)
     for mask in sorted(splits, key=int.bit_count):
-        out_rows = ctx.cardinality(mask)
+        out_rows = cardinality(mask)
         chosen_cost = chosen = None
         for part in splits[mask]:
             other = mask ^ part
             base = cost[part] + cost[other]
-            part_rows = ctx.cardinality(part)
-            other_rows = ctx.cardinality(other)
+            part_rows = cardinality(part)
+            other_rows = cardinality(other)
             for left, right, left_rows, right_rows in (
                 (part, other, part_rows, other_rows),
                 (other, part, other_rows, part_rows),
