@@ -503,9 +503,7 @@ def _connected_splits(ctx: QueryContext) -> dict[int, list[int]]:
     part's lowest relation, its start, and never takes in the first part, a
     relation below the first part's lowest, or a neighbour of the first
     part below its start.  So no pair is produced twice, and only splits
-    that exist are produced:
-    (3^n - 2^(n+1) + 1) / 2 of them for a clique of n relations, the most
-    any graph has, and far fewer for chains, stars and snowflakes."""
+    that exist are produced."""
     splits: dict[int, list[int]] = {}
     neighbors = ctx.neighbors
 

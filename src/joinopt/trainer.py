@@ -564,7 +564,7 @@ def evaluate_queries(
     """Greedy noiseless latency of every query's searched plan.  A greedy
     search draws no random number, so its seed is a constant."""
     latencies = {}
-    for idx, ctx in enumerate(contexts):
+    for ctx in contexts:
         plan = plan_search(
             ctx.query,
             params,

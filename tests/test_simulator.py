@@ -22,6 +22,8 @@ from joinopt.simulator import (
 
 from conftest import make_catalog, make_query, random_tree_catalog_and_query
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 # --- independent brute-force oracle -----------------------------------------
 
@@ -376,8 +378,6 @@ SCAN_ONLY_COST = CostModelConfig(
     latency_per_cost_unit=1.0,
     noise_rel_sigma=0.0,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_expert_tie_break_deterministic(pair_catalog, pair_query):
