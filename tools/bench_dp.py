@@ -22,10 +22,11 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+from bench_pairs import _quartiles
 
 SHAPES = ("chain", "star", "snowflake")
 SIZES = (6, 9, 12)
@@ -76,11 +77,6 @@ def run_side(checkout: Path) -> dict:
     if proc.returncode != 0:
         sys.exit(f"{checkout}: worker exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout)
-
-
-def _quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
 def main(argv=None):
