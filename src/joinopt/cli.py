@@ -5,15 +5,17 @@ replay-report.  Every command derives all randomness from a single seed, so
 identical flags produce byte-identical artifacts (wall-clock columns aside).
 Errors exit nonzero with one machine-parseable line on stderr.  The five
 commands that read a run config load it once, in ``main``, and apply their
-override flags from the one table ``_OVERRIDES``.
+override flags from the one table ``_OVERRIDES``.  Each command builds the
+rows of its table once, prints from those rows, and writes them with
+``trainer.write_csv``, the one CSV writer of every table.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .metrics import wrl
 from .model import load_params, save_params
 from .retention import WeightingPolicy, dump_buffer, sample_replay
 from .trainer import (
+    NC,
     ConfigError,
     RunConfig,
     RunHistory,
@@ -36,6 +39,8 @@ from .trainer import (
     read_run_csv,
     run_repetitions,
     run_training,
+    summary_table,
+    write_csv,
     write_run_csv,
     write_summary_csv,
     write_verdicts_csv,
@@ -117,34 +122,30 @@ def _cmd_gen_workload(args, _cfg) -> int:
     return 0
 
 
+def _write_table(out, name: str, header: list[str], rows) -> None:
+    """Write one report table into the ``--out`` directory and print its path."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(out / name, header, rows)
+    print(out / name)
+
+
 def _cmd_partition_report(args, cfg: RunConfig) -> int:
     setup = prepare_run(cfg, cfg.base_seed)
     scored = score_all_policies(setup.train, cfg.transfer.k_tasks)
-    best = min(range(len(scored)), key=lambda i: scored[i].dbi_score)
-    rows = []
-    for i, ts in enumerate(scored):
-        for task_idx, task in enumerate(ts.tasks):
-            rows.append(
-                {
-                    "policy": ts.policy.value,
-                    "task": task_idx,
-                    "query_ids": " ".join(task),
-                    "dbi": repr(ts.dbi_score),
-                    "selected": "yes" if i == best else "no",
-                }
-            )
-    for ts, marker in ((scored[i], "*" if i == best else " ") for i in range(len(scored))):
+    best = min(scored, key=lambda ts: ts.dbi_score)
+    for ts in scored:
+        marker = "*" if ts is best else " "
         print(f"{marker} {ts.policy.value:<16} DBI={ts.dbi_score:.6f} tasks={list(map(list, ts.tasks))}")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "partition_report.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["policy", "task", "query_ids", "dbi", "selected"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-        print(out / "partition_report.csv")
+        rows = [
+            [ts.policy.value, task_idx, " ".join(task), ts.dbi_score,
+             "yes" if ts is best else "no"]
+            for ts in scored
+            for task_idx, task in enumerate(ts.tasks)
+        ]
+        header = ["policy", "task", "query_ids", "dbi", "selected"]
+        _write_table(args.out, "partition_report.csv", header, rows)
     return 0
 
 
@@ -161,30 +162,29 @@ def _cmd_meta_train(args, cfg: RunConfig) -> int:
 
 
 def _cmd_train(args, cfg: RunConfig) -> int:
-    result = run_repetitions(cfg)
+    runs = run_repetitions(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
         json.dumps(config_to_doc(cfg), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    for rep, run in enumerate(result.runs):
+    for rep, run in enumerate(runs):
         rep_dir = out / f"rep{rep}"
         rep_dir.mkdir(exist_ok=True)
         write_run_csv(run, rep_dir / "run.csv")
         save_params(run.params, rep_dir / "model.npz")
-    write_summary_csv(result, out / "summary.csv")
-    write_verdicts_csv(result, out / "verdicts.csv")
-    median_conv = result.median_convergence()
+    summary = summary_table(runs)
+    write_summary_csv(summary, out / "summary.csv")
+    write_verdicts_csv(runs, out / "verdicts.csv")
+    *reps, median = summary
     print(
-        f"median final WRL test={result.median_final_wrl('test'):.4f} "
-        f"train={result.median_final_wrl('train'):.4f}"
+        f"median final WRL test={median['final_wrl_test']:.4f} "
+        f"train={median['final_wrl_train']:.4f}"
     )
-    print(
-        "median convergence iteration="
-        + ("NC" if median_conv is None else str(median_conv))
-    )
-    print(f"median test regressions={result.median_regressions('test')}")
+    print(f"median convergence iteration={median['convergence_iteration']}")
+    regressions = statistics.median(row["plateau_test"] + row["rebound_test"] for row in reps)
+    print(f"median test regressions={regressions}")
     print(out / "summary.csv")
     return 0
 
@@ -209,58 +209,27 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         verdicts = {split: history.verdicts(split) for split in ("train", "test")}
 
     rows = []
-    wrls = {}
     for split, contexts in (("train", setup.train), ("test", setup.test)):
         latencies = evaluate_queries(contexts, params, cfg)
-        expert = {}
-        for qid in latencies:
-            baseline = baselines[qid]
-            expert[qid] = baseline.mean_latency_ms
-            rows.append(
-                {
-                    "split": split,
-                    "query_id": qid,
-                    "learned_latency_ms": repr(latencies[qid]),
-                    "expert_mean_latency_ms": repr(baseline.mean_latency_ms),
-                    "expert_tolerance_ms": repr(baseline.tolerance_ms),
-                    "verdict": verdicts[split][qid].verdict.value if verdicts else "",
-                }
-            )
-        wrls[split] = wrl(latencies, expert)
-        print(f"{split} WRL={wrls[split]:.4f}")
-    for row in rows:
-        verdict = f" verdict={row['verdict']}" if row["verdict"] else ""
-        print(
-            f"  {row['split']:<5} {row['query_id']:<6} "
-            f"learned={float(row['learned_latency_ms']):.3f}ms "
-            f"expert={float(row['expert_mean_latency_ms']):.3f}ms{verdict}"
-        )
-    conv_value = ""
+        expert = {qid: baselines[qid].mean_latency_ms for qid in latencies}
+        print(f"{split} WRL={wrl(latencies, expert):.4f}")
+        rows += [
+            [split, qid, latencies[qid], expert[qid], baselines[qid].tolerance_ms,
+             verdicts[split][qid].verdict.value if verdicts else None]
+            for qid in latencies
+        ]
+    for split, qid, learned, expert, _, verdict in rows:
+        verdict = f" verdict={verdict}" if verdict else ""
+        print(f"  {split:<5} {qid:<6} learned={learned:.3f}ms expert={expert:.3f}ms{verdict}")
+    convergence = None
     if history is not None:
         convergence = history.convergence()
-        conv_value = "NC" if convergence is None else str(convergence)
-        print(f"convergence iteration={conv_value}")
+        convergence = NC if convergence is None else convergence
+        print(f"convergence iteration={convergence}")
     if args.out:
-        for row in rows:
-            row["convergence_iteration"] = conv_value
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "eval.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=[
-                    "split",
-                    "query_id",
-                    "learned_latency_ms",
-                    "expert_mean_latency_ms",
-                    "expert_tolerance_ms",
-                    "verdict",
-                    "convergence_iteration",
-                ],
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-        print(out / "eval.csv")
+        header = ["split", "query_id", "learned_latency_ms", "expert_mean_latency_ms",
+                  "expert_tolerance_ms", "verdict", "convergence_iteration"]
+        _write_table(args.out, "eval.csv", header, [row + [convergence] for row in rows])
     return 0
 
 
@@ -277,32 +246,20 @@ def _cmd_replay_report(args, cfg: RunConfig) -> int:
         derive_seed(result.base_seed, "report-replay"),
     )
     counts = np.bincount(stats.sampled_indices, minlength=len(buffer))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_buffer(buffer, out / "buffer.json")
-    with open(out / "replay_report.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["index", "query_id", "stored_at", "norm_td", "recency", "probability", "sampled_count"]
-        )
-        for i, row in enumerate(buffer.order()):
-            writer.writerow(
-                [
-                    i,
-                    buffer.query_id[row],
-                    int(buffer.stored_at[row]),
-                    repr(float(stats.norm_td[i])),
-                    repr(float(stats.recency[i])),
-                    repr(float(stats.probabilities[i])),
-                    int(counts[i]),
-                ]
-            )
     print(
         f"buffer size={len(buffer)} sampled={len(stats.sampled_indices)} "
         f"mean_norm_td={stats.mean_sampled_norm_td:.4f} "
         f"mean_recency={stats.mean_sampled_recency:.4f}"
     )
-    print(out / "replay_report.csv")
+    rows = [
+        [i, buffer.query_id[row], int(buffer.stored_at[row]), float(stats.norm_td[i]),
+         float(stats.recency[i]), float(stats.probabilities[i]), int(counts[i])]
+        for i, row in enumerate(buffer.order())
+    ]
+    header = ["index", "query_id", "stored_at", "norm_td", "recency", "probability",
+              "sampled_count"]
+    _write_table(args.out, "replay_report.csv", header, rows)
+    dump_buffer(buffer, Path(args.out) / "buffer.json")
     return 0
 
 

@@ -16,8 +16,10 @@ search and evaluation share (plan search finds it through the simulator's
 context registry), so the expert DP runs once per query and cardinalities
 are estimated once per relation set.  ``RunHistory``
 judges a run's evaluation records, whether the run just trained or its
-run.csv was read back.  All randomness is derived from one base seed,
-making repeated runs bitwise identical.
+run.csv was read back.  Every table joinopt writes, run.csv, summary.csv and
+verdicts.csv here and the reports of ``cli``, goes through ``write_csv``.
+All randomness is derived from one base seed, making repeated runs bitwise
+identical.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ __all__ = [
     "RunHistory",
     "RunResult",
     "RunSetup",
-    "RepetitionResult",
     "load_run_config",
     "derive_seed",
     "plan_search",
@@ -104,8 +105,10 @@ __all__ = [
     "run_training",
     "run_repetitions",
     "evaluate_queries",
+    "write_csv",
     "write_run_csv",
     "read_run_csv",
+    "summary_table",
     "write_summary_csv",
     "write_verdicts_csv",
 ]
@@ -708,45 +711,22 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Repetitions and summaries
+# Repetitions and tables
 
 
-@dataclass
-class RepetitionResult:
-    runs: list[RunResult]
-
-    def median_final_wrl(self, split: str = "test") -> float:
-        return statistics.median(run.final_wrl(split) for run in self.runs)
-
-    def median_regressions(self, split: str = "test") -> float:
-        return statistics.median(run.regression_count(split) for run in self.runs)
-
-    def median_convergence(self) -> float | None:
-        return _median_convergence([run.convergence() for run in self.runs])
-
-
-def _median_convergence(iterations: list[int | None]) -> float | None:
-    """Median convergence iteration, a run that never converged counting as
-    later than any that did; None when the median is such a run."""
-    med = statistics.median(math.inf if c is None else float(c) for c in iterations)
-    return None if math.isinf(med) else med
-
-
-def run_repetitions(cfg: RunConfig) -> RepetitionResult:
+def run_repetitions(cfg: RunConfig) -> list[RunResult]:
     """Repeated runs with seeds base_seed .. base_seed + repetitions - 1."""
-    return RepetitionResult(
-        [run_training(cfg, base_seed=cfg.base_seed + r) for r in range(cfg.repetitions)]
-    )
+    return [run_training(cfg, base_seed=cfg.base_seed + r) for r in range(cfg.repetitions)]
 
 
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_csv(path, header, rows) -> None:
+    """The one CSV format of every table: cells quoted as the csv module
+    quotes them, ``\n`` line ends, floats by ``repr`` and None as an empty
+    cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 _RECORD_COLUMNS = (
@@ -771,14 +751,16 @@ def _run_csv_columns(train_ids, test_ids) -> list[str]:
 def write_run_csv(result: RunResult, path) -> None:
     """One row per evaluation record.  The wall-clock column is last and is
     excluded from reproducibility comparisons."""
-    lines = [",".join(_run_csv_columns(result.train_ids, result.test_ids))]
-    for rec in result.records:
-        row = [getattr(rec, name) for name in _RECORD_COLUMNS]
-        row += [rec.train_latencies[qid] for qid in result.train_ids]
-        row += [rec.test_latencies[qid] for qid in result.test_ids]
-        row.append(rec.wall_clock_ms)
-        lines.append(",".join(map(_fmt, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [
+        [
+            *(getattr(rec, name) for name in _RECORD_COLUMNS),
+            *(rec.train_latencies[qid] for qid in result.train_ids),
+            *(rec.test_latencies[qid] for qid in result.test_ids),
+            rec.wall_clock_ms,
+        ]
+        for rec in result.records
+    ]
+    write_csv(path, _run_csv_columns(result.train_ids, result.test_ids), rows)
 
 
 def read_run_csv(path, train_ids, test_ids) -> list[IterationRecord]:
@@ -830,49 +812,54 @@ def read_run_csv(path, train_ids, test_ids) -> list[IterationRecord]:
     return records
 
 
+NC = "NC"  # the convergence iteration of a run that never converged
+
+
 def _summary_row(rep: int, run: RunResult) -> dict:
     counts = {}
     for split in ("test", "train"):
         verdicts = [v.verdict for v in run.verdicts(split).values()]
         for verdict in (Verdict.PLATEAU, Verdict.REBOUND):
             counts[f"{verdict.value}_{split}"] = verdicts.count(verdict)
+    convergence = run.convergence()
     return {
         "rep": rep,
         "seed": run.base_seed,
         "final_wrl_train": run.final_wrl("train"),
         "final_wrl_test": run.final_wrl("test"),
-        "convergence_iteration": run.convergence(),
+        "convergence_iteration": NC if convergence is None else convergence,
         **counts,
         "regressions_total": sum(counts.values()),
     }
 
 
-def write_summary_csv(result: RepetitionResult, path) -> None:
-    """Per-repetition summary plus a final median row, taken column by
-    column over the repetitions' rows."""
-    rows = [_summary_row(rep, run) for rep, run in enumerate(result.runs)]
-    columns = list(rows[0])
-    median = {"rep": "median", "seed": ""}
-    for column in columns[2:]:
+def summary_table(runs: list[RunResult]) -> list[dict]:
+    """summary.csv's rows: one per repetition, then a median row taken
+    column by column over them.  A run that never converged counts as later
+    than any that did, and the median is ``NC`` when it is such a run."""
+    rows = [_summary_row(rep, run) for rep, run in enumerate(runs)]
+    median = {"rep": "median", "seed": None}
+    for column in list(rows[0])[2:]:
         values = [row[column] for row in rows]
         if column == "convergence_iteration":
-            median[column] = _median_convergence(values)
+            med = statistics.median(math.inf if v == NC else float(v) for v in values)
+            median[column] = NC if math.isinf(med) else med
         else:
             median[column] = statistics.median(values)
-    lines = [",".join(columns)]
-    for row in rows + [median]:
-        lines.append(",".join("NC" if row[c] is None else _fmt(row[c]) for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return rows + [median]
 
 
-def write_verdicts_csv(result: RepetitionResult, path) -> None:
-    lines = ["rep,split,query_id,verdict,first_superior_iteration,regression_iteration"]
-    for rep, run in enumerate(result.runs):
-        for split in ("train", "test"):
-            for qid, v in sorted(run.verdicts(split).items()):
-                cells = [
-                    rep, split, qid, v.verdict.value,
-                    v.first_superior_iteration, v.regression_iteration,
-                ]
-                lines.append(",".join("" if c is None else str(c) for c in cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_summary_csv(table: list[dict], path) -> None:
+    write_csv(path, list(table[0]), [list(row.values()) for row in table])
+
+
+def write_verdicts_csv(runs: list[RunResult], path) -> None:
+    rows = [
+        [rep, split, qid, v.verdict.value, v.first_superior_iteration, v.regression_iteration]
+        for rep, run in enumerate(runs)
+        for split in ("train", "test")
+        for qid, v in sorted(run.verdicts(split).items())
+    ]
+    header = ["rep", "split", "query_id", "verdict", "first_superior_iteration",
+              "regression_iteration"]
+    write_csv(path, header, rows)

@@ -676,7 +676,37 @@ def test_csv_headers_are_stable(project):
         for col in run_header[6:-1]
     )
     for name, expected in GOLDEN_HEADERS.items():
-        if expected is None:
-            continue
-        path = runs / name
-        assert read_csv(path)[0] == expected, name
+        path = runs / ("rep0/run.csv" if expected is None else name)
+        assert b"\r" not in path.read_bytes(), name
+        if expected is not None:
+            assert read_csv(path)[0] == expected, name
+
+
+def test_query_id_with_comma_and_quote_round_trips(project):
+    """Query ids are written as csv cells, so an id with a comma and a
+    double quote keeps run.csv readable by eval --history and every
+    verdicts.csv and summary.csv row as wide as its header."""
+    tmp_path, config = project
+    train_path = tmp_path / "data" / "train.json"
+    doc = json.loads(train_path.read_text())
+    doc["queries"][0]["id"] = 'q,"01'
+    train_path.write_text(json.dumps(doc))
+    runs = tmp_path / "odd_id_runs"
+    assert main(["train", "--config", str(config), "--out", str(runs)]) == 0
+    out = tmp_path / "odd_id_eval"
+    rc = main(
+        [
+            "eval", "--config", str(config),
+            "--model", str(runs / "rep0" / "model.npz"),
+            "--history", str(runs / "rep0" / "run.csv"),
+            "--out", str(out),
+        ]
+    )
+    assert rc == 0
+    assert 'train_latency_ms:q,"01' in read_csv(runs / "rep0" / "run.csv")[0]
+    assert 'q,"01' in [row[1] for row in read_csv(out / "eval.csv")]
+    verdicts = read_csv(runs / "verdicts.csv")
+    assert 'q,"01' in [row[2] for row in verdicts]
+    for name in ("verdicts.csv", "summary.csv"):
+        header, *rows = read_csv(runs / name)
+        assert rows and all(len(row) == len(header) for row in rows), name

@@ -29,6 +29,7 @@ from joinopt.trainer import (
     run_repetitions,
     read_run_csv,
     run_training,
+    summary_table,
     write_run_csv,
 )
 from joinopt.transfer import PartitioningPolicy, TaskSet
@@ -563,21 +564,50 @@ def test_traces_and_verdicts_cover_queries(workload_dir):
 
 def test_repetitions_use_distinct_seeds(workload_dir):
     cfg = load_run_config(config_file(workload_dir, iterations=1, repetitions=3))
-    reps = run_repetitions(cfg)
-    seeds = [run.base_seed for run in reps.runs]
-    assert seeds == [3, 4, 5]
+    runs = run_repetitions(cfg)
+    assert [run.base_seed for run in runs] == [3, 4, 5]
 
 
 def test_single_repetition_median_equals_run(workload_dir):
     cfg = load_run_config(config_file(workload_dir, iterations=2, repetitions=1))
-    reps = run_repetitions(cfg)
-    assert reps.median_final_wrl("test") == reps.runs[0].final_wrl("test")
+    runs = run_repetitions(cfg)
+    row, median = summary_table(runs)
+    assert median["final_wrl_test"] == runs[0].final_wrl("test") == row["final_wrl_test"]
+    assert median["rep"] == "median" and median["seed"] is None
 
 
-def test_median_wrl_of_three():
-    import statistics
+@dataclasses.dataclass
+class _ConvergedRun:
+    """The parts of a RunResult that a summary row reads, for a run that
+    converged at a given iteration (None: never)."""
 
-    assert statistics.median([0.9, 1.1, 1.0]) == 1.0
+    base_seed: int
+    converged_at: int | None
+
+    def convergence(self):
+        return self.converged_at
+
+    def final_wrl(self, split):
+        return 1.0
+
+    def verdicts(self, split):
+        return {}
+
+
+@pytest.mark.parametrize(
+    "iterations, expected",
+    [([5, None, None], "NC"), ([5, 10, None], 10), ([5, 10], 7.5)],
+)
+def test_summary_median_counts_no_convergence_as_latest(iterations, expected):
+    """A run that never converged is NC in its row and counts as later than
+    any run that did: the median row is NC when the median run never
+    converged."""
+    runs = [_ConvergedRun(seed, c) for seed, c in enumerate(iterations)]
+    table = summary_table(runs)
+    assert [row["convergence_iteration"] for row in table[:-1]] == [
+        "NC" if c is None else c for c in iterations
+    ]
+    assert table[-1]["convergence_iteration"] == expected
 
 
 # --- run.csv --------------------------------------------------------------------------

@@ -10,11 +10,13 @@ pairs run the ``before`` side first, odd pairs the ``after`` side.  Every
 run's JSON line is kept as printed.  After each pair the ``run.csv`` of
 every workload process (the measured one and its set-up replicas) is
 compared between the two sides with the ``wall_clock_ms`` column removed.
-Each side then makes one ``--trace 1`` run per workload.  The file, written
-to the current directory, also records the host, ``nproc``, Python, numpy
-and BLAS, and per metric each side's median and quartiles and the number of
-pairs the ``after`` side won (lower is better for every end-to-end metric;
-ties count for neither side).
+Each side then makes ``TRACED_PAIRS`` ``--trace 1`` runs per workload, in
+alternating pairs in the same way, whose lines and ``run.csv`` comparisons
+are kept too.  The file, written to the current directory, also records the
+host, ``nproc``, Python, numpy and BLAS; per end-to-end metric each side's
+median and quartiles and the number of pairs the ``after`` side won (lower
+is better for every end-to-end metric; ties count for neither side); and per
+traced metric each side's median and quartiles.
 """
 
 import argparse
@@ -31,6 +33,8 @@ from pathlib import Path
 
 PROCESSES = ("main", "replica1", "replica2")
 PAIRS = {"snowflake12-train": 10, "star6-train": 3, "chain8-replay": 3}
+# A traced layer of a few milliseconds jitters by up to 1.8x between runs.
+TRACED_PAIRS = 3
 SEED = 1
 
 
@@ -69,20 +73,44 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
+def run_pairs(sides: dict, workload: str, count: int, trace: int) -> list[dict]:
+    """``count`` alternating pairs of runs, each with whether the two sides'
+    run.csv files were equal."""
+    kind = "traced pair" if trace else "pair"
+    pairs = []
+    for index in range(count):
+        order = ("before", "after") if index % 2 == 0 else ("after", "before")
+        pair = {"pair": index, "first": order[0]}
+        for side in order:
+            pair[side] = run_once(sides[side], workload, trace, f"{workload} {kind} {index} {side}")
+            print(f"{workload} {kind} {index} {side}: {json.dumps(pair[side]['line'])}",
+                  file=sys.stderr)
+        pair["run_csv_equal"] = pair["before"].pop("run_csv") == pair["after"].pop("run_csv")
+        pairs.append(pair)
+    return pairs
+
+
+def _values(pairs: list[dict], side: str, name: str) -> list[float]:
+    return [p[side]["line"]["metrics"][name]["value"] for p in pairs]
+
+
+def quartiles(pairs: list[dict]) -> dict:
+    """Per metric: each side's median and quartiles."""
+    return {
+        name: {side: _quartiles(_values(pairs, side, name)) for side in ("before", "after")}
+        for name in pairs[0]["before"]["line"]["metrics"]
+    }
+
+
 def compare(pairs: list[dict]) -> dict:
     """Per end-to-end metric: each side's median and quartiles, and the pairs
     the after side won."""
-    out = {}
-    for name in pairs[0]["before"]["line"]["metrics"]:
-        before = [p["before"]["line"]["metrics"][name]["value"] for p in pairs]
-        after = [p["after"]["line"]["metrics"][name]["value"] for p in pairs]
-        out[name] = {
-            "before": _quartiles(before),
-            "after": _quartiles(after),
-            "after_wins": sum(a < b for a, b in zip(after, before)),
-            "before_wins": sum(b < a for a, b in zip(after, before)),
-            "pairs": len(pairs),
-        }
+    out = quartiles(pairs)
+    for name, entry in out.items():
+        before, after = _values(pairs, "before", name), _values(pairs, "after", name)
+        entry["after_wins"] = sum(a < b for a, b in zip(after, before))
+        entry["before_wins"] = sum(b < a for a, b in zip(after, before))
+        entry["pairs"] = len(pairs)
     return out
 
 
@@ -103,28 +131,15 @@ def main(argv=None):
         "workloads": {},
     }
     for workload, count in PAIRS.items():
-        pairs = []
-        for index in range(count):
-            order = ("before", "after") if index % 2 == 0 else ("after", "before")
-            pair = {"pair": index, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(sides[side], workload, 0, f"{workload} pair {index} {side}")
-                print(f"{workload} pair {index} {side}: {json.dumps(pair[side]['line'])}",
-                      file=sys.stderr)
-            pair["run_csv_equal"] = pair["before"].pop("run_csv") == pair["after"].pop("run_csv")
-            pairs.append(pair)
-        traced = {
-            side: run_once(path, workload, 1, f"{workload} traced {side}")
-            for side, path in sides.items()
-        }
+        pairs = run_pairs(sides, workload, count, 0)
+        traced = run_pairs(sides, workload, TRACED_PAIRS, 1)
         doc["workloads"][workload] = {
             "pairs": pairs,
             "run_csv_equal_in_every_pair": all(p["run_csv_equal"] for p in pairs),
             "end_to_end": compare(pairs),
-            "traced_run_csv_equal": (
-                traced["before"].pop("run_csv") == traced["after"].pop("run_csv")
-            ),
-            "traced": traced,
+            "traced_run_csv_equal": all(p["run_csv_equal"] for p in traced),
+            "traced_pairs": traced,
+            "traced": quartiles(traced),
         }
     first = next(iter(doc["workloads"].values()))["pairs"][0]["before"]["platform"]
     doc.update({k: first[k] for k in ("python", "numpy", "blas")})
