@@ -1,7 +1,8 @@
 """Small feed-forward value network with analytic backpropagation.
 
 ReLU hidden layers, linear scalar output, mean-squared-error loss, plain SGD.
-Parameters are immutable values; every operation returns new arrays.
+Parameters and inputs are never written: every operation returns new arrays,
+and a forward pass writes only the arrays it allocated.
 Constructing them checks shapes only: ``check_finite`` scans the values, and
 runs when an SGD phase ends and when a checkpoint is loaded.  The
 network is trained on log1p-transformed latencies; ``latency_to_label`` and
@@ -123,18 +124,19 @@ def init_params(layer_sizes: tuple[int, ...], rng_seed: int) -> ModelParams:
     return ModelParams(sizes, tuple(weights), tuple(biases))
 
 
-def _forward(params: ModelParams, x: np.ndarray):
-    """Returns pre-activations and activations per layer for backprop."""
-    pre = []
+def _forward(params: ModelParams, x: np.ndarray) -> list[np.ndarray]:
+    """The activations of every layer, ``x`` first.  Each layer makes one
+    new array, ``a @ w``, and adds the bias and applies the ReLU to it in
+    place."""
     activations = [x]
-    a = x
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
+        a = activations[-1] @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
         activations.append(a)
-    return pre, activations
+    return activations
 
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
@@ -144,8 +146,7 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"expected features of shape [n, {params.input_dim}], got {features.shape}"
         )
-    _, activations = _forward(params, features)
-    return activations[-1][:, 0]
+    return _forward(params, features)[-1][:, 0]
 
 
 def predict(params: ModelParams, feature: np.ndarray) -> float:
@@ -169,7 +170,7 @@ def batch_loss(params: ModelParams, batch: TrainBatch) -> float:
 def batch_grad(params: ModelParams, batch: TrainBatch) -> ModelParams:
     """Analytic gradient of batch_loss, shaped like the parameters."""
     n = len(batch)
-    pre, activations = _forward(params, batch.features)
+    activations = _forward(params, batch.features)
     preds = activations[-1][:, 0]
     # d(mean (pred - y)^2)/d pred = 2 (pred - y) / n
     delta = (2.0 / n) * (preds - batch.labels)[:, None]
@@ -179,7 +180,9 @@ def batch_grad(params: ModelParams, batch: TrainBatch) -> ModelParams:
         grads_w[layer] = activations[layer].T @ delta
         grads_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (pre[layer - 1] > 0)
+            # relu(z) > 0 exactly where z > 0, so the layer's own output
+            # gives the ReLU mask.
+            delta = (delta @ params.weights[layer].T) * (activations[layer] > 0)
     return ModelParams(params.layer_sizes, tuple(grads_w), tuple(grads_b))
 
 

@@ -162,6 +162,12 @@ class ReplayBuffer:
         """Row indices of the buffered experiences, oldest first."""
         return np.arange(self.oldest, self.end) % self.capacity
 
+    def scored_states(self) -> np.ndarray:
+        """The state features of the buffered experiences, oldest first, then
+        ``kept``: one new matrix, copied from at most two slices of the ring."""
+        head = self.state[self.oldest % self.capacity :][: len(self)]
+        return np.concatenate([head, self.state[: len(self) - len(head)], self.kept])
+
     def batch(self, positions, recency) -> TrainBatch:
         """The experiences at ``positions`` of ``order()`` as a training
         batch: state features with the recency slot set to ``recency``,
@@ -226,19 +232,21 @@ def recency_weight(tau_e, tau_current, span):
 def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarray:
     """One-step TD residual r + gamma*V(s') - V(s) in label space, one per
     buffered experience, oldest first; V is zero at a terminal.  One forward
-    pass scores the buffered rows, oldest first, then the oldest plan's
-    evicted rows; V(s') is the value of the row's enclosing join in it."""
+    pass scores ``buffer.scored_states()``, the buffered rows, oldest first,
+    then the oldest plan's evicted rows, as one matrix; V(s') is the value of
+    the row's enclosing join in it.  The pass is never split or re-batched:
+    a row's last bits depend on the shape of the matmul that scores it."""
     if not len(buffer):
         raise RetentionError("the replay buffer is empty")
+    values = -predict_batch(model, buffer.scored_states())
     rows = buffer.order()
-    values = -predict_batch(model, np.concatenate([buffer.state[rows], buffer.kept]))
     parent = buffer.parent[rows]
     live = parent >= 0
     up = buffer.root[rows] + parent  # the enclosing join's number
-    # A live row's place in the pass, or, evicted, the block index in kept.
+    # The enclosing join's place in the pass, or, evicted, its block index
+    # in kept; at a root it is an unused index inside the pass.
     at = np.where(up >= buffer.oldest, up - buffer.oldest, len(rows) + parent)
-    next_values = np.zeros(len(rows))
-    next_values[live] = values[at[live]]
+    next_values = np.where(live, values[at], 0.0)
     reward = np.where(live, 0.0, -buffer.label[rows])
     return reward + gamma * next_values - values[: len(rows)]
 

@@ -4,13 +4,15 @@ Criteria 7 and 8 run the bundled star workload end to end (both arms, six
 repetitions each).  The runs are made once by the module-scoped
 ``bundled_runs`` fixture, and criterion 9's expert bound is checked across
 all of them.  Criterion 7's two arms plan with a greedy (width-1) beam and
-run separately from criterion 8's arms, which use the configured beam.
+run separately from criterion 8's arms, which use the configured beam
+(``tools/golden_runs.arm_configs``).  The same runs are compared, record by
+record, with ``tests/golden_runs.json``.
 """
 
-import dataclasses
 import json
 import math
 import statistics
+import sys
 import time
 
 import numpy as np
@@ -56,7 +58,10 @@ from test_simulator import brute_force_min_cost
 
 from pathlib import Path
 
-BUNDLE = Path(__file__).resolve().parent.parent / "data" / "star6"
+ROOT = Path(__file__).resolve().parent.parent
+BUNDLE = ROOT / "data" / "star6"
+sys.path.insert(0, str(ROOT / "tools"))
+import golden_runs  # noqa: E402
 
 
 def report(criterion, name, passed):
@@ -370,33 +375,13 @@ def bundled_runs():
     cfg = load_run_config(f"{BUNDLE}/experiment.json")
     arms = {}
     timings = {}
-
-    def run_arm(name, arm_cfg):
+    for name, arm_cfg in golden_runs.arm_configs(cfg).items():
         t0 = time.perf_counter()
         arms[name] = [
             run_training(arm_cfg, base_seed=arm_cfg.base_seed + r)
             for r in range(arm_cfg.repetitions)
         ]
         timings[name] = time.perf_counter() - t0
-
-    # Criterion 7 isolates retention: transfer off in both arms.  Both arms
-    # plan greedily (beam width 1), so the comparison measures retention
-    # against forgetting of the greedy planner's own choices.
-    no_transfer = dataclasses.replace(
-        cfg, transfer=dataclasses.replace(cfg.transfer, enabled=False)
-    )
-    greedy = dataclasses.replace(
-        no_transfer, search=dataclasses.replace(no_transfer.search, beam_width=1)
-    )
-    greedy_no_ret = dataclasses.replace(
-        greedy, retention=dataclasses.replace(greedy.retention, enabled=False)
-    )
-    run_arm("hybrid", greedy)
-    run_arm("no_retention", greedy_no_ret)
-    # Criterion 8 isolates transfer: hybrid retention and the configured
-    # beam in both arms.
-    run_arm("maml", cfg)
-    run_arm("random_init", no_transfer)
     return arms, timings
 
 
@@ -452,6 +437,17 @@ def test_criterion_9_expert_bound(bundled_runs):
                         checked += 1
     print(f"  checked {checked} evaluated latencies")
     report(9, "evaluated latency >= expert DP latency (noiseless)", ok and checked > 0)
+
+
+def test_bundled_runs_match_golden(bundled_runs):
+    """Every evaluation record and the final parameters of the 24 runs equal
+    those ``tools/golden_runs.py`` recorded in ``tests/golden_runs.json``."""
+    arms, _ = bundled_runs
+    recorded = json.loads(golden_runs.GOLDEN.read_text(encoding="utf-8"))
+    faults = golden_runs.mismatches(recorded, arms)
+    assert not faults, "\n".join(
+        [*faults, f"recorded with {recorded['builds']}, running {golden_runs.builds()}"]
+    )
 
 
 # ---------------------------------------------------------------------------

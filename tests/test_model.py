@@ -134,6 +134,88 @@ def test_predict_batch_matches_predict(rng):
     assert batched == pytest.approx([predict(params, row) for row in X])
 
 
+# --- bit for bit against the earlier forward pass --------------------------------
+
+def reference_forward(params, x):
+    """The earlier forward pass, kept as the reference: ``a @ w + b`` and
+    ``np.maximum`` as new arrays, with the pre-activations kept."""
+    pre, activations = [], [x]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = activations[-1] @ w + b
+        pre.append(z)
+        activations.append(z if i == last else np.maximum(z, 0.0))
+    return pre, activations
+
+
+def reference_grad(params, batch):
+    """The earlier backward pass: ReLU masks from the pre-activations."""
+    pre, activations = reference_forward(params, batch.features)
+    delta = (2.0 / len(batch)) * (activations[-1][:, 0] - batch.labels)[:, None]
+    grads_w, grads_b = [None] * len(params.weights), [None] * len(params.weights)
+    for layer in range(len(params.weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ params.weights[layer].T) * (pre[layer - 1] > 0)
+    return grads_w, grads_b
+
+
+def assert_matches_reference_bits(params, x, labels):
+    _, activations = reference_forward(params, x)
+    assert predict_batch(params, x).tobytes() == activations[-1][:, 0].tobytes()
+    grad = batch_grad(params, TrainBatch(x, labels))
+    want_w, want_b = reference_grad(params, TrainBatch(x, labels))
+    for got, want in zip(grad.weights + grad.biases, want_w + want_b):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_forward_and_gradient_match_reference_bits(rng):
+    for sizes in ((5, 7, 1), (6, 8, 5, 1), (14, 64, 64, 1)):
+        params = init_params(sizes, int(rng.integers(1000)))
+        for n in (1, 3, 64, 257):
+            x = rng.normal(size=(n, sizes[0])) * 3
+            assert_matches_reference_bits(params, x, rng.normal(size=n))
+
+
+def test_forward_and_gradient_match_reference_bits_at_zero_pre_activations(rng):
+    """Small integers make many hidden pre-activations exactly 0.0; inputs
+    and biases hold -0.0 too.  A matmul's sums start from +0.0 here, so a
+    -0.0 pre-activation is checked on the ReLU mask identity directly."""
+    sizes = (3, 4, 3, 1)
+    weights = tuple(
+        rng.integers(-2, 3, size=(a, b)).astype(float) for a, b in zip(sizes, sizes[1:])
+    )
+    biases = tuple(
+        np.where(rng.integers(0, 2, size=b) > 0, -0.0, rng.integers(-2, 3, size=b))
+        for b in sizes[1:]
+    )
+    params = ModelParams(sizes, weights, biases)
+    x = rng.integers(-2, 3, size=(200, 3)).astype(float)
+    x[x == 0] = -0.0
+    pre, _ = reference_forward(params, x)
+    assert (pre[0] == 0.0).any() and (pre[1] == 0.0).any()
+    assert_matches_reference_bits(params, x, rng.integers(0, 5, size=200).astype(float))
+    z = np.array([-0.0, 0.0, np.nan, -1.0, 1e-300, 2.0])
+    assert np.array_equal(np.maximum(z, 0.0, out=z.copy()) > 0, z > 0)
+
+
+def test_forward_and_gradient_match_reference_bits_on_20000_rows(rng):
+    params = init_params((14, 64, 64, 1), 5)
+    x = rng.normal(size=(20_000, 14)) * 4
+    assert_matches_reference_bits(params, x, rng.normal(size=20_000) + 3)
+
+
+def test_forward_leaves_inputs_and_parameters_unwritten(rng):
+    params = init_params((4, 6, 1), 2)
+    x = rng.normal(size=(9, 4))
+    before = [a.copy() for a in (x, *params.weights, *params.biases)]
+    predict_batch(params, x)
+    batch_grad(params, TrainBatch(x, np.ones(9)))
+    after = (x, *params.weights, *params.biases)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+
+
 # --- loss ---------------------------------------------------------------------
 
 def test_loss_zero_when_predictions_match():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from joinopt.features import feature_dim
-from joinopt.model import ModelParams, init_params
+from joinopt.model import ModelParams, init_params, predict_batch
 from joinopt.plans import Join, JoinOp, Scan
 from joinopt.retention import (
     PlanBlock,
@@ -429,6 +429,74 @@ def test_block_longer_than_capacity(rng):
     buffer.extend(tail)
     want = hand_td(block_rows(chain)[3:] + block_rows(tail), value, gamma)
     assert td_error(buffer, model, gamma) == pytest.approx(want, rel=1e-12)
+
+
+def reference_td_error(buffer, model, gamma):
+    """The earlier scoring, kept as the reference: the ring's rows copied by
+    fancy index, then ``np.concatenate`` with ``kept``."""
+    rows = buffer.order()
+    values = -predict_batch(model, np.concatenate([buffer.state[rows], buffer.kept]))
+    parent = buffer.parent[rows]
+    live = parent >= 0
+    up = buffer.root[rows] + parent
+    at = np.where(up >= buffer.oldest, up - buffer.oldest, len(rows) + parent)
+    next_values = np.zeros(len(rows))
+    next_values[live] = values[at[live]]
+    reward = np.where(live, 0.0, -buffer.label[rows])
+    return reward + gamma * next_values - values[: len(rows)]
+
+
+def chain_block(rng, i, rows, dim):
+    """A plan of ``rows`` nested joins, each row enclosed by the one before."""
+    return PlanBlock(
+        f"q{i}", i // 4, float(rng.uniform(1.0, 1e4)), rng.normal(size=(rows, dim)),
+        np.arange(rows) - 1,
+    )
+
+
+def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
+    """Blocks of one to five rows fill a 50-row ring past its end again and
+    again; whenever the live rows span both ends of the ring and the oldest
+    plan is split, the TD errors equal the reference's by ``tobytes()``."""
+    dim, gamma = 6, 0.9
+    model = init_params((dim, 64, 64, 1), 4)
+    buffer = ReplayBuffer(50)
+    checked = 0
+    for i in range(120):
+        buffer.extend(chain_block(rng, i, int(rng.integers(1, 6)), dim))
+        if buffer.oldest % 50 and len(buffer.kept):
+            assert len(buffer) == 50
+            got = td_error(buffer, model, gamma)
+            assert got.tobytes() == reference_td_error(buffer, model, gamma).tobytes()
+            checked += 1
+    assert checked > 20
+
+
+def test_td_error_peak_memory_is_one_matrix_per_layer(rng):
+    """The tracemalloc peak of one ``td_error`` over a full 20 000-row ring
+    and a d-64-64-1 model.  By design the pass holds its input matrix (d
+    columns) and one activation array per hidden layer (64 + 64 columns) of
+    8-byte values for every scored row.  The allowance is eight vectors of
+    one 8-byte value per scored row: the output column and the O(rows)
+    bookkeeping (``order()``, parents, enclosing numbers, places in the
+    pass, next values, rewards, values)."""
+    import tracemalloc
+
+    dim = 14  # the bundled star6 catalog's feature width
+    model = init_params((dim, 64, 64, 1), 4)
+    buffer = ReplayBuffer(20_000)
+    for i in range(6_800):
+        buffer.extend(chain_block(rng, i, 3, dim))
+    assert len(buffer) == 20_000 and buffer.oldest % 20_000
+    scored = len(buffer) + len(buffer.kept)
+    bound = scored * (dim + 64 + 64) * 8 + 8 * scored * 8
+    tracemalloc.start()
+    try:
+        td_error(buffer, model, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, f"peak {peak / 1e6:.2f} MB > bound {bound / 1e6:.2f} MB"
 
 
 def test_fresh_batch_matches_uniform_hand_oracle(rng):
