@@ -24,7 +24,7 @@ import numpy as np
 from . import workload_gen
 from .metrics import wrl
 from .model import load_params, save_params
-from .retention import WeightingPolicy, dump_buffer, sample_replay
+from .retention import RetentionConfig, dump_buffer, sample_replay
 from .trainer import (
     NC,
     ConfigError,
@@ -74,7 +74,7 @@ _OVERRIDES = {
     ),
     "--weighting": (
         "retention", "weighting",
-        dict(choices=_flag_choices(WeightingPolicy.KINDS), help="replay weighting policy"),
+        dict(choices=_flag_choices(RetentionConfig.WEIGHTINGS), help="replay weighting policy"),
     ),
     "--policy": (
         "transfer", "forced_policy",
@@ -237,13 +237,7 @@ def _cmd_replay_report(args, cfg: RunConfig) -> int:
     result = run_training(cfg)
     buffer = result.buffer
     _, stats = sample_replay(
-        buffer,
-        result.params,
-        cfg.retention.policy(),
-        cfg.retention.k_replay,
-        cfg.retention.gamma,
-        cfg.retention.alpha_td,
-        derive_seed(result.base_seed, "report-replay"),
+        buffer, result.params, cfg.retention, derive_seed(result.base_seed, "report-replay")
     )
     counts = np.bincount(stats.sampled_indices, minlength=len(buffer))
     print(

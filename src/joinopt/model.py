@@ -5,8 +5,9 @@ Parameters and inputs are never written: every operation returns new arrays,
 and a forward pass writes only the arrays it allocated.
 Constructing them checks shapes only: ``check_finite`` scans the values, and
 runs when an SGD phase ends and when a checkpoint is loaded.  The
-network is trained on log1p-transformed latencies; ``latency_to_label`` and
-``label_to_latency`` convert between milliseconds and that label space.
+network is trained on log1p-transformed latencies; ``latency_to_label`` maps
+milliseconds into that label space.  ``predict_batch`` is the one forward
+pass callers use, over a matrix of feature rows.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "TrainBatch",
     "ModelError",
     "init_params",
-    "predict",
     "predict_batch",
     "batch_loss",
     "batch_grad",
@@ -31,13 +31,9 @@ __all__ = [
     "save_params",
     "load_params",
     "latency_to_label",
-    "label_to_latency",
 ]
 
 CHECKPOINT_FORMAT_VERSION = 1
-
-# Guards expm1 overflow on wildly wrong early-training predictions.
-_MAX_LABEL = 700.0
 
 
 class ModelError(ValueError):
@@ -49,11 +45,6 @@ def latency_to_label(latency_ms: float) -> float:
     if latency_ms < 0:
         raise ModelError("latency must be >= 0")
     return math.log1p(latency_ms)
-
-
-def label_to_latency(label: float) -> float:
-    """Inverse of latency_to_label, clipped to stay finite."""
-    return math.expm1(min(label, _MAX_LABEL))
 
 
 @dataclass(frozen=True)
@@ -147,17 +138,6 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
             f"expected features of shape [n, {params.input_dim}], got {features.shape}"
         )
     return _forward(params, features)[-1][:, 0]
-
-
-def predict(params: ModelParams, feature: np.ndarray) -> float:
-    """Deterministic forward pass on one feature vector."""
-    feature = np.asarray(feature, dtype=float)
-    if feature.shape != (params.input_dim,):
-        raise ModelError(
-            f"expected a feature vector of dimension {params.input_dim}, "
-            f"got shape {feature.shape}"
-        )
-    return float(predict_batch(params, feature[None, :])[0])
 
 
 def batch_loss(params: ModelParams, batch: TrainBatch) -> float:

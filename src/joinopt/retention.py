@@ -17,7 +17,9 @@ with a min-max-normalized TD-error magnitude
     delta_hat = (|delta|^a - min|delta|^a) / (max|delta|^a - min|delta|^a)
 
 under one of four weighting policies, each formula evaluated once over all
-buffered rows; weights are normalized to a probability distribution and the
+buffered rows.  ``RetentionConfig``, the run config's ``retention`` section,
+holds the policy and every other replay setting, and the sampling functions
+read it whole.  Weights are normalized to a probability distribution and the
 replay budget is drawn from the resulting multinomial, with replacement, as
 one training batch.  Priorities are recomputed from the current model at
 every call and never stored.  One forward pass scores every row, and
@@ -26,7 +28,7 @@ V(s_next) is the value of the row's enclosing join in that same pass.
 TD errors live in the model's label space: values are negated network
 outputs (the network predicts log1p latency, so higher output means worse)
 and the reward, nonzero only at a plan root, is the negated label
--log1p(latency).
+-log1p(latency).  ``dump_buffer`` reports that same reward.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .simulator import QueryContext, plan_infos
 __all__ = [
     "PlanBlock",
     "ReplayBuffer",
-    "WeightingPolicy",
+    "RetentionConfig",
     "ReplayStats",
     "RetentionError",
     "extract_experiences",
@@ -59,7 +61,8 @@ __all__ = [
 
 
 class RetentionError(ValueError):
-    """Raised for invalid extraction inputs or empty-buffer sampling."""
+    """Raised for invalid retention settings, invalid extraction inputs or
+    empty-buffer sampling."""
 
 
 @dataclass(frozen=True)
@@ -85,20 +88,36 @@ class PlanBlock:
 
 
 @dataclass(frozen=True)
-class WeightingPolicy:
-    """One of recency, td_low, td_high, or hybrid(beta_mix)."""
+class RetentionConfig:
+    """The ``retention`` section of a run config: whether the run replays
+    its buffer, the weighting policy (recency, td_low, td_high or
+    hybrid(beta_mix)), the TD error's exponent ``alpha_td`` and discount
+    ``gamma``, the replay budget and the buffer's capacity."""
 
-    kind: str
+    enabled: bool = True
+    weighting: str = "hybrid"
     beta_mix: float = 0.5
+    alpha_td: float = 1.0
+    gamma: float = 1.0
+    k_replay: int = 256
+    capacity: int = 20000
 
-    KINDS = ("recency", "td_low", "td_high", "hybrid")
+    WEIGHTINGS = ("recency", "td_low", "td_high", "hybrid")
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if not self.alpha_td > 0:
+            raise RetentionError("alpha_td must be > 0")
+        if not 0.0 <= self.gamma <= 1.0:
+            raise RetentionError("gamma must lie in [0, 1]")
+        if self.k_replay < 1:
+            raise RetentionError("k_replay must be >= 1")
+        if self.capacity < 1:
+            raise RetentionError("capacity must be >= 1")
+        if self.weighting not in self.WEIGHTINGS:
             raise RetentionError(
-                f"unknown weighting policy {self.kind!r}; expected one of {self.KINDS}"
+                f"unknown weighting policy {self.weighting!r}; expected one of {self.WEIGHTINGS}"
             )
-        if not (0.0 <= self.beta_mix <= 1.0):
+        if not 0.0 <= self.beta_mix <= 1.0:
             raise RetentionError("beta_mix must lie in [0, 1]")
 
 
@@ -265,16 +284,16 @@ def normalize_td(deltas, alpha_td: float) -> np.ndarray:
     return (powered - low) / (high - low)
 
 
-def experience_weight(norm_td, recency, policy: WeightingPolicy):
-    """Priority weight in [0, 1] under a policy, for one experience or
-    element-wise over arrays."""
-    if policy.kind == "recency":
+def experience_weight(norm_td, recency, cfg: RetentionConfig):
+    """Priority weight in [0, 1] under the config's weighting policy, for one
+    experience or element-wise over arrays."""
+    if cfg.weighting == "recency":
         return recency
-    if policy.kind == "td_high":
+    if cfg.weighting == "td_high":
         return norm_td
-    if policy.kind == "td_low":
+    if cfg.weighting == "td_low":
         return 1.0 - norm_td
-    return policy.beta_mix * norm_td + (1.0 - policy.beta_mix) * recency
+    return cfg.beta_mix * norm_td + (1.0 - cfg.beta_mix) * recency
 
 
 @dataclass(frozen=True)
@@ -295,52 +314,48 @@ class ReplayStats:
         return float(self.recency[self.sampled_indices].mean())
 
 
-def _priorities(buffer, model, policy, gamma, alpha_td):
-    norm = normalize_td(td_error(buffer, model, gamma), alpha_td)
+def _priorities(buffer, model, cfg):
+    norm = normalize_td(td_error(buffer, model, cfg.gamma), cfg.alpha_td)
     taus = buffer.stored_at[buffer.order()].astype(float)
     tau_current = taus.max()
     recency = recency_weight(taus, tau_current, max(1.0, tau_current - taus.min()))
-    return experience_weight(norm, recency, policy), norm, recency
+    return experience_weight(norm, recency, cfg), norm, recency
 
 
 def sample_replay(
     buffer: ReplayBuffer,
     model: ModelParams,
-    policy: WeightingPolicy,
-    k_replay: int,
-    gamma: float,
-    alpha_td: float,
+    cfg: RetentionConfig,
     rng_seed: int,
 ) -> tuple[TrainBatch, ReplayStats]:
-    """Draw ``k_replay`` experiences with replacement from the priority
-    multinomial.  Returns them as a training batch in draw order, the
-    recency feature slot of each row filled with the experience's recency
-    score, together with the call's statistics.  Falls back to uniform
-    sampling when every weight is zero."""
-    if k_replay < 1:
-        raise RetentionError("k_replay must be >= 1")
-    weights, norm, recency = _priorities(buffer, model, policy, gamma, alpha_td)
+    """Draw ``cfg.k_replay`` experiences with replacement from the priority
+    multinomial of the config's weighting policy.  Returns them as a
+    training batch in draw order, the recency feature slot of each row filled
+    with the experience's recency score, together with the call's
+    statistics.  Falls back to uniform sampling when every weight is zero."""
+    weights, norm, recency = _priorities(buffer, model, cfg)
     total = weights.sum()
     if total > 0:
         probabilities = weights / total
     else:
         probabilities = np.full(len(buffer), 1.0 / len(buffer))
     rng = np.random.default_rng(rng_seed)
-    indices = rng.choice(len(buffer), size=k_replay, replace=True, p=probabilities)
+    indices = rng.choice(len(buffer), size=cfg.k_replay, replace=True, p=probabilities)
     stats = ReplayStats(probabilities, norm, recency, indices)
     return buffer.batch(indices, recency[indices]), stats
 
 
 def dump_buffer(buffer: ReplayBuffer, path) -> None:
     """Debugging dump of buffer contents as JSON, oldest first; not a
-    stability contract."""
+    stability contract.  ``transition_reward`` is the reward ``td_error``
+    adds: -log1p(latency) at a plan root and 0 elsewhere."""
     order = buffer.order()
     rows = [
         {
             "query_id": buffer.query_id[row],
             "stored_at": int(buffer.stored_at[row]),
             "latency_ms": float(buffer.latency[row]),
-            "transition_reward": -float(buffer.latency[row]) if buffer.parent[row] < 0 else 0.0,
+            "transition_reward": -float(buffer.label[row]) if buffer.parent[row] < 0 else 0.0,
             "terminal": bool(buffer.parent[row] < 0),
             "state_features": buffer.state[row].tolist(),
         }

@@ -59,7 +59,7 @@ from .model import (
 from .plans import JOIN_OPS, Join, PlanNode
 from .retention import (
     ReplayBuffer,
-    WeightingPolicy,
+    RetentionConfig,
     extract_experiences,
     fresh_batch,
     sample_replay,
@@ -87,7 +87,6 @@ from .transfer import (
 __all__ = [
     "ConfigError",
     "ModelConfig",
-    "RetentionConfig",
     "TransferConfig",
     "SearchConfig",
     "RunConfig",
@@ -147,27 +146,6 @@ class ModelConfig:
         _require(self.learning_rate > 0, "learning_rate must be > 0")
         _require(self.minibatch >= 1, "minibatch must be >= 1")
         _require(self.train_passes >= 1, "train_passes must be >= 1")
-
-
-@dataclass(frozen=True)
-class RetentionConfig:
-    enabled: bool = True
-    weighting: str = "hybrid"  # recency | td_low | td_high | hybrid
-    beta_mix: float = 0.5
-    alpha_td: float = 1.0
-    gamma: float = 1.0
-    k_replay: int = 256
-    capacity: int = 20000
-
-    def __post_init__(self):
-        _require(self.alpha_td > 0, "alpha_td must be > 0")
-        _require(0.0 <= self.gamma <= 1.0, "gamma must lie in [0, 1]")
-        _require(self.k_replay >= 1, "k_replay must be >= 1")
-        _require(self.capacity >= 1, "capacity must be >= 1")
-        self.policy()  # validates the weighting name and beta_mix
-
-    def policy(self) -> WeightingPolicy:
-        return WeightingPolicy(self.weighting, self.beta_mix)
 
 
 @dataclass(frozen=True)
@@ -473,12 +451,6 @@ class RunHistory:
             for qid, trace in self.traces(split).items()
         }
 
-    def regression_count(self, split: str = "test") -> int:
-        """Plateau + Rebound count over the split."""
-        return sum(
-            1 for v in self.verdicts(split).values() if v.verdict is not Verdict.SUPERIOR
-        )
-
     def convergence(self) -> int | None:
         series = [
             (rec.iteration, sum(rec.test_latencies.values())) for rec in self.records
@@ -516,7 +488,6 @@ class RunResult(RunHistory):
     params: ModelParams
     expert_noiseless: dict[str, float]
     buffer: ReplayBuffer  # the replay buffer as training left it
-    taskset: TaskSet | None = None
 
 
 @dataclass(frozen=True)
@@ -619,9 +590,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     setup = prepare_run(cfg, seed)
     started = time.perf_counter()
     params = setup.params
-    taskset = None
     if cfg.transfer.enabled:
-        params, taskset = meta_initialize(cfg, setup.train, params, seed)
+        params, _ = meta_initialize(cfg, setup.train, params, seed)
 
     baselines = setup.baselines()
     expert_noiseless = {
@@ -631,7 +601,6 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     expert_test = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.test}
 
     buffer = ReplayBuffer(cfg.retention.capacity)
-    policy = cfg.retention.policy()
     records: list[IterationRecord] = []
     last_norm_td = math.nan
     last_recency = math.nan
@@ -673,13 +642,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
             buffer.extend(blocks[-1])
         if cfg.retention.enabled:
             batch, stats = sample_replay(
-                buffer,
-                params,
-                policy,
-                cfg.retention.k_replay,
-                cfg.retention.gamma,
-                cfg.retention.alpha_td,
-                derive_seed(seed, "replay", iteration),
+                buffer, params, cfg.retention, derive_seed(seed, "replay", iteration)
             )
             last_norm_td = stats.mean_sampled_norm_td
             last_recency = stats.mean_sampled_recency
@@ -706,7 +669,6 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         train_ids=tuple(c.query.id for c in setup.train),
         test_ids=tuple(c.query.id for c in setup.test),
         buffer=buffer,
-        taskset=taskset,
     )
 
 

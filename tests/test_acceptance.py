@@ -33,7 +33,7 @@ from joinopt.metrics import wrl
 from joinopt.retention import (
     PlanBlock,
     ReplayBuffer,
-    WeightingPolicy,
+    RetentionConfig,
     experience_weight,
     normalize_td,
     recency_weight,
@@ -41,7 +41,7 @@ from joinopt.retention import (
     td_error,
 )
 from joinopt.simulator import CostModelConfig, QueryContext, expert_plan
-from joinopt.trainer import load_run_config, run_training
+from joinopt.trainer import load_run_config, run_training, summary_table
 from joinopt.transfer import (
     davies_bouldin,
     halstead_complexity,
@@ -131,7 +131,7 @@ def test_criterion_1_formula_oracles():
     for _ in range(8):
         d, tau, beta = rng.uniform(), rng.uniform(), rng.uniform()
         want = beta * d + (1 - beta) * tau
-        got = experience_weight(d, tau, WeightingPolicy("hybrid", beta))
+        got = experience_weight(d, tau, RetentionConfig(weighting="hybrid", beta_mix=beta))
         ok &= rel_err(got, want) <= 1e-9
 
     # probability normalization: w_i / sum(w)
@@ -146,7 +146,10 @@ def test_criterion_1_formula_oracles():
             items.append(PlanBlock("q", int(rng.integers(0, 7)), 0.0, state, [-1]))
             buffer.extend(items[-1])
         _, stats = sample_replay(
-            buffer, model, WeightingPolicy("hybrid", 0.5), 4, 1.0, 1.0, trial
+            buffer,
+            model,
+            RetentionConfig(weighting="hybrid", beta_mix=0.5, k_replay=4, gamma=1.0, alpha_td=1.0),
+            trial,
         )
         # Terminal with r = 0 under the identity model: delta = -V(s) = s.
         deltas = np.array([e.features[0, 0] for e in items])
@@ -235,7 +238,10 @@ def test_criterion_2_sampling_fidelity():
     for s in (0.0, 1.0, 2.0, 3.0, 4.0):
         buffer.extend(PlanBlock("q", 0, 0.0, np.array([[s]]), [-1]))
     _, stats = sample_replay(
-        buffer, model, WeightingPolicy("td_high"), 100_000, 1.0, 1.0, 424242
+        buffer,
+        model,
+        RetentionConfig(weighting="td_high", k_replay=100_000, gamma=1.0, alpha_td=1.0),
+        424242,
     )
     expected = np.array([0.0, 0.1, 0.2, 0.3, 0.4]) / 0.1 / 10  # = (0,.1,.2,.3,.4)/1
     expected = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -385,14 +391,16 @@ def bundled_runs():
     return arms, timings
 
 
-def regressions(run):
-    return run.regression_count("train") + run.regression_count("test")
+def regressions(runs):
+    """Plateau + Rebound count over both splits, per run, as summary.csv
+    records it."""
+    return [row["regressions_total"] for row in summary_table(runs)[:-1]]
 
 
 def test_criterion_7_retention_robustness(bundled_runs):
     arms, timings = bundled_runs
-    hybrid = [regressions(r) for r in arms["hybrid"]]
-    noret = [regressions(r) for r in arms["no_retention"]]
+    hybrid = regressions(arms["hybrid"])
+    noret = regressions(arms["no_retention"])
     strict = sum(1 for h, n in zip(hybrid, noret) if h < n)
     med_h, med_n = statistics.median(hybrid), statistics.median(noret)
     print(f"  hybrid={hybrid} no_retention={noret} strict_wins={strict}")

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,22 @@ def test_replay_report(project):
     assert len(rows) - 1 == result.records[-1].buffer_size == len(result.buffer)
     assert [r[1] for r in rows[1:]] == list(result.buffer.query_id[result.buffer.order()])
     assert {int(r[2]) for r in rows[1:]} == {1, 2}
+
+
+def test_replay_report_reward_is_the_td_reward(project):
+    """buffer.json reports the reward td_error adds: -log1p(latency) at a
+    plan root, 0.0 at every other experience."""
+    tmp_path, config = project
+    out = tmp_path / "replay"
+    rc = main(["replay-report", "--config", str(config), "--iterations", "2", "--out", str(out)])
+    assert rc == 0
+    rows = json.loads((out / "buffer.json").read_text())["experiences"]
+    roots = [row for row in rows if row["terminal"]]
+    inner = [row for row in rows if not row["terminal"]]
+    assert roots and inner
+    for row in roots:
+        assert row["transition_reward"] == -math.log1p(row["latency_ms"])
+    assert {row["transition_reward"] for row in inner} == {0.0}
 
 
 def test_unknown_flag_rejected(project, capsys):

@@ -11,10 +11,7 @@ from joinopt.model import (
     batch_grad,
     batch_loss,
     init_params,
-    label_to_latency,
-    latency_to_label,
     load_params,
-    predict,
     predict_batch,
     save_params,
     sgd_step,
@@ -105,12 +102,12 @@ def test_predict_zero_params():
         (np.zeros(2), np.zeros(1)),
     )
     for x in (np.zeros(3), np.ones(3), np.array([5.0, -2.0, 0.1])):
-        assert predict(params, x) == 0.0
+        assert predict_batch(params, x[None, :])[0] == 0.0
 
 
 def test_predict_single_linear_layer():
     params = make_linear_model(2.5)
-    assert predict(params, np.array([3.0])) == pytest.approx(7.5)
+    assert predict_batch(params, np.array([[3.0]]))[0] == pytest.approx(7.5)
 
 
 def test_predict_matches_independent_oracle(rng):
@@ -118,20 +115,15 @@ def test_predict_matches_independent_oracle(rng):
         sizes = (int(rng.integers(2, 6)), int(rng.integers(2, 8)), 1)
         params = init_params(sizes, int(rng.integers(1000)))
         x = rng.normal(size=sizes[0])
-        assert predict(params, x) == pytest.approx(forward_oracle(params, x), rel=1e-12)
+        got = predict_batch(params, x[None, :])[0]
+        assert got == pytest.approx(forward_oracle(params, x), rel=1e-12)
 
 
-def test_predict_dimension_mismatch():
-    params = init_params((4, 1), 0)
-    with pytest.raises(ModelError, match="dimension 4"):
-        predict(params, np.zeros(3))
-
-
-def test_predict_batch_matches_predict(rng):
+def test_predict_batch_matches_one_row_passes(rng):
     params = init_params((5, 7, 1), 11)
     X = rng.normal(size=(6, 5))
     batched = predict_batch(params, X)
-    assert batched == pytest.approx([predict(params, row) for row in X])
+    assert batched == pytest.approx([predict_batch(params, row[None, :])[0] for row in X])
 
 
 # --- bit for bit against the earlier forward pass --------------------------------
@@ -391,9 +383,3 @@ def test_load_rejects_non_finite_checkpoint(tmp_path, layer, array, value):
     with pytest.raises(ModelError, match=f"^layer {layer}: non-finite parameter$"):
         load_params(path)
 
-
-def test_label_transform_round_trip():
-    for latency in (0.0, 0.5, 10.0, 1e6):
-        assert label_to_latency(latency_to_label(latency)) == pytest.approx(latency)
-    assert latency_to_label(0.0) == 0.0
-    assert math.isfinite(label_to_latency(1e9))

@@ -9,8 +9,8 @@ from joinopt.plans import Join, JoinOp, Scan
 from joinopt.retention import (
     PlanBlock,
     ReplayBuffer,
+    RetentionConfig,
     RetentionError,
-    WeightingPolicy,
     experience_weight,
     extract_experiences,
     fresh_batch,
@@ -228,29 +228,29 @@ def test_normalize_td_uses_magnitude_and_preserves_order(rng):
 # --- weighting policies ---------------------------------------------------------
 
 def test_experience_weight_hybrid():
-    policy = WeightingPolicy("hybrid", 0.5)
+    policy = RetentionConfig(weighting="hybrid", beta_mix=0.5)
     assert experience_weight(0.8, 0.4, policy) == pytest.approx(0.6)
 
 
 def test_hybrid_zero_equals_recency(rng):
-    hybrid0 = WeightingPolicy("hybrid", 0.0)
-    recency = WeightingPolicy("recency")
+    hybrid0 = RetentionConfig(weighting="hybrid", beta_mix=0.0)
+    recency = RetentionConfig(weighting="recency")
     for _ in range(20):
         d, t = rng.uniform(), rng.uniform()
         assert experience_weight(d, t, hybrid0) == experience_weight(d, t, recency)
 
 
 def test_td_low_inverts():
-    assert experience_weight(0.0, 0.3, WeightingPolicy("td_low")) == 1.0
-    assert experience_weight(1.0, 0.3, WeightingPolicy("td_low")) == 0.0
+    assert experience_weight(0.0, 0.3, RetentionConfig(weighting="td_low")) == 1.0
+    assert experience_weight(1.0, 0.3, RetentionConfig(weighting="td_low")) == 0.0
 
 
 def test_weight_range(rng):
     policies = [
-        WeightingPolicy("recency"),
-        WeightingPolicy("td_low"),
-        WeightingPolicy("td_high"),
-        WeightingPolicy("hybrid", 0.3),
+        RetentionConfig(weighting="recency"),
+        RetentionConfig(weighting="td_low"),
+        RetentionConfig(weighting="td_high"),
+        RetentionConfig(weighting="hybrid", beta_mix=0.3),
     ]
     for _ in range(50):
         d, t = rng.uniform(), rng.uniform()
@@ -267,19 +267,21 @@ def test_hybrid_extremes_match_pure_orderings(rng):
     """Hybrid(1) orders like TDErrorHigh; Hybrid(0) like RecencyOnly."""
     d = rng.uniform(size=40)
     t = rng.uniform(size=40)
-    h1 = [experience_weight(x, y, WeightingPolicy("hybrid", 1.0)) for x, y in zip(d, t)]
-    th = [experience_weight(x, y, WeightingPolicy("td_high")) for x, y in zip(d, t)]
+    hybrid1 = RetentionConfig(weighting="hybrid", beta_mix=1.0)
+    hybrid0 = RetentionConfig(weighting="hybrid", beta_mix=0.0)
+    h1 = [experience_weight(x, y, hybrid1) for x, y in zip(d, t)]
+    th = [experience_weight(x, y, RetentionConfig(weighting="td_high")) for x, y in zip(d, t)]
     assert np.array_equal(np.argsort(h1, kind="stable"), np.argsort(th, kind="stable"))
-    h0 = [experience_weight(x, y, WeightingPolicy("hybrid", 0.0)) for x, y in zip(d, t)]
-    rc = [experience_weight(x, y, WeightingPolicy("recency")) for x, y in zip(d, t)]
+    h0 = [experience_weight(x, y, hybrid0) for x, y in zip(d, t)]
+    rc = [experience_weight(x, y, RetentionConfig(weighting="recency")) for x, y in zip(d, t)]
     assert np.array_equal(np.argsort(h0, kind="stable"), np.argsort(rc, kind="stable"))
 
 
 def test_weighting_policy_validation():
     with pytest.raises(RetentionError):
-        WeightingPolicy("bogus")
+        RetentionConfig(weighting="bogus")
     with pytest.raises(RetentionError):
-        WeightingPolicy("hybrid", 1.5)
+        RetentionConfig(weighting="hybrid", beta_mix=1.5)
 
 
 # --- buffer ---------------------------------------------------------------------
@@ -366,9 +368,8 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
     span = max(1.0, taus.max() - taus.min())
     recency = 1.0 - (taus.max() - taus) / span
     weights = 0.25 * norm + 0.75 * recency
-    batch, stats = sample_replay(
-        buffer, model, WeightingPolicy("hybrid", 0.25), 40, gamma, 1.0, 5
-    )
+    cfg = RetentionConfig(weighting="hybrid", beta_mix=0.25, k_replay=40, gamma=gamma, alpha_td=1.0)
+    batch, stats = sample_replay(buffer, model, cfg, 5)
     assert stats.probabilities == pytest.approx(weights / weights.sum(), rel=1e-9)
     idx = stats.sampled_indices
     want_features = buffer.state[order[idx]].copy()
@@ -537,9 +538,8 @@ def test_sample_probabilities_from_weights():
     # All deltas equal -> norm 0.5 everywhere; recency: span 5, tau = 0,0,1
     # hybrid(0.5): w = [0.25, 0.25, 0.75]... use beta 1/3 to get [1,1,2]/norm?
     # Cleaner: recency-only gives w = [0, 0, 1] -> p = [0, 0, 1].
-    batch, stats = sample_replay(
-        buffer, model, WeightingPolicy("recency"), 5, 1.0, 1.0, 0
-    )
+    cfg = RetentionConfig(weighting="recency", k_replay=5, gamma=1.0, alpha_td=1.0)
+    batch, stats = sample_replay(buffer, model, cfg, 0)
     assert stats.probabilities == pytest.approx([0.0, 0.0, 1.0])
     assert len(batch) == 5
     assert buffer.stored_at[buffer.order()[stats.sampled_indices]].tolist() == [10] * 5
@@ -562,13 +562,11 @@ def test_sample_probability_normalization(rng):
                 iteration=int(rng.integers(0, 20)),
             )
         )
-    for policy in (
-        WeightingPolicy("recency"),
-        WeightingPolicy("td_low"),
-        WeightingPolicy("td_high"),
-        WeightingPolicy("hybrid", 0.5),
-    ):
-        _, stats = sample_replay(buffer, model, policy, 10, 1.0, 1.0, 1)
+    for weighting in ("recency", "td_low", "td_high", "hybrid"):
+        cfg = RetentionConfig(
+            weighting=weighting, beta_mix=0.5, k_replay=10, gamma=1.0, alpha_td=1.0
+        )
+        _, stats = sample_replay(buffer, model, cfg, 1)
         assert stats.probabilities.min() >= 0.0
         assert abs(stats.probabilities.sum() - 1.0) < 1e-12
 
@@ -586,9 +584,8 @@ def test_sample_multinomial_frequencies():
     # normalized 0, .5, .5, 1 -> p = 0, .25, .25, .5.
     for s in (0.0, 1.0, 1.0, 2.0):
         buffer.extend(make_block(s))
-    _, stats = sample_replay(
-        buffer, model, WeightingPolicy("td_high"), 100_000, 1.0, 1.0, 7
-    )
+    cfg = RetentionConfig(weighting="td_high", k_replay=100_000, gamma=1.0, alpha_td=1.0)
+    _, stats = sample_replay(buffer, model, cfg, 7)
     assert stats.probabilities == pytest.approx([0.0, 0.25, 0.25, 0.5])
     counts = np.bincount(stats.sampled_indices, minlength=4)
     assert counts[0] == 0
@@ -602,7 +599,8 @@ def test_sample_single_experience_repeats():
     model = identity_model()
     buffer = ReplayBuffer(10)
     buffer.extend(make_block(3.0, latency=42.0))
-    batch, stats = sample_replay(buffer, model, WeightingPolicy("hybrid"), 5, 1.0, 1.0, 0)
+    cfg = RetentionConfig(weighting="hybrid", k_replay=5, gamma=1.0, alpha_td=1.0)
+    batch, stats = sample_replay(buffer, model, cfg, 0)
     assert len(batch) == 5
     assert stats.sampled_indices.tolist() == [0] * 5
     assert buffer.latency[buffer.order()[stats.sampled_indices]].tolist() == [42.0] * 5
@@ -630,15 +628,14 @@ def test_sample_uniform_fallback_when_all_zero():
     buffer.extend(make_block(2.0, iteration=0))
     orig = r._priorities
 
-    def zero_priorities(buffer, model, policy, gamma, alpha_td):
-        w, n, t = orig(buffer, model, policy, gamma, alpha_td)
+    def zero_priorities(buffer, model, cfg):
+        w, n, t = orig(buffer, model, cfg)
         return np.zeros_like(w), n, t
 
     r._priorities = zero_priorities
     try:
-        _, stats = sample_replay(
-            buffer, model, WeightingPolicy("hybrid"), 1000, 1.0, 1.0, 3
-        )
+        cfg = RetentionConfig(weighting="hybrid", k_replay=1000, gamma=1.0, alpha_td=1.0)
+        _, stats = sample_replay(buffer, model, cfg, 3)
     finally:
         r._priorities = orig
     assert stats.probabilities == pytest.approx([0.5, 0.5])
@@ -651,8 +648,9 @@ def test_sample_deterministic_per_seed():
     buffer = ReplayBuffer(100)
     for i in range(20):
         buffer.extend(make_block(float(i), iteration=i))
-    a, stats_a = sample_replay(buffer, model, WeightingPolicy("hybrid"), 16, 1.0, 1.0, 99)
-    b, stats_b = sample_replay(buffer, model, WeightingPolicy("hybrid"), 16, 1.0, 1.0, 99)
+    cfg = RetentionConfig(weighting="hybrid", k_replay=16, gamma=1.0, alpha_td=1.0)
+    a, stats_a = sample_replay(buffer, model, cfg, 99)
+    b, stats_b = sample_replay(buffer, model, cfg, 99)
     assert np.array_equal(stats_a.sampled_indices, stats_b.sampled_indices)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
@@ -663,9 +661,8 @@ def test_sample_fills_recency_slot():
     buffer = ReplayBuffer(10)
     buffer.extend(make_block(1.0, iteration=0))
     buffer.extend(make_block(2.0, iteration=10))
-    batch, stats = sample_replay(
-        buffer, model, WeightingPolicy("hybrid"), 50, 1.0, 1.0, 0
-    )
+    cfg = RetentionConfig(weighting="hybrid", k_replay=50, gamma=1.0, alpha_td=1.0)
+    batch, stats = sample_replay(buffer, model, cfg, 0)
     stored_at = buffer.stored_at[buffer.order()[stats.sampled_indices]]
     for row, tau in zip(batch.features, stored_at):
         expected = 1.0 if tau == 10 else 0.0
@@ -676,4 +673,5 @@ def test_sample_fills_recency_slot():
 
 def test_sample_empty_buffer():
     with pytest.raises(RetentionError, match="empty"):
-        sample_replay(ReplayBuffer(5), identity_model(), WeightingPolicy("hybrid"), 1, 1.0, 1.0, 0)
+        cfg = RetentionConfig(weighting="hybrid", k_replay=1, gamma=1.0, alpha_td=1.0)
+        sample_replay(ReplayBuffer(5), identity_model(), cfg, 0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import load_catalog, load_workload
-from joinopt.model import ModelError, ModelParams, init_params, predict
+from joinopt.model import ModelError, ModelParams, init_params, predict_batch
 from joinopt import retention, simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
@@ -23,6 +23,7 @@ from joinopt.trainer import (
     derive_seed,
     evaluate_queries,
     load_run_config,
+    meta_initialize,
     plan_search,
     prepare_run,
     random_rollout,
@@ -197,7 +198,7 @@ def test_greedy_exhaustive_two_relation_picks_predict_minimum(pair_catalog, pair
         for op in JoinOp:
             node = Join(Scan(left), Scan(right), op)
             feats = fragment_rows(plan_infos(node, ctx)[-1:], ctx)[0]
-            candidates.append((predict(model, feats), node))
+            candidates.append((predict_batch(model, feats[None, :])[0], node))
     best = min(candidates, key=lambda pair: pair[0])[1]
     assert plan == best
 
@@ -401,8 +402,11 @@ def test_training_smoke_with_transfer(workload_dir):
         )
     )
     result = run_training(cfg)
-    assert result.taskset is not None
-    assert len(result.taskset.tasks) == 2
+    assert result.records[-1].iteration == cfg.iterations
+    # The run meta-initializes with this taskset; meta-train reports it.
+    setup = prepare_run(cfg, cfg.base_seed)
+    _, taskset = meta_initialize(cfg, setup.train, setup.params, cfg.base_seed)
+    assert len(taskset.tasks) == 2
 
 
 def test_forced_policy_is_used(workload_dir):
@@ -415,11 +419,12 @@ def test_forced_policy_is_used(workload_dir):
             },
         )
     )
-    result = run_training(cfg)
-    assert result.taskset.policy is PartitioningPolicy.OPERATOR_COUNT
+    setup = prepare_run(cfg, cfg.base_seed)
+    _, taskset = meta_initialize(cfg, setup.train, setup.params, cfg.base_seed)
+    assert taskset.policy is PartitioningPolicy.OPERATOR_COUNT
     # Not DBI-selected, but DBI-scored as partition selection scores it.
-    scored = transfer_module.score_all_policies(prepare_run(cfg, cfg.base_seed).train, 2)
-    assert result.taskset == next(
+    scored = transfer_module.score_all_policies(setup.train, 2)
+    assert taskset == next(
         ts for ts in scored if ts.policy is PartitioningPolicy.OPERATOR_COUNT
     )
 
