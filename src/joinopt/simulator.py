@@ -8,21 +8,21 @@ at 1% so latency stays positive.  The expert optimizer is an exhaustive
 dynamic program over connected relation subsets, minimizing this same cost
 model.  It visits each split of a connected set into two connected parts
 linked by a join edge once (DPccp enumeration), scores both child orders
-by all three operators, and breaks exact cost ties by the left then the
-right part's sorted relation names and then the operator rank, so results
-are reproducible.  Its work grows with the number of such splits: for n
-relations, (n^3 - n) / 6 for a chain, (n - 1) * 2^(n - 2) for a star and
-(3^n - 2^(n+1) + 1) / 2 for a clique, the worst case.
+by all three operators (one cost call per child order), and breaks exact
+cost ties by the left then the right part's sorted relation names, compared
+by mask, and then the operator rank, so results are reproducible.  Its work
+grows with the number of such splits: for n relations, (n^3 - n) / 6 for a
+chain, (n - 1) * 2^(n - 2) for a star and (3^n - 2^(n+1) + 1) / 2 for a
+clique, the worst case.
 
 A ``QueryContext`` compiles one (query, catalog, cost config) once.  Every
 relation set is a bitmask over the query's sorted relation names, and names
-are read back only for the DP's tie-break and for error messages.  The
-context holds the relation index and adjacency masks; on first use it
-compiles each relation's filtered rows, row width and scan summary (its
-``scans``, the start of every plan) and each join edge as a (two-bit mask,
-selectivity) pair; cardinalities and log sizes are products and sums over
-those, memoized by mask, and the expert plan is computed on first use and
-then kept.
+are read back only for error messages.  The context holds the relation
+index and adjacency masks; on first use it compiles each relation's
+filtered rows, row width and scan summary (its ``scans``, the start of
+every plan) and each join edge as a (two-bit mask, selectivity) pair;
+cardinalities and log sizes are products and sums over those, memoized by
+mask, and the expert plan is computed on first use and then kept.
 Each context registers itself in a weak registry keyed by the identities of
 its query and catalog and by its cost config, so ``query_context`` (and
 through it ``plan_search``, ``noiseless_latency`` and ``expert_plan``)
@@ -37,9 +37,12 @@ starting from the context's ``scans``; ``legal_pairs`` enumerates the
 fragment pairs it may join (each by any of the three operators), and
 ``join_fragments`` applies one join.
 ``join_columns`` summarizes every join of a list of fragment pairs as
-columns, without building a fragment per join, for scoring a whole search
-frontier at once; it and ``join_info`` compose a join's summary from its
-children's through one helper.
+columns, one summary per pair and ``join_cost_increments`` call for its
+three operators, without building a fragment per join, for scoring a whole
+search frontier at once; ``JoinColumns.joined`` then applies one of those
+joins from its summary alone.  ``join_columns`` and ``join_info`` compose a
+join's summary from its children's through one helper, and the cost model's
+join operators have one definition, ``join_cost_increments``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import Catalog, Query
-from .plans import JOIN_OP_RANK, JOIN_OPS, Join, JoinOp, PlanError, PlanNode, Scan
+from .plans import JOIN_OPS, Join, JoinOp, PlanError, PlanNode, Scan
 
 __all__ = [
     "CostModelConfig",
@@ -65,7 +68,7 @@ __all__ = [
     "FragmentInfo",
     "JoinColumns",
     "scan_cost",
-    "join_cost_increment",
+    "join_cost_increments",
     "join_info",
     "plan_infos",
     "legal_pairs",
@@ -131,27 +134,19 @@ def scan_cost(base_rows: float, cfg: CostModelConfig) -> float:
     return cfg.scan_cost_per_row * base_rows
 
 
-def join_cost_increment(
-    op: JoinOp,
-    left_rows: float,
-    right_rows: float,
-    out_rows: float,
-    cfg: CostModelConfig,
-) -> float:
-    """Cost added by one join node on top of its children's costs."""
-    if op is JoinOp.HASH:
-        return cfg.hash_build_cost_per_row * left_rows + cfg.cpu_cost_per_row * (
-            left_rows + right_rows + out_rows
-        )
-    if op is JoinOp.NESTED_LOOP:
-        return cfg.nlj_cost_per_row_pair * left_rows * right_rows
-    if op is JoinOp.MERGE:
-        sort = cfg.merge_sort_cost_per_row_log_row * (
-            left_rows * math.log2(1.0 + left_rows)
-            + right_rows * math.log2(1.0 + right_rows)
-        )
-        return sort + cfg.cpu_cost_per_row * out_rows
-    raise SimulatorError(f"unknown join operator {op!r}")
+def join_cost_increments(
+    left_rows: float, right_rows: float, out_rows: float, cfg: CostModelConfig
+) -> tuple[float, float, float]:
+    """Cost added by one join node on top of its children's costs, by each
+    operator in ``JOIN_OPS`` order: hash, merge, nested loop."""
+    hash_join = cfg.hash_build_cost_per_row * left_rows + cfg.cpu_cost_per_row * (
+        left_rows + right_rows + out_rows
+    )
+    sort = cfg.merge_sort_cost_per_row_log_row * (
+        left_rows * math.log2(1.0 + left_rows) + right_rows * math.log2(1.0 + right_rows)
+    )
+    nested_loop = cfg.nlj_cost_per_row_pair * left_rows * right_rows
+    return hash_join, sort + cfg.cpu_cost_per_row * out_rows, nested_loop
 
 
 class QueryContext:
@@ -325,21 +320,21 @@ class FragmentInfo:
 
 def _join_summaries(
     left: FragmentInfo, right: FragmentInfo, ctx: QueryContext
-) -> tuple[int, float, list[float], list[int], int]:
+) -> tuple[int, float, list[float], list[tuple[int, int, int]], int]:
     """The joins of ``left`` and ``right`` by each operator, in ``JOIN_OPS``
     order: their relation-set mask and rows, their costs, their operator
-    counts (three per join, flat) and their depth.  This is how a join's
-    summary composes from its children's."""
+    counts and their depth.  This is how a join's summary composes from its
+    children's."""
     mask = left.mask | right.mask
     rows = ctx.cardinality(mask)
     children = left.cost + right.cost
     costs = [
-        children + join_cost_increment(op, left.rows, right.rows, rows, ctx.cfg)
-        for op in JOIN_OPS
+        children + increment
+        for increment in join_cost_increments(left.rows, right.rows, rows, ctx.cfg)
     ]
     # Operator counts are in JOIN_OPS order; each join adds its own.
     h, m, n = map(operator.add, left.op_counts, right.op_counts)
-    counts = [h + 1, m, n, h, m + 1, n, h, m, n + 1]
+    counts = [(h + 1, m, n), (h, m + 1, n), (h, m, n + 1)]
     return mask, rows, costs, counts, 1 + max(left.depth, right.depth)
 
 
@@ -348,14 +343,7 @@ def join_info(
 ) -> FragmentInfo:
     mask, rows, costs, counts, depth = _join_summaries(left, right, ctx)
     k = JOIN_OPS.index(op)
-    return FragmentInfo(
-        node=Join(left.node, right.node, op),
-        mask=mask,
-        rows=rows,
-        cost=costs[k],
-        depth=depth,
-        op_counts=tuple(counts[3 * k : 3 * k + 3]),
-    )
+    return FragmentInfo(Join(left.node, right.node, op), mask, rows, costs[k], depth, counts[k])
 
 
 def plan_infos(plan: PlanNode, ctx: QueryContext) -> list[FragmentInfo]:
@@ -416,6 +404,17 @@ def legal_pairs(
     return pairs
 
 
+def _replace_pair(
+    fragments: tuple[FragmentInfo, ...], i: int, j: int, joined: FragmentInfo
+) -> tuple[FragmentInfo, ...]:
+    """The partial plan with fragments i and j replaced by their join, in
+    fragment order."""
+    rest = [f for k, f in enumerate(fragments) if k != i and k != j]
+    rest.append(joined)
+    rest.sort(key=_fragment_order)
+    return tuple(rest)
+
+
 def join_fragments(
     fragments: tuple[FragmentInfo, ...], i: int, j: int, op: JoinOp, ctx: QueryContext
 ) -> tuple[FragmentInfo, tuple[FragmentInfo, ...]]:
@@ -434,36 +433,58 @@ def join_fragments(
     if fragments[i].mask & fragments[j].mask:
         raise PlanError("fragments overlap: a table would appear twice in the join")
     joined = join_info(fragments[i], fragments[j], op, ctx)
-    rest = [f for k, f in enumerate(fragments) if k != i and k != j]
-    rest.append(joined)
-    rest.sort(key=_fragment_order)
-    return joined, tuple(rest)
+    return joined, _replace_pair(fragments, i, j, joined)
 
 
 class JoinColumns(NamedTuple):
     """Summaries of the joins of many fragment pairs as columns: what
     ``join_info`` would return for each join, less the plan nodes.  Each
-    pair gives one relation-set mask and depth and, for its three operators
-    in ``JOIN_OPS`` order, three rows of operator counts and costs."""
+    pair gives one relation-set mask, row estimate and depth and, for its
+    three operators in ``JOIN_OPS`` order, three operator counts and costs;
+    join ``k`` is pair ``k // 3`` by operator ``JOIN_OPS[k % 3]``."""
 
     masks: list[int]  # one per pair
+    rows: list[float]  # one per pair
     depths: list[int]  # one per pair
-    op_counts: np.ndarray  # [3 * pairs, 3]: hash, merge, nested loop
+    op_counts: list[tuple[int, int, int]]  # 3 * pairs: hash, merge, nested loop
     costs: list[float]  # 3 * pairs
+
+    def joined(
+        self,
+        fragments: tuple[FragmentInfo, ...],
+        k: int,
+        i: int,
+        j: int,
+    ) -> tuple[FragmentInfo, tuple[FragmentInfo, ...]]:
+        """``join_fragments`` for join ``k``, fragment i (left) with
+        fragment j (right) of its pair's partial plan, read from the
+        columns: the pair is taken to be legal, and nothing is recomputed."""
+        p = k // 3
+        left, right = fragments[i], fragments[j]
+        joined = FragmentInfo(
+            Join(left.node, right.node, JOIN_OPS[k % 3]),
+            self.masks[p],
+            self.rows[p],
+            self.costs[k],
+            self.depths[p],
+            self.op_counts[k],
+        )
+        return joined, _replace_pair(fragments, i, j, joined)
 
 
 def join_columns(
     pairs: list[tuple[FragmentInfo, FragmentInfo]], ctx: QueryContext
 ) -> JoinColumns:
     """The joins of each (left, right) fragment pair, by every operator."""
-    masks, depths, counts, costs = [], [], [], []
+    masks, rows, depths, counts, costs = [], [], [], [], []
     for left, right in pairs:
-        mask, _, op_costs, op_counts, depth = _join_summaries(left, right, ctx)
+        mask, pair_rows, op_costs, op_counts, depth = _join_summaries(left, right, ctx)
         masks.append(mask)
+        rows.append(pair_rows)
         depths.append(depth)
-        costs += op_costs
         counts += op_counts
-    return JoinColumns(masks, depths, np.array(counts, dtype=float).reshape(-1, 3), costs)
+        costs += op_costs
+    return JoinColumns(masks, rows, depths, counts, costs)
 
 
 def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:
@@ -540,6 +561,18 @@ def _connected_splits(ctx: QueryContext) -> dict[int, list[int]]:
     return splits
 
 
+def _names_before(a: int, b: int) -> bool:
+    """Whether mask ``a``'s sorted relation names come before mask ``b``'s,
+    as tuples, read from the bits: below the lowest bit of ``a ^ b`` the two
+    agree, and the set holding that bit comes first unless the other set
+    has no bit above it, and so is a prefix of it."""
+    low = (a ^ b) & -(a ^ b)
+    above = -(low << 1)  # every bit above ``low``
+    if a & low:
+        return bool(b & above)
+    return bool(low) and not a & above
+
+
 def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNode:
     """Cost-minimal cross-product-free bushy plan by exhaustive DP.
 
@@ -549,7 +582,8 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
     sets are solved in increasing size, so both parts are final before
     either is used.  Ties are broken by the lexicographically smallest
     (left, right) pair of sorted relation-name tuples, then by operator rank
-    Hash < Merge < NLJ; the name tuples are built only on an exact cost tie.
+    Hash < Merge < NLJ; the tuples are compared by their masks
+    (``_names_before``), so no name is read.
     These are the candidates and the key of a scan of every submask of every
     set, so the plan is that scan's, child order and operators included.
     The work grows with the number of splits, which a clique maximizes.
@@ -563,9 +597,6 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
         raise SimulatorError(
             f"query {query.id!r} joins {n} relations, above the DP limit {DEFAULT_DP_LIMIT}"
         )
-
-    def tie_key(left, right, op):
-        return ctx.names(left), ctx.names(right), JOIN_OP_RANK[op]
 
     # cost[mask] is the best plan's cost and choice[mask] its (left mask,
     # right mask, operator); only connected masks ever gain an entry.
@@ -585,13 +616,17 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
                 (part, other, part_rows, other_rows),
                 (other, part, other_rows, part_rows),
             ):
-                for op in JOIN_OPS:
-                    c = base + join_cost_increment(op, left_rows, right_rows, out_rows, cfg)
+                increments = join_cost_increments(left_rows, right_rows, out_rows, cfg)
+                for op, increment in zip(JOIN_OPS, increments):
+                    c = base + increment
+                    # A tie with the same left part is one with the same
+                    # right part and an operator of no lower rank, which
+                    # keeps the chosen one: JOIN_OPS is in rank order.
                     if (
                         chosen is None
                         or c < chosen_cost
                         or c == chosen_cost
-                        and tie_key(left, right, op) < tie_key(*chosen)
+                        and _names_before(left, chosen[0])
                     ):
                         chosen_cost, chosen = c, (left, right, op)
         cost[mask] = chosen_cost

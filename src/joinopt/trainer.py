@@ -273,10 +273,12 @@ def plan_search(
     degenerates to a uniform random legal rollout.
     Deterministic for a fixed seed.
 
-    Each step featurizes every successor of the beam (entry, then legal
-    pair, then operator) as one matrix from ``join_columns`` and scores it
-    with one ``predict_batch``; only the successors the beam keeps become
-    fragments.  The query's context is the caller's live one, if any.
+    Each step summarizes every legal (beam entry, left, right) pair once,
+    by all three operators, with ``join_columns``; featurizes those joins
+    (entry, then legal pair, then operator) as one matrix and scores it with
+    one ``predict_batch``; and builds fragments only for the successors the
+    beam keeps, from their pairs' summaries.  The query's context is the
+    caller's live one, if any.
     """
     ctx = query_context(query, catalog, cost_cfg)
     rng = np.random.default_rng(rng_seed) if epsilon > 0 else None
@@ -289,11 +291,14 @@ def plan_search(
             for i, j in legal_pairs(entry.infos, ctx, left_deep_only)
         ]
         columns = join_columns([(e.infos[i], e.infos[j]) for e, i, j in moves], ctx)
-        predicted = predict_batch(model, feature_matrix(ctx, *columns)).tolist()
+        masks = columns.masks
+        predicted = predict_batch(
+            model, feature_matrix(ctx, masks, columns.depths, columns.op_counts, columns.costs)
+        ).tolist()
 
         def successor(k: int) -> _BeamEntry:
             entry, i, j = moves[k // n_ops]
-            joined, infos = join_fragments(entry.infos, i, j, JOIN_OPS[k % n_ops], ctx)
+            joined, infos = columns.joined(entry.infos, k, i, j)
             labels = [(m, v) for m, v in entry.labels if not m & joined.mask]
             labels.append((joined.mask, predicted[k]))
             return _BeamEntry(infos, tuple(sorted(labels, key=lambda mv: mv[0] & -mv[0])))
@@ -302,20 +307,29 @@ def plan_search(
             beam = [successor(int(rng.integers(len(predicted))))]
             continue
         scores = []
-        for p, ((entry, _, _), mask) in enumerate(zip(moves, columns.masks)):
+        for p, ((entry, _, _), mask) in enumerate(zip(moves, masks)):
             # The successors' composite labels in fragment order: the
             # entry's untouched ones, with the join's at its lowest bit.
             low = mask & -mask
-            before = [v for m, v in entry.labels if not m & mask and m & -m < low]
-            after = [v for m, v in entry.labels if not m & mask and m & -m > low]
+            before, after = [], []
+            for m, v in entry.labels:
+                if not m & mask:
+                    (before if m & -m < low else after).append(v)
             for label in predicted[n_ops * p : n_ops * (p + 1)]:
                 ordered = before + [label] + after
                 scores.append(sum(ordered) / len(ordered))
+        # A pair's three joins share its partition, so only the best-scored
+        # of them can enter the beam.
         beam = []
         partitions = set()
+        visited = set()
         for k in sorted(range(len(scores)), key=scores.__getitem__):
-            entry, _, _ = moves[k // n_ops]
-            mask = columns.masks[k // n_ops]
+            p = k // n_ops
+            if p in visited:
+                continue
+            visited.add(p)
+            entry, _, _ = moves[p]
+            mask = masks[p]
             partition = frozenset(
                 [f.mask for f in entry.infos if not f.mask & mask] + [mask]
             )

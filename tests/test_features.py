@@ -161,8 +161,9 @@ def test_frontier_rows_equal_joined_fragment_rows(rng, default_cost, left_deep):
         state = ctx.scans
         while len(state) > 1:
             pairs = legal_pairs(state, ctx, left_deep)
+            columns = join_columns([(state[i], state[j]) for i, j in pairs], ctx)
             matrix = feature_matrix(
-                ctx, *join_columns([(state[i], state[j]) for i, j in pairs], ctx)
+                ctx, columns.masks, columns.depths, columns.op_counts, columns.costs
             )
             moves = [(i, j, op) for i, j in pairs for op in JOIN_OPS]
             assert matrix.shape == (len(JOIN_OPS) * len(pairs), feature_dim(catalog))

@@ -11,10 +11,15 @@ from joinopt.simulator import (
     CostModelConfig,
     QueryContext,
     SimulatorError,
+    _names_before,
     execute,
     expert_baseline,
     expert_plan,
-    join_cost_increment,
+    join_columns,
+    join_cost_increments,
+    join_fragments,
+    join_info,
+    legal_pairs,
     noiseless_latency,
     plan_infos,
     query_context,
@@ -75,8 +80,7 @@ def brute_force_min_cost(query, catalog, cfg):
     min is taken only at the end, over complete plans).  Costs compose as
     (left + right) + increment, matching QueryContext.cost's recursion bitwise;
     cardinalities are the test's own hand product."""
-    from joinopt.plans import JOIN_OPS
-    from joinopt.simulator import join_cost_increment, scan_cost
+    from joinopt.simulator import scan_cost
 
     rels = sorted(query.relations)
     n = len(rels)
@@ -110,8 +114,7 @@ def brute_force_min_cost(query, catalog, cfg):
                 and any(adjacency[i] & rest for i in range(n) if sub >> i & 1)
             ):
                 lrows, rrows, orows = cardinality(sub), cardinality(rest), cardinality(mask)
-                for op in JOIN_OPS:
-                    inc = join_cost_increment(op, lrows, rrows, orows, cfg)
+                for inc in join_cost_increments(lrows, rrows, orows, cfg):
                     for lc in costs[sub]:
                         for rc in costs[rest]:
                             out.append(lc + rc + inc)
@@ -147,10 +150,9 @@ def subset_dp_plan(query, catalog, cfg):
                 left_rows = ctx.cardinality(sub)
                 right_rows = ctx.cardinality(rest)
                 base = left[0] + right[0]
-                for op in JOIN_OPS:
-                    cost = base + join_cost_increment(
-                        op, left_rows, right_rows, out_rows, cfg
-                    )
+                increments = join_cost_increments(left_rows, right_rows, out_rows, cfg)
+                for op, increment in zip(JOIN_OPS, increments):
+                    cost = base + increment
                     key = (cost, ctx.names(sub), ctx.names(rest), JOIN_OP_RANK[op])
                     if chosen_key is None or key < chosen_key:
                         chosen_key = key
@@ -269,6 +271,38 @@ def test_nlj_and_merge_cost_formulas(pair_catalog, pair_query, unit_cost):
     assert QueryContext(pair_query, pair_catalog, unit_cost).cost(merge) == pytest.approx(expected)
 
 
+def test_join_cost_increments_equal_per_operator_formulas(rng):
+    """The three increments equal, bit for bit, each operator's formula
+    written out on its own, on random rows that include 0, 1 and values
+    above 1e12, under the default and random coefficients."""
+    rows = [0.0, 1.0, 2.5e12, 7.0e15, *(10 ** rng.uniform(-2, 14, size=12))]
+    configs = [CostModelConfig()] + [
+        CostModelConfig(
+            cpu_cost_per_row=float(rng.uniform(0, 2)),
+            hash_build_cost_per_row=float(rng.uniform(0, 2)),
+            nlj_cost_per_row_pair=float(rng.uniform(0, 0.01)),
+            merge_sort_cost_per_row_log_row=float(rng.uniform(0, 1)),
+        )
+        for _ in range(3)
+    ]
+    for cfg in configs:
+        for left in rows:
+            for right in rows:
+                for out in rows[:6]:
+                    hash_join = cfg.hash_build_cost_per_row * left + cfg.cpu_cost_per_row * (
+                        left + right + out
+                    )
+                    sort = cfg.merge_sort_cost_per_row_log_row * (
+                        left * math.log2(1.0 + left) + right * math.log2(1.0 + right)
+                    )
+                    merge = sort + cfg.cpu_cost_per_row * out
+                    nested_loop = cfg.nlj_cost_per_row_pair * left * right
+                    got = join_cost_increments(left, right, out, cfg)
+                    assert [x.hex() for x in got] == [
+                        hash_join.hex(), merge.hex(), nested_loop.hex()
+                    ]
+
+
 def test_plan_query_mismatch(chain3_catalog, chain3_query, unit_cost):
     partial = Join(Scan("a"), Scan("b"), JoinOp.HASH)
     with pytest.raises(SimulatorError, match="covers"):
@@ -296,6 +330,42 @@ def test_plan_cost_monotone_in_coefficients(rng):
                 assert QueryContext(query, catalog, doubled).cost(plan) >= QueryContext(
                     query, catalog, base
                 ).cost(plan)
+
+
+# --- search successors --------------------------------------------------------
+
+def fragment_fields(info):
+    """A fragment's fields, floats by their bits; its operator counts must
+    be a tuple of ints."""
+    assert type(info.op_counts) is tuple
+    assert all(type(count) is int for count in info.op_counts)
+    assert type(info.rows) is float and type(info.cost) is float
+    return info.node, info.mask, info.rows.hex(), info.cost.hex(), info.depth, info.op_counts
+
+
+@pytest.mark.parametrize("left_deep", [False, True])
+def test_successor_from_columns_equals_join_info(rng, default_cost, left_deep):
+    """On random partial plans of random tree queries (2-8 relations), the
+    successor that plan search reads from a step's columns equals, for every
+    legal pair and every operator, ``join_info`` of the pair field by field,
+    and its next partial plan is ``join_fragments``'s."""
+    checked = 0
+    for _ in range(16):
+        catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 9)))
+        ctx = QueryContext(query, catalog, default_cost)
+        state = ctx.scans
+        while len(state) > 1:
+            pairs = legal_pairs(state, ctx, left_deep)
+            columns = join_columns([(state[i], state[j]) for i, j in pairs], ctx)
+            moves = [(i, j, op) for i, j in pairs for op in JOIN_OPS]
+            for k, (i, j, op) in enumerate(moves):
+                joined, infos = columns.joined(state, k, i, j)
+                expected = join_info(state[i], state[j], op, ctx)
+                assert fragment_fields(joined) == fragment_fields(expected)
+                assert infos == join_fragments(state, i, j, op, ctx)[1]
+                checked += 1
+            _, state = join_fragments(state, *moves[int(rng.integers(len(moves)))], ctx)
+    assert checked > 200
 
 
 # --- execute -----------------------------------------------------------------
@@ -385,6 +455,19 @@ def test_expert_tie_break_deterministic(pair_catalog, pair_query):
     second = expert_plan(pair_query, pair_catalog, SCAN_ONLY_COST)
     assert first == second
     assert first == Join(Scan("r"), Scan("s"), JoinOp.HASH)
+
+
+def test_names_before_agrees_with_sorted_name_tuples(default_cost):
+    """For every pair of non-empty relation sets of a 6-relation query, the
+    mask comparison the DP breaks ties with agrees with comparing the sets'
+    sorted name tuples."""
+    names = ["a", "ab", "b", "ba", "c", "d"]
+    query = make_query("six", names, list(zip(names, names[1:])))
+    catalog = make_catalog([(name, 10, 8, 1.0) for name in names])
+    ctx = QueryContext(query, catalog, default_cost)
+    for a in range(1, ctx.full_mask + 1):
+        for b in range(1, ctx.full_mask + 1):
+            assert _names_before(a, b) == (ctx.names(a) < ctx.names(b)), (a, b)
 
 
 def test_expert_plan_equals_subset_dp(rng, default_cost):
