@@ -156,7 +156,7 @@ class QueryContext:
     mask's names come out sorted.  Construction reads only the query and
     registers the context for ``query_context``; the catalog is first read
     when the relations' statistics, join edges and ``scans`` are compiled,
-    on first use.  Cardinalities, log sizes, names and neighbour masks are
+    on first use.  Cardinalities, log sizes and neighbour masks are
     memoized per mask on first use, and ``expert()`` runs the DP once, on
     this context, and keeps its plan.
     """
@@ -173,7 +173,6 @@ class QueryContext:
             adjacency[a] |= self.bit[b]
             adjacency[b] |= self.bit[a]
         self.adjacency = tuple(adjacency[r] for r in self.relations)
-        self._names: dict[int, tuple[str, ...]] = {}
         self._card: dict[int, float] = {}
         self._log_size: dict[int, tuple[float, float]] = {}
         self._neighbors: dict[int, int] = {}
@@ -182,12 +181,7 @@ class QueryContext:
 
     def names(self, mask: int) -> tuple[str, ...]:
         """Sorted relation names of a mask."""
-        got = self._names.get(mask)
-        if got is None:
-            got = self._names[mask] = tuple(
-                r for i, r in enumerate(self.relations) if mask >> i & 1
-            )
-        return got
+        return tuple(r for i, r in enumerate(self.relations) if mask >> i & 1)
 
     @cached_property
     def _base_rows(self) -> tuple[float, ...]:
@@ -328,10 +322,8 @@ def _join_summaries(
     mask = left.mask | right.mask
     rows = ctx.cardinality(mask)
     children = left.cost + right.cost
-    costs = [
-        children + increment
-        for increment in join_cost_increments(left.rows, right.rows, rows, ctx.cfg)
-    ]
+    hash_join, merge, nested_loop = join_cost_increments(left.rows, right.rows, rows, ctx.cfg)
+    costs = [children + hash_join, children + merge, children + nested_loop]
     # Operator counts are in JOIN_OPS order; each join adds its own.
     h, m, n = map(operator.add, left.op_counts, right.op_counts)
     counts = [(h + 1, m, n), (h, m + 1, n), (h, m, n + 1)]

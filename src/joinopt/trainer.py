@@ -310,14 +310,17 @@ def plan_search(
         for p, ((entry, _, _), mask) in enumerate(zip(moves, masks)):
             # The successors' composite labels in fragment order: the
             # entry's untouched ones, with the join's at its lowest bit.
+            # With none untouched, a successor's mean is its join's label.
+            labels = predicted[n_ops * p : n_ops * (p + 1)]
             low = mask & -mask
             before, after = [], []
             for m, v in entry.labels:
                 if not m & mask:
                     (before if m & -m < low else after).append(v)
-            for label in predicted[n_ops * p : n_ops * (p + 1)]:
-                ordered = before + [label] + after
-                scores.append(sum(ordered) / len(ordered))
+            if before or after:
+                count = len(before) + 1 + len(after)
+                labels = [sum(before + [label] + after) / count for label in labels]
+            scores += labels
         # A pair's three joins share its partition, so only the best-scored
         # of them can enter the beam.
         beam = []

@@ -16,15 +16,16 @@ query and every pass's ``plan_repr``s.  The two checkouts run ``ROUNDS``
 times in alternating order: even rounds run the ``before`` side first.  The
 file, written to the current directory, records per workload each side's
 median and quartiles of the per-query time over every timed pass of every
-round, the ratio of the medians, and whether both checkouts returned equal
-plans in every round.  The script exits non-zero, after writing the file, if
-any plans differ.
+round, the ratio of the medians, each round's ratio of the two sides'
+medians, and whether both checkouts returned equal plans in every round.
+The script exits non-zero, after writing the file, if any plans differ.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,12 @@ def main(argv=None):
         for side in sides:
             entry[side] = _quartiles([ms for r in rounds for ms in r[side][name]["ms"]])
         entry["speedup"] = entry["before"]["median"] / entry["after"]["median"]
+        # Both sides of a round ran back to back, so a round's ratio is
+        # steadier than the pooled times on a machine whose speed drifts.
+        entry["round_speedups"] = [
+            statistics.median(r["before"][name]["ms"]) / statistics.median(r["after"][name]["ms"])
+            for r in rounds
+        ]
         entry["plans_equal"] = all(
             r["before"][name]["plans"] == r["after"][name]["plans"] for r in rounds
         )
