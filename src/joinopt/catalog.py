@@ -8,8 +8,9 @@ are part of this repo's contract and are validated on load.
 ``_build`` is the one JSON-document builder: run configs, catalogs and
 workloads all go through it, so one set of rules holds for every input file.
 Unknown keys are refused, each value's JSON type is checked against its
-dataclass field (an integer field takes only a JSON integer), and then the
-dataclass's own checks run.  Every failure is one error line naming the file,
+dataclass field (an integer field takes only a JSON integer, and a number
+field only a finite number, never NaN or Infinity), and then the dataclass's
+own checks run.  Every failure is one error line naming the file,
 the entry (``tables[3]``, ``queries[0]``) and the key.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
@@ -161,14 +163,6 @@ class Query:
         if self.predicate_count < 0:
             raise WorkloadError(f"query {self.id!r}: negative predicate_count")
 
-    def edges_between(self, left: Iterable[str], right: Iterable[str]) -> bool:
-        """True when at least one join edge runs between the two relation sets."""
-        left, right = set(left), set(right)
-        return any(
-            (a in left and b in right) or (a in right and b in left)
-            for a, b in self.join_edges
-        )
-
 
 def _connected(relations: Iterable[str], edges: frozenset[tuple[str, str]]) -> bool:
     rels = list(relations)
@@ -202,7 +196,10 @@ def _is_pair(value) -> bool:
 # The builder turns an accepted list into a tuple.
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": (
+        "a finite number",
+        lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
+    ),
     "bool": ("a boolean", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),

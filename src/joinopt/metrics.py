@@ -83,8 +83,6 @@ def classify_query(trace: QueryTrace, window_fraction: float = 0.1) -> Robustnes
 
     The terminal window spans the last ceil(window_fraction * n) evaluations.
     """
-    if not (0.0 < window_fraction <= 1.0):
-        raise MetricsError("window_fraction must lie in (0, 1]")
     if len(trace.points) < 2:
         raise MetricsError(f"trace for {trace.query_id!r} needs >= 2 evaluations")
     threshold = trace.baseline.mean_latency_ms + trace.baseline.tolerance_ms
@@ -118,8 +116,6 @@ def convergence_iteration(
     """First iteration whose aggregated test latency stays at or below
     expert_total + tolerance for ``sustain`` consecutive evaluations; None
     when the workload never converges."""
-    if sustain < 1:
-        raise MetricsError("sustain must be >= 1")
     threshold = expert_total + expert_total_tolerance
     ok = [lat <= threshold for _, lat in series]
     for i in range(len(ok) - sustain + 1):

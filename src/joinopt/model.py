@@ -167,12 +167,8 @@ def batch_grad(params: ModelParams, batch: TrainBatch) -> ModelParams:
 
 
 def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
-    """params - lr * grad, element-wise; inputs are left untouched."""
-    if params.layer_sizes != grad.layer_sizes:
-        raise ModelError(
-            f"gradient shape {grad.layer_sizes} does not match "
-            f"parameters {params.layer_sizes}"
-        )
+    """params - lr * grad, element-wise, for a ``grad`` from ``batch_grad``
+    of parameters of the same layer sizes; inputs are left untouched."""
     weights = tuple(w - lr * g for w, g in zip(params.weights, grad.weights))
     biases = tuple(b - lr * g for b, g in zip(params.biases, grad.biases))
     return ModelParams(params.layer_sizes, weights, biases)

@@ -2,9 +2,11 @@
 
 A plan is a binary tree of Scan leaves and Join nodes; every base table of
 the query appears in exactly one Scan (``simulator.plan_infos`` rejects a
-plan that scans a table twice).  The partial-plan MDP over these trees
-(states of disjoint fragments, joins of two fragments as actions) works on
-fragment summaries and lives in ``simulator``.
+plan that scans a table twice or a table outside the query).  ``JOIN_OPS``
+lists the operators in rank order, Hash < Merge < NLJ, which the expert
+DP's tie-break follows.  The partial-plan MDP over these trees (states of
+disjoint fragments, joins of two fragments as actions) works on fragment
+summaries and lives in ``simulator``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ __all__ = [
     "Scan",
     "Join",
     "PlanNode",
-    "PlanError",
     "plan_repr",
 ]
-
-
-class PlanError(ValueError):
-    """Raised for malformed plans or illegal joins of plan fragments."""
 
 
 class JoinOp(Enum):
@@ -33,8 +30,7 @@ class JoinOp(Enum):
     NESTED_LOOP = "nested_loop"
 
 
-# Deterministic tie-break order for the expert optimizer: Hash < Merge < NLJ.
-JOIN_OP_RANK = {JoinOp.HASH: 0, JoinOp.MERGE: 1, JoinOp.NESTED_LOOP: 2}
+# Every operator, in the expert optimizer's tie-break order: Hash < Merge < NLJ.
 JOIN_OPS = (JoinOp.HASH, JoinOp.MERGE, JoinOp.NESTED_LOOP)
 
 

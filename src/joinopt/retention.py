@@ -134,8 +134,6 @@ class ReplayBuffer:
     can score the enclosing joins of its live rows in the same pass."""
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise RetentionError("capacity must be >= 1")
         self.capacity = capacity
         self.oldest = self.end = 0  # numbers of the oldest row and of the next
         self.kept_from = 0
@@ -203,16 +201,13 @@ def extract_experiences(
     latency_ms: float,
     iteration: int,
 ) -> PlanBlock:
-    """The block of an executed terminal plan: one row per join node, in
-    pre-order (root first, then the left subtree, then the right), each
-    pointing at its smallest enclosing join."""
+    """The block of an executed terminal plan (``execute`` has checked that
+    it covers the query): one row per join node, in pre-order (root first,
+    then the left subtree, then the right), each pointing at its smallest
+    enclosing join."""
     if latency_ms <= 0:
         raise RetentionError("latency must be > 0")
     infos = plan_infos(plan, ctx)
-    if infos[-1].mask != ctx.full_mask:
-        raise RetentionError(
-            f"plan does not cover query {ctx.query.id!r}; cannot extract experiences"
-        )
     info_of = {id(info.node): info for info in infos}
     joins, parent, stack = [], [], [(infos[-1].node, -1)]
     while stack:  # pre-order: a join, then its left subtree, then its right
@@ -238,14 +233,9 @@ def fresh_batch(blocks: list[PlanBlock], k: int, rng: np.random.Generator) -> Tr
 
 
 def recency_weight(tau_e, tau_current, span):
-    """1 - age/span, the linear recency score in [0, 1]; ``tau_e`` may be an
-    array of storage iterations."""
-    if span <= 0:
-        raise RetentionError("normalization span must be > 0")
-    age = np.subtract(tau_current, tau_e)
-    if np.any(age < 0) or np.any(age > span):
-        raise RetentionError(f"ages {np.min(age)}..{np.max(age)} outside [0, {span}]")
-    return 1.0 - age / span
+    """1 - age/span, the linear recency score, in [0, 1] for ages in
+    [0, span]; ``tau_e`` may be an array of storage iterations."""
+    return 1.0 - np.subtract(tau_current, tau_e) / span
 
 
 def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarray:
@@ -272,11 +262,7 @@ def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarr
 
 def normalize_td(deltas, alpha_td: float) -> np.ndarray:
     """Min-max scaling of |delta|^alpha to [0, 1]; all-equal inputs map to 0.5."""
-    if alpha_td <= 0:
-        raise RetentionError("alpha_td must be > 0")
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.size == 0:
-        raise RetentionError("cannot normalize an empty TD-error list")
     powered = np.abs(deltas) ** alpha_td
     low, high = powered.min(), powered.max()
     if high - low <= 0:

@@ -34,15 +34,16 @@ summarizes every node of a plan tree, and plan cost, execution, experience
 extraction and meta-task features all read it.  A partial plan is a tuple of
 disjoint fragment summaries in fragment order (by lowest relation bit),
 starting from the context's ``scans``; ``legal_pairs`` enumerates the
-fragment pairs it may join (each by any of the three operators), and
-``join_fragments`` applies one join.
+fragment pairs it may join (each by any of the three operators).
 ``join_columns`` summarizes every join of a list of fragment pairs as
 columns, one summary per pair and ``join_cost_increments`` call for its
 three operators, without building a fragment per join, for scoring a whole
-search frontier at once; ``JoinColumns.joined`` then applies one of those
-joins from its summary alone.  ``join_columns`` and ``join_info`` compose a
-join's summary from its children's through one helper, and the cost model's
-join operators have one definition, ``join_cost_increments``.
+search frontier at once.  ``JoinColumns.joined`` is the one step of the
+partial-plan MDP: it applies one of those joins, from its summary alone.
+Plan search and random rollouts both step through it.  ``join_columns`` and
+``join_info`` compose a join's summary from its children's through one
+helper, and the cost model's join operators have one definition,
+``join_cost_increments``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import Catalog, Query
-from .plans import JOIN_OPS, Join, JoinOp, PlanError, PlanNode, Scan
+from .plans import JOIN_OPS, Join, JoinOp, PlanNode, Scan
 
 __all__ = [
     "CostModelConfig",
@@ -72,7 +73,6 @@ __all__ = [
     "join_info",
     "plan_infos",
     "legal_pairs",
-    "join_fragments",
     "join_columns",
     "execute",
     "noiseless_latency",
@@ -121,12 +121,6 @@ class ExpertBaseline:
     std_latency_ms: float
     tolerance_ms: float
     n_runs: int
-
-    def __post_init__(self):
-        if self.std_latency_ms < 0:
-            raise SimulatorError("std must be >= 0")
-        if self.n_runs < 2:
-            raise SimulatorError("baseline needs at least 2 runs")
 
 
 def scan_cost(base_rows: float, cfg: CostModelConfig) -> float:
@@ -407,27 +401,6 @@ def _replace_pair(
     return tuple(rest)
 
 
-def join_fragments(
-    fragments: tuple[FragmentInfo, ...], i: int, j: int, op: JoinOp, ctx: QueryContext
-) -> tuple[FragmentInfo, tuple[FragmentInfo, ...]]:
-    """Join fragment i (left) with fragment j (right); returns the join's
-    summary and the next partial plan, in fragment order.
-
-    Raises PlanError naming the violated precondition for out-of-range or
-    non-distinct indices and for fragments with overlapping relation sets.
-    """
-    n = len(fragments)
-    for idx in (i, j):
-        if not (0 <= idx < n):
-            raise PlanError(f"fragment index {idx} out of range for {n} fragments")
-    if i == j:
-        raise PlanError("fragment indices must be distinct")
-    if fragments[i].mask & fragments[j].mask:
-        raise PlanError("fragments overlap: a table would appear twice in the join")
-    joined = join_info(fragments[i], fragments[j], op, ctx)
-    return joined, _replace_pair(fragments, i, j, joined)
-
-
 class JoinColumns(NamedTuple):
     """Summaries of the joins of many fragment pairs as columns: what
     ``join_info`` would return for each join, less the plan nodes.  Each
@@ -448,9 +421,10 @@ class JoinColumns(NamedTuple):
         i: int,
         j: int,
     ) -> tuple[FragmentInfo, tuple[FragmentInfo, ...]]:
-        """``join_fragments`` for join ``k``, fragment i (left) with
-        fragment j (right) of its pair's partial plan, read from the
-        columns: the pair is taken to be legal, and nothing is recomputed."""
+        """Join ``k``, fragment i (left) with fragment j (right) of its
+        pair's partial plan, read from the columns: the join's summary and
+        the next partial plan, in fragment order.  The pair is one that
+        ``legal_pairs`` gave, and nothing is recomputed."""
         p = k // 3
         left, right = fragments[i], fragments[j]
         joined = FragmentInfo(
@@ -643,8 +617,6 @@ def expert_baseline(
     """Execute the context's expert plan ``n_runs`` times (seeds base_seed +
     i) and summarize latency variability; tolerance is twice the sample
     std."""
-    if n_runs < 2:
-        raise SimulatorError("expert baseline needs n_runs >= 2")
     cost = ctx.cost(ctx.expert())
     latencies = np.array(
         [_noisy_latency(cost, ctx.cfg, base_seed + i) for i in range(n_runs)]

@@ -71,7 +71,6 @@ from .simulator import (
     execute,
     expert_baseline,
     join_columns,
-    join_fragments,
     legal_pairs,
     plan_infos,
     query_context,
@@ -352,7 +351,9 @@ def random_rollout(ctx: QueryContext, rng: np.random.Generator) -> PlanNode:
         pairs = legal_pairs(fragments, ctx, False)
         k = int(rng.integers(len(JOIN_OPS) * len(pairs)))
         i, j = pairs[k // len(JOIN_OPS)]
-        _, fragments = join_fragments(fragments, i, j, JOIN_OPS[k % len(JOIN_OPS)], ctx)
+        _, fragments = join_columns([(fragments[i], fragments[j])], ctx).joined(
+            fragments, k % len(JOIN_OPS), i, j
+        )
     return fragments[0].node
 
 

@@ -44,7 +44,7 @@ DBI_EPSILON = 1e-9
 
 
 class TransferError(ValueError):
-    """Raised for invalid partitioning or meta-training inputs."""
+    """Raised when a workload has too few queries to fill its tasks."""
 
 
 class PartitioningPolicy(Enum):
@@ -68,9 +68,7 @@ def halstead_complexity(query: Query) -> float:
     """Token-count complexity: (n1/2) * (N/n2) * log2(n1 + n2), where n1/n2
     are distinct operator/operand counts and N is total operand occurrences."""
     eta1 = len(query.operator_tokens)
-    eta2 = len(query.operand_tokens)
-    if eta2 == 0:
-        raise TransferError(f"query {query.id!r}: empty operand bag")
+    eta2 = len(query.operand_tokens)  # never 0: ``Query`` refuses an empty bag
     total_operands = sum(query.operand_tokens.values())
     return (eta1 / 2.0) * (total_operands / eta2) * math.log2(eta1 + eta2)
 
@@ -83,9 +81,7 @@ def policy_score(ctx: QueryContext, policy: PartitioningPolicy) -> float:
         return float(sum(query.operator_tokens.values()))
     if policy is PartitioningPolicy.ESTIMATED_COST:
         return ctx.cost(ctx.expert())
-    if policy is PartitioningPolicy.ESTIMATED_ROWS:
-        return ctx.cardinality(ctx.full_mask)
-    raise TransferError(f"unknown partitioning policy {policy!r}")
+    return ctx.cardinality(ctx.full_mask)  # ESTIMATED_ROWS
 
 
 def partition_workload(
@@ -93,8 +89,6 @@ def partition_workload(
 ) -> TaskSet:
     """Sort by policy score (ties by query id) and chunk into k_tasks groups
     of floor(|W|/k) queries each; the remainder extends the last task."""
-    if k_tasks < 2:
-        raise TransferError("k_tasks must be >= 2")
     if len(workload) < k_tasks:
         raise TransferError(
             f"workload of {len(workload)} queries cannot fill {k_tasks} tasks"
@@ -133,13 +127,9 @@ def query_embeddings(workload: list[QueryContext]) -> dict[str, np.ndarray]:
 def davies_bouldin(tasks: TaskSet, embeddings: dict[str, np.ndarray]) -> float:
     """Mean over clusters of the worst (sigma_i + sigma_j) / dist(c_i, c_j)
     ratio, with the centroid distance floored at DBI_EPSILON."""
-    if len(tasks.tasks) < 2:
-        raise TransferError("DBI needs at least 2 tasks")
     centroids = []
     scatters = []
     for task in tasks.tasks:
-        if not task:
-            raise TransferError("DBI is undefined for an empty task")
         points = np.stack([embeddings[qid] for qid in task])
         center = points.mean(axis=0)
         centroids.append(center)
@@ -183,8 +173,6 @@ def maml_inner(
 ) -> ModelParams:
     """n_inner SGD steps on the batch's loss starting from params; the input
     params are untouched."""
-    if n_inner < 0:
-        raise TransferError("n_inner must be >= 0")
     adapted = params
     for _ in range(n_inner):
         adapted = sgd_step(adapted, batch_grad(adapted, batch), inner_lr)
@@ -206,10 +194,6 @@ def maml_outer(
     query batch, and applies one outer step on the gradients summed left to
     right (the adaptation Jacobian is treated as identity).  Support and
     query batches are drawn from each task's rows without replacement."""
-    if not tasks:
-        raise TransferError("maml_outer needs at least one task")
-    if n_outer < 1:
-        raise TransferError("n_outer must be >= 1")
     rng = np.random.default_rng(rng_seed)
 
     def sample(task: TrainBatch) -> TrainBatch:

@@ -1,4 +1,5 @@
 import copy
+import math
 
 import pytest
 
@@ -170,7 +171,11 @@ MALFORMED = [
         "catalog", ["selectivities", 0, "tables"], ["fact"],
         "selectivities[0]: 'tables' must be a pair of table names, got [\"fact\"]",
     ),
-    ("catalog", ["default_selectivity"], "x", "'default_selectivity' must be a number, got \"x\""),
+    ("catalog", ["default_selectivity"], "x", "'default_selectivity' must be a finite number, got \"x\""),
+    (
+        "catalog", ["tables", 0, "filter_selectivity"], math.nan,
+        "tables[0]: 'filter_selectivity' must be a finite number, got NaN",
+    ),
     ("catalog", ["tables", 0, "row_count"], 12.7, "tables[0]: 'row_count' must be an integer, got 12.7"),
     ("catalog", ["tables", 0, "row_count"], True, "tables[0]: 'row_count' must be an integer, got true"),
     (

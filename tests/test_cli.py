@@ -331,6 +331,14 @@ def test_malformed_catalog_single_line_error(project, capsys):
         ({"iterations": 1.5}, "iterations"),
         ({"window_fraction": 0}, "window_fraction"),
         ({"model": {"learning_rate": "0.1"}}, "learning_rate"),
+        (
+            {"cost_model": {"cpu_cost_per_row": math.nan}},
+            "bad.json: cost_model: 'cpu_cost_per_row' must be a finite number, got NaN",
+        ),
+        (
+            {"model": {"learning_rate": math.inf}},
+            "bad.json: model: 'learning_rate' must be a finite number, got Infinity",
+        ),
     ],
 )
 def test_train_bad_config_value_fails_before_work(project, capsys, overrides, key):

@@ -8,7 +8,6 @@ from joinopt.plans import JOIN_OPS, Join, JoinOp, Scan
 from joinopt.simulator import (
     QueryContext,
     join_columns,
-    join_fragments,
     join_info,
     legal_pairs,
     plan_infos,
@@ -48,8 +47,9 @@ def test_join_feature_values(ctx, chain3_catalog, chain3_query, default_cost):
 
 
 def test_incremental_info_matches_tree_walk(rng, default_cost):
-    """Search-path (incremental join_fragments) and walk-path (plan_infos)
-    must produce identical summaries and features for the same fragment."""
+    """Search-path (incremental JoinColumns.joined) and walk-path
+    (plan_infos) must produce identical summaries and features for the same
+    fragment."""
     for _ in range(10):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(3, 6)))
         ctx = QueryContext(query, catalog, default_cost)
@@ -58,8 +58,8 @@ def test_incremental_info_matches_tree_walk(rng, default_cost):
         while len(state) > 1:
             pairs = legal_pairs(state, ctx, False)
             i, j = pairs[int(rng.integers(len(pairs)))]
-            joined, state = join_fragments(
-                state, i, j, JOIN_OPS[int(rng.integers(len(JOIN_OPS)))], ctx
+            joined, state = join_columns([(state[i], state[j])], ctx).joined(
+                state, int(rng.integers(len(JOIN_OPS))), i, j
             )
             built[joined.mask] = joined
         walked = plan_infos(state[0].node, ctx)
@@ -151,7 +151,7 @@ def scalar_features(info, ctx):
 def test_frontier_rows_equal_joined_fragment_rows(rng, default_cost, left_deep):
     """Every row that plan search scores for a partial plan, built as one
     matrix from join_columns, equals bit for bit the one-slot-at-a-time
-    reference of the fragment that join_fragments builds for the same
+    reference of the fragment that join_info builds for the same
     (pair, operator), and that fragment's own row; the rows run over the
     legal pairs in order, each by the three operators in JOIN_OPS order."""
     checked = 0
@@ -168,9 +168,10 @@ def test_frontier_rows_equal_joined_fragment_rows(rng, default_cost, left_deep):
             moves = [(i, j, op) for i, j in pairs for op in JOIN_OPS]
             assert matrix.shape == (len(JOIN_OPS) * len(pairs), feature_dim(catalog))
             for row, (i, j, op) in zip(matrix, moves):
-                joined, _ = join_fragments(state, i, j, op, ctx)
+                joined = join_info(state[i], state[j], op, ctx)
                 assert np.array_equal(row, scalar_features(joined, ctx))
                 assert np.array_equal(row, fragment_rows([joined], ctx)[0])
                 checked += 1
-            _, state = join_fragments(state, *moves[int(rng.integers(len(moves)))], ctx)
+            k = int(rng.integers(len(moves)))
+            _, state = columns.joined(state, k, *moves[k][:2])
     assert checked > 200

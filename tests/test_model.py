@@ -314,15 +314,6 @@ def test_sgd_value_semantics():
         assert np.array_equal(w, snap)
 
 
-def test_sgd_shape_mismatch():
-    params = init_params((3, 4, 1), 0)
-    other = batch_grad(
-        init_params((2, 4, 1), 0), TrainBatch(np.ones((1, 2)), np.array([1.0]))
-    )
-    with pytest.raises(ModelError, match="does not match"):
-        sgd_step(params, other, lr=0.1)
-
-
 # --- checkpoint / labels --------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):

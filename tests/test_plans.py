@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from joinopt.plans import JOIN_OPS, Join, JoinOp, PlanError, Scan
+from joinopt.plans import JOIN_OPS, Join, JoinOp, Scan
 from joinopt.simulator import (
     CostModelConfig,
     QueryContext,
     SimulatorError,
-    join_fragments,
+    join_columns,
     join_info,
     legal_pairs,
     plan_infos,
@@ -68,9 +68,15 @@ def test_legal_actions_chain_excludes_cross_product(chain3):
     assert pairs == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
 
+def step(state, i, j, op, ctx):
+    """The join of fragments i and j by ``op`` and the next partial plan,
+    through ``JoinColumns.joined`` as plan search takes the step."""
+    return join_columns([(state[i], state[j])], ctx).joined(state, JOIN_OPS.index(op), i, j)
+
+
 def test_legal_actions_terminal_state(pair):
     state = pair.scans
-    _, terminal = join_fragments(state, *legal_pairs(state, pair, False)[0], JoinOp.HASH, pair)
+    _, terminal = step(state, *legal_pairs(state, pair, False)[0], JoinOp.HASH, pair)
     assert len(terminal) == 1
     assert legal_pairs(terminal, pair, False) == []
     assert legal_pairs(terminal, pair, True) == []
@@ -86,7 +92,7 @@ def test_apply_action_reduces_fragments(default_cost):
     ctx = QueryContext(query, catalog, default_cost)
     state = ctx.scans
     assert len(state) == 4
-    joined, nxt = join_fragments(state, *legal_pairs(state, ctx, False)[0], JoinOp.HASH, ctx)
+    joined, nxt = step(state, *legal_pairs(state, ctx, False)[0], JoinOp.HASH, ctx)
     assert len(nxt) == 3
     assert joined in nxt
     assert joined == join_info(state[0], state[1], JoinOp.HASH, ctx)
@@ -95,28 +101,10 @@ def test_apply_action_reduces_fragments(default_cost):
 def test_full_rollout_reaches_terminal(chain3, chain3_query):
     state = chain3.scans
     for _ in range(len(chain3_query.relations) - 1):
-        _, state = join_fragments(
-            state, *legal_pairs(state, chain3, False)[0], JoinOp.HASH, chain3
-        )
+        _, state = step(state, *legal_pairs(state, chain3, False)[0], JoinOp.HASH, chain3)
     assert len(state) == 1
     assert state[0].mask == chain3.full_mask
     assert plan_infos(state[0].node, chain3)[-1].mask == chain3.full_mask
-
-
-def test_apply_action_rejects_bad_indices(pair):
-    state = pair.scans
-    with pytest.raises(PlanError, match="distinct"):
-        join_fragments(state, 0, 0, JoinOp.HASH, pair)
-    with pytest.raises(PlanError, match="out of range"):
-        join_fragments(state, 0, 5, JoinOp.HASH, pair)
-
-
-def test_apply_action_rejects_overlapping_fragments(pair):
-    # A state violating the partition invariant can only be built by hand.
-    r, s = pair.scans
-    bad = (r, join_info(r, s, JoinOp.HASH, pair))
-    with pytest.raises(PlanError, match="overlap"):
-        join_fragments(bad, 0, 1, JoinOp.HASH, pair)
 
 
 def test_plan_infos_rejects_duplicate_table(pair):
@@ -129,7 +117,7 @@ def test_left_deep_restriction(chain3):
     state = chain3.scans
     first = legal_pairs(state, chain3, True)
     assert first == legal_pairs(state, chain3, False)  # no composite yet
-    _, state = join_fragments(state, *first[0], JoinOp.HASH, chain3)
+    _, state = step(state, *first[0], JoinOp.HASH, chain3)
     pairs = legal_pairs(state, chain3, True)
     composite = [i for i, f in enumerate(state) if isinstance(f.node, Join)]
     assert composite
@@ -159,12 +147,15 @@ def test_random_rollouts_preserve_invariants(n_rels, seed, left_deep):
         for i, j in pairs:
             left = ctx.names(plan_infos(state[i].node, ctx)[-1].mask)
             right = ctx.names(plan_infos(state[j].node, ctx)[-1].mask)
-            assert query.edges_between(left, right)
+            assert any(
+                (a in left and b in right) or (a in right and b in left)
+                for a, b in query.join_edges
+            )
             if left_deep:
                 assert isinstance(state[j].node, Scan)
         k = int(rng.integers(len(JOIN_OPS) * len(pairs)))
         i, j = pairs[k // len(JOIN_OPS)]
-        _, state = join_fragments(state, i, j, JOIN_OPS[k % len(JOIN_OPS)], ctx)
+        _, state = step(state, i, j, JOIN_OPS[k % len(JOIN_OPS)], ctx)
         steps += 1
         relsets = [frozenset(ctx.names(plan_infos(f.node, ctx)[-1].mask)) for f in state]
         union = frozenset().union(*relsets)

@@ -108,13 +108,6 @@ def test_extract_bushy_plan(star4, default_cost):
     assert block.features[2, merge_slot] == 1.0
 
 
-def test_extract_rejects_partial_plan(star4, default_cost):
-    catalog, query = star4
-    partial = Join(Scan("f"), Scan("d1"), JoinOp.HASH)
-    with pytest.raises(RetentionError, match="cover"):
-        extract_experiences(partial, QueryContext(query, catalog, default_cost), 10.0, 0)
-
-
 def test_extract_count_random_plans(rng, default_cost):
     from joinopt.simulator import QueryContext
     from joinopt.trainer import random_rollout
@@ -143,15 +136,6 @@ def test_recency_weight_monotone_in_age():
     assert all(0.0 <= w <= 1.0 for w in weights)
     # The array form gives the scalar results element-wise.
     assert recency_weight(10 - np.arange(11), 10, 10).tolist() == weights
-
-
-def test_recency_weight_rejects_bad_age():
-    with pytest.raises(RetentionError):
-        recency_weight(20, 10, 5)
-    with pytest.raises(RetentionError):
-        recency_weight(0, 10, 5)
-    with pytest.raises(RetentionError):
-        recency_weight(np.array([8.0, 4.0]), 10, 5)  # one age out of range
 
 
 # --- TD error -----------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import Catalog, edge_key, load_catalog, load_workload
-from joinopt.plans import JOIN_OP_RANK, JOIN_OPS, Join, JoinOp, Scan
+from joinopt.plans import JOIN_OPS, Join, JoinOp, Scan
 from joinopt.simulator import (
     DEFAULT_DP_LIMIT,
     CostModelConfig,
@@ -17,7 +17,6 @@ from joinopt.simulator import (
     expert_plan,
     join_columns,
     join_cost_increments,
-    join_fragments,
     join_info,
     legal_pairs,
     noiseless_latency,
@@ -49,7 +48,10 @@ def enumerate_plans(query):
         for mask in range(1, 2 ** n - 1):
             left = frozenset(r for i, r in enumerate(rels) if mask >> i & 1)
             right = relset - left
-            if not query.edges_between(left, right):
+            if not any(
+                (a in left and b in right) or (a in right and b in left)
+                for a, b in query.join_edges
+            ):
                 continue
             seen_splits.append((left, right))
         for left, right in seen_splits:
@@ -128,8 +130,9 @@ def subset_dp_plan(query, catalog, cfg):
     """The expert DP as a scan of every submask of every relation set: each
     submask that is solved, whose rest is solved and linked to it by an
     edge, is a left child, by each operator, under the key (cost, left
-    names, right names, operator rank).  The same candidates and key as
-    ``expert_plan``, so the same plan, reached without its pair
+    names, right names, operator rank), the rank being the operator's index
+    in ``JOIN_OPS``, which lists them in rank order.  The same candidates and
+    key as ``expert_plan``, so the same plan, reached without its pair
     enumeration."""
     ctx = query_context(query, catalog, cfg)
     best = {scan.mask: (scan.cost, scan.node) for scan in ctx.scans}
@@ -153,7 +156,7 @@ def subset_dp_plan(query, catalog, cfg):
                 increments = join_cost_increments(left_rows, right_rows, out_rows, cfg)
                 for op, increment in zip(JOIN_OPS, increments):
                     cost = base + increment
-                    key = (cost, ctx.names(sub), ctx.names(rest), JOIN_OP_RANK[op])
+                    key = (cost, ctx.names(sub), ctx.names(rest), JOIN_OPS.index(op))
                     if chosen_key is None or key < chosen_key:
                         chosen_key = key
                         chosen = (cost, Join(left[1], right[1], op))
@@ -348,7 +351,8 @@ def test_successor_from_columns_equals_join_info(rng, default_cost, left_deep):
     """On random partial plans of random tree queries (2-8 relations), the
     successor that plan search reads from a step's columns equals, for every
     legal pair and every operator, ``join_info`` of the pair field by field,
-    and its next partial plan is ``join_fragments``'s."""
+    and its next partial plan is the untouched fragments and the join,
+    ordered by lowest relation bit."""
     checked = 0
     for _ in range(16):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 9)))
@@ -362,9 +366,13 @@ def test_successor_from_columns_equals_join_info(rng, default_cost, left_deep):
                 joined, infos = columns.joined(state, k, i, j)
                 expected = join_info(state[i], state[j], op, ctx)
                 assert fragment_fields(joined) == fragment_fields(expected)
-                assert infos == join_fragments(state, i, j, op, ctx)[1]
+                untouched = [f for n, f in enumerate(state) if n not in (i, j)]
+                assert infos == tuple(
+                    sorted(untouched + [expected], key=lambda f: f.mask & -f.mask)
+                )
                 checked += 1
-            _, state = join_fragments(state, *moves[int(rng.integers(len(moves)))], ctx)
+            k = int(rng.integers(len(moves)))
+            _, state = columns.joined(state, k, *moves[k][:2])
     assert checked > 200
 
 
@@ -541,8 +549,3 @@ def test_baseline_tolerance_tracks_sigma(pair_catalog, pair_query):
     mean_ratio = float(np.mean(ratios))
     # E[sample std] of a normal with n=10 is ~0.9727 sigma.
     assert 0.08 <= mean_ratio <= 0.12
-
-
-def test_baseline_requires_two_runs(pair_catalog, pair_query, default_cost):
-    with pytest.raises(SimulatorError, match="n_runs"):
-        expert_baseline(QueryContext(pair_query, pair_catalog, default_cost), n_runs=1)

@@ -134,6 +134,32 @@ def test_load_config_validates_before_work(workload_dir):
         ({"retention": {"weighting": "recency", "beta_mix": 5.0}}, "retention: beta_mix"),
         ({"retention": {"weighting": "td_low", "beta_mix": -0.5}}, "retention: beta_mix"),
         ({"retention": {"weighting": "hybrid", "beta_mix": 5.0}}, "retention: beta_mix"),
+        # JSON's NaN and Infinity are floats, but no number field takes them.
+        (
+            {"cost_model": {"cpu_cost_per_row": math.nan}},
+            "cost_model: 'cpu_cost_per_row' must be a finite number, got NaN",
+        ),
+        (
+            {"cost_model": {"noise_rel_sigma": math.inf}},
+            "cost_model: 'noise_rel_sigma' must be a finite number, got Infinity",
+        ),
+        (
+            {"cost_model": {"latency_per_cost_unit": math.inf}},
+            "cost_model: 'latency_per_cost_unit' must be a finite number",
+        ),
+        (
+            {"model": {"learning_rate": math.inf}},
+            "model: 'learning_rate' must be a finite number",
+        ),
+        (
+            {"retention": {"alpha_td": math.nan}},
+            "retention: 'alpha_td' must be a finite number",
+        ),
+        (
+            {"transfer": {"inner_lr": -math.inf}},
+            "transfer: 'inner_lr' must be a finite number, got -Infinity",
+        ),
+        ({"baseline_runs": 1}, "baseline_runs"),
     ],
 )
 def test_load_config_rejects_bad_type_or_range(workload_dir, overrides, key):

@@ -5,28 +5,26 @@
 
 DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
 file names each side by its directory's name, so name the directories after
-their commits.  ``workload_gen.generate`` draws, for each shape (chain, star,
-snowflake) and size (6, 9 and 12 relations), a schema of that many tables
-and one query over all of them, once per seed in ``SEEDS``.  A subprocess per
-checkout, with that checkout's ``src`` first on the path, times
-``simulator.expert_plan`` on each query ``REPEATS`` times and prints the
-times and each plan's ``plan_repr``.  The two checkouts run ``ROUNDS`` times
-in alternating order: even rounds run the ``before`` side first.  The file,
-written to the current directory, records per cell each side's median and
-quartiles of the per-call times over every round, the ratio of the medians,
-and whether both checkouts returned equal plans in every round.  The script
-exits non-zero, after writing the file, if any plans differ.
+their commits.  ``workload_gen.generate`` draws, for each shape (chain,
+star, snowflake) and size (6, 9 and 12 relations), a schema of that many
+tables and one query over all of them, once per seed in ``SEEDS``.  A
+subprocess per checkout, with that checkout's ``src`` first on the path and
+one BLAS thread, times ``simulator.expert_plan`` on each query ``REPEATS``
+times and prints the times and each plan's ``plan_repr``.  The two checkouts
+run ``ROUNDS`` times in alternating order: even rounds run the ``before``
+side first (``bench_pairs.worker_rounds``).  The file, written to the
+current directory, records per cell each side's median and quartiles of the
+per-call times over every round, the ratio of the medians, and whether both
+checkouts returned equal plans in every round.  The script exits non-zero,
+after writing the file, if any plans differ.
 """
 
 import argparse
 import json
-import os
-import platform
-import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import _quartiles
+from bench_pairs import _quartiles, worker_rounds
 
 SHAPES = ("chain", "star", "snowflake")
 SIZES = (6, 9, 12)
@@ -67,18 +65,6 @@ print(json.dumps(out))
 """
 
 
-def run_side(checkout: Path) -> dict:
-    """One worker run in ``checkout``: per cell, its call times and plans."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", WORKER, json.dumps([SHAPES, SIZES, SEEDS, REPEATS])],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        sys.exit(f"{checkout}: worker exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", required=True, type=Path)
@@ -86,12 +72,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
-    rounds = []
-    for index in range(ROUNDS):
-        order = ("before", "after") if index % 2 == 0 else ("after", "before")
-        result = {side: run_side(sides[side]) for side in order}
-        rounds.append(result)
-        print(f"round {index} done", file=sys.stderr)
+    header, rounds = worker_rounds(sides, WORKER, [SHAPES, SIZES, SEEDS, REPEATS], ROUNDS)
 
     cells = {}
     for name in rounds[0]["before"]:
@@ -107,10 +88,7 @@ def main(argv=None):
     doc = {
         "label": "dp_shapes",
         "command": "simulator.expert_plan(query, catalog, CostModelConfig())",
-        "checkouts": {side: path.name for side, path in sides.items()},
-        "host": platform.node(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
+        **header,
         "seeds": list(SEEDS),
         "repeats": REPEATS,
         "rounds": ROUNDS,

@@ -17,6 +17,10 @@ host, ``nproc``, Python, numpy and BLAS; per end-to-end metric each side's
 median and quartiles and the number of pairs the ``after`` side won (lower
 is better for every end-to-end metric; ties count for neither side); and per
 traced metric each side's median and quartiles.
+
+``tools/bench_dp.py`` and ``tools/bench_search.py`` time one layer in
+process instead; both run their worker in the two checkouts through
+``worker_rounds`` and summarize its times with ``_quartiles``.
 """
 
 import argparse
@@ -71,6 +75,40 @@ def _quartiles(values: list[float]) -> dict:
         return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def worker_rounds(sides: dict, worker: str, arg, rounds: int) -> tuple[dict, list[dict]]:
+    """Run the Python source ``worker`` once per checkout in each of
+    ``rounds`` rounds, in alternating order: even rounds run the ``before``
+    side first.  Each run is a subprocess in its checkout, with that
+    checkout's ``src`` first on the path and one BLAS thread, given ``arg``
+    as a JSON argument; it prints one JSON object.  Returns the record's
+    header (the checkouts' directory names, host, ``nproc`` and Python) and
+    each round's objects by side.  A failing run exits with its checkout and
+    stderr."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    results = []
+    for index in range(rounds):
+        order = ("before", "after") if index % 2 == 0 else ("after", "before")
+        result = {}
+        for side in order:
+            proc = subprocess.run(
+                [sys.executable, "-c", worker, json.dumps(arg)],
+                cwd=sides[side], env=dict(env, PYTHONPATH=str(sides[side] / "src")),
+                capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                sys.exit(f"{sides[side]}: worker exited {proc.returncode}\n{proc.stderr}")
+            result[side] = json.loads(proc.stdout)
+        results.append(result)
+        print(f"round {index} done", file=sys.stderr)
+    header = {
+        "checkouts": {side: path.name for side, path in sides.items()},
+        "host": platform.node(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+    }
+    return header, results
 
 
 def run_pairs(sides: dict, workload: str, count: int, trace: int) -> list[dict]:

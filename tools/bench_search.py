@@ -5,32 +5,30 @@
 
 DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
 file names each side by its directory's name, so name the directories after
-their commits.  A subprocess per checkout, with that checkout's ``src`` first
-on the path and one BLAS thread, loads each of the ``CONFIGS`` with
+their commits.  A subprocess per checkout, with that checkout's ``src``
+first on the path and one BLAS thread, loads each of the ``CONFIGS`` with
 ``trainer.prepare_run(cfg, SEED)``, so it holds every train and test query's
 compiled context as ``run_training`` does and its model is
 ``init_params(..., derive_seed(SEED, "init"))``.  It makes one untimed pass
 of greedy ``trainer.plan_search`` (epsilon 0) over all of a workload's
 queries, then ``PASSES`` timed passes, and prints each timed pass's time per
 query and every pass's ``plan_repr``s.  The two checkouts run ``ROUNDS``
-times in alternating order: even rounds run the ``before`` side first.  The
-file, written to the current directory, records per workload each side's
-median and quartiles of the per-query time over every timed pass of every
-round, the ratio of the medians, each round's ratio of the two sides'
-medians, and whether both checkouts returned equal plans in every round.
-The script exits non-zero, after writing the file, if any plans differ.
+times in alternating order: even rounds run the ``before`` side first
+(``bench_pairs.worker_rounds``).  The file, written to the current
+directory, records per workload each side's median and quartiles of the
+per-query time over every timed pass of every round, the ratio of the
+medians, each round's ratio of the two sides' medians, and whether both
+checkouts returned equal plans in every round.  The script exits non-zero,
+after writing the file, if any plans differ.
 """
 
 import argparse
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 from pathlib import Path
 
-from bench_pairs import _quartiles
+from bench_pairs import _quartiles, worker_rounds
 
 CONFIGS = {
     "star6": "data/star6/experiment.json",
@@ -76,20 +74,6 @@ print(json.dumps(out))
 """
 
 
-def run_side(checkout: Path) -> dict:
-    """One worker run in ``checkout``: per workload, its pass times and plans."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    proc = subprocess.run(
-        [sys.executable, "-c", WORKER, json.dumps([CONFIGS, SEED, PASSES])],
-        cwd=checkout, env=env, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        sys.exit(f"{checkout}: worker exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", required=True, type=Path)
@@ -97,12 +81,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
-    rounds = []
-    for index in range(ROUNDS):
-        order = ("before", "after") if index % 2 == 0 else ("after", "before")
-        result = {side: run_side(sides[side]) for side in order}
-        rounds.append(result)
-        print(f"round {index} done", file=sys.stderr)
+    header, rounds = worker_rounds(sides, WORKER, [CONFIGS, SEED, PASSES], ROUNDS)
 
     workloads = {}
     for name in CONFIGS:
@@ -124,10 +103,7 @@ def main(argv=None):
         "label": "search",
         "command": "trainer.plan_search(..., epsilon=0.0) over each workload's "
         "train and test queries, per query",
-        "checkouts": {side: path.name for side, path in sides.items()},
-        "host": platform.node(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
+        **header,
         "seed": SEED,
         "passes": PASSES,
         "rounds": ROUNDS,
