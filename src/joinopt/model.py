@@ -1,20 +1,29 @@
 """Small feed-forward value network with analytic backpropagation.
 
 ReLU hidden layers, linear scalar output, mean-squared-error loss, plain SGD.
-Parameters and inputs are never written: every operation returns new arrays,
-and a forward pass writes only the arrays it allocated.
-Constructing them checks shapes only: ``check_finite`` scans the values, and
-runs when an SGD phase ends and when a checkpoint is loaded.  The
-network is trained on log1p-transformed latencies; ``latency_to_label`` maps
-milliseconds into that label space.  ``predict_batch`` is the one forward
-pass callers use, over a matrix of feature rows.
+A ``ModelParams`` holds every layer's weights and bias in one float64
+vector, ``vector`` (w0, b0, w1, b1, ...), with ``weights`` and ``biases`` as
+views of it, so an SGD step is one array operation over the vector.  A
+``ModelParams`` value is never written once it is returned, and inputs are
+never written: ``sgd_step`` and ``batch_grad`` return new values, and a
+forward pass writes only the arrays it allocated.  The one routine that
+writes parameters in place is ``transfer``'s MAML kernel, and only into the
+working vectors it allocates: the adapted parameters, the gradient, the sum
+of task gradients, scratch and the outer parameters, a copy of its input.
+``backprop`` writes a gradient into given layer arrays; ``batch_grad`` and
+that kernel both use it.
+Constructing parameters checks shapes only: ``check_finite`` scans the
+values, and runs when an SGD phase ends and when a checkpoint is loaded.
+The network is trained on log1p-transformed latencies; ``latency_to_label``
+maps milliseconds into that label space.  ``predict_batch`` is the one
+forward pass callers use, over a matrix of feature rows.
 """
 
 from __future__ import annotations
 
 import math
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +35,8 @@ __all__ = [
     "predict_batch",
     "batch_loss",
     "batch_grad",
+    "backprop",
+    "layer_views",
     "sgd_step",
     "check_finite",
     "save_params",
@@ -41,20 +52,40 @@ class ModelError(ValueError):
 
 
 def latency_to_label(latency_ms: float) -> float:
-    """Map a nonnegative latency to the network's compressed label space."""
-    if latency_ms < 0:
-        raise ModelError("latency must be >= 0")
+    """Map a nonnegative latency to the network's compressed label space.
+    Both callers pass latencies checked where they entered the program."""
     return math.log1p(latency_ms)
+
+
+def layer_views(
+    layer_sizes: tuple[int, ...], vector: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """The weight matrices ([fan_in, fan_out]) and bias vectors of a network
+    of ``layer_sizes``, as views of ``vector`` laid out w0, b0, w1, b1, ...;
+    raises ModelError if ``vector`` is not exactly that long."""
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        stop = start + fan_in * fan_out
+        weights.append(vector[start:stop].reshape(fan_in, fan_out))
+        biases.append(vector[stop : stop + fan_out])
+        start = stop + fan_out
+    if vector.shape != (start,):
+        raise ModelError(f"parameter vector of shape {vector.shape} != {(start,)}")
+    return tuple(weights), tuple(biases)
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Layer sizes plus per-layer weight matrices ([fan_in, fan_out]) and
-    bias vectors.  Also reused as the container for gradients."""
+    bias vectors, held as views of one float64 ``vector``.  Constructing one
+    from arrays copies them into a new vector; ``from_vector`` wraps a
+    vector without copying.  Also reused as the container for gradients."""
 
     layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -73,6 +104,25 @@ class ModelParams:
                 )
             if b.shape != (sizes[i + 1],):
                 raise ModelError(f"layer {i}: bias shape {b.shape} != {(sizes[i + 1],)}")
+        arrays = [a.ravel() for layer in zip(self.weights, self.biases) for a in layer]
+        vector = np.concatenate(arrays, dtype=float)
+        weights, biases = layer_views(sizes, vector)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "biases", biases)
+        object.__setattr__(self, "vector", vector)
+
+    @classmethod
+    def from_vector(cls, layer_sizes: tuple[int, ...], vector: np.ndarray) -> "ModelParams":
+        """Parameters of the same ``layer_sizes`` as an existing value, whose
+        layers are views of ``vector``.  The vector is not copied: the caller
+        hands it over and writes it no more."""
+        params = object.__new__(cls)
+        weights, biases = layer_views(layer_sizes, vector)
+        object.__setattr__(params, "layer_sizes", layer_sizes)
+        object.__setattr__(params, "weights", weights)
+        object.__setattr__(params, "biases", biases)
+        object.__setattr__(params, "vector", vector)
+        return params
 
     @property
     def input_dim(self) -> int:
@@ -115,13 +165,13 @@ def init_params(layer_sizes: tuple[int, ...], rng_seed: int) -> ModelParams:
     return ModelParams(sizes, tuple(weights), tuple(biases))
 
 
-def _forward(params: ModelParams, x: np.ndarray) -> list[np.ndarray]:
+def _forward(weights, biases, x: np.ndarray) -> list[np.ndarray]:
     """The activations of every layer, ``x`` first.  Each layer makes one
     new array, ``a @ w``, and adds the bias and applies the ReLU to it in
     place."""
     activations = [x]
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
         a = activations[-1] @ w
         a += b
         if i < last:
@@ -137,7 +187,7 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
         raise ModelError(
             f"expected features of shape [n, {params.input_dim}], got {features.shape}"
         )
-    return _forward(params, features)[-1][:, 0]
+    return _forward(params.weights, params.biases, features)[-1][:, 0]
 
 
 def batch_loss(params: ModelParams, batch: TrainBatch) -> float:
@@ -147,31 +197,47 @@ def batch_loss(params: ModelParams, batch: TrainBatch) -> float:
     return float(np.mean(diff * diff))
 
 
-def batch_grad(params: ModelParams, batch: TrainBatch) -> ModelParams:
-    """Analytic gradient of batch_loss, shaped like the parameters."""
-    n = len(batch)
-    activations = _forward(params, batch.features)
-    preds = activations[-1][:, 0]
+def backprop(weights, biases, features, labels, grad_weights, grad_biases) -> None:
+    """Write the analytic gradient of the mean squared error of the network
+    (``weights``, ``biases``) on the rows ``features`` against ``labels``
+    into the arrays ``grad_weights`` and ``grad_biases``, shaped like the
+    layers.  The inputs are checked by the caller and not written."""
+    activations = _forward(weights, biases, features)
     # d(mean (pred - y)^2)/d pred = 2 (pred - y) / n
-    delta = (2.0 / n) * (preds - batch.labels)[:, None]
-    grads_w = [None] * len(params.weights)
-    grads_b = [None] * len(params.biases)
-    for layer in range(len(params.weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+    delta = (2.0 / features.shape[0]) * (activations[-1][:, 0] - labels)[:, None]
+    last = len(weights) - 1
+    for layer in range(last, -1, -1):
+        np.matmul(activations[layer].T, delta, out=grad_weights[layer])
+        np.add.reduce(delta, axis=0, out=grad_biases[layer])
         if layer > 0:
+            if layer == last:
+                # One output unit: each element of delta @ w.T is a single
+                # product, so the broadcast product gives the same values.
+                delta = delta * weights[layer][:, 0]
+            else:
+                delta = delta @ weights[layer].T
             # relu(z) > 0 exactly where z > 0, so the layer's own output
             # gives the ReLU mask.
-            delta = (delta @ params.weights[layer].T) * (activations[layer] > 0)
-    return ModelParams(params.layer_sizes, tuple(grads_w), tuple(grads_b))
+            delta *= activations[layer] > 0
+
+
+def batch_grad(params: ModelParams, batch: TrainBatch) -> ModelParams:
+    """Analytic gradient of batch_loss, shaped like the parameters."""
+    grad = ModelParams.from_vector(params.layer_sizes, np.empty_like(params.vector))
+    backprop(
+        params.weights, params.biases, batch.features, batch.labels,
+        grad.weights, grad.biases,
+    )
+    return grad
 
 
 def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
-    """params - lr * grad, element-wise, for a ``grad`` from ``batch_grad``
-    of parameters of the same layer sizes; inputs are left untouched."""
-    weights = tuple(w - lr * g for w, g in zip(params.weights, grad.weights))
-    biases = tuple(b - lr * g for b, g in zip(params.biases, grad.biases))
-    return ModelParams(params.layer_sizes, weights, biases)
+    """params - lr * grad, element-wise over the one parameter vector, for a
+    ``grad`` from ``batch_grad`` of parameters of the same layer sizes;
+    inputs are left untouched."""
+    step = grad.vector * lr
+    np.subtract(params.vector, step, out=step)
+    return ModelParams.from_vector(params.layer_sizes, step)
 
 
 def check_finite(params: ModelParams) -> ModelParams:

@@ -9,7 +9,10 @@ candidate partition is rated with the Davies-Bouldin index over a shared
 4-feature query embedding, and the lowest-DBI policy wins.  The winning tasks,
 each a ``TrainBatch`` pooling its queries' rows, feed first-order MAML:
 per-task inner SGD adaptation followed by an outer step on the summed
-post-adaptation gradients.
+post-adaptation gradients.  MAML runs every step in place on a few vectors
+in ``ModelParams``' one-vector layout that it allocates once per call (outer
+and adapted parameters, gradient, task-gradient sum and scratch), through
+``model.backprop``, and returns the outer parameters as a ``ModelParams``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .catalog import Query
-from .model import ModelParams, TrainBatch, batch_grad, sgd_step
+from .model import ModelParams, TrainBatch, backprop, layer_views
 from .simulator import QueryContext
 
 __all__ = [
@@ -165,6 +168,31 @@ def select_partitioning(workload: list[QueryContext], k_tasks: int) -> TaskSet:
     return min(score_all_policies(workload, k_tasks), key=lambda t: t.dbi_score)
 
 
+class _Layers:
+    """A writable vector in ``ModelParams``' layout, with its layer views."""
+
+    def __init__(self, layer_sizes: tuple[int, ...], vector: np.ndarray):
+        self.vector = vector
+        self.weights, self.biases = layer_views(layer_sizes, vector)
+
+    def gradient_at(self, params: "_Layers", features: np.ndarray, labels: np.ndarray):
+        """Write the loss gradient at ``params`` on the rows into this vector."""
+        backprop(params.weights, params.biases, features, labels, self.weights, self.biases)
+
+
+def _step(vector: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
+    """``vector - lr * grad``, element-wise, written into ``vector``."""
+    np.multiply(grad, lr, out=scratch)
+    np.subtract(vector, scratch, out=vector)
+
+
+def _adapt(adapted, grad, scratch, features, labels, inner_lr, n_inner) -> None:
+    """``n_inner`` SGD steps on the rows, in place on ``adapted``."""
+    for _ in range(n_inner):
+        grad.gradient_at(adapted, features, labels)
+        _step(adapted.vector, grad.vector, inner_lr, scratch)
+
+
 def maml_inner(
     params: ModelParams,
     batch: TrainBatch,
@@ -173,10 +201,12 @@ def maml_inner(
 ) -> ModelParams:
     """n_inner SGD steps on the batch's loss starting from params; the input
     params are untouched."""
-    adapted = params
-    for _ in range(n_inner):
-        adapted = sgd_step(adapted, batch_grad(adapted, batch), inner_lr)
-    return adapted
+    sizes = params.layer_sizes
+    adapted = _Layers(sizes, params.vector.copy())
+    grad = _Layers(sizes, np.empty_like(params.vector))
+    scratch = np.empty_like(params.vector)
+    _adapt(adapted, grad, scratch, batch.features, batch.labels, inner_lr, n_inner)
+    return ModelParams.from_vector(sizes, adapted.vector)
 
 
 def maml_outer(
@@ -192,25 +222,30 @@ def maml_outer(
     """First-order MAML: each outer iteration adapts to every task on a
     support batch, evaluates the loss gradient at the adapted parameters on a
     query batch, and applies one outer step on the gradients summed left to
-    right (the adaptation Jacobian is treated as identity).  Support and
-    query batches are drawn from each task's rows without replacement."""
+    right from 0 (the adaptation Jacobian is treated as identity).  Support
+    and query batches are row selections drawn from each task's rows without
+    replacement; the tasks were checked when they were built.  The input
+    params are untouched."""
     rng = np.random.default_rng(rng_seed)
+    sizes = params.layer_sizes
+    outer = params.vector.copy()
+    adapted = _Layers(sizes, np.empty_like(outer))
+    grad = _Layers(sizes, np.empty_like(outer))
+    summed = np.empty_like(outer)
+    scratch = np.empty_like(outer)
 
-    def sample(task: TrainBatch) -> TrainBatch:
+    def sample(task: TrainBatch) -> tuple[np.ndarray, np.ndarray]:
         idx = rng.choice(len(task), size=min(batch_size, len(task)), replace=False)
-        return TrainBatch(task.features[idx], task.labels[idx])
+        return task.features[idx], task.labels[idx]
 
     for _ in range(n_outer):
-        grads = []
+        summed.fill(0.0)
         for task in tasks:
             support = sample(task)
             query_batch = sample(task)
-            adapted = maml_inner(params, support, inner_lr, n_inner)
-            grads.append(batch_grad(adapted, query_batch))
-        summed = ModelParams(
-            params.layer_sizes,
-            tuple(sum(w) for w in zip(*(g.weights for g in grads))),
-            tuple(sum(b) for b in zip(*(g.biases for g in grads))),
-        )
-        params = sgd_step(params, summed, outer_lr)
-    return params
+            np.copyto(adapted.vector, outer)
+            _adapt(adapted, grad, scratch, *support, inner_lr, n_inner)
+            grad.gradient_at(adapted, *query_batch)
+            summed += grad.vector
+        _step(outer, summed, outer_lr, scratch)
+    return ModelParams.from_vector(sizes, outer)

@@ -11,6 +11,7 @@ from joinopt.model import (
     batch_grad,
     batch_loss,
     init_params,
+    layer_views,
     load_params,
     predict_batch,
     save_params,
@@ -72,6 +73,26 @@ def make_linear_model(weight, bias=0.0):
 
 
 # --- init ---------------------------------------------------------------------
+
+def test_params_are_views_of_one_vector(rng):
+    """Layers are laid out w0, b0, w1, b1, ... in one float64 vector that
+    construction copies, so the arrays it was given stay independent."""
+    sizes = (3, 4, 2, 1)
+    weights = tuple(rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:]))
+    biases = tuple(rng.normal(size=b) for b in sizes[1:])
+    params = ModelParams(sizes, weights, biases)
+    want = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+    assert params.vector.dtype == np.float64
+    assert params.vector.tobytes() == want.tobytes()
+    for got, given in zip(params.weights + params.biases, weights + biases):
+        assert np.shares_memory(got, params.vector)
+        assert not np.shares_memory(got, given)
+        assert got.shape == given.shape and np.array_equal(got, given)
+    stepped = sgd_step(params, params, 0.5)
+    assert not np.shares_memory(stepped.vector, params.vector)
+    with pytest.raises(ModelError, match="parameter vector"):
+        layer_views(sizes, np.zeros(params.vector.size + 1))
+
 
 def test_init_deterministic():
     a = init_params((4, 8, 1), 7)

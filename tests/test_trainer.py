@@ -467,6 +467,40 @@ def test_meta_init_divergence_names_its_phase(workload_dir):
         run_training(cfg)
 
 
+def test_online_sgd_steps_go_through_the_trainers_bindings(workload_dir, monkeypatch):
+    """The traced benchmark wraps ``sgd_step`` and ``batch_grad`` where
+    ``trainer`` binds them, and fails on a name that records no call.  So
+    every online SGD step calls both through those bindings, once per
+    chunk and pass, and meta-initialization calls neither."""
+    cfg = load_run_config(
+        config_file(
+            workload_dir,
+            iterations=3,
+            model={"minibatch": 100, "train_passes": 2},
+            transfer={"enabled": True, "n_outer": 2, "n_inner": 2, "k_tasks": 2,
+                      "rollouts_per_query": 1},
+        )
+    )
+    counts = {"sgd_step": 0, "batch_grad": 0}
+
+    def counting(name):
+        original = getattr(trainer_module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(trainer_module, name, counting(name))
+    run_training(cfg)
+    chunks = math.ceil(cfg.retention.k_replay / cfg.model.minibatch)
+    assert chunks == 3
+    want = cfg.iterations * cfg.model.train_passes * chunks
+    assert counts == {"sgd_step": want, "batch_grad": want}
+
+
 def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):
     """Every set-up step (baselines, noiseless expert latency, partition
     selection and meta-task building) reads one compiled context per query,

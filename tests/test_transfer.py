@@ -361,11 +361,20 @@ def test_maml_inner_scalar_hand_trace():
 
 
 def test_maml_inner_leaves_input_unchanged(rng):
+    """Neither MAML routine writes its parameters or its tasks, and neither
+    returns a value that shares the input's memory."""
     params = init_params((1, 4, 1), 3)
-    snapshot = [w.copy() for w in params.weights]
-    maml_inner(params, _quadratic_task(rng), inner_lr=0.05, n_inner=3)
-    for a, b in zip(params.weights, snapshot):
-        assert np.array_equal(a, b)
+    tasks = [_quadratic_task(rng) for _ in range(2)]
+    arrays = [params.vector, *params.weights, *params.biases]
+    arrays += [a for task in tasks for a in (task.features, task.labels)]
+    snapshot = [a.copy() for a in arrays]
+    inner = maml_inner(params, tasks[0], inner_lr=0.05, n_inner=3)
+    outer = maml_outer(params, tasks, 0.05, 0.02, 3, 4, batch_size=8, rng_seed=1)
+    unchanged = maml_outer(params, tasks, 0.05, 0.02, 3, 0)
+    for a, b in zip(arrays, snapshot):
+        assert a.tobytes() == b.tobytes()
+    for out in (inner, outer, unchanged):
+        assert not np.shares_memory(out.vector, params.vector)
 
 
 def test_maml_outer_no_inner_is_plain_sgd(rng):
@@ -397,6 +406,71 @@ def test_maml_outer_deterministic(rng):
     b = maml_outer(params, tasks, 0.01, 0.005, 2, 5, rng_seed=11)
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
+
+
+# --- MAML bit for bit against the earlier loop ------------------------------------
+
+def reference_maml_inner(params, batch, inner_lr, n_inner):
+    """The earlier inner loop, kept as the reference: one
+    ``sgd_step(batch_grad)`` per step, each returning new parameters."""
+    for _ in range(n_inner):
+        params = sgd_step(params, batch_grad(params, batch), inner_lr)
+    return params
+
+
+def reference_maml_outer(params, tasks, inner_lr, outer_lr, n_inner, n_outer, batch_size, rng_seed):
+    """The earlier outer loop: samples as checked ``TrainBatch``es, and the
+    task gradients summed left to right with ``sum`` layer by layer."""
+    rng = np.random.default_rng(rng_seed)
+
+    def sample(task):
+        idx = rng.choice(len(task), size=min(batch_size, len(task)), replace=False)
+        return TrainBatch(task.features[idx], task.labels[idx])
+
+    for _ in range(n_outer):
+        grads = []
+        for task in tasks:
+            support = sample(task)
+            query_batch = sample(task)
+            adapted = reference_maml_inner(params, support, inner_lr, n_inner)
+            grads.append(batch_grad(adapted, query_batch))
+        summed = ModelParams(
+            params.layer_sizes,
+            tuple(sum(w) for w in zip(*(g.weights for g in grads))),
+            tuple(sum(b) for b in zip(*(g.biases for g in grads))),
+        )
+        params = sgd_step(params, summed, outer_lr)
+    return params
+
+
+def assert_same_bits(got, want):
+    assert got.layer_sizes == want.layer_sizes
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "sizes, rows, batch_size",
+    [
+        ((16, 64, 64, 1), (15, 20, 35, 95), 64),  # star6's meta tasks' sizes
+        ((1, 1), (7, 12), 5),
+        ((5, 7, 3, 1), (9, 30, 4), 8),
+    ],
+)
+def test_maml_matches_the_earlier_loop_bit_for_bit(sizes, rows, batch_size):
+    rng = np.random.default_rng(len(sizes) * 100 + sum(rows))
+    params = init_params(sizes, 3)
+    tasks = [
+        TrainBatch(rng.normal(size=(n, sizes[0])) * 2, rng.normal(size=n) + 3) for n in rows
+    ]
+    got = maml_outer(params, tasks, 0.01, 0.005, 3, 6, batch_size=batch_size, rng_seed=9)
+    want = reference_maml_outer(params, tasks, 0.01, 0.005, 3, 6, batch_size, 9)
+    assert_same_bits(got, want)
+    assert got.vector.tobytes() != params.vector.tobytes()
+    for task in tasks:
+        assert_same_bits(
+            maml_inner(params, task, 0.01, 4), reference_maml_inner(params, task, 0.01, 4)
+        )
 
 
 def linear_task_family(rng, n_tasks, n_points=24):
