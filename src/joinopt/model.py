@@ -53,7 +53,7 @@ class ModelError(ValueError):
 
 def latency_to_label(latency_ms: float) -> float:
     """Map a nonnegative latency to the network's compressed label space.
-    Both callers pass latencies checked where they entered the program."""
+    Callers pass latencies already known to be nonnegative."""
     return math.log1p(latency_ms)
 
 
