@@ -18,9 +18,10 @@ median and quartiles and the number of pairs the ``after`` side won (lower
 is better for every end-to-end metric; ties count for neither side); and per
 traced metric each side's median and quartiles.
 
-``tools/bench_dp.py`` and ``tools/bench_search.py`` time one layer in
-process instead; both run their worker in the two checkouts through
-``worker_rounds`` and summarize its times with ``_quartiles``.
+``tools/bench_dp.py``, ``tools/bench_search.py`` and ``tools/bench_maml.py``
+time one layer in process instead; each runs its worker in the two
+checkouts through ``worker_rounds`` and summarizes its times with
+``_quartiles``.
 """
 
 import argparse
