@@ -9,9 +9,10 @@ are part of this repo's contract and are validated on load.
 workloads all go through it, so one set of rules holds for every input file.
 Unknown keys are refused, each value's JSON type is checked against its
 dataclass field (an integer field takes only a JSON integer, and a number
-field only a finite number, never NaN or Infinity), and then the dataclass's
-own checks run.  Every failure is one error line naming the file,
-the entry (``tables[3]``, ``queries[0]``) and the key.
+field only a finite number, never NaN or Infinity; either refuses an
+integer above 2**53 in magnitude), and then the dataclass's own checks
+run.  Every failure is one error line naming the file, the entry
+(``tables[3]``, ``queries[0]``) and the key.
 """
 
 from __future__ import annotations
@@ -181,7 +182,10 @@ def _connected(relations: Iterable[str], edges: frozenset[tuple[str, str]]) -> b
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer that float64 holds exactly: the program computes row
+    counts, costs and features in float64, where a larger one overflows or
+    rounds."""
+    return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 2**53
 
 
 def _is_names(value) -> bool:

@@ -1,17 +1,15 @@
 """Small feed-forward value network with analytic backpropagation.
 
 ReLU hidden layers, linear scalar output, mean-squared-error loss, plain SGD.
-A ``ModelParams`` holds every layer's weights and bias in one float64
-vector, ``vector`` (w0, b0, w1, b1, ...), with ``weights`` and ``biases`` as
-views of it, so an SGD step is one array operation over the vector.  A
-``ModelParams`` value is never written once it is returned, and inputs are
-never written: ``sgd_step`` and ``batch_grad`` return new values, and a
-forward pass writes only the arrays it allocated.  The one routine that
-writes parameters in place is ``transfer``'s MAML kernel, and only into the
-working vectors it allocates: the adapted parameters, the gradient, the sum
-of task gradients, scratch and the outer parameters, a copy of its input.
-``backprop`` writes a gradient into given layer arrays; ``batch_grad`` and
-that kernel both use it.
+A ``ModelParams`` is layer sizes plus one float64 vector, ``vector`` (w0,
+b0, w1, b1, ...), with ``weights`` and ``biases`` as views of it, so an SGD
+step is one array operation over the vector.  Parameters and gradients are
+both ``ModelParams``.  A value is never written once it is returned, and
+inputs are never written: ``sgd_step`` and ``batch_grad`` return new values,
+and a forward pass writes only the arrays it allocated.  ``backprop`` writes
+a gradient into a given ``ModelParams``; ``batch_grad`` and ``transfer``'s
+MAML kernel both use it.  That kernel is the one routine that writes
+parameters in place, and only the working values it allocates.
 Constructing parameters checks shapes only: ``check_finite`` scans the
 values, and runs when an SGD phase ends and when a checkpoint is loaded.
 The network is trained on log1p-transformed latencies; ``latency_to_label``
@@ -36,7 +34,6 @@ __all__ = [
     "batch_loss",
     "batch_grad",
     "backprop",
-    "layer_views",
     "sgd_step",
     "check_finite",
     "save_params",
@@ -57,35 +54,22 @@ def latency_to_label(latency_ms: float) -> float:
     return math.log1p(latency_ms)
 
 
-def layer_views(
-    layer_sizes: tuple[int, ...], vector: np.ndarray
-) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """The weight matrices ([fan_in, fan_out]) and bias vectors of a network
-    of ``layer_sizes``, as views of ``vector`` laid out w0, b0, w1, b1, ...;
-    raises ModelError if ``vector`` is not exactly that long."""
-    weights, biases = [], []
-    start = 0
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        stop = start + fan_in * fan_out
-        weights.append(vector[start:stop].reshape(fan_in, fan_out))
-        biases.append(vector[stop : stop + fan_out])
-        start = stop + fan_out
-    if vector.shape != (start,):
-        raise ModelError(f"parameter vector of shape {vector.shape} != {(start,)}")
-    return tuple(weights), tuple(biases)
+def _vector_length(layer_sizes: tuple[int, ...]) -> int:
+    """The number of weights and biases in a network of ``layer_sizes``."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Layer sizes plus per-layer weight matrices ([fan_in, fan_out]) and
-    bias vectors, held as views of one float64 ``vector``.  Constructing one
-    from arrays copies them into a new vector; ``from_vector`` wraps a
-    vector without copying.  Also reused as the container for gradients."""
+    """Layer sizes plus one float64 ``vector`` holding every layer's weights
+    and bias, laid out w0, b0, w1, b1, ...; ``weights`` (each [fan_in,
+    fan_out]) and ``biases`` are views of it.  The vector is not copied:
+    the caller hands it over.  Also the container for gradients."""
 
     layer_sizes: tuple[int, ...]
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
+    vector: np.ndarray = field(repr=False)
+    weights: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    biases: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -95,34 +79,20 @@ class ModelParams:
             raise ModelError("layer sizes must be >= 1")
         if sizes[-1] != 1:
             raise ModelError("output dimension must be 1")
-        if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ModelError("one weight matrix and bias vector per layer required")
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (sizes[i], sizes[i + 1]):
-                raise ModelError(
-                    f"layer {i}: weight shape {w.shape} != {(sizes[i], sizes[i + 1])}"
-                )
-            if b.shape != (sizes[i + 1],):
-                raise ModelError(f"layer {i}: bias shape {b.shape} != {(sizes[i + 1],)}")
-        arrays = [a.ravel() for layer in zip(self.weights, self.biases) for a in layer]
-        vector = np.concatenate(arrays, dtype=float)
-        weights, biases = layer_views(sizes, vector)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "biases", biases)
+        vector = np.asarray(self.vector, dtype=float)
+        length = _vector_length(sizes)
+        if vector.shape != (length,):
+            raise ModelError(f"parameter vector of shape {vector.shape} != {(length,)}")
+        weights, biases = [], []
+        start = 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            stop = start + fan_in * fan_out
+            weights.append(vector[start:stop].reshape(fan_in, fan_out))
+            biases.append(vector[stop : stop + fan_out])
+            start = stop + fan_out
         object.__setattr__(self, "vector", vector)
-
-    @classmethod
-    def from_vector(cls, layer_sizes: tuple[int, ...], vector: np.ndarray) -> "ModelParams":
-        """Parameters of the same ``layer_sizes`` as an existing value, whose
-        layers are views of ``vector``.  The vector is not copied: the caller
-        hands it over and writes it no more."""
-        params = object.__new__(cls)
-        weights, biases = layer_views(layer_sizes, vector)
-        object.__setattr__(params, "layer_sizes", layer_sizes)
-        object.__setattr__(params, "weights", weights)
-        object.__setattr__(params, "biases", biases)
-        object.__setattr__(params, "vector", vector)
-        return params
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
 
     @property
     def input_dim(self) -> int:
@@ -156,13 +126,11 @@ def init_params(layer_sizes: tuple[int, ...], rng_seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     sizes = tuple(int(s) for s in layer_sizes)
     rng = np.random.default_rng(rng_seed)
-    weights = []
-    biases = []
+    layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = 1.0 / math.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParams(sizes, tuple(weights), tuple(biases))
+        layers += [rng.uniform(-bound, bound, size=fan_in * fan_out), np.zeros(fan_out)]
+    return ModelParams(sizes, np.concatenate(layers))
 
 
 def _forward(weights, biases, x: np.ndarray) -> list[np.ndarray]:
@@ -197,18 +165,19 @@ def batch_loss(params: ModelParams, batch: TrainBatch) -> float:
     return float(np.mean(diff * diff))
 
 
-def backprop(weights, biases, features, labels, grad_weights, grad_biases) -> None:
-    """Write the analytic gradient of the mean squared error of the network
-    (``weights``, ``biases``) on the rows ``features`` against ``labels``
-    into the arrays ``grad_weights`` and ``grad_biases``, shaped like the
-    layers.  The inputs are checked by the caller and not written."""
-    activations = _forward(weights, biases, features)
+def backprop(params: ModelParams, features, labels, grad: ModelParams) -> None:
+    """Write the analytic gradient of the mean squared error of ``params``
+    on the rows ``features`` against ``labels`` into ``grad``'s vector,
+    through its layer views.  The inputs are checked by the caller and not
+    written."""
+    weights = params.weights
+    activations = _forward(weights, params.biases, features)
     # d(mean (pred - y)^2)/d pred = 2 (pred - y) / n
     delta = (2.0 / features.shape[0]) * (activations[-1][:, 0] - labels)[:, None]
     last = len(weights) - 1
     for layer in range(last, -1, -1):
-        np.matmul(activations[layer].T, delta, out=grad_weights[layer])
-        np.add.reduce(delta, axis=0, out=grad_biases[layer])
+        np.matmul(activations[layer].T, delta, out=grad.weights[layer])
+        np.add.reduce(delta, axis=0, out=grad.biases[layer])
         if layer > 0:
             if layer == last:
                 # One output unit: each element of delta @ w.T is a single
@@ -223,11 +192,8 @@ def backprop(weights, biases, features, labels, grad_weights, grad_biases) -> No
 
 def batch_grad(params: ModelParams, batch: TrainBatch) -> ModelParams:
     """Analytic gradient of batch_loss, shaped like the parameters."""
-    grad = ModelParams.from_vector(params.layer_sizes, np.empty_like(params.vector))
-    backprop(
-        params.weights, params.biases, batch.features, batch.labels,
-        grad.weights, grad.biases,
-    )
+    grad = ModelParams(params.layer_sizes, np.empty_like(params.vector))
+    backprop(params, batch.features, batch.labels, grad)
     return grad
 
 
@@ -237,7 +203,7 @@ def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
     inputs are left untouched."""
     step = grad.vector * lr
     np.subtract(params.vector, step, out=step)
-    return ModelParams.from_vector(params.layer_sizes, step)
+    return ModelParams(params.layer_sizes, step)
 
 
 def check_finite(params: ModelParams) -> ModelParams:
@@ -264,16 +230,21 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path) -> ModelParams:
     """The checkpoint ``save_params`` wrote to ``path``.  A missing,
-    unreadable or malformed file raises one ModelError naming it."""
+    unreadable or malformed file, or a layer array whose shape disagrees
+    with the file's layer sizes, raises one ModelError naming the file."""
     try:
         with np.load(path) as data:
             version = data["format_version"]
             if version.shape != () or int(version) != CHECKPOINT_FORMAT_VERSION:
                 raise ModelError(f"unsupported checkpoint format version {version}")
             sizes = tuple(int(s) for s in data["layer_sizes"])
-            weights = tuple(data[f"w{i}"] for i in range(len(sizes) - 1))
-            biases = tuple(data[f"b{i}"] for i in range(len(sizes) - 1))
-            params = ModelParams(sizes, weights, biases)
+            params = ModelParams(sizes, np.empty(_vector_length(sizes)))
+            for i, layer in enumerate(zip(params.weights, params.biases)):
+                for kind, view, key in zip(("weight", "bias"), layer, (f"w{i}", f"b{i}")):
+                    array = data[key]
+                    if array.shape != view.shape:
+                        raise ModelError(f"layer {i}: {kind} shape {array.shape} != {view.shape}")
+                    view[...] = array
     except FileNotFoundError:
         raise ModelError(f"{path}: checkpoint not found") from None
     except KeyError as exc:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import Catalog, Query, _build, _load_json, load_catalog, load_workload
+from .catalog import Catalog, Query, WorkloadError, _build, _load_json, load_catalog, load_workload
 from .features import feature_dim, feature_matrix, fragment_rows
 from .metrics import (
     QueryTrace,
@@ -537,12 +537,23 @@ def prepare_run(cfg: RunConfig, seed: int) -> RunSetup:
     """Load the catalog and both workloads, compile each query, and build the
     initial model, seeded by ``derive_seed(seed, "init")``.  The compiled
     contexts register themselves, so ``plan_search`` and the expert DP use
-    them for as long as the set-up is held."""
+    them for as long as the set-up is held.  An empty workload, and a test
+    query with a train query's id, raise WorkloadError: baselines and
+    expert latencies are keyed by query id."""
     catalog = load_catalog(cfg.catalog_path)
-    train, test = (
-        [QueryContext(q, catalog, cfg.cost_model) for q in load_workload(path, catalog)]
-        for path in (cfg.train_workload_path, cfg.test_workload_path)
-    )
+    paths = (cfg.train_workload_path, cfg.test_workload_path)
+    workloads = [load_workload(path, catalog) for path in paths]
+    for path, queries in zip(paths, workloads):
+        if not queries:
+            raise WorkloadError(f"{path}: 'queries' must not be empty")
+    train_ids = {q.id for q in workloads[0]}
+    for i, query in enumerate(workloads[1]):
+        if query.id in train_ids:
+            raise WorkloadError(
+                f"{paths[1]}: queries[{i}]: id {query.id!r} is also a train query's id "
+                f"in {paths[0]}"
+            )
+    train, test = ([QueryContext(q, catalog, cfg.cost_model) for q in w] for w in workloads)
     layer_sizes = (feature_dim(catalog), *cfg.model.hidden_sizes, 1)
     params = init_params(layer_sizes, derive_seed(seed, "init"))
     return RunSetup(cfg, seed, catalog, train, test, params)

@@ -9,10 +9,11 @@ candidate partition is rated with the Davies-Bouldin index over a shared
 4-feature query embedding, and the lowest-DBI policy wins.  The winning tasks,
 each a ``TrainBatch`` pooling its queries' rows, feed first-order MAML:
 per-task inner SGD adaptation followed by an outer step on the summed
-post-adaptation gradients.  MAML runs every step in place on a few vectors
-in ``ModelParams``' one-vector layout that it allocates once per call (outer
-and adapted parameters, gradient, task-gradient sum and scratch), through
-``model.backprop``, and returns the outer parameters as a ``ModelParams``.
+post-adaptation gradients.  MAML runs every step in place on working values
+it allocates once per call: the adapted parameters and the gradient, each a
+``ModelParams`` that ``model.backprop`` reads or writes, and the outer
+parameters (a copy of its input), the task-gradient sum and scratch, each a
+vector in the same layout.  It returns the outer parameters.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .catalog import Query
-from .model import ModelParams, TrainBatch, backprop, layer_views
+from .model import ModelParams, TrainBatch, backprop
 from .simulator import QueryContext
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
     "davies_bouldin",
     "score_all_policies",
     "select_partitioning",
-    "maml_inner",
     "maml_outer",
 ]
 
@@ -168,45 +168,10 @@ def select_partitioning(workload: list[QueryContext], k_tasks: int) -> TaskSet:
     return min(score_all_policies(workload, k_tasks), key=lambda t: t.dbi_score)
 
 
-class _Layers:
-    """A writable vector in ``ModelParams``' layout, with its layer views."""
-
-    def __init__(self, layer_sizes: tuple[int, ...], vector: np.ndarray):
-        self.vector = vector
-        self.weights, self.biases = layer_views(layer_sizes, vector)
-
-    def gradient_at(self, params: "_Layers", features: np.ndarray, labels: np.ndarray):
-        """Write the loss gradient at ``params`` on the rows into this vector."""
-        backprop(params.weights, params.biases, features, labels, self.weights, self.biases)
-
-
 def _step(vector: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
     """``vector - lr * grad``, element-wise, written into ``vector``."""
     np.multiply(grad, lr, out=scratch)
     np.subtract(vector, scratch, out=vector)
-
-
-def _adapt(adapted, grad, scratch, features, labels, inner_lr, n_inner) -> None:
-    """``n_inner`` SGD steps on the rows, in place on ``adapted``."""
-    for _ in range(n_inner):
-        grad.gradient_at(adapted, features, labels)
-        _step(adapted.vector, grad.vector, inner_lr, scratch)
-
-
-def maml_inner(
-    params: ModelParams,
-    batch: TrainBatch,
-    inner_lr: float,
-    n_inner: int,
-) -> ModelParams:
-    """n_inner SGD steps on the batch's loss starting from params; the input
-    params are untouched."""
-    sizes = params.layer_sizes
-    adapted = _Layers(sizes, params.vector.copy())
-    grad = _Layers(sizes, np.empty_like(params.vector))
-    scratch = np.empty_like(params.vector)
-    _adapt(adapted, grad, scratch, batch.features, batch.labels, inner_lr, n_inner)
-    return ModelParams.from_vector(sizes, adapted.vector)
 
 
 def maml_outer(
@@ -227,10 +192,8 @@ def maml_outer(
     replacement; the tasks were checked when they were built.  The input
     params are untouched."""
     rng = np.random.default_rng(rng_seed)
-    sizes = params.layer_sizes
     outer = params.vector.copy()
-    adapted = _Layers(sizes, np.empty_like(outer))
-    grad = _Layers(sizes, np.empty_like(outer))
+    adapted, grad = (ModelParams(params.layer_sizes, np.empty_like(outer)) for _ in range(2))
     summed = np.empty_like(outer)
     scratch = np.empty_like(outer)
 
@@ -244,8 +207,10 @@ def maml_outer(
             support = sample(task)
             query_batch = sample(task)
             np.copyto(adapted.vector, outer)
-            _adapt(adapted, grad, scratch, *support, inner_lr, n_inner)
-            grad.gradient_at(adapted, *query_batch)
+            for _ in range(n_inner):
+                backprop(adapted, *support, grad)
+                _step(adapted.vector, grad.vector, inner_lr, scratch)
+            backprop(adapted, *query_batch, grad)
             summed += grad.vector
         _step(outer, summed, outer_lr, scratch)
-    return ModelParams.from_vector(sizes, outer)
+    return ModelParams(params.layer_sizes, outer)

@@ -95,7 +95,7 @@ def test_criterion_1_formula_oracles():
     # TD error, via an independent scalar forward pass.
     for _ in range(8):
         w, b = float(rng.normal()), float(rng.normal())
-        model = ModelParams((1, 1), (np.array([[w]]),), (np.array([b]),))
+        model = ModelParams((1, 1), np.array([w, b]))
         s, s_next = float(rng.normal()), float(rng.normal())
         r = -float(rng.uniform(0, 100))
         gamma = float(rng.uniform(0, 1))
@@ -135,7 +135,7 @@ def test_criterion_1_formula_oracles():
         ok &= rel_err(got, want) <= 1e-9
 
     # probability normalization: w_i / sum(w)
-    model = ModelParams((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
+    model = ModelParams((1, 1), np.array([1.0, 0.0]))
     for trial in range(5):
         n = int(rng.integers(2, 12))
         # Terminals of latency 0, so r = 0.
@@ -231,7 +231,7 @@ def test_criterion_1_formula_oracles():
 
 def test_criterion_2_sampling_fidelity():
     started = time.perf_counter()
-    model = ModelParams((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
+    model = ModelParams((1, 1), np.array([1.0, 0.0]))
     buffer = ReplayBuffer(16)
     # Terminal experiences with r = 0: |delta| = |state|; states chosen so
     # normalized weights are (0, 1, 2, 3, 4) / 10.

@@ -182,6 +182,14 @@ MALFORMED = [
         "catalog", ["tables", 0, "row_count"], "1000",
         "tables[0]: 'row_count' must be an integer, got \"1000\"",
     ),
+    (
+        "catalog", ["tables", 0, "row_count"], 2**53 + 1,
+        "tables[0]: 'row_count' must be an integer, got 9007199254740993",
+    ),
+    (
+        "catalog", ["default_selectivity"], -(2**53) - 1,
+        "'default_selectivity' must be a finite number, got -9007199254740993",
+    ),
     ("catalog", ["comment"], "x", "unknown key 'comment'"),
     ("catalog", ["tables", 2, "rows"], 200, "tables[2]: unknown key 'rows'"),
     ("workload", ["comment"], "x", "unknown key 'comment'"),

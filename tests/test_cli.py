@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from joinopt import cli
+from joinopt.catalog import load_catalog
 from joinopt.cli import main
 from joinopt.trainer import config_to_doc, load_run_config, run_training
 
@@ -323,6 +324,54 @@ def test_malformed_catalog_single_line_error(project, capsys):
     err = capsys.readouterr().err
     assert err == f"error: {catalog.resolve()}: 'tables' must be a list, got 5\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_train_refuses_a_test_query_with_a_train_querys_id(project, capsys):
+    """Baselines and expert latencies are keyed by query id, so two queries
+    sharing one would share one baseline and be judged wrongly."""
+    tmp_path, config = project
+    data = tmp_path / "data"
+    test = json.loads((data / "test.json").read_text())
+    test["queries"][1]["id"] = "q02"
+    write_json(data / "test.json", test)
+    _assert_fails_before_work(
+        tmp_path, capsys, ["--config", str(config)],
+        f"error: {(data / 'test.json').resolve()}: queries[1]: id 'q02' is also a train "
+        f"query's id in {(data / 'train.json').resolve()}\n",
+    )
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_train_refuses_an_empty_workload(project, capsys, split):
+    """With MAML on, an empty train workload used to end in a traceback, and
+    an empty test workload failed only after set-up."""
+    tmp_path, config = project
+    doc = json.loads(config.read_text())
+    doc["transfer"]["enabled"] = True
+    write_json(config, doc)
+    workload = tmp_path / "data" / f"{split}.json"
+    write_json(workload, {"queries": []})
+    _assert_fails_before_work(
+        tmp_path, capsys, ["--config", str(config)],
+        f"error: {workload.resolve()}: 'queries' must not be empty\n",
+    )
+
+
+def test_train_refuses_an_integer_float64_cannot_hold(project, capsys):
+    """A JSON integer above 2**53 in magnitude used to overflow in float64
+    arithmetic after loading; 2**53 itself loads."""
+    tmp_path, config = project
+    catalog = tmp_path / "data" / "catalog.json"
+    doc = json.loads(catalog.read_text())
+    doc["tables"][0]["row_count"] = 2**53
+    write_json(catalog, doc)
+    load_catalog(catalog)
+    doc["tables"][0]["row_count"] = 10**400
+    write_json(catalog, doc)
+    _assert_fails_before_work(
+        tmp_path, capsys, ["--config", str(config)],
+        f"error: {catalog.resolve()}: tables[0]: 'row_count' must be an integer, got 1{'0' * 400}\n",
+    )
 
 
 @pytest.mark.parametrize(

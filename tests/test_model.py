@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from joinopt.model import (
     batch_grad,
     batch_loss,
     init_params,
-    layer_views,
     load_params,
     predict_batch,
     save_params,
@@ -49,56 +47,50 @@ def finite_difference_grad(params, batch, h=1e-4):
             grad = np.zeros_like(arr)
             for idx in np.ndindex(arr.shape):
                 for sign in (+1, -1):
-                    bumped = arr.copy()
-                    bumped[idx] += sign * h
-                    arrays = list(getattr(params, which))
-                    arrays[layer] = bumped
-                    kwargs = {
-                        "layer_sizes": params.layer_sizes,
-                        "weights": params.weights,
-                        "biases": params.biases,
-                        which: tuple(arrays),
-                    }
-                    loss = batch_loss(ModelParams(**kwargs), batch)
-                    grad[idx] += sign * loss
+                    bumped = ModelParams(params.layer_sizes, params.vector.copy())
+                    getattr(bumped, which)[layer][idx] += sign * h
+                    grad[idx] += sign * batch_loss(bumped, batch)
                 grad[idx] /= 2 * h
             grads.append(grad)
     return grads_w, grads_b
 
 
 def make_linear_model(weight, bias=0.0):
-    return ModelParams(
-        (1, 1), (np.array([[float(weight)]]),), (np.array([float(bias)]),)
-    )
+    return ModelParams((1, 1), np.array([float(weight), float(bias)]))
 
 
 # --- init ---------------------------------------------------------------------
 
 def test_params_are_views_of_one_vector(rng):
-    """Layers are laid out w0, b0, w1, b1, ... in one float64 vector that
-    construction copies, so the arrays it was given stay independent."""
+    """Layers are laid out w0, b0, w1, b1, ... in the one float64 vector the
+    constructor is given, which it holds without copying; a vector of any
+    other shape is refused."""
     sizes = (3, 4, 2, 1)
     weights = tuple(rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:]))
     biases = tuple(rng.normal(size=b) for b in sizes[1:])
-    params = ModelParams(sizes, weights, biases)
-    want = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
-    assert params.vector.dtype == np.float64
-    assert params.vector.tobytes() == want.tobytes()
+    vector = np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+    params = ModelParams(sizes, vector)
+    assert params.vector is vector
     for got, given in zip(params.weights + params.biases, weights + biases):
-        assert np.shares_memory(got, params.vector)
-        assert not np.shares_memory(got, given)
-        assert got.shape == given.shape and np.array_equal(got, given)
+        assert np.shares_memory(got, vector)
+        assert got.shape == given.shape and got.tobytes() == given.tobytes()
     stepped = sgd_step(params, params, 0.5)
     assert not np.shares_memory(stepped.vector, params.vector)
-    with pytest.raises(ModelError, match="parameter vector"):
-        layer_views(sizes, np.zeros(params.vector.size + 1))
+    for bad in (np.zeros(vector.size + 1), np.zeros(vector.size - 1), vector[None, :]):
+        with pytest.raises(ModelError, match="parameter vector"):
+            ModelParams(sizes, bad)
 
 
 def test_init_deterministic():
+    """The same seed gives the same bits: each layer's weights drawn in
+    turn, as one [fan_in, fan_out] array each, and zero biases."""
     a = init_params((4, 8, 1), 7)
     b = init_params((4, 8, 1), 7)
-    for wa, wb in zip(a.weights, b.weights):
-        assert np.array_equal(wa, wb)
+    assert a.vector.tobytes() == b.vector.tobytes()
+    rng = np.random.default_rng(7)
+    for fan_in, w in zip((4, 8), a.weights):
+        bound = 1.0 / math.sqrt(fan_in)
+        assert w.tobytes() == rng.uniform(-bound, bound, size=w.shape).tobytes()
 
 
 def test_init_biases_zero_and_bounds():
@@ -117,11 +109,7 @@ def test_init_rejects_bad_output():
 # --- predict ------------------------------------------------------------------
 
 def test_predict_zero_params():
-    params = ModelParams(
-        (3, 2, 1),
-        (np.zeros((3, 2)), np.zeros((2, 1))),
-        (np.zeros(2), np.zeros(1)),
-    )
+    params = ModelParams((3, 2, 1), np.zeros(11))
     for x in (np.zeros(3), np.ones(3), np.array([5.0, -2.0, 0.1])):
         assert predict_batch(params, x[None, :])[0] == 0.0
 
@@ -203,7 +191,9 @@ def test_forward_and_gradient_match_reference_bits_at_zero_pre_activations(rng):
         np.where(rng.integers(0, 2, size=b) > 0, -0.0, rng.integers(-2, 3, size=b))
         for b in sizes[1:]
     )
-    params = ModelParams(sizes, weights, biases)
+    params = ModelParams(
+        sizes, np.concatenate([a.ravel() for layer in zip(weights, biases) for a in layer])
+    )
     x = rng.integers(-2, 3, size=(200, 3)).astype(float)
     x[x == 0] = -0.0
     pre, _ = reference_forward(params, x)
@@ -307,11 +297,7 @@ def test_sgd_identity_cases():
     unchanged = sgd_step(params, grad, lr=0.0)
     for a, b in zip(params.weights, unchanged.weights):
         assert np.array_equal(a, b)
-    zero_grad = ModelParams(
-        params.layer_sizes,
-        tuple(np.zeros_like(w) for w in params.weights),
-        tuple(np.zeros_like(b) for b in params.biases),
-    )
+    zero_grad = ModelParams(params.layer_sizes, np.zeros_like(params.vector))
     same = sgd_step(params, zero_grad, lr=0.5)
     for a, b in zip(params.weights, same.weights):
         assert np.array_equal(a, b)
@@ -359,13 +345,19 @@ def _corrupt_zip(path):
     path.write_bytes(path.read_bytes()[:10] + bytes(200))  # zip header, corrupt body
 
 
-def _vector_version(path):
+def _write_arrays(path, **overrides):
+    """A (3, 4, 1) checkpoint written array by array, with ``overrides``."""
     params = init_params((3, 4, 1), 7)
-    arrays = {"format_version": np.array([1, 1]), "layer_sizes": np.array(params.layer_sizes)}
+    arrays = {"format_version": np.array(1), "layer_sizes": np.array(params.layer_sizes)}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"], arrays[f"b{i}"] = w, b
+    arrays.update(overrides)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+
+
+def _vector_version(path):
+    _write_arrays(path, format_version=np.array([1, 1]))
 
 
 def _text_file(path):
@@ -388,10 +380,30 @@ def test_load_rejects_non_finite_checkpoint(tmp_path, layer, array, value):
     """A checkpoint is input from outside the program: its values are
     scanned on load, although constructing parameters checks shapes only."""
     params = init_params((3, 4, 1), 7)
-    bad = [x.copy() for x in getattr(params, array)]
-    bad[layer].flat[0] = value
+    bad = ModelParams(params.layer_sizes, params.vector.copy())
+    getattr(bad, array)[layer].flat[0] = value
     path = tmp_path / "model.npz"
-    save_params(dataclasses.replace(params, **{array: tuple(bad)}), path)
+    save_params(bad, path)
     with pytest.raises(ModelError, match=f"^layer {layer}: non-finite parameter$"):
         load_params(path)
+
+
+@pytest.mark.parametrize(
+    "key, shape, message",
+    [
+        ("w0", (4, 3), "layer 0: weight shape (4, 3) != (3, 4)"),
+        ("w1", (4,), "layer 1: weight shape (4,) != (4, 1)"),
+        ("b0", (3,), "layer 0: bias shape (3,) != (4,)"),
+        ("b1", (1, 1), "layer 1: bias shape (1, 1) != (1,)"),
+    ],
+)
+def test_load_rejects_layer_shapes_that_disagree_with_layer_sizes(tmp_path, key, shape, message):
+    """A checkpoint's arrays come from outside the program, so each is
+    checked against the file's ``layer_sizes``, even where it holds the
+    right number of values."""
+    path = tmp_path / "model.npz"
+    _write_arrays(path, **{key: np.zeros(shape)})
+    with pytest.raises(ModelError) as exc:
+        load_params(path)
+    assert str(exc.value) == f"{path}: {message}"
 

@@ -26,7 +26,7 @@ from conftest import make_catalog, make_query
 
 def identity_model():
     """Single linear layer: predict([x]) = x."""
-    return ModelParams((1, 1), (np.array([[1.0]]),), (np.array([0.0]),))
+    return ModelParams((1, 1), np.array([1.0, 0.0]))
 
 
 def make_block(*states, parent=(-1,), latency=0.0, iteration=0, query_id="q"):

@@ -283,7 +283,7 @@ def test_beam_with_cost_oracle_finds_expert_cost_on_star6():
     d = feature_dim(catalog)
     weights = np.zeros((d, 1))
     weights[len(catalog.tables) + 5, 0] = 1.0  # log1p(estimated cost)
-    oracle = ModelParams((d, 1), (weights,), (np.zeros(1),))
+    oracle = ModelParams((d, 1), np.append(weights, 0.0))
     worse = {}
     for query in queries:
         plan = plan_search(

@@ -10,7 +10,6 @@ from joinopt.transfer import (
     TransferError,
     davies_bouldin,
     halstead_complexity,
-    maml_inner,
     maml_outer,
     partition_workload,
     policy_score,
@@ -329,51 +328,55 @@ def _quadratic_task(rng, n=32):
     return TrainBatch(X, y)
 
 
-def test_maml_inner_single_step_equals_sgd(rng):
+def test_maml_outer_one_inner_step_equals_sgd(rng):
+    """One task whose batches take every row, one inner and one outer step:
+    the outer step is taken on the gradient at the SGD-adapted parameters."""
     params = init_params((1, 4, 1), 3)
     batch = _quadratic_task(rng)
-    inner = maml_inner(params, batch, inner_lr=0.01, n_inner=1)
-    direct = sgd_step(params, batch_grad(params, batch), 0.01)
-    for a, b in zip(inner.weights, direct.weights):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
-    for a, b in zip(inner.biases, direct.biases):
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    out = maml_outer(params, [batch], 0.01, 0.02, n_inner=1, n_outer=1, batch_size=999)
+    adapted = sgd_step(params, batch_grad(params, batch), 0.01)
+    direct = sgd_step(params, batch_grad(adapted, batch), 0.02)
+    np.testing.assert_allclose(out.vector, direct.vector, rtol=0, atol=1e-12)
 
 
-def test_maml_inner_zero_lr_identity(rng):
+def test_maml_outer_zero_inner_lr_skips_adaptation(rng):
+    """Inner steps of size 0 leave the adapted parameters where they
+    started, so any number of them gives the result of none."""
     params = init_params((1, 4, 1), 3)
-    batch = _quadratic_task(rng)
-    adapted = maml_inner(params, batch, inner_lr=0.0, n_inner=5)
-    for a, b in zip(adapted.weights, params.weights):
-        assert np.array_equal(a, b)
+    tasks = [_quadratic_task(rng) for _ in range(2)]
+    adapted = maml_outer(params, tasks, 0.0, 0.02, 5, 3, batch_size=8, rng_seed=2)
+    plain = maml_outer(params, tasks, 0.0, 0.02, 0, 3, batch_size=8, rng_seed=2)
+    assert np.array_equal(adapted.vector, plain.vector)
 
 
-def test_maml_inner_scalar_hand_trace():
-    """Scalar model, L = (theta - 1)^2, alpha = 0.1, two steps:
-    0 -> 0.2 -> 0.36."""
-    params = ModelParams((1, 1), (np.array([[0.0]]),), (np.array([0.0]),))
+def test_maml_outer_scalar_hand_trace():
+    """Scalar model, L = (theta - 1)^2, alpha = 0.1, one task of one row and
+    one outer step of 0.1: the inner steps go 0 -> 0.2 -> 0.36, and the
+    outer step from 0 takes the gradient at the adapted value,
+    2 (0.2 - 1) = -1.6 after one inner step and 2 (0.36 - 1) = -1.28 after
+    two."""
+    params = ModelParams((1, 1), np.array([0.0, 0.0]))
     # With input 0, prediction = bias; loss = (bias - 1)^2.
     batch = TrainBatch(np.array([[0.0]]), np.array([1.0]))
-    one = maml_inner(params, batch, inner_lr=0.1, n_inner=1)
-    assert one.biases[0][0] == pytest.approx(0.2)
-    two = maml_inner(params, batch, inner_lr=0.1, n_inner=2)
-    assert two.biases[0][0] == pytest.approx(0.36)
+    one = maml_outer(params, [batch], inner_lr=0.1, outer_lr=0.1, n_inner=1, n_outer=1)
+    assert one.biases[0][0] == pytest.approx(0.16)
+    two = maml_outer(params, [batch], inner_lr=0.1, outer_lr=0.1, n_inner=2, n_outer=1)
+    assert two.biases[0][0] == pytest.approx(0.128)
 
 
-def test_maml_inner_leaves_input_unchanged(rng):
-    """Neither MAML routine writes its parameters or its tasks, and neither
-    returns a value that shares the input's memory."""
+def test_maml_outer_leaves_input_unchanged(rng):
+    """MAML writes neither its parameters nor its tasks, and returns a value
+    that shares no memory with the input."""
     params = init_params((1, 4, 1), 3)
     tasks = [_quadratic_task(rng) for _ in range(2)]
     arrays = [params.vector, *params.weights, *params.biases]
     arrays += [a for task in tasks for a in (task.features, task.labels)]
     snapshot = [a.copy() for a in arrays]
-    inner = maml_inner(params, tasks[0], inner_lr=0.05, n_inner=3)
     outer = maml_outer(params, tasks, 0.05, 0.02, 3, 4, batch_size=8, rng_seed=1)
     unchanged = maml_outer(params, tasks, 0.05, 0.02, 3, 0)
     for a, b in zip(arrays, snapshot):
         assert a.tobytes() == b.tobytes()
-    for out in (inner, outer, unchanged):
+    for out in (outer, unchanged):
         assert not np.shares_memory(out.vector, params.vector)
 
 
@@ -420,7 +423,7 @@ def reference_maml_inner(params, batch, inner_lr, n_inner):
 
 def reference_maml_outer(params, tasks, inner_lr, outer_lr, n_inner, n_outer, batch_size, rng_seed):
     """The earlier outer loop: samples as checked ``TrainBatch``es, and the
-    task gradients summed left to right with ``sum`` layer by layer."""
+    task gradients summed left to right from 0 with ``sum``."""
     rng = np.random.default_rng(rng_seed)
 
     def sample(task):
@@ -434,11 +437,7 @@ def reference_maml_outer(params, tasks, inner_lr, outer_lr, n_inner, n_outer, ba
             query_batch = sample(task)
             adapted = reference_maml_inner(params, support, inner_lr, n_inner)
             grads.append(batch_grad(adapted, query_batch))
-        summed = ModelParams(
-            params.layer_sizes,
-            tuple(sum(w) for w in zip(*(g.weights for g in grads))),
-            tuple(sum(b) for b in zip(*(g.biases for g in grads))),
-        )
+        summed = ModelParams(params.layer_sizes, sum(g.vector for g in grads))
         params = sgd_step(params, summed, outer_lr)
     return params
 
@@ -467,10 +466,6 @@ def test_maml_matches_the_earlier_loop_bit_for_bit(sizes, rows, batch_size):
     want = reference_maml_outer(params, tasks, 0.01, 0.005, 3, 6, batch_size, 9)
     assert_same_bits(got, want)
     assert got.vector.tobytes() != params.vector.tobytes()
-    for task in tasks:
-        assert_same_bits(
-            maml_inner(params, task, 0.01, 4), reference_maml_inner(params, task, 0.01, 4)
-        )
 
 
 def linear_task_family(rng, n_tasks, n_points=24):

@@ -4,9 +4,9 @@
 
 DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
 file names each side by its directory's name, so name the directories after
-their commits.  For each workload, ``perfbench/run.py --seed 1`` runs the
-number of times ``PAIRS`` gives in each checkout, in alternating pairs: even
-pairs run the ``before`` side first, odd pairs the ``after`` side.  Every
+their commits.  For each of the ``WORKLOADS``, ``perfbench/run.py --seed 1``
+runs ``PAIRS`` times in each checkout, in alternating pairs: even pairs run
+the ``before`` side first, odd pairs the ``after`` side.  Every
 run's JSON line is kept as printed.  After each pair the ``run.csv`` of
 every workload process (the measured one and its set-up replicas) is
 compared between the two sides with the ``wall_clock_ms`` column removed.
@@ -37,7 +37,9 @@ import time
 from pathlib import Path
 
 PROCESSES = ("main", "replica1", "replica2")
-PAIRS = {"snowflake12-train": 10, "star6-train": 3, "chain8-replay": 3}
+WORKLOADS = ("snowflake12-train", "star6-train", "chain8-replay")
+# A claimed gain must win nine of ten pairs on the workload it is claimed on.
+PAIRS = 10
 # A traced layer of a few milliseconds jitters by up to 1.8x between runs.
 TRACED_PAIRS = 3
 SEED = 1
@@ -169,8 +171,8 @@ def main(argv=None):
         "nproc": os.cpu_count(),
         "workloads": {},
     }
-    for workload, count in PAIRS.items():
-        pairs = run_pairs(sides, workload, count, 0)
+    for workload in WORKLOADS:
+        pairs = run_pairs(sides, workload, PAIRS, 0)
         traced = run_pairs(sides, workload, TRACED_PAIRS, 1)
         doc["workloads"][workload] = {
             "pairs": pairs,
