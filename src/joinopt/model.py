@@ -75,7 +75,7 @@ class ModelParams:
         sizes = self.layer_sizes
         if len(sizes) < 2:
             raise ModelError("need at least an input and an output layer")
-        if any(s < 1 for s in sizes):
+        if min(sizes) < 1:
             raise ModelError("layer sizes must be >= 1")
         if sizes[-1] != 1:
             raise ModelError("output dimension must be 1")
