@@ -287,6 +287,9 @@ def _load_json(path, error):
         raise error(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    except ValueError as exc:
+        # An integer literal longer than Python converts (4300 digits).
+        raise error(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise error(f"{path}: top level must be an object")
     return doc

@@ -73,6 +73,17 @@ def test_load_catalog_bad_json_has_line_info(tmp_path):
         load_catalog(path)
 
 
+def test_load_catalog_integer_past_the_digit_limit_names_file(tmp_path):
+    """json refuses an integer literal of more than 4300 digits with a bare
+    ValueError, which used to reach the command line without the file."""
+    path = tmp_path / "catalog.json"
+    path.write_text('{"default_selectivity": ' + "1" * 5000 + "}")
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: invalid JSON: Exceeds the limit") and "\n" not in message
+
+
 def test_load_catalog_not_utf8_names_file(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_bytes(b'{"tables": "\xff"}')
