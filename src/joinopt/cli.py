@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import workload_gen
+from .features import feature_dim
 from .metrics import wrl
-from .model import load_params, save_params
+from .model import ModelError, load_params, save_params
 from .retention import RetentionConfig, dump_buffer, sample_replay
 from .trainer import (
     NC,
@@ -192,6 +193,12 @@ def _cmd_train(args, cfg: RunConfig) -> int:
 def _cmd_eval(args, cfg: RunConfig) -> int:
     params = load_params(args.model)
     setup = prepare_run(cfg, cfg.base_seed)
+    width = feature_dim(setup.catalog)
+    if params.layer_sizes[0] != width:
+        raise ModelError(
+            f"{args.model}: the network takes {params.layer_sizes[0]} input features, "
+            f"but catalog {cfg.catalog_path} gives {width}"
+        )
     train_ids = tuple(ctx.query.id for ctx in setup.train)
     test_ids = tuple(ctx.query.id for ctx in setup.test)
     records = read_run_csv(args.history, train_ids, test_ids) if args.history else None
@@ -336,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         if "config" in args:
             cfg = _apply_overrides(load_run_config(args.config), args)
         return args.func(args, cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

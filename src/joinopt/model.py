@@ -4,17 +4,20 @@ ReLU hidden layers, linear scalar output, mean-squared-error loss, plain SGD.
 A ``ModelParams`` is layer sizes plus one float64 vector, ``vector`` (w0,
 b0, w1, b1, ...), with ``weights`` and ``biases`` as views of it, so an SGD
 step is one array operation over the vector.  Parameters and gradients are
-both ``ModelParams``.  A value is never written once it is returned, and
-inputs are never written: ``sgd_step`` and ``batch_grad`` return new values,
-and a forward pass writes only the arrays it allocated.  ``backprop`` writes
-a gradient into a given ``ModelParams``; ``batch_grad`` and ``transfer``'s
-MAML kernel both use it.  That kernel is the one routine that writes
-parameters in place, and only the working values it allocates.
+both ``ModelParams``.  Training runs in place on working values that its
+caller allocates: ``batch_grad`` writes a gradient into a given
+``ModelParams`` and writes nothing else, and ``sgd_step`` steps a parameter
+vector through a scratch vector and writes only those two.  MAML
+(``transfer.maml_outer``) and online SGD (``trainer._train_on``) each
+allocate their working values once per call, starting from a copy of their
+input parameters, and return them.  Any other value is never written once
+it is returned, and a forward pass writes only the arrays it allocated.
 Constructing parameters checks shapes only: ``check_finite`` scans the
 values, and runs when an SGD phase ends and when a checkpoint is loaded.
 The network is trained on log1p-transformed latencies; ``latency_to_label``
 maps milliseconds into that label space.  ``predict_batch`` is the one
-forward pass callers use, over a matrix of feature rows.
+forward pass callers use, over a matrix of feature rows whose width the
+callers match to the network's input layer.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ __all__ = [
     "predict_batch",
     "batch_loss",
     "batch_grad",
-    "backprop",
     "sgd_step",
     "check_finite",
     "save_params",
@@ -94,10 +96,6 @@ class ModelParams:
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "biases", tuple(biases))
 
-    @property
-    def input_dim(self) -> int:
-        return self.layer_sizes[0]
-
 
 @dataclass(frozen=True)
 class TrainBatch:
@@ -149,12 +147,8 @@ def _forward(weights, biases, x: np.ndarray) -> list[np.ndarray]:
 
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Forward pass over a [n, d] matrix; returns the n scalar outputs."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2 or features.shape[1] != params.input_dim:
-        raise ModelError(
-            f"expected features of shape [n, {params.input_dim}], got {features.shape}"
-        )
+    """Forward pass over a float [n, d] matrix, d the network's input width;
+    returns the n scalar outputs."""
     return _forward(params.weights, params.biases, features)[-1][:, 0]
 
 
@@ -165,11 +159,11 @@ def batch_loss(params: ModelParams, batch: TrainBatch) -> float:
     return float(np.mean(diff * diff))
 
 
-def backprop(params: ModelParams, features, labels, grad: ModelParams) -> None:
+def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None:
     """Write the analytic gradient of the mean squared error of ``params``
     on the rows ``features`` against ``labels`` into ``grad``'s vector,
-    through its layer views.  The inputs are checked by the caller and not
-    written."""
+    through its layer views.  The rows are checked by the caller, and only
+    ``grad`` is written."""
     weights = params.weights
     activations = _forward(weights, params.biases, features)
     # d(mean (pred - y)^2)/d pred = 2 (pred - y) / n
@@ -190,20 +184,11 @@ def backprop(params: ModelParams, features, labels, grad: ModelParams) -> None:
             delta *= activations[layer] > 0
 
 
-def batch_grad(params: ModelParams, batch: TrainBatch) -> ModelParams:
-    """Analytic gradient of batch_loss, shaped like the parameters."""
-    grad = ModelParams(params.layer_sizes, np.empty_like(params.vector))
-    backprop(params, batch.features, batch.labels, grad)
-    return grad
-
-
-def sgd_step(params: ModelParams, grad: ModelParams, lr: float) -> ModelParams:
-    """params - lr * grad, element-wise over the one parameter vector, for a
-    ``grad`` from ``batch_grad`` of parameters of the same layer sizes;
-    inputs are left untouched."""
-    step = grad.vector * lr
-    np.subtract(params.vector, step, out=step)
-    return ModelParams(params.layer_sizes, step)
+def sgd_step(vector: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
+    """``vector - (grad * lr)``, element-wise, written into ``vector``;
+    ``scratch``, of the same length, holds ``grad * lr``."""
+    np.multiply(grad, lr, out=scratch)
+    np.subtract(vector, scratch, out=vector)
 
 
 def check_finite(params: ModelParams) -> ModelParams:

@@ -602,15 +602,21 @@ def _train_on(
     lr: float,
     passes: int = 1,
 ) -> ModelParams:
-    """SGD passes over the batch rows in order, in minibatch chunks."""
-    chunks = [
-        TrainBatch(batch.features[lo : lo + minibatch], batch.labels[lo : lo + minibatch])
-        for lo in range(0, len(batch), minibatch)
-    ]
+    """SGD passes over the batch rows in order, in minibatch chunks: plain
+    row slices of the batch, which was checked when it was built.  Each
+    chunk takes one ``batch_grad`` and one ``sgd_step``, in place on working
+    values allocated once per call: a copy of ``params``, a gradient and a
+    scratch vector.  Returns the copy; ``params`` and ``batch`` are not
+    written."""
+    trained = ModelParams(params.layer_sizes, params.vector.copy())
+    grad = ModelParams(params.layer_sizes, np.empty_like(trained.vector))
+    scratch = np.empty_like(trained.vector)
     for _ in range(passes):
-        for chunk in chunks:
-            params = sgd_step(params, batch_grad(params, chunk), lr)
-    return params
+        for lo in range(0, len(batch), minibatch):
+            rows = slice(lo, lo + minibatch)
+            batch_grad(trained, batch.features[rows], batch.labels[rows], grad)
+            sgd_step(trained.vector, grad.vector, lr, scratch)
+    return trained
 
 
 def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:

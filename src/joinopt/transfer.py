@@ -9,11 +9,13 @@ candidate partition is rated with the Davies-Bouldin index over a shared
 4-feature query embedding, and the lowest-DBI policy wins.  The winning tasks,
 each a ``TrainBatch`` pooling its queries' rows, feed first-order MAML:
 per-task inner SGD adaptation followed by an outer step on the summed
-post-adaptation gradients.  MAML runs every step in place on working values
-it allocates once per call: the adapted parameters and the gradient, each a
-``ModelParams`` that ``model.backprop`` reads or writes, and the outer
-parameters (a copy of its input), the task-gradient sum and scratch, each a
-vector in the same layout.  It returns the outer parameters.
+post-adaptation gradients.  MAML runs every step through
+``model.batch_grad`` and ``model.sgd_step``, in place on working values it
+allocates once per call: the adapted parameters and the gradient, each a
+``ModelParams``, and the outer parameters (a copy of its input), the
+task-gradient sum and scratch, each a vector in the same layout.  It
+returns the outer parameters and writes neither its input parameters nor
+its tasks.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .catalog import Query
-from .model import ModelParams, TrainBatch, backprop
+from .model import ModelParams, TrainBatch, batch_grad, sgd_step
 from .simulator import QueryContext
 
 __all__ = [
@@ -151,27 +153,18 @@ def davies_bouldin(tasks: TaskSet, embeddings: dict[str, np.ndarray]) -> float:
 
 
 def score_all_policies(workload: list[QueryContext], k_tasks: int) -> list[TaskSet]:
-    """Partition under every policy and fill in DBI scores, in enum order."""
+    """Partition under every policy and fill in DBI scores, in enum order.
+    The partitions come first, so a ``k_tasks`` above the workload size is
+    refused by the HALSTEAD partition before any expert DP runs."""
+    partitions = [partition_workload(workload, policy, k_tasks) for policy in PartitioningPolicy]
     embeddings = query_embeddings(workload)
-    scored = []
-    for policy in PartitioningPolicy:
-        tasks = partition_workload(workload, policy, k_tasks)
-        scored.append(
-            dataclasses.replace(tasks, dbi_score=davies_bouldin(tasks, embeddings))
-        )
-    return scored
+    return [dataclasses.replace(t, dbi_score=davies_bouldin(t, embeddings)) for t in partitions]
 
 
 def select_partitioning(workload: list[QueryContext], k_tasks: int) -> TaskSet:
     """The minimum-DBI partition across all four policies; ties keep the
     earliest policy in enum order."""
     return min(score_all_policies(workload, k_tasks), key=lambda t: t.dbi_score)
-
-
-def _step(vector: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarray) -> None:
-    """``vector - lr * grad``, element-wise, written into ``vector``."""
-    np.multiply(grad, lr, out=scratch)
-    np.subtract(vector, scratch, out=vector)
 
 
 def maml_outer(
@@ -208,9 +201,9 @@ def maml_outer(
             query_batch = sample(task)
             np.copyto(adapted.vector, outer)
             for _ in range(n_inner):
-                backprop(adapted, *support, grad)
-                _step(adapted.vector, grad.vector, inner_lr, scratch)
-            backprop(adapted, *query_batch, grad)
+                batch_grad(adapted, *support, grad)
+                sgd_step(adapted.vector, grad.vector, inner_lr, scratch)
+            batch_grad(adapted, *query_batch, grad)
             summed += grad.vector
-        _step(outer, summed, outer_lr, scratch)
+        sgd_step(outer, summed, outer_lr, scratch)
     return ModelParams(params.layer_sizes, outer)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import Catalog, Query, TableStats
+from joinopt.model import ModelParams, batch_grad
 from joinopt.simulator import CostModelConfig
 
 
@@ -97,6 +98,20 @@ def random_tree_catalog_and_query(rng, n_rels, qid="rq"):
     catalog = make_catalog(specs, selectivities)
     query = make_query(qid, names, edges)
     return catalog, query
+
+
+def gradient(params, features, labels):
+    """A fresh gradient: ``batch_grad`` of ``params`` on the rows, written
+    into a new ``ModelParams``."""
+    grad = ModelParams(params.layer_sizes, np.empty_like(params.vector))
+    batch_grad(params, features, labels, grad)
+    return grad
+
+
+def stepped(params, grad, lr):
+    """New parameters one SGD step from ``params``, computed as new arrays
+    in ``sgd_step``'s order of operations: ``vector - (grad * lr)``."""
+    return ModelParams(params.layer_sizes, params.vector - grad.vector * lr)
 
 
 def write_json(path, doc):

@@ -24,10 +24,8 @@ from joinopt.features import feature_dim
 from joinopt.model import (
     ModelParams,
     TrainBatch,
-    batch_grad,
     batch_loss,
     init_params,
-    sgd_step,
 )
 from joinopt.metrics import wrl
 from joinopt.retention import (
@@ -52,7 +50,7 @@ from joinopt.transfer import (
 )
 from joinopt.workload_gen import generate, write_files
 
-from conftest import make_query, random_tree_catalog_and_query
+from conftest import gradient, make_query, random_tree_catalog_and_query, stepped
 from test_simulator import brute_force_min_cost
 
 
@@ -288,7 +286,7 @@ def test_criterion_4_gradient_correctness():
         hidden = int(rng.integers(2, 8))
         params = init_params((d, hidden, 1), int(rng.integers(100_000)))
         batch = TrainBatch(rng.normal(size=(5, d)), rng.normal(size=5) ** 2)
-        grad = batch_grad(params, batch)
+        grad = gradient(params, batch.features, batch.labels)
         fd_w, fd_b = finite_difference_grad(params, batch)
         for got, want in zip(list(grad.weights) + list(grad.biases), fd_w + fd_b):
             denom = np.maximum(np.abs(want), 1e-6)
@@ -340,7 +338,7 @@ def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
         if batch_loss(params, batch) <= threshold:
             return step
-        params = sgd_step(params, batch_grad(params, batch), lr)
+        params = stepped(params, gradient(params, batch.features, batch.labels), lr)
     return max_steps + 1
 
 

@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from joinopt import cli
+from joinopt import cli, simulator
 from joinopt.catalog import load_catalog
 from joinopt.cli import main
+from joinopt.features import feature_dim
+from joinopt.model import init_params, save_params
 from joinopt.trainer import config_to_doc, load_run_config, run_training
 
 from conftest import write_json
@@ -258,6 +260,25 @@ def test_eval_malformed_checkpoint_errors(project, capsys):
     assert "\n" not in err.strip()
 
 
+def test_eval_refuses_a_checkpoint_built_for_another_catalog(project, capsys, monkeypatch):
+    """A checkpoint whose input layer does not match the catalog's feature
+    width is refused in one line naming both files, before any expert DP."""
+    tmp_path, config = project
+    catalog = (tmp_path / "data" / "catalog.json").resolve()
+    width = feature_dim(load_catalog(catalog))
+    model = tmp_path / "other.npz"
+    save_params(init_params((width + 2, 4, 1), 0), model)
+    calls = []
+    monkeypatch.setattr(simulator, "expert_plan", lambda *args: calls.append(args))
+    rc = main(["eval", "--config", str(config), "--model", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: the network takes {width + 2} input features, "
+        f"but catalog {catalog} gives {width}\n"
+    )
+    assert calls == []
+
+
 def test_replay_report(project):
     tmp_path, config = project
     out = tmp_path / "replay"
@@ -372,6 +393,16 @@ def test_train_refuses_an_integer_float64_cannot_hold(project, capsys):
         tmp_path, capsys, ["--config", str(config)],
         f"error: {catalog.resolve()}: tables[0]: 'row_count' must be an integer, got 1{'0' * 400}\n",
     )
+
+
+def test_train_reports_a_failed_allocation_in_one_line(project, capsys):
+    """``hidden_sizes`` has no upper bound, so a layer of 2**50 units loads;
+    numpy refuses its more than 100 PiB at once, allocating nothing, and the refusal
+    is one error line, not a traceback."""
+    tmp_path, config = project
+    doc = json.loads(config.read_text())
+    bad = write_json(tmp_path / "huge.json", {**doc, "model": {"hidden_sizes": [2**50]}})
+    _assert_fails_before_work(tmp_path, capsys, ["--config", str(bad)], "Unable to allocate")
 
 
 @pytest.mark.parametrize(

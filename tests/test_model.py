@@ -16,6 +16,8 @@ from joinopt.model import (
     sgd_step,
 )
 
+from conftest import gradient
+
 
 # --- independent oracles ------------------------------------------------------
 
@@ -63,8 +65,8 @@ def make_linear_model(weight, bias=0.0):
 
 def test_params_are_views_of_one_vector(rng):
     """Layers are laid out w0, b0, w1, b1, ... in the one float64 vector the
-    constructor is given, which it holds without copying; a vector of any
-    other shape is refused."""
+    constructor is given, which it holds without copying, so an SGD step on
+    the vector moves every layer; a vector of any other shape is refused."""
     sizes = (3, 4, 2, 1)
     weights = tuple(rng.normal(size=(a, b)) for a, b in zip(sizes, sizes[1:]))
     biases = tuple(rng.normal(size=b) for b in sizes[1:])
@@ -74,8 +76,9 @@ def test_params_are_views_of_one_vector(rng):
     for got, given in zip(params.weights + params.biases, weights + biases):
         assert np.shares_memory(got, vector)
         assert got.shape == given.shape and got.tobytes() == given.tobytes()
-    stepped = sgd_step(params, params, 0.5)
-    assert not np.shares_memory(stepped.vector, params.vector)
+    sgd_step(params.vector, np.ones_like(vector), 0.5, np.empty_like(vector))
+    for got, given in zip(params.weights + params.biases, weights + biases):
+        assert np.array_equal(got, given - 0.5)
     for bad in (np.zeros(vector.size + 1), np.zeros(vector.size - 1), vector[None, :]):
         with pytest.raises(ModelError, match="parameter vector"):
             ModelParams(sizes, bad)
@@ -165,7 +168,7 @@ def reference_grad(params, batch):
 def assert_matches_reference_bits(params, x, labels):
     _, activations = reference_forward(params, x)
     assert predict_batch(params, x).tobytes() == activations[-1][:, 0].tobytes()
-    grad = batch_grad(params, TrainBatch(x, labels))
+    grad = gradient(params, x, labels)
     want_w, want_b = reference_grad(params, TrainBatch(x, labels))
     for got, want in zip(grad.weights + grad.biases, want_w + want_b):
         assert got.tobytes() == want.tobytes()
@@ -210,13 +213,17 @@ def test_forward_and_gradient_match_reference_bits_on_20000_rows(rng):
 
 
 def test_forward_leaves_inputs_and_parameters_unwritten(rng):
+    """A forward pass writes none of its arguments, and ``batch_grad``
+    writes only the gradient it is given, every element of it."""
     params = init_params((4, 6, 1), 2)
     x = rng.normal(size=(9, 4))
-    before = [a.copy() for a in (x, *params.weights, *params.biases)]
+    labels = np.ones(9)
+    before = [a.copy() for a in (x, labels, params.vector)]
     predict_batch(params, x)
-    batch_grad(params, TrainBatch(x, np.ones(9)))
-    after = (x, *params.weights, *params.biases)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, after))
+    grad = ModelParams(params.layer_sizes, np.full_like(params.vector, np.nan))
+    batch_grad(params, x, labels, grad)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (x, labels, params.vector)))
+    assert np.isfinite(grad.vector).all()
 
 
 # --- loss ---------------------------------------------------------------------
@@ -247,8 +254,7 @@ def test_loss_permutation_invariant(rng):
 
 def test_zero_loss_zero_gradient():
     params = make_linear_model(1.0)
-    batch = TrainBatch(np.array([[2.0]]), np.array([2.0]))
-    grad = batch_grad(params, batch)
+    grad = gradient(params, np.array([[2.0]]), np.array([2.0]))
     assert all(np.all(g == 0) for g in grad.weights)
     assert all(np.all(g == 0) for g in grad.biases)
 
@@ -259,7 +265,7 @@ def test_gradient_matches_finite_differences(rng):
         hidden = int(rng.integers(2, 8))
         params = init_params((d, hidden, 1), int(rng.integers(10_000)))
         batch = TrainBatch(rng.normal(size=(4, d)), rng.normal(size=4) ** 2)
-        grad = batch_grad(params, batch)
+        grad = gradient(params, batch.features, batch.labels)
         fd_w, fd_b = finite_difference_grad(params, batch)
         for g, f in zip(grad.weights, fd_w):
             np.testing.assert_allclose(g, f, rtol=1e-4, atol=1e-6)
@@ -271,8 +277,8 @@ def test_gradient_mean_semantics(rng):
     params = init_params((3, 5, 1), 2)
     X = rng.normal(size=(4, 3))
     y = rng.normal(size=4) ** 2
-    single = batch_grad(params, TrainBatch(X, y))
-    doubled = batch_grad(params, TrainBatch(np.vstack([X, X]), np.hstack([y, y])))
+    single = gradient(params, X, y)
+    doubled = gradient(params, np.vstack([X, X]), np.hstack([y, y]))
     for a, b in zip(single.weights, doubled.weights):
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
@@ -283,42 +289,45 @@ def test_sgd_never_increases_loss_at_tiny_lr(rng):
         params = init_params((d, int(rng.integers(2, 16)), 1), int(rng.integers(10_000)))
         batch = TrainBatch(rng.normal(size=(6, d)), rng.normal(size=6) ** 2)
         before = batch_loss(params, batch)
-        stepped = sgd_step(params, batch_grad(params, batch), lr=1e-5)
-        assert batch_loss(stepped, batch) <= before + 1e-12
+        grad = gradient(params, batch.features, batch.labels)
+        sgd_step(params.vector, grad.vector, 1e-5, np.empty_like(params.vector))
+        assert batch_loss(params, batch) <= before + 1e-12
 
 
 # --- sgd ----------------------------------------------------------------------
 
 def test_sgd_identity_cases():
     params = init_params((3, 4, 1), 9)
-    grad = batch_grad(
-        params, TrainBatch(np.ones((2, 3)), np.array([1.0, 2.0]))
-    )
-    unchanged = sgd_step(params, grad, lr=0.0)
-    for a, b in zip(params.weights, unchanged.weights):
-        assert np.array_equal(a, b)
-    zero_grad = ModelParams(params.layer_sizes, np.zeros_like(params.vector))
-    same = sgd_step(params, zero_grad, lr=0.5)
-    for a, b in zip(params.weights, same.weights):
-        assert np.array_equal(a, b)
+    before = params.vector.copy()
+    scratch = np.empty_like(before)
+    grad = gradient(params, np.ones((2, 3)), np.array([1.0, 2.0]))
+    sgd_step(params.vector, grad.vector, 0.0, scratch)
+    assert np.array_equal(params.vector, before)
+    sgd_step(params.vector, np.zeros_like(before), 0.5, scratch)
+    assert np.array_equal(params.vector, before)
 
 
 def test_sgd_scalar_hand_value():
     # theta = 0, L = (theta - 1)^2, lr = 0.1 -> theta' = 0.2
     params = make_linear_model(0.0, bias=0.0)
-    batch = TrainBatch(np.array([[0.0]]), np.array([1.0]))
-    grad = batch_grad(params, batch)
-    stepped = sgd_step(params, grad, lr=0.1)
-    assert stepped.biases[0][0] == pytest.approx(0.2)
+    grad = gradient(params, np.array([[0.0]]), np.array([1.0]))
+    sgd_step(params.vector, grad.vector, 0.1, np.empty(2))
+    assert params.biases[0][0] == pytest.approx(0.2)
 
 
 def test_sgd_value_semantics():
+    """``sgd_step`` writes ``vector - (grad * lr)`` into the vector and
+    ``grad * lr`` into the scratch, in that order of operations, and writes
+    nothing else."""
     params = init_params((2, 3, 1), 1)
-    snapshot = [w.copy() for w in params.weights]
-    grad = batch_grad(params, TrainBatch(np.ones((1, 2)), np.array([3.0])))
-    sgd_step(params, grad, lr=0.5)
-    for w, snap in zip(params.weights, snapshot):
-        assert np.array_equal(w, snap)
+    before = params.vector.copy()
+    grad = gradient(params, np.ones((1, 2)), np.array([3.0]))
+    snapshot = grad.vector.copy()
+    scratch = np.full_like(before, np.nan)
+    sgd_step(params.vector, grad.vector, 0.5, scratch)
+    assert grad.vector.tobytes() == snapshot.tobytes()
+    assert scratch.tobytes() == (snapshot * 0.5).tobytes()
+    assert params.vector.tobytes() == (before - snapshot * 0.5).tobytes()
 
 
 # --- checkpoint / labels --------------------------------------------------------

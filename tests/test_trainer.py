@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import load_catalog, load_workload
-from joinopt.model import ModelError, ModelParams, init_params, predict_batch
+from joinopt.model import ModelError, ModelParams, TrainBatch, init_params, predict_batch
 from joinopt import retention, simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
@@ -36,7 +36,7 @@ from joinopt.trainer import (
 from joinopt.transfer import PartitioningPolicy, TaskSet
 from joinopt.workload_gen import generate, write_files
 
-from conftest import make_catalog, make_query, write_json
+from conftest import gradient, make_catalog, make_query, stepped, write_json
 
 BUNDLE = Path(__file__).resolve().parent.parent / "data" / "star6"
 
@@ -499,6 +499,26 @@ def test_online_sgd_steps_go_through_the_trainers_bindings(workload_dir, monkeyp
     assert chunks == 3
     want = cfg.iterations * cfg.model.train_passes * chunks
     assert counts == {"sgd_step": want, "batch_grad": want}
+
+
+def test_train_on_leaves_its_inputs_unwritten():
+    """An online SGD phase steps in place on its own copy of the parameters:
+    it writes neither the parameters nor the batch it is given, returns a
+    vector that shares no memory with them, and takes the same steps, bit
+    for bit, as new arrays per minibatch chunk and pass."""
+    rng = np.random.default_rng(3)
+    params = init_params((5, 7, 1), 4)
+    batch = TrainBatch(rng.normal(size=(10, 5)), rng.normal(size=10))
+    arrays = (params.vector, batch.features, batch.labels)
+    snapshot = [a.copy() for a in arrays]
+    trained = trainer_module._train_on(params, batch, 4, 0.01, passes=2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, snapshot))
+    assert not any(np.shares_memory(trained.vector, a) for a in arrays)
+    want = params
+    for _ in range(2):
+        for rows in (slice(0, 4), slice(4, 8), slice(8, 10)):
+            want = stepped(want, gradient(want, batch.features[rows], batch.labels[rows]), 0.01)
+    assert trained.vector.tobytes() == want.vector.tobytes()
 
 
 def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from joinopt.model import ModelParams, TrainBatch, batch_grad, batch_loss, init_params, sgd_step
+from joinopt.model import ModelParams, TrainBatch, batch_loss, init_params
 from joinopt.transfer import (
     PartitioningPolicy,
     TaskSet,
@@ -18,9 +18,10 @@ from joinopt.transfer import (
     select_partitioning,
 )
 
+from joinopt import simulator
 from joinopt.simulator import QueryContext
 
-from conftest import make_catalog, make_query
+from conftest import gradient, make_catalog, make_query, stepped
 
 
 # --- independent DBI oracle ----------------------------------------------------
@@ -166,6 +167,21 @@ def test_partition_validates_sizes(default_cost):
     workload = _scored_workload([1, 2])
     with pytest.raises(TransferError):
         partition_workload(workload, PartitioningPolicy.OPERATOR_COUNT, 3)
+
+
+def test_too_many_tasks_fail_before_any_expert_dp(chain3_catalog, default_cost, monkeypatch):
+    """A ``k_tasks`` above the number of queries is refused by the first
+    policy's partition, before the embeddings run any query's expert DP."""
+    calls = []
+    monkeypatch.setattr(simulator, "expert_plan", lambda *args: calls.append(args))
+    workload = [
+        QueryContext(make_query(f"q{i}", ["a", "b", "c"], [("a", "b"), ("b", "c")]),
+                     chain3_catalog, default_cost)
+        for i in range(3)
+    ]
+    with pytest.raises(TransferError, match="^workload of 3 queries cannot fill 4 tasks$"):
+        score_all_policies(workload, 4)
+    assert calls == []
 
 
 def test_partition_invariants_random(rng, default_cost):
@@ -334,8 +350,8 @@ def test_maml_outer_one_inner_step_equals_sgd(rng):
     params = init_params((1, 4, 1), 3)
     batch = _quadratic_task(rng)
     out = maml_outer(params, [batch], 0.01, 0.02, n_inner=1, n_outer=1, batch_size=999)
-    adapted = sgd_step(params, batch_grad(params, batch), 0.01)
-    direct = sgd_step(params, batch_grad(adapted, batch), 0.02)
+    adapted = stepped(params, gradient(params, batch.features, batch.labels), 0.01)
+    direct = stepped(params, gradient(adapted, batch.features, batch.labels), 0.02)
     np.testing.assert_allclose(out.vector, direct.vector, rtol=0, atol=1e-12)
 
 
@@ -389,7 +405,7 @@ def test_maml_outer_no_inner_is_plain_sgd(rng):
         params, [batch], inner_lr=0.1, outer_lr=0.02, n_inner=0, n_outer=1,
         batch_size=999, rng_seed=0,
     )
-    direct = sgd_step(params, batch_grad(params, batch), 0.02)
+    direct = stepped(params, gradient(params, batch.features, batch.labels), 0.02)
     for a, b in zip(out.weights, direct.weights):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -414,10 +430,10 @@ def test_maml_outer_deterministic(rng):
 # --- MAML bit for bit against the earlier loop ------------------------------------
 
 def reference_maml_inner(params, batch, inner_lr, n_inner):
-    """The earlier inner loop, kept as the reference: one
-    ``sgd_step(batch_grad)`` per step, each returning new parameters."""
+    """The earlier inner loop, kept as the reference: one gradient and one
+    step per step, each into new arrays."""
     for _ in range(n_inner):
-        params = sgd_step(params, batch_grad(params, batch), inner_lr)
+        params = stepped(params, gradient(params, batch.features, batch.labels), inner_lr)
     return params
 
 
@@ -436,9 +452,9 @@ def reference_maml_outer(params, tasks, inner_lr, outer_lr, n_inner, n_outer, ba
             support = sample(task)
             query_batch = sample(task)
             adapted = reference_maml_inner(params, support, inner_lr, n_inner)
-            grads.append(batch_grad(adapted, query_batch))
+            grads.append(gradient(adapted, query_batch.features, query_batch.labels))
         summed = ModelParams(params.layer_sizes, sum(g.vector for g in grads))
-        params = sgd_step(params, summed, outer_lr)
+        params = stepped(params, summed, outer_lr)
     return params
 
 
@@ -483,7 +499,7 @@ def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
         if batch_loss(params, batch) <= threshold:
             return step
-        params = sgd_step(params, batch_grad(params, batch), lr)
+        params = stepped(params, gradient(params, batch.features, batch.labels), lr)
     return max_steps + 1
 
 

@@ -1,7 +1,7 @@
 """Record the expert DP's time by query size and join-graph shape as
-``BENCH_dp_shapes.json``.
+``BENCH_<label>.json``.
 
-    python3 tools/bench_dp.py --before DIR --after DIR
+    python3 tools/bench_dp.py --before DIR --after DIR --label NAME
 
 DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
 file names each side by its directory's name, so name the directories after
@@ -69,6 +69,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", required=True, type=Path)
     parser.add_argument("--after", required=True, type=Path)
+    parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
@@ -86,7 +87,7 @@ def main(argv=None):
         )
         cells[name] = cell
     doc = {
-        "label": "dp_shapes",
+        "label": args.label,
         "command": "simulator.expert_plan(query, catalog, CostModelConfig())",
         **header,
         "seeds": list(SEEDS),
@@ -95,9 +96,10 @@ def main(argv=None):
         "plans_equal": all(cell["plans_equal"] for cell in cells.values()),
         "cells": cells,
     }
-    Path("BENCH_dp_shapes.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    record = Path(f"BENCH_{args.label}.json")
+    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     if not doc["plans_equal"]:
-        sys.exit("plans differ between the checkouts; see BENCH_dp_shapes.json")
+        sys.exit(f"plans differ between the checkouts; see {record}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Record first-order MAML's and one online SGD phase's time on the
-benchmark workloads as ``BENCH_maml.json``.
+benchmark workloads as ``BENCH_<label>.json``.
 
-    python3 tools/bench_maml.py --before DIR --after DIR
+    python3 tools/bench_maml.py --before DIR --after DIR --label NAME
 
 DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
 file names each side by its directory's name, so name the directories after
@@ -102,6 +102,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", required=True, type=Path)
     parser.add_argument("--after", required=True, type=Path)
+    parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
@@ -128,7 +129,7 @@ def main(argv=None):
         )
         workloads[name] = entry
     doc = {
-        "label": "maml",
+        "label": args.label,
         "command": "transfer.maml_outer on the meta tasks meta_initialize builds, "
         "and trainer._train_on on their first k_replay rows, CPU time per call",
         **header,
@@ -139,9 +140,10 @@ def main(argv=None):
         "params_equal": all(entry["params_equal"] for entry in workloads.values()),
         "workloads": workloads,
     }
-    Path("BENCH_maml.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    record = Path(f"BENCH_{args.label}.json")
+    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     if not doc["params_equal"]:
-        sys.exit("parameters differ between the checkouts; see BENCH_maml.json")
+        sys.exit(f"parameters differ between the checkouts; see {record}")
 
 
 if __name__ == "__main__":

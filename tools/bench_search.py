@@ -1,7 +1,7 @@
 """Record greedy plan search's time per query on the benchmark workloads as
-``BENCH_search.json``.
+``BENCH_<label>.json``.
 
-    python3 tools/bench_search.py --before DIR --after DIR
+    python3 tools/bench_search.py --before DIR --after DIR --label NAME
 
 DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
 file names each side by its directory's name, so name the directories after
@@ -78,6 +78,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", required=True, type=Path)
     parser.add_argument("--after", required=True, type=Path)
+    parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
     sides = {"before": args.before.resolve(), "after": args.after.resolve()}
 
@@ -100,7 +101,7 @@ def main(argv=None):
         )
         workloads[name] = entry
     doc = {
-        "label": "search",
+        "label": args.label,
         "command": "trainer.plan_search(..., epsilon=0.0) over each workload's "
         "train and test queries, per query",
         **header,
@@ -110,9 +111,10 @@ def main(argv=None):
         "plans_equal": all(entry["plans_equal"] for entry in workloads.values()),
         "workloads": workloads,
     }
-    Path("BENCH_search.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    record = Path(f"BENCH_{args.label}.json")
+    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     if not doc["plans_equal"]:
-        sys.exit("plans differ between the checkouts; see BENCH_search.json")
+        sys.exit(f"plans differ between the checkouts; see {record}")
 
 
 if __name__ == "__main__":
