@@ -188,6 +188,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and abs(value) <= 2**53
 
 
+def _shown(value) -> str:
+    """``value`` as JSON for an error message; an integer of more than 20
+    digits is shortened to its first and last digits and its digit count."""
+    text = json.dumps(value)
+    digits = len(text.lstrip("-"))
+    if isinstance(value, int) and digits > 20:
+        return f"{text[:8]}...{text[-4:]} ({digits} digits)"
+    return text
+
+
 def _is_names(value) -> bool:
     return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
@@ -238,7 +248,7 @@ def _build(cls, doc, where: str, error, base=None):
     built the same way from their own objects.  A field spelled by a ``key``
     in its metadata is a path, resolved against the directory ``base``."""
     if not isinstance(doc, dict):
-        raise error(f"{where}: must be an object, got {json.dumps(doc)}")
+        raise error(f"{where}: must be an object, got {_shown(doc)}")
     fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
     unknown = sorted(set(doc) - set(fields))
     if unknown:
@@ -256,7 +266,7 @@ def _build(cls, doc, where: str, error, base=None):
             value = _build(type(f.default), value, f"{where}: {key}", error, base)
         elif "entries" in f.metadata:
             if not isinstance(value, list):
-                raise error(f"{where}: {key!r} must be a list, got {json.dumps(value)}")
+                raise error(f"{where}: {key!r} must be a list, got {_shown(value)}")
             value = tuple(
                 _build(f.metadata["entries"], item, f"{where}: {key}[{i}]", error)
                 for i, item in enumerate(value)
@@ -264,7 +274,7 @@ def _build(cls, doc, where: str, error, base=None):
         else:
             expected, accepts = _FIELD_TYPES[f.type]
             if not accepts(value):
-                raise error(f"{where}: {key!r} must be {expected}, got {json.dumps(value)}")
+                raise error(f"{where}: {key!r} must be {expected}, got {_shown(value)}")
             if "key" in f.metadata:
                 value = str((base / value).resolve())
             elif isinstance(value, list):

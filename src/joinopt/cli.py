@@ -152,7 +152,7 @@ def _cmd_partition_report(args, cfg: RunConfig) -> int:
 
 def _cmd_meta_train(args, cfg: RunConfig) -> int:
     setup = prepare_run(cfg, cfg.base_seed)
-    params, taskset = meta_initialize(cfg, setup.train, setup.params, cfg.base_seed)
+    params, taskset = meta_initialize(cfg, setup.train, setup.initial_params(), cfg.base_seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / "meta_params.npz"

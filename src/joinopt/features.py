@@ -47,10 +47,7 @@ def feature_dim(catalog: Catalog) -> int:
 
 def _mask_bits(masks: list[int], width: int) -> np.ndarray:
     """[n, width] matrix of the low ``width`` bits of each mask, lowest first."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+    return (np.array(masks)[:, None] >> np.arange(width)) & 1
 
 
 def feature_matrix(

@@ -34,7 +34,6 @@ __all__ = [
     "ModelError",
     "init_params",
     "predict_batch",
-    "batch_loss",
     "batch_grad",
     "sgd_step",
     "check_finite",
@@ -150,13 +149,6 @@ def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Forward pass over a float [n, d] matrix, d the network's input width;
     returns the n scalar outputs."""
     return _forward(params.weights, params.biases, features)[-1][:, 0]
-
-
-def batch_loss(params: ModelParams, batch: TrainBatch) -> float:
-    """Mean squared error of predictions against batch labels."""
-    preds = predict_batch(params, batch.features)
-    diff = preds - batch.labels
-    return float(np.mean(diff * diff))
 
 
 def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None:

@@ -15,14 +15,15 @@ grows with the number of such splits: for n relations, (n^3 - n) / 6 for a
 chain, (n - 1) * 2^(n - 2) for a star and (3^n - 2^(n+1) + 1) / 2 for a
 clique, the worst case.
 
-A ``QueryContext`` compiles one (query, catalog, cost config) once.  Every
-relation set is a bitmask over the query's sorted relation names, and names
-are read back only for error messages.  The context holds the relation
-index and adjacency masks; on first use it compiles each relation's
-filtered rows, row width and scan summary (its ``scans``, the start of
-every plan) and each join edge as a (two-bit mask, selectivity) pair;
-cardinalities and log sizes are products and sums over those, memoized by
-mask, and the expert plan is computed on first use and then kept.
+A ``QueryContext`` compiles one (query, catalog, cost config) once, when
+it is made.  Every relation set is a bitmask over the query's sorted
+relation names, and names are read back only for error messages.  The
+context holds the relation index and adjacency masks, each relation's
+filtered rows, row width, catalog slot and scan summary (its ``scans``, the
+start of every plan) and each join edge as a (two-bit mask, selectivity)
+pair; cardinalities and log sizes are products and sums over those,
+memoized by mask.  Only the expert DP runs on first use, and its plan is
+then kept.
 Each context registers itself in a weak registry keyed by the identities of
 its query and catalog and by its cost config, so ``query_context`` (and
 through it ``plan_search``, ``noiseless_latency`` and ``expert_plan``)
@@ -52,7 +53,6 @@ import math
 import operator
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -147,12 +147,12 @@ class QueryContext:
     """One query compiled against a catalog and cost config.
 
     Relation ``i`` of the sorted relation names is bit ``1 << i``, so a
-    mask's names come out sorted.  Construction reads only the query and
-    registers the context for ``query_context``; the catalog is first read
-    when the relations' statistics, join edges and ``scans`` are compiled,
-    on first use.  Cardinalities, log sizes and neighbour masks are
-    memoized per mask on first use, and ``expert()`` runs the DP once, on
-    this context, and keeps its plan.
+    mask's names come out sorted.  The context is compiled when it is made:
+    construction reads the query and the catalog, builds the relations'
+    statistics, join edges and ``scans``, and registers the context for
+    ``query_context``.  Cardinalities, log sizes and neighbour masks are
+    memoized per mask on first use, and the DP runs on first use:
+    ``expert()`` runs it once, on this context, and keeps its plan.
     """
 
     def __init__(self, query: Query, catalog: Catalog, cfg: CostModelConfig):
@@ -167,49 +167,34 @@ class QueryContext:
             adjacency[a] |= self.bit[b]
             adjacency[b] |= self.bit[a]
         self.adjacency = tuple(adjacency[r] for r in self.relations)
+        tables = [catalog.table(r) for r in self.relations]
+        # Filtered base rows and row width of each relation, in bit order.
+        self._base_rows = tuple(t.base_rows for t in tables)
+        self._widths = tuple(t.row_width_bytes for t in tables)
+        # Each join edge as (two-bit mask, selectivity), in sorted edge order.
+        self._edges = tuple(
+            (self.bit[a] | self.bit[b], catalog.edge_selectivity(a, b))
+            for a, b in sorted(query.join_edges)
+        )
+        order = {name: i for i, name in enumerate(catalog.table_names)}
+        # Catalog position of each relation, in bit order.
+        self.relation_slots = np.array([order[r] for r in self.relations])
         self._card: dict[int, float] = {}
         self._log_size: dict[int, tuple[float, float]] = {}
         self._neighbors: dict[int, int] = {}
         self._expert: PlanNode | None = None
+        # One Scan fragment per relation, in bit order: the start of every
+        # plan and the leaves of every walk.
+        self.scans = tuple(
+            FragmentInfo(Scan(r), 1 << i, self.cardinality(1 << i), scan_cost(t.row_count, cfg),
+                         depth=0, op_counts=(0, 0, 0))
+            for i, (r, t) in enumerate(zip(self.relations, tables))
+        )
         _CONTEXTS[(id(query), id(catalog), cfg)] = self
 
     def names(self, mask: int) -> tuple[str, ...]:
         """Sorted relation names of a mask."""
         return tuple(r for i, r in enumerate(self.relations) if mask >> i & 1)
-
-    @cached_property
-    def _base_rows(self) -> tuple[float, ...]:
-        """Filtered base rows of each relation, in bit order."""
-        return tuple(self.catalog.table(r).base_rows for r in self.relations)
-
-    @cached_property
-    def _widths(self) -> tuple[int, ...]:
-        """Row width of each relation, in bit order."""
-        return tuple(self.catalog.table(r).row_width_bytes for r in self.relations)
-
-    @cached_property
-    def _edges(self) -> tuple[tuple[int, float], ...]:
-        """Each join edge as (two-bit mask, selectivity), in sorted edge order."""
-        return tuple(
-            (self.bit[a] | self.bit[b], self.catalog.edge_selectivity(a, b))
-            for a, b in sorted(self.query.join_edges)
-        )
-
-    @cached_property
-    def scans(self) -> tuple[FragmentInfo, ...]:
-        """One Scan fragment per relation, in bit order: the start of every
-        plan and the leaves of every walk."""
-        return tuple(
-            FragmentInfo(
-                node=Scan(r),
-                mask=1 << i,
-                rows=self.cardinality(1 << i),
-                cost=scan_cost(self.catalog.table(r).row_count, self.cfg),
-                depth=0,
-                op_counts=(0, 0, 0),
-            )
-            for i, r in enumerate(self.relations)
-        )
 
     def cardinality(self, mask: int) -> float:
         """Estimated rows of a relation set: the product of its relations'
@@ -250,12 +235,6 @@ class QueryContext:
                     got |= adjacent
             self._neighbors[mask] = got
         return got
-
-    @cached_property
-    def relation_slots(self) -> np.ndarray:
-        """Catalog position of each relation, in relation (bit) order."""
-        order = {name: i for i, name in enumerate(self.catalog.table_names)}
-        return np.array([order[r] for r in self.relations])
 
     def expert(self) -> PlanNode:
         """The expert DP plan, computed by the first call."""
@@ -616,13 +595,21 @@ def expert_baseline(
 ) -> ExpertBaseline:
     """Execute the context's expert plan ``n_runs`` times (seeds base_seed +
     i) and summarize latency variability; tolerance is twice the sample
-    std."""
+    std.  A latency, mean or tolerance that is not a positive finite number
+    (zero costs, or a latency unit large enough to overflow) raises
+    ``SimulatorError`` naming the query, and numpy's warnings are silenced."""
     cost = ctx.cost(ctx.expert())
     latencies = np.array(
         [_noisy_latency(cost, ctx.cfg, base_seed + i) for i in range(n_runs)]
     )
-    mean = float(latencies.mean())
-    std = float(latencies.std(ddof=1))
+    with np.errstate(all="ignore"):
+        mean = float(latencies.mean())
+        std = float(latencies.std(ddof=1))
+        if not (latencies.min() > 0 and math.isfinite(mean) and math.isfinite(2.0 * std)):
+            raise SimulatorError(
+                f"query {ctx.query.id!r}: expert latencies must be positive and finite, "
+                f"got mean {mean} ms and std {std} ms"
+            )
     return ExpertBaseline(
         query_id=ctx.query.id,
         mean_latency_ms=mean,

@@ -510,15 +510,14 @@ class RunResult(RunHistory):
 
 @dataclass(frozen=True)
 class RunSetup:
-    """What every command starts from: the catalog, one compiled context per
-    train and test query, and the initial model."""
+    """What every command starts from: the catalog and one compiled context
+    per train and test query."""
 
     config: RunConfig
     seed: int
     catalog: Catalog
     train: list[QueryContext]
     test: list[QueryContext]
-    params: ModelParams
 
     def baselines(self) -> dict[str, ExpertBaseline]:
         """Expert baseline per query, train queries then test queries, the
@@ -532,12 +531,17 @@ class RunSetup:
             for idx, ctx in enumerate(self.train + self.test)
         }
 
+    def initial_params(self) -> ModelParams:
+        """The run's initial model, seeded by ``derive_seed(seed, "init")``;
+        only the commands that train build it."""
+        layer_sizes = (feature_dim(self.catalog), *self.config.model.hidden_sizes, 1)
+        return init_params(layer_sizes, derive_seed(self.seed, "init"))
+
 
 def prepare_run(cfg: RunConfig, seed: int) -> RunSetup:
-    """Load the catalog and both workloads, compile each query, and build the
-    initial model, seeded by ``derive_seed(seed, "init")``.  The compiled
-    contexts register themselves, so ``plan_search`` and the expert DP use
-    them for as long as the set-up is held.  An empty workload, and a test
+    """Load the catalog and both workloads and compile each query.  The
+    compiled contexts register themselves, so ``plan_search`` and the expert
+    DP use them for as long as the set-up is held.  An empty workload, and a test
     query with a train query's id, raise WorkloadError: baselines and
     expert latencies are keyed by query id."""
     catalog = load_catalog(cfg.catalog_path)
@@ -554,9 +558,7 @@ def prepare_run(cfg: RunConfig, seed: int) -> RunSetup:
                 f"in {paths[0]}"
             )
     train, test = ([QueryContext(q, catalog, cfg.cost_model) for q in w] for w in workloads)
-    layer_sizes = (feature_dim(catalog), *cfg.model.hidden_sizes, 1)
-    params = init_params(layer_sizes, derive_seed(seed, "init"))
-    return RunSetup(cfg, seed, catalog, train, test, params)
+    return RunSetup(cfg, seed, catalog, train, test)
 
 
 def evaluate_queries(
@@ -624,11 +626,11 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     seed = cfg.base_seed if base_seed is None else base_seed
     setup = prepare_run(cfg, seed)
     started = time.perf_counter()
-    params = setup.params
+    baselines = setup.baselines()
+    params = setup.initial_params()
     if cfg.transfer.enabled:
         params, _ = meta_initialize(cfg, setup.train, params, seed)
 
-    baselines = setup.baselines()
     expert_noiseless = {
         ctx.query.id: ctx.latency(ctx.expert()) for ctx in setup.train + setup.test
     }

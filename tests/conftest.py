@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import Catalog, Query, TableStats
-from joinopt.model import ModelParams, batch_grad
+from joinopt.model import ModelParams, batch_grad, predict_batch
 from joinopt.simulator import CostModelConfig
 
 
@@ -98,6 +98,13 @@ def random_tree_catalog_and_query(rng, n_rels, qid="rq"):
     catalog = make_catalog(specs, selectivities)
     query = make_query(qid, names, edges)
     return catalog, query
+
+
+def batch_loss(params, features, labels):
+    """Mean squared error of ``params``' predictions on the rows against
+    ``labels``: the loss whose gradient ``batch_grad`` writes."""
+    diff = predict_batch(params, features) - labels
+    return float(np.mean(diff * diff))
 
 
 def gradient(params, features, labels):

@@ -24,7 +24,6 @@ from joinopt.features import feature_dim
 from joinopt.model import (
     ModelParams,
     TrainBatch,
-    batch_loss,
     init_params,
 )
 from joinopt.metrics import wrl
@@ -50,7 +49,7 @@ from joinopt.transfer import (
 )
 from joinopt.workload_gen import generate, write_files
 
-from conftest import gradient, make_query, random_tree_catalog_and_query, stepped
+from conftest import batch_loss, gradient, make_query, random_tree_catalog_and_query, stepped
 from test_simulator import brute_force_min_cost
 
 
@@ -336,7 +335,7 @@ def test_criterion_5_partitioning_contract():
 
 def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
-        if batch_loss(params, batch) <= threshold:
+        if batch_loss(params, batch.features, batch.labels) <= threshold:
             return step
         params = stepped(params, gradient(params, batch.features, batch.labels), lr)
     return max_steps + 1

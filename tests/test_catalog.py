@@ -241,6 +241,28 @@ def test_malformed_document_names_entry_and_key(tmp_path, kind, path, value, mes
     assert str(exc.value) == f"{bad_path}: {message}"
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (10**19, "10000000000000000000"),
+        (10**20, "10000000...0000 (21 digits)"),
+        (-(10**25) - 7, "-1000000...0007 (26 digits)"),
+        (10**400, "10000000...0000 (401 digits)"),
+    ],
+    ids=["20-digits", "21-digits", "negative-26-digits", "401-digits"],
+)
+def test_an_integer_of_more_than_20_digits_is_shortened_in_the_error(tmp_path, value, shown):
+    """The refusal of an integer float64 cannot hold shows one of more than
+    20 digits by its first and last digits and its digit count, not in
+    full."""
+    doc = copy.deepcopy(STAR3)
+    doc["tables"][0]["row_count"] = value
+    path = write_json(tmp_path / "catalog.json", doc)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"{path}: tables[0]: 'row_count' must be an integer, got {shown}"
+
+
 def test_query_requires_connected_graph():
     with pytest.raises(WorkloadError, match="disconnected"):
         Query(

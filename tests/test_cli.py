@@ -3,8 +3,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -391,7 +393,8 @@ def test_train_refuses_an_integer_float64_cannot_hold(project, capsys):
     write_json(catalog, doc)
     _assert_fails_before_work(
         tmp_path, capsys, ["--config", str(config)],
-        f"error: {catalog.resolve()}: tables[0]: 'row_count' must be an integer, got 1{'0' * 400}\n",
+        f"error: {catalog.resolve()}: tables[0]: 'row_count' must be an integer, "
+        "got 10000000...0000 (401 digits)\n",
     )
 
 
@@ -403,6 +406,59 @@ def test_train_reports_a_failed_allocation_in_one_line(project, capsys):
     doc = json.loads(config.read_text())
     bad = write_json(tmp_path / "huge.json", {**doc, "model": {"hidden_sizes": [2**50]}})
     _assert_fails_before_work(tmp_path, capsys, ["--config", str(bad)], "Unable to allocate")
+
+
+def test_eval_and_partition_report_build_no_fresh_model(project, capsys):
+    """Only the commands that train build the config's initial model, so a
+    ``hidden_sizes`` too large to allocate stops neither ``eval`` of a
+    checkpoint nor ``partition-report``."""
+    tmp_path, config = project
+    doc = json.loads(config.read_text())
+    huge = write_json(tmp_path / "huge.json", {**doc, "model": {"hidden_sizes": [2**50]}})
+    model = tmp_path / "m.npz"
+    width = feature_dim(load_catalog(tmp_path / "data" / "catalog.json"))
+    save_params(init_params((width, 4, 1), 0), model)
+    assert main(["eval", "--config", str(huge), "--model", str(model)]) == 0
+    assert main(["partition-report", "--config", str(huge)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize(
+    "cost_model",
+    [{"scan_cost_per_row": 0, "nlj_cost_per_row_pair": 0}, {"latency_per_cost_unit": 1e300}],
+    ids=["zero-cost-plans", "overflowing-latency"],
+)
+def test_expert_latencies_that_are_not_positive_and_finite_fail_at_setup(
+    project, capsys, cost_model, command
+):
+    """A cost model under which every all-NLJ plan costs 0, or whose latency
+    unit overflows the expert's latency statistics, fails when the expert
+    baselines are computed, before meta-initialization, with one line that
+    names the query; numpy warns of nothing, and nothing is written."""
+    tmp_path, config = project
+    doc = json.loads(config.read_text())
+    doc["transfer"]["enabled"] = True
+    bad = write_json(tmp_path / "bad.json", {**doc, "cost_model": cost_model})
+    model = tmp_path / "m.npz"
+    width = feature_dim(load_catalog(tmp_path / "data" / "catalog.json"))
+    save_params(init_params((width, 4, 1), 0), model)
+    out = tmp_path / "never"
+    argv = [command, "--config", str(bad), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv + (["--model", str(model)] if command == "eval" else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    found = re.fullmatch(
+        r"error: query '(\w+)': expert latencies must be positive and finite, "
+        r"got mean \S+ ms and std \S+ ms\n",
+        err,
+    )
+    queries = [json.loads((tmp_path / "data" / f"{split}.json").read_text())["queries"]
+               for split in ("train", "test")]
+    assert found and found.group(1) in {q["id"] for split in queries for q in split}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,22 @@ def scalar_features(info, ctx):
     return vec
 
 
+def test_membership_columns_match_the_relation_names(rng, default_cost):
+    """The multi-hot columns, read from the mask bits, mark exactly the
+    catalog tables whose names the mask holds, on queries of up to 12
+    relations."""
+    for n_rels in range(2, 13):
+        catalog, query = random_tree_catalog_and_query(rng, n_rels)
+        ctx = QueryContext(query, catalog, default_cost)
+        masks = [int(m) for m in rng.integers(1, ctx.full_mask + 1, size=20)]
+        n = len(masks)
+        matrix = feature_matrix(ctx, masks, [0] * n, [(0, 0, 0)] * n, [1.0] * n)
+        expected = [
+            [float(name in ctx.names(mask)) for name in catalog.table_names] for mask in masks
+        ]
+        assert matrix[:, : len(catalog.tables)].tolist() == expected
+
+
 @pytest.mark.parametrize("left_deep", [False, True])
 def test_frontier_rows_equal_joined_fragment_rows(rng, default_cost, left_deep):
     """Every row that plan search scores for a partial plan, built as one

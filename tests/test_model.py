@@ -8,7 +8,6 @@ from joinopt.model import (
     ModelParams,
     TrainBatch,
     batch_grad,
-    batch_loss,
     init_params,
     load_params,
     predict_batch,
@@ -16,7 +15,7 @@ from joinopt.model import (
     sgd_step,
 )
 
-from conftest import gradient
+from conftest import batch_loss, gradient
 
 
 # --- independent oracles ------------------------------------------------------
@@ -51,7 +50,7 @@ def finite_difference_grad(params, batch, h=1e-4):
                 for sign in (+1, -1):
                     bumped = ModelParams(params.layer_sizes, params.vector.copy())
                     getattr(bumped, which)[layer][idx] += sign * h
-                    grad[idx] += sign * batch_loss(bumped, batch)
+                    grad[idx] += sign * batch_loss(bumped, batch.features, batch.labels)
                 grad[idx] /= 2 * h
             grads.append(grad)
     return grads_w, grads_b
@@ -230,14 +229,12 @@ def test_forward_leaves_inputs_and_parameters_unwritten(rng):
 
 def test_loss_zero_when_predictions_match():
     params = make_linear_model(1.0)
-    batch = TrainBatch(np.array([[2.0], [5.0]]), np.array([2.0, 5.0]))
-    assert batch_loss(params, batch) == 0.0
+    assert batch_loss(params, np.array([[2.0], [5.0]]), np.array([2.0, 5.0])) == 0.0
 
 
 def test_loss_single_sample():
     params = make_linear_model(0.0, bias=3.0)
-    batch = TrainBatch(np.array([[1.0]]), np.array([1.0]))
-    assert batch_loss(params, batch) == pytest.approx(4.0)
+    assert batch_loss(params, np.array([[1.0]]), np.array([1.0])) == pytest.approx(4.0)
 
 
 def test_loss_permutation_invariant(rng):
@@ -245,9 +242,7 @@ def test_loss_permutation_invariant(rng):
     X = rng.normal(size=(8, 3))
     y = rng.normal(size=8) ** 2
     order = rng.permutation(8)
-    assert batch_loss(params, TrainBatch(X, y)) == pytest.approx(
-        batch_loss(params, TrainBatch(X[order], y[order]))
-    )
+    assert batch_loss(params, X, y) == pytest.approx(batch_loss(params, X[order], y[order]))
 
 
 # --- gradient -----------------------------------------------------------------
@@ -288,10 +283,10 @@ def test_sgd_never_increases_loss_at_tiny_lr(rng):
         d = int(rng.integers(2, 8))
         params = init_params((d, int(rng.integers(2, 16)), 1), int(rng.integers(10_000)))
         batch = TrainBatch(rng.normal(size=(6, d)), rng.normal(size=6) ** 2)
-        before = batch_loss(params, batch)
+        before = batch_loss(params, batch.features, batch.labels)
         grad = gradient(params, batch.features, batch.labels)
         sgd_step(params.vector, grad.vector, 1e-5, np.empty_like(params.vector))
-        assert batch_loss(params, batch) <= before + 1e-12
+        assert batch_loss(params, batch.features, batch.labels) <= before + 1e-12
 
 
 # --- sgd ----------------------------------------------------------------------

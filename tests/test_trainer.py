@@ -431,7 +431,7 @@ def test_training_smoke_with_transfer(workload_dir):
     assert result.records[-1].iteration == cfg.iterations
     # The run meta-initializes with this taskset; meta-train reports it.
     setup = prepare_run(cfg, cfg.base_seed)
-    _, taskset = meta_initialize(cfg, setup.train, setup.params, cfg.base_seed)
+    _, taskset = meta_initialize(cfg, setup.train, setup.initial_params(), cfg.base_seed)
     assert len(taskset.tasks) == 2
 
 
@@ -446,7 +446,7 @@ def test_forced_policy_is_used(workload_dir):
         )
     )
     setup = prepare_run(cfg, cfg.base_seed)
-    _, taskset = meta_initialize(cfg, setup.train, setup.params, cfg.base_seed)
+    _, taskset = meta_initialize(cfg, setup.train, setup.initial_params(), cfg.base_seed)
     assert taskset.policy is PartitioningPolicy.OPERATOR_COUNT
     # Not DBI-selected, but DBI-scored as partition selection scores it.
     scored = transfer_module.score_all_policies(setup.train, 2)
@@ -548,6 +548,27 @@ def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):
     assert sorted(calls) == sorted(result.train_ids + result.test_ids)
 
 
+def test_greedy_search_on_a_fresh_context_runs_no_expert_dp(
+    chain3_catalog, chain3_query, default_cost, monkeypatch
+):
+    """Serving compiles a new context for each ``plan_search`` call, so the
+    context compiles everything but the expert DP when it is made, and a
+    greedy search never runs the DP."""
+    calls, compiled = [], []
+    monkeypatch.setattr(simulator, "expert_plan", lambda *args: calls.append(args))
+    compile_ = simulator.QueryContext.__init__
+    monkeypatch.setattr(
+        simulator.QueryContext, "__init__", lambda self, *a: compiled.append(a[0].id) or compile_(self, *a)
+    )
+    params = init_params((feature_dim(chain3_catalog), 8, 1), 0)
+    plan = plan_search(
+        chain3_query, params, chain3_catalog, default_cost, beam_width=1, epsilon=0.0, rng_seed=0
+    )
+    assert QueryContext(chain3_query, chain3_catalog, default_cost).cost(plan) > 0
+    assert compiled == ["chain3", "chain3"]
+    assert calls == []
+
+
 def test_search_and_expert_reuse_the_runs_contexts(workload_dir, monkeypatch):
     """plan_search and the expert DP find the contexts that prepare_run
     compiled, so a repeated evaluation grows no context's cardinality memo
@@ -556,14 +577,15 @@ def test_search_and_expert_reuse_the_runs_contexts(workload_dir, monkeypatch):
     cfg = load_run_config(config_file(workload_dir))
     setup = prepare_run(cfg, cfg.base_seed)
     contexts = setup.train + setup.test
-    first = evaluate_queries(contexts, setup.params, cfg)
+    params = setup.initial_params()
+    first = evaluate_queries(contexts, params, cfg)
     memo_sizes = [len(ctx._card) for ctx in contexts]
     compiled = []
     compile_ = simulator.QueryContext.__init__
     monkeypatch.setattr(
         simulator.QueryContext, "__init__", lambda self, *a: compiled.append(a[0].id) or compile_(self, *a)
     )
-    assert evaluate_queries(contexts, setup.params, cfg) == first
+    assert evaluate_queries(contexts, params, cfg) == first
     assert [len(ctx._card) for ctx in contexts] == memo_sizes
     assert compiled == []
     expert = contexts[0].expert()

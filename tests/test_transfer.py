@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from joinopt.model import ModelParams, TrainBatch, batch_loss, init_params
+from joinopt.model import ModelParams, TrainBatch, init_params
 from joinopt.transfer import (
     PartitioningPolicy,
     TaskSet,
@@ -19,9 +19,12 @@ from joinopt.transfer import (
 )
 
 from joinopt import simulator
-from joinopt.simulator import QueryContext
+from joinopt.simulator import CostModelConfig, QueryContext
 
-from conftest import gradient, make_catalog, make_query, stepped
+from conftest import batch_loss, gradient, make_catalog, make_query, stepped
+
+# A two-table catalog for queries whose scores read only their tokens.
+AB_CATALOG = make_catalog([("a", 100, 16, 1.0), ("b", 100, 16, 1.0)])
 
 
 # --- independent DBI oracle ----------------------------------------------------
@@ -100,13 +103,14 @@ def test_halstead_linear_in_occurrences():
 
 # --- policy scores ----------------------------------------------------------------
 
-def test_operator_count_of_published_example():
+def test_operator_count_of_published_example(default_cost):
     q = make_query(
         "p1", ["a", "b"], [("a", "b")],
         operators={"SELECT": 1, "MIN": 1, "FROM": 1},
         operands={"t": 2, "title": 2},
     )
-    assert policy_score(QueryContext(q, None, None), PartitioningPolicy.OPERATOR_COUNT) == 3.0
+    ctx = QueryContext(q, AB_CATALOG, default_cost)
+    assert policy_score(ctx, PartitioningPolicy.OPERATOR_COUNT) == 3.0
 
 
 def test_estimated_rows_score(pair_catalog, pair_query, default_cost):
@@ -129,8 +133,8 @@ def test_estimated_cost_consistency(pair_catalog, pair_query, default_cost):
 # --- partitioning -----------------------------------------------------------------
 
 def _scored_workload(scores):
-    """Query contexts whose operator-count score equals the given value; the
-    operator-count policy reads neither a catalog nor a cost model."""
+    """Query contexts over ``AB_CATALOG`` whose operator-count score equals
+    the given value."""
     queries = []
     for i, score in enumerate(scores):
         query = make_query(
@@ -140,7 +144,7 @@ def _scored_workload(scores):
             operators={"OP": int(score)},
             operands={"a": 1, "b": 1},
         )
-        queries.append(QueryContext(query, None, None))
+        queries.append(QueryContext(query, AB_CATALOG, CostModelConfig()))
     return queries
 
 
@@ -497,7 +501,7 @@ def linear_task_family(rng, n_tasks, n_points=24):
 
 def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
-        if batch_loss(params, batch) <= threshold:
+        if batch_loss(params, batch.features, batch.labels) <= threshold:
             return step
         params = stepped(params, gradient(params, batch.features, batch.labels), lr)
     return max_steps + 1

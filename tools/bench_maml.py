@@ -51,7 +51,8 @@ WORKER = """
 import hashlib, json, sys, time
 import numpy as np
 from joinopt import trainer
-from joinopt.model import TrainBatch
+from joinopt.features import feature_dim
+from joinopt.model import TrainBatch, init_params
 from joinopt.transfer import maml_outer
 
 configs, seed, passes, phases = json.loads(sys.argv[1])
@@ -69,9 +70,12 @@ out = {}
 for name, path in configs.items():
     cfg = trainer.load_run_config(path)
     setup = trainer.prepare_run(cfg, seed)
+    params = init_params(
+        (feature_dim(setup.catalog), *cfg.model.hidden_sizes, 1), trainer.derive_seed(seed, "init")
+    )
     calls = []
     trainer.maml_outer = lambda params, *args, **kwargs: calls.append((args, kwargs)) or params
-    trainer.meta_initialize(cfg, setup.train, setup.params, seed)
+    trainer.meta_initialize(cfg, setup.train, params, seed)
     trainer.maml_outer = maml_outer
     (args, kwargs), = calls
     tasks = args[0]
@@ -83,7 +87,7 @@ for name, path in configs.items():
     entry = {"rows": len(batch), "maml_outer": [], "train_on": [], "digests": []}
     for _ in range(passes):
         start = time.process_time()
-        meta = maml_outer(setup.params, *args, **kwargs)
+        meta = maml_outer(params, *args, **kwargs)
         entry["maml_outer"].append((time.process_time() - start) * 1e3)
         start = time.process_time()
         for _ in range(phases):
