@@ -176,8 +176,8 @@ class QueryContext:
             (self.bit[a] | self.bit[b], catalog.edge_selectivity(a, b))
             for a, b in sorted(query.join_edges)
         )
-        order = {name: i for i, name in enumerate(catalog.table_names)}
         # Catalog position of each relation, in bit order.
+        order = {name: i for i, name in enumerate(catalog.table_names)}
         self.relation_slots = np.array([order[r] for r in self.relations])
         self._card: dict[int, float] = {}
         self._log_size: dict[int, tuple[float, float]] = {}

@@ -408,6 +408,14 @@ def test_train_reports_a_failed_allocation_in_one_line(project, capsys):
     _assert_fails_before_work(tmp_path, capsys, ["--config", str(bad)], "Unable to allocate")
 
 
+def _small_checkpoint(tmp_path):
+    """A checkpoint of one 4-unit hidden layer for the project's catalog."""
+    model = tmp_path / "m.npz"
+    width = feature_dim(load_catalog(tmp_path / "data" / "catalog.json"))
+    save_params(init_params((width, 4, 1), 0), model)
+    return model
+
+
 def test_eval_and_partition_report_build_no_fresh_model(project, capsys):
     """Only the commands that train build the config's initial model, so a
     ``hidden_sizes`` too large to allocate stops neither ``eval`` of a
@@ -415,9 +423,7 @@ def test_eval_and_partition_report_build_no_fresh_model(project, capsys):
     tmp_path, config = project
     doc = json.loads(config.read_text())
     huge = write_json(tmp_path / "huge.json", {**doc, "model": {"hidden_sizes": [2**50]}})
-    model = tmp_path / "m.npz"
-    width = feature_dim(load_catalog(tmp_path / "data" / "catalog.json"))
-    save_params(init_params((width, 4, 1), 0), model)
+    model = _small_checkpoint(tmp_path)
     assert main(["eval", "--config", str(huge), "--model", str(model)]) == 0
     assert main(["partition-report", "--config", str(huge)]) == 0
     assert capsys.readouterr().err == ""
@@ -440,9 +446,7 @@ def test_expert_latencies_that_are_not_positive_and_finite_fail_at_setup(
     doc = json.loads(config.read_text())
     doc["transfer"]["enabled"] = True
     bad = write_json(tmp_path / "bad.json", {**doc, "cost_model": cost_model})
-    model = tmp_path / "m.npz"
-    width = feature_dim(load_catalog(tmp_path / "data" / "catalog.json"))
-    save_params(init_params((width, 4, 1), 0), model)
+    model = _small_checkpoint(tmp_path)
     out = tmp_path / "never"
     argv = [command, "--config", str(bad), "--out", str(out)]
     with warnings.catch_warnings():
