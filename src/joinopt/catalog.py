@@ -190,7 +190,12 @@ def _is_int(value) -> bool:
 
 def _shown(value) -> str:
     """``value`` as JSON for an error message; an integer of more than 20
-    digits is shortened to its first and last digits and its digit count."""
+    digits, alone or anywhere inside a list or object, is shortened to its
+    first and last digits and its digit count."""
+    if isinstance(value, list):
+        return f"[{', '.join(map(_shown, value))}]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_shown(v)}" for k, v in value.items()) + "}"
     text = json.dumps(value)
     digits = len(text.lstrip("-"))
     if isinstance(value, int) and digits > 20:

@@ -1,4 +1,4 @@
-"""Evaluation metrics: workload relative latency, per-query robustness
+"""Evaluation formulas: workload relative latency, per-query robustness
 verdicts against the expert tolerance band, and convergence detection.
 
 An evaluation is inferior when its latency exceeds the expert mean plus the
@@ -6,6 +6,10 @@ tolerance band (twice the expert std); matching the expert within noise
 counts as superior.  A query Plateaus when every evaluation is inferior and
 Rebounds when it was superior at some point before the terminal window but
 is inferior throughout that window.
+
+The formulas check nothing: their inputs are checked where they enter, by
+``simulator.expert_baseline`` for the expert latencies and by
+``trainer.read_run_csv`` for a history read back from a file.
 """
 
 from __future__ import annotations
@@ -19,42 +23,17 @@ from .simulator import ExpertBaseline
 
 __all__ = [
     "Verdict",
-    "QueryTrace",
     "RobustnessVerdict",
-    "MetricsError",
     "wrl",
     "classify_query",
     "convergence_iteration",
 ]
 
 
-class MetricsError(ValueError):
-    """Raised for malformed traces or mismatched latency maps."""
-
-
 class Verdict(Enum):
     SUPERIOR = "superior"
     PLATEAU = "plateau"
     REBOUND = "rebound"
-
-
-@dataclass(frozen=True)
-class QueryTrace:
-    """Per-query evaluation history: (iteration, latency ms) pairs plus the
-    expert baseline the latencies are judged against."""
-
-    query_id: str
-    points: tuple[tuple[int, float], ...]
-    baseline: ExpertBaseline
-
-    def __post_init__(self):
-        if not self.points:
-            raise MetricsError(f"trace for {self.query_id!r} is empty")
-        iterations = [it for it, _ in self.points]
-        if any(b <= a for a, b in zip(iterations, iterations[1:])):
-            raise MetricsError(f"trace for {self.query_id!r}: iterations not increasing")
-        if any(lat <= 0 for _, lat in self.points):
-            raise MetricsError(f"trace for {self.query_id!r}: non-positive latency")
 
 
 @dataclass(frozen=True)
@@ -66,33 +45,28 @@ class RobustnessVerdict:
 
 def wrl(learned: Mapping[str, float], expert: Mapping[str, float]) -> float:
     """Workload relative latency: total learned latency over total expert
-    latency; below 1 means the learned optimizer is faster."""
-    if not learned:
-        raise MetricsError("empty latency maps")
-    if set(learned) != set(expert):
-        raise MetricsError(
-            f"query sets differ: {sorted(set(learned) ^ set(expert))}"
-        )
-    if any(v <= 0 for v in learned.values()) or any(v <= 0 for v in expert.values()):
-        raise MetricsError("latencies must be > 0")
+    latency of the same queries; below 1 means the learned optimizer is
+    faster."""
     return sum(learned.values()) / sum(expert.values())
 
 
-def classify_query(trace: QueryTrace, window_fraction: float = 0.1) -> RobustnessVerdict:
-    """Plateau / Rebound / Superior verdict for one query's trace.
+def classify_query(
+    points: Sequence[tuple[int, float]],
+    baseline: ExpertBaseline,
+    window_fraction: float = 0.1,
+) -> RobustnessVerdict:
+    """Plateau / Rebound / Superior verdict for one query's evaluations,
+    given as at least two (iteration, latency ms) points in increasing
+    iteration order.
 
     The terminal window spans the last ceil(window_fraction * n) evaluations.
     """
-    if len(trace.points) < 2:
-        raise MetricsError(f"trace for {trace.query_id!r} needs >= 2 evaluations")
-    threshold = trace.baseline.mean_latency_ms + trace.baseline.tolerance_ms
-    inferior = [lat > threshold for _, lat in trace.points]
+    threshold = baseline.mean_latency_ms + baseline.tolerance_ms
+    inferior = [lat > threshold for _, lat in points]
     if all(inferior):
         return RobustnessVerdict(Verdict.PLATEAU)
-    first_superior = next(
-        trace.points[i][0] for i, bad in enumerate(inferior) if not bad
-    )
-    n = len(trace.points)
+    first_superior = next(points[i][0] for i, bad in enumerate(inferior) if not bad)
+    n = len(points)
     window = max(1, math.ceil(window_fraction * n))
     window_start = n - window
     superior_before_window = any(not bad for bad in inferior[:window_start])
@@ -102,7 +76,7 @@ def classify_query(trace: QueryTrace, window_fraction: float = 0.1) -> Robustnes
         return RobustnessVerdict(
             Verdict.REBOUND,
             first_superior_iteration=first_superior,
-            regression_iteration=trace.points[last_superior + 1][0],
+            regression_iteration=points[last_superior + 1][0],
         )
     return RobustnessVerdict(Verdict.SUPERIOR, first_superior_iteration=first_superior)
 

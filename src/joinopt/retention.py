@@ -205,8 +205,6 @@ def extract_experiences(
     it covers the query): one row per join node, in pre-order (root first,
     then the left subtree, then the right), each pointing at its smallest
     enclosing join."""
-    if latency_ms <= 0:
-        raise RetentionError("latency must be > 0")
     infos = plan_infos(plan, ctx)
     info_of = {id(info.node): info for info in infos}
     joins, parent, stack = [], [], [(infos[-1].node, -1)]
@@ -261,12 +259,17 @@ def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarr
 
 
 def normalize_td(deltas, alpha_td: float) -> np.ndarray:
-    """Min-max scaling of |delta|^alpha to [0, 1]; all-equal inputs map to 0.5."""
-    deltas = np.asarray(deltas, dtype=float)
-    powered = np.abs(deltas) ** alpha_td
+    """Min-max scaling of |delta|^alpha to [0, 1]; all-equal inputs map to
+    0.5.  The scaling is the same for |delta| / max |delta|, which is taken
+    where |delta|^alpha overflows (a large ``alpha_td``)."""
+    magnitudes = np.abs(np.asarray(deltas, dtype=float))
+    with np.errstate(over="ignore"):
+        powered = magnitudes ** alpha_td
+    if np.isinf(powered.max()):
+        powered = (magnitudes / magnitudes.max()) ** alpha_td
     low, high = powered.min(), powered.max()
     if high - low <= 0:
-        return np.full(deltas.shape, 0.5)
+        return np.full(magnitudes.shape, 0.5)
     return (powered - low) / (high - low)
 
 

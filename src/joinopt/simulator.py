@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -532,9 +533,10 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
     These are the candidates and the key of a scan of every submask of every
     set, so the plan is that scan's, child order and operators included.
     The work grows with the number of splits, which a clique maximizes.
-    Queries of more than ``DEFAULT_DP_LIMIT`` relations are refused.  The
-    DP's cardinalities are memoized in the query's live context, if it has
-    one.
+    Queries of more than ``DEFAULT_DP_LIMIT`` relations are refused.
+    ``catalog.Query`` refuses a disconnected join graph, so the DP always
+    reaches the whole query.  The DP's cardinalities are memoized in the
+    query's live context, if it has one.
     """
     ctx = query_context(query, catalog, cfg)
     n = len(ctx.relations)
@@ -576,8 +578,6 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
                         chosen_cost, chosen = c, (left, right, op)
         cost[mask] = chosen_cost
         choice[mask] = chosen
-    if ctx.full_mask not in cost:
-        raise SimulatorError(f"query {query.id!r} has no cross-product-free plan")
 
     def build(mask):
         if mask not in choice:
@@ -596,8 +596,11 @@ def expert_baseline(
     """Execute the context's expert plan ``n_runs`` times (seeds base_seed +
     i) and summarize latency variability; tolerance is twice the sample
     std.  A latency, mean or tolerance that is not a positive finite number
-    (zero costs, or a latency unit large enough to overflow) raises
-    ``SimulatorError`` naming the query, and numpy's warnings are silenced."""
+    (zero costs, or a latency unit large enough to overflow), and a
+    noiseless latency below the smallest normal float (a latency unit so
+    small that latencies are denormal), raise ``SimulatorError`` naming the
+    query, and numpy's warnings are silenced.  So every latency a run
+    executes or evaluates is above 0: a plan costs at least the expert's."""
     cost = ctx.cost(ctx.expert())
     latencies = np.array(
         [_noisy_latency(cost, ctx.cfg, base_seed + i) for i in range(n_runs)]
@@ -610,6 +613,12 @@ def expert_baseline(
                 f"query {ctx.query.id!r}: expert latencies must be positive and finite, "
                 f"got mean {mean} ms and std {std} ms"
             )
+    noiseless = cost * ctx.cfg.latency_per_cost_unit
+    if noiseless < sys.float_info.min:
+        raise SimulatorError(
+            f"query {ctx.query.id!r}: the expert's noiseless latency must be at least "
+            f"{sys.float_info.min} ms, got {noiseless} ms"
+        )
     return ExpertBaseline(
         query_id=ctx.query.id,
         mean_latency_ms=mean,

@@ -16,7 +16,8 @@ search and evaluation share (plan search finds it through the simulator's
 context registry), so the expert DP runs once per query and cardinalities
 are estimated once per relation set.  ``RunHistory``
 judges a run's evaluation records, whether the run just trained or its
-run.csv was read back.  Every table joinopt writes, run.csv, summary.csv and
+run.csv was read back; ``read_run_csv`` is the one check of a history read
+from a file.  Every table joinopt writes, run.csv, summary.csv and
 verdicts.csv here and the reports of ``cli``, goes through ``write_csv``.
 All randomness is derived from one base seed, making repeated runs bitwise
 identical.
@@ -38,7 +39,6 @@ import numpy as np
 from .catalog import Catalog, Query, WorkloadError, _build, _load_json, load_catalog, load_workload
 from .features import feature_dim, feature_matrix, fragment_rows
 from .metrics import (
-    QueryTrace,
     RobustnessVerdict,
     Verdict,
     classify_query,
@@ -443,8 +443,8 @@ class IterationRecord:
 @dataclass
 class RunHistory:
     """A run's evaluation records judged against its expert baselines: the
-    per-query traces, robustness verdicts and convergence iteration that
-    ``train`` writes and ``eval --history`` reads back."""
+    per-query robustness verdicts and convergence iteration that ``train``
+    writes and ``eval --history`` reads back."""
 
     config: RunConfig
     records: list[IterationRecord]
@@ -452,27 +452,19 @@ class RunHistory:
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
 
-    def traces(self, split: str = "test") -> dict[str, QueryTrace]:
-        ids = self.test_ids if split == "test" else self.train_ids
-        out = {}
-        for qid in ids:
-            points = tuple(
-                (rec.iteration, (rec.test_latencies if split == "test" else rec.train_latencies)[qid])
-                for rec in self.records
-            )
-            out[qid] = QueryTrace(qid, points, self.baselines[qid])
-        return out
-
     def verdicts(self, split: str = "test") -> dict[str, RobustnessVerdict]:
+        """Each ``split`` ("train" or "test") query's verdict."""
         return {
-            qid: classify_query(trace, self.config.window_fraction)
-            for qid, trace in self.traces(split).items()
+            qid: classify_query(
+                [(rec.iteration, getattr(rec, f"{split}_latencies")[qid]) for rec in self.records],
+                self.baselines[qid],
+                self.config.window_fraction,
+            )
+            for qid in getattr(self, f"{split}_ids")
         }
 
     def convergence(self) -> int | None:
-        series = [
-            (rec.iteration, sum(rec.test_latencies.values())) for rec in self.records
-        ]
+        series = [(rec.iteration, sum(rec.test_latencies.values())) for rec in self.records]
         expert_total = sum(self.baselines[q].mean_latency_ms for q in self.test_ids)
         tolerance = sum(self.baselines[q].tolerance_ms for q in self.test_ids)
         return convergence_iteration(
@@ -480,8 +472,7 @@ class RunHistory:
         )
 
     def final_wrl(self, split: str = "test") -> float:
-        rec = self.records[-1]
-        return rec.wrl_test if split == "test" else rec.wrl_train
+        return getattr(self.records[-1], f"wrl_{split}")
 
     def first_foreign_record(self) -> IterationRecord | None:
         """The first record whose WRLs are not its latencies' WRLs against
@@ -762,15 +753,40 @@ def write_run_csv(result: RunResult, path) -> None:
     write_csv(path, _run_csv_columns(result.train_ids, result.test_ids), rows)
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise ValueError(text)
+    return value
+
+
+# How a run.csv cell is read, by column, and what a refusal says it must
+# be.  Every other column is a latency or a WRL: above 0, and +inf where a
+# plan's cost overflowed.  The replay means are NaN where nothing was sampled.
+_COLUMN_KINDS = {"iteration": int, "buffer_size": int, "mean_sampled_norm_td": float,
+                 "mean_sampled_recency": float, WALL_CLOCK_COLUMN: float}
+_KIND_NAMES = {int: "an integer", float: "a number", _positive: "a number above 0"}
+
+
 def read_run_csv(path, train_ids, test_ids) -> list[IterationRecord]:
     """The records of a run.csv that ``write_run_csv`` wrote for a run with
-    these query ids.  A missing or unexpected column, a short or long row and
-    a malformed value are refused by name."""
+    these query ids.  This is the one check of a history: what the
+    verdicts, the convergence iteration and the WRLs are computed from
+    passes it.  Each refusal is one line naming the file, and the line and
+    column where there is one.  Refused are text that is not UTF-8; a
+    missing or unexpected column; a short or long row; fewer than
+    2 records; a cell that is not a number, or not an integer in
+    ``iteration`` and ``buffer_size``; an ``iteration`` that does not
+    exceed the previous record's; and a latency or WRL that is not above 0
+    (NaN, zero or negative).  A latency or WRL of +inf is accepted, and the
+    replay means and the wall clock take any float."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except csv.Error as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     header = rows[0] if rows else []
     expected = _run_csv_columns(train_ids, test_ids)
     problems = [
@@ -783,31 +799,31 @@ def read_run_csv(path, train_ids, test_ids) -> list[IterationRecord]:
     ]
     if problems:
         raise ValueError(f"{path}: {', '.join(problems)}")
+    if len(rows) < 3:
+        raise ValueError(f"{path}: {len(rows) - 1} record(s); a run's history has at least 2")
     records = []
     for line, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise ValueError(f"{path}:{line}: {len(row)} values for {len(header)} columns")
-        cells = dict(zip(header, row))
-        try:
-            records.append(
-                IterationRecord(
-                    iteration=int(cells["iteration"]),
-                    train_latencies={
-                        qid: float(cells[f"train_latency_ms:{qid}"]) for qid in train_ids
-                    },
-                    test_latencies={
-                        qid: float(cells[f"test_latency_ms:{qid}"]) for qid in test_ids
-                    },
-                    wrl_train=float(cells["wrl_train"]),
-                    wrl_test=float(cells["wrl_test"]),
-                    buffer_size=int(cells["buffer_size"]),
-                    mean_sampled_norm_td=float(cells["mean_sampled_norm_td"]),
-                    mean_sampled_recency=float(cells["mean_sampled_recency"]),
-                    wall_clock_ms=float(cells[WALL_CLOCK_COLUMN]),
-                )
+        cells = {}
+        for column, text in zip(header, row):
+            kind = _COLUMN_KINDS.get(column, _positive)
+            try:
+                cells[column] = kind(text)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{line}: {column!r} must be {_KIND_NAMES[kind]}, got {text!r}"
+                ) from None
+        previous = records[-1].iteration if records else -math.inf
+        if cells["iteration"] <= previous:
+            raise ValueError(f"{path}:{line}: 'iteration' must exceed line {line - 1}'s {previous}")
+        records.append(
+            IterationRecord(
+                train_latencies={qid: cells[f"train_latency_ms:{qid}"] for qid in train_ids},
+                test_latencies={qid: cells[f"test_latency_ms:{qid}"] for qid in test_ids},
+                **{name: cells[name] for name in (*_RECORD_COLUMNS, WALL_CLOCK_COLUMN)},
             )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{line}: {exc}") from None
+        )
     return records
 
 

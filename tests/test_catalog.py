@@ -263,6 +263,31 @@ def test_an_integer_of_more_than_20_digits_is_shortened_in_the_error(tmp_path, v
     assert str(exc.value) == f"{path}: tables[0]: 'row_count' must be an integer, got {shown}"
 
 
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        ([10**60], "[10000000...0000 (61 digits)]"),
+        (
+            [1, {"rows": -(10**30), "name": "a"}, [10**19]],
+            '[1, {"rows": -1000000...0000 (31 digits), "name": "a"}, [10000000000000000000]]',
+        ),
+        ([], "[]"),
+    ],
+    ids=["in-a-list", "in-an-object-in-a-list", "empty-list"],
+)
+def test_an_integer_of_more_than_20_digits_is_shortened_inside_a_refused_value(
+    tmp_path, value, shown
+):
+    """An over-long integer is shortened wherever it sits in the refused
+    value; the rest of the value is shown as JSON, as before."""
+    doc = copy.deepcopy(STAR3)
+    doc["tables"][1] = value
+    path = write_json(tmp_path / "catalog.json", doc)
+    with pytest.raises(CatalogError) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"{path}: tables[1]: must be an object, got {shown}"
+
+
 def test_query_requires_connected_graph():
     with pytest.raises(WorkloadError, match="disconnected"):
         Query(

@@ -465,6 +465,30 @@ def test_expert_latencies_that_are_not_positive_and_finite_fail_at_setup(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_latency_unit_so_small_that_latencies_are_denormal_fails_at_setup(
+    project, capsys, command
+):
+    """A ``latency_per_cost_unit`` of 5e-324 used to train and exit 0 with a
+    meaningless WRL: every latency was a denormal float."""
+    tmp_path, config = project
+    doc = json.loads(config.read_text())
+    bad = write_json(
+        tmp_path / "bad.json", {**doc, "cost_model": {"latency_per_cost_unit": 5e-324}}
+    )
+    out = tmp_path / "never"
+    argv = [command, "--config", str(bad), "--out", str(out)]
+    rc = main(argv + (["--model", str(_small_checkpoint(tmp_path))] if command == "eval" else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: query 'q0[1-8]': the expert's noiseless latency must be at least "
+        r"2\.2250738585072014e-308 ms, got \S+e-3\d\d ms\n",
+        err,
+    ), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides, key",
     [
@@ -756,13 +780,19 @@ def test_eval_history_needs_the_runs_seed(project, capsys):
 
 
 def _eval_history_error(project, capsys, edit):
+    """The one error line of ``eval --history`` on rep 0's run.csv as
+    ``edit`` leaves its rows; an edit that returns bytes gives the file's
+    bytes instead."""
     tmp_path, config = project
     runs = tmp_path / "bad_history_runs"
     assert main(["train", "--config", str(config), "--out", str(runs)]) == 0
-    rows = read_csv(runs / "rep0" / "run.csv")
+    edited = edit(read_csv(runs / "rep0" / "run.csv"))
     history = tmp_path / "history.csv"
-    with open(history, "w", newline="") as fh:
-        csv.writer(fh).writerows(edit(rows))
+    if isinstance(edited, bytes):
+        history.write_bytes(edited)
+    else:
+        with open(history, "w", newline="") as fh:
+            csv.writer(fh).writerows(edited)
     capsys.readouterr()
     rc = main(
         [
@@ -794,6 +824,45 @@ def test_eval_history_missing_query_column(project, capsys):
 
     err = _eval_history_error(project, capsys, drop_first_test_column)
     assert f"missing column(s) ['{dropped[0]}']" in err
+
+
+def _set_cell(column, line, value):
+    """An edit of run.csv rows that sets ``column`` on file line ``line``."""
+
+    def edit(rows):
+        rows[line - 1][rows[0].index(column)] = value
+        return rows
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            _set_cell("test_latency_ms:q07", 5, "nan"),
+            ":5: 'test_latency_ms:q07' must be a number above 0, got 'nan'",
+        ),
+        (_set_cell("wrl_test", 5, "nan"), ":5: 'wrl_test' must be a number above 0, got 'nan'"),
+        (
+            _set_cell("train_latency_ms:q01", 3, "-5"),
+            ":3: 'train_latency_ms:q01' must be a number above 0, got '-5'",
+        ),
+        (_set_cell("iteration", 4, "1"), ":4: 'iteration' must exceed line 3's 1"),
+        (lambda rows: rows[:1], ": 0 record(s); a run's history has at least 2"),
+        (lambda rows: rows[:2], ": 1 record(s); a run's history has at least 2"),
+        (lambda rows: b"\xff", ": not UTF-8 text: invalid start byte at byte 0"),
+    ],
+    ids=[
+        "nan-test-latency", "nan-wrl-test", "negative-latency", "repeated-iteration",
+        "no-records", "one-record", "not-utf8",
+    ],
+)
+def test_eval_history_refuses_a_bad_history_naming_the_file(project, capsys, edit, message):
+    """Each of these used to fail with a line that named no file, or that
+    blamed the seed: a history is checked once, where run.csv is read."""
+    err = _eval_history_error(project, capsys, edit)
+    assert err == f"error: {project[0] / 'history.csv'}{message}\n"
 
 
 GOLDEN_HEADERS = {

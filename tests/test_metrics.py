@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from joinopt.metrics import (
-    MetricsError,
-    QueryTrace,
     RobustnessVerdict,
     Verdict,
     classify_query,
@@ -25,9 +23,11 @@ def baseline(mean=10.0, std=1.0, qid="q"):
     )
 
 
-def trace(latencies, mean=10.0, std=1.0, start=0, step=5):
-    points = tuple((start + i * step, lat) for i, lat in enumerate(latencies))
-    return QueryTrace("q", points, baseline(mean, std))
+def classify(latencies, mean=10.0, std=1.0, start=0, step=5, **kwargs):
+    """``classify_query`` of these latencies, evaluated every ``step``
+    iterations from ``start``, against an expert of this mean and std."""
+    points = [(start + i * step, lat) for i, lat in enumerate(latencies)]
+    return classify_query(points, baseline(mean, std), **kwargs)
 
 
 # --- wrl --------------------------------------------------------------------
@@ -51,11 +51,6 @@ def test_wrl_speedup_reciprocal():
     assert abs(1.0 / value - 1.55) < 0.02
 
 
-def test_wrl_key_mismatch():
-    with pytest.raises(MetricsError, match="differ"):
-        wrl({"a": 1.0}, {"b": 1.0})
-
-
 def test_wrl_scale_invariant(rng):
     for _ in range(10):
         keys = [f"q{i}" for i in range(5)]
@@ -69,21 +64,21 @@ def test_wrl_scale_invariant(rng):
 # --- classify_query ------------------------------------------------------------
 
 def test_all_below_band_superior():
-    verdict = classify_query(trace([9.0, 10.5, 11.9, 10.0]))
+    verdict = classify([9.0, 10.5, 11.9, 10.0])
     assert verdict.verdict is Verdict.SUPERIOR
     assert verdict.first_superior_iteration == 0
     assert verdict.regression_iteration is None
 
 
 def test_all_above_band_plateau():
-    verdict = classify_query(trace([15.0, 13.0, 12.5, 14.0]))
+    verdict = classify([15.0, 13.0, 12.5, 14.0])
     assert verdict.verdict is Verdict.PLATEAU
     assert verdict.first_superior_iteration is None
 
 
 def test_first_half_superior_then_inferior_rebound():
     lats = [9.0, 9.5, 10.0, 13.0, 14.0, 15.0, 16.0, 15.0, 14.0, 13.5]
-    verdict = classify_query(trace(lats), window_fraction=0.3)
+    verdict = classify(lats, window_fraction=0.3)
     assert verdict.verdict is Verdict.REBOUND
     assert verdict.first_superior_iteration == 0
     assert verdict.regression_iteration == 15  # first point after last superior
@@ -91,24 +86,24 @@ def test_first_half_superior_then_inferior_rebound():
 
 def test_boundary_point_is_superior():
     """Latency exactly at mean + tolerance counts as superior (within band)."""
-    verdict = classify_query(trace([12.0, 12.0]))
+    verdict = classify([12.0, 12.0])
     assert verdict.verdict is Verdict.SUPERIOR
 
 
 def test_infinite_tolerance_always_superior(rng):
     for _ in range(10):
         lats = list(rng.uniform(1, 1e6, size=8))
-        points = tuple((i, lat) for i, lat in enumerate(lats))
-        t = QueryTrace("q", points, ExpertBaseline("q", 1.0, 0.0, math.inf, 10))
-        assert classify_query(t).verdict is Verdict.SUPERIOR
+        points = list(enumerate(lats))
+        verdict = classify_query(points, ExpertBaseline("q", 1.0, 0.0, math.inf, 10))
+        assert verdict.verdict is Verdict.SUPERIOR
 
 
 def test_band_excluding_everything_always_plateau(rng):
     for _ in range(10):
         lats = list(rng.uniform(1, 10, size=8))
-        points = tuple((i, lat) for i, lat in enumerate(lats))
-        t = QueryTrace("q", points, ExpertBaseline("q", 1e-9, 0.0, 0.0, 10))
-        assert classify_query(t).verdict is Verdict.PLATEAU
+        points = list(enumerate(lats))
+        verdict = classify_query(points, ExpertBaseline("q", 1e-9, 0.0, 0.0, 10))
+        assert verdict.verdict is Verdict.PLATEAU
 
 
 def test_verdicts_partition_random_traces(rng):
@@ -116,9 +111,8 @@ def test_verdicts_partition_random_traces(rng):
     for _ in range(200):
         n = int(rng.integers(2, 15))
         lats = rng.uniform(5, 15, size=n)
-        t = trace(list(lats))
-        verdict = classify_query(t, window_fraction=0.25)
-        threshold = t.baseline.mean_latency_ms + t.baseline.tolerance_ms
+        verdict = classify(list(lats), window_fraction=0.25)
+        threshold = baseline().mean_latency_ms + baseline().tolerance_ms
         inferior = [lat > threshold for lat in lats]
         window = max(1, math.ceil(0.25 * n))
         expected_plateau = all(inferior)
@@ -133,20 +127,6 @@ def test_verdicts_partition_random_traces(rng):
             assert verdict.verdict is Verdict.REBOUND
         else:
             assert verdict.verdict is Verdict.SUPERIOR
-
-
-def test_trace_validation():
-    with pytest.raises(MetricsError, match="not increasing"):
-        QueryTrace("q", ((0, 1.0), (0, 2.0)), baseline())
-    with pytest.raises(MetricsError, match="latency"):
-        QueryTrace("q", ((0, -1.0),), baseline())
-    with pytest.raises(MetricsError, match="empty"):
-        QueryTrace("q", (), baseline())
-
-
-def test_classify_needs_two_points():
-    with pytest.raises(MetricsError, match=">= 2"):
-        classify_query(trace([5.0]))
 
 
 # --- convergence ------------------------------------------------------------------

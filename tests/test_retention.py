@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ def test_normalize_td_uses_magnitude_and_preserves_order(rng):
         assert out.min() >= 0.0 and out.max() <= 1.0
         order = np.argsort(np.abs(deltas), kind="stable")
         assert np.all(np.diff(out[order]) >= -1e-12)
+
+
+def test_normalize_td_takes_an_alpha_whose_power_overflows():
+    """With ``alpha_td`` 1e300, |delta|^alpha overflows: numpy used to warn
+    twice and every priority was NaN.  The scaling of |delta| / max |delta|
+    is the same, so the largest errors map to 1 and the rest to 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        norm = normalize_td([0.5, -2.0, 1.0, 2.0], 1e300)
+    assert norm.tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 # --- weighting policies ---------------------------------------------------------

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import gc
+import io
 import json
 import math
 from pathlib import Path
@@ -13,6 +15,7 @@ from joinopt import retention, simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
 from joinopt.features import feature_dim, fragment_rows
+from joinopt.metrics import classify_query
 from joinopt.plans import Join
 from joinopt.simulator import QueryContext, expert_plan, plan_infos
 from joinopt.trainer import (
@@ -659,12 +662,20 @@ def test_eval_latency_never_beats_expert(workload_dir):
 
 
 def test_traces_and_verdicts_cover_queries(workload_dir):
+    """Each split's verdicts cover its queries, each judged on its own
+    evaluations against its own baseline."""
     cfg = load_run_config(config_file(workload_dir))
     result = run_training(cfg)
-    assert set(result.traces("train")) == set(result.train_ids)
-    assert set(result.traces("test")) == set(result.test_ids)
-    verdicts = result.verdicts("test")
-    assert len(verdicts) == len(result.test_ids)
+    for split, ids in (("train", result.train_ids), ("test", result.test_ids)):
+        verdicts = result.verdicts(split)
+        assert list(verdicts) == list(ids)
+        for qid in ids:
+            points = [
+                (rec.iteration, getattr(rec, f"{split}_latencies")[qid]) for rec in result.records
+            ]
+            assert verdicts[qid] == classify_query(
+                points, result.baselines[qid], cfg.window_fraction
+            )
 
 
 # --- repetitions --------------------------------------------------------------------
@@ -765,3 +776,104 @@ def test_read_run_csv_refuses_other_queries(workload_dir, tmp_path):
     out.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="run.csv:2:"):
         read_run_csv(out, result.train_ids, result.test_ids)
+
+
+@pytest.fixture(scope="module")
+def written_run(tmp_path_factory):
+    """The rows of a genuine run.csv of three records, and its query ids."""
+    tmp = tmp_path_factory.mktemp("written_run")
+    write_files(tmp, *generate(5, "star", 6, 2, seed=11, max_relations=4))
+    result = run_training(load_run_config(config_file(tmp, iterations=2, eval_interval=1)))
+    write_run_csv(result, tmp / "run.csv")
+    rows = list(csv.reader(io.StringIO((tmp / "run.csv").read_text())))
+    return rows, result.train_ids, result.test_ids
+
+
+def _column(rows, prefix):
+    return next(i for i, name in enumerate(rows[0]) if name.startswith(prefix))
+
+
+def _read_edited(written_run, tmp_path, edit):
+    rows, train_ids, test_ids = written_run
+    path = tmp_path / "run.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(edit([list(row) for row in rows]))
+    return read_run_csv(path, train_ids, test_ids)
+
+
+def test_read_run_csv_accepts_infinite_latencies_and_nan_replay_means(written_run, tmp_path):
+    """A genuine run records +inf where a plan's cost overflows, and NaN
+    replay means at iteration 0 and without retention."""
+
+    def edit(rows):
+        for column in ("train_latency_ms:", "test_latency_ms:", "wrl_test"):
+            rows[2][_column(rows, column)] = "inf"
+        for column in ("mean_sampled_norm_td", "mean_sampled_recency", "wall_clock_ms"):
+            rows[3][_column(rows, column)] = "nan"
+        return rows
+
+    records = _read_edited(written_run, tmp_path, edit)
+    assert records[1].wrl_test == math.inf
+    assert math.inf in records[1].train_latencies.values()
+    assert math.inf in records[1].test_latencies.values()
+    assert math.isnan(records[2].mean_sampled_norm_td)
+    assert math.isnan(records[2].mean_sampled_recency)
+    assert math.isnan(records[2].wall_clock_ms)
+
+
+@pytest.mark.parametrize(
+    "column, value, kind",
+    [
+        ("test_latency_ms:", "nan", "a number above 0"),
+        ("train_latency_ms:", "0.0", "a number above 0"),
+        ("test_latency_ms:", "-5", "a number above 0"),
+        ("wrl_test", "nan", "a number above 0"),
+        ("wrl_train", "-inf", "a number above 0"),
+        ("iteration", "1.5", "an integer"),
+        ("buffer_size", "", "an integer"),
+        ("mean_sampled_recency", "x", "a number"),
+    ],
+)
+def test_read_run_csv_refuses_a_bad_cell_by_line_and_column(
+    written_run, tmp_path, column, value, kind
+):
+    rows = written_run[0]
+    name = rows[0][_column(rows, column)]
+
+    def edit(rows):
+        rows[2][_column(rows, column)] = value
+        return rows
+
+    with pytest.raises(ValueError) as exc:
+        _read_edited(written_run, tmp_path, edit)
+    assert str(exc.value) == f"{tmp_path / 'run.csv'}:3: {name!r} must be {kind}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[:1], ": 0 record(s); a run's history has at least 2"),
+        (lambda rows: rows[:2], ": 1 record(s); a run's history has at least 2"),
+        (
+            lambda rows: rows[:2] + [["0", *rows[2][1:]]] + rows[3:],
+            ":3: 'iteration' must exceed line 2's 0",
+        ),
+        (lambda rows: rows[:1] + rows[2:] + rows[1:2], ":4: 'iteration' must exceed line 3's 2"),
+    ],
+    ids=["no-records", "one-record", "repeated-iteration", "decreasing-iteration"],
+)
+def test_read_run_csv_refuses_a_history_judged_on_too_few_or_unordered_records(
+    written_run, tmp_path, edit, message
+):
+    with pytest.raises(ValueError) as exc:
+        _read_edited(written_run, tmp_path, edit)
+    assert str(exc.value) == f"{tmp_path / 'run.csv'}{message}"
+
+
+def test_read_run_csv_refuses_text_that_is_not_utf8(written_run, tmp_path):
+    rows, train_ids, test_ids = written_run
+    path = tmp_path / "run.csv"
+    path.write_bytes(b"iteration\xff\n")
+    with pytest.raises(ValueError) as exc:
+        read_run_csv(path, train_ids, test_ids)
+    assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte at byte 9"
