@@ -15,9 +15,12 @@ it is returned, and a forward pass writes only the arrays it allocated.
 Constructing parameters checks shapes only: ``check_finite`` scans the
 values, and runs when an SGD phase ends and when a checkpoint is loaded.
 The network is trained on log1p-transformed latencies; ``latency_to_label``
-maps milliseconds into that label space.  ``predict_batch`` is the one
-forward pass callers use, over a matrix of feature rows whose width the
-callers match to the network's input layer.
+maps milliseconds into that label space.  Training data is a (features,
+labels) pair of float64 arrays that the program builds itself, so nothing
+here re-checks it: a non-finite row shows up as non-finite parameters when
+the phase ends.  ``predict_batch`` is the one forward pass callers use, over
+a matrix of feature rows whose width the callers match to the network's
+input layer; it is silent on infinite or NaN features.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "TrainBatch",
     "ModelError",
     "init_params",
     "predict_batch",
@@ -96,29 +98,6 @@ class ModelParams:
         object.__setattr__(self, "biases", tuple(biases))
 
 
-@dataclass(frozen=True)
-class TrainBatch:
-    features: np.ndarray  # [n, d]
-    labels: np.ndarray  # [n]
-
-    def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        labels = np.asarray(self.labels, dtype=float)
-        if features.ndim != 2:
-            raise ModelError("features must be a 2-D array [n, d]")
-        if labels.shape != (features.shape[0],):
-            raise ModelError("labels must match the number of feature rows")
-        if features.shape[0] < 1:
-            raise ModelError("batch must be nonempty")
-        if not (np.isfinite(features).all() and np.isfinite(labels).all()):
-            raise ModelError("batch contains non-finite values")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-
 def init_params(layer_sizes: tuple[int, ...], rng_seed: int) -> ModelParams:
     """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) weights, zero biases."""
     sizes = tuple(int(s) for s in layer_sizes)
@@ -147,15 +126,20 @@ def _forward(weights, biases, x: np.ndarray) -> list[np.ndarray]:
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Forward pass over a float [n, d] matrix, d the network's input width;
-    returns the n scalar outputs."""
-    return _forward(params.weights, params.biases, features)[-1][:, 0]
+    returns the n scalar outputs.  Numpy's overflow and invalid-value
+    warnings are silenced: a row with an infinite feature (a plan whose cost
+    overflowed) scores inf or NaN, and a model that diverged is reported
+    when its SGD phase ends."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward(params.weights, params.biases, features)[-1][:, 0]
 
 
 def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None:
     """Write the analytic gradient of the mean squared error of ``params``
     on the rows ``features`` against ``labels`` into ``grad``'s vector,
-    through its layer views.  The rows are checked by the caller, and only
-    ``grad`` is written."""
+    through its layer views.  Only ``grad`` is written; non-finite rows give
+    a non-finite gradient, which ``check_finite`` finds in the parameters
+    when the phase ends."""
     weights = params.weights
     activations = _forward(weights, params.biases, features)
     # d(mean (pred - y)^2)/d pred = 2 (pred - y) / n

@@ -21,7 +21,8 @@ buffered rows.  ``RetentionConfig``, the run config's ``retention`` section,
 holds the policy and every other replay setting, and the sampling functions
 read it whole.  Weights are normalized to a probability distribution and the
 replay budget is drawn from the resulting multinomial, with replacement, as
-one training batch.  Priorities are recomputed from the current model at
+one training batch: a (features, labels) pair of new float64 arrays, which
+nothing re-checks.  Priorities are recomputed from the current model at
 every call and never stored.  One forward pass scores every row, and
 V(s_next) is the value of the row's enclosing join in that same pass.
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import RECENCY_SLOT, fragment_rows
-from .model import ModelParams, TrainBatch, latency_to_label, predict_batch
+from .model import ModelParams, latency_to_label, predict_batch
 from .plans import Join, PlanNode
 from .simulator import QueryContext, plan_infos
 
@@ -61,8 +62,8 @@ __all__ = [
 
 
 class RetentionError(ValueError):
-    """Raised for invalid retention settings, invalid extraction inputs or
-    empty-buffer sampling."""
+    """Raised for invalid retention settings and for sampling an empty
+    buffer."""
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,14 @@ class ReplayBuffer:
         head = self.state[self.oldest % self.capacity :][: len(self)]
         return np.concatenate([head, self.state[: len(self) - len(head)], self.kept])
 
-    def batch(self, positions, recency) -> TrainBatch:
+    def batch(self, positions, recency) -> tuple[np.ndarray, np.ndarray]:
         """The experiences at ``positions`` of ``order()`` as a training
-        batch: state features with the recency slot set to ``recency``,
-        labelled with log1p latency."""
+        batch, a (features, labels) pair: state features with the recency
+        slot set to ``recency``, labelled with log1p latency."""
         rows = self.order()[positions]
         features = self.state[rows]
         features[:, RECENCY_SLOT] = recency
-        return TrainBatch(features, self.label[rows])
+        return features, self.label[rows]
 
 
 def extract_experiences(
@@ -219,15 +220,17 @@ def extract_experiences(
     )
 
 
-def fresh_batch(blocks: list[PlanBlock], k: int, rng: np.random.Generator) -> TrainBatch:
+def fresh_batch(
+    blocks: list[PlanBlock], k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """``k`` rows drawn uniformly, with replacement, from the blocks' rows
-    taken block after block, as a training batch of fresh experiences:
-    recency slot 1.0, labelled with log1p latency."""
+    taken block after block, as a (features, labels) training batch of fresh
+    experiences: recency slot 1.0, labelled with log1p latency."""
     labels = np.repeat([block.label for block in blocks], list(map(len, blocks)))
     drawn = rng.integers(0, len(labels), size=k)
     features = np.concatenate([block.features for block in blocks])[drawn]
     features[:, RECENCY_SLOT] = 1.0
-    return TrainBatch(features, labels[drawn])
+    return features, labels[drawn]
 
 
 def recency_weight(tau_e, tau_current, span):
@@ -316,12 +319,13 @@ def sample_replay(
     model: ModelParams,
     cfg: RetentionConfig,
     rng_seed: int,
-) -> tuple[TrainBatch, ReplayStats]:
+) -> tuple[tuple[np.ndarray, np.ndarray], ReplayStats]:
     """Draw ``cfg.k_replay`` experiences with replacement from the priority
     multinomial of the config's weighting policy.  Returns them as a
-    training batch in draw order, the recency feature slot of each row filled
-    with the experience's recency score, together with the call's
-    statistics.  Falls back to uniform sampling when every weight is zero."""
+    (features, labels) training batch in draw order, the recency feature
+    slot of each row filled with the experience's recency score, together
+    with the call's statistics.  Falls back to uniform sampling when every
+    weight is zero."""
     weights, norm, recency = _priorities(buffer, model, cfg)
     total = weights.sum()
     if total > 0:

@@ -48,7 +48,6 @@ from .metrics import (
 from .model import (
     ModelError,
     ModelParams,
-    TrainBatch,
     batch_grad,
     check_finite,
     init_params,
@@ -365,11 +364,11 @@ def build_meta_tasks(
     contexts: dict[str, QueryContext],
     rollouts_per_query: int,
     rng_seed: int,
-) -> list[TrainBatch]:
-    """One meta task per task of the partition, pooling rows from
-    simulator-executed plans: for each query the expert DP plan plus uniform
-    random rollouts, every join subplan (in post-order) labeled with the
-    noiseless latency of its full plan."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One meta task per task of the partition, a (features, labels) pair
+    pooling rows from simulator-executed plans: for each query the expert DP
+    plan plus uniform random rollouts, every join subplan (in post-order)
+    labeled with the noiseless latency of its full plan."""
     rng = np.random.default_rng(rng_seed)
     meta_tasks = []
     for task in taskset.tasks:
@@ -385,7 +384,7 @@ def build_meta_tasks(
                 joins = [info for info in infos if isinstance(info.node, Join)]
                 rows.append(fragment_rows(joins, ctx))
                 labels += [label] * len(joins)
-        meta_tasks.append(TrainBatch(np.concatenate(rows), np.array(labels)))
+        meta_tasks.append((np.concatenate(rows), np.array(labels)))
     return meta_tasks
 
 
@@ -590,24 +589,25 @@ def _sgd_phase(iteration: int, phase: str, train, *args, **kwargs) -> ModelParam
 
 def _train_on(
     params: ModelParams,
-    batch: TrainBatch,
+    batch: tuple[np.ndarray, np.ndarray],
     minibatch: int,
     lr: float,
     passes: int = 1,
 ) -> ModelParams:
-    """SGD passes over the batch rows in order, in minibatch chunks: plain
-    row slices of the batch, which was checked when it was built.  Each
-    chunk takes one ``batch_grad`` and one ``sgd_step``, in place on working
-    values allocated once per call: a copy of ``params``, a gradient and a
-    scratch vector.  Returns the copy; ``params`` and ``batch`` are not
-    written."""
+    """SGD passes over the rows of the (features, labels) batch in order,
+    in minibatch chunks: plain row slices of the batch.  Each chunk takes
+    one ``batch_grad`` and one ``sgd_step``, in place on working values
+    allocated once per call: a copy of ``params``, a gradient and a scratch
+    vector.  Returns the copy; ``params`` and ``batch`` are not written, and
+    non-finite rows are left for the phase check to report."""
     trained = ModelParams(params.layer_sizes, params.vector.copy())
     grad = ModelParams(params.layer_sizes, np.empty_like(trained.vector))
     scratch = np.empty_like(trained.vector)
+    features, labels = batch
     for _ in range(passes):
-        for lo in range(0, len(batch), minibatch):
+        for lo in range(0, len(labels), minibatch):
             rows = slice(lo, lo + minibatch)
-            batch_grad(trained, batch.features[rows], batch.labels[rows], grad)
+            batch_grad(trained, features[rows], labels[rows], grad)
             sgd_step(trained.vector, grad.vector, lr, scratch)
     return trained
 

@@ -6,16 +6,17 @@ sized tasks (the remainder joins the last task).  The estimated-cost policy
 reads the context's expert plan, so the DP runs once per query however many
 policies and embeddings ask for it.  Each
 candidate partition is rated with the Davies-Bouldin index over a shared
-4-feature query embedding, and the lowest-DBI policy wins.  The winning tasks,
-each a ``TrainBatch`` pooling its queries' rows, feed first-order MAML:
-per-task inner SGD adaptation followed by an outer step on the summed
-post-adaptation gradients.  MAML runs every step through
+4-feature query embedding, and the lowest-DBI policy wins.  The winning
+tasks, each a (features, labels) pair pooling its queries' rows, feed
+first-order MAML: per-task inner SGD adaptation followed by an outer step on
+the summed post-adaptation gradients.  MAML runs every step through
 ``model.batch_grad`` and ``model.sgd_step``, in place on working values it
 allocates once per call: the adapted parameters and the gradient, each a
 ``ModelParams``, and the outer parameters (a copy of its input), the
 task-gradient sum and scratch, each a vector in the same layout.  It
 returns the outer parameters and writes neither its input parameters nor
-its tasks.
+its tasks.  It checks nothing: a task with non-finite rows gives non-finite
+outer parameters, which the caller's phase check reports.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .catalog import Query
-from .model import ModelParams, TrainBatch, batch_grad, sgd_step
+from .model import ModelParams, batch_grad, sgd_step
 from .simulator import QueryContext
 
 __all__ = [
@@ -169,7 +170,7 @@ def select_partitioning(workload: list[QueryContext], k_tasks: int) -> TaskSet:
 
 def maml_outer(
     params: ModelParams,
-    tasks: list[TrainBatch],
+    tasks: list[tuple[np.ndarray, np.ndarray]],
     inner_lr: float,
     outer_lr: float,
     n_inner: int,
@@ -181,18 +182,18 @@ def maml_outer(
     support batch, evaluates the loss gradient at the adapted parameters on a
     query batch, and applies one outer step on the gradients summed left to
     right from 0 (the adaptation Jacobian is treated as identity).  Support
-    and query batches are row selections drawn from each task's rows without
-    replacement; the tasks were checked when they were built.  The input
-    params are untouched."""
+    and query batches are row selections drawn from each task's (features,
+    labels) pair without replacement.  The input params are untouched."""
     rng = np.random.default_rng(rng_seed)
     outer = params.vector.copy()
     adapted, grad = (ModelParams(params.layer_sizes, np.empty_like(outer)) for _ in range(2))
     summed = np.empty_like(outer)
     scratch = np.empty_like(outer)
 
-    def sample(task: TrainBatch) -> tuple[np.ndarray, np.ndarray]:
-        idx = rng.choice(len(task), size=min(batch_size, len(task)), replace=False)
-        return task.features[idx], task.labels[idx]
+    def sample(task: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        features, labels = task
+        idx = rng.choice(len(labels), size=min(batch_size, len(labels)), replace=False)
+        return features[idx], labels[idx]
 
     for _ in range(n_outer):
         summed.fill(0.0)

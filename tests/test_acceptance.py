@@ -21,11 +21,7 @@ from scipy import stats as scistats
 
 from joinopt.catalog import load_catalog, load_workload
 from joinopt.features import feature_dim
-from joinopt.model import (
-    ModelParams,
-    TrainBatch,
-    init_params,
-)
+from joinopt.model import ModelParams, init_params
 from joinopt.metrics import wrl
 from joinopt.retention import (
     PlanBlock,
@@ -284,8 +280,8 @@ def test_criterion_4_gradient_correctness():
         d = int(rng.integers(2, 6))
         hidden = int(rng.integers(2, 8))
         params = init_params((d, hidden, 1), int(rng.integers(100_000)))
-        batch = TrainBatch(rng.normal(size=(5, d)), rng.normal(size=5) ** 2)
-        grad = gradient(params, batch.features, batch.labels)
+        batch = (rng.normal(size=(5, d)), rng.normal(size=5) ** 2)
+        grad = gradient(params, *batch)
         fd_w, fd_b = finite_difference_grad(params, batch)
         for got, want in zip(list(grad.weights) + list(grad.biases), fd_w + fd_b):
             denom = np.maximum(np.abs(want), 1e-6)
@@ -335,9 +331,9 @@ def test_criterion_5_partitioning_contract():
 
 def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
-        if batch_loss(params, batch.features, batch.labels) <= threshold:
+        if batch_loss(params, *batch) <= threshold:
             return step
-        params = stepped(params, gradient(params, batch.features, batch.labels), lr)
+        params = stepped(params, gradient(params, *batch), lr)
     return max_steps + 1
 
 
@@ -350,10 +346,10 @@ def test_criterion_6_maml_efficiency():
         for _ in range(8):
             a, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
             X = rng.uniform(0, 1, size=(24, 1))
-            tasks.append(TrainBatch(X, a * X[:, 0] + b))
+            tasks.append((X, a * X[:, 0] + b))
         a, b = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
         X = rng.uniform(0, 1, size=(24, 1))
-        held_out = TrainBatch(X, a * X[:, 0] + b)
+        held_out = (X, a * X[:, 0] + b)
         params = init_params((1, 16, 1), seed)
         meta = maml_outer(
             params, tasks, inner_lr=0.05, outer_lr=0.02, n_inner=3, n_outer=120,

@@ -176,27 +176,98 @@ def test_meta_train_forced_policy_prints_its_dbi(project, capsys, policy):
     assert float(printed.split("dbi=")[1]) == float(reported[policy])
 
 
+STAR6 = Path(__file__).resolve().parents[1] / "data" / "star6"
+
+
+def _star6_doc():
+    """The bundled star6 run config, its document paths made absolute."""
+    doc = json.loads((STAR6 / "experiment.json").read_text())
+    for key in ("catalog", "train_workload", "test_workload"):
+        doc[key] = str(STAR6 / doc[key])
+    return doc
+
+
+def _joinopt(*argv):
+    """``joinopt`` run in a new process on this checkout's ``src``, so that
+    stderr holds all a user sees, numpy's warnings included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "joinopt.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 def test_divergence_names_iteration_and_phase(tmp_path):
     """A learning rate that makes SGD diverge fails the run with one stderr
     line naming the iteration and the phase, and no numpy warning."""
-    star6 = Path(__file__).resolve().parents[1] / "data" / "star6"
-    doc = json.loads((star6 / "experiment.json").read_text())
-    for key in ("catalog", "train_workload", "test_workload"):
-        doc[key] = str(star6 / doc[key])
+    doc = _star6_doc()
     doc.update(iterations=2, repetitions=1)
     doc["model"] = {**doc.get("model", {}), "learning_rate": 1e6}
     config = write_json(tmp_path / "diverge.json", doc)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "joinopt.cli", "train", "--config", str(config),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _joinopt("train", "--config", str(config), "--out", str(tmp_path / "out"))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: iteration 1: sgd: layer 0: non-finite parameter"
     ]
+
+
+COST_COEFFICIENTS = (
+    "cpu_cost_per_row",
+    "hash_build_cost_per_row",
+    "nlj_cost_per_row_pair",
+    "merge_sort_cost_per_row_log_row",
+)
+
+
+@pytest.mark.parametrize(
+    "transfer, message",
+    [
+        (True, "error: iteration 0: maml: layer 0: non-finite parameter"),
+        (False, "error: iteration 1: sgd: layer 0: non-finite parameter"),
+    ],
+    ids=["transfer-on", "transfer-off"],
+)
+@pytest.mark.parametrize("coefficient", COST_COEFFICIENTS)
+def test_an_overflowing_cost_coefficient_fails_naming_iteration_and_phase(
+    tmp_path, coefficient, transfer, message
+):
+    """A cost coefficient of 1e300 passes load and the expert baselines, as
+    the expert's plans stay finite, but the costs of the plans it avoids
+    overflow.  The run fails at the first phase that diverges, MAML on the
+    rollouts' infinite labels or the first online SGD phase, with one line
+    naming the iteration and the phase; numpy warns of nothing, and no
+    output directory is made."""
+    doc = _star6_doc()
+    doc.update(iterations=2, repetitions=1, baseline_runs=2)
+    doc["cost_model"] = {coefficient: 1e300}
+    doc["transfer"] = {"enabled": transfer}
+    config = write_json(tmp_path / "overflow.json", doc)
+    out = tmp_path / "out"
+    proc = _joinopt("train", "--config", str(config), "--out", str(out))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [message]
+    assert not out.exists()
+
+
+def test_eval_under_an_overflowing_cost_coefficient_is_silent(tmp_path):
+    """A genuine checkpoint evaluated under a cost model whose
+    ``cpu_cost_per_row`` is 1e300 plans some queries into overflowing
+    costs: it reports an infinite WRL, exits 0 and prints nothing to
+    stderr, where numpy's warning from the forward pass used to appear."""
+    doc = _star6_doc()
+    doc.update(iterations=2, repetitions=1, baseline_runs=2)
+    assert main(
+        ["train", "--config", str(write_json(tmp_path / "ok.json", doc)),
+         "--out", str(tmp_path / "run")]
+    ) == 0
+    doc["cost_model"] = {"cpu_cost_per_row": 1e300}
+    config = write_json(tmp_path / "overflow.json", doc)
+    model = tmp_path / "run" / "rep0" / "model.npz"
+    proc = _joinopt("eval", "--config", str(config), "--model", str(model))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[0] == "train WRL=inf"
 
 
 def test_eval_runs_against_checkpoint(project, capsys):

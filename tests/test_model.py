@@ -6,7 +6,6 @@ import pytest
 from joinopt.model import (
     ModelError,
     ModelParams,
-    TrainBatch,
     batch_grad,
     init_params,
     load_params,
@@ -39,7 +38,8 @@ def forward_oracle(params, x):
 
 
 def finite_difference_grad(params, batch, h=1e-4):
-    """Central differences on every coordinate of every parameter array."""
+    """Central differences on every coordinate of every parameter array;
+    ``batch`` is a (features, labels) pair."""
     grads_w = []
     grads_b = []
     for layer in range(len(params.weights)):
@@ -50,7 +50,7 @@ def finite_difference_grad(params, batch, h=1e-4):
                 for sign in (+1, -1):
                     bumped = ModelParams(params.layer_sizes, params.vector.copy())
                     getattr(bumped, which)[layer][idx] += sign * h
-                    grad[idx] += sign * batch_loss(bumped, batch.features, batch.labels)
+                    grad[idx] += sign * batch_loss(bumped, *batch)
                 grad[idx] /= 2 * h
             grads.append(grad)
     return grads_w, grads_b
@@ -152,9 +152,11 @@ def reference_forward(params, x):
 
 
 def reference_grad(params, batch):
-    """The earlier backward pass: ReLU masks from the pre-activations."""
-    pre, activations = reference_forward(params, batch.features)
-    delta = (2.0 / len(batch)) * (activations[-1][:, 0] - batch.labels)[:, None]
+    """The earlier backward pass: ReLU masks from the pre-activations;
+    ``batch`` is a (features, labels) pair."""
+    features, labels = batch
+    pre, activations = reference_forward(params, features)
+    delta = (2.0 / len(features)) * (activations[-1][:, 0] - labels)[:, None]
     grads_w, grads_b = [None] * len(params.weights), [None] * len(params.weights)
     for layer in range(len(params.weights) - 1, -1, -1):
         grads_w[layer] = activations[layer].T @ delta
@@ -168,7 +170,7 @@ def assert_matches_reference_bits(params, x, labels):
     _, activations = reference_forward(params, x)
     assert predict_batch(params, x).tobytes() == activations[-1][:, 0].tobytes()
     grad = gradient(params, x, labels)
-    want_w, want_b = reference_grad(params, TrainBatch(x, labels))
+    want_w, want_b = reference_grad(params, (x, labels))
     for got, want in zip(grad.weights + grad.biases, want_w + want_b):
         assert got.tobytes() == want.tobytes()
 
@@ -259,8 +261,8 @@ def test_gradient_matches_finite_differences(rng):
         d = int(rng.integers(2, 6))
         hidden = int(rng.integers(2, 8))
         params = init_params((d, hidden, 1), int(rng.integers(10_000)))
-        batch = TrainBatch(rng.normal(size=(4, d)), rng.normal(size=4) ** 2)
-        grad = gradient(params, batch.features, batch.labels)
+        batch = (rng.normal(size=(4, d)), rng.normal(size=4) ** 2)
+        grad = gradient(params, *batch)
         fd_w, fd_b = finite_difference_grad(params, batch)
         for g, f in zip(grad.weights, fd_w):
             np.testing.assert_allclose(g, f, rtol=1e-4, atol=1e-6)
@@ -282,11 +284,11 @@ def test_sgd_never_increases_loss_at_tiny_lr(rng):
     for trial in range(10):
         d = int(rng.integers(2, 8))
         params = init_params((d, int(rng.integers(2, 16)), 1), int(rng.integers(10_000)))
-        batch = TrainBatch(rng.normal(size=(6, d)), rng.normal(size=6) ** 2)
-        before = batch_loss(params, batch.features, batch.labels)
-        grad = gradient(params, batch.features, batch.labels)
+        batch = (rng.normal(size=(6, d)), rng.normal(size=6) ** 2)
+        before = batch_loss(params, *batch)
+        grad = gradient(params, *batch)
         sgd_step(params.vector, grad.vector, 1e-5, np.empty_like(params.vector))
-        assert batch_loss(params, batch.features, batch.labels) <= before + 1e-12
+        assert batch_loss(params, *batch) <= before + 1e-12
 
 
 # --- sgd ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from joinopt.cli import main
@@ -110,6 +110,16 @@ def mutated_documents(draw):
     return docs
 
 
+def _overflowing_cost_documents() -> dict:
+    """The base documents after two mutations: a cost coefficient of 1e300,
+    which overflows the costs of the plans the expert avoids, and no
+    meta-initialization, so that plan search scores those plans first."""
+    docs = _base_documents()
+    docs["experiment"]["cost_model"]["hash_build_cost_per_row"] = 1e300
+    docs["experiment"]["transfer"]["enabled"] = False
+    return docs
+
+
 @settings(
     max_examples=200,
     derandomize=True,
@@ -117,6 +127,7 @@ def mutated_documents(draw):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(docs=mutated_documents())
+@example(docs=_overflowing_cost_documents())
 def test_every_document_trains_or_fails_at_load_in_one_line(docs):
     with tempfile.TemporaryDirectory() as tmp:
         config = _write_documents(docs, Path(tmp))

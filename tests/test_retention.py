@@ -364,14 +364,14 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
     recency = 1.0 - (taus.max() - taus) / span
     weights = 0.25 * norm + 0.75 * recency
     cfg = RetentionConfig(weighting="hybrid", beta_mix=0.25, k_replay=40, gamma=gamma, alpha_td=1.0)
-    batch, stats = sample_replay(buffer, model, cfg, 5)
+    (features, labels), stats = sample_replay(buffer, model, cfg, 5)
     assert stats.probabilities == pytest.approx(weights / weights.sum(), rel=1e-9)
     idx = stats.sampled_indices
     want_features = buffer.state[order[idx]].copy()
     want_features[:, -1] = stats.recency[idx]
-    assert np.array_equal(batch.features, want_features)
+    assert np.array_equal(features, want_features)
     assert stats.recency[idx] == pytest.approx(recency[idx], rel=1e-12)
-    assert batch.labels.tolist() == [math.log1p(rows[i][2]) for i in idx]
+    assert labels.tolist() == [math.log1p(rows[i][2]) for i in idx]
 
 
 def test_split_plan_reads_its_evicted_enclosing_join(rng):
@@ -506,7 +506,7 @@ def test_fresh_batch_matches_uniform_hand_oracle(rng):
     rows = [(x.copy(), b.latency_ms) for b in blocks for x in b.features]
     batch = fresh_batch(blocks, 20, np.random.default_rng(8))
     drawn = np.random.default_rng(8).integers(0, len(rows), size=20)
-    for got, got_label, pos in zip(batch.features, batch.labels, drawn):
+    for got, got_label, pos in zip(*batch, drawn):
         features, latency = rows[pos]
         assert got[:-1].tolist() == features[:-1].tolist()
         assert got[-1] == 1.0
@@ -534,9 +534,9 @@ def test_sample_probabilities_from_weights():
     # hybrid(0.5): w = [0.25, 0.25, 0.75]... use beta 1/3 to get [1,1,2]/norm?
     # Cleaner: recency-only gives w = [0, 0, 1] -> p = [0, 0, 1].
     cfg = RetentionConfig(weighting="recency", k_replay=5, gamma=1.0, alpha_td=1.0)
-    batch, stats = sample_replay(buffer, model, cfg, 0)
+    (features, _), stats = sample_replay(buffer, model, cfg, 0)
     assert stats.probabilities == pytest.approx([0.0, 0.0, 1.0])
-    assert len(batch) == 5
+    assert len(features) == 5
     assert buffer.stored_at[buffer.order()[stats.sampled_indices]].tolist() == [10] * 5
 
 
@@ -595,11 +595,11 @@ def test_sample_single_experience_repeats():
     buffer = ReplayBuffer(10)
     buffer.extend(make_block(3.0, latency=42.0))
     cfg = RetentionConfig(weighting="hybrid", k_replay=5, gamma=1.0, alpha_td=1.0)
-    batch, stats = sample_replay(buffer, model, cfg, 0)
-    assert len(batch) == 5
+    (features, labels), stats = sample_replay(buffer, model, cfg, 0)
+    assert len(features) == 5
     assert stats.sampled_indices.tolist() == [0] * 5
     assert buffer.latency[buffer.order()[stats.sampled_indices]].tolist() == [42.0] * 5
-    assert batch.labels.tolist() == [math.log1p(42.0)] * 5
+    assert labels.tolist() == [math.log1p(42.0)] * 5
 
 
 def test_sample_uniform_fallback_when_all_zero():
@@ -647,8 +647,8 @@ def test_sample_deterministic_per_seed():
     a, stats_a = sample_replay(buffer, model, cfg, 99)
     b, stats_b = sample_replay(buffer, model, cfg, 99)
     assert np.array_equal(stats_a.sampled_indices, stats_b.sampled_indices)
-    assert np.array_equal(a.features, b.features)
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_sample_fills_recency_slot():
@@ -657,9 +657,9 @@ def test_sample_fills_recency_slot():
     buffer.extend(make_block(1.0, iteration=0))
     buffer.extend(make_block(2.0, iteration=10))
     cfg = RetentionConfig(weighting="hybrid", k_replay=50, gamma=1.0, alpha_td=1.0)
-    batch, stats = sample_replay(buffer, model, cfg, 0)
+    (features, _), stats = sample_replay(buffer, model, cfg, 0)
     stored_at = buffer.stored_at[buffer.order()[stats.sampled_indices]]
-    for row, tau in zip(batch.features, stored_at):
+    for row, tau in zip(features, stored_at):
         expected = 1.0 if tau == 10 else 0.0
         assert row[-1] == expected
     # the buffered rows are untouched

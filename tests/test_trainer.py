@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from joinopt.catalog import load_catalog, load_workload
-from joinopt.model import ModelError, ModelParams, TrainBatch, init_params, predict_batch
+from joinopt.model import ModelError, ModelParams, init_params, predict_batch
 from joinopt import retention, simulator
 from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
@@ -363,10 +363,11 @@ def test_build_meta_tasks_shapes(default_cost):
     contexts = {q.id: QueryContext(q, catalog, default_cost) for q in (query, query2)}
     tasks = build_meta_tasks(taskset, contexts, rollouts_per_query=2, rng_seed=4)
     assert len(tasks) == 2
+    (features, labels), (features2, _) = tasks
     # s3 has 3 plans x 2 joins, s2 has 3 plans x 1 join.
-    assert tasks[0].features.shape == (6, feature_dim(catalog))
-    assert tasks[1].features.shape == (3, feature_dim(catalog))
-    assert np.isfinite(tasks[0].labels).all()
+    assert features.shape == (6, feature_dim(catalog))
+    assert features2.shape == (3, feature_dim(catalog))
+    assert np.isfinite(labels).all()
     # The expert plan's rows come first, children before parents, each
     # labeled with the plan's noiseless latency.
     ctx = contexts["s3"]
@@ -375,8 +376,8 @@ def test_build_meta_tasks_shapes(default_cost):
         ctx,
     )
     assert len(expert_rows) == 2 and expert_rows[-1][-2] == 2.0  # root depth
-    np.testing.assert_array_equal(tasks[0].features[:2], expert_rows)
-    assert tasks[0].labels[0] == math.log1p(ctx.latency(ctx.expert()))
+    np.testing.assert_array_equal(features[:2], expert_rows)
+    assert labels[0] == math.log1p(ctx.latency(ctx.expert()))
 
 
 # --- run_training -------------------------------------------------------------------
@@ -411,7 +412,7 @@ def test_no_retention_batch_is_uniform_over_this_iterations_rows(workload_dir, m
     run_training(cfg)
     assert len(batches) == cfg.iterations
     per_iteration = len(blocks) // cfg.iterations
-    for iteration, batch in enumerate(batches, start=1):
+    for iteration, (features, labels) in enumerate(batches, start=1):
         fresh = blocks[(iteration - 1) * per_iteration : iteration * per_iteration]
         rows = [(x, b.latency_ms) for b in fresh for x in b.features]
         assert len(rows) > cfg.retention.capacity
@@ -419,8 +420,8 @@ def test_no_retention_batch_is_uniform_over_this_iterations_rows(workload_dir, m
         drawn = rng.integers(0, len(rows), size=cfg.retention.k_replay)
         want = np.array([rows[i][0] for i in drawn])
         want[:, -1] = 1.0
-        assert np.array_equal(batch.features, want)
-        assert batch.labels.tolist() == [math.log1p(rows[i][1]) for i in drawn]
+        assert np.array_equal(features, want)
+        assert labels.tolist() == [math.log1p(rows[i][1]) for i in drawn]
 
 
 def test_training_smoke_with_transfer(workload_dir):
@@ -511,8 +512,8 @@ def test_train_on_leaves_its_inputs_unwritten():
     for bit, as new arrays per minibatch chunk and pass."""
     rng = np.random.default_rng(3)
     params = init_params((5, 7, 1), 4)
-    batch = TrainBatch(rng.normal(size=(10, 5)), rng.normal(size=10))
-    arrays = (params.vector, batch.features, batch.labels)
+    batch = (rng.normal(size=(10, 5)), rng.normal(size=10))
+    arrays = (params.vector, *batch)
     snapshot = [a.copy() for a in arrays]
     trained = trainer_module._train_on(params, batch, 4, 0.01, passes=2)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, snapshot))
@@ -520,7 +521,7 @@ def test_train_on_leaves_its_inputs_unwritten():
     want = params
     for _ in range(2):
         for rows in (slice(0, 4), slice(4, 8), slice(8, 10)):
-            want = stepped(want, gradient(want, batch.features[rows], batch.labels[rows]), 0.01)
+            want = stepped(want, gradient(want, batch[0][rows], batch[1][rows]), 0.01)
     assert trained.vector.tobytes() == want.vector.tobytes()
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from joinopt.model import ModelParams, TrainBatch, init_params
+from joinopt.model import ModelParams, init_params
 from joinopt.transfer import (
     PartitioningPolicy,
     TaskSet,
@@ -345,7 +345,7 @@ def test_select_partitioning_is_argmin(rng, default_cost):
 def _quadratic_task(rng, n=32):
     X = rng.uniform(0, 1, size=(n, 1))
     y = 2.0 * X[:, 0] + 1.0
-    return TrainBatch(X, y)
+    return X, y
 
 
 def test_maml_outer_one_inner_step_equals_sgd(rng):
@@ -354,8 +354,8 @@ def test_maml_outer_one_inner_step_equals_sgd(rng):
     params = init_params((1, 4, 1), 3)
     batch = _quadratic_task(rng)
     out = maml_outer(params, [batch], 0.01, 0.02, n_inner=1, n_outer=1, batch_size=999)
-    adapted = stepped(params, gradient(params, batch.features, batch.labels), 0.01)
-    direct = stepped(params, gradient(adapted, batch.features, batch.labels), 0.02)
+    adapted = stepped(params, gradient(params, *batch), 0.01)
+    direct = stepped(params, gradient(adapted, *batch), 0.02)
     np.testing.assert_allclose(out.vector, direct.vector, rtol=0, atol=1e-12)
 
 
@@ -377,7 +377,7 @@ def test_maml_outer_scalar_hand_trace():
     two."""
     params = ModelParams((1, 1), np.array([0.0, 0.0]))
     # With input 0, prediction = bias; loss = (bias - 1)^2.
-    batch = TrainBatch(np.array([[0.0]]), np.array([1.0]))
+    batch = (np.array([[0.0]]), np.array([1.0]))
     one = maml_outer(params, [batch], inner_lr=0.1, outer_lr=0.1, n_inner=1, n_outer=1)
     assert one.biases[0][0] == pytest.approx(0.16)
     two = maml_outer(params, [batch], inner_lr=0.1, outer_lr=0.1, n_inner=2, n_outer=1)
@@ -390,7 +390,7 @@ def test_maml_outer_leaves_input_unchanged(rng):
     params = init_params((1, 4, 1), 3)
     tasks = [_quadratic_task(rng) for _ in range(2)]
     arrays = [params.vector, *params.weights, *params.biases]
-    arrays += [a for task in tasks for a in (task.features, task.labels)]
+    arrays += [a for task in tasks for a in task]
     snapshot = [a.copy() for a in arrays]
     outer = maml_outer(params, tasks, 0.05, 0.02, 3, 4, batch_size=8, rng_seed=1)
     unchanged = maml_outer(params, tasks, 0.05, 0.02, 3, 0)
@@ -409,7 +409,7 @@ def test_maml_outer_no_inner_is_plain_sgd(rng):
         params, [batch], inner_lr=0.1, outer_lr=0.02, n_inner=0, n_outer=1,
         batch_size=999, rng_seed=0,
     )
-    direct = stepped(params, gradient(params, batch.features, batch.labels), 0.02)
+    direct = stepped(params, gradient(params, *batch), 0.02)
     for a, b in zip(out.weights, direct.weights):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
@@ -437,18 +437,19 @@ def reference_maml_inner(params, batch, inner_lr, n_inner):
     """The earlier inner loop, kept as the reference: one gradient and one
     step per step, each into new arrays."""
     for _ in range(n_inner):
-        params = stepped(params, gradient(params, batch.features, batch.labels), inner_lr)
+        params = stepped(params, gradient(params, *batch), inner_lr)
     return params
 
 
 def reference_maml_outer(params, tasks, inner_lr, outer_lr, n_inner, n_outer, batch_size, rng_seed):
-    """The earlier outer loop: samples as checked ``TrainBatch``es, and the
-    task gradients summed left to right from 0 with ``sum``."""
+    """The earlier outer loop: samples as new (features, labels) pairs, and
+    the task gradients summed left to right from 0 with ``sum``."""
     rng = np.random.default_rng(rng_seed)
 
     def sample(task):
-        idx = rng.choice(len(task), size=min(batch_size, len(task)), replace=False)
-        return TrainBatch(task.features[idx], task.labels[idx])
+        features, labels = task
+        idx = rng.choice(len(labels), size=min(batch_size, len(labels)), replace=False)
+        return features[idx], labels[idx]
 
     for _ in range(n_outer):
         grads = []
@@ -456,7 +457,7 @@ def reference_maml_outer(params, tasks, inner_lr, outer_lr, n_inner, n_outer, ba
             support = sample(task)
             query_batch = sample(task)
             adapted = reference_maml_inner(params, support, inner_lr, n_inner)
-            grads.append(gradient(adapted, query_batch.features, query_batch.labels))
+            grads.append(gradient(adapted, *query_batch))
         summed = ModelParams(params.layer_sizes, sum(g.vector for g in grads))
         params = stepped(params, summed, outer_lr)
     return params
@@ -480,7 +481,7 @@ def test_maml_matches_the_earlier_loop_bit_for_bit(sizes, rows, batch_size):
     rng = np.random.default_rng(len(sizes) * 100 + sum(rows))
     params = init_params(sizes, 3)
     tasks = [
-        TrainBatch(rng.normal(size=(n, sizes[0])) * 2, rng.normal(size=n) + 3) for n in rows
+        (rng.normal(size=(n, sizes[0])) * 2, rng.normal(size=n) + 3) for n in rows
     ]
     got = maml_outer(params, tasks, 0.01, 0.005, 3, 6, batch_size=batch_size, rng_seed=9)
     want = reference_maml_outer(params, tasks, 0.01, 0.005, 3, 6, batch_size, 9)
@@ -495,15 +496,15 @@ def linear_task_family(rng, n_tasks, n_points=24):
         a = rng.uniform(0.5, 2.0)
         b = rng.uniform(0.5, 2.0)
         X = rng.uniform(0, 1, size=(n_points, 1))
-        tasks.append(TrainBatch(X, a * X[:, 0] + b))
+        tasks.append((X, a * X[:, 0] + b))
     return tasks
 
 
 def adaptation_steps(params, batch, lr, threshold, max_steps=400):
     for step in range(max_steps + 1):
-        if batch_loss(params, batch.features, batch.labels) <= threshold:
+        if batch_loss(params, *batch) <= threshold:
             return step
-        params = stepped(params, gradient(params, batch.features, batch.labels), lr)
+        params = stepped(params, gradient(params, *batch), lr)
     return max_steps + 1
 
 

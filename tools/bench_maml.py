@@ -14,7 +14,9 @@ the meta tasks and MAML settings are exactly the ones a run with seed
 on them from the run's initial parameters, and ``PASSES`` times
 ``SGD_PHASES`` calls of ``trainer._train_on`` from MAML's result on a fixed
 batch: the first ``k_replay`` rows of the meta tasks, in task order, with
-the config's minibatch, learning rate and passes.  Times are CPU time
+the config's minibatch, learning rate and passes.  A meta task is a
+(features, labels) pair, or in older checkouts an object with ``features``
+and ``labels``; the batch is built as the tasks are.  Times are CPU time
 (``time.process_time``).  It prints the times and a SHA-256 digest of each
 result's bytes, layer by layer.  The two checkouts run ``ROUNDS`` times in
 alternating order: even rounds run the ``before`` side first
@@ -52,7 +54,7 @@ import hashlib, json, sys, time
 import numpy as np
 from joinopt import trainer
 from joinopt.features import feature_dim
-from joinopt.model import TrainBatch, init_params
+from joinopt.model import init_params
 from joinopt.transfer import maml_outer
 
 configs, seed, passes, phases = json.loads(sys.argv[1])
@@ -78,13 +80,14 @@ for name, path in configs.items():
     trainer.meta_initialize(cfg, setup.train, params, seed)
     trainer.maml_outer = maml_outer
     (args, kwargs), = calls
-    tasks = args[0]
+    # Older checkouts wrap a (features, labels) pair in a class of their own.
+    task_type = type(args[0][0])
+    pairs = args[0] if task_type is tuple else [(t.features, t.labels) for t in args[0]]
     rows = slice(0, cfg.retention.k_replay)
-    batch = TrainBatch(
-        np.concatenate([t.features for t in tasks])[rows],
-        np.concatenate([t.labels for t in tasks])[rows],
-    )
-    entry = {"rows": len(batch), "maml_outer": [], "train_on": [], "digests": []}
+    features = np.concatenate([f for f, _ in pairs])[rows]
+    labels = np.concatenate([y for _, y in pairs])[rows]
+    batch = (features, labels) if task_type is tuple else task_type(features, labels)
+    entry = {"rows": len(labels), "maml_outer": [], "train_on": [], "digests": []}
     for _ in range(passes):
         start = time.process_time()
         meta = maml_outer(params, *args, **kwargs)
