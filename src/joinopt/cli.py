@@ -3,7 +3,11 @@
 Commands: gen-workload, partition-report, meta-train, train, eval,
 replay-report.  Every command derives all randomness from a single seed, so
 identical flags produce byte-identical artifacts (wall-clock columns aside).
-Errors exit nonzero with one machine-parseable line on stderr.  The five
+Errors exit nonzero with one machine-parseable line on stderr.  Numpy's
+error state is set once, in ``main``, for every command: its overflow and
+invalid-value warnings are silenced, since a diverged model fails in
+``model.check_finite`` naming its phase, and an overflowing plan shows as
+an infinite latency.  The five
 commands that read a run config load it once, in ``main``, and apply their
 override flags from the one table ``_OVERRIDES``.  Each command builds the
 rows of its table once, prints from those rows, and writes them with
@@ -342,7 +346,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = None
         if "config" in args:
             cfg = _apply_overrides(load_run_config(args.config), args)
-        return args.func(args, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, cfg)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,14 +13,15 @@ allocate their working values once per call, starting from a copy of their
 input parameters, and return them.  Any other value is never written once
 it is returned, and a forward pass writes only the arrays it allocated.
 Constructing parameters checks shapes only: ``check_finite`` scans the
-values, and runs when an SGD phase ends and when a checkpoint is loaded.
+values, and runs when an SGD phase ends and when a checkpoint is loaded,
+naming the phase or the file.
 The network is trained on log1p-transformed latencies; ``latency_to_label``
 maps milliseconds into that label space.  Training data is a (features,
 labels) pair of float64 arrays that the program builds itself, so nothing
 here re-checks it: a non-finite row shows up as non-finite parameters when
 the phase ends.  ``predict_batch`` is the one forward pass callers use, over
 a matrix of feature rows whose width the callers match to the network's
-input layer; it is silent on infinite or NaN features.
+input layer.
 """
 
 from __future__ import annotations
@@ -126,12 +127,10 @@ def _forward(weights, biases, x: np.ndarray) -> list[np.ndarray]:
 
 def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Forward pass over a float [n, d] matrix, d the network's input width;
-    returns the n scalar outputs.  Numpy's overflow and invalid-value
-    warnings are silenced: a row with an infinite feature (a plan whose cost
-    overflowed) scores inf or NaN, and a model that diverged is reported
-    when its SGD phase ends."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _forward(params.weights, params.biases, features)[-1][:, 0]
+    returns the n scalar outputs.  A row with an infinite feature (a plan
+    whose cost overflowed) scores inf or NaN, and a model that diverged is
+    reported when its SGD phase ends."""
+    return _forward(params.weights, params.biases, features)[-1][:, 0]
 
 
 def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None:
@@ -167,12 +166,13 @@ def sgd_step(vector: np.ndarray, grad: np.ndarray, lr: float, scratch: np.ndarra
     np.subtract(vector, scratch, out=vector)
 
 
-def check_finite(params: ModelParams) -> ModelParams:
+def check_finite(params: ModelParams, where: str) -> ModelParams:
     """``params``, after raising ModelError for the first layer holding a
-    NaN or infinite weight or bias."""
+    NaN or infinite weight or bias, naming ``where`` the values came from:
+    a phase of a run, or a checkpoint file."""
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise ModelError(f"layer {i}: non-finite parameter")
+            raise ModelError(f"{where}: layer {i}: non-finite parameter")
     return params
 
 
@@ -191,8 +191,9 @@ def save_params(params: ModelParams, path) -> None:
 
 def load_params(path) -> ModelParams:
     """The checkpoint ``save_params`` wrote to ``path``.  A missing,
-    unreadable or malformed file, or a layer array whose shape disagrees
-    with the file's layer sizes, raises one ModelError naming the file."""
+    unreadable or malformed file, a layer array whose shape disagrees with
+    the file's layer sizes, or a non-finite value raises one ModelError
+    naming the file."""
     try:
         with np.load(path) as data:
             version = data["format_version"]
@@ -213,4 +214,4 @@ def load_params(path) -> ModelParams:
     except (OSError, EOFError, ValueError, TypeError, zipfile.BadZipFile) as exc:
         # ModelError included: a ValueError.
         raise ModelError(f"{path}: {exc}") from None
-    return check_finite(params)
+    return check_finite(params, str(path))

@@ -599,20 +599,19 @@ def expert_baseline(
     (zero costs, or a latency unit large enough to overflow), and a
     noiseless latency below the smallest normal float (a latency unit so
     small that latencies are denormal), raise ``SimulatorError`` naming the
-    query, and numpy's warnings are silenced.  So every latency a run
-    executes or evaluates is above 0: a plan costs at least the expert's."""
+    query.  So every latency a run executes or evaluates is above 0: a plan
+    costs at least the expert's."""
     cost = ctx.cost(ctx.expert())
     latencies = np.array(
         [_noisy_latency(cost, ctx.cfg, base_seed + i) for i in range(n_runs)]
     )
-    with np.errstate(all="ignore"):
-        mean = float(latencies.mean())
-        std = float(latencies.std(ddof=1))
-        if not (latencies.min() > 0 and math.isfinite(mean) and math.isfinite(2.0 * std)):
-            raise SimulatorError(
-                f"query {ctx.query.id!r}: expert latencies must be positive and finite, "
-                f"got mean {mean} ms and std {std} ms"
-            )
+    mean = float(latencies.mean())
+    std = float(latencies.std(ddof=1))
+    if not (latencies.min() > 0 and math.isfinite(mean) and math.isfinite(2.0 * std)):
+        raise SimulatorError(
+            f"query {ctx.query.id!r}: expert latencies must be positive and finite, "
+            f"got mean {mean} ms and std {std} ms"
+        )
     noiseless = cost * ctx.cfg.latency_per_cost_unit
     if noiseless < sys.float_info.min:
         raise SimulatorError(

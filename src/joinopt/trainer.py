@@ -46,7 +46,6 @@ from .metrics import (
     wrl,
 )
 from .model import (
-    ModelError,
     ModelParams,
     batch_grad,
     check_finite,
@@ -410,8 +409,8 @@ def meta_initialize(
         tc.rollouts_per_query,
         derive_seed(base_seed, "meta-data"),
     )
-    params = _sgd_phase(
-        0, "maml", maml_outer, params, meta_tasks,
+    params = maml_outer(
+        params, meta_tasks,
         inner_lr=tc.inner_lr,
         outer_lr=tc.outer_lr,
         n_inner=tc.n_inner,
@@ -419,7 +418,7 @@ def meta_initialize(
         batch_size=tc.batch_size,
         rng_seed=derive_seed(base_seed, "maml"),
     )
-    return params, taskset
+    return check_finite(params, "iteration 0: maml"), taskset
 
 
 # ---------------------------------------------------------------------------
@@ -574,19 +573,6 @@ def evaluate_queries(
     return latencies
 
 
-def _sgd_phase(iteration: int, phase: str, train, *args, **kwargs) -> ModelParams:
-    """``train(*args, **kwargs)``, an SGD phase whose parameters are checked
-    once, when it ends: numpy's overflow warnings are silenced while it runs,
-    and the ModelError raised for non-finite parameters names the iteration
-    and the phase."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        params = train(*args, **kwargs)
-    try:
-        return check_finite(params)
-    except ModelError as exc:
-        raise ModelError(f"iteration {iteration}: {phase}: {exc}") from exc
-
-
 def _train_on(
     params: ModelParams,
     batch: tuple[np.ndarray, np.ndarray],
@@ -599,7 +585,7 @@ def _train_on(
     one ``batch_grad`` and one ``sgd_step``, in place on working values
     allocated once per call: a copy of ``params``, a gradient and a scratch
     vector.  Returns the copy; ``params`` and ``batch`` are not written, and
-    non-finite rows are left for the phase check to report."""
+    non-finite rows are left for the caller's ``check_finite`` to report."""
     trained = ModelParams(params.layer_sizes, params.vector.copy())
     grad = ModelParams(params.layer_sizes, np.empty_like(trained.vector))
     scratch = np.empty_like(trained.vector)
@@ -679,10 +665,10 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
             # current iteration's experiences only (no history, no priorities).
             rng = np.random.default_rng(derive_seed(seed, "replay", iteration))
             batch = fresh_batch(blocks, cfg.retention.k_replay, rng)
-        params = _sgd_phase(
-            iteration, "sgd", _train_on, params, batch, cfg.model.minibatch,
-            cfg.model.learning_rate, cfg.model.train_passes,
+        params = _train_on(
+            params, batch, cfg.model.minibatch, cfg.model.learning_rate, cfg.model.train_passes
         )
+        params = check_finite(params, f"iteration {iteration}: sgd")
         epsilon *= cfg.search.epsilon_decay
         if iteration % cfg.eval_interval == 0 or iteration == cfg.iterations:
             record(iteration)

@@ -16,7 +16,7 @@ allocates once per call: the adapted parameters and the gradient, each a
 task-gradient sum and scratch, each a vector in the same layout.  It
 returns the outer parameters and writes neither its input parameters nor
 its tasks.  It checks nothing: a task with non-finite rows gives non-finite
-outer parameters, which the caller's phase check reports.
+outer parameters, which the caller's ``check_finite`` reports.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from joinopt import cli, simulator
 from joinopt.catalog import load_catalog
 from joinopt.cli import main
 from joinopt.features import feature_dim
-from joinopt.model import init_params, save_params
+from joinopt.model import init_params, load_params, save_params
 from joinopt.trainer import config_to_doc, load_run_config, run_training
 
 from conftest import write_json
@@ -350,6 +350,19 @@ def test_eval_refuses_a_checkpoint_built_for_another_catalog(project, capsys, mo
         f"but catalog {catalog} gives {width}\n"
     )
     assert calls == []
+
+
+def test_eval_refuses_a_non_finite_checkpoint_naming_the_file(project, capsys):
+    """A checkpoint holding a NaN weight fails ``eval`` with one stderr line
+    naming the file and the layer."""
+    tmp_path, config = project
+    model = _small_checkpoint(tmp_path)
+    params = load_params(model)
+    params.weights[1][0, 0] = math.nan
+    save_params(params, model)
+    rc = main(["eval", "--config", str(config), "--model", str(model)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {model}: layer 1: non-finite parameter\n"
 
 
 def test_replay_report(project):

@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -469,6 +470,30 @@ def test_meta_init_divergence_names_its_phase(workload_dir):
     )
     with pytest.raises(ModelError, match="^iteration 0: maml: layer 0: non-finite parameter$"):
         run_training(cfg)
+
+
+@pytest.mark.parametrize("arms", [{}, {"retention": False, "transfer": False}],
+                         ids=["defaults", "no-retention-no-transfer"])
+def test_ordinary_runs_raise_no_numpy_warning_outside_the_cli(arms):
+    """The CLI silences numpy's overflow and invalid-value warnings for every
+    command; a library caller does not.  A short star6 run, its evaluation
+    and a replay draw on its result overflow nothing, so they warn of
+    nothing without that policy."""
+    cfg = load_run_config(BUNDLE / "experiment.json")
+    cfg = dataclasses.replace(
+        cfg,
+        iterations=3,
+        repetitions=1,
+        retention=dataclasses.replace(cfg.retention, enabled=arms.get("retention", True)),
+        transfer=dataclasses.replace(cfg.transfer, enabled=arms.get("transfer", True)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_training(cfg)
+        setup = prepare_run(cfg, result.base_seed)
+        latencies = evaluate_queries(setup.train + setup.test, result.params, cfg)
+        retention.sample_replay(result.buffer, result.params, cfg.retention, 0)
+    assert all(math.isfinite(latency) for latency in latencies.values())
 
 
 def test_online_sgd_steps_go_through_the_trainers_bindings(workload_dir, monkeypatch):

@@ -8,15 +8,15 @@ file names each side by its directory's name, so name the directories after
 their commits.  A subprocess per checkout, with that checkout's ``src``
 first on the path and one BLAS thread, loads each of the ``CONFIGS`` with
 ``trainer.prepare_run(cfg, SEED)`` and calls ``trainer.meta_initialize``
-with ``trainer.maml_outer`` replaced by a stub that keeps its arguments, so
-the meta tasks and MAML settings are exactly the ones a run with seed
-``SEED`` uses.  It then times ``PASSES`` calls of ``transfer.maml_outer``
-on them from the run's initial parameters, and ``PASSES`` times
-``SGD_PHASES`` calls of ``trainer._train_on`` from MAML's result on a fixed
-batch: the first ``k_replay`` rows of the meta tasks, in task order, with
-the config's minibatch, learning rate and passes.  A meta task is a
-(features, labels) pair, or in older checkouts an object with ``features``
-and ``labels``; the batch is built as the tasks are.  Times are CPU time
+from the run's initial parameters, ``setup.initial_params()``, with
+``trainer.maml_outer`` replaced by a stub that keeps its arguments and
+returns the parameters it was given, so the meta tasks and MAML settings
+are exactly the ones a run with seed ``SEED`` uses.  It then times
+``PASSES`` calls of ``transfer.maml_outer`` on them from those parameters,
+and ``PASSES`` times ``SGD_PHASES`` calls of ``trainer._train_on`` from
+MAML's result on a fixed batch: the first ``k_replay`` rows of the meta
+tasks, each a (features, labels) pair, in task order, with the config's
+minibatch, learning rate and passes.  Times are CPU time
 (``time.process_time``).  It prints the times and a SHA-256 digest of each
 result's bytes, layer by layer.  The two checkouts run ``ROUNDS`` times in
 alternating order: even rounds run the ``before`` side first
@@ -53,8 +53,6 @@ WORKER = """
 import hashlib, json, sys, time
 import numpy as np
 from joinopt import trainer
-from joinopt.features import feature_dim
-from joinopt.model import init_params
 from joinopt.transfer import maml_outer
 
 configs, seed, passes, phases = json.loads(sys.argv[1])
@@ -72,21 +70,16 @@ out = {}
 for name, path in configs.items():
     cfg = trainer.load_run_config(path)
     setup = trainer.prepare_run(cfg, seed)
-    params = init_params(
-        (feature_dim(setup.catalog), *cfg.model.hidden_sizes, 1), trainer.derive_seed(seed, "init")
-    )
+    params = setup.initial_params()
     calls = []
     trainer.maml_outer = lambda params, *args, **kwargs: calls.append((args, kwargs)) or params
     trainer.meta_initialize(cfg, setup.train, params, seed)
     trainer.maml_outer = maml_outer
     (args, kwargs), = calls
-    # Older checkouts wrap a (features, labels) pair in a class of their own.
-    task_type = type(args[0][0])
-    pairs = args[0] if task_type is tuple else [(t.features, t.labels) for t in args[0]]
     rows = slice(0, cfg.retention.k_replay)
-    features = np.concatenate([f for f, _ in pairs])[rows]
-    labels = np.concatenate([y for _, y in pairs])[rows]
-    batch = (features, labels) if task_type is tuple else task_type(features, labels)
+    features = np.concatenate([f for f, _ in args[0]])[rows]
+    labels = np.concatenate([y for _, y in args[0]])[rows]
+    batch = (features, labels)
     entry = {"rows": len(labels), "maml_outer": [], "train_on": [], "digests": []}
     for _ in range(passes):
         start = time.process_time()

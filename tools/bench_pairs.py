@@ -16,7 +16,9 @@ are kept too.  The file, written to the current directory, also records the
 host, ``nproc``, Python, numpy and BLAS; per end-to-end metric each side's
 median and quartiles and the number of pairs the ``after`` side won (lower
 is better for every end-to-end metric; ties count for neither side); and per
-traced metric each side's median and quartiles.
+traced metric each side's median and quartiles.  The script exits
+non-zero, after writing the file, if any pair or traced pair of any
+workload had ``run.csv`` files that differ.
 
 ``tools/bench_dp.py``, ``tools/bench_search.py`` and ``tools/bench_maml.py``
 time one layer in process instead; each runs its worker in the two
@@ -184,7 +186,14 @@ def main(argv=None):
         }
     first = next(iter(doc["workloads"].values()))["pairs"][0]["before"]["platform"]
     doc.update({k: first[k] for k in ("python", "numpy", "blas")})
-    Path(f"BENCH_{args.label}.json").write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    record = Path(f"BENCH_{args.label}.json")
+    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    differ = [
+        name for name, entry in doc["workloads"].items()
+        if not (entry["run_csv_equal_in_every_pair"] and entry["traced_run_csv_equal"])
+    ]
+    if differ:
+        sys.exit(f"run.csv differs between the checkouts on {', '.join(differ)}; see {record}")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ their commits.  A subprocess per checkout, with that checkout's ``src``
 first on the path and one BLAS thread, loads each of the ``CONFIGS`` with
 ``trainer.prepare_run(cfg, SEED)``, so it holds every train and test query's
 compiled context as ``run_training`` does, and builds the run's initial
-model, ``init_params(..., derive_seed(SEED, "init"))``.  It makes one
+model, ``setup.initial_params()``.  It makes one
 untimed pass of greedy ``trainer.plan_search`` (epsilon 0) over all of a
 workload's queries, then ``PASSES`` timed passes, and prints each timed
 pass's time per query and every pass's ``plan_repr``s.  The two checkouts run ``ROUNDS``
@@ -43,10 +43,8 @@ ROUNDS = 8
 # count, the ms per query of each timed pass and the plans of every pass.
 WORKER = """
 import json, sys, time
-from joinopt.features import feature_dim
-from joinopt.model import init_params
 from joinopt.plans import plan_repr
-from joinopt.trainer import derive_seed, load_run_config, plan_search, prepare_run
+from joinopt.trainer import load_run_config, plan_search, prepare_run
 
 configs, seed, passes = json.loads(sys.argv[1])
 out = {}
@@ -54,9 +52,7 @@ for name, path in configs.items():
     cfg = load_run_config(path)
     setup = prepare_run(cfg, seed)
     contexts = setup.train + setup.test
-    params = init_params(
-        (feature_dim(setup.catalog), *cfg.model.hidden_sizes, 1), derive_seed(seed, "init")
-    )
+    params = setup.initial_params()
 
     def search_all():
         return [
