@@ -6,8 +6,11 @@ features from the simulator's single walk over the plan
 (``simulator.plan_infos``), and for each row the block index of its smallest
 enclosing join, the experience's successor state (-1 at the root, which is
 terminal).  The replay buffer writes a block as rows of column arrays and
-keeps no model output.  At sampling time each buffered experience gets a
-priority weight combining a recency score
+keeps no model output.  It is a ring with room for one plan beyond its
+capacity, so the evicted rows of the oldest plan, which the live ones may
+still need as successor states, stay in place until the whole plan is
+gone.  At sampling time each buffered experience gets a priority weight
+combining a recency score
 
     tau = 1 - (tau_current - tau_e) / T
 
@@ -125,66 +128,59 @@ class RetentionConfig:
 class ReplayBuffer:
     """Ring buffer of experiences, one row each, evicting strictly
     oldest-first.  Rows are numbered in write order, and row number s lives
-    at ``s % capacity`` of the column arrays, which the first ``extend``
-    allocates.  ``parent`` holds each row's block index of its enclosing
-    join (-1 at a plan root) and ``root`` the number of its plan's root.
+    at ``s % size`` of the column arrays, which the first ``extend``
+    allocates; ``size`` is ``capacity + plan_rows``, where ``plan_rows`` is
+    the most rows one block can have.  ``parent`` holds each row's block
+    index of its enclosing join (-1 at a plan root) and ``root`` the number
+    of its plan's root.
 
-    Blocks list the root first, so a ring write can leave the oldest plan
-    partly evicted.  ``kept`` then holds the features of that plan's evicted
-    rows, from its root (row number ``kept_from``) on, so that ``td_error``
-    can score the enclosing joins of its live rows in the same pass."""
+    Blocks list the root first, so eviction can leave the oldest plan partly
+    evicted.  Its evicted rows stay in their slots until the whole plan is
+    gone: from that plan's root to the newest row are at most
+    ``capacity + plan_rows - 1`` rows, fewer than ``size``.  So ``td_error``
+    can score the enclosing joins of the live rows in the same pass."""
 
-    def __init__(self, capacity: int):
+    def __init__(self, capacity: int, plan_rows: int):
         self.capacity = capacity
+        self.size = capacity + plan_rows
         self.oldest = self.end = 0  # numbers of the oldest row and of the next
-        self.kept_from = 0
 
     def __len__(self) -> int:
         return self.end - self.oldest
 
     def extend(self, block: PlanBlock) -> None:
         """Write the block's rows in one call; a block longer than the
-        capacity leaves only its tail in the ring."""
-        cap, start, end = self.capacity, self.end, self.end + len(block)
+        capacity leaves only its tail live."""
+        size, start, end = self.size, self.end, self.end + len(block)
         if not self.end:
             # np.zeros pages are committed on first write, so rows that are
             # never filled cost no memory.
-            self.state = np.zeros((cap, block.features.shape[1]))
-            self.parent = np.zeros(cap, dtype=np.int64)
-            self.root = np.zeros(cap, dtype=np.int64)
-            self.stored_at = np.zeros(cap, dtype=np.int64)
-            self.latency = np.zeros(cap)
-            self.label = np.zeros(cap)
-            self.query_id = np.empty(cap, dtype=object)
-            self.kept = block.features[:0]
-        oldest = max(0, end - cap)  # the oldest row left after this write
-        if oldest >= start:  # this block is now the oldest plan
-            self.kept_from, self.kept = start, block.features[: oldest - start]
-        elif oldest > self.oldest:  # rows are evicted; keep those of the oldest plan
-            root = int(self.root[oldest % cap])
-            evicted = np.arange(max(root, self.oldest), oldest) % cap
-            self.kept = np.concatenate([self.kept[root - self.kept_from :], self.state[evicted]])
-            self.kept_from = root
-        head = max(start, oldest) - start  # rows of the block that the ring never holds
-        rows = np.arange(start + head, end) % cap
-        self.state[rows] = block.features[head:]
-        self.parent[rows] = block.parent[head:]
+            self.state = np.zeros((size, block.features.shape[1]))
+            self.parent = np.zeros(size, dtype=np.int64)
+            self.root = np.zeros(size, dtype=np.int64)
+            self.stored_at = np.zeros(size, dtype=np.int64)
+            self.latency = np.zeros(size)
+            self.label = np.zeros(size)
+            self.query_id = np.empty(size, dtype=object)
+        rows = np.arange(start, end) % size
+        self.state[rows] = block.features
+        self.parent[rows] = block.parent
         self.root[rows] = start
         self.stored_at[rows] = block.iteration
         self.latency[rows] = block.latency_ms
         self.label[rows] = block.label
         self.query_id[rows] = block.query_id
-        self.oldest, self.end = oldest, end
+        self.oldest, self.end = max(0, end - self.capacity), end
 
     def order(self) -> np.ndarray:
         """Row indices of the buffered experiences, oldest first."""
-        return np.arange(self.oldest, self.end) % self.capacity
+        return np.arange(self.oldest, self.end) % self.size
 
     def scored_states(self) -> np.ndarray:
         """The state features of the buffered experiences, oldest first, then
-        ``kept``: one new matrix, copied from at most two slices of the ring."""
-        head = self.state[self.oldest % self.capacity :][: len(self)]
-        return np.concatenate([head, self.state[: len(self) - len(head)], self.kept])
+        the oldest plan's evicted rows from its root on: one new matrix."""
+        first = self.root[self.oldest % self.size]
+        return self.state[np.r_[self.oldest : self.end, first : self.oldest] % self.size]
 
     def batch(self, positions, recency) -> tuple[np.ndarray, np.ndarray]:
         """The experiences at ``positions`` of ``order()`` as a training
@@ -243,9 +239,10 @@ def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarr
     """One-step TD residual r + gamma*V(s') - V(s) in label space, one per
     buffered experience, oldest first; V is zero at a terminal.  One forward
     pass scores ``buffer.scored_states()``, the buffered rows, oldest first,
-    then the oldest plan's evicted rows, as one matrix; V(s') is the value of
-    the row's enclosing join in it.  The pass is never split or re-batched:
-    a row's last bits depend on the shape of the matmul that scores it."""
+    then the oldest plan's evicted rows, still in the ring, as one matrix;
+    V(s') is the value of the row's enclosing join in it.  The pass is never
+    split or re-batched: a row's last bits depend on the shape of the matmul
+    that scores it."""
     if not len(buffer):
         raise RetentionError("the replay buffer is empty")
     values = -predict_batch(model, buffer.scored_states())
@@ -253,8 +250,9 @@ def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarr
     parent = buffer.parent[rows]
     live = parent >= 0
     up = buffer.root[rows] + parent  # the enclosing join's number
-    # The enclosing join's place in the pass, or, evicted, its block index
-    # in kept; at a root it is an unused index inside the pass.
+    # The enclosing join's place in the pass, or, evicted, its place among
+    # the oldest plan's evicted rows after the live ones, which start at its
+    # root; at a root it is an unused index inside the pass.
     at = np.where(up >= buffer.oldest, up - buffer.oldest, len(rows) + parent)
     next_values = np.where(live, values[at], 0.0)
     reward = np.where(live, 0.0, -buffer.label[rows])

@@ -303,7 +303,7 @@ def plan_search(
         if rng is not None and rng.random() < epsilon:
             beam = [successor(int(rng.integers(len(predicted))))]
             continue
-        scores = []
+        scores, best = [], []
         for p, ((entry, _, _), mask) in enumerate(zip(moves, masks)):
             # The successors' composite labels in fragment order: the
             # entry's untouched ones, with the join's at its lowest bit.
@@ -317,17 +317,13 @@ def plan_search(
             if before or after:
                 count = len(before) + 1 + len(after)
                 labels = [sum(before + [label] + after) / count for label in labels]
-            scores += labels
-        # A pair's three joins share its partition, so only the best-scored
-        # of them can enter the beam.
+            scores.append(labels)
+            best.append(min(labels))
+        # A pair's three joins share its partition, so only the first
+        # best-scored of them can enter the beam.
         beam = []
         partitions = set()
-        visited = set()
-        for k in sorted(range(len(scores)), key=scores.__getitem__):
-            p = k // n_ops
-            if p in visited:
-                continue
-            visited.add(p)
+        for p in sorted(range(len(best)), key=best.__getitem__):
             entry, _, _ = moves[p]
             mask = masks[p]
             partition = frozenset(
@@ -335,7 +331,7 @@ def plan_search(
             )
             if partition not in partitions:
                 partitions.add(partition)
-                beam.append(successor(k))
+                beam.append(successor(n_ops * p + scores[p].index(best[p])))
                 if len(beam) == beam_width:
                     break
     return beam[0].infos[0].node
@@ -614,7 +610,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     expert_train = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.train}
     expert_test = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.test}
 
-    buffer = ReplayBuffer(cfg.retention.capacity)
+    plan_rows = max(len(ctx.relations) for ctx in setup.train) - 1  # one plan's joins
+    buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
     records: list[IterationRecord] = []
     last_norm_td = math.nan
     last_recency = math.nan

@@ -143,7 +143,7 @@ def test_recency_weight_monotone_in_age():
 
 def last_td_error(block, model, gamma):
     """TD error of the block's last row."""
-    buffer = ReplayBuffer(len(block))
+    buffer = ReplayBuffer(len(block), len(block))
     buffer.extend(block)
     return td_error(buffer, model, gamma)[-1]
 
@@ -180,7 +180,7 @@ def test_td_error_makes_one_forward_pass(monkeypatch):
         return original(model, features)
 
     monkeypatch.setattr(r, "predict_batch", counting)
-    buffer = ReplayBuffer(3)
+    buffer = ReplayBuffer(3, 3)
     buffer.extend(make_block(1.0, 2.0, 3.0, parent=(-1, 0, 1)))
     buffer.extend(make_block(4.0))  # evicts the first plan's root
     td_error(buffer, identity_model(), 1.0)
@@ -282,7 +282,7 @@ def test_weighting_policy_validation():
 # --- buffer ---------------------------------------------------------------------
 
 def test_buffer_evicts_oldest_first():
-    buffer = ReplayBuffer(capacity=3)
+    buffer = ReplayBuffer(capacity=3, plan_rows=1)
     for i in range(5):
         buffer.extend(make_block(float(i), iteration=i))
     assert len(buffer) == 3
@@ -339,7 +339,7 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
                 [-1] if terminal else [-1, 0],
             )
         )
-    buffer = ReplayBuffer(capacity)
+    buffer = ReplayBuffer(capacity, 2)
     for block in blocks:
         buffer.extend(block)
     rows = [row for block in blocks for row in block_rows(block)][-capacity:]
@@ -380,7 +380,7 @@ def test_split_plan_reads_its_evicted_enclosing_join(rng):
     dim, gamma = 3, 0.8
     model, value = small_model(dim)
     plan = PlanBlock("p", 0, 50.0, rng.normal(size=(3, dim)), [-1, 0, 1])
-    buffer = ReplayBuffer(3)
+    buffer = ReplayBuffer(3, 3)
     buffer.extend(plan)
     rows = block_rows(plan)
     for step in (1, 2):
@@ -393,19 +393,22 @@ def test_split_plan_reads_its_evicted_enclosing_join(rng):
 
 
 def test_block_wraps_past_the_ring_end(rng):
+    """A block written across the end of the ring, after a write that split
+    the plan before it: the ring holds the newest rows oldest first, and
+    their TD errors match the hand oracle."""
     dim, gamma = 2, 0.7
     model, value = small_model(dim)
     first = PlanBlock("a", 0, 3.0, rng.normal(size=(3, dim)), [-1, 0, 0])
     second = PlanBlock("b", 1, 9.0, rng.normal(size=(4, dim)), [-1, 0, 1, 0])
-    buffer = ReplayBuffer(5)
-    buffer.extend(first)
-    buffer.extend(second)
-    # Rows 3 and 4 of the ring, then rows 0 and 1 again.
-    assert buffer.order().tolist() == [2, 3, 4, 0, 1]
+    third = PlanBlock("c", 2, 5.0, rng.normal(size=(4, dim)), [-1, 0, 0, 2])
+    buffer = ReplayBuffer(5, 4)
+    for block in (first, second, third):
+        buffer.extend(block)
+    assert np.diff(buffer.order()).min() < 0  # the live rows span the ring's end
     assert np.array_equal(
-        buffer.state[buffer.order()], np.vstack([first.features[2:], second.features])
+        buffer.state[buffer.order()], np.vstack([second.features[3:], third.features])
     )
-    rows = (block_rows(first) + block_rows(second))[2:]
+    rows = (block_rows(first) + block_rows(second) + block_rows(third))[-5:]
     assert td_error(buffer, model, gamma) == pytest.approx(hand_td(rows, value, gamma), rel=1e-12)
 
 
@@ -415,7 +418,7 @@ def test_block_longer_than_capacity(rng):
     dim, gamma = 2, 0.9
     model, value = small_model(dim)
     chain = PlanBlock("c", 2, 40.0, rng.normal(size=(5, dim)), [-1, 0, 1, 2, 3])
-    buffer = ReplayBuffer(3)
+    buffer = ReplayBuffer(3, 5)
     buffer.extend(chain)
     assert len(buffer) == 3 and buffer.oldest == 2
     assert np.array_equal(buffer.state[buffer.order()], chain.features[2:])
@@ -427,9 +430,59 @@ def test_block_longer_than_capacity(rng):
     assert td_error(buffer, model, gamma) == pytest.approx(want, rel=1e-12)
 
 
+class KeptRing(ReplayBuffer):
+    """The earlier ring, kept as the reference: ``capacity`` rows, and the
+    oldest plan's evicted rows, from its root (row number ``kept_from``) on,
+    copied aside into ``kept`` at each write that evicts them.  It takes
+    ``plan_rows`` as ``ReplayBuffer`` does and ignores it."""
+
+    def __init__(self, capacity, plan_rows):
+        self.capacity = capacity
+        self.oldest = self.end = 0
+        self.kept_from = 0
+
+    def extend(self, block):
+        cap, start, end = self.capacity, self.end, self.end + len(block)
+        if not self.end:
+            self.state = np.zeros((cap, block.features.shape[1]))
+            self.parent = np.zeros(cap, dtype=np.int64)
+            self.root = np.zeros(cap, dtype=np.int64)
+            self.stored_at = np.zeros(cap, dtype=np.int64)
+            self.latency = np.zeros(cap)
+            self.label = np.zeros(cap)
+            self.query_id = np.empty(cap, dtype=object)
+            self.kept = block.features[:0]
+        oldest = max(0, end - cap)
+        if oldest >= start:  # this block is now the oldest plan
+            self.kept_from, self.kept = start, block.features[: oldest - start]
+        elif oldest > self.oldest:  # rows are evicted; keep those of the oldest plan
+            root = int(self.root[oldest % cap])
+            evicted = np.arange(max(root, self.oldest), oldest) % cap
+            self.kept = np.concatenate([self.kept[root - self.kept_from :], self.state[evicted]])
+            self.kept_from = root
+        head = max(start, oldest) - start  # rows of the block that the ring never holds
+        rows = np.arange(start + head, end) % cap
+        self.state[rows] = block.features[head:]
+        self.parent[rows] = block.parent[head:]
+        self.root[rows] = start
+        self.stored_at[rows] = block.iteration
+        self.latency[rows] = block.latency_ms
+        self.label[rows] = block.label
+        self.query_id[rows] = block.query_id
+        self.oldest, self.end = oldest, end
+
+    def order(self):
+        return np.arange(self.oldest, self.end) % self.capacity
+
+    def scored_states(self):
+        head = self.state[self.oldest % self.capacity :][: len(self)]
+        return np.concatenate([head, self.state[: len(self) - len(head)], self.kept])
+
+
 def reference_td_error(buffer, model, gamma):
-    """The earlier scoring, kept as the reference: the ring's rows copied by
-    fancy index, then ``np.concatenate`` with ``kept``."""
+    """The earlier scoring of a ``KeptRing``, kept as the reference: the
+    ring's rows copied by fancy index, then ``np.concatenate`` with
+    ``kept``."""
     rows = buffer.order()
     values = -predict_batch(model, np.concatenate([buffer.state[rows], buffer.kept]))
     parent = buffer.parent[rows]
@@ -450,22 +503,39 @@ def chain_block(rng, i, rows, dim):
     )
 
 
+def split_at(buffer):
+    """The number of rows of the oldest plan that the buffer has evicted."""
+    return buffer.oldest - buffer.root[buffer.oldest % buffer.size]
+
+
 def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
-    """Blocks of one to five rows fill a 50-row ring past its end again and
-    again; whenever the live rows span both ends of the ring and the oldest
-    plan is split, the TD errors equal the reference's by ``tobytes()``."""
-    dim, gamma = 6, 0.9
+    """Blocks of one to five rows, chain and bushy, fill the ring past its
+    end again and again, with ``plan_rows`` the longest block, the tight
+    bound; capacities 3 and 1 are below it, so a write can evict the head of
+    its own block.  After every write the TD errors equal those of the
+    reference ring by ``tobytes()``; more than 20 writes per capacity leave
+    the oldest plan split."""
+    dim, gamma, longest = 6, 0.9, 5
     model = init_params((dim, 64, 64, 1), 4)
-    buffer = ReplayBuffer(50)
-    checked = 0
-    for i in range(120):
-        buffer.extend(chain_block(rng, i, int(rng.integers(1, 6)), dim))
-        if buffer.oldest % 50 and len(buffer.kept):
-            assert len(buffer) == 50
+    for capacity in (50, 3, 1):
+        buffer, reference = ReplayBuffer(capacity, longest), KeptRing(capacity, longest)
+        checked = 0
+        for i in range(120):
+            rows = int(rng.integers(1, longest + 1))
+            parent = [-1] + [int(rng.integers(0, up)) for up in range(1, rows)]
+            block = PlanBlock(
+                f"q{i}", i // 4, float(rng.uniform(1.0, 1e4)), rng.normal(size=(rows, dim)),
+                np.array(parent),
+            )
+            buffer.extend(block)
+            reference.extend(block)
+            assert buffer.oldest == reference.oldest and len(buffer) == len(reference)
             got = td_error(buffer, model, gamma)
-            assert got.tobytes() == reference_td_error(buffer, model, gamma).tobytes()
-            checked += 1
-    assert checked > 20
+            assert got.tobytes() == reference_td_error(reference, model, gamma).tobytes()
+            if split_at(buffer):
+                assert len(buffer) == capacity and split_at(buffer) == len(reference.kept)
+                checked += 1
+        assert checked > 20
 
 
 def test_td_error_peak_memory_is_one_matrix_per_layer(rng):
@@ -480,11 +550,11 @@ def test_td_error_peak_memory_is_one_matrix_per_layer(rng):
 
     dim = 14  # the bundled star6 catalog's feature width
     model = init_params((dim, 64, 64, 1), 4)
-    buffer = ReplayBuffer(20_000)
+    buffer = ReplayBuffer(20_000, 3)
     for i in range(6_800):
         buffer.extend(chain_block(rng, i, 3, dim))
-    assert len(buffer) == 20_000 and buffer.oldest % 20_000
-    scored = len(buffer) + len(buffer.kept)
+    assert len(buffer) == 20_000 and split_at(buffer)
+    scored = len(buffer) + split_at(buffer)
     bound = scored * (dim + 64 + 64) * 8 + 8 * scored * 8
     tracemalloc.start()
     try:
@@ -519,7 +589,7 @@ def test_fresh_batch_matches_uniform_hand_oracle(rng):
 
 def test_sample_probabilities_from_weights():
     """Weights [1, 1, 2] -> probabilities [0.25, 0.25, 0.5]."""
-    buffer = ReplayBuffer(10)
+    buffer = ReplayBuffer(10, 1)
     # Recency-only policy with ages giving tau = (0.5, 0.5, 1.0) after span
     # normalization: stored_at 5, 5, 10 with current 10 -> span 5 -> tau
     # (0, 0, 1)... instead pick stored_at directly for [1,1,2]/4: ages 5,5,0
@@ -542,7 +612,7 @@ def test_sample_probabilities_from_weights():
 
 def test_sample_probability_normalization(rng):
     model = identity_model()
-    buffer = ReplayBuffer(100)
+    buffer = ReplayBuffer(100, 2)
     for i in range(40):
         state = float(rng.normal())
         if rng.uniform() < 0.7:  # a hand-set next state: the block's root
@@ -571,7 +641,7 @@ def test_sample_multinomial_frequencies():
     from scipy import stats as scistats
 
     model = identity_model()
-    buffer = ReplayBuffer(10)
+    buffer = ReplayBuffer(10, 1)
     # td-high weights proportional to normalized |delta|: craft deltas so the
     # normalized values are (0.25, 0.25, 0.5) x c. With V(s)= -s, terminal
     # r~=0: delta = -V(s) = s. Use s = (1, 1, 2) with min-max over (0,1,2)?
@@ -592,7 +662,7 @@ def test_sample_multinomial_frequencies():
 
 def test_sample_single_experience_repeats():
     model = identity_model()
-    buffer = ReplayBuffer(10)
+    buffer = ReplayBuffer(10, 1)
     buffer.extend(make_block(3.0, latency=42.0))
     cfg = RetentionConfig(weighting="hybrid", k_replay=5, gamma=1.0, alpha_td=1.0)
     (features, labels), stats = sample_replay(buffer, model, cfg, 0)
@@ -604,7 +674,7 @@ def test_sample_single_experience_repeats():
 
 def test_sample_uniform_fallback_when_all_zero():
     model = identity_model()
-    buffer = ReplayBuffer(10)
+    buffer = ReplayBuffer(10, 1)
     # Same stored_at and equal deltas: recency tau = 1 for all (span 1), so
     # use td_low with norm .5 -> weight .5, not zero. Zero weights: recency
     # policy with two distinct ages: tau = (1, 0) -> second never sampled;
@@ -640,7 +710,7 @@ def test_sample_uniform_fallback_when_all_zero():
 
 def test_sample_deterministic_per_seed():
     model = identity_model()
-    buffer = ReplayBuffer(100)
+    buffer = ReplayBuffer(100, 1)
     for i in range(20):
         buffer.extend(make_block(float(i), iteration=i))
     cfg = RetentionConfig(weighting="hybrid", k_replay=16, gamma=1.0, alpha_td=1.0)
@@ -653,7 +723,7 @@ def test_sample_deterministic_per_seed():
 
 def test_sample_fills_recency_slot():
     model = identity_model()
-    buffer = ReplayBuffer(10)
+    buffer = ReplayBuffer(10, 1)
     buffer.extend(make_block(1.0, iteration=0))
     buffer.extend(make_block(2.0, iteration=10))
     cfg = RetentionConfig(weighting="hybrid", k_replay=50, gamma=1.0, alpha_td=1.0)
@@ -669,4 +739,4 @@ def test_sample_fills_recency_slot():
 def test_sample_empty_buffer():
     with pytest.raises(RetentionError, match="empty"):
         cfg = RetentionConfig(weighting="hybrid", k_replay=1, gamma=1.0, alpha_td=1.0)
-        sample_replay(ReplayBuffer(5), identity_model(), cfg, 0)
+        sample_replay(ReplayBuffer(5, 1), identity_model(), cfg, 0)

@@ -496,6 +496,40 @@ def test_ordinary_runs_raise_no_numpy_warning_outside_the_cli(arms):
     assert all(math.isfinite(latency) for latency in latencies.values())
 
 
+def test_evicting_run_matches_the_reference_ring(monkeypatch):
+    """A star6 run whose 50-row buffer evicts from its third iteration on,
+    splitting the oldest plan at most replay passes, gives the same records
+    and model, bit for bit, as with the reference ring, which copies the
+    oldest plan's evicted rows aside; a ring too small for
+    ``run_training``'s plans would overwrite rows it still scores."""
+    from test_retention import KeptRing
+
+    cfg = load_run_config(BUNDLE / "experiment.json")
+    cfg = dataclasses.replace(
+        cfg,
+        iterations=12,
+        repetitions=1,
+        retention=dataclasses.replace(cfg.retention, capacity=50),
+    )
+    splits = []
+
+    def sample_replay(buffer, *args):
+        splits.append(buffer.oldest > buffer.root[buffer.oldest % buffer.size])
+        return retention.sample_replay(buffer, *args)
+
+    monkeypatch.setattr(trainer_module, "sample_replay", sample_replay)
+    runs = [run_training(cfg)]
+    assert sum(splits) >= 6
+    monkeypatch.setattr(trainer_module, "sample_replay", retention.sample_replay)
+    monkeypatch.setattr(trainer_module, "ReplayBuffer", KeptRing)
+    runs.append(run_training(cfg))
+    records = [
+        [repr(dataclasses.replace(r, wall_clock_ms=0.0)) for r in run.records] for run in runs
+    ]
+    assert records[0] == records[1]
+    assert runs[0].params.vector.tobytes() == runs[1].params.vector.tobytes()
+
+
 def test_online_sgd_steps_go_through_the_trainers_bindings(workload_dir, monkeypatch):
     """The traced benchmark wraps ``sgd_step`` and ``batch_grad`` where
     ``trainer`` binds them, and fails on a name that records no call.  So
