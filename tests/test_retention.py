@@ -393,9 +393,9 @@ def test_split_plan_reads_its_evicted_enclosing_join(rng):
 
 
 def test_block_wraps_past_the_ring_end(rng):
-    """A block written across the end of the ring, after a write that split
-    the plan before it: the ring holds the newest rows oldest first, and
-    their TD errors match the hand oracle."""
+    """A block written across the end of the ring, evicting all but the
+    last row of the plan before it: the ring holds the newest rows oldest
+    first, and their TD errors match the hand oracle."""
     dim, gamma = 2, 0.7
     model, value = small_model(dim)
     first = PlanBlock("a", 0, 3.0, rng.normal(size=(3, dim)), [-1, 0, 0])

@@ -497,12 +497,12 @@ def test_ordinary_runs_raise_no_numpy_warning_outside_the_cli(arms):
 
 
 def test_evicting_run_matches_the_reference_ring(monkeypatch):
-    """A star6 run whose 50-row buffer evicts from its third iteration on,
-    splitting the oldest plan at most replay passes, gives the same records
-    and model, bit for bit, as with the reference ring, which copies the
-    oldest plan's evicted rows aside; a ring too small for
+    """A star6 run whose 50-row buffer evicts from its second iteration
+    on, splitting the oldest plan at 11 of its 12 replay passes, gives the
+    same records and model, bit for bit, as with the reference ring, which
+    copies the oldest plan's evicted rows aside; a ring too small for
     ``run_training``'s plans would overwrite rows it still scores."""
-    from test_retention import KeptRing
+    from test_retention import KeptRing, split_at
 
     cfg = load_run_config(BUNDLE / "experiment.json")
     cfg = dataclasses.replace(
@@ -514,7 +514,7 @@ def test_evicting_run_matches_the_reference_ring(monkeypatch):
     splits = []
 
     def sample_replay(buffer, *args):
-        splits.append(buffer.oldest > buffer.root[buffer.oldest % buffer.size])
+        splits.append(split_at(buffer) > 0)
         return retention.sample_replay(buffer, *args)
 
     monkeypatch.setattr(trainer_module, "sample_replay", sample_replay)
