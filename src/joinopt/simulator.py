@@ -341,12 +341,6 @@ def plan_infos(plan: PlanNode, ctx: QueryContext) -> list[FragmentInfo]:
     return infos
 
 
-def _fragment_order(info: FragmentInfo) -> int:
-    # Disjoint fragments differ in their lowest relation, so ordering by the
-    # lowest bit is ordering by sorted relation names.
-    return info.mask & -info.mask
-
-
 def legal_pairs(
     fragments: tuple[FragmentInfo, ...], ctx: QueryContext, left_deep_only: bool
 ) -> list[tuple[int, int]]:
@@ -374,11 +368,11 @@ def _replace_pair(
     fragments: tuple[FragmentInfo, ...], i: int, j: int, joined: FragmentInfo
 ) -> tuple[FragmentInfo, ...]:
     """The partial plan with fragments i and j replaced by their join, in
-    fragment order."""
-    rest = [f for k, f in enumerate(fragments) if k != i and k != j]
-    rest.append(joined)
-    rest.sort(key=_fragment_order)
-    return tuple(rest)
+    fragment order: by each fragment's lowest relation bit, which is the
+    order of sorted relation names.  The join's lowest bit is the lower
+    fragment's, so the join takes that fragment's place."""
+    low, high = min(i, j), max(i, j)
+    return fragments[:low] + (joined,) + fragments[low + 1 : high] + fragments[high + 1 :]
 
 
 class JoinColumns(NamedTuple):

@@ -1,0 +1,92 @@
+"""The before/after driver that ``tools/bench_*.py`` share, in
+``tools/bench_pairs.py``, run on two tiny checkouts with a trivial worker."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import bench_pairs  # noqa: E402
+
+# Run in each checkout: appends the checkout's side to the log and prints
+# the values its module gives for this round (one line per earlier run, two
+# runs per round).
+WORKER = """
+import json, sys
+import tiny
+log = json.loads(sys.argv[1])
+with open(log) as f:
+    index = len(f.read().split()) // 2
+with open(log, "a") as f:
+    f.write(tiny.SIDE + "\\n")
+print(json.dumps({"ms": tiny.MS[index], "out": tiny.OUT}))
+"""
+# Round medians: before 3, 3, 3 and after 1, 3, 4, so one round each side
+# and one tie.
+MS = {
+    "before": [[2.0, 4.0], [3.0, 3.0], [5.0, 1.0]],
+    "after": [[1.0, 1.0], [3.0, 3.0], [4.0, 4.0]],
+}
+
+
+def fields(rounds):
+    return {
+        "ms": bench_pairs.summarize(rounds, lambda result: result["ms"]),
+        "outputs_equal": bench_pairs.same(rounds, lambda result: result["out"]),
+    }
+
+
+def compare(tmp_path, label, after_out):
+    """Run the driver on checkouts ``parent`` and ``change``, whose modules
+    give ``MS`` and the outputs 1 and ``after_out``, in ``tmp_path``; returns
+    the sides in the order they ran."""
+    for name, side, out in (("parent", "before", 1), ("change", "after", after_out)):
+        src = tmp_path / name / "src"
+        src.mkdir(parents=True, exist_ok=True)
+        (src / "tiny.py").write_text(f"SIDE = {side!r}\nMS = {MS[side]!r}\nOUT = {out!r}\n")
+    log = tmp_path / f"{label}.log"
+    log.write_text("")
+    argv = ["--before", str(tmp_path / "parent"), "--after", str(tmp_path / "change"),
+            "--label", label]
+    bench_pairs.compare_layer("Doc.", WORKER, str(log), 3, fields, "outputs_equal", argv)
+    return log.read_text().split()
+
+
+def test_driver_alternates_summarizes_and_names_the_record(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert compare(tmp_path, "tiny", 1) == ["before", "after", "after", "before", "before", "after"]
+    doc = json.loads((tmp_path / "BENCH_tiny.json").read_text())
+    assert doc["label"] == "tiny"
+    assert doc["checkouts"] == {"before": "parent", "after": "change"}
+    assert doc["rounds"] == 3
+    assert doc["outputs_equal"] is True
+    assert doc["ms"] == {
+        "before": {"median": 3.0, "q1": 2.25, "q3": 3.75, "n": 6},
+        "after": {"median": 3.0, "q1": 1.5, "q3": 3.75, "n": 6},
+        "speedup": 1.0,
+        "round_speedups": [3.0, 1.0, 0.75],
+        "after_wins": 1,
+        "before_wins": 1,
+        "pairs": 3,
+    }
+
+
+def test_driver_writes_the_record_then_exits_when_outputs_differ(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        compare(tmp_path, "differ", 2)
+    assert "BENCH_differ.json" in exit_.value.code
+    assert json.loads((tmp_path / "BENCH_differ.json").read_text())["outputs_equal"] is False
+
+
+def test_arguments_are_before_after_and_label_only(tmp_path):
+    sides = ["--before", str(tmp_path / "a"), "--after", str(tmp_path / "b")]
+    assert bench_pairs.parse_args("Doc.", sides + ["--label", "x"]) == (
+        {"before": (tmp_path / "a").resolve(), "after": (tmp_path / "b").resolve()}, "x"
+    )
+    for argv in (sides, sides + ["--label", "x", "--rounds", "2"]):
+        with pytest.raises(SystemExit) as exit_:
+            bench_pairs.parse_args("Doc.", argv)
+        assert exit_.value.code == 2

@@ -3,28 +3,20 @@
 
     python3 tools/bench_dp.py --before DIR --after DIR --label NAME
 
-DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
-file names each side by its directory's name, so name the directories after
-their commits.  ``workload_gen.generate`` draws, for each shape (chain,
+DIR is a joinopt checkout, named after its commit (see
+``tools/bench_pairs.py``, whose ``compare_layer`` runs this script).
+``workload_gen.generate draws, for each shape (chain,
 star, snowflake) and size (6, 9 and 12 relations), a schema of that many
-tables and one query over all of them, once per seed in ``SEEDS``.  A
-subprocess per checkout, with that checkout's ``src`` first on the path and
-one BLAS thread, times ``simulator.expert_plan`` on each query ``REPEATS``
-times and prints the times and each plan's ``plan_repr``.  The two checkouts
-run ``ROUNDS`` times in alternating order: even rounds run the ``before``
-side first (``bench_pairs.worker_rounds``).  The file, written to the
-current directory, records per cell each side's median and quartiles of the
-per-call times over every round, the ratio of the medians, and whether both
-checkouts returned equal plans in every round.  The script exits non-zero,
-after writing the file, if any plans differ.
+tables and one query over all of them, once per seed in ``SEEDS``.  The
+worker, run in each checkout ``ROUNDS`` times, times
+``simulator.expert_plan`` on each query ``REPEATS`` times and prints the
+times and each plan's ``plan_repr``.  The record holds per cell the
+``bench_pairs.summarize`` fields of the per-call times and whether both
+checkouts returned equal plans in every round; the script exits non-zero,
+after writing it, if any plans differ.
 """
 
-import argparse
-import json
-import sys
-from pathlib import Path
-
-from bench_pairs import _quartiles, worker_rounds
+from bench_pairs import compare_layer, same, summarize
 
 SHAPES = ("chain", "star", "snowflake")
 SIZES = (6, 9, 12)
@@ -65,42 +57,23 @@ print(json.dumps(out))
 """
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--before", required=True, type=Path)
-    parser.add_argument("--after", required=True, type=Path)
-    parser.add_argument("--label", required=True)
-    args = parser.parse_args(argv)
-    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
-
-    header, rounds = worker_rounds(sides, WORKER, [SHAPES, SIZES, SEEDS, REPEATS], ROUNDS)
-
+def record(rounds: list[dict]) -> dict:
     cells = {}
     for name in rounds[0]["before"]:
         shape, size = name.rsplit("-", 1)
-        cell = {"shape": shape, "relations": int(size), "queries": len(SEEDS)}
-        for side in sides:
-            cell[side] = _quartiles([ms for r in rounds for ms in r[side][name]["ms"]])
-        cell["speedup"] = cell["before"]["median"] / cell["after"]["median"]
-        cell["plans_equal"] = all(
-            r["before"][name]["plans"] == r["after"][name]["plans"] for r in rounds
-        )
-        cells[name] = cell
-    doc = {
-        "label": args.label,
+        cells[name] = {
+            "shape": shape, "relations": int(size), "queries": len(SEEDS),
+            **summarize(rounds, lambda result: result[name]["ms"]),
+            "plans_equal": same(rounds, lambda result: result[name]["plans"]),
+        }
+    return {
         "command": "simulator.expert_plan(query, catalog, CostModelConfig())",
-        **header,
         "seeds": list(SEEDS),
         "repeats": REPEATS,
-        "rounds": ROUNDS,
         "plans_equal": all(cell["plans_equal"] for cell in cells.values()),
         "cells": cells,
     }
-    record = Path(f"BENCH_{args.label}.json")
-    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    if not doc["plans_equal"]:
-        sys.exit(f"plans differ between the checkouts; see {record}")
 
 
 if __name__ == "__main__":
-    main()
+    compare_layer(__doc__, WORKER, [SHAPES, SIZES, SEEDS, REPEATS], ROUNDS, record, "plans_equal")

@@ -3,10 +3,10 @@ benchmark workloads as ``BENCH_<label>.json``.
 
     python3 tools/bench_maml.py --before DIR --after DIR --label NAME
 
-DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
-file names each side by its directory's name, so name the directories after
-their commits.  A subprocess per checkout, with that checkout's ``src``
-first on the path and one BLAS thread, loads each of the ``CONFIGS`` with
+DIR is a joinopt checkout, named after its commit (see
+``tools/bench_pairs.py``, whose ``compare_layer`` runs this script).  The
+worker, run in each checkout ``ROUNDS`` times, loads each of the
+``CONFIGS`` of ``tools/bench_search.py`` with
 ``trainer.prepare_run(cfg, SEED)`` and calls ``trainer.meta_initialize``
 from the run's initial parameters, ``setup.initial_params()``, with
 ``trainer.maml_outer`` replaced by a stub that keeps its arguments and
@@ -18,29 +18,14 @@ MAML's result on a fixed batch: the first ``k_replay`` rows of the meta
 tasks, each a (features, labels) pair, in task order, with the config's
 minibatch, learning rate and passes.  Times are CPU time
 (``time.process_time``).  It prints the times and a SHA-256 digest of each
-result's bytes, layer by layer.  The two checkouts run ``ROUNDS`` times in
-alternating order: even rounds run the ``before`` side first
-(``bench_pairs.worker_rounds``).  The file, written to the current
-directory, records per workload and timed call each side's median and
-quartiles over every pass of every round, the ratio of the medians, each
-round's ratio of the two sides' medians, and whether both checkouts
-returned equal parameters in every pass of every round.  The script exits
-non-zero, after writing the file, if any parameters differ.
+result's bytes, layer by layer.  The record holds per workload and timed
+call the ``bench_pairs.summarize`` fields, and whether both checkouts
+returned equal parameters in every pass of every round; the script exits
+non-zero, after writing it, if any parameters differ.
 """
 
-import argparse
-import json
-import statistics
-import sys
-from pathlib import Path
-
-from bench_pairs import _quartiles, worker_rounds
-
-CONFIGS = {
-    "star6": "data/star6/experiment.json",
-    "chain8": "perfbench/workloads/chain8/experiment.json",
-    "snowflake12": "perfbench/workloads/snowflake12/experiment.json",
-}
+from bench_pairs import compare_layer, same, summarize
+from bench_search import CONFIGS
 SEED = 1
 PASSES = 3
 SGD_PHASES = 20
@@ -98,53 +83,27 @@ print(json.dumps(out))
 """
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--before", required=True, type=Path)
-    parser.add_argument("--after", required=True, type=Path)
-    parser.add_argument("--label", required=True)
-    args = parser.parse_args(argv)
-    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
-
-    header, rounds = worker_rounds(sides, WORKER, [CONFIGS, SEED, PASSES, SGD_PHASES], ROUNDS)
-
-    workloads = {}
-    for name in CONFIGS:
-        entry = {"sgd_rows": rounds[0]["before"][name]["rows"]}
-        for timed in TIMED:
-            ms = {side: [t for r in rounds for t in r[side][name][timed]] for side in sides}
-            entry[timed] = {side: _quartiles(ms[side]) for side in sides}
-            entry[timed]["speedup"] = (
-                entry[timed]["before"]["median"] / entry[timed]["after"]["median"]
-            )
-            # Both sides of a round ran back to back, so a round's ratio is
-            # steadier than the pooled times on a machine whose speed drifts.
-            entry[timed]["round_speedups"] = [
-                statistics.median(r["before"][name][timed])
-                / statistics.median(r["after"][name][timed])
-                for r in rounds
-            ]
-        entry["params_equal"] = all(
-            r["before"][name]["digests"] == r["after"][name]["digests"] for r in rounds
-        )
-        workloads[name] = entry
-    doc = {
-        "label": args.label,
+def record(rounds: list[dict]) -> dict:
+    workloads = {
+        name: {
+            "sgd_rows": rounds[0]["before"][name]["rows"],
+            **{timed: summarize(rounds, lambda result: result[name][timed]) for timed in TIMED},
+            "params_equal": same(rounds, lambda result: result[name]["digests"]),
+        }
+        for name in CONFIGS
+    }
+    return {
         "command": "transfer.maml_outer on the meta tasks meta_initialize builds, "
         "and trainer._train_on on their first k_replay rows, CPU time per call",
-        **header,
         "seed": SEED,
         "passes": PASSES,
         "sgd_phases_per_pass": SGD_PHASES,
-        "rounds": ROUNDS,
         "params_equal": all(entry["params_equal"] for entry in workloads.values()),
         "workloads": workloads,
     }
-    record = Path(f"BENCH_{args.label}.json")
-    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    if not doc["params_equal"]:
-        sys.exit(f"parameters differ between the checkouts; see {record}")
 
 
 if __name__ == "__main__":
-    main()
+    compare_layer(
+        __doc__, WORKER, [CONFIGS, SEED, PASSES, SGD_PHASES], ROUNDS, record, "params_equal"
+    )

@@ -5,25 +5,26 @@
 DIR is a joinopt checkout (a ``git archive`` of a commit is enough); the
 file names each side by its directory's name, so name the directories after
 their commits.  For each of the ``WORKLOADS``, ``perfbench/run.py --seed 1``
-runs ``PAIRS`` times in each checkout, in alternating pairs: even pairs run
-the ``before`` side first, odd pairs the ``after`` side.  Every
-run's JSON line is kept as printed.  After each pair the ``run.csv`` of
+runs ``PAIRS`` times in each checkout, in alternating pairs (``alternate``).
+Every run's JSON line is kept as printed.  After each pair the ``run.csv`` of
 every workload process (the measured one and its set-up replicas) is
 compared between the two sides with the ``wall_clock_ms`` column removed.
 Each side then makes ``TRACED_PAIRS`` ``--trace 1`` runs per workload, in
 alternating pairs in the same way, whose lines and ``run.csv`` comparisons
 are kept too.  The file, written to the current directory, also records the
-host, ``nproc``, Python, numpy and BLAS; per end-to-end metric each side's
-median and quartiles and the number of pairs the ``after`` side won (lower
-is better for every end-to-end metric; ties count for neither side); and per
-traced metric each side's median and quartiles.  The script exits
-non-zero, after writing the file, if any pair or traced pair of any
-workload had ``run.csv`` files that differ.
+host, ``nproc``, Python, numpy and BLAS, and per end-to-end and per traced
+metric the ``summarize`` fields over the pairs.  Lower is better for every
+end-to-end metric.  ``run_csv_equal`` is true when every pair and traced
+pair of every workload had equal ``run.csv`` files; the script exits
+non-zero, after writing the file, if it is false.
 
-``tools/bench_dp.py``, ``tools/bench_search.py`` and ``tools/bench_maml.py``
-time one layer in process instead; each runs its worker in the two
-checkouts through ``worker_rounds`` and summarizes its times with
-``_quartiles``.
+This module also holds the before/after driver of the in-process tools
+``tools/bench_dp.py``, ``tools/bench_search.py``, ``tools/bench_maml.py``
+and ``tools/bench_replay.py``.  Each of them is a ``WORKER``, the Python
+source that times one layer in a checkout and prints one JSON object, and a
+function that turns every round's objects into its record's fields;
+``compare_layer`` parses their arguments, runs the worker in the two
+checkouts (``worker_rounds``) and writes the record (``write_record``).
 """
 
 import argparse
@@ -38,6 +39,7 @@ import sys
 import time
 from pathlib import Path
 
+SIDES = ("before", "after")
 PROCESSES = ("main", "replica1", "replica2")
 WORKLOADS = ("snowflake12-train", "star6-train", "chain8-replay")
 # A claimed gain must win nine of ten pairs on the workload it is claimed on.
@@ -45,6 +47,110 @@ PAIRS = 10
 # A traced layer of a few milliseconds jitters by up to 1.8x between runs.
 TRACED_PAIRS = 3
 SEED = 1
+
+
+def parse_args(doc: str, argv=None) -> tuple[dict, str]:
+    """The two checkouts, by side, and the record's label, from the required
+    ``--before``, ``--after`` and ``--label``."""
+    parser = argparse.ArgumentParser(description=doc.split("\n")[0])
+    parser.add_argument("--before", required=True, type=Path)
+    parser.add_argument("--after", required=True, type=Path)
+    parser.add_argument("--label", required=True)
+    args = parser.parse_args(argv)
+    return {"before": args.before.resolve(), "after": args.after.resolve()}, args.label
+
+
+def write_record(label: str, sides: dict, fields: dict, equal: str) -> None:
+    """Write ``BENCH_<label>.json`` to the current directory: the label, the
+    checkouts' directory names, host, ``nproc`` and Python, then ``fields``.
+    Then exit non-zero, naming the record, if the field ``equal`` is false."""
+    doc = {
+        "label": label,
+        "checkouts": {side: path.name for side, path in sides.items()},
+        "host": platform.node(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        **fields,
+    }
+    record = Path(f"BENCH_{label}.json")
+    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    if not doc[equal]:
+        sys.exit(f"{equal} is false: outputs differ between the checkouts; see {record}")
+
+
+def alternate(count: int, run) -> list[dict]:
+    """``count`` rounds of ``run(index, side)`` on both sides, in alternating
+    order: even rounds run the ``before`` side first.  Returns each round's
+    results by side, in the order they ran."""
+    return [
+        {side: run(index, side) for side in (SIDES if index % 2 == 0 else SIDES[::-1])}
+        for index in range(count)
+    ]
+
+
+def _quartiles(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarize(rounds: list[dict], values) -> dict:
+    """One timed item over the rounds, where ``values(result)`` is the list
+    of one side's values in one round: each side's median and quartiles
+    over every value of every round, the ratio of the medians
+    (``speedup``, before over after), each round's ratio of the two sides'
+    medians, and the rounds (``pairs``) each side won by the lower median.
+    Ties count for neither side."""
+    entry = {side: _quartiles([v for r in rounds for v in values(r[side])]) for side in SIDES}
+    entry["speedup"] = entry["before"]["median"] / entry["after"]["median"]
+    # Both sides of a round ran back to back, so a round's ratio is steadier
+    # than the pooled values on a machine whose speed drifts.
+    medians = [(statistics.median(values(r["before"])), statistics.median(values(r["after"])))
+               for r in rounds]
+    entry["round_speedups"] = [before / after for before, after in medians]
+    entry["after_wins"] = sum(after < before for before, after in medians)
+    entry["before_wins"] = sum(before < after for before, after in medians)
+    entry["pairs"] = len(rounds)
+    return entry
+
+
+def same(rounds: list[dict], output) -> bool:
+    """Whether ``output(result)`` was equal on both sides in every round."""
+    return all(output(r["before"]) == output(r["after"]) for r in rounds)
+
+
+def worker_rounds(sides: dict, worker: str, arg, rounds: int) -> list[dict]:
+    """Run the Python source ``worker`` once per checkout in each of
+    ``rounds`` rounds (``alternate``).  Each run is a subprocess in its
+    checkout, with that checkout's ``src`` first on the path and one BLAS
+    thread, given ``arg`` as a JSON argument; it prints one JSON object.
+    Returns each round's objects by side.  A failing run exits with its
+    checkout and stderr."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+    def run(index, side):
+        proc = subprocess.run(
+            [sys.executable, "-c", worker, json.dumps(arg)],
+            cwd=sides[side], env=dict(env, PYTHONPATH=str(sides[side] / "src")),
+            capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            sys.exit(f"{sides[side]}: worker exited {proc.returncode}\n{proc.stderr}")
+        print(f"round {index} {side} done", file=sys.stderr)
+        return json.loads(proc.stdout)
+
+    return alternate(rounds, run)
+
+
+def compare_layer(doc: str, worker: str, arg, rounds: int, fields, equal: str, argv=None):
+    """The whole of an in-process tool: parse ``argv``, run ``worker`` with
+    ``arg`` in both checkouts for ``rounds`` rounds, and write the record,
+    ``rounds`` and then ``fields(results)``, exiting non-zero if its field
+    ``equal`` is false."""
+    sides, label = parse_args(doc, argv)
+    results = worker_rounds(sides, worker, arg, rounds)
+    write_record(label, sides, {"rounds": rounds, **fields(results)}, equal)
 
 
 def run_once(checkout: Path, workload: str, trace: int, label: str) -> dict:
@@ -75,125 +181,55 @@ def _without_wall_clock(path: Path) -> list[list[str]]:
     return [row[:drop] + row[drop + 1 :] for row in rows]
 
 
-def _quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
-
-
-def worker_rounds(sides: dict, worker: str, arg, rounds: int) -> tuple[dict, list[dict]]:
-    """Run the Python source ``worker`` once per checkout in each of
-    ``rounds`` rounds, in alternating order: even rounds run the ``before``
-    side first.  Each run is a subprocess in its checkout, with that
-    checkout's ``src`` first on the path and one BLAS thread, given ``arg``
-    as a JSON argument; it prints one JSON object.  Returns the record's
-    header (the checkouts' directory names, host, ``nproc`` and Python) and
-    each round's objects by side.  A failing run exits with its checkout and
-    stderr."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    results = []
-    for index in range(rounds):
-        order = ("before", "after") if index % 2 == 0 else ("after", "before")
-        result = {}
-        for side in order:
-            proc = subprocess.run(
-                [sys.executable, "-c", worker, json.dumps(arg)],
-                cwd=sides[side], env=dict(env, PYTHONPATH=str(sides[side] / "src")),
-                capture_output=True, text=True,
-            )
-            if proc.returncode != 0:
-                sys.exit(f"{sides[side]}: worker exited {proc.returncode}\n{proc.stderr}")
-            result[side] = json.loads(proc.stdout)
-        results.append(result)
-        print(f"round {index} done", file=sys.stderr)
-    header = {
-        "checkouts": {side: path.name for side, path in sides.items()},
-        "host": platform.node(),
-        "nproc": os.cpu_count(),
-        "python": platform.python_version(),
-    }
-    return header, results
-
-
 def run_pairs(sides: dict, workload: str, count: int, trace: int) -> list[dict]:
     """``count`` alternating pairs of runs, each with whether the two sides'
     run.csv files were equal."""
     kind = "traced pair" if trace else "pair"
-    pairs = []
-    for index in range(count):
-        order = ("before", "after") if index % 2 == 0 else ("after", "before")
-        pair = {"pair": index, "first": order[0]}
-        for side in order:
-            pair[side] = run_once(sides[side], workload, trace, f"{workload} {kind} {index} {side}")
-            print(f"{workload} {kind} {index} {side}: {json.dumps(pair[side]['line'])}",
-                  file=sys.stderr)
-        pair["run_csv_equal"] = pair["before"].pop("run_csv") == pair["after"].pop("run_csv")
-        pairs.append(pair)
-    return pairs
+
+    def run(index, side):
+        result = run_once(sides[side], workload, trace, f"{workload} {kind} {index} {side}")
+        print(f"{workload} {kind} {index} {side}: {json.dumps(result['line'])}", file=sys.stderr)
+        return result
+
+    return [
+        {"pair": index, "first": next(iter(pair)), **pair,
+         "run_csv_equal": pair["before"].pop("run_csv") == pair["after"].pop("run_csv")}
+        for index, pair in enumerate(alternate(count, run))
+    ]
 
 
-def _values(pairs: list[dict], side: str, name: str) -> list[float]:
-    return [p[side]["line"]["metrics"][name]["value"] for p in pairs]
-
-
-def quartiles(pairs: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles."""
+def metrics(pairs: list[dict]) -> dict:
+    """Per metric of the runs' JSON lines, its ``summarize`` fields."""
     return {
-        name: {side: _quartiles(_values(pairs, side, name)) for side in ("before", "after")}
+        name: summarize(pairs, lambda result: [result["line"]["metrics"][name]["value"]])
         for name in pairs[0]["before"]["line"]["metrics"]
     }
 
 
-def compare(pairs: list[dict]) -> dict:
-    """Per end-to-end metric: each side's median and quartiles, and the pairs
-    the after side won."""
-    out = quartiles(pairs)
-    for name, entry in out.items():
-        before, after = _values(pairs, "before", name), _values(pairs, "after", name)
-        entry["after_wins"] = sum(a < b for a, b in zip(after, before))
-        entry["before_wins"] = sum(b < a for a, b in zip(after, before))
-        entry["pairs"] = len(pairs)
-    return out
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--before", required=True, type=Path)
-    parser.add_argument("--after", required=True, type=Path)
-    parser.add_argument("--label", required=True)
-    args = parser.parse_args(argv)
-    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
-
-    doc = {
-        "label": args.label,
-        "command": f"python3 perfbench/run.py --workload W --seed {SEED}",
-        "checkouts": {side: path.name for side, path in sides.items()},
-        "host": platform.node(),
-        "nproc": os.cpu_count(),
-        "workloads": {},
-    }
+    sides, label = parse_args(__doc__, argv)
+    workloads = {}
     for workload in WORKLOADS:
         pairs = run_pairs(sides, workload, PAIRS, 0)
         traced = run_pairs(sides, workload, TRACED_PAIRS, 1)
-        doc["workloads"][workload] = {
+        workloads[workload] = {
             "pairs": pairs,
             "run_csv_equal_in_every_pair": all(p["run_csv_equal"] for p in pairs),
-            "end_to_end": compare(pairs),
+            "end_to_end": metrics(pairs),
             "traced_run_csv_equal": all(p["run_csv_equal"] for p in traced),
             "traced_pairs": traced,
-            "traced": quartiles(traced),
+            "traced": metrics(traced),
         }
-    first = next(iter(doc["workloads"].values()))["pairs"][0]["before"]["platform"]
-    doc.update({k: first[k] for k in ("python", "numpy", "blas")})
-    record = Path(f"BENCH_{args.label}.json")
-    record.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    differ = [
-        name for name, entry in doc["workloads"].items()
-        if not (entry["run_csv_equal_in_every_pair"] and entry["traced_run_csv_equal"])
-    ]
-    if differ:
-        sys.exit(f"run.csv differs between the checkouts on {', '.join(differ)}; see {record}")
+    first = workloads[WORKLOADS[0]]["pairs"][0]["before"]["platform"]
+    write_record(label, sides, {
+        "command": f"python3 perfbench/run.py --workload W --seed {SEED}",
+        "workloads": workloads,
+        **{k: first[k] for k in ("python", "numpy", "blas")},
+        "run_csv_equal": all(
+            w["run_csv_equal_in_every_pair"] and w["traced_run_csv_equal"]
+            for w in workloads.values()
+        ),
+    }, "run_csv_equal")
 
 
 if __name__ == "__main__":
