@@ -58,6 +58,7 @@ print(json.dumps(out))
 
 
 def record(rounds: list[dict]) -> dict:
+    """The record's fields from every round's worker output."""
     cells = {}
     for name in rounds[0]["before"]:
         shape, size = name.rsplit("-", 1)

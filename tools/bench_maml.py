@@ -26,6 +26,7 @@ non-zero, after writing it, if any parameters differ.
 
 from bench_pairs import compare_layer, same, summarize
 from bench_search import CONFIGS
+
 SEED = 1
 PASSES = 3
 SGD_PHASES = 20
@@ -84,6 +85,7 @@ print(json.dumps(out))
 
 
 def record(rounds: list[dict]) -> dict:
+    """The record's fields from every round's worker output."""
     workloads = {
         name: {
             "sgd_rows": rounds[0]["before"][name]["rows"],

@@ -103,6 +103,7 @@ DIGESTS = ("td_error", "probabilities", "batch")
 
 
 def record(rounds: list[dict]) -> dict:
+    """The record's fields from every round's worker output."""
     first = rounds[0]["before"]
     sample_replay = {
         name: {

@@ -66,6 +66,7 @@ print(json.dumps(out))
 
 
 def record(rounds: list[dict]) -> dict:
+    """The record's fields from every round's worker output."""
     workloads = {
         name: {
             "queries": rounds[0]["before"][name]["queries"],
