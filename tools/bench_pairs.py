@@ -191,11 +191,11 @@ def run_pairs(sides: dict, workload: str, count: int, trace: int) -> list[dict]:
         print(f"{workload} {kind} {index} {side}: {json.dumps(result['line'])}", file=sys.stderr)
         return result
 
-    return [
-        {"pair": index, "first": next(iter(pair)), **pair,
-         "run_csv_equal": pair["before"].pop("run_csv") == pair["after"].pop("run_csv")}
-        for index, pair in enumerate(alternate(count, run))
-    ]
+    pairs = []
+    for index, pair in enumerate(alternate(count, run)):
+        equal = pair["before"].pop("run_csv") == pair["after"].pop("run_csv")
+        pairs.append({"pair": index, "first": next(iter(pair)), **pair, "run_csv_equal": equal})
+    return pairs
 
 
 def metrics(pairs: list[dict]) -> dict:
