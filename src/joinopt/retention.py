@@ -5,8 +5,8 @@ experiences form one ``PlanBlock``: its join rows in pre-order, their
 features from the simulator's single walk over the plan
 (``simulator.plan_infos``), and for each row the block index of its smallest
 enclosing join, the experience's successor state (-1 at the root, which is
-terminal).  The replay buffer writes a block as rows of column arrays and
-keeps no model output.  It is a ring with room for one plan beyond its
+terminal).  The replay buffer writes blocks as rows of column arrays, any
+number of them in one set of column writes, and keeps no model output.  It is a ring with room for one plan beyond its
 capacity, so the evicted rows of the oldest plan, which the live ones may
 still need as successor states, stay in place until the whole plan is
 gone.  At sampling time each buffered experience gets a priority weight
@@ -138,7 +138,9 @@ class ReplayBuffer:
     evicted.  Its evicted rows stay in their slots until the whole plan is
     gone: from that plan's root to the newest row are at most
     ``capacity + plan_rows - 1`` rows, fewer than ``size``.  So ``td_error``
-    can score the enclosing joins of the live rows in the same pass."""
+    can score the enclosing joins of the live rows in the same pass.
+    ``extend`` takes any number of blocks, so a training iteration writes
+    all its plans in one call."""
 
     def __init__(self, capacity: int, plan_rows: int):
         self.capacity = capacity
@@ -148,28 +150,40 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self.end - self.oldest
 
-    def extend(self, block: PlanBlock) -> None:
-        """Write the block's rows in one call; a block longer than the
-        capacity leaves only its tail live."""
-        size, start, end = self.size, self.end, self.end + len(block)
+    def extend(self, *blocks: PlanBlock) -> None:
+        """Write the blocks' rows, block after block, in one set of column
+        writes; the ring ends up row for row as after one call per block.
+        Rows that later rows of the same call overwrite are not written, so
+        every slot is written at most once; a block longer than the capacity
+        leaves only its tail live, and no block is a no-op."""
+        if not blocks:
+            return
+        lengths = np.array([len(block) for block in blocks])
+        size, start, end = self.size, self.end, self.end + int(lengths.sum())
         if not self.end:
             # np.zeros pages are committed on first write, so rows that are
             # never filled cost no memory.
-            self.state = np.zeros((size, block.features.shape[1]))
+            self.state = np.zeros((size, blocks[0].features.shape[1]))
             self.parent = np.zeros(size, dtype=np.int64)
             self.root = np.zeros(size, dtype=np.int64)
             self.stored_at = np.zeros(size, dtype=np.int64)
             self.latency = np.zeros(size)
             self.label = np.zeros(size)
             self.query_id = np.empty(size, dtype=object)
-        rows = np.arange(start, end) % size
-        self.state[rows] = block.features
-        self.parent[rows] = block.parent
-        self.root[rows] = start
-        self.stored_at[rows] = block.iteration
-        self.latency[rows] = block.latency_ms
-        self.label[rows] = block.label
-        self.query_id[rows] = block.query_id
+        skip = max(0, end - start - size)  # rows this call overwrites itself
+        rows = np.arange(start + skip, end) % size
+        roots = start + np.cumsum(lengths) - lengths
+
+        def per_row(values, dtype=None):
+            return np.repeat(np.array(values, dtype=dtype), lengths)[skip:]
+
+        self.state[rows] = np.concatenate([block.features for block in blocks])[skip:]
+        self.parent[rows] = np.concatenate([block.parent for block in blocks])[skip:]
+        self.root[rows] = per_row(roots)
+        self.stored_at[rows] = per_row([block.iteration for block in blocks])
+        self.latency[rows] = per_row([block.latency_ms for block in blocks])
+        self.label[rows] = per_row([block.label for block in blocks])
+        self.query_id[rows] = per_row([block.query_id for block in blocks], object)
         self.oldest, self.end = max(0, end - self.capacity), end
 
     def order(self) -> np.ndarray:

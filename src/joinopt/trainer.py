@@ -20,7 +20,10 @@ run.csv was read back; ``read_run_csv`` is the one check of a history read
 from a file.  Every table joinopt writes, run.csv, summary.csv and
 verdicts.csv here and the reports of ``cli``, goes through ``write_csv``.
 All randomness is derived from one base seed, making repeated runs bitwise
-identical.
+identical: ``derive_seeds`` applies numpy's SeedSequence mix to many rows
+of seed parts at once, so a training iteration derives the search and
+execution seeds of all its train queries in one call, and writes all its
+plans' blocks to the replay ring in one ``extend``.
 """
 
 from __future__ import annotations
@@ -93,6 +96,7 @@ __all__ = [
     "RunSetup",
     "load_run_config",
     "derive_seed",
+    "derive_seeds",
     "plan_search",
     "random_rollout",
     "build_meta_tasks",
@@ -116,15 +120,68 @@ class ConfigError(ValueError):
     """Raised before any work when a run configuration is invalid."""
 
 
+# numpy's SeedSequence constants: the hash of entropy words into the pool
+# (A), the hash of the pool into output words (B) and the mix of two words.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _seed_word(part) -> int:
+    if isinstance(part, str):
+        return zlib.crc32(part.encode("utf-8"))
+    return int(part) & _MASK32
+
+
+def derive_seeds(rows) -> list[int]:
+    """Stable 32-bit seed per row of integers and strings, all rows of one
+    length: the first word numpy's ``SeedSequence(words)`` generates, where
+    a row's words are a string's crc32 and an integer masked to 32 bits.
+    SeedSequence's uint32 hash and mix run once over every row, each pool
+    word an array, so no uint32 scalar overflows (under numpy 2 that
+    warns); its hash constants do not depend on the words, so a hash of
+    several pool words at once takes a column of constants."""
+    words = np.array([[_seed_word(part) for part in row] for row in rows], dtype=np.uint32).T
+    pool = np.zeros((_POOL, len(rows)), dtype=np.uint32)  # a missing word is hashed as 0
+    pool[: len(words)] = words[:_POOL]
+    # One pair of hash constants per hash: four fill the pool, twelve mix
+    # it, and four take in each word beyond the pool.
+    constant, xors, mults = _INIT_A, [], []
+    for _ in range(_POOL * (_POOL + max(0, len(words) - _POOL))):
+        xors.append(constant)
+        constant = constant * _MULT_A & _MASK32
+        mults.append(constant)
+    xors = np.array(xors, dtype=np.uint32)[:, None]
+    mults = np.array(mults, dtype=np.uint32)[:, None]
+    used = 0
+
+    def hashmix(values, count):  # the next ``count`` hashes, one per row of values
+        nonlocal used
+        hashed = (values ^ xors[used : used + count]) * mults[used : used + count]
+        used += count
+        return hashed ^ hashed >> 16
+
+    def mix(x, y):
+        mixed = x * _MIX_L - y * _MIX_R
+        return mixed ^ mixed >> 16
+
+    pool = hashmix(pool, _POOL)
+    for src in range(_POOL):
+        # Every other pool word takes in this one, which none of them changes.
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
+    for word in words[_POOL:]:
+        pool = mix(pool, hashmix(word, _POOL))
+    state = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32)
+    return (state ^ state >> 16).tolist()
+
+
 def derive_seed(*parts) -> int:
-    """Stable 32-bit seed from a mix of integers and strings."""
-    entropy = []
-    for part in parts:
-        if isinstance(part, str):
-            entropy.append(zlib.crc32(part.encode("utf-8")))
-        else:
-            entropy.append(int(part) & 0xFFFFFFFF)
-    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    """Stable 32-bit seed from a mix of integers and strings:
+    ``derive_seeds([parts])[0]``."""
+    return derive_seeds([parts])[0]
 
 
 def _require(ok: bool, message: str) -> None:
@@ -506,14 +563,13 @@ class RunSetup:
 
     def baselines(self) -> dict[str, ExpertBaseline]:
         """Expert baseline per query, train queries then test queries, the
-        i-th one's executions seeded by ``derive_seed(seed, "baseline", i)``."""
+        i-th one's executions seeded by ``derive_seed(seed, "baseline", i)``,
+        all derived in one ``derive_seeds``."""
+        contexts = self.train + self.test
+        seeds = derive_seeds([(self.seed, "baseline", idx) for idx in range(len(contexts))])
         return {
-            ctx.query.id: expert_baseline(
-                ctx,
-                n_runs=self.config.baseline_runs,
-                base_seed=derive_seed(self.seed, "baseline", idx),
-            )
-            for idx, ctx in enumerate(self.train + self.test)
+            ctx.query.id: expert_baseline(ctx, n_runs=self.config.baseline_runs, base_seed=seed)
+            for ctx, seed in zip(contexts, seeds)
         }
 
     def initial_params(self) -> ModelParams:
@@ -636,8 +692,12 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     record(0)
     epsilon = cfg.search.epsilon
     for iteration in range(1, cfg.iterations + 1):
+        n_train = len(setup.train)
+        seeds = derive_seeds(
+            [(seed, tag, iteration, qidx) for tag in ("search", "exec") for qidx in range(n_train)]
+        )
         blocks = []
-        for qidx, ctx in enumerate(setup.train):
+        for ctx, search_seed, exec_seed in zip(setup.train, seeds, seeds[n_train:]):
             plan = plan_search(
                 ctx.query,
                 params,
@@ -645,12 +705,12 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
                 cfg.cost_model,
                 beam_width=cfg.search.beam_width,
                 epsilon=epsilon,
-                rng_seed=derive_seed(seed, "search", iteration, qidx),
+                rng_seed=search_seed,
                 left_deep_only=cfg.search.left_deep_only,
             )
-            latency = execute(plan, ctx, derive_seed(seed, "exec", iteration, qidx))
+            latency = execute(plan, ctx, exec_seed)
             blocks.append(extract_experiences(plan, ctx, latency, iteration))
-            buffer.extend(blocks[-1])
+        buffer.extend(*blocks)
         if cfg.retention.enabled:
             batch, stats = sample_replay(
                 buffer, params, cfg.retention, derive_seed(seed, "replay", iteration)

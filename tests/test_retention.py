@@ -434,14 +434,19 @@ class KeptRing(ReplayBuffer):
     """The earlier ring, kept as the reference: ``capacity`` rows, and the
     oldest plan's evicted rows, from its root (row number ``kept_from``) on,
     copied aside into ``kept`` at each write that evicts them.  It takes
-    ``plan_rows`` as ``ReplayBuffer`` does and ignores it."""
+    ``plan_rows`` as ``ReplayBuffer`` does and ignores it, and writes
+    several blocks one after another."""
 
     def __init__(self, capacity, plan_rows):
         self.capacity = capacity
         self.oldest = self.end = 0
         self.kept_from = 0
 
-    def extend(self, block):
+    def extend(self, *blocks):
+        for block in blocks:
+            self._write(block)
+
+    def _write(self, block):
         cap, start, end = self.capacity, self.end, self.end + len(block)
         if not self.end:
             self.state = np.zeros((cap, block.features.shape[1]))
@@ -536,6 +541,45 @@ def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
                 assert len(buffer) == capacity and split_at(buffer) == len(reference.kept)
                 checked += 1
         assert checked > 20
+
+
+RING_COLUMNS = ("state", "parent", "root", "stored_at", "latency", "label", "query_id")
+
+
+def test_extend_with_several_blocks_equals_one_call_per_block(rng):
+    """``extend(*blocks)`` leaves the ring as one ``extend`` per block does:
+    every column, ``order()``, ``scored_states()`` and the ``td_error``
+    bytes.  Calls take zero to twelve blocks of one to three rows; the first
+    one writes twelve 3-row blocks, 36 rows, which wrap the 5-row ring's 8
+    slots more than four times.  ``extend()`` with no block is a no-op, also
+    on an empty ring."""
+    dim, gamma, longest = 4, 0.9, 3
+    model = init_params((dim, 8, 1), 5)
+    for capacity in (5, 40):
+        several, single = ReplayBuffer(capacity, longest), ReplayBuffer(capacity, longest)
+        several.extend()
+        assert len(several) == 0 and several.end == 0
+        for call, count in enumerate([12, 0, 1, 3, 12, 2, 7, 0, 12, 5]):
+            blocks = []
+            for i in range(count):
+                rows = longest if call == 0 else int(rng.integers(1, longest + 1))
+                parent = [-1] + [int(rng.integers(0, up)) for up in range(1, rows)]
+                blocks.append(PlanBlock(
+                    f"q{call}.{i}", call, float(rng.uniform(1.0, 1e4)),
+                    rng.normal(size=(rows, dim)), np.array(parent),
+                ))
+            for block in blocks:
+                single.extend(block)
+            several.extend(*blocks)
+            assert (several.oldest, several.end) == (single.oldest, single.end)
+            for name in RING_COLUMNS:
+                assert getattr(several, name).tolist() == getattr(single, name).tolist(), name
+            assert np.array_equal(several.order(), single.order())
+            assert several.scored_states().tobytes() == single.scored_states().tobytes()
+            assert (
+                td_error(several, model, gamma).tobytes()
+                == td_error(single, model, gamma).tobytes()
+            )
 
 
 def test_td_error_peak_memory_is_one_matrix_per_layer(rng):

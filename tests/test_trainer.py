@@ -5,6 +5,7 @@ import io
 import json
 import math
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from joinopt.trainer import (
     build_meta_tasks,
     config_to_doc,
     derive_seed,
+    derive_seeds,
     evaluate_queries,
     load_run_config,
     meta_initialize,
@@ -200,6 +202,51 @@ def test_derive_seed_stable():
     assert derive_seed(1, "search", 2, 3) == derive_seed(1, "search", 2, 3)
     assert derive_seed(1, "search", 2, 3) != derive_seed(1, "search", 2, 4)
     assert derive_seed(1, "exec", 2, 3) != derive_seed(1, "search", 2, 3)
+
+
+def seed_sequence_seed(row) -> int:
+    """The reference seed of a row: numpy's SeedSequence over its words, a
+    string's crc32 and an integer masked to 32 bits."""
+    words = [
+        zlib.crc32(part.encode("utf-8")) if isinstance(part, str) else part & 0xFFFFFFFF
+        for part in row
+    ]
+    return int(np.random.SeedSequence(words).generate_state(1)[0])
+
+
+def test_derive_seeds_match_seed_sequence():
+    """3 500 seeded rows of each length 1-6 (rows of more than four parts
+    run SeedSequence's extra mixing loop): the words 0 and 2**32 - 1, other
+    32-bit words, negative and wider integers (masked), the seed tags and
+    other strings.  Each row's seed is SeedSequence's, and ``derive_seed``
+    gives the one-row result."""
+    rng = np.random.default_rng(30)
+    strings = ["init", "meta-data", "maml", "baseline", "search", "exec", "replay", "", "ü"]
+    kinds = [
+        lambda: 0,
+        lambda: 2**32 - 1,
+        lambda: int(rng.integers(0, 2**32)),
+        lambda: -int(rng.integers(1, 2**40)),
+        lambda: int(rng.integers(0, 2**62)) * 4,
+        lambda: strings[int(rng.integers(len(strings)))],
+    ]
+    for length in range(1, 7):
+        rows = [
+            tuple(kinds[int(rng.integers(len(kinds)))]() for _ in range(length))
+            for _ in range(3_500)
+        ]
+        assert derive_seeds(rows) == [seed_sequence_seed(row) for row in rows], length
+        assert derive_seed(*rows[0]) == seed_sequence_seed(rows[0])
+
+
+def test_derive_seed_warns_of_no_overflow():
+    """The uint32 arithmetic wraps on arrays; under numpy 2 a uint32 scalar
+    that overflowed would warn."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        derive_seed(2**32 - 1, "search", 2**32 - 1, -1)
+        derive_seed(2**32 - 1, "exec", 2**31, -1, 7, "z")
+        derive_seeds([(2**32 - 1, q, "x") for q in range(50)])
 
 
 # --- plan search -----------------------------------------------------------------

@@ -22,7 +22,8 @@ SHAPES = ("chain", "star", "snowflake")
 SIZES = (6, 9, 12)
 SEEDS = (1, 2, 3)
 REPEATS = 5
-ROUNDS = 3
+# Ten rounds, so that a cell's after_wins can meet the nine-of-ten rule.
+ROUNDS = 10
 
 # Run in each checkout: one JSON object mapping "shape-size" to the per-call
 # times in ms and the plans of that cell's queries, in seed order.
