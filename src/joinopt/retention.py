@@ -6,11 +6,11 @@ features from the simulator's single walk over the plan
 (``simulator.plan_infos``), and for each row the block index of its smallest
 enclosing join, the experience's successor state (-1 at the root, which is
 terminal).  The replay buffer writes blocks as rows of column arrays, any
-number of them in one set of column writes, and keeps no model output.  It is a ring with room for one plan beyond its
-capacity, so the evicted rows of the oldest plan, which the live ones may
-still need as successor states, stay in place until the whole plan is
-gone.  At sampling time each buffered experience gets a priority weight
-combining a recency score
+number of them in one set of column writes, and keeps no model output.  It
+is a ring with room for one plan beyond its capacity, so the evicted rows
+of the oldest plan, which the live ones may still need as successor
+states, stay in place until the whole plan is gone.  At sampling time
+each buffered experience gets a priority weight combining a recency score
 
     tau = 1 - (tau_current - tau_e) / T
 
