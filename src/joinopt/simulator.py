@@ -427,7 +427,9 @@ def join_columns(
     return JoinColumns(masks, rows, depths, counts, costs)
 
 
-def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:
+def _noisy_latency(
+    cost: float, cfg: CostModelConfig, rng_seed: int | np.random.Generator
+) -> float:
     if cfg.noise_rel_sigma > 0:
         eps = float(np.random.default_rng(rng_seed).normal(0.0, cfg.noise_rel_sigma))
     else:
@@ -435,12 +437,14 @@ def _noisy_latency(cost: float, cfg: CostModelConfig, rng_seed: int) -> float:
     return cost * cfg.latency_per_cost_unit * max(0.01, 1.0 + eps)
 
 
-def execute(plan: PlanNode, ctx: QueryContext, rng_seed: int) -> float:
+def execute(plan: PlanNode, ctx: QueryContext, rng_seed: int | np.random.Generator) -> float:
     """Simulated execution latency in milliseconds.
 
     Multiplicative Gaussian noise with relative sigma ``noise_rel_sigma``,
-    floored at 1% of the noiseless latency; the same seed always yields the
-    same latency.
+    floored at 1% of the noiseless latency.  ``rng_seed`` is anything
+    ``np.random.default_rng`` takes: a seed, or a ``Generator``, which draws
+    from its current state.  The same seed, or generator state, always
+    yields the same latency.
     """
     return _noisy_latency(ctx.cost(plan), ctx.cfg, rng_seed)
 

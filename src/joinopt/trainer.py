@@ -21,9 +21,12 @@ from a file.  Every table joinopt writes, run.csv, summary.csv and
 verdicts.csv here and the reports of ``cli``, goes through ``write_csv``.
 All randomness is derived from one base seed, making repeated runs bitwise
 identical: ``derive_seeds`` applies numpy's SeedSequence mix to many rows
-of seed parts at once, so a training iteration derives the search and
-execution seeds of all its train queries in one call, and writes all its
-plans' blocks to the replay ring in one ``extend``.
+of seed parts at once, and ``generator_states`` turns seeds into the PCG64
+states ``np.random.default_rng`` would seed.  So a training iteration
+derives the search and execution states of all its train queries in one
+pass, sets each on one reused generator before the search or execution it
+seeds, and writes all its plans' blocks to the replay ring in one
+``extend``.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import statistics
 import time
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +101,7 @@ __all__ = [
     "load_run_config",
     "derive_seed",
     "derive_seeds",
+    "generator_states",
     "plan_search",
     "random_rollout",
     "build_meta_tasks",
@@ -127,34 +132,42 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
+# PCG64's 128-bit LCG multiplier (O'Neill, "PCG", 2014).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
-def _seed_word(part) -> int:
-    if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8"))
-    return int(part) & _MASK32
+def _word_column(parts) -> np.ndarray:
+    """One part of every row as a 32-bit word: a string's crc32, taken once
+    per distinct string, and any other part masked to 32 bits in one pass."""
+    if any(map(isinstance, parts, repeat(str))):
+        crcs = {p: zlib.crc32(p.encode("utf-8")) for p in set(parts) if isinstance(p, str)}
+        parts = [crcs.get(p, p) for p in parts]
+    return (np.array(parts, dtype=object) & _MASK32).astype(np.uint32)
 
 
-def derive_seeds(rows) -> list[int]:
-    """Stable 32-bit seed per row of integers and strings, all rows of one
-    length: the first word numpy's ``SeedSequence(words)`` generates, where
-    a row's words are a string's crc32 and an integer masked to 32 bits.
-    SeedSequence's uint32 hash and mix run once over every row, each pool
-    word an array, so no uint32 scalar overflows (under numpy 2 that
-    warns); its hash constants do not depend on the words, so a hash of
-    several pool words at once takes a column of constants."""
-    words = np.array([[_seed_word(part) for part in row] for row in rows], dtype=np.uint32).T
-    pool = np.zeros((_POOL, len(rows)), dtype=np.uint32)  # a missing word is hashed as 0
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's first ``count`` hashes' (xor, multiplier) constants, as
+    columns; they do not depend on the words hashed."""
+    xors, mults = [], []
+    for _ in range(count):
+        xors.append(init)
+        init = init * mult & _MASK32
+        mults.append(init)
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(mults, dtype=np.uint32)[:, None]
+
+
+def _seed_sequence(words: np.ndarray, n_words: int) -> np.ndarray:
+    """The first ``n_words`` uint32 words numpy's ``SeedSequence`` generates
+    from each column of ``words`` (one entropy word per row), as an
+    (n_words, columns) array.  The uint32 hash and mix run once over every
+    column, each pool word an array, so no uint32 scalar overflows (under
+    numpy 2 that warns)."""
+    pool = np.zeros((_POOL, words.shape[1]), dtype=np.uint32)  # a missing word is hashed as 0
     pool[: len(words)] = words[:_POOL]
-    # One pair of hash constants per hash: four fill the pool, twelve mix
-    # it, and four take in each word beyond the pool.
-    constant, xors, mults = _INIT_A, [], []
-    for _ in range(_POOL * (_POOL + max(0, len(words) - _POOL))):
-        xors.append(constant)
-        constant = constant * _MULT_A & _MASK32
-        mults.append(constant)
-    xors = np.array(xors, dtype=np.uint32)[:, None]
-    mults = np.array(mults, dtype=np.uint32)[:, None]
+    # Four hashes fill the pool, twelve mix it, and four take in each word
+    # beyond the pool.
+    xors, mults = _hash_constants(_INIT_A, _MULT_A, _POOL * (_POOL + max(0, len(words) - _POOL)))
     used = 0
 
     def hashmix(values, count):  # the next ``count`` hashes, one per row of values
@@ -174,8 +187,44 @@ def derive_seeds(rows) -> list[int]:
         pool[dst] = mix(pool[dst], hashmix(pool[src], _POOL - 1))
     for word in words[_POOL:]:
         pool = mix(pool, hashmix(word, _POOL))
-    state = (pool[0] ^ _INIT_B) * (_INIT_B * _MULT_B & _MASK32)
-    return (state ^ state >> 16).tolist()
+    # Output word i hashes pool word i mod 4.
+    xors, mults = _hash_constants(_INIT_B, _MULT_B, n_words)
+    out = (pool[np.arange(n_words) % _POOL] ^ xors) * mults
+    return out ^ out >> 16
+
+
+def derive_seeds(rows) -> list[int]:
+    """Stable 32-bit seed per row of integers and strings, all rows of one
+    length: the first word numpy's ``SeedSequence(words)`` generates, where
+    a row's words are a string's crc32 and an integer masked to 32 bits.
+    The words are built column by column and hashed in one pass over every
+    row (``_seed_sequence``)."""
+    width = len(rows[0]) if rows else 0
+    words = np.zeros((width, len(rows)), dtype=np.uint32)
+    for i, column in enumerate(zip(*rows, strict=True)):
+        words[i] = _word_column(column)
+    return _seed_sequence(words, 1)[0].tolist()
+
+
+def generator_states(seeds) -> list[dict]:
+    """Per 32-bit seed, the state ``np.random.default_rng(seed).bit_generator``
+    holds, computed rather than constructed: PCG64 seeds itself with
+    ``SeedSequence([seed]).generate_state(8)`` paired into four uint64 words,
+    low word first, as ``initstate = w0 << 64 | w1`` and ``initseq = w2 << 64
+    | w3``, then runs two steps of its LCG from state 0 with increment
+    ``2 * initseq + 1``, adding ``initstate`` between them.  A ``Generator``
+    whose ``bit_generator.state`` is set to one draws as ``default_rng(seed)``
+    does.  All seeds take one pass of the SeedSequence hash."""
+    words = _seed_sequence(np.array(seeds, dtype=np.uint32)[None], 8).astype(np.uint64)
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+             "has_uint32": 0, "uinteger": 0}
+        )
+    return states
 
 
 def derive_seed(*parts) -> int:
@@ -313,7 +362,7 @@ def plan_search(
     cost_cfg: CostModelConfig,
     beam_width: int,
     epsilon: float,
-    rng_seed: int,
+    rng_seed: int | np.random.Generator,
     left_deep_only: bool = False,
 ) -> PlanNode:
     """Beam search over partial plans scored by the value model.
@@ -325,7 +374,9 @@ def plan_search(
     cannot crowd out other partitions.  With probability epsilon per step the
     beam collapses onto one uniformly random successor, so epsilon = 1
     degenerates to a uniform random legal rollout.
-    Deterministic for a fixed seed.
+    ``rng_seed`` is anything ``np.random.default_rng`` takes: a seed, or a
+    ``Generator``, which draws from its current state.  Deterministic for a
+    fixed seed or generator state.
 
     Each step summarizes every legal (beam entry, left, right) pair once,
     by all three operators, with ``join_columns``; featurizes those joins
@@ -651,7 +702,10 @@ def _train_on(
 
 
 def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
-    """One training run; fully reproducible for a given config and seed."""
+    """One training run; fully reproducible for a given config and seed.
+    Train query ``q``'s search and execution at iteration ``it`` draw from
+    one reused generator, set to ``default_rng(derive_seed(seed, "search",
+    it, q))``'s state and then to that of ``"exec"``."""
     seed = cfg.base_seed if base_seed is None else base_seed
     setup = prepare_run(cfg, seed)
     started = time.perf_counter()
@@ -667,6 +721,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     expert_test = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.test}
 
     plan_rows = max(len(ctx.relations) for ctx in setup.train) - 1  # one plan's joins
+    rng = np.random.default_rng(0)  # each search and execution sets its state first
     buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
     records: list[IterationRecord] = []
     last_norm_td = math.nan
@@ -693,11 +748,12 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     epsilon = cfg.search.epsilon
     for iteration in range(1, cfg.iterations + 1):
         n_train = len(setup.train)
-        seeds = derive_seeds(
+        states = generator_states(derive_seeds(
             [(seed, tag, iteration, qidx) for tag in ("search", "exec") for qidx in range(n_train)]
-        )
+        ))
         blocks = []
-        for ctx, search_seed, exec_seed in zip(setup.train, seeds, seeds[n_train:]):
+        for ctx, search_state, exec_state in zip(setup.train, states, states[n_train:]):
+            rng.bit_generator.state = search_state
             plan = plan_search(
                 ctx.query,
                 params,
@@ -705,10 +761,11 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
                 cfg.cost_model,
                 beam_width=cfg.search.beam_width,
                 epsilon=epsilon,
-                rng_seed=search_seed,
+                rng_seed=rng,
                 left_deep_only=cfg.search.left_deep_only,
             )
-            latency = execute(plan, ctx, exec_seed)
+            rng.bit_generator.state = exec_state
+            latency = execute(plan, ctx, rng)
             blocks.append(extract_experiences(plan, ctx, latency, iteration))
         buffer.extend(*blocks)
         if cfg.retention.enabled:

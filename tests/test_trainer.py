@@ -28,6 +28,7 @@ from joinopt.trainer import (
     derive_seed,
     derive_seeds,
     evaluate_queries,
+    generator_states,
     load_run_config,
     meta_initialize,
     plan_search,
@@ -217,9 +218,11 @@ def seed_sequence_seed(row) -> int:
 def test_derive_seeds_match_seed_sequence():
     """3 500 seeded rows of each length 1-6 (rows of more than four parts
     run SeedSequence's extra mixing loop): the words 0 and 2**32 - 1, other
-    32-bit words, negative and wider integers (masked), the seed tags and
-    other strings.  Each row's seed is SeedSequence's, and ``derive_seed``
-    gives the one-row result."""
+    32-bit words, negative and wider integers (masked; among them 2**64 + 5
+    and -2**70), the seed tags and other strings, mixed within a column.
+    Each row's seed is SeedSequence's, and ``derive_seed`` gives the one-row
+    result.  So are the seeds of rows whose columns each hold one kind of
+    part, as a training iteration's rows do."""
     rng = np.random.default_rng(30)
     strings = ["init", "meta-data", "maml", "baseline", "search", "exec", "replay", "", "ü"]
     kinds = [
@@ -228,6 +231,8 @@ def test_derive_seeds_match_seed_sequence():
         lambda: int(rng.integers(0, 2**32)),
         lambda: -int(rng.integers(1, 2**40)),
         lambda: int(rng.integers(0, 2**62)) * 4,
+        lambda: 2**64 + 5,
+        lambda: -2**70,
         lambda: strings[int(rng.integers(len(strings)))],
     ]
     for length in range(1, 7):
@@ -237,6 +242,23 @@ def test_derive_seeds_match_seed_sequence():
         ]
         assert derive_seeds(rows) == [seed_sequence_seed(row) for row in rows], length
         assert derive_seed(*rows[0]) == seed_sequence_seed(rows[0])
+    rows = [(2**64 + 5, tag, -2**70, q) for tag in ("search", "exec") for q in range(-3, 200)]
+    assert derive_seeds(rows) == [seed_sequence_seed(row) for row in rows]
+
+
+def test_generator_states_match_default_rng():
+    """Each computed state is ``default_rng(seed)``'s, over a seeded sweep
+    of 32-bit seeds with 0, 1 and 2**32 - 1; one reused generator set to
+    each state draws what ``default_rng(seed)`` draws."""
+    seeds = [0, 1, 2**32 - 1, *np.random.default_rng(31).integers(0, 2**32, 3_000).tolist()]
+    states = generator_states(seeds)
+    reused = np.random.default_rng(0)
+    for seed, state in zip(seeds, states):
+        fresh = np.random.default_rng(seed)
+        assert state == fresh.bit_generator.state, seed
+        reused.bit_generator.state = state
+        for draw in (lambda g: g.random(), lambda g: g.integers(37), lambda g: g.normal(0, 0.3)):
+            assert draw(reused) == draw(fresh), seed
 
 
 def test_derive_seed_warns_of_no_overflow():
@@ -438,6 +460,29 @@ def test_training_smoke_with_retention_disabled(workload_dir):
     assert result.records[-1].buffer_size > 0  # buffer still fills; training ignores it
 
 
+def test_training_seeds_no_generator_per_query(workload_dir, monkeypatch):
+    """Every train query's search and execution draw from one reused
+    generator whose state is set, so an iteration builds a generator from a
+    seed only for its replay draw: runs of 2 and 4 iterations differ by two
+    such constructions, where one per search and per execution would add
+    four per train query."""
+    real = np.random.default_rng
+    from_seeds = []
+
+    def default_rng(seed=None):
+        if not isinstance(seed, np.random.Generator):
+            from_seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    counts = []
+    for iterations in (2, 4):
+        from_seeds.clear()
+        run_training(load_run_config(config_file(workload_dir, iterations=iterations)))
+        counts.append(len(from_seeds))
+    assert counts[1] - counts[0] == 2
+
+
 def test_no_retention_batch_is_uniform_over_this_iterations_rows(workload_dir, monkeypatch):
     """The fresh-only arm draws its batch uniformly from the rows of the
     iteration's plans, recency slot 1.0, even when they outnumber the
@@ -515,8 +560,12 @@ def test_meta_init_divergence_names_its_phase(workload_dir):
                       "rollouts_per_query": 1, "outer_lr": 1e6, "inner_lr": 1e6},
         )
     )
-    with pytest.raises(ModelError, match="^iteration 0: maml: layer 0: non-finite parameter$"):
-        run_training(cfg)
+    # A library caller outside ``cli.main`` sees numpy's warnings on the way.
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(
+            ModelError, match="^iteration 0: maml: layer 0: non-finite parameter$"
+        ):
+            run_training(cfg)
 
 
 @pytest.mark.parametrize("arms", [{}, {"retention": False, "transfer": False}],

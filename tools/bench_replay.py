@@ -5,20 +5,22 @@ workload as ``BENCH_<label>.json``.
 
 DIR is a joinopt checkout, named after its commit (see
 ``tools/bench_pairs.py``, whose ``compare_layer`` runs this script), at
-commit ``86f322c`` or later: both sides must build a ``ReplayBuffer`` from
-its capacity and ``plan_rows``.  The worker, run in each checkout
-``ROUNDS`` times, loads ``CONFIG`` with
-``trainer.prepare_run(cfg, SEED)`` and builds the blocks a run writes: for
-each of the config's iterations, one ``trainer.random_rollout`` per train
-query from one generator seeded with ``SEED``, each turned into a block by
-``retention.extract_experiences`` at the plan's noiseless latency.  On
-chain8 that is 23 400 rows, so a buffer of the config's capacity (20 000)
-fills and then evicts, as in the ``chain8-replay`` benchmark workload.  It
-times ``PASSES`` fills of a new buffer with every block, as microseconds
-per ``extend``, and then ``PASSES`` calls of ``retention.sample_replay``
-with the config's retention settings and the run's initial model on each
-of the ``SIZES`` cases: the first blocks up to 2 000 and 10 000 rows, and
-the full buffer after every block, which has evicted.  It prints the times
+commit ``5496cc8`` or later: both sides must build a ``ReplayBuffer`` from
+its capacity and ``plan_rows``, and write several blocks in one
+``extend``.  The worker, run in each checkout ``ROUNDS`` times, loads
+``CONFIG`` with ``trainer.prepare_run(cfg, SEED)`` and builds the blocks a
+run writes: for each of the config's iterations, one
+``trainer.random_rollout`` per train query from one generator seeded with
+``SEED``, each turned into a block by ``retention.extract_experiences`` at
+the plan's noiseless latency.  On chain8 that is 23 400 rows, so a buffer of
+the config's capacity (20 000) fills and then evicts, as in the
+``chain8-replay`` benchmark workload.  It writes each iteration's blocks in
+one ``extend(*blocks)``, as ``trainer.run_training`` does.  It times
+``PASSES`` fills of a new buffer with every iteration, as microseconds per
+``extend``, and then ``PASSES`` calls of ``retention.sample_replay`` with
+the config's retention settings and the run's initial model on each of the
+``SIZES`` cases: the first iterations up to 2 000 and 10 000 rows, and the
+full buffer after every iteration, which has evicted.  It prints the times
 and SHA-256 digests of each case's ``td_error`` bytes, sampling
 probabilities and batch.  The record holds per timed item the
 ``bench_pairs.summarize`` fields, and whether both checkouts gave equal
@@ -48,11 +50,12 @@ cfg = trainer.load_run_config(config)
 setup = trainer.prepare_run(cfg, seed)
 params = setup.initial_params()
 rng = np.random.default_rng(seed)
-blocks = []
+iterations = []  # each iteration's blocks, one per train query
 for iteration in range(1, cfg.iterations + 1):
-    for ctx in setup.train:
-        plan = trainer.random_rollout(ctx, rng)
-        blocks.append(extract_experiences(plan, ctx, ctx.latency(plan), iteration))
+    plans = [(ctx, trainer.random_rollout(ctx, rng)) for ctx in setup.train]
+    iterations.append(
+        [extract_experiences(plan, ctx, ctx.latency(plan), iteration) for ctx, plan in plans]
+    )
 plan_rows = max(len(ctx.relations) for ctx in setup.train) - 1
 
 
@@ -67,17 +70,17 @@ extend_us = []
 for _ in range(passes):
     buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
     start = time.perf_counter()
-    for block in blocks:
-        buffer.extend(block)
-    extend_us.append((time.perf_counter() - start) * 1e6 / len(blocks))
+    for blocks in iterations:
+        buffer.extend(*blocks)
+    extend_us.append((time.perf_counter() - start) * 1e6 / len(iterations))
 
 cases = {}
 for name, size in sizes.items():
     buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
-    for block in blocks:
+    for blocks in iterations:
         if size is not None and len(buffer) >= size:
             break
-        buffer.extend(block)
+        buffer.extend(*blocks)
     ms = []
     for _ in range(passes):
         start = time.perf_counter()
@@ -92,8 +95,9 @@ for name, size in sizes.items():
         "batch": digest(*batch),
     }
 print(json.dumps({
-    "blocks": len(blocks),
-    "rows_written": sum(map(len, blocks)),
+    "extends": len(iterations),
+    "blocks": sum(map(len, iterations)),
+    "rows_written": sum(len(block) for blocks in iterations for block in blocks),
     "extend_us": extend_us,
     "sample_replay": cases,
 }))
@@ -117,11 +121,12 @@ def record(rounds: list[dict]) -> dict:
         for name in SIZES
     }
     return {
-        "command": "ReplayBuffer.extend over a run's blocks, in us per call, and "
-        "retention.sample_replay, in ms per call, on chain8",
+        "command": "ReplayBuffer.extend of each iteration's blocks, in us per call, "
+        "and retention.sample_replay, in ms per call, on chain8",
         "config": CONFIG,
         "seed": SEED,
         "passes": PASSES,
+        "extends": first["extends"],
         "blocks": first["blocks"],
         "rows_written": first["rows_written"],
         "digests_equal": all(entry["digests_equal"] for entry in sample_replay.values()),
