@@ -38,7 +38,6 @@ import statistics
 import time
 import zlib
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -140,8 +139,8 @@ _MASK128 = (1 << 128) - 1
 def _word_column(parts) -> np.ndarray:
     """One part of every row as a 32-bit word: a string's crc32, taken once
     per distinct string, and any other part masked to 32 bits in one pass."""
-    if any(map(isinstance, parts, repeat(str))):
-        crcs = {p: zlib.crc32(p.encode("utf-8")) for p in set(parts) if isinstance(p, str)}
+    crcs = {p: zlib.crc32(p.encode("utf-8")) for p in set(parts) if isinstance(p, str)}
+    if crcs:
         parts = [crcs.get(p, p) for p in parts]
     return (np.array(parts, dtype=object) & _MASK32).astype(np.uint32)
 
