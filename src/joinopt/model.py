@@ -11,7 +11,9 @@ vector through a scratch vector and writes only those two.  MAML
 (``transfer.maml_outer``) and online SGD (``trainer._train_on``) each
 allocate their working values once per call, starting from a copy of their
 input parameters, and return them.  Any other value is never written once
-it is returned, and a forward pass writes only the arrays it allocated.
+it is returned.  A forward pass writes only the arrays it allocated, or,
+given per-layer output buffers (``td_error``'s pass over the replay ring),
+the leading rows of those.
 Constructing parameters checks shapes only: ``check_finite`` scans the
 values, and runs when an SGD phase ends and when a checkpoint is loaded,
 naming the phase or the file.
@@ -110,14 +112,19 @@ def init_params(layer_sizes: tuple[int, ...], rng_seed: int) -> ModelParams:
     return ModelParams(sizes, np.concatenate(layers))
 
 
-def _forward(weights, biases, x: np.ndarray) -> list[np.ndarray]:
+def _forward(weights, biases, x: np.ndarray, out=None) -> list[np.ndarray]:
     """The activations of every layer, ``x`` first.  Each layer makes one
-    new array, ``a @ w``, and adds the bias and applies the ReLU to it in
-    place."""
+    new array, ``a @ w``, or, given ``out``, one buffer per layer of at
+    least ``len(x)`` rows, writes it into that buffer's first ``len(x)``
+    rows; then it adds the bias and applies the ReLU in place.  The matmul
+    has the same shape either way, so the bits are the same."""
     activations = [x]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        a = activations[-1] @ w
+        if out is None:
+            a = activations[-1] @ w
+        else:
+            a = np.matmul(activations[-1], w, out=out[i][: len(x)])
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)
@@ -125,12 +132,16 @@ def _forward(weights, biases, x: np.ndarray) -> list[np.ndarray]:
     return activations
 
 
-def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
+def predict_batch(params: ModelParams, features: np.ndarray, out=None) -> np.ndarray:
     """Forward pass over a float [n, d] matrix, d the network's input width;
-    returns the n scalar outputs.  A row with an infinite feature (a plan
-    whose cost overflowed) scores inf or NaN, and a model that diverged is
-    reported when its SGD phase ends."""
-    return _forward(params.weights, params.biases, features)[-1][:, 0]
+    returns the n scalar outputs.  ``out``, if given, holds one float64
+    output buffer per layer, C-contiguous, each at least n rows long and as
+    wide as its layer: the pass writes their first n rows instead of
+    allocating, and the returned vector is then a view into the last
+    buffer, valid until the buffers are written again.  A row with an
+    infinite feature (a plan whose cost overflowed) scores inf or NaN, and a
+    model that diverged is reported when its SGD phase ends."""
+    return _forward(params.weights, params.biases, features, out)[-1][:, 0]
 
 
 def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None:

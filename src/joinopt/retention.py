@@ -6,11 +6,13 @@ features from the simulator's single walk over the plan
 (``simulator.plan_infos``), and for each row the block index of its smallest
 enclosing join, the experience's successor state (-1 at the root, which is
 terminal).  The replay buffer writes blocks as rows of column arrays, any
-number of them in one set of column writes, and keeps no model output.  It
-is a ring with room for one plan beyond its capacity, so the evicted rows
-of the oldest plan, which the live ones may still need as successor
-states, stay in place until the whole plan is gone.  At sampling time
-each buffered experience gets a priority weight combining a recency score
+number of them in one set of column writes.  It keeps no model output
+that is read again: the TD pass writes its layers into buffers the ring
+keeps, and every pass overwrites them.  It is a ring with room for one
+plan beyond its capacity, so the evicted rows of the oldest plan, which
+the live ones may still need as successor states, stay in place until the
+whole plan is gone.  At sampling time each buffered experience gets a
+priority weight combining a recency score
 
     tau = 1 - (tau_current - tau_e) / T
 
@@ -140,12 +142,18 @@ class ReplayBuffer:
     ``capacity + plan_rows - 1`` rows, fewer than ``size``.  So ``td_error``
     can score the enclosing joins of the live rows in the same pass.
     ``extend`` takes any number of blocks, so a training iteration writes
-    all its plans in one call."""
+    all its plans in one call.
+
+    ``activations`` holds that pass's output buffers, one per layer of the
+    model, ``size`` rows each, which ``layer_outputs`` makes at the first
+    pass, and again only when the model's layer widths change; a pass
+    writes their leading rows, so it allocates no per-layer array."""
 
     def __init__(self, capacity: int, plan_rows: int):
         self.capacity = capacity
         self.size = capacity + plan_rows
         self.oldest = self.end = 0  # numbers of the oldest row and of the next
+        self.activations: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return self.end - self.oldest
@@ -185,6 +193,15 @@ class ReplayBuffer:
         self.label[rows] = per_row([block.label for block in blocks])
         self.query_id[rows] = per_row([block.query_id for block in blocks], object)
         self.oldest, self.end = max(0, end - self.capacity), end
+
+    def layer_outputs(self, model: ModelParams) -> list[np.ndarray]:
+        """``activations``, one buffer of ``size`` rows per layer of
+        ``model``, remade if their widths are not the model's."""
+        widths = model.layer_sizes[1:]
+        if tuple(a.shape[1] for a in self.activations) != widths:
+            # As for the columns, rows that no pass reaches cost no memory.
+            self.activations = [np.zeros((self.size, width)) for width in widths]
+        return self.activations
 
     def order(self) -> np.ndarray:
         """Row indices of the buffered experiences, oldest first."""
@@ -254,12 +271,13 @@ def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarr
     buffered experience, oldest first; V is zero at a terminal.  One forward
     pass scores ``buffer.scored_states()``, the buffered rows, oldest first,
     then the oldest plan's evicted rows, still in the ring, as one matrix;
-    V(s') is the value of the row's enclosing join in it.  The pass is never
-    split or re-batched: a row's last bits depend on the shape of the matmul
-    that scores it."""
+    V(s') is the value of the row's enclosing join in it.  The pass writes
+    each layer into the buffer's ``layer_outputs``, whose rows outnumber
+    the scored ones.  It is never split or re-batched: a row's last bits
+    depend on the shape of the matmul that scores it."""
     if not len(buffer):
         raise RetentionError("the replay buffer is empty")
-    values = -predict_batch(model, buffer.scored_states())
+    values = -predict_batch(model, buffer.scored_states(), buffer.layer_outputs(model))
     rows = buffer.order()
     parent = buffer.parent[rows]
     live = parent >= 0

@@ -776,8 +776,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         else:
             # Ablation arm: same sample budget, but drawn uniformly from the
             # current iteration's experiences only (no history, no priorities).
-            rng = np.random.default_rng(derive_seed(seed, "replay", iteration))
-            batch = fresh_batch(blocks, cfg.retention.k_replay, rng)
+            replay_rng = np.random.default_rng(derive_seed(seed, "replay", iteration))
+            batch = fresh_batch(blocks, cfg.retention.k_replay, replay_rng)
         params = _train_on(
             params, batch, cfg.model.minibatch, cfg.model.learning_rate, cfg.model.train_passes
         )

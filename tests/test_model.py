@@ -211,6 +211,23 @@ def test_forward_and_gradient_match_reference_bits_on_20000_rows(rng):
     params = init_params((14, 64, 64, 1), 5)
     x = rng.normal(size=(20_000, 14)) * 4
     assert_matches_reference_bits(params, x, rng.normal(size=20_000) + 3)
+    # The buffered pass, into buffers longer than the batch and full of NaN.
+    out = [np.full((20_003, width), np.nan) for width in params.layer_sizes[1:]]
+    _, activations = reference_forward(params, x)
+    assert predict_batch(params, x, out).tobytes() == activations[-1][:, 0].tobytes()
+
+
+def test_predict_batch_into_buffers_matches_the_allocating_pass(rng):
+    """Per-layer output buffers longer than every batch, reused by calls of
+    different lengths, give the allocating pass's bits; the result is a
+    view into the last buffer."""
+    params = init_params((14, 64, 64, 1), 6)
+    out = [np.full((20_010, width), np.nan) for width in params.layer_sizes[1:]]
+    for n in (1, 2, 15, 16, 17, 333, 6_600, 20_001, 17, 6_600, 1):
+        x = rng.normal(size=(n, 14)) * 4
+        got = predict_batch(params, x, out)
+        assert got.tobytes() == predict_batch(params, x).tobytes(), n
+        assert np.shares_memory(got, out[-1])
 
 
 def test_forward_leaves_inputs_and_parameters_unwritten(rng):

@@ -175,9 +175,9 @@ def test_td_error_makes_one_forward_pass(monkeypatch):
 
     original = r.predict_batch
 
-    def counting(model, features):
+    def counting(model, features, out=None):
         calls.append(len(features))
-        return original(model, features)
+        return original(model, features, out)
 
     monkeypatch.setattr(r, "predict_batch", counting)
     buffer = ReplayBuffer(3, 3)
@@ -185,6 +185,26 @@ def test_td_error_makes_one_forward_pass(monkeypatch):
     buffer.extend(make_block(4.0))  # evicts the first plan's root
     td_error(buffer, identity_model(), 1.0)
     assert calls == [4]  # the three buffered rows, then the evicted root
+
+
+def test_td_error_buffers_follow_the_model_widths(rng):
+    """The pass's output buffers have ``size`` rows, one per layer, and are
+    kept across passes; a model of other widths gets new ones, and its TD
+    errors equal those on a buffer that never scored the first model."""
+    dim = 5
+    blocks = [chain_block(rng, i, 3, dim) for i in range(12)]
+    buffer, fresh = ReplayBuffer(20, 3), ReplayBuffer(20, 3)
+    buffer.extend(*blocks)
+    fresh.extend(*blocks)
+    wide, narrow = init_params((dim, 64, 64, 1), 1), init_params((dim, 8, 1), 2)
+    td_error(buffer, wide, 0.9)
+    kept = buffer.activations
+    assert [a.shape for a in kept] == [(23, 64), (23, 64), (23, 1)]
+    td_error(buffer, wide, 0.9)
+    assert all(a is b for a, b in zip(buffer.activations, kept))
+    got = td_error(buffer, narrow, 0.9)
+    assert [a.shape for a in buffer.activations] == [(23, 8), (23, 1)]
+    assert got.tobytes() == td_error(fresh, narrow, 0.9).tobytes()
 
 
 # --- normalization -------------------------------------------------------------
@@ -434,12 +454,12 @@ class KeptRing(ReplayBuffer):
     """The earlier ring, kept as the reference: ``capacity`` rows, and the
     oldest plan's evicted rows, from its root (row number ``kept_from``) on,
     copied aside into ``kept`` at each write that evicts them.  It takes
-    ``plan_rows`` as ``ReplayBuffer`` does and ignores it, and writes
-    several blocks one after another."""
+    ``plan_rows`` as ``ReplayBuffer`` does, and uses it only for the rows of
+    ``td_error``'s layer buffers, and writes several blocks one after
+    another."""
 
     def __init__(self, capacity, plan_rows):
-        self.capacity = capacity
-        self.oldest = self.end = 0
+        super().__init__(capacity, plan_rows)
         self.kept_from = 0
 
     def extend(self, *blocks):
@@ -607,6 +627,32 @@ def test_td_error_peak_memory_is_one_matrix_per_layer(rng):
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / 1e6:.2f} MB > bound {bound / 1e6:.2f} MB"
+
+
+def test_second_td_error_allocates_no_hidden_layer_array(rng):
+    """On the full 20 000-row ring above, the first ``td_error`` makes the
+    buffer's per-layer outputs; the tracemalloc peak of a second one stays
+    below one hidden-layer array (64 columns of 8-byte values per scored
+    row), so the pass writes its layers into those buffers."""
+    import tracemalloc
+
+    dim = 14
+    model = init_params((dim, 64, 64, 1), 4)
+    buffer = ReplayBuffer(20_000, 3)
+    for i in range(6_800):
+        buffer.extend(chain_block(rng, i, 3, dim))
+    assert len(buffer) == 20_000 and split_at(buffer)
+    scored = len(buffer) + split_at(buffer)
+    first = td_error(buffer, model, 0.9)
+    tracemalloc.start()
+    try:
+        second = td_error(buffer, model, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second.tobytes() == first.tobytes()
+    bound = scored * 64 * 8
+    assert peak < bound, f"peak {peak / 1e6:.2f} MB >= {bound / 1e6:.2f} MB"
 
 
 def test_fresh_batch_matches_uniform_hand_oracle(rng):
