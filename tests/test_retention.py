@@ -454,8 +454,8 @@ class KeptRing(ReplayBuffer):
     """The earlier ring, kept as the reference: ``capacity`` rows, and the
     oldest plan's evicted rows, from its root (row number ``kept_from``) on,
     copied aside into ``kept`` at each write that evicts them.  It takes
-    ``plan_rows`` as ``ReplayBuffer`` does, and uses it only for the rows of
-    ``td_error``'s layer buffers, and writes several blocks one after
+    ``plan_rows`` as ``ReplayBuffer`` does, but uses it only to size
+    ``td_error``'s layer buffers.  It writes several blocks one after
     another."""
 
     def __init__(self, capacity, plan_rows):
