@@ -127,6 +127,11 @@ class RetentionConfig:
             raise RetentionError("beta_mix must lie in [0, 1]")
 
 
+# The rows by which the TD pass's output buffers grow: a 64-wide layer's
+# buffer of 4 096 rows is 2 MB.
+_OUTPUT_STEP = 4096
+
+
 class ReplayBuffer:
     """Ring buffer of experiences, one row each, evicting strictly
     oldest-first.  Rows are numbered in write order, and row number s lives
@@ -145,9 +150,10 @@ class ReplayBuffer:
     all its plans in one call.
 
     ``activations`` holds that pass's output buffers, one per layer of the
-    model, ``size`` rows each, which ``layer_outputs`` makes at the first
-    pass, and again only when the model's layer widths change; a pass
-    writes their leading rows, so it allocates no per-layer array."""
+    model, which ``layer_outputs`` makes at the first pass and again only
+    when the model's layer widths change or the pass scores more rows than
+    they hold; they grow with the ring and never shrink.  A pass writes
+    their leading rows, so it allocates no per-layer array."""
 
     def __init__(self, capacity: int, plan_rows: int):
         self.capacity = capacity
@@ -194,13 +200,19 @@ class ReplayBuffer:
         self.query_id[rows] = per_row([block.query_id for block in blocks], object)
         self.oldest, self.end = max(0, end - self.capacity), end
 
-    def layer_outputs(self, model: ModelParams) -> list[np.ndarray]:
-        """``activations``, one buffer of ``size`` rows per layer of
-        ``model``, remade if their widths are not the model's."""
+    def layer_outputs(self, model: ModelParams, rows: int) -> list[np.ndarray]:
+        """``activations``, one buffer of at least ``rows`` rows per layer
+        of ``model``, remade if their widths are not the model's or they
+        are shorter.  A remade buffer has ``rows`` rounded up to whole
+        ``_OUTPUT_STEP`` rows, at most ``size``, so a filling ring remakes
+        them a few times, and a small ring's stay under numpy's 4 MB
+        huge-page threshold, whose pages commit 2 MB at a time."""
         widths = model.layer_sizes[1:]
-        if tuple(a.shape[1] for a in self.activations) != widths:
+        have = self.activations
+        if tuple(a.shape[1] for a in have) != widths or len(have[0]) < rows:
+            rows = min(self.size, -(-rows // _OUTPUT_STEP) * _OUTPUT_STEP)
             # As for the columns, rows that no pass reaches cost no memory.
-            self.activations = [np.zeros((self.size, width)) for width in widths]
+            self.activations = [np.zeros((rows, width)) for width in widths]
         return self.activations
 
     def order(self) -> np.ndarray:
@@ -272,12 +284,14 @@ def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarr
     pass scores ``buffer.scored_states()``, the buffered rows, oldest first,
     then the oldest plan's evicted rows, still in the ring, as one matrix;
     V(s') is the value of the row's enclosing join in it.  The pass writes
-    each layer into the buffer's ``layer_outputs``, whose rows outnumber
-    the scored ones.  It is never split or re-batched: a row's last bits
+    each layer into the buffer's ``layer_outputs``, which hold at least
+    the scored rows.  It is never split or re-batched: a row's last bits
     depend on the shape of the matmul that scores it."""
     if not len(buffer):
         raise RetentionError("the replay buffer is empty")
-    values = -predict_batch(model, buffer.scored_states(), buffer.layer_outputs(model))
+    states = buffer.scored_states()
+    values = -predict_batch(model, states, buffer.layer_outputs(model, len(states)))
+    del states  # the pass's input, freed before the per-row arrays below are made
     rows = buffer.order()
     parent = buffer.parent[rows]
     live = parent >= 0

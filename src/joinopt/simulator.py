@@ -154,6 +154,12 @@ class QueryContext:
     ``query_context``.  Cardinalities, log sizes and neighbour masks are
     memoized per mask on first use, and the DP runs on first use:
     ``expert()`` runs it once, on this context, and keeps its plan.
+
+    ``shape`` keys what plan search reads from the context: the catalog
+    object (by identity), the cost config, the relation names and the join
+    edges with their selectivities.  Queries of one shape are searched over
+    the same feature rows, so ``trainer.plan_search`` lets them share
+    scored steps under one model.
     """
 
     def __init__(self, query: Query, catalog: Catalog, cfg: CostModelConfig):
@@ -177,6 +183,9 @@ class QueryContext:
             (self.bit[a] | self.bit[b], catalog.edge_selectivity(a, b))
             for a, b in sorted(query.join_edges)
         )
+        # Everything plan search reads from the context; the catalog by
+        # identity, which stays valid while the context holds the catalog.
+        self.shape = (id(catalog), cfg, self.relations, self._edges)
         # Catalog position of each relation, in bit order.
         order = {name: i for i, name in enumerate(catalog.table_names)}
         self.relation_slots = np.array([order[r] for r in self.relations])

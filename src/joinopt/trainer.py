@@ -7,6 +7,13 @@ random successor.  The beam keeps one entry per relation-set partition: the
 best-scored of the successors that have joined the same relation sets.
 Each step scores every successor of the beam as one feature matrix in one
 forward pass, and builds plan fragments only for the successors it keeps.
+Searches under one model share their scored steps: a training iteration's
+train searches share one table, and an evaluation's searches of train and
+test queries another, keyed by each context's ``shape`` and the decisions
+taken so far.  A query of a shape already searched then reads the steps
+that query scored instead of scoring the same rows again, and a shape's
+steps are dropped after the last query of that shape has been searched,
+so no step outlives its model or lives on a context.
 Training feedback is noisy simulator latency; periodic evaluations are
 greedy and noiseless, so every evaluated latency is bounded below by the
 expert DP latency.  ``prepare_run`` is the set-up of every command: it
@@ -354,6 +361,78 @@ class _BeamEntry:
     labels: tuple  # (mask, predicted label) per composite fragment, in fragment order
 
 
+_GREEDY = -1  # a decision path's mark of a greedy step; a draw marks its successor's index
+
+
+class _Step:
+    """One scored beam step: the legal (beam entry, left, right) moves,
+    their joins' ``JoinColumns`` and each join's predicted label, in
+    (entry, legal pair, operator) order, and, once a search has taken the
+    greedy branch from it, the next beam."""
+
+    def __init__(self, beam: list[_BeamEntry], ctx: QueryContext, model: ModelParams,
+                 left_deep_only: bool):
+        self.moves = [
+            (entry, i, j)
+            for entry in beam
+            for i, j in legal_pairs(entry.infos, ctx, left_deep_only)
+        ]
+        columns = self.columns = join_columns(
+            [(e.infos[i], e.infos[j]) for e, i, j in self.moves], ctx
+        )
+        self.predicted = predict_batch(
+            model, feature_matrix(ctx, columns.masks, columns.depths, columns.op_counts,
+                                  columns.costs)
+        ).tolist()
+        self.beam: list[_BeamEntry] | None = None
+
+    def successor(self, k: int) -> _BeamEntry:
+        entry, i, j = self.moves[k // len(JOIN_OPS)]
+        joined, infos = self.columns.joined(entry.infos, k, i, j)
+        labels = [(m, v) for m, v in entry.labels if not m & joined.mask]
+        labels.append((joined.mask, self.predicted[k]))
+        return _BeamEntry(infos, tuple(sorted(labels, key=lambda mv: mv[0] & -mv[0])))
+
+    def greedy(self, beam_width: int) -> list[_BeamEntry]:
+        """The next beam: the best-scored successor of each of the
+        ``beam_width`` best partitions, computed by the first call."""
+        if self.beam is not None:
+            return self.beam
+        n_ops = len(JOIN_OPS)
+        scores, best = [], []
+        for p, ((entry, _, _), mask) in enumerate(zip(self.moves, self.columns.masks)):
+            # The successors' composite labels in fragment order: the
+            # entry's untouched ones, with the join's at its lowest bit.
+            # With none untouched, a successor's mean is its join's label.
+            labels = self.predicted[n_ops * p : n_ops * (p + 1)]
+            low = mask & -mask
+            before, after = [], []
+            for m, v in entry.labels:
+                if not m & mask:
+                    (before if m & -m < low else after).append(v)
+            if before or after:
+                count = len(before) + 1 + len(after)
+                labels = [sum(before + [label] + after) / count for label in labels]
+            scores.append(labels)
+            best.append(min(labels))
+        # A pair's three joins share its partition, so only the first
+        # best-scored of them can enter the beam.
+        self.beam = []
+        partitions = set()
+        for p in sorted(range(len(best)), key=best.__getitem__):
+            entry, _, _ = self.moves[p]
+            mask = self.columns.masks[p]
+            partition = frozenset(
+                [f.mask for f in entry.infos if not f.mask & mask] + [mask]
+            )
+            if partition not in partitions:
+                partitions.add(partition)
+                self.beam.append(self.successor(n_ops * p + scores[p].index(best[p])))
+                if len(self.beam) == beam_width:
+                    break
+        return self.beam
+
+
 def plan_search(
     query: Query,
     model: ModelParams,
@@ -363,6 +442,7 @@ def plan_search(
     epsilon: float,
     rng_seed: int | np.random.Generator,
     left_deep_only: bool = False,
+    states: dict | None = None,
 ) -> PlanNode:
     """Beam search over partial plans scored by the value model.
 
@@ -383,64 +463,30 @@ def plan_search(
     one ``predict_batch``; and builds fragments only for the successors the
     beam keeps, from their pairs' summaries.  The query's context is the
     caller's live one, if any.
+
+    ``states`` is a table of scored steps that the caller keeps for the
+    searches of one model, beam width and ``left_deep_only``: by context
+    ``shape``, then by decision path: per step so far, the successor index
+    a draw collapsed the beam onto, or a greedy mark.  The first search to reach a path scores its
+    step, and later searches of the shape read it, so every search of the
+    shape computes the same rows by the same matmuls and returns the plan
+    it would alone; each still makes its own draws.  Without a table, the
+    search keeps its steps in one of its own.
     """
     ctx = query_context(query, catalog, cost_cfg)
     rng = np.random.default_rng(rng_seed) if epsilon > 0 else None
+    steps = {} if states is None else states.setdefault(ctx.shape, {})
     beam = [_BeamEntry(ctx.scans, ())]
-    n_ops = len(JOIN_OPS)
+    path = ()
     for _ in range(len(ctx.relations) - 1):
-        moves = [
-            (entry, i, j)
-            for entry in beam
-            for i, j in legal_pairs(entry.infos, ctx, left_deep_only)
-        ]
-        columns = join_columns([(e.infos[i], e.infos[j]) for e, i, j in moves], ctx)
-        masks = columns.masks
-        predicted = predict_batch(
-            model, feature_matrix(ctx, masks, columns.depths, columns.op_counts, columns.costs)
-        ).tolist()
-
-        def successor(k: int) -> _BeamEntry:
-            entry, i, j = moves[k // n_ops]
-            joined, infos = columns.joined(entry.infos, k, i, j)
-            labels = [(m, v) for m, v in entry.labels if not m & joined.mask]
-            labels.append((joined.mask, predicted[k]))
-            return _BeamEntry(infos, tuple(sorted(labels, key=lambda mv: mv[0] & -mv[0])))
-
+        step = steps.get(path)
+        if step is None:
+            step = steps[path] = _Step(beam, ctx, model, left_deep_only)
         if rng is not None and rng.random() < epsilon:
-            beam = [successor(int(rng.integers(len(predicted))))]
-            continue
-        scores, best = [], []
-        for p, ((entry, _, _), mask) in enumerate(zip(moves, masks)):
-            # The successors' composite labels in fragment order: the
-            # entry's untouched ones, with the join's at its lowest bit.
-            # With none untouched, a successor's mean is its join's label.
-            labels = predicted[n_ops * p : n_ops * (p + 1)]
-            low = mask & -mask
-            before, after = [], []
-            for m, v in entry.labels:
-                if not m & mask:
-                    (before if m & -m < low else after).append(v)
-            if before or after:
-                count = len(before) + 1 + len(after)
-                labels = [sum(before + [label] + after) / count for label in labels]
-            scores.append(labels)
-            best.append(min(labels))
-        # A pair's three joins share its partition, so only the first
-        # best-scored of them can enter the beam.
-        beam = []
-        partitions = set()
-        for p in sorted(range(len(best)), key=best.__getitem__):
-            entry, _, _ = moves[p]
-            mask = masks[p]
-            partition = frozenset(
-                [f.mask for f in entry.infos if not f.mask & mask] + [mask]
-            )
-            if partition not in partitions:
-                partitions.add(partition)
-                beam.append(successor(n_ops * p + scores[p].index(best[p])))
-                if len(beam) == beam_width:
-                    break
+            k = int(rng.integers(len(step.predicted)))
+            beam, path = [step.successor(k)], path + (k,)
+        else:
+            beam, path = step.greedy(beam_width), path + (_GREEDY,)
     return beam[0].infos[0].node
 
 
@@ -597,7 +643,7 @@ class RunResult(RunHistory):
     base_seed: int
     params: ModelParams
     expert_noiseless: dict[str, float]
-    buffer: ReplayBuffer  # the replay buffer as training left it
+    buffer: ReplayBuffer  # the replay buffer as training left it, less its TD pass buffers
 
 
 @dataclass(frozen=True)
@@ -658,9 +704,13 @@ def evaluate_queries(
     cfg: RunConfig,
 ) -> dict[str, float]:
     """Greedy noiseless latency of every query's searched plan.  A greedy
-    search draws no random number, so its seed is a constant."""
+    search draws no random number, so its seed is a constant.  The searches
+    share one table of scored steps, and a shape's steps are dropped after
+    its last query's search."""
     latencies = {}
-    for ctx in contexts:
+    search_states = {}
+    last = _last_of_shape(contexts)
+    for index, ctx in enumerate(contexts):
         plan = plan_search(
             ctx.query,
             params,
@@ -670,9 +720,17 @@ def evaluate_queries(
             epsilon=0.0,
             rng_seed=0,
             left_deep_only=cfg.search.left_deep_only,
+            states=search_states,
         )
+        if last[ctx.shape] == index:
+            del search_states[ctx.shape]
         latencies[ctx.query.id] = ctx.latency(plan)
     return latencies
+
+
+def _last_of_shape(contexts: list[QueryContext]) -> dict[tuple, int]:
+    """Each context ``shape``'s last index in ``contexts``."""
+    return {ctx.shape: index for index, ctx in enumerate(contexts)}
 
 
 def _train_on(
@@ -727,8 +785,11 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     last_recency = math.nan
 
     def record(iteration: int):
-        train_lat = evaluate_queries(setup.train, params, cfg)
-        test_lat = evaluate_queries(setup.test, params, cfg)
+        # One evaluation of both splits, whose searches share the steps of
+        # the test queries' shapes that train queries also have.
+        latencies = evaluate_queries(setup.train + setup.test, params, cfg)
+        train_lat = {c.query.id: latencies[c.query.id] for c in setup.train}
+        test_lat = {c.query.id: latencies[c.query.id] for c in setup.test}
         records.append(
             IterationRecord(
                 iteration=iteration,
@@ -745,13 +806,17 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
 
     record(0)
     epsilon = cfg.search.epsilon
+    last = _last_of_shape(setup.train)
     for iteration in range(1, cfg.iterations + 1):
         n_train = len(setup.train)
         states = generator_states(derive_seeds(
             [(seed, tag, iteration, qidx) for tag in ("search", "exec") for qidx in range(n_train)]
         ))
+        search_states = {}  # this iteration's model's scored search steps
         blocks = []
-        for ctx, search_state, exec_state in zip(setup.train, states, states[n_train:]):
+        for qidx, (ctx, search_state, exec_state) in enumerate(
+            zip(setup.train, states, states[n_train:])
+        ):
             rng.bit_generator.state = search_state
             plan = plan_search(
                 ctx.query,
@@ -762,7 +827,10 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
                 epsilon=epsilon,
                 rng_seed=rng,
                 left_deep_only=cfg.search.left_deep_only,
+                states=search_states,
             )
+            if last[ctx.shape] == qidx:
+                del search_states[ctx.shape]
             rng.bit_generator.state = exec_state
             latency = execute(plan, ctx, rng)
             blocks.append(extract_experiences(plan, ctx, latency, iteration))
@@ -786,6 +854,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         if iteration % cfg.eval_interval == 0 or iteration == cfg.iterations:
             record(iteration)
 
+    buffer.activations = []  # the TD pass's scratch rows, which no later pass reads
     return RunResult(
         config=cfg,
         base_seed=seed,

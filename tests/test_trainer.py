@@ -23,6 +23,7 @@ from joinopt.simulator import QueryContext, expert_plan, plan_infos
 from joinopt.trainer import (
     ConfigError,
     RunConfig,
+    SearchConfig,
     build_meta_tasks,
     config_to_doc,
     derive_seed,
@@ -414,6 +415,135 @@ def test_search_plans_match_golden():
     assert len(got) == (13 + 2) * 2 * 8
     assert {k: v for k, v in got.items() if golden.get(k) != v} == {}
     assert got.keys() == golden.keys()
+
+
+CHAIN8 = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "chain8"
+
+
+def shape_repeating_lists(tmp_path):
+    """(run config, train then test contexts) of the committed chain8
+    documents, read in place, and of a generated 5-table star workload of
+    2-5 relation queries, searched 4 wide and left-deep; both repeat shapes."""
+    write_files(tmp_path, *generate(5, "star", 30, 6, seed=3))
+    star = dataclasses.replace(
+        load_run_config(config_file(tmp_path)),
+        search=SearchConfig(beam_width=4, left_deep_only=True),
+    )
+    lists = []
+    for cfg in (load_run_config(CHAIN8 / "experiment.json"), star):
+        setup = prepare_run(cfg, 1)
+        contexts = setup.train + setup.test
+        assert len({ctx.shape for ctx in contexts}) < len(contexts) / 2
+        lists.append((cfg, contexts))
+    return lists
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+def test_shared_search_states_give_every_plan_in_fewer_forward_passes(
+    epsilon, tmp_path, monkeypatch
+):
+    """Searching a list of queries that repeat shapes with one table of
+    scored steps returns, query for query, the plan each search returns
+    without one, over several models and seeds, and makes fewer
+    ``predict_batch`` calls."""
+    from joinopt.plans import plan_repr
+
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return predict_batch(*args)
+
+    monkeypatch.setattr(trainer_module, "predict_batch", counted)
+    for cfg, contexts in shape_repeating_lists(tmp_path):
+        layer_sizes = (feature_dim(contexts[0].catalog), 16, 16, 1)
+        for seed in (1, 2, 3):
+            model = init_params(layer_sizes, seed)
+            plans, passes = [], []
+            for states in (None, {}):
+                calls.clear()
+                plans.append([
+                    plan_repr(plan_search(
+                        ctx.query, model, ctx.catalog, cfg.cost_model, cfg.search.beam_width,
+                        epsilon, derive_seed(seed, qidx), cfg.search.left_deep_only,
+                        states=states,
+                    ))
+                    for qidx, ctx in enumerate(contexts)
+                ])
+                passes.append(len(calls))
+            assert plans[1] == plans[0]
+            assert passes[1] < passes[0]
+
+
+def test_search_states_of_other_catalogs_or_cost_configs_are_kept_apart(
+    chain3_catalog, chain3_query, default_cost
+):
+    """Contexts of the same relation names and join edges share a shape
+    only under one catalog object and one cost config: a catalog of other
+    row counts, or another cost config, keys its own steps, and each search
+    sharing a table returns its plan alone."""
+    from joinopt.plans import plan_repr
+
+    other_rows = make_catalog(
+        [("a", 100, 16, 1.0), ("b", 9_000, 16, 1.0), ("c", 50, 16, 1.0)],
+        {("a", "b"): 0.1, ("b", "c"): 0.05},
+    )
+    other_cost = dataclasses.replace(default_cost, nlj_cost_per_row_pair=0.5)
+    twin = make_query("twin", ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    searches = [
+        (chain3_query, chain3_catalog, default_cost),
+        (chain3_query, other_rows, default_cost),
+        (chain3_query, chain3_catalog, other_cost),
+        (twin, chain3_catalog, default_cost),
+    ]
+    contexts = [QueryContext(*search) for search in searches]
+    assert len({ctx.shape for ctx in contexts}) == 3
+    assert contexts[3].shape == contexts[0].shape
+    model = init_params((feature_dim(chain3_catalog), 8, 1), 2)
+    states = {}
+    for query, catalog, cost in searches:
+        shared = plan_search(query, model, catalog, cost, 2, 0.0, 0, states=states)
+        assert plan_repr(shared) == plan_repr(plan_search(query, model, catalog, cost, 2, 0.0, 0))
+    assert len(states) == 3
+
+
+def test_training_drops_each_shapes_search_states_after_its_last_query(
+    tmp_path, monkeypatch
+):
+    """The tables of scored steps that an iteration's train searches and an
+    evaluation's searches share hold a shape's steps from its first query's
+    search until right after its last one's, so they are empty once the
+    searches of an iteration or an evaluation are done."""
+    write_files(tmp_path, *generate(4, "chain", 12, 4, seed=3, max_relations=3))
+    cfg = load_run_config(config_file(tmp_path, iterations=3, eval_interval=1))
+    tables, searched = [], []  # per table, (shape, shapes held before) per search
+
+    def search(query, *args, states=None, **kwargs):
+        if not tables or tables[-1] is not states:
+            tables.append(states)
+            searched.append([])
+        shape = simulator.query_context(query, *args[1:3]).shape
+        searched[-1].append((shape, set(states)))
+        return plan_search(query, *args, states=states, **kwargs)
+
+    def sample(*args):
+        assert all(not table for table in tables)
+        return retention.sample_replay(*args)
+
+    monkeypatch.setattr(trainer_module, "plan_search", search)
+    monkeypatch.setattr(trainer_module, "sample_replay", sample)
+    run_training(cfg)
+    assert all(not table for table in tables)
+    # Evaluations of train then test queries at iterations 0 to 3, and the
+    # train searches of iterations 1 to 3 between them.
+    assert [len(s) for s in searched] == [16, 12, 16, 12, 16, 12, 16]
+    train = [shape for shape, _ in searched[1]]
+    assert len(set(train)) < len(train)
+    assert {shape for shape, _ in searched[0][12:]} <= set(train)
+    for order in searched:
+        shapes = [shape for shape, _ in order]
+        for k, (_, held) in enumerate(order):
+            assert held == set(shapes[:k]) & set(shapes[k:])
 
 
 def test_random_rollout_is_legal(default_cost, rng):

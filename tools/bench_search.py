@@ -1,5 +1,5 @@
-"""Record greedy plan search's time per query on the benchmark workloads as
-``BENCH_<label>.json``.
+"""Record greedy plan search's time per query on the benchmark workloads,
+searched one query at a time and in one evaluation, as ``BENCH_<label>.json``.
 
     python3 tools/bench_search.py --before DIR --after DIR --label NAME
 
@@ -11,10 +11,15 @@ compiled context as ``run_training`` does, and builds the run's initial
 model, ``setup.initial_params()``.  It makes one
 untimed pass of greedy ``trainer.plan_search`` (epsilon 0) over all of a
 workload's queries, then ``PASSES`` timed passes, and prints each timed
-pass's time per query and every pass's ``plan_repr``s.  The record holds
-per workload the ``bench_pairs.summarize`` fields of the per-query times
-and whether both checkouts returned equal plans in every round; the script
-exits non-zero, after writing it, if any plans differ.  ``CONFIGS`` is
+pass's time per query and every pass's ``plan_repr``s.  Each call searches
+alone, as serving does.  Then it times one ``trainer.evaluate_queries``
+pass over the same train and test contexts, whose searches share scored
+steps among queries of one shape as a run's evaluations do, and prints its
+time per query and the latencies it returned.  The record holds per
+workload the ``bench_pairs.summarize`` fields of the per-query times of the
+single searches and, as ``evaluate_ms``, of the evaluations, and
+whether both checkouts returned equal plans and latencies in every round;
+the script exits non-zero, after writing it, if any differ.  ``CONFIGS`` is
 shared with ``tools/bench_maml.py``.
 """
 
@@ -30,11 +35,12 @@ PASSES = 10
 ROUNDS = 8
 
 # Run in each checkout: one JSON object mapping each workload to its query
-# count, the ms per query of each timed pass and the plans of every pass.
+# count, the ms per query of each timed pass, the plans of every pass, and
+# the ms per query and latencies of the evaluation.
 WORKER = """
 import json, sys, time
 from joinopt.plans import plan_repr
-from joinopt.trainer import load_run_config, plan_search, prepare_run
+from joinopt.trainer import evaluate_queries, load_run_config, plan_search, prepare_run
 
 configs, seed, passes = json.loads(sys.argv[1])
 out = {}
@@ -60,7 +66,11 @@ for name, path in configs.items():
         start = time.perf_counter()
         plans.append(search_all())
         ms.append((time.perf_counter() - start) * 1e3 / len(contexts))
-    out[name] = {"queries": len(contexts), "ms": ms, "plans": plans}
+    start = time.perf_counter()
+    latencies = evaluate_queries(contexts, params, cfg)
+    evaluate_ms = (time.perf_counter() - start) * 1e3 / len(contexts)
+    out[name] = {"queries": len(contexts), "ms": ms, "plans": plans,
+                 "evaluate_ms": evaluate_ms, "latencies": latencies}
 print(json.dumps(out))
 """
 
@@ -71,13 +81,17 @@ def record(rounds: list[dict]) -> dict:
         name: {
             "queries": rounds[0]["before"][name]["queries"],
             **summarize(rounds, lambda result: result[name]["ms"]),
-            "plans_equal": same(rounds, lambda result: result[name]["plans"]),
+            "evaluate_ms": summarize(rounds, lambda result: [result[name]["evaluate_ms"]]),
+            "plans_equal": same(
+                rounds, lambda result: (result[name]["plans"], result[name]["latencies"])
+            ),
         }
         for name in CONFIGS
     }
     return {
         "command": "trainer.plan_search(..., epsilon=0.0) over each workload's "
-        "train and test queries, per query",
+        "train and test queries, per query, then one trainer.evaluate_queries "
+        "over them, per query",
         "seed": SEED,
         "passes": PASSES,
         "plans_equal": all(entry["plans_equal"] for entry in workloads.values()),
