@@ -77,7 +77,9 @@ class PlanBlock:
 
     ``parent[i]`` is the block index of row i's smallest enclosing join,
     which comes before it; it is -1 at the root, the one terminal row.
-    Every row is labelled with the plan's latency."""
+    Every row is labelled with the plan's latency.  ``features`` and
+    ``parent`` are read-only: the blocks of one plan's executions in a
+    training iteration share them (``trainer.execute_plans``)."""
 
     query_id: str
     iteration: int
@@ -241,10 +243,10 @@ def extract_experiences(
     latency_ms: float,
     iteration: int,
 ) -> PlanBlock:
-    """The block of an executed terminal plan (``execute`` has checked that
-    it covers the query): one row per join node, in pre-order (root first,
+    """The block of an executed terminal plan (``QueryContext.cost`` has
+    checked that it covers the query): one row per join node, in pre-order (root first,
     then the left subtree, then the right), each pointing at its smallest
-    enclosing join."""
+    enclosing join.  The block's arrays are made read-only."""
     infos = plan_infos(plan, ctx)
     info_of = {id(info.node): info for info in infos}
     joins, parent, stack = [], [], [(infos[-1].node, -1)]
@@ -254,9 +256,9 @@ def extract_experiences(
             joins.append(info_of[id(node)])
             parent.append(up)
             stack += [(node.right, len(joins) - 1), (node.left, len(joins) - 1)]
-    return PlanBlock(
-        ctx.query.id, iteration, latency_ms, fragment_rows(joins, ctx), np.array(parent)
-    )
+    features, parent = fragment_rows(joins, ctx), np.array(parent)
+    features.flags.writeable = parent.flags.writeable = False
+    return PlanBlock(ctx.query.id, iteration, latency_ms, features, parent)
 
 
 def fresh_batch(

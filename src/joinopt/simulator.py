@@ -31,8 +31,9 @@ reuses a context that a caller still holds, such as a run's, instead of
 compiling another; the registry keeps no context alive by itself.  A
 ``FragmentInfo`` summarizes one plan fragment (mask, rows, cost, depth,
 operator counts) and composes bottom-up: ``plan_infos`` is the one walk that
-summarizes every node of a plan tree, and plan cost, execution, experience
-extraction and meta-task features all read it.  A partial plan is a tuple of
+summarizes every node of a plan tree, and plan cost, experience extraction
+and meta-task features all read it; ``execute`` takes a plan's cost, not
+the plan, so it walks nothing.  A partial plan is a tuple of
 disjoint fragment summaries in fragment order (by lowest relation bit),
 starting from the context's ``scans``; ``legal_pairs`` enumerates the
 fragment pairs it may join (each by any of the three operators).
@@ -436,26 +437,22 @@ def join_columns(
     return JoinColumns(masks, rows, depths, counts, costs)
 
 
-def _noisy_latency(
-    cost: float, cfg: CostModelConfig, rng_seed: int | np.random.Generator
-) -> float:
-    if cfg.noise_rel_sigma > 0:
-        eps = float(np.random.default_rng(rng_seed).normal(0.0, cfg.noise_rel_sigma))
-    else:
-        eps = 0.0
-    return cost * cfg.latency_per_cost_unit * max(0.01, 1.0 + eps)
-
-
-def execute(plan: PlanNode, ctx: QueryContext, rng_seed: int | np.random.Generator) -> float:
-    """Simulated execution latency in milliseconds.
+def execute(cost: float, cfg: CostModelConfig, rng_seed: int | np.random.Generator) -> float:
+    """Simulated execution latency in milliseconds of a plan of this cost
+    (``QueryContext.cost``, which checks that the plan covers its query).
 
     Multiplicative Gaussian noise with relative sigma ``noise_rel_sigma``,
     floored at 1% of the noiseless latency.  ``rng_seed`` is anything
     ``np.random.default_rng`` takes: a seed, or a ``Generator``, which draws
     from its current state.  The same seed, or generator state, always
-    yields the same latency.
+    yields the same latency.  Taking the cost, not the plan, lets a caller
+    that executes one plan many times walk it once.
     """
-    return _noisy_latency(ctx.cost(plan), ctx.cfg, rng_seed)
+    if cfg.noise_rel_sigma > 0:
+        eps = float(np.random.default_rng(rng_seed).normal(0.0, cfg.noise_rel_sigma))
+    else:
+        eps = 0.0
+    return cost * cfg.latency_per_cost_unit * max(0.01, 1.0 + eps)
 
 
 def noiseless_latency(
@@ -610,7 +607,7 @@ def expert_baseline(
     costs at least the expert's."""
     cost = ctx.cost(ctx.expert())
     latencies = np.array(
-        [_noisy_latency(cost, ctx.cfg, base_seed + i) for i in range(n_runs)]
+        [execute(cost, ctx.cfg, base_seed + i) for i in range(n_runs)]
     )
     mean = float(latencies.mean())
     std = float(latencies.std(ddof=1))

@@ -33,7 +33,10 @@ states ``np.random.default_rng`` would seed.  So a training iteration
 derives the search and execution states of all its train queries in one
 pass, sets each on one reused generator before the search or execution it
 seeds, and writes all its plans' blocks to the replay ring in one
-``extend``.
+``extend``.  It executes its plans after its searches (``execute_plans``),
+and walks and featurizes each distinct plan object once: the queries of a
+shape that take one decision path get one plan object from the shared
+search steps.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from .model import (
 )
 from .plans import JOIN_OPS, Join, PlanNode
 from .retention import (
+    PlanBlock,
     ReplayBuffer,
     RetentionConfig,
     extract_experiences,
@@ -113,6 +117,7 @@ __all__ = [
     "build_meta_tasks",
     "meta_initialize",
     "prepare_run",
+    "execute_plans",
     "run_training",
     "run_repetitions",
     "evaluate_queries",
@@ -739,6 +744,42 @@ def _last_of_shape(contexts: list[QueryContext]) -> dict[tuple, int]:
     return {ctx.shape: index for index, ctx in enumerate(contexts)}
 
 
+def execute_plans(
+    contexts: list[QueryContext],
+    plans: list[PlanNode],
+    exec_states: list[dict],
+    rng: np.random.Generator,
+    iteration: int,
+) -> list[PlanBlock]:
+    """Execute each context's plan and extract its block at ``iteration``,
+    in order: the i-th execution draws its noise from ``rng`` set to
+    ``exec_states[i]``.  Each distinct plan object of a context ``shape`` is
+    walked and featurized once: its first execution checks that it covers
+    the query and costs it (``QueryContext.cost``), executes that cost and
+    extracts the block.  A later execution of the same object for a context
+    of the same shape executes the kept cost and shares the first block's
+    read-only ``features`` and ``parent``, under its own query id and
+    latency.  Those rows and the cost read only what the shape covers, so
+    each block is the one extracting it alone would give.  The table of
+    executed plans lives for the call, and each entry holds its plan, so no
+    ``id`` is reused while the entry lives."""
+    executed = {}  # id(plan) -> (plan, shape, cost, first block)
+    blocks = []
+    for ctx, plan, state in zip(contexts, plans, exec_states, strict=True):
+        rng.bit_generator.state = state
+        seen = executed.get(id(plan))
+        if seen is None or seen[1] != ctx.shape:
+            cost = ctx.cost(plan)
+            block = extract_experiences(plan, ctx, execute(cost, ctx.cfg, rng), iteration)
+            executed[id(plan)] = plan, ctx.shape, cost, block
+        else:
+            _, _, cost, first = seen
+            latency = execute(cost, ctx.cfg, rng)
+            block = PlanBlock(ctx.query.id, iteration, latency, first.features, first.parent)
+        blocks.append(block)
+    return blocks
+
+
 def _train_on(
     params: ModelParams,
     batch: tuple[np.ndarray, np.ndarray],
@@ -768,7 +809,11 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     """One training run; fully reproducible for a given config and seed.
     Train query ``q``'s search and execution at iteration ``it`` draw from
     one reused generator, set to ``default_rng(derive_seed(seed, "search",
-    it, q))``'s state and then to that of ``"exec"``."""
+    it, q))``'s state and then to that of ``"exec"``.  An iteration
+    searches every train query, then executes the plans in query order
+    with ``execute_plans``, which walks and featurizes each distinct plan
+    object once and keeps its table of executed plans for that call only;
+    its blocks are the ones executing each query alone gives."""
     seed = cfg.base_seed if base_seed is None else base_seed
     setup = prepare_run(cfg, seed)
     started = time.perf_counter()
@@ -819,12 +864,10 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
             [(seed, tag, iteration, qidx) for tag in ("search", "exec") for qidx in range(n_train)]
         ))
         search_states = {}  # this iteration's model's scored search steps
-        blocks = []
-        for qidx, (ctx, search_state, exec_state) in enumerate(
-            zip(setup.train, states, states[n_train:])
-        ):
+        plans = []
+        for qidx, (ctx, search_state) in enumerate(zip(setup.train, states)):
             rng.bit_generator.state = search_state
-            plan = plan_search(
+            plans.append(plan_search(
                 ctx.query,
                 params,
                 ctx.catalog,
@@ -834,12 +877,10 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
                 rng_seed=rng,
                 left_deep_only=cfg.search.left_deep_only,
                 states=search_states,
-            )
+            ))
             if last[ctx.shape] == qidx:
                 del search_states[ctx.shape]
-            rng.bit_generator.state = exec_state
-            latency = execute(plan, ctx, rng)
-            blocks.append(extract_experiences(plan, ctx, latency, iteration))
+        blocks = execute_plans(setup.train, plans, states[n_train:], rng, iteration)
         buffer.extend(*blocks)
         if cfg.retention.enabled:
             batch, stats = sample_replay(

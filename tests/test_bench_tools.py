@@ -90,3 +90,39 @@ def test_arguments_are_before_after_and_label_only(tmp_path):
         with pytest.raises(SystemExit) as exit_:
             bench_pairs.parse_args("Doc.", argv)
         assert exit_.value.code == 2
+
+
+def test_workers_report_each_round_raw_and_at_the_reference_speed(tmp_path, monkeypatch):
+    """A worker that starts with ``SPEED_SAMPLER`` reports its timed rounds
+    raw and scaled by the ``perfbench/speed.py`` of its checkout, even when
+    it ends before the sampler's first interval, and ``raw_and_scaled``
+    summarizes both."""
+    monkeypatch.chdir(tmp_path)
+    speed = Path(bench_pairs.__file__).resolve().parent.parent / "perfbench" / "speed.py"
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "speed.py").write_text(speed.read_text())
+    worker = bench_pairs.SPEED_SAMPLER + """
+rounds = []
+for calls in (1, 2):
+    start = time.perf_counter()
+    time.sleep(0.005 * calls)
+    rounds.append((start, time.perf_counter(), calls))
+finish({"ms": timed(rounds), "us": timed(rounds, 1e6)})
+"""
+
+    def fields(rounds):
+        for result in (r[side] for r in rounds for side in bench_pairs.SIDES):
+            assert min(result["ms"]["raw"]) >= 5.0
+            for kind in ("raw", "scaled"):
+                assert result["us"][kind] == pytest.approx([1e3 * ms for ms in result["ms"][kind]])
+        return {"ms": bench_pairs.raw_and_scaled(rounds, lambda result: result["ms"]),
+                "equal": True}
+
+    argv = ["--before", str(tmp_path / "parent"), "--after", str(tmp_path / "change"),
+            "--label", "speed"]
+    bench_pairs.compare_layer("Doc.", worker, None, 2, fields, "equal", argv)
+    doc = json.loads((tmp_path / "BENCH_speed.json").read_text())
+    for entry in (doc["ms"], doc["ms"]["scaled"]):
+        assert entry["before"]["n"] == entry["after"]["n"] == 4
+        assert entry["before"]["median"] > 0 and entry["pairs"] == 2

@@ -383,16 +383,17 @@ def test_execute_noiseless_equals_cost_times_unit(pair_catalog, pair_query):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     ctx = QueryContext(pair_query, pair_catalog, cfg)
     expected = ctx.cost(plan) * cfg.latency_per_cost_unit
-    assert execute(plan, ctx, rng_seed=7) == expected
+    assert execute(ctx.cost(plan), cfg, rng_seed=7) == expected
     assert noiseless_latency(plan, pair_query, pair_catalog, cfg) == expected
 
 
 def test_execute_deterministic_per_seed(pair_catalog, pair_query, default_cost):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     ctx = QueryContext(pair_query, pair_catalog, default_cost)
-    a = execute(plan, ctx, rng_seed=42)
-    b = execute(plan, ctx, rng_seed=42)
-    c = execute(plan, ctx, rng_seed=43)
+    cost = ctx.cost(plan)
+    a = execute(cost, default_cost, rng_seed=42)
+    b = execute(cost, default_cost, rng_seed=42)
+    c = execute(cost, default_cost, rng_seed=43)
     assert a == b
     assert a != c
 
@@ -403,7 +404,7 @@ def test_execute_noise_statistics(pair_catalog, pair_query):
     cfg = CostModelConfig(noise_rel_sigma=0.05)
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     ctx = QueryContext(pair_query, pair_catalog, cfg)
-    draws = np.array([execute(plan, ctx, rng_seed=s) for s in range(10_000)])
+    draws = np.array([execute(ctx.cost(plan), cfg, rng_seed=s) for s in range(10_000)])
     ratio = draws.std(ddof=1) / draws.mean()
     assert 0.04 <= ratio <= 0.06
 
@@ -413,7 +414,7 @@ def test_execute_floor_prevents_nonpositive(pair_catalog, pair_query):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     base = noiseless_latency(plan, pair_query, pair_catalog, cfg)
     ctx = QueryContext(pair_query, pair_catalog, cfg)
-    lats = [execute(plan, ctx, rng_seed=s) for s in range(200)]
+    lats = [execute(ctx.cost(plan), cfg, rng_seed=s) for s in range(200)]
     assert min(lats) >= 0.01 * base > 0
 
 
@@ -533,7 +534,7 @@ def test_baseline_deterministic(pair_catalog, pair_query, default_cost):
     assert a == b
     # The executions are the expert plan's, seeded base_seed + i.
     plan = expert_plan(pair_query, pair_catalog, default_cost)
-    runs = [execute(plan, ctx, 5 + i) for i in range(10)]
+    runs = [execute(ctx.cost(plan), default_cost, 5 + i) for i in range(10)]
     assert a.mean_latency_ms == float(np.mean(runs))
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import warnings
+import weakref
 import zlib
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from joinopt import trainer as trainer_module
 from joinopt import transfer as transfer_module
 from joinopt.features import feature_dim, fragment_rows
 from joinopt.metrics import classify_query
-from joinopt.plans import Join
+from joinopt.plans import Join, JoinOp, Scan
 from joinopt.simulator import QueryContext, expert_plan, plan_infos
 from joinopt.trainer import (
     ConfigError,
@@ -29,6 +30,7 @@ from joinopt.trainer import (
     derive_seed,
     derive_seeds,
     evaluate_queries,
+    execute_plans,
     generator_states,
     load_run_config,
     meta_initialize,
@@ -546,6 +548,148 @@ def test_training_drops_each_shapes_search_states_after_its_last_query(
             assert held == set(shapes[:k]) & set(shapes[k:])
 
 
+def execute_alone(contexts, plans, exec_states, rng, iteration):
+    """Each query's plan executed and extracted alone, one walk for its cost
+    and one for its block: the loop that ``execute_plans`` replaced."""
+    blocks = []
+    for ctx, plan, state in zip(contexts, plans, exec_states, strict=True):
+        rng.bit_generator.state = state
+        latency = simulator.execute(ctx.cost(plan), ctx.cfg, rng)
+        blocks.append(retention.extract_experiences(plan, ctx, latency, iteration))
+    return blocks
+
+
+RING_COLUMNS = ("state", "parent", "root", "stored_at", "latency", "label", "query_id")
+
+
+def test_executing_each_distinct_plan_once_writes_the_ring_bit_for_bit(monkeypatch):
+    """A few iterations on the committed chain8 documents, read in place,
+    at epsilon 0.5 write every ring column byte for byte as executing and
+    extracting each query alone does, with fewer extractions than
+    executions: queries of one shape that take one decision path share a
+    plan object."""
+    cfg = load_run_config(CHAIN8 / "experiment.json")
+    cfg = dataclasses.replace(
+        cfg,
+        iterations=3,
+        transfer=dataclasses.replace(cfg.transfer, enabled=False),
+        search=dataclasses.replace(cfg.search, epsilon=0.5),
+    )
+    extracted = []
+
+    def counted(*args):
+        extracted.append(args[1].query.id)
+        return retention.extract_experiences(*args)
+
+    monkeypatch.setattr(trainer_module, "extract_experiences", counted)
+    shared = run_training(cfg)
+    monkeypatch.setattr(trainer_module, "execute_plans", execute_alone)
+    alone = run_training(cfg)
+    executions = cfg.iterations * len(shared.train_ids)
+    assert len(alone.buffer) == len(shared.buffer) > executions
+    assert 0 < len(extracted) < executions
+    for column in RING_COLUMNS:
+        got, want = getattr(shared.buffer, column), getattr(alone.buffer, column)
+        if column == "query_id":  # object arrays' bytes are pointers
+            got, want = got.astype(str), want.astype(str)
+        assert got.tobytes() == want.tobytes(), column
+
+
+def shared_plan_cases(chain3_catalog, chain3_query, default_cost):
+    """(contexts, plans, extractions expected) of three-relation chains:
+    one plan object for two queries of one shape, two equal plan objects
+    for them, and one object for one query under two cost configs, two
+    shapes.  The plan's nested loop join costs more under the second."""
+    twin = make_query("twin", ["a", "b", "c"], [("a", "b"), ("b", "c")])
+    other_cost = dataclasses.replace(default_cost, nlj_cost_per_row_pair=0.5)
+    one, two, other = (
+        QueryContext(query, chain3_catalog, cost)
+        for query, cost in ((chain3_query, default_cost), (twin, default_cost),
+                            (chain3_query, other_cost))
+    )
+
+    def plan():
+        return Join(Join(Scan("a"), Scan("b"), JoinOp.NESTED_LOOP), Scan("c"), JoinOp.MERGE)
+
+    shared = plan()
+    return [
+        ([one, two], [shared, shared], 1),
+        ([one, two], [plan(), plan()], 2),
+        ([one, other], [shared, shared], 2),
+    ]
+
+
+def test_execute_plans_shares_a_block_only_among_one_plan_objects_executions(
+    chain3_catalog, chain3_query, default_cost, monkeypatch
+):
+    """One plan object executed for two queries of one shape is extracted
+    once, and the second block shares the first's arrays; two equal but
+    distinct plan objects, and one object under two shapes, are each
+    extracted.  Every block is the one executing its query alone gives, and
+    no in-place write to a block's arrays succeeds."""
+    extracted = []
+
+    def counted(*args):
+        extracted.append(args[0])
+        return retention.extract_experiences(*args)
+
+    monkeypatch.setattr(trainer_module, "extract_experiences", counted)
+    exec_states = generator_states([5, 6])
+    rng = np.random.default_rng(0)
+    for contexts, plans, extractions in shared_plan_cases(
+        chain3_catalog, chain3_query, default_cost
+    ):
+        extracted.clear()
+        blocks = execute_plans(contexts, plans, exec_states, rng, 2)
+        assert len(extracted) == extractions
+        assert (blocks[1].features is blocks[0].features) == (extractions == 1)
+        for got, want in zip(blocks, execute_alone(contexts, plans, exec_states, rng, 2)):
+            assert (got.query_id, got.iteration, got.latency_ms) == (
+                want.query_id, want.iteration, want.latency_ms
+            )
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.parent.tobytes() == want.parent.tobytes()
+            for array in (got.features, got.parent):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+
+def test_no_executed_plan_outlives_its_iteration(workload_dir, monkeypatch):
+    """``execute_plans`` keeps no plan once it returns, and a run holds no
+    train search's plan past the iteration that searched it: at each
+    replay, every plan of an earlier iteration has been freed."""
+    ctx = prepare_run(load_run_config(config_file(workload_dir)), 3).train[0]
+    model = init_params((feature_dim(ctx.catalog), 8, 1), 1)
+    plans = [plan_search(ctx.query, model, ctx.catalog, ctx.cfg, 2, 1.0, seed) for seed in (1, 2)]
+    refs = [weakref.ref(plan) for plan in plans]
+    blocks = execute_plans([ctx] * 3, plans + plans[:1], generator_states([1, 2, 3]),
+                           np.random.default_rng(0), 1)
+    del plans
+    gc.collect()
+    assert len(blocks) == 3 and all(ref() is None for ref in refs)
+
+    searched, earlier = [], []
+
+    def search(*args, epsilon, **kwargs):
+        plan = plan_search(*args, epsilon=epsilon, **kwargs)
+        if epsilon > 0:  # a train search; evaluations are greedy
+            searched.append(weakref.ref(plan))
+        return plan
+
+    def sample(*args):
+        gc.collect()
+        assert all(ref() is None for ref in earlier)
+        earlier[:] = searched
+        searched.clear()
+        return retention.sample_replay(*args)
+
+    monkeypatch.setattr(trainer_module, "plan_search", search)
+    monkeypatch.setattr(trainer_module, "sample_replay", sample)
+    cfg = load_run_config(config_file(workload_dir, iterations=3))
+    run_training(cfg)
+    assert earlier
+
+
 def test_random_rollout_is_legal(default_cost, rng):
     catalog, query = search_setup()
     ctx = QueryContext(query, catalog, default_cost)
@@ -619,25 +763,23 @@ def test_no_retention_batch_is_uniform_over_this_iterations_rows(workload_dir, m
     buffer's capacity."""
     cfg = load_run_config(config_file(workload_dir, iterations=2, retention={"capacity": 2}))
     cfg = dataclasses.replace(cfg, retention=dataclasses.replace(cfg.retention, enabled=False))
-    blocks, batches = [], []
+    blocks, batches = [], []  # per iteration, every execution's block and the batch
 
-    def extract(plan, ctx, latency, iteration):
-        block = retention.extract_experiences(plan, ctx, latency, iteration)
-        blocks.append(block)
-        return block
+    def fresh(iteration_blocks, *args):
+        blocks.append(list(iteration_blocks))
+        return retention.fresh_batch(iteration_blocks, *args)
 
     def train_on(params, batch, *args):
         batches.append(batch)
         return params
 
-    monkeypatch.setattr(trainer_module, "extract_experiences", extract)
+    monkeypatch.setattr(trainer_module, "fresh_batch", fresh)
     monkeypatch.setattr(trainer_module, "_train_on", train_on)
-    run_training(cfg)
-    assert len(batches) == cfg.iterations
-    per_iteration = len(blocks) // cfg.iterations
+    result = run_training(cfg)
+    assert len(batches) == len(blocks) == cfg.iterations
     for iteration, (features, labels) in enumerate(batches, start=1):
-        fresh = blocks[(iteration - 1) * per_iteration : iteration * per_iteration]
-        rows = [(x, b.latency_ms) for b in fresh for x in b.features]
+        assert len(blocks[iteration - 1]) == len(result.train_ids)
+        rows = [(x, b.latency_ms) for b in blocks[iteration - 1] for x in b.features]
         assert len(rows) > cfg.retention.capacity
         rng = np.random.default_rng(derive_seed(cfg.base_seed, "replay", iteration))
         drawn = rng.integers(0, len(rows), size=cfg.retention.k_replay)

@@ -13,10 +13,11 @@ worker, run in each checkout ``ROUNDS`` times, times
 times and each plan's ``plan_repr``.  The record holds per cell the
 ``bench_pairs.summarize`` fields of the per-call times and whether both
 checkouts returned equal plans in every round; the script exits non-zero,
-after writing it, if any plans differ.
+after writing it, if any plans differ.  Every time is recorded raw and, as
+``scaled``, at the reference machine speed (``bench_pairs.SPEED_SAMPLER``).
 """
 
-from bench_pairs import compare_layer, same, summarize
+from bench_pairs import SPEED_SAMPLER, compare_layer, raw_and_scaled, same
 
 SHAPES = ("chain", "star", "snowflake")
 SIZES = (6, 9, 12)
@@ -26,8 +27,9 @@ REPEATS = 5
 ROUNDS = 10
 
 # Run in each checkout: one JSON object mapping "shape-size" to the per-call
-# times in ms and the plans of that cell's queries, in seed order.
-WORKER = """
+# times in ms, raw and scaled, and the plans of that cell's queries, in seed
+# order.
+WORKER = SPEED_SAMPLER + """
 import json, sys, time
 from joinopt.catalog import catalog_from_doc, workload_from_doc
 from joinopt.plans import plan_repr
@@ -46,15 +48,15 @@ for shape in shapes:
             )
             catalog = catalog_from_doc(catalog_doc, "catalog")
             queries += [(q, catalog) for q in workload_from_doc(train_doc, catalog, "train")]
-        times = []
+        calls = []
         for _ in range(repeats):
             for query, catalog in queries:
                 start = time.perf_counter()
                 expert_plan(query, catalog, cfg)
-                times.append((time.perf_counter() - start) * 1e3)
+                calls.append((start, time.perf_counter(), 1))
         plans = [plan_repr(expert_plan(q, c, cfg)) for q, c in queries]
-        out[f"{shape}-{size}"] = {"ms": times, "plans": plans}
-print(json.dumps(out))
+        out[f"{shape}-{size}"] = {"ms": timed(calls), "plans": plans}
+finish(out)
 """
 
 
@@ -65,7 +67,7 @@ def record(rounds: list[dict]) -> dict:
         shape, size = name.rsplit("-", 1)
         cells[name] = {
             "shape": shape, "relations": int(size), "queries": len(SEEDS),
-            **summarize(rounds, lambda result: result[name]["ms"]),
+            **raw_and_scaled(rounds, lambda result: result[name]["ms"]),
             "plans_equal": same(rounds, lambda result: result[name]["plans"]),
         }
     return {

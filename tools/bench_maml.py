@@ -16,15 +16,16 @@ are exactly the ones a run with seed ``SEED`` uses.  It then times
 and ``PASSES`` times ``SGD_PHASES`` calls of ``trainer._train_on`` from
 MAML's result on a fixed batch: the first ``k_replay`` rows of the meta
 tasks, each a (features, labels) pair, in task order, with the config's
-minibatch, learning rate and passes.  Times are CPU time
-(``time.process_time``).  It prints the times and a SHA-256 digest of each
+minibatch, learning rate and passes.  Raw times are CPU time
+(``time.process_time``), and ``scaled`` ones wall time at the reference
+machine speed (``bench_pairs.SPEED_SAMPLER``).  It prints the times and a SHA-256 digest of each
 result's bytes, layer by layer.  The record holds per workload and timed
 call the ``bench_pairs.summarize`` fields, and whether both checkouts
 returned equal parameters in every pass of every round; the script exits
 non-zero, after writing it, if any parameters differ.
 """
 
-from bench_pairs import compare_layer, same, summarize
+from bench_pairs import SPEED_SAMPLER, compare_layer, raw_and_scaled, same
 from bench_search import CONFIGS
 
 SEED = 1
@@ -34,8 +35,9 @@ ROUNDS = 10
 TIMED = ("maml_outer", "train_on")
 
 # Run in each checkout: one JSON object mapping each workload to the ms of
-# each timed call per pass and the digests of every pass's results.
-WORKER = """
+# each timed call per pass, raw and scaled, and the digests of every pass's
+# results.
+WORKER = SPEED_SAMPLER + """
 import hashlib, json, sys, time
 import numpy as np
 from joinopt import trainer
@@ -66,21 +68,33 @@ for name, path in configs.items():
     features = np.concatenate([f for f, _ in args[0]])[rows]
     labels = np.concatenate([y for _, y in args[0]])[rows]
     batch = (features, labels)
-    entry = {"rows": len(labels), "maml_outer": [], "train_on": [], "digests": []}
+    cpu = {"maml_outer": [], "train_on": []}
+    wall = {"maml_outer": [], "train_on": []}
+    digests = []
+
+    def clocks():
+        return time.process_time(), time.perf_counter()
+
     for _ in range(passes):
-        start = time.process_time()
+        cpu_0, wall_0 = clocks()
         meta = maml_outer(params, *args, **kwargs)
-        entry["maml_outer"].append((time.process_time() - start) * 1e3)
-        start = time.process_time()
+        cpu_1, wall_1 = clocks()
         for _ in range(phases):
             trained = trainer._train_on(
                 meta, batch, cfg.model.minibatch, cfg.model.learning_rate,
                 cfg.model.train_passes,
             )
-        entry["train_on"].append((time.process_time() - start) * 1e3 / phases)
-        entry["digests"].append([digest(meta), digest(trained)])
-    out[name] = entry
-print(json.dumps(out))
+        cpu_2, wall_2 = clocks()
+        cpu["maml_outer"].append((cpu_1 - cpu_0) * 1e3)
+        cpu["train_on"].append((cpu_2 - cpu_1) * 1e3 / phases)
+        wall["maml_outer"].append((wall_0, wall_1, 1))
+        wall["train_on"].append((wall_1, wall_2, phases))
+        digests.append([digest(meta), digest(trained)])
+    out[name] = {"rows": len(labels), "digests": digests}
+    for k in cpu:  # CPU times, scaled from the wall times
+        out[name][k] = timed(wall[k])
+        out[name][k]["raw"] = cpu[k]
+finish(out)
 """
 
 
@@ -89,14 +103,16 @@ def record(rounds: list[dict]) -> dict:
     workloads = {
         name: {
             "sgd_rows": rounds[0]["before"][name]["rows"],
-            **{timed: summarize(rounds, lambda result: result[name][timed]) for timed in TIMED},
+            **{timed: raw_and_scaled(rounds, lambda result: result[name][timed])
+               for timed in TIMED},
             "params_equal": same(rounds, lambda result: result[name]["digests"]),
         }
         for name in CONFIGS
     }
     return {
         "command": "transfer.maml_outer on the meta tasks meta_initialize builds, "
-        "and trainer._train_on on their first k_replay rows, CPU time per call",
+        "and trainer._train_on on their first k_replay rows, CPU time per call "
+        "(scaled: wall time at the reference speed)",
         "seed": SEED,
         "passes": PASSES,
         "sgd_phases_per_pass": SGD_PHASES,

@@ -25,6 +25,9 @@ source that times one layer in a checkout and prints one JSON object, and a
 function that turns every round's objects into its record's fields;
 ``compare_layer`` parses their arguments, runs the worker in the two
 checkouts (``worker_rounds``) and writes the record (``write_record``).
+Each worker starts with ``SPEED_SAMPLER``, so it reports every timed round
+both raw and scaled to the reference machine speed of
+``perfbench/speed.py``, as the end-to-end runs do.
 """
 
 import argparse
@@ -47,6 +50,40 @@ PAIRS = 10
 # A traced layer of a few milliseconds jitters by up to 1.8x between runs.
 TRACED_PAIRS = 3
 SEED = 1
+
+
+# The first lines of every in-process worker: the checkout's
+# ``perfbench/speed.py`` ``SpeedSampler`` runs from the start.
+# ``timed(rounds)`` gives (start, end, calls) rounds of
+# ``time.perf_counter()`` readings as ``raw`` time per call, in ms or in
+# units of 1 / per_second s.  ``finish(out)`` stops the sampler, adds to
+# each such entry its ``scaled`` times, at the reference speed of the
+# samples taken around each round and without the sampler's own bursts (a
+# few ms every 0.1 s, which the raw times include), and prints ``out``.
+SPEED_SAMPLER = """
+import json, sys, time
+sys.path.insert(0, "perfbench")
+import speed
+
+sampler = speed.SpeedSampler()
+sampler.start()
+timings = []  # (rounds, per_second, entry) of every timed() entry
+
+
+def timed(rounds, per_second=1e3):
+    entry = {"raw": [per_second * (end - start) / calls for start, end, calls in rounds]}
+    timings.append((rounds, per_second, entry))
+    return entry
+
+
+def finish(out):
+    while not sampler.samples:  # a run shorter than one interval waits for one
+        time.sleep(sampler.interval_s)
+    sampler.stop()
+    for rounds, per_second, entry in timings:
+        entry["scaled"] = [per_second * seconds for seconds in sampler.scaled_rounds(rounds)]
+    print(json.dumps(out))
+"""
 
 
 def parse_args(doc: str, argv=None) -> tuple[dict, str]:
@@ -113,6 +150,15 @@ def summarize(rounds: list[dict], values) -> dict:
     entry["before_wins"] = sum(before < after for before, after in medians)
     entry["pairs"] = len(rounds)
     return entry
+
+
+def raw_and_scaled(rounds: list[dict], values) -> dict:
+    """``summarize`` of one timed item's raw times, ``values(result)["raw"]``,
+    and, as ``scaled``, of its times at the reference speed."""
+    return {
+        **summarize(rounds, lambda result: values(result)["raw"]),
+        "scaled": summarize(rounds, lambda result: values(result)["scaled"]),
+    }
 
 
 def same(rounds: list[dict], output) -> bool:

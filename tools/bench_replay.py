@@ -1,5 +1,6 @@
-"""Record the replay buffer's write and sampling times on the chain8
-workload as ``BENCH_<label>.json``.
+"""Record an iteration's execution and experience extraction and the
+replay buffer's write and sampling times on the chain8 workload as
+``BENCH_<label>.json``.
 
     python3 tools/bench_replay.py --before DIR --after DIR --label NAME
 
@@ -22,30 +23,47 @@ the config's retention settings and the run's initial model on each of the
 ``SIZES`` cases: the first iterations up to 2 000 and 10 000 rows, and the
 full buffer after every iteration, which has evicted.  It prints the times
 and SHA-256 digests of each case's ``td_error`` bytes, sampling
-probabilities and batch.  The record holds per timed item the
-``bench_pairs.summarize`` fields, and whether both checkouts gave equal
-digests in every round; the script exits non-zero, after writing it, if any
-digests differ.
+probabilities and batch.
+
+Then, for each of the ``EXECUTED`` iterations, it searches every train
+query as ``run_training`` does at that iteration (its seeds, its decayed
+epsilon, one table of shared search states) under the initial model, and
+times ``EXEC_PASSES`` passes of executing and extracting those 120 plans:
+``trainer.execute_plans``, which walks and featurizes each distinct plan
+object once, or, in a checkout without it, the loop it replaced, which
+executes and extracts each query alone.  Iteration 1 (epsilon 0.5) holds
+95 distinct plan objects and iteration 50 holds 25, about the mean of a
+whole run.  It prints each pass's ms and a SHA-256 digest of the blocks.
+
+Every timed round is reported raw and scaled to the reference machine speed
+(``bench_pairs.SPEED_SAMPLER``).  The record holds per timed item the
+``bench_pairs.summarize`` fields of both, and whether both checkouts gave
+equal digests in every round; the script exits non-zero, after writing it,
+if any digests differ.
 """
 
-from bench_pairs import compare_layer, same, summarize
+from bench_pairs import SPEED_SAMPLER, compare_layer, raw_and_scaled, same
 
 CONFIG = "perfbench/workloads/chain8/experiment.json"
 SEED = 1
 SIZES = {"rows_2000": 2_000, "rows_10000": 10_000, "full_evicting": None}
 PASSES = 5
+EXECUTED = (1, 50)
+EXEC_PASSES = 40
 ROUNDS = 8
 
 # Run in each checkout: one JSON object with the rows written, the us per
-# extend of each fill, and per sampling case its rows, the ms of each call
-# and the digests of its results.
-WORKER = """
+# extend of each fill, per sampling case its rows, the ms of each call and
+# the digests of its results, and per executed iteration its distinct plans,
+# the ms of each pass and the digest of its blocks; every time raw and
+# scaled.
+WORKER = SPEED_SAMPLER + """
 import hashlib, json, sys, time
 import numpy as np
 from joinopt import trainer
 from joinopt.retention import ReplayBuffer, extract_experiences, sample_replay, td_error
 
-config, seed, sizes, passes = json.loads(sys.argv[1])
+config, seed, sizes, passes, executed, exec_passes = json.loads(sys.argv[1])
 cfg = trainer.load_run_config(config)
 setup = trainer.prepare_run(cfg, seed)
 params = setup.initial_params()
@@ -66,13 +84,13 @@ def digest(*arrays):
     return h.hexdigest()
 
 
-extend_us = []
+fills = []
 for _ in range(passes):
     buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
     start = time.perf_counter()
     for blocks in iterations:
         buffer.extend(*blocks)
-    extend_us.append((time.perf_counter() - start) * 1e6 / len(iterations))
+    fills.append((start, time.perf_counter(), len(iterations)))
 
 cases = {}
 for name, size in sizes.items():
@@ -81,26 +99,73 @@ for name, size in sizes.items():
         if size is not None and len(buffer) >= size:
             break
         buffer.extend(*blocks)
-    ms = []
+    calls = []
     for _ in range(passes):
         start = time.perf_counter()
         batch, stats = sample_replay(buffer, params, cfg.retention, seed)
-        ms.append((time.perf_counter() - start) * 1e3)
+        calls.append((start, time.perf_counter(), 1))
     cases[name] = {
         "rows": len(buffer),
         "written": buffer.end,
-        "ms": ms,
+        "ms": timed(calls),
         "td_error": digest(td_error(buffer, params, cfg.retention.gamma)),
         "probabilities": digest(stats.probabilities),
         "batch": digest(*batch),
     }
-print(json.dumps({
+
+execute_plans = getattr(trainer, "execute_plans", None)
+if execute_plans is None:  # a checkout before it: each query executed and extracted alone
+    from joinopt.simulator import execute
+
+    def execute_plans(contexts, plans, exec_states, rng, iteration):
+        blocks = []
+        for ctx, plan, state in zip(contexts, plans, exec_states):
+            rng.bit_generator.state = state
+            blocks.append(extract_experiences(plan, ctx, execute(plan, ctx, rng), iteration))
+        return blocks
+
+rng = np.random.default_rng(0)
+n_train = len(setup.train)
+execution = {}
+for iteration in executed:
+    states = trainer.generator_states(trainer.derive_seeds(
+        [(seed, tag, iteration, q) for tag in ("search", "exec") for q in range(n_train)]
+    ))
+    epsilon = cfg.search.epsilon * cfg.search.epsilon_decay ** (iteration - 1)
+    search_states, plans = {}, []
+    for ctx, state in zip(setup.train, states):
+        rng.bit_generator.state = state
+        plans.append(trainer.plan_search(
+            ctx.query, params, ctx.catalog, cfg.cost_model,
+            beam_width=cfg.search.beam_width, epsilon=epsilon, rng_seed=rng,
+            left_deep_only=cfg.search.left_deep_only, states=search_states,
+        ))
+    del search_states
+    calls = []
+    for _ in range(exec_passes):
+        start = time.perf_counter()
+        blocks = execute_plans(setup.train, plans, states[n_train:], rng, iteration)
+        calls.append((start, time.perf_counter(), 1))
+    h = hashlib.sha256()
+    for block in blocks:
+        h.update(repr((block.query_id, block.iteration, block.latency_ms)).encode())
+        h.update(block.features.tobytes())
+        h.update(block.parent.tobytes())
+    execution[f"iteration_{iteration}"] = {
+        "epsilon": epsilon,
+        "plans": len(plans),
+        "distinct_plans": len({id(plan) for plan in plans}),
+        "ms": timed(calls),
+        "blocks": h.hexdigest(),
+    }
+finish({
     "extends": len(iterations),
     "blocks": sum(map(len, iterations)),
     "rows_written": sum(len(block) for blocks in iterations for block in blocks),
-    "extend_us": extend_us,
+    "extend_us": timed(fills, 1e6),
     "sample_replay": cases,
-}))
+    "execute_plans": execution,
+})
 """
 
 DIGESTS = ("td_error", "probabilities", "batch")
@@ -113,27 +178,44 @@ def record(rounds: list[dict]) -> dict:
         name: {
             "rows": first["sample_replay"][name]["rows"],
             "written": first["sample_replay"][name]["written"],
-            **summarize(rounds, lambda result: result["sample_replay"][name]["ms"]),
+            **raw_and_scaled(rounds, lambda result: result["sample_replay"][name]["ms"]),
             "digests_equal": same(
                 rounds, lambda result: [result["sample_replay"][name][d] for d in DIGESTS]
             ),
         }
         for name in SIZES
     }
+    execute_plans = {
+        name: {
+            **{k: first["execute_plans"][name][k] for k in ("epsilon", "plans", "distinct_plans")},
+            **raw_and_scaled(rounds, lambda result: result["execute_plans"][name]["ms"]),
+            "digests_equal": same(rounds, lambda result: result["execute_plans"][name]["blocks"]),
+        }
+        for name in first["execute_plans"]
+    }
     return {
         "command": "ReplayBuffer.extend of each iteration's blocks, in us per call, "
-        "and retention.sample_replay, in ms per call, on chain8",
+        "retention.sample_replay, in ms per call, and an iteration's execution and "
+        "extraction of its train plans, in ms per pass, on chain8",
         "config": CONFIG,
         "seed": SEED,
         "passes": PASSES,
+        "exec_passes": EXEC_PASSES,
         "extends": first["extends"],
         "blocks": first["blocks"],
         "rows_written": first["rows_written"],
-        "digests_equal": all(entry["digests_equal"] for entry in sample_replay.values()),
-        "extend_us": summarize(rounds, lambda result: result["extend_us"]),
+        "digests_equal": all(
+            entry["digests_equal"]
+            for entry in [*sample_replay.values(), *execute_plans.values()]
+        ),
+        "extend_us": raw_and_scaled(rounds, lambda result: result["extend_us"]),
         "sample_replay_ms": sample_replay,
+        "execute_plans_ms": execute_plans,
     }
 
 
 if __name__ == "__main__":
-    compare_layer(__doc__, WORKER, [CONFIG, SEED, SIZES, PASSES], ROUNDS, record, "digests_equal")
+    compare_layer(
+        __doc__, WORKER, [CONFIG, SEED, SIZES, PASSES, EXECUTED, EXEC_PASSES], ROUNDS, record,
+        "digests_equal",
+    )

@@ -19,11 +19,13 @@ time per query and the latencies it returned.  The record holds per
 workload the ``bench_pairs.summarize`` fields of the per-query times of the
 single searches and, as ``evaluate_ms``, of the evaluations, and
 whether both checkouts returned equal plans and latencies in every round;
-the script exits non-zero, after writing it, if any differ.  ``CONFIGS`` is
-shared with ``tools/bench_maml.py``.
+the script exits non-zero, after writing it, if any differ.  Every time
+is recorded raw and, as ``scaled``, at the reference machine speed
+(``bench_pairs.SPEED_SAMPLER``).  ``CONFIGS`` is shared with
+``tools/bench_maml.py``.
 """
 
-from bench_pairs import compare_layer, same, summarize
+from bench_pairs import SPEED_SAMPLER, compare_layer, raw_and_scaled, same
 
 CONFIGS = {
     "star6": "data/star6/experiment.json",
@@ -36,8 +38,9 @@ ROUNDS = 8
 
 # Run in each checkout: one JSON object mapping each workload to its query
 # count, the ms per query of each timed pass, the plans of every pass, and
-# the ms per query and latencies of the evaluation.
-WORKER = """
+# the ms per query and latencies of the evaluation; every time raw and
+# scaled.
+WORKER = SPEED_SAMPLER + """
 import json, sys, time
 from joinopt.plans import plan_repr
 from joinopt.trainer import evaluate_queries, load_run_config, plan_search, prepare_run
@@ -61,17 +64,17 @@ for name, path in configs.items():
         ]
 
     plans = [search_all()]
-    ms = []
+    rounds = []
     for _ in range(passes):
         start = time.perf_counter()
         plans.append(search_all())
-        ms.append((time.perf_counter() - start) * 1e3 / len(contexts))
+        rounds.append((start, time.perf_counter(), len(contexts)))
     start = time.perf_counter()
     latencies = evaluate_queries(contexts, params, cfg)
-    evaluate_ms = (time.perf_counter() - start) * 1e3 / len(contexts)
-    out[name] = {"queries": len(contexts), "ms": ms, "plans": plans,
-                 "evaluate_ms": evaluate_ms, "latencies": latencies}
-print(json.dumps(out))
+    evaluate = [(start, time.perf_counter(), len(contexts))]
+    out[name] = {"queries": len(contexts), "ms": timed(rounds), "plans": plans,
+                 "evaluate_ms": timed(evaluate), "latencies": latencies}
+finish(out)
 """
 
 
@@ -80,8 +83,8 @@ def record(rounds: list[dict]) -> dict:
     workloads = {
         name: {
             "queries": rounds[0]["before"][name]["queries"],
-            **summarize(rounds, lambda result: result[name]["ms"]),
-            "evaluate_ms": summarize(rounds, lambda result: [result[name]["evaluate_ms"]]),
+            **raw_and_scaled(rounds, lambda result: result[name]["ms"]),
+            "evaluate_ms": raw_and_scaled(rounds, lambda result: result[name]["evaluate_ms"]),
             "plans_equal": same(
                 rounds, lambda result: (result[name]["plans"], result[name]["latencies"])
             ),
