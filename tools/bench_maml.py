@@ -18,8 +18,8 @@ MAML's result on a fixed batch: the first ``k_replay`` rows of the meta
 tasks, each a (features, labels) pair, in task order, with the config's
 minibatch, learning rate and passes.  Raw times are CPU time
 (``time.process_time``), and ``scaled`` ones wall time at the reference
-machine speed (``bench_pairs.SPEED_SAMPLER``).  It prints the times and a SHA-256 digest of each
-result's bytes, layer by layer.  The record holds per workload and timed
+machine speed (``bench_pairs.SPEED_SAMPLER``).  It prints the times and a
+SHA-256 digest of each result's bytes, layer by layer.  The record holds per workload and timed
 call the ``bench_pairs.summarize`` fields, and whether both checkouts
 returned equal parameters in every pass of every round; the script exits
 non-zero, after writing it, if any parameters differ.
@@ -103,8 +103,7 @@ def record(rounds: list[dict]) -> dict:
     workloads = {
         name: {
             "sgd_rows": rounds[0]["before"][name]["rows"],
-            **{timed: raw_and_scaled(rounds, lambda result: result[name][timed])
-               for timed in TIMED},
+            **{item: raw_and_scaled(rounds, lambda result: result[name][item]) for item in TIMED},
             "params_equal": same(rounds, lambda result: result[name]["digests"]),
         }
         for name in CONFIGS
