@@ -121,10 +121,7 @@ def _forward(weights, biases, x: np.ndarray, out=None) -> list[np.ndarray]:
     activations = [x]
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        if out is None:
-            a = activations[-1] @ w
-        else:
-            a = np.matmul(activations[-1], w, out=out[i][: len(x)])
+        a = np.matmul(activations[-1], w, out=None if out is None else out[i][: len(x)])
         a += b
         if i < last:
             np.maximum(a, 0.0, out=a)

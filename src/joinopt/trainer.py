@@ -7,13 +7,10 @@ random successor.  The beam keeps one entry per relation-set partition: the
 best-scored of the successors that have joined the same relation sets.
 Each step scores every successor of the beam as one feature matrix in one
 forward pass, and builds plan fragments only for the successors it keeps.
-Searches under one model share their scored steps: a training iteration's
-train searches share one table, and an evaluation's searches of train and
-test queries another, keyed by each context's ``shape`` and the decisions
-taken so far.  A query of a shape already searched then reads the steps
-that query scored instead of scoring the same rows again, and a shape's
-steps are dropped after the last query of that shape has been searched,
-so no step outlives its model or lives on a context.
+``search_plans`` searches a list of contexts under one model with one
+shared table of scored steps; a training iteration's train searches are
+one such call, and an evaluation's searches of train and test queries
+another.
 Training feedback is noisy simulator latency; periodic evaluations are
 greedy and noiseless, so every evaluated latency is bounded below by the
 expert DP latency.  ``prepare_run`` is the set-up of every command: it
@@ -113,6 +110,7 @@ __all__ = [
     "derive_seeds",
     "generator_states",
     "plan_search",
+    "search_plans",
     "random_rollout",
     "build_meta_tasks",
     "meta_initialize",
@@ -471,16 +469,16 @@ def plan_search(
     beam keeps, from their pairs' summaries.  The query's context is the
     caller's live one, if any.
 
-    ``states`` is a table of scored steps that the caller keeps for the
-    searches of one model, beam width and ``left_deep_only``, keyed by
-    context ``shape`` and then by decision path: per step so far, the
-    successor index a draw collapsed the beam onto, or a greedy mark.  The
-    first search to reach a path scores its step, and later searches of the
-    shape read it, so every search of the shape gets the rows the same
+    ``states`` is the table of scored steps that ``search_plans`` keeps
+    for the searches of one model, beam width and ``left_deep_only``,
+    keyed by context ``shape`` and then by decision path: per step so far,
+    the successor index a draw collapsed the beam onto, or a greedy mark.
+    The first search to reach a path scores its step, and later searches of
+    the shape read it, so every search of the shape gets the rows the same
     matmuls scored and returns the plan it would alone; each still makes
-    its own draws.  Without a table, the search runs the same steps and
-    keeps none of them: kept, a served 12-relation query's steps made its
-    search about 3% slower.
+    its own draws.  Without a table, as when serving a query, the search
+    runs the same steps and keeps none of them: kept, a served 12-relation
+    query's steps made its search about 3% slower.
     """
     ctx = query_context(query, catalog, cost_cfg)
     rng = np.random.default_rng(rng_seed) if epsilon > 0 else None
@@ -709,39 +707,57 @@ def prepare_run(cfg: RunConfig, seed: int) -> RunSetup:
     return RunSetup(cfg, seed, catalog, train, test)
 
 
-def evaluate_queries(
+def search_plans(
     contexts: list[QueryContext],
     params: ModelParams,
     cfg: RunConfig,
-) -> dict[str, float]:
-    """Greedy noiseless latency of every query's searched plan.  A greedy
-    search draws no random number, so its seed is a constant.  The searches
-    share one table of scored steps, and a shape's steps are dropped after
-    its last query's search."""
-    latencies = {}
-    search_states = {}
-    last = _last_of_shape(contexts)
+    epsilon: float = 0.0,
+    rng: np.random.Generator | None = None,
+    rng_states: list[dict] | None = None,
+) -> list[PlanNode]:
+    """One ``plan_search`` per context under one model, in order, returning
+    their plans.  When ``rng_states`` is given, the i-th search first sets
+    ``rng`` to ``rng_states[i]``; a greedy search (epsilon 0) draws nothing,
+    so it needs neither.
+
+    The searches share one table of scored steps, keyed by each context's
+    ``shape`` and the decisions taken so far (see ``plan_search``): a query
+    of a shape already searched reads the steps that query scored instead of
+    scoring the same rows again.  A shape's steps are dropped right after
+    the last query of that shape has been searched, so no step outlives the
+    call, whose searches are all under one model, and none lives on a
+    context."""
+    last = {ctx.shape: index for index, ctx in enumerate(contexts)}
+    states = {}
+    plans = []
     for index, ctx in enumerate(contexts):
-        plan = plan_search(
+        if rng_states is not None:
+            rng.bit_generator.state = rng_states[index]
+        plans.append(plan_search(
             ctx.query,
             params,
             ctx.catalog,
             cfg.cost_model,
             beam_width=cfg.search.beam_width,
-            epsilon=0.0,
-            rng_seed=0,
+            epsilon=epsilon,
+            rng_seed=rng,
             left_deep_only=cfg.search.left_deep_only,
-            states=search_states,
-        )
+            states=states,
+        ))
         if last[ctx.shape] == index:
-            del search_states[ctx.shape]
-        latencies[ctx.query.id] = ctx.latency(plan)
-    return latencies
+            del states[ctx.shape]
+    return plans
 
 
-def _last_of_shape(contexts: list[QueryContext]) -> dict[tuple, int]:
-    """Each context ``shape``'s last index in ``contexts``."""
-    return {ctx.shape: index for index, ctx in enumerate(contexts)}
+def evaluate_queries(
+    contexts: list[QueryContext],
+    params: ModelParams,
+    cfg: RunConfig,
+) -> dict[str, float]:
+    """Greedy noiseless latency of every query's plan, searched by
+    ``search_plans``."""
+    plans = search_plans(contexts, params, cfg)
+    return {ctx.query.id: ctx.latency(plan) for ctx, plan in zip(contexts, plans)}
 
 
 def execute_plans(
@@ -810,10 +826,11 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     Train query ``q``'s search and execution at iteration ``it`` draw from
     one reused generator, set to ``default_rng(derive_seed(seed, "search",
     it, q))``'s state and then to that of ``"exec"``.  An iteration
-    searches every train query, then executes the plans in query order
-    with ``execute_plans``, which walks and featurizes each distinct plan
-    object once and keeps its table of executed plans for that call only;
-    its blocks are the ones executing each query alone gives."""
+    searches every train query with ``search_plans``, then executes the
+    plans in query order with ``execute_plans``, which walks and
+    featurizes each distinct plan object once and keeps its table of
+    executed plans for that call only; its blocks are the ones executing
+    each query alone gives."""
     seed = cfg.base_seed if base_seed is None else base_seed
     setup = prepare_run(cfg, seed)
     started = time.perf_counter()
@@ -857,29 +874,12 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
 
     record(0)
     epsilon = cfg.search.epsilon
-    last = _last_of_shape(setup.train)
+    n_train = len(setup.train)
     for iteration in range(1, cfg.iterations + 1):
-        n_train = len(setup.train)
         states = generator_states(derive_seeds(
             [(seed, tag, iteration, qidx) for tag in ("search", "exec") for qidx in range(n_train)]
         ))
-        search_states = {}  # this iteration's model's scored search steps
-        plans = []
-        for qidx, (ctx, search_state) in enumerate(zip(setup.train, states)):
-            rng.bit_generator.state = search_state
-            plans.append(plan_search(
-                ctx.query,
-                params,
-                ctx.catalog,
-                cfg.cost_model,
-                beam_width=cfg.search.beam_width,
-                epsilon=epsilon,
-                rng_seed=rng,
-                left_deep_only=cfg.search.left_deep_only,
-                states=search_states,
-            ))
-            if last[ctx.shape] == qidx:
-                del search_states[ctx.shape]
+        plans = search_plans(setup.train, params, cfg, epsilon, rng, states[:n_train])
         blocks = execute_plans(setup.train, plans, states[n_train:], rng, iteration)
         buffer.extend(*blocks)
         if cfg.retention.enabled:

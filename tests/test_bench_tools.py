@@ -1,13 +1,18 @@
 """The before/after driver that ``tools/bench_*.py`` share, in
-``tools/bench_pairs.py``, run on two tiny checkouts with a trivial worker."""
+``tools/bench_pairs.py``, run on two tiny checkouts with a trivial worker,
+and the workers of the in-process tools checked against ``src``."""
 
+import ast
+import importlib
+import importlib.util
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
 
 # Run in each checkout: appends the checkout's side to the log and prints
@@ -126,3 +131,40 @@ finish({"ms": timed(rounds), "us": timed(rounds, 1e6)})
     for entry in (doc["ms"], doc["ms"]["scaled"]):
         assert entry["before"]["n"] == entry["after"]["n"] == 4
         assert entry["before"]["median"] > 0 and entry["pairs"] == 2
+
+
+WORKER_TOOLS = [
+    path.stem for path in sorted((ROOT / "tools").glob("bench_*.py"))
+    if "\nWORKER = " in path.read_text(encoding="utf-8")
+]
+
+
+def defines(module: str, name: str) -> bool:
+    """Whether ``from module import name`` finds an attribute or a submodule."""
+    return hasattr(importlib.import_module(module), name) or (
+        importlib.util.find_spec(f"{module}.{name}") is not None
+    )
+
+
+@pytest.mark.parametrize("tool", WORKER_TOOLS)
+def test_worker_compiles_and_uses_only_names_src_defines(tool):
+    """A tool's ``WORKER`` runs only in a checkout, so a stale name would
+    show only when the tool is next run: it compiles, and every name it
+    imports from ``joinopt`` and every ``trainer.<name>`` it reads is
+    defined by the ``joinopt`` under ``src``."""
+    import joinopt
+    from joinopt import trainer
+
+    assert Path(joinopt.__file__).resolve().parent == ROOT / "src" / "joinopt"
+    worker = importlib.import_module(tool).WORKER
+    compile(worker, f"{tool}.WORKER", "exec")
+    imported, read = [], []
+    for node in ast.walk(ast.parse(worker)):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "joinopt":
+            imported += [(node.module, alias.name) for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Name) and node.value.id == "trainer"):
+            read.append(node.attr)
+    assert imported
+    assert [f"{m}.{n}" for m, n in imported if not defines(m, n)] == []
+    assert [name for name in read if not hasattr(trainer, name)] == []

@@ -40,6 +40,7 @@ from joinopt.trainer import (
     run_repetitions,
     read_run_csv,
     run_training,
+    search_plans,
     summary_table,
     write_run_csv,
 )
@@ -444,9 +445,10 @@ def shape_repeating_lists(tmp_path):
 def test_shared_search_states_give_every_plan_in_fewer_forward_passes(
     epsilon, tmp_path, monkeypatch
 ):
-    """Searching a list of queries that repeat shapes with one table of
-    scored steps returns, query for query, the plan each search returns
-    without one, over several models and seeds, and makes fewer
+    """``search_plans``, searching a list of queries that repeat shapes with
+    one table of scored steps, returns, query for query, the plan each
+    search returns alone without one, seeded by the integer its generator
+    state was derived from, over several models and seeds, and makes fewer
     ``predict_batch`` calls."""
     from joinopt.plans import plan_repr
 
@@ -461,19 +463,22 @@ def test_shared_search_states_give_every_plan_in_fewer_forward_passes(
         layer_sizes = (feature_dim(contexts[0].catalog), 16, 16, 1)
         for seed in (1, 2, 3):
             model = init_params(layer_sizes, seed)
-            plans, passes = [], []
-            for states in (None, {}):
-                calls.clear()
-                plans.append([
-                    plan_repr(plan_search(
-                        ctx.query, model, ctx.catalog, cfg.cost_model, cfg.search.beam_width,
-                        epsilon, derive_seed(seed, qidx), cfg.search.left_deep_only,
-                        states=states,
-                    ))
-                    for qidx, ctx in enumerate(contexts)
-                ])
-                passes.append(len(calls))
-            assert plans[1] == plans[0]
+            seeds = [derive_seed(seed, qidx) for qidx in range(len(contexts))]
+            calls.clear()
+            alone = [
+                plan_repr(plan_search(
+                    ctx.query, model, ctx.catalog, cfg.cost_model, cfg.search.beam_width,
+                    epsilon, query_seed, cfg.search.left_deep_only,
+                ))
+                for ctx, query_seed in zip(contexts, seeds)
+            ]
+            passes = [len(calls)]
+            calls.clear()
+            shared = search_plans(
+                contexts, model, cfg, epsilon, np.random.default_rng(0), generator_states(seeds)
+            )
+            passes.append(len(calls))
+            assert [plan_repr(plan) for plan in shared] == alone
             assert passes[1] < passes[0]
 
 

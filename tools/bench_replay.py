@@ -6,13 +6,12 @@ replay buffer's write and sampling times on the chain8 workload as
 
 DIR is a joinopt checkout, named after its commit (see
 ``tools/bench_pairs.py``, whose ``compare_layer`` runs this script), at
-commit ``5496cc8`` or later: both sides must build a ``ReplayBuffer`` from
-its capacity and ``plan_rows``, and write several blocks in one
-``extend``.  The worker, run in each checkout ``ROUNDS`` times, loads
-``CONFIG`` with ``trainer.prepare_run(cfg, SEED)`` and builds the blocks a
-run writes: for each of the config's iterations, one
-``trainer.random_rollout`` per train query from one generator seeded with
-``SEED``, each turned into a block by ``retention.extract_experiences`` at
+the commit that added ``trainer.search_plans`` or later: the worker calls
+it and ``trainer.execute_plans``.  The worker, run in each checkout
+``ROUNDS`` times, loads ``CONFIG`` with ``trainer.prepare_run(cfg, SEED)``
+and builds the blocks a run writes: for each of the config's iterations,
+one ``trainer.random_rollout`` per train query from one generator seeded
+with ``SEED``, each turned into a block by ``retention.extract_experiences`` at
 the plan's noiseless latency.  On chain8 that is 23 400 rows, so a buffer of
 the config's capacity (20 000) fills and then evicts, as in the
 ``chain8-replay`` benchmark workload.  It writes each iteration's blocks in
@@ -26,14 +25,14 @@ and SHA-256 digests of each case's ``td_error`` bytes, sampling
 probabilities and batch.
 
 Then, for each of the ``EXECUTED`` iterations, it searches every train
-query as ``run_training`` does at that iteration (its seeds, its decayed
-epsilon, one table of shared search states) under the initial model, and
-times ``EXEC_PASSES`` passes of executing and extracting those 120 plans:
+query as ``run_training`` does at that iteration, with
+``trainer.search_plans`` (its seeds, its epsilon decayed by the same
+running product) under the initial model, and times ``EXEC_PASSES``
+passes of executing and extracting those 120 plans with
 ``trainer.execute_plans``, which walks and featurizes each distinct plan
-object once, or, in a checkout without it, the loop it replaced, which
-executes and extracts each query alone.  Iteration 1 (epsilon 0.5) holds
-95 distinct plan objects and iteration 50 holds 25, about the mean of a
-whole run.  It prints each pass's ms and a SHA-256 digest of the blocks.
+object once.  Iteration 1 (epsilon 0.5) holds 95 distinct plan objects
+and iteration 50 holds 25, about the mean of a whole run.  It prints
+each pass's ms and a SHA-256 digest of the blocks.
 
 Every timed round is reported raw and scaled to the reference machine speed
 (``bench_pairs.SPEED_SAMPLER``).  The record holds per timed item the
@@ -113,38 +112,22 @@ for name, size in sizes.items():
         "batch": digest(*batch),
     }
 
-execute_plans = getattr(trainer, "execute_plans", None)
-if execute_plans is None:  # a checkout before it: each query executed and extracted alone
-    from joinopt.simulator import execute
-
-    def execute_plans(contexts, plans, exec_states, rng, iteration):
-        blocks = []
-        for ctx, plan, state in zip(contexts, plans, exec_states):
-            rng.bit_generator.state = state
-            blocks.append(extract_experiences(plan, ctx, execute(plan, ctx, rng), iteration))
-        return blocks
-
 rng = np.random.default_rng(0)
 n_train = len(setup.train)
+epsilons = [cfg.search.epsilon]  # each iteration's, decayed as run_training decays it
+for _ in range(max(executed) - 1):
+    epsilons.append(epsilons[-1] * cfg.search.epsilon_decay)
 execution = {}
 for iteration in executed:
     states = trainer.generator_states(trainer.derive_seeds(
         [(seed, tag, iteration, q) for tag in ("search", "exec") for q in range(n_train)]
     ))
-    epsilon = cfg.search.epsilon * cfg.search.epsilon_decay ** (iteration - 1)
-    search_states, plans = {}, []
-    for ctx, state in zip(setup.train, states):
-        rng.bit_generator.state = state
-        plans.append(trainer.plan_search(
-            ctx.query, params, ctx.catalog, cfg.cost_model,
-            beam_width=cfg.search.beam_width, epsilon=epsilon, rng_seed=rng,
-            left_deep_only=cfg.search.left_deep_only, states=search_states,
-        ))
-    del search_states
+    epsilon = epsilons[iteration - 1]
+    plans = trainer.search_plans(setup.train, params, cfg, epsilon, rng, states[:n_train])
     calls = []
     for _ in range(exec_passes):
         start = time.perf_counter()
-        blocks = execute_plans(setup.train, plans, states[n_train:], rng, iteration)
+        blocks = trainer.execute_plans(setup.train, plans, states[n_train:], rng, iteration)
         calls.append((start, time.perf_counter(), 1))
     h = hashlib.sha256()
     for block in blocks:
