@@ -6,8 +6,8 @@ replay buffer's write and sampling times on the chain8 workload as
 
 DIR is a joinopt checkout, named after its commit (see
 ``tools/bench_pairs.py``, whose ``compare_layer`` runs this script), at
-the commit that added ``trainer.search_plans`` or later: the worker calls
-it and ``trainer.execute_plans``.  The worker, run in each checkout
+commit ``c92ff57`` or later: the worker calls ``trainer.search_plans``,
+which that commit added, and ``trainer.execute_plans``.  The worker, run in each checkout
 ``ROUNDS`` times, loads ``CONFIG`` with ``trainer.prepare_run(cfg, SEED)``
 and builds the blocks a run writes: for each of the config's iterations,
 one ``trainer.random_rollout`` per train query from one generator seeded
