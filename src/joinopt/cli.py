@@ -219,15 +219,17 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
             )
         verdicts = {split: history.verdicts(split) for split in ("train", "test")}
 
+    # One evaluation of both splits, as a run's evaluations are made.
+    evaluated = evaluate_queries(setup.train + setup.test, params, cfg)
     rows = []
-    for split, contexts in (("train", setup.train), ("test", setup.test)):
-        latencies = evaluate_queries(contexts, params, cfg)
-        expert = {qid: baselines[qid].mean_latency_ms for qid in latencies}
+    for split, ids in (("train", train_ids), ("test", test_ids)):
+        latencies = {qid: evaluated[qid] for qid in ids}
+        expert = {qid: baselines[qid].mean_latency_ms for qid in ids}
         print(f"{split} WRL={wrl(latencies, expert):.4f}")
         rows += [
             [split, qid, latencies[qid], expert[qid], baselines[qid].tolerance_ms,
              verdicts[split][qid].verdict.value if verdicts else None]
-            for qid in latencies
+            for qid in ids
         ]
     for split, qid, learned, expert, _, verdict in rows:
         verdict = f" verdict={verdict}" if verdict else ""

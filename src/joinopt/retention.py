@@ -298,11 +298,11 @@ def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarr
     parent = buffer.parent[rows]
     live = parent >= 0
     up = buffer.root[rows] + parent  # the enclosing join's number
-    # The enclosing join's place in the pass, or, evicted, its place among
-    # the oldest plan's evicted rows after the live ones, which start at its
-    # root; at a root it is an unused index inside the pass.
-    at = np.where(up >= buffer.oldest, up - buffer.oldest, len(rows) + parent)
-    next_values = np.where(live, values[at], 0.0)
+    # The pass scores rows oldest .. end - 1 and then the oldest plan's
+    # evicted rows, its root .. oldest - 1, so row number u is at u - oldest,
+    # and an evicted u, below oldest, wraps to len(values) + u - oldest, its
+    # place after the live rows.  At a root the index is in range and unused.
+    next_values = np.where(live, values[(up - buffer.oldest) % len(values)], 0.0)
     reward = np.where(live, 0.0, -buffer.label[rows])
     return reward + gamma * next_values - values[: len(rows)]
 

@@ -24,11 +24,9 @@ start of every plan) and each join edge as a (two-bit mask, selectivity)
 pair; cardinalities and log sizes are products and sums over those,
 memoized by mask.  Only the expert DP runs on first use, and its plan is
 then kept.
-Each context registers itself in a weak registry keyed by the identities of
-its query and catalog and by its cost config, so ``query_context`` (and
-through it ``plan_search``, ``noiseless_latency`` and ``expert_plan``)
-reuses a context that a caller still holds, such as a run's, instead of
-compiling another; the registry keeps no context alive by itself.  A
+Callers hand a context to what reads it: ``expert_plan`` runs the DP on
+the context it is given, and ``trainer.plan_search`` searches one; so a run's
+set-up, training and evaluation share one compile per query.  A
 ``FragmentInfo`` summarizes one plan fragment (mask, rows, cost, depth,
 operator counts) and composes bottom-up: ``plan_infos`` is the one walk that
 summarizes every node of a plan tree, and plan cost, experience extraction
@@ -53,7 +51,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,7 +64,6 @@ __all__ = [
     "ExpertBaseline",
     "SimulatorError",
     "QueryContext",
-    "query_context",
     "FragmentInfo",
     "JoinColumns",
     "scan_cost",
@@ -150,11 +146,11 @@ class QueryContext:
 
     Relation ``i`` of the sorted relation names is bit ``1 << i``, so a
     mask's names come out sorted.  The context is compiled when it is made:
-    construction reads the query and the catalog, builds the relations'
-    statistics, join edges and ``scans``, and registers the context for
-    ``query_context``.  Cardinalities, log sizes and neighbour masks are
-    memoized per mask on first use, and the DP runs on first use:
-    ``expert()`` runs it once, on this context, and keeps its plan.
+    construction reads the query and the catalog and builds the relations'
+    statistics, join edges and ``scans``.  Cardinalities, log sizes and
+    neighbour masks are memoized per mask on first use, and the DP runs on
+    first use: ``expert()`` runs it once, on this context, and keeps its
+    plan.
 
     ``shape`` keys what plan search reads from the context: the catalog
     object (by identity), the cost config, the relation names and the join
@@ -165,6 +161,8 @@ class QueryContext:
 
     def __init__(self, query: Query, catalog: Catalog, cfg: CostModelConfig):
         self.query = query
+        # The query's id: perfbench's tracer counts expert_plan calls by it.
+        self.id = query.id
         self.catalog = catalog
         self.cfg = cfg
         self.relations = tuple(sorted(query.relations))
@@ -201,7 +199,6 @@ class QueryContext:
                          depth=0, op_counts=(0, 0, 0))
             for i, (r, t) in enumerate(zip(self.relations, tables))
         )
-        _CONTEXTS[(id(query), id(catalog), cfg)] = self
 
     def names(self, mask: int) -> tuple[str, ...]:
         """Sorted relation names of a mask."""
@@ -250,7 +247,7 @@ class QueryContext:
     def expert(self) -> PlanNode:
         """The expert DP plan, computed by the first call."""
         if self._expert is None:
-            self._expert = expert_plan(self.query, self.catalog, self.cfg)
+            self._expert = expert_plan(self)
         return self._expert
 
     def cost(self, plan: PlanNode) -> float:
@@ -266,21 +263,6 @@ class QueryContext:
     def latency(self, plan: PlanNode) -> float:
         """Noiseless latency of a complete plan: cost times the latency unit."""
         return self.cost(plan) * self.cfg.latency_per_cost_unit
-
-
-# Every live context, by (id(query), id(catalog), cost config).  Values are
-# weak, so an entry lasts only while something else holds its context, and a
-# live context holds its query and catalog, so their ids are not reused.
-_CONTEXTS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def query_context(query: Query, catalog: Catalog, cfg: CostModelConfig) -> QueryContext:
-    """The live context compiled for these query and catalog objects and
-    this cost config, or a newly compiled one."""
-    ctx = _CONTEXTS.get((id(query), id(catalog), cfg))
-    if ctx is not None and ctx.query is query and ctx.catalog is catalog:
-        return ctx
-    return QueryContext(query, catalog, cfg)
 
 
 @dataclass(frozen=True)
@@ -459,7 +441,7 @@ def noiseless_latency(
     plan: PlanNode, query: Query, catalog: Catalog, cfg: CostModelConfig
 ) -> float:
     """Latency with the noise term removed: cost times the latency unit."""
-    return query_context(query, catalog, cfg).latency(plan)
+    return QueryContext(query, catalog, cfg).latency(plan)
 
 
 def _connected_splits(ctx: QueryContext) -> dict[int, list[int]]:
@@ -523,8 +505,9 @@ def _names_before(a: int, b: int) -> bool:
     return bool(low) and not a & above
 
 
-def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNode:
-    """Cost-minimal cross-product-free bushy plan by exhaustive DP.
+def expert_plan(ctx: QueryContext) -> PlanNode:
+    """Cost-minimal cross-product-free bushy plan of the context's query by
+    exhaustive DP.
 
     Considers every split of a connected relation set into two connected
     parts linked by a join edge (``_connected_splits``, each unordered pair
@@ -540,20 +523,20 @@ def expert_plan(query: Query, catalog: Catalog, cfg: CostModelConfig) -> PlanNod
     Queries of more than ``DEFAULT_DP_LIMIT`` relations are refused.
     ``catalog.Query`` refuses a disconnected join graph, so the DP always
     reaches the whole query.  The DP's cardinalities are memoized in the
-    query's live context, if it has one.
+    context.  ``QueryContext.expert`` calls this once per context and keeps
+    the plan.
     """
-    ctx = query_context(query, catalog, cfg)
     n = len(ctx.relations)
     if n > DEFAULT_DP_LIMIT:
         raise SimulatorError(
-            f"query {query.id!r} joins {n} relations, above the DP limit {DEFAULT_DP_LIMIT}"
+            f"query {ctx.id!r} joins {n} relations, above the DP limit {DEFAULT_DP_LIMIT}"
         )
 
     # cost[mask] is the best plan's cost and choice[mask] its (left mask,
     # right mask, operator); only connected masks ever gain an entry.
     cost = {scan.mask: scan.cost for scan in ctx.scans}
     choice: dict[int, tuple[int, int, JoinOp]] = {}
-    cardinality = ctx.cardinality
+    cardinality, cfg = ctx.cardinality, ctx.cfg
     splits = _connected_splits(ctx)
     for mask in sorted(splits, key=int.bit_count):
         out_rows = cardinality(mask)

@@ -16,9 +16,9 @@ greedy and noiseless, so every evaluated latency is bounded below by the
 expert DP latency.  ``prepare_run`` is the set-up of every command: it
 compiles each train and test query once into a ``simulator.QueryContext``
 that the expert baselines, partition selection, meta-task building, plan
-search and evaluation share (plan search finds it through the simulator's
-context registry), so the expert DP runs once per query and cardinalities
-are estimated once per relation set.  ``RunHistory``
+search and evaluation share (``search_plans`` hands each search its
+context), so the expert DP runs once per query and cardinalities are
+estimated once per relation set.  ``RunHistory``
 judges a run's evaluation records, whether the run just trained or its
 run.csv was read back; ``read_run_csv`` is the one check of a history read
 from a file.  Every table joinopt writes, run.csv, summary.csv and
@@ -85,7 +85,6 @@ from .simulator import (
     join_columns,
     legal_pairs,
     plan_infos,
-    query_context,
 )
 from .transfer import (
     PartitioningPolicy,
@@ -439,7 +438,7 @@ class _Step:
 
 
 def plan_search(
-    query: Query,
+    query: Query | QueryContext,
     model: ModelParams,
     catalog: Catalog,
     cost_cfg: CostModelConfig,
@@ -466,8 +465,9 @@ def plan_search(
     by all three operators, with ``join_columns``; featurizes those joins
     (entry, then legal pair, then operator) as one matrix and scores it with
     one ``predict_batch``; and builds fragments only for the successors the
-    beam keeps, from their pairs' summaries.  The query's context is the
-    caller's live one, if any.
+    beam keeps, from their pairs' summaries.  ``query`` is a compiled
+    context, or a query, which is compiled against ``catalog`` and
+    ``cost_cfg`` for this search; given a context, the search reads neither.
 
     ``states`` is the table of scored steps that ``search_plans`` keeps
     for the searches of one model, beam width and ``left_deep_only``,
@@ -480,7 +480,7 @@ def plan_search(
     runs the same steps and keeps none of them: kept, a served 12-relation
     query's steps made its search about 3% slower.
     """
-    ctx = query_context(query, catalog, cost_cfg)
+    ctx = query if isinstance(query, QueryContext) else QueryContext(query, catalog, cost_cfg)
     rng = np.random.default_rng(rng_seed) if epsilon > 0 else None
     steps = {} if states is None else states.setdefault(ctx.shape, {})
     beam = [_BeamEntry(ctx.scans, ())]
@@ -734,10 +734,10 @@ def search_plans(
         if rng_states is not None:
             rng.bit_generator.state = rng_states[index]
         plans.append(plan_search(
-            ctx.query,
+            ctx,
             params,
             ctx.catalog,
-            cfg.cost_model,
+            ctx.cfg,
             beam_width=cfg.search.beam_width,
             epsilon=epsilon,
             rng_seed=rng,
@@ -989,7 +989,7 @@ def read_run_csv(path, train_ids, test_ids) -> list[IterationRecord]:
     verdicts, the convergence iteration and the WRLs are computed from
     passes it.  Each refusal is one line naming the file, and the line and
     column where there is one.  Refused are text that is not UTF-8; a
-    missing or unexpected column; a short or long row; fewer than
+    missing, repeated or unexpected column; a short or long row; fewer than
     2 records; a cell that is not a number, or not an integer in
     ``iteration`` and ``buffer_size``; an ``iteration`` that does not
     exceed the previous record's; and a latency or WRL that is not above 0
@@ -1008,6 +1008,7 @@ def read_run_csv(path, train_ids, test_ids) -> list[IterationRecord]:
         f"{kind} column(s) {columns}"
         for kind, columns in (
             ("missing", [c for c in expected if c not in header]),
+            ("repeated", [c for i, c in enumerate(header) if c in header[:i]]),
             ("unexpected", [c for c in header if c not in expected]),
         )
         if columns

@@ -258,7 +258,8 @@ def test_criterion_3_expert_optimality():
     for trial in range(200):
         n = int(rng.integers(2, 6))
         catalog, query = random_tree_catalog_and_query(rng, n, qid=f"t{trial}")
-        dp_cost = QueryContext(query, catalog, cfg).cost(expert_plan(query, catalog, cfg))
+        ctx = QueryContext(query, catalog, cfg)
+        dp_cost = ctx.cost(expert_plan(ctx))
         ok &= dp_cost == brute_force_min_cost(query, catalog, cfg)
         if not ok:
             break

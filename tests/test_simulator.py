@@ -21,7 +21,6 @@ from joinopt.simulator import (
     legal_pairs,
     noiseless_latency,
     plan_infos,
-    query_context,
 )
 
 from conftest import make_catalog, make_query, random_tree_catalog_and_query
@@ -134,7 +133,7 @@ def subset_dp_plan(query, catalog, cfg):
     in ``JOIN_OPS``, which lists them in rank order.  The same candidates and
     key as ``expert_plan``, so the same plan, reached without its pair
     enumeration."""
-    ctx = query_context(query, catalog, cfg)
+    ctx = QueryContext(query, catalog, cfg)
     best = {scan.mask: (scan.cost, scan.node) for scan in ctx.scans}
     for mask in range(1, ctx.full_mask + 1):
         if mask & (mask - 1) == 0:
@@ -421,7 +420,7 @@ def test_execute_floor_prevents_nonpositive(pair_catalog, pair_query):
 # --- expert plan -------------------------------------------------------------
 
 def test_expert_two_relations_exhaustive(pair_catalog, pair_query, default_cost):
-    plan = expert_plan(pair_query, pair_catalog, default_cost)
+    plan = expert_plan(QueryContext(pair_query, pair_catalog, default_cost))
     best = brute_force_min_cost(pair_query, pair_catalog, default_cost)
     assert QueryContext(pair_query, pair_catalog, default_cost).cost(plan) == pytest.approx(best)
 
@@ -432,7 +431,7 @@ def test_expert_four_relation_chain_matches_brute_force(default_cost):
         {("a", "b"): 0.01, ("b", "c"): 0.002, ("c", "d"): 0.3},
     )
     query = make_query("c4", ["a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d")])
-    plan = expert_plan(query, catalog, default_cost)
+    plan = expert_plan(QueryContext(query, catalog, default_cost))
     got = QueryContext(query, catalog, default_cost).cost(plan)
     assert got == pytest.approx(brute_force_min_cost(query, catalog, default_cost))
 
@@ -440,7 +439,7 @@ def test_expert_four_relation_chain_matches_brute_force(default_cost):
 def test_expert_matches_brute_force_random(rng, default_cost):
     for trial in range(25):
         catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 6)))
-        plan = expert_plan(query, catalog, default_cost)
+        plan = expert_plan(QueryContext(query, catalog, default_cost))
         got = QueryContext(query, catalog, default_cost).cost(plan)
         best = brute_force_min_cost(query, catalog, default_cost)
         assert got == pytest.approx(best, rel=1e-12)
@@ -460,8 +459,8 @@ SCAN_ONLY_COST = CostModelConfig(
 
 
 def test_expert_tie_break_deterministic(pair_catalog, pair_query):
-    first = expert_plan(pair_query, pair_catalog, SCAN_ONLY_COST)
-    second = expert_plan(pair_query, pair_catalog, SCAN_ONLY_COST)
+    first = expert_plan(QueryContext(pair_query, pair_catalog, SCAN_ONLY_COST))
+    second = expert_plan(QueryContext(pair_query, pair_catalog, SCAN_ONLY_COST))
     assert first == second
     assert first == Join(Scan("r"), Scan("s"), JoinOp.HASH)
 
@@ -493,12 +492,13 @@ def test_expert_plan_equals_subset_dp(rng, default_cost):
             cases.append(with_extra_edges(rng, catalog, query, n * (n - 1) // 2))
     for catalog, query in cases:
         for cfg in (default_cost, SCAN_ONLY_COST):
-            assert expert_plan(query, catalog, cfg) == subset_dp_plan(query, catalog, cfg), query
+            plan = expert_plan(QueryContext(query, catalog, cfg))
+            assert plan == subset_dp_plan(query, catalog, cfg), query
     for workload in ("data/star6", "perfbench/workloads/chain8", "perfbench/workloads/snowflake12"):
         catalog = load_catalog(ROOT / workload / "catalog.json")
         for split in ("train.json", "test.json"):
             for query in load_workload(ROOT / workload / split, catalog):
-                assert expert_plan(query, catalog, default_cost) == subset_dp_plan(
+                assert expert_plan(QueryContext(query, catalog, default_cost)) == subset_dp_plan(
                     query, catalog, default_cost
                 ), (workload, query.id)
 
@@ -507,12 +507,12 @@ def test_expert_dp_limit(rng, default_cost):
     """The DP refuses a query above DEFAULT_DP_LIMIT (12) relations."""
     catalog, query = random_tree_catalog_and_query(rng, DEFAULT_DP_LIMIT + 1)
     with pytest.raises(SimulatorError, match="above the DP limit 12"):
-        expert_plan(query, catalog, default_cost)
+        expert_plan(QueryContext(query, catalog, default_cost))
 
 
 def test_expert_covers_query(rng, default_cost):
     catalog, query = random_tree_catalog_and_query(rng, 6)
-    plan = expert_plan(query, catalog, default_cost)
+    plan = expert_plan(QueryContext(query, catalog, default_cost))
     ctx = QueryContext(query, catalog, default_cost)
     assert plan_infos(plan, ctx)[-1].mask == ctx.full_mask
 
@@ -533,7 +533,7 @@ def test_baseline_deterministic(pair_catalog, pair_query, default_cost):
     b = expert_baseline(QueryContext(pair_query, pair_catalog, default_cost), n_runs=10, base_seed=5)
     assert a == b
     # The executions are the expert plan's, seeded base_seed + i.
-    plan = expert_plan(pair_query, pair_catalog, default_cost)
+    plan = expert_plan(QueryContext(pair_query, pair_catalog, default_cost))
     runs = [execute(ctx.cost(plan), default_cost, 5 + i) for i in range(10)]
     assert a.mean_latency_ms == float(np.mean(runs))
 

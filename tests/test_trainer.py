@@ -377,11 +377,12 @@ def test_beam_with_cost_oracle_finds_expert_cost_on_star6():
 GOLDEN_PLANS = Path(__file__).resolve().parent / "golden_plans.json"
 
 
-def searched_plans() -> dict[str, str]:
+def searched_plans(through_context: bool = False) -> dict[str, str]:
     """``plan_repr`` of ``plan_search`` for the 13 bundled star6 queries and
     two generated 10-12 relation snowflake queries, under two 64-64 model
     initializations, widths 1 and 8, epsilon 0 and 0.5, bushy and
-    left-deep."""
+    left-deep; each search is handed the query, or, ``through_context``,
+    the query's compiled ``QueryContext``."""
     from joinopt.catalog import catalog_from_doc, workload_from_doc
     from joinopt.plans import plan_repr
 
@@ -398,12 +399,13 @@ def searched_plans() -> dict[str, str]:
         for init in (0, 1):
             model = init_params((feature_dim(catalog), 64, 64, 1), init)
             for query in queries:
+                searched = QueryContext(query, catalog, cfg.cost_model) if through_context else query
                 for width in (1, 8):
                     for epsilon in (0.0, 0.5):
                         for left_deep in (False, True):
                             key = f"{name}/{query.id}/init{init}/w{width}/e{epsilon}/ld{int(left_deep)}"
                             plan = plan_search(
-                                query, model, catalog, cfg.cost_model, width, epsilon,
+                                searched, model, catalog, cfg.cost_model, width, epsilon,
                                 rng_seed=derive_seed(init, query.id), left_deep_only=left_deep,
                             )
                             plans[key] = plan_repr(plan)
@@ -412,12 +414,14 @@ def searched_plans() -> dict[str, str]:
 
 def test_search_plans_match_golden():
     """Plans recorded from the one-successor-at-a-time beam search; a faster
-    search must return exactly the same plans."""
+    search must return exactly the same plans, whether it is handed a query
+    or its compiled context."""
     golden = json.loads(GOLDEN_PLANS.read_text(encoding="utf-8"))
-    got = searched_plans()
-    assert len(got) == (13 + 2) * 2 * 8
-    assert {k: v for k, v in got.items() if golden.get(k) != v} == {}
-    assert got.keys() == golden.keys()
+    for through_context in (False, True):
+        got = searched_plans(through_context)
+        assert len(got) == (13 + 2) * 2 * 8
+        assert {k: v for k, v in got.items() if golden.get(k) != v} == {}
+        assert got.keys() == golden.keys()
 
 
 CHAIN8 = Path(__file__).resolve().parent.parent / "perfbench" / "workloads" / "chain8"
@@ -529,8 +533,7 @@ def test_training_drops_each_shapes_search_states_after_its_last_query(
         if not tables or tables[-1] is not states:
             tables.append(states)
             searched.append([])
-        shape = simulator.query_context(query, *args[1:3]).shape
-        searched[-1].append((shape, set(states)))
+        searched[-1].append((query.shape, set(states)))
         return plan_search(query, *args, states=states, **kwargs)
 
     def sample(*args):
@@ -964,9 +967,9 @@ def test_expert_plan_runs_once_per_query(workload_dir, monkeypatch):
     calls = []
     original = simulator.expert_plan
 
-    def counting(query, catalog, cfg):
-        calls.append(query.id)
-        return original(query, catalog, cfg)
+    def counting(ctx):
+        calls.append(ctx.id)
+        return original(ctx)
 
     # Patch every module that binds the DP, as the benchmark's tracer does.
     for module in (simulator, trainer_module, transfer_module):
@@ -1006,10 +1009,9 @@ def test_greedy_search_on_a_fresh_context_runs_no_expert_dp(
 
 
 def test_search_and_expert_reuse_the_runs_contexts(workload_dir, monkeypatch):
-    """plan_search and the expert DP find the contexts that prepare_run
-    compiled, so a repeated evaluation grows no context's cardinality memo
-    and the DP compiles no context of its own; the registry lets the
-    contexts go with the set-up."""
+    """plan_search and the expert DP are handed the contexts that
+    prepare_run compiled, so a repeated evaluation grows no context's
+    cardinality memo and the DP compiles no context of its own."""
     cfg = load_run_config(config_file(workload_dir))
     setup = prepare_run(cfg, cfg.base_seed)
     contexts = setup.train + setup.test
@@ -1026,17 +1028,8 @@ def test_search_and_expert_reuse_the_runs_contexts(workload_dir, monkeypatch):
     assert compiled == []
     expert = contexts[0].expert()
     assert compiled == []
-    assert simulator.expert_plan(contexts[0].query, setup.catalog, cfg.cost_model) == expert
+    assert simulator.expert_plan(contexts[0]) == expert
     assert compiled == []
-    monkeypatch.undo()
-
-    catalog = setup.catalog
-    registered = [c for c in simulator._CONTEXTS.values() if c.catalog is catalog]
-    assert len(registered) == len(contexts)
-    del setup, contexts, registered
-    gc.collect()
-    assert [c for c in simulator._CONTEXTS.values() if c.catalog is catalog] == []
-    assert len(simulator._CONTEXTS) == 0
 
 
 def test_eval_records_on_schedule(workload_dir):
@@ -1205,6 +1198,12 @@ def test_read_run_csv_refuses_other_queries(workload_dir, tmp_path):
     with pytest.raises(ValueError, match=f"unexpected column.*'test_latency_ms:{dropped}'"):
         read_run_csv(out, result.train_ids, result.test_ids[1:])
     lines = out.read_text().split("\n")
+    repeated = f"test_latency_ms:{result.test_ids[0]}"
+    out.write_text("\n".join(
+        [f"{lines[0]},{repeated}"] + [f"{line},999" for line in lines[1:] if line] + [""]
+    ))
+    with pytest.raises(ValueError, match=f"run.csv: repeated column.*'{repeated}'"):
+        read_run_csv(out, result.train_ids, result.test_ids)
     lines[1] = lines[1].replace(",", ",x", 1)
     out.write_text("\n".join(lines))
     with pytest.raises(ValueError, match="run.csv:2:"):

@@ -125,7 +125,7 @@ def test_estimated_cost_consistency(pair_catalog, pair_query, default_cost):
     ctx = QueryContext(pair_query, pair_catalog, default_cost)
     score = policy_score(ctx, PartitioningPolicy.ESTIMATED_COST)
     expected = QueryContext(pair_query, pair_catalog, default_cost).cost(
-        expert_plan(pair_query, pair_catalog, default_cost)
+        expert_plan(QueryContext(pair_query, pair_catalog, default_cost))
     )
     assert score == expected
 

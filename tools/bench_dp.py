@@ -9,8 +9,9 @@ DIR is a joinopt checkout, named after its commit (see
 star, snowflake) and size (6, 9 and 12 relations), a schema of that many
 tables and one query over all of them, once per seed in ``SEEDS``.  The
 worker, run in each checkout ``ROUNDS`` times, times
-``simulator.expert_plan`` on each query ``REPEATS`` times and prints the
-times and each plan's ``plan_repr``.  The record holds per cell the
+``QueryContext(query, catalog, cfg).expert()``, a compile and the expert DP,
+on each query ``REPEATS`` times and prints the times and each plan's
+``plan_repr``.  The record holds per cell the
 ``bench_pairs.summarize`` fields of the per-call times and whether both
 checkouts returned equal plans in every round; the script exits non-zero,
 after writing it, if any plans differ.  Every time is recorded raw and, as
@@ -33,7 +34,7 @@ WORKER = SPEED_SAMPLER + """
 import json, sys, time
 from joinopt.catalog import catalog_from_doc, workload_from_doc
 from joinopt.plans import plan_repr
-from joinopt.simulator import CostModelConfig, expert_plan
+from joinopt.simulator import CostModelConfig, QueryContext
 from joinopt.workload_gen import generate
 
 shapes, sizes, seeds, repeats = json.loads(sys.argv[1])
@@ -52,9 +53,9 @@ for shape in shapes:
         for _ in range(repeats):
             for query, catalog in queries:
                 start = time.perf_counter()
-                expert_plan(query, catalog, cfg)
+                QueryContext(query, catalog, cfg).expert()
                 calls.append((start, time.perf_counter(), 1))
-        plans = [plan_repr(expert_plan(q, c, cfg)) for q, c in queries]
+        plans = [plan_repr(QueryContext(q, c, cfg).expert()) for q, c in queries]
         out[f"{shape}-{size}"] = {"ms": timed(calls), "plans": plans}
 finish(out)
 """
@@ -71,7 +72,7 @@ def record(rounds: list[dict]) -> dict:
             "plans_equal": same(rounds, lambda result: result[name]["plans"]),
         }
     return {
-        "command": "simulator.expert_plan(query, catalog, CostModelConfig())",
+        "command": "simulator.QueryContext(query, catalog, CostModelConfig()).expert()",
         "seeds": list(SEEDS),
         "repeats": REPEATS,
         "plans_equal": all(cell["plans_equal"] for cell in cells.values()),
