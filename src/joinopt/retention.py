@@ -6,8 +6,9 @@ features from the simulator's single walk over the plan
 (``simulator.plan_infos``), and for each row the block index of its smallest
 enclosing join, the experience's successor state (-1 at the root, which is
 terminal).  The replay buffer writes blocks as rows of column arrays, any
-number of them in one set of column writes.  It keeps no model output
-that is read again: the TD pass writes its layers into buffers the ring
+number of them in one set of column writes, and keeps each distinct state
+row once, in a table its rows index.  It keeps no model output that is
+read again: the TD pass writes its layers into buffers the ring
 keeps, and every pass overwrites them.  It is a ring with room for one
 plan beyond its capacity, so the evicted rows of the oldest plan, which
 the live ones may still need as successor states, stay in place until the
@@ -29,7 +30,9 @@ replay budget is drawn from the resulting multinomial, with replacement, as
 one training batch: a (features, labels) pair of new float64 arrays, which
 nothing re-checks.  Priorities are recomputed from the current model at
 every call and never stored.  One forward pass scores every row, and
-V(s_next) is the value of the row's enclosing join in that same pass.
+V(s_next) is the value of the row's enclosing join in that same pass; its
+hidden layers run once per distinct state, and its values have the bits
+of a pass over every row's state.
 
 TD errors live in the model's label space: values are negated network
 outputs (the network predicts log1p latency, so higher output means worse)
@@ -47,7 +50,7 @@ import numpy as np
 from .features import RECENCY_SLOT, fragment_rows
 from .model import ModelParams, latency_to_label, predict_batch
 from .plans import Join, PlanNode
-from .simulator import QueryContext, plan_infos
+from .simulator import FragmentInfo, QueryContext, plan_infos
 
 __all__ = [
     "PlanBlock",
@@ -134,6 +137,12 @@ class RetentionConfig:
 _OUTPUT_STEP = 4096
 
 
+def _row_keys(matrix: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous matrix, through one view."""
+    row = np.dtype((np.void, matrix.shape[1] * matrix.itemsize))
+    return matrix.view(row).ravel().tolist()
+
+
 class ReplayBuffer:
     """Ring buffer of experiences, one row each, evicting strictly
     oldest-first.  Rows are numbered in write order, and row number s lives
@@ -142,6 +151,15 @@ class ReplayBuffer:
     the most rows one block can have.  ``parent`` holds each row's block
     index of its enclosing join (-1 at a plan root) and ``root`` the number
     of its plan's root.
+
+    A row's state features are kept once per distinct value: ``table``
+    holds the distinct state rows, ``sid`` each slot's id, its row of
+    ``table``, and ``ids`` maps a state row's bytes to its id.  ``extend``
+    looks up the rows it writes through one bytes view of the call's rows,
+    so a row costs one dict lookup.  A written slot's id counts as used.  When the table holds more unused ids than
+    used ones, or more rows than the ring has slots, ``extend`` compacts it,
+    keeping the used rows in their order; so the table never holds more rows
+    than ``size``.
 
     Blocks list the root first, so eviction can leave the oldest plan partly
     evicted.  Its evicted rows stay in their slots until the whole plan is
@@ -153,7 +171,7 @@ class ReplayBuffer:
 
     ``activations`` holds that pass's output buffers, one per layer of the
     model, which ``layer_outputs`` makes at the first pass and again only
-    when the model's layer widths change or the pass scores more rows than
+    when the model's layer widths change or the pass needs more rows than
     they hold; they grow with the ring and never shrink.  A pass writes
     their leading rows, so it allocates no per-layer array."""
 
@@ -161,6 +179,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self.size = capacity + plan_rows
         self.oldest = self.end = 0  # numbers of the oldest row and of the next
+        self.ids: dict[bytes, int] = {}
         self.activations: list[np.ndarray] = []
 
     def __len__(self) -> int:
@@ -177,9 +196,10 @@ class ReplayBuffer:
         lengths = np.array([len(block) for block in blocks])
         size, start, end = self.size, self.end, self.end + int(lengths.sum())
         if not self.end:
+            self.table = np.zeros((0, blocks[0].features.shape[1]))
             # np.zeros pages are committed on first write, so rows that are
             # never filled cost no memory.
-            self.state = np.zeros((size, blocks[0].features.shape[1]))
+            self.sid = np.zeros(size, dtype=np.int64)
             self.parent = np.zeros(size, dtype=np.int64)
             self.root = np.zeros(size, dtype=np.int64)
             self.stored_at = np.zeros(size, dtype=np.int64)
@@ -193,7 +213,7 @@ class ReplayBuffer:
         def per_row(values, dtype=None):
             return np.repeat(np.array(values, dtype=dtype), lengths)[skip:]
 
-        self.state[rows] = np.concatenate([block.features for block in blocks])[skip:]
+        self.sid[rows] = self._state_ids(np.concatenate([block.features for block in blocks])[skip:])
         self.parent[rows] = np.concatenate([block.parent for block in blocks])[skip:]
         self.root[rows] = per_row(roots)
         self.stored_at[rows] = per_row([block.iteration for block in blocks])
@@ -201,6 +221,31 @@ class ReplayBuffer:
         self.label[rows] = per_row([block.label for block in blocks])
         self.query_id[rows] = per_row([block.query_id for block in blocks], object)
         self.oldest, self.end = max(0, end - self.capacity), end
+        self._compact()
+
+    def _state_ids(self, features: np.ndarray) -> np.ndarray:
+        """The id of each row of ``features``, a C-contiguous matrix, looked
+        up by its bytes: a row not yet in ``ids`` gets the next id, and the
+        new rows are appended to ``table`` in one copy."""
+        ids, count = self.ids, len(self.table)
+        sids = np.array([ids.setdefault(key, len(ids)) for key in _row_keys(features)], np.int64)
+        if len(ids) > count:
+            known, first = np.unique(sids, return_index=True)
+            self.table = np.concatenate([self.table, features[first[known >= count]]])
+        return sids
+
+    def _compact(self) -> None:
+        """Keep only the table's used rows, renumbering the ids in order,
+        once it holds more unused ids than used ones or more rows than
+        ``size``."""
+        written = self.sid[: min(self.end, self.size)]
+        used = np.zeros(len(self.table), dtype=bool)
+        used[written] = True
+        if len(self.table) <= min(2 * int(used.sum()), self.size):
+            return
+        written[...] = (np.cumsum(used) - 1)[written]
+        self.table = self.table[used]
+        self.ids = dict(zip(_row_keys(self.table), range(len(self.table))))
 
     def layer_outputs(self, model: ModelParams, rows: int) -> list[np.ndarray]:
         """``activations``, one buffer of at least ``rows`` rows per layer
@@ -221,18 +266,18 @@ class ReplayBuffer:
         """Row indices of the buffered experiences, oldest first."""
         return np.arange(self.oldest, self.end) % self.size
 
-    def scored_states(self) -> np.ndarray:
-        """The state features of the buffered experiences, oldest first, then
-        the oldest plan's evicted rows from its root on: one new matrix."""
+    def scored_ids(self) -> np.ndarray:
+        """The state ids of the buffered experiences, oldest first, then of
+        the oldest plan's evicted rows from its root on."""
         first = self.root[self.oldest % self.size]
-        return self.state[np.r_[self.oldest : self.end, first : self.oldest] % self.size]
+        return self.sid[np.r_[self.oldest : self.end, first : self.oldest] % self.size]
 
     def batch(self, positions, recency) -> tuple[np.ndarray, np.ndarray]:
         """The experiences at ``positions`` of ``order()`` as a training
         batch, a (features, labels) pair: state features with the recency
         slot set to ``recency``, labelled with log1p latency."""
         rows = self.order()[positions]
-        features = self.state[rows]
+        features = self.table[self.sid[rows]]
         features[:, RECENCY_SLOT] = recency
         return features, self.label[rows]
 
@@ -242,12 +287,15 @@ def extract_experiences(
     ctx: QueryContext,
     latency_ms: float,
     iteration: int,
+    infos: list[FragmentInfo] | None = None,
 ) -> PlanBlock:
     """The block of an executed terminal plan (``QueryContext.cost`` has
     checked that it covers the query): one row per join node, in pre-order (root first,
     then the left subtree, then the right), each pointing at its smallest
-    enclosing join.  The block's arrays are made read-only."""
-    infos = plan_infos(plan, ctx)
+    enclosing join.  ``infos``, if given, is the plan's ``plan_infos``,
+    which the block is then read from instead of a new walk.  The block's
+    arrays are made read-only."""
+    infos = plan_infos(plan, ctx) if infos is None else infos
     info_of = {id(info.node): info for info in infos}
     joins, parent, stack = [], [], [(infos[-1].node, -1)]
     while stack:  # pre-order: a join, then its left subtree, then its right
@@ -283,17 +331,20 @@ def recency_weight(tau_e, tau_current, span):
 def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarray:
     """One-step TD residual r + gamma*V(s') - V(s) in label space, one per
     buffered experience, oldest first; V is zero at a terminal.  One forward
-    pass scores ``buffer.scored_states()``, the buffered rows, oldest first,
-    then the oldest plan's evicted rows, still in the ring, as one matrix;
-    V(s') is the value of the row's enclosing join in it.  The pass writes
-    each layer into the buffer's ``layer_outputs``, which hold at least
-    the scored rows.  It is never split or re-batched: a row's last bits
-    depend on the shape of the matmul that scores it."""
+    pass scores the states of ``buffer.scored_ids()``, the buffered rows,
+    oldest first, then the oldest plan's evicted rows, still in the ring,
+    as one matrix; V(s') is the value of the row's enclosing join in it.
+    The pass runs the hidden layers once per row of the buffer's ``table``
+    and the output layer over those ids in that order (``predict_batch``'s
+    ``rows``), so each value has the bits a pass over the materialized
+    states would give it.  It writes each layer into the buffer's
+    ``layer_outputs``, which hold at least the table's and the scored
+    rows."""
     if not len(buffer):
         raise RetentionError("the replay buffer is empty")
-    states = buffer.scored_states()
-    values = -predict_batch(model, states, buffer.layer_outputs(model, len(states)))
-    del states  # the pass's input, freed before the per-row arrays below are made
+    sids, table = buffer.scored_ids(), buffer.table
+    outputs = buffer.layer_outputs(model, max(len(table), len(sids)))
+    values = -predict_batch(model, table, outputs, rows=sids)
     rows = buffer.order()
     parent = buffer.parent[rows]
     live = parent >= 0
@@ -396,7 +447,7 @@ def dump_buffer(buffer: ReplayBuffer, path) -> None:
             "latency_ms": float(buffer.latency[row]),
             "transition_reward": -float(buffer.label[row]) if buffer.parent[row] < 0 else 0.0,
             "terminal": bool(buffer.parent[row] < 0),
-            "state_features": buffer.state[row].tolist(),
+            "state_features": buffer.table[buffer.sid[row]].tolist(),
         }
         for row in order
     ]

@@ -250,15 +250,20 @@ class QueryContext:
             self._expert = expert_plan(self)
         return self._expert
 
-    def cost(self, plan: PlanNode) -> float:
-        """Deterministic cost of a complete plan for the query."""
-        root = plan_infos(plan, self)[-1]
-        if root.mask != self.full_mask:
+    def summaries(self, plan: PlanNode) -> list[FragmentInfo]:
+        """``plan_infos(plan, self)``, after checking that the plan covers
+        the query; the root's summary, last, holds the plan's cost."""
+        infos = plan_infos(plan, self)
+        if infos[-1].mask != self.full_mask:
             raise SimulatorError(
-                f"plan covers {list(self.names(root.mask))} but query "
+                f"plan covers {list(self.names(infos[-1].mask))} but query "
                 f"{self.query.id!r} requires {list(self.relations)}"
             )
-        return root.cost
+        return infos
+
+    def cost(self, plan: PlanNode) -> float:
+        """Deterministic cost of a complete plan for the query."""
+        return self.summaries(plan)[-1].cost
 
     def latency(self, plan: PlanNode) -> float:
         """Noiseless latency of a complete plan: cost times the latency unit."""

@@ -770,9 +770,10 @@ def execute_plans(
     """Execute each context's plan and extract its block at ``iteration``,
     in order: the i-th execution draws its noise from ``rng`` set to
     ``exec_states[i]``.  Each distinct plan object of a context ``shape`` is
-    walked and featurized once: its first execution checks that it covers
-    the query and costs it (``QueryContext.cost``), executes that cost and
-    extracts the block.  A later execution of the same object for a context
+    walked and featurized once: its first execution walks it
+    (``QueryContext.summaries``, which checks that it covers the query),
+    executes the root's cost and extracts the block from that same walk.
+    A later execution of the same object for a context
     of the same shape executes the kept cost and shares the first block's
     read-only ``features`` and ``parent``, under its own query id and
     latency.  Those rows and the cost read only what the shape covers, so
@@ -785,8 +786,9 @@ def execute_plans(
         rng.bit_generator.state = state
         seen = executed.get(id(plan))
         if seen is None or seen[1] != ctx.shape:
-            cost = ctx.cost(plan)
-            block = extract_experiences(plan, ctx, execute(cost, ctx.cfg, rng), iteration)
+            infos = ctx.summaries(plan)
+            cost = infos[-1].cost
+            block = extract_experiences(plan, ctx, execute(cost, ctx.cfg, rng), iteration, infos)
             executed[id(plan)] = plan, ctx.shape, cost, block
         else:
             _, _, cost, first = seen

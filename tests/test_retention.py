@@ -175,16 +175,17 @@ def test_td_error_makes_one_forward_pass(monkeypatch):
 
     original = r.predict_batch
 
-    def counting(model, features, out=None):
-        calls.append(len(features))
-        return original(model, features, out)
+    def counting(model, features, out=None, rows=None):
+        calls.append((len(features), len(rows)))
+        return original(model, features, out, rows)
 
     monkeypatch.setattr(r, "predict_batch", counting)
     buffer = ReplayBuffer(3, 3)
     buffer.extend(make_block(1.0, 2.0, 3.0, parent=(-1, 0, 1)))
     buffer.extend(make_block(4.0))  # evicts the first plan's root
     td_error(buffer, identity_model(), 1.0)
-    assert calls == [4]  # the three buffered rows, then the evicted root
+    # Four distinct states; the three buffered rows, then the evicted root.
+    assert calls == [(4, 4)]
 
 
 def test_td_error_buffers_follow_the_model_widths(rng):
@@ -301,6 +302,11 @@ def test_weighting_policy_validation():
 
 # --- buffer ---------------------------------------------------------------------
 
+def states(buffer, rows):
+    """The state features of the ring's ``rows``, read through their ids."""
+    return buffer.table[buffer.sid[rows]]
+
+
 def test_buffer_evicts_oldest_first():
     buffer = ReplayBuffer(capacity=3, plan_rows=1)
     for i in range(5):
@@ -308,7 +314,7 @@ def test_buffer_evicts_oldest_first():
     assert len(buffer) == 3
     assert buffer.oldest == 2
     order = buffer.order()
-    assert buffer.state[order, 0].tolist() == [2.0, 3.0, 4.0]
+    assert states(buffer, order)[:, 0].tolist() == [2.0, 3.0, 4.0]
     assert buffer.stored_at[order].tolist() == [2, 3, 4]
 
 
@@ -387,7 +393,7 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
     (features, labels), stats = sample_replay(buffer, model, cfg, 5)
     assert stats.probabilities == pytest.approx(weights / weights.sum(), rel=1e-9)
     idx = stats.sampled_indices
-    want_features = buffer.state[order[idx]].copy()
+    want_features = states(buffer, order[idx])
     want_features[:, -1] = stats.recency[idx]
     assert np.array_equal(features, want_features)
     assert stats.recency[idx] == pytest.approx(recency[idx], rel=1e-12)
@@ -426,7 +432,7 @@ def test_block_wraps_past_the_ring_end(rng):
         buffer.extend(block)
     assert np.diff(buffer.order()).min() < 0  # the live rows span the ring's end
     assert np.array_equal(
-        buffer.state[buffer.order()], np.vstack([second.features[3:], third.features])
+        states(buffer, buffer.order()), np.vstack([second.features[3:], third.features])
     )
     rows = (block_rows(first) + block_rows(second) + block_rows(third))[-5:]
     assert td_error(buffer, model, gamma) == pytest.approx(hand_td(rows, value, gamma), rel=1e-12)
@@ -441,7 +447,7 @@ def test_block_longer_than_capacity(rng):
     buffer = ReplayBuffer(3, 5)
     buffer.extend(chain)
     assert len(buffer) == 3 and buffer.oldest == 2
-    assert np.array_equal(buffer.state[buffer.order()], chain.features[2:])
+    assert np.array_equal(states(buffer, buffer.order()), chain.features[2:])
     want = hand_td(block_rows(chain)[2:], value, gamma)
     assert td_error(buffer, model, gamma) == pytest.approx(want, rel=1e-12)
     tail = PlanBlock("d", 3, 4.0, rng.normal(size=(1, dim)), [-1])
@@ -451,12 +457,12 @@ def test_block_longer_than_capacity(rng):
 
 
 class KeptRing(ReplayBuffer):
-    """The earlier ring, kept as the reference: ``capacity`` rows, and the
-    oldest plan's evicted rows, from its root (row number ``kept_from``) on,
-    copied aside into ``kept`` at each write that evicts them.  It takes
-    ``plan_rows`` as ``ReplayBuffer`` does, but uses it only to size
-    ``td_error``'s layer buffers.  It writes several blocks one after
-    another."""
+    """The earlier ring, kept as the reference: ``capacity`` rows of
+    materialized states, ``state``, and the oldest plan's evicted rows, from
+    its root (row number ``kept_from``) on, copied aside into ``kept`` at
+    each write that evicts them.  It takes ``plan_rows`` as ``ReplayBuffer``
+    does, but does not use it, and it writes several blocks one after
+    another.  ``reference_td_error``, not ``td_error``, scores it."""
 
     def __init__(self, capacity, plan_rows):
         super().__init__(capacity, plan_rows)
@@ -499,15 +505,17 @@ class KeptRing(ReplayBuffer):
     def order(self):
         return np.arange(self.oldest, self.end) % self.capacity
 
-    def scored_states(self):
-        head = self.state[self.oldest % self.capacity :][: len(self)]
-        return np.concatenate([head, self.state[: len(self) - len(head)], self.kept])
+    def batch(self, positions, recency):
+        rows = self.order()[positions]
+        features = self.state[rows]
+        features[:, -1] = recency
+        return features, self.label[rows]
 
 
 def reference_td_error(buffer, model, gamma):
-    """The earlier scoring of a ``KeptRing``, kept as the reference: the
-    ring's rows copied by fancy index, then ``np.concatenate`` with
-    ``kept``."""
+    """The earlier scoring of a ``KeptRing``, kept as the reference: one
+    plain forward pass over its materialized states, the ring's rows copied
+    by fancy index, then ``np.concatenate`` with ``kept``."""
     rows = buffer.order()
     values = -predict_batch(model, np.concatenate([buffer.state[rows], buffer.kept]))
     parent = buffer.parent[rows]
@@ -533,27 +541,42 @@ def split_at(buffer):
     return buffer.oldest - buffer.root[buffer.oldest % buffer.size]
 
 
-def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
+@pytest.mark.parametrize("pool", [None, 12, 1], ids=["distinct", "pool-12", "one-state"])
+def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng, pool):
     """Blocks of one to five rows, chain and bushy, fill the ring past its
     end again and again, with ``plan_rows`` the longest block, the tight
     bound; capacities 3 and 1 are below it, so a write can evict the head of
     its own block.  After every write the TD errors equal those of the
     reference ring by ``tobytes()``; more than 20 writes per capacity leave
-    the oldest plan split."""
+    the oldest plan split.  Rows are all distinct, or drawn from a pool of
+    12 states or of one, so the pass scores one row per distinct state, and
+    its hidden pass may have one row.  With more than one state the table
+    compacts mid-run, when evicted states leave it more unused ids than
+    used ones or more rows than the ring."""
     dim, gamma, longest = 6, 0.9, 5
     model = init_params((dim, 64, 64, 1), 4)
+    states_pool = rng.normal(size=(pool or 1, dim))
+    compacted = 0  # writes after which the table lacks a state written before
     for capacity in (50, 3, 1):
         buffer, reference = ReplayBuffer(capacity, longest), KeptRing(capacity, longest)
-        checked = 0
+        checked, seen = 0, set()
         for i in range(120):
             rows = int(rng.integers(1, longest + 1))
             parent = [-1] + [int(rng.integers(0, up)) for up in range(1, rows)]
+            if pool is None:
+                features = rng.normal(size=(rows, dim))
+            else:
+                features = states_pool[rng.integers(0, pool, size=rows)]
             block = PlanBlock(
-                f"q{i}", i // 4, float(rng.uniform(1.0, 1e4)), rng.normal(size=(rows, dim)),
-                np.array(parent),
+                f"q{i}", i // 4, float(rng.uniform(1.0, 1e4)), features, np.array(parent)
             )
             buffer.extend(block)
             reference.extend(block)
+            seen |= {row.tobytes() for row in features}
+            compacted += len(buffer.table) < len(seen)
+            assert len(buffer.table) <= buffer.size
+            keys = [buffer.ids[row.tobytes()] for row in buffer.table]
+            assert keys == list(range(len(buffer.ids)))
             assert buffer.oldest == reference.oldest and len(buffer) == len(reference)
             got = td_error(buffer, model, gamma)
             assert got.tobytes() == reference_td_error(reference, model, gamma).tobytes()
@@ -561,15 +584,16 @@ def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
                 assert len(buffer) == capacity and split_at(buffer) == len(reference.kept)
                 checked += 1
         assert checked > 20
+    assert (compacted > 0) == (pool != 1)
 
 
-RING_COLUMNS = ("state", "parent", "root", "stored_at", "latency", "label", "query_id")
+RING_COLUMNS = ("parent", "root", "stored_at", "latency", "label", "query_id")
 
 
 def test_extend_with_several_blocks_equals_one_call_per_block(rng):
     """``extend(*blocks)`` leaves the ring as one ``extend`` per block does:
-    every column, ``order()``, ``scored_states()`` and the ``td_error``
-    bytes.  Calls take zero to twelve blocks of one to three rows; the first
+    every column, the states of the written slots and of ``scored_ids()``,
+    ``order()`` and the ``td_error`` bytes.  Calls take zero to twelve blocks of one to three rows; the first
     one writes twelve 3-row blocks, 36 rows, which wrap the 5-row ring's 8
     slots more than four times.  ``extend()`` with no block is a no-op, also
     on an empty ring."""
@@ -595,7 +619,10 @@ def test_extend_with_several_blocks_equals_one_call_per_block(rng):
             for name in RING_COLUMNS:
                 assert getattr(several, name).tolist() == getattr(single, name).tolist(), name
             assert np.array_equal(several.order(), single.order())
-            assert several.scored_states().tobytes() == single.scored_states().tobytes()
+            written = np.arange(min(several.end, several.size))
+            assert states(several, written).tobytes() == states(single, written).tobytes()
+            scored = several.table[several.scored_ids()]
+            assert scored.tobytes() == single.table[single.scored_ids()].tobytes()
             assert (
                 td_error(several, model, gamma).tobytes()
                 == td_error(single, model, gamma).tobytes()
@@ -823,7 +850,7 @@ def test_sample_fills_recency_slot():
         expected = 1.0 if tau == 10 else 0.0
         assert row[-1] == expected
     # the buffered rows are untouched
-    assert buffer.state[buffer.order(), -1].tolist() == [1.0, 2.0]
+    assert states(buffer, buffer.order())[:, -1].tolist() == [1.0, 2.0]
 
 
 def test_sample_empty_buffer():

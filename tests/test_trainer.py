@@ -567,7 +567,7 @@ def execute_alone(contexts, plans, exec_states, rng, iteration):
     return blocks
 
 
-RING_COLUMNS = ("state", "parent", "root", "stored_at", "latency", "label", "query_id")
+RING_COLUMNS = ("table", "sid", "parent", "root", "stored_at", "latency", "label", "query_id")
 
 
 def test_executing_each_distinct_plan_once_writes_the_ring_bit_for_bit(monkeypatch):
@@ -633,23 +633,31 @@ def test_execute_plans_shares_a_block_only_among_one_plan_objects_executions(
     """One plan object executed for two queries of one shape is extracted
     once, and the second block shares the first's arrays; two equal but
     distinct plan objects, and one object under two shapes, are each
-    extracted.  Every block is the one executing its query alone gives, and
-    no in-place write to a block's arrays succeeds."""
-    extracted = []
+    extracted.  Each extraction reads the one walk of its plan that costs
+    it.  Every block is the one executing its query alone gives, and no
+    in-place write to a block's arrays succeeds."""
+    extracted, walks = [], []
 
     def counted(*args):
         extracted.append(args[0])
         return retention.extract_experiences(*args)
 
+    def walk(*args):
+        walks.append(args[0])
+        return plan_infos(*args)
+
     monkeypatch.setattr(trainer_module, "extract_experiences", counted)
+    for module in (simulator, retention):
+        monkeypatch.setattr(module, "plan_infos", walk)
     exec_states = generator_states([5, 6])
     rng = np.random.default_rng(0)
     for contexts, plans, extractions in shared_plan_cases(
         chain3_catalog, chain3_query, default_cost
     ):
         extracted.clear()
+        walks.clear()
         blocks = execute_plans(contexts, plans, exec_states, rng, 2)
-        assert len(extracted) == extractions
+        assert len(extracted) == len(walks) == extractions
         assert (blocks[1].features is blocks[0].features) == (extractions == 1)
         for got, want in zip(blocks, execute_alone(contexts, plans, exec_states, rng, 2)):
             assert (got.query_id, got.iteration, got.latency_ms) == (
@@ -876,9 +884,10 @@ def test_evicting_run_matches_the_reference_ring(monkeypatch):
     """A star6 run whose 50-row buffer evicts from its second iteration
     on, splitting the oldest plan at 11 of its 12 replay passes, gives the
     same records and model, bit for bit, as with the reference ring, which
-    copies the oldest plan's evicted rows aside; a ring too small for
+    copies the oldest plan's evicted rows aside and is scored by one plain
+    pass over its materialized states; a ring too small for
     ``run_training``'s plans would overwrite rows it still scores."""
-    from test_retention import KeptRing, split_at
+    from test_retention import KeptRing, reference_td_error, split_at
 
     cfg = load_run_config(BUNDLE / "experiment.json")
     cfg = dataclasses.replace(
@@ -898,6 +907,7 @@ def test_evicting_run_matches_the_reference_ring(monkeypatch):
     assert sum(splits) >= 6
     monkeypatch.setattr(trainer_module, "sample_replay", retention.sample_replay)
     monkeypatch.setattr(trainer_module, "ReplayBuffer", KeptRing)
+    monkeypatch.setattr(retention, "td_error", reference_td_error)
     runs.append(run_training(cfg))
     records = [
         [repr(dataclasses.replace(r, wall_clock_ms=0.0)) for r in run.records] for run in runs
