@@ -541,8 +541,7 @@ def split_at(buffer):
     return buffer.oldest - buffer.root[buffer.oldest % buffer.size]
 
 
-@pytest.mark.parametrize("pool", [None, 12, 1], ids=["distinct", "pool-12", "one-state"])
-def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng, pool):
+def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
     """Blocks of one to five rows, chain and bushy, fill the ring past its
     end again and again, with ``plan_rows`` the longest block, the tight
     bound; capacities 3 and 1 are below it, so a write can evict the head of
@@ -555,36 +554,37 @@ def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng, pool):
     used ones or more rows than the ring."""
     dim, gamma, longest = 6, 0.9, 5
     model = init_params((dim, 64, 64, 1), 4)
-    states_pool = rng.normal(size=(pool or 1, dim))
-    compacted = 0  # writes after which the table lacks a state written before
-    for capacity in (50, 3, 1):
-        buffer, reference = ReplayBuffer(capacity, longest), KeptRing(capacity, longest)
-        checked, seen = 0, set()
-        for i in range(120):
-            rows = int(rng.integers(1, longest + 1))
-            parent = [-1] + [int(rng.integers(0, up)) for up in range(1, rows)]
-            if pool is None:
-                features = rng.normal(size=(rows, dim))
-            else:
-                features = states_pool[rng.integers(0, pool, size=rows)]
-            block = PlanBlock(
-                f"q{i}", i // 4, float(rng.uniform(1.0, 1e4)), features, np.array(parent)
-            )
-            buffer.extend(block)
-            reference.extend(block)
-            seen |= {row.tobytes() for row in features}
-            compacted += len(buffer.table) < len(seen)
-            assert len(buffer.table) <= buffer.size
-            keys = [buffer.ids[row.tobytes()] for row in buffer.table]
-            assert keys == list(range(len(buffer.ids)))
-            assert buffer.oldest == reference.oldest and len(buffer) == len(reference)
-            got = td_error(buffer, model, gamma)
-            assert got.tobytes() == reference_td_error(reference, model, gamma).tobytes()
-            if split_at(buffer):
-                assert len(buffer) == capacity and split_at(buffer) == len(reference.kept)
-                checked += 1
-        assert checked > 20
-    assert (compacted > 0) == (pool != 1)
+    for pool in (None, 12, 1):
+        states_pool = rng.normal(size=(pool or 1, dim))
+        compacted = 0  # writes after which the table lacks a state written before
+        for capacity in (50, 3, 1):
+            buffer, reference = ReplayBuffer(capacity, longest), KeptRing(capacity, longest)
+            checked, seen = 0, set()
+            for i in range(120):
+                rows = int(rng.integers(1, longest + 1))
+                parent = [-1] + [int(rng.integers(0, up)) for up in range(1, rows)]
+                if pool is None:
+                    features = rng.normal(size=(rows, dim))
+                else:
+                    features = states_pool[rng.integers(0, pool, size=rows)]
+                block = PlanBlock(
+                    f"q{i}", i // 4, float(rng.uniform(1.0, 1e4)), features, np.array(parent)
+                )
+                buffer.extend(block)
+                reference.extend(block)
+                seen |= {row.tobytes() for row in features}
+                compacted += len(buffer.table) < len(seen)
+                assert len(buffer.table) <= buffer.size
+                keys = [buffer.ids[row.tobytes()] for row in buffer.table]
+                assert keys == list(range(len(buffer.ids)))
+                assert buffer.oldest == reference.oldest and len(buffer) == len(reference)
+                got = td_error(buffer, model, gamma)
+                assert got.tobytes() == reference_td_error(reference, model, gamma).tobytes()
+                if split_at(buffer):
+                    assert len(buffer) == capacity and split_at(buffer) == len(reference.kept)
+                    checked += 1
+            assert checked > 20
+        assert (compacted > 0) == (pool != 1), pool
 
 
 RING_COLUMNS = ("parent", "root", "stored_at", "latency", "label", "query_id")
