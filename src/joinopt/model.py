@@ -23,9 +23,11 @@ labels) pair of float64 arrays that the program builds itself, so nothing
 here re-checks it: a non-finite row shows up as non-finite parameters when
 the phase ends.  ``predict_batch`` is the one forward pass callers use, over
 a matrix of feature rows whose width the callers match to the network's
-input layer; given ``rows``, it scores those rows of the matrix, many of
-them repeats, running the hidden layers once per row of the matrix and
-giving the bits of a pass over the repeated rows.
+input layer.  It runs the output layer in fixed 16-row blocks, so a row's
+score does not depend on the batch it is in.  Given ``rows``, it scores
+those rows of the matrix, many of them repeats, running the hidden layers
+once per row of the matrix and giving the bits of a pass over the repeated
+rows.
 """
 
 from __future__ import annotations
@@ -114,26 +116,43 @@ def init_params(layer_sizes: tuple[int, ...], rng_seed: int) -> ModelParams:
     return ModelParams(sizes, np.concatenate(layers))
 
 
-def _forward(weights, biases, x: np.ndarray, out=None, rows=None) -> list[np.ndarray]:
-    """The activations of every layer, ``x`` first.  Each layer makes one
-    new array, ``a @ w``, or, given ``out``, one buffer per layer of at
-    least ``len(x)`` rows, writes it into that buffer's first ``len(x)``
-    rows; then it adds the bias and applies the ReLU in place.  The matmul
-    has the same shape either way, so the bits are the same.  With ``rows``,
-    the output layer's input is the last hidden layer's rows ``rows``
-    (``_gather``)."""
+# Rows per block of the output layer (``_output``).
+_BLOCK = 16
+
+
+def _hidden(weights, biases, x: np.ndarray, out=None) -> list[np.ndarray]:
+    """The activations of the input and of every hidden layer, ``x`` first.
+    Each layer makes one new array, ``a @ w``, or, given ``out``, one buffer
+    per layer of at least ``len(x)`` rows, writes it into that buffer's
+    first ``len(x)`` rows; then it adds the bias and applies the ReLU in
+    place.  The matmul has the same shape either way, so the bits are the
+    same."""
     activations = [x]
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        x = activations[-1]
-        if i == last and rows is not None:
-            x = _gather(x, rows, out[i - 2] if out is not None and i > 1 else None)
-        a = np.matmul(x, w, out=None if out is None else out[i][: len(x)])
+    for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
+        a = np.matmul(activations[-1], w, out=None if out is None else out[i][: len(x)])
         a += b
-        if i < last:
-            np.maximum(a, 0.0, out=a)
+        np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
+
+
+def _output(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """The 1-unit output layer over ``x``, written into ``out`` ([n, 1], n
+    at most ``len(x)``) in whole ``_BLOCK``-row blocks: the leading whole
+    blocks are viewed in place as one stacked matmul, and only the last,
+    partial block is zero-padded.  numpy scores each block with one gemv
+    of the same shape, so a row's bits do not depend on the batch it is
+    in."""
+    n = len(out)
+    whole = n - n % _BLOCK
+    if whole:
+        blocks = x[:whole].reshape(-1, _BLOCK, x.shape[1])
+        np.matmul(blocks, w, out=out[:whole].reshape(-1, _BLOCK, 1))
+    if whole < n:
+        last = np.zeros((_BLOCK, x.shape[1]))
+        last[: n - whole] = x[whole:n]
+        out[whole:] = (last @ w)[: n - whole]
+    out += b
 
 
 def _gather(x: np.ndarray, rows, spare) -> np.ndarray:
@@ -150,12 +169,20 @@ def _gather(x: np.ndarray, rows, spare) -> np.ndarray:
 def predict_batch(params: ModelParams, features: np.ndarray, out=None, rows=None) -> np.ndarray:
     """Forward pass over a float [n, d] matrix, d the network's input width;
     returns the n scalar outputs.  ``out``, if given, holds one float64
-    output buffer per layer, C-contiguous, each at least n rows long and as
-    wide as its layer: the pass writes their first n rows instead of
-    allocating, and the returned vector is then a view into the last
-    buffer, valid until the buffers are written again.  A row with an
+    output buffer per layer, C-contiguous, each at least n rows long (two
+    for n = 1) and as wide as its layer: the pass writes their first n rows
+    instead of allocating, and the returned vector is then a view into the
+    last buffer, valid until the buffers are written again.  A row with an
     infinite feature (a plan whose cost overflowed) scores inf or NaN, and a
     model that diverged is reported when its SGD phase ends.
+
+    A row's score does not depend on the batch it is in.  With numpy on
+    OpenBLAS (0.3.31 measured), a row's bits out of a hidden layer are the
+    same in any matmul of two or more rows, whereas numpy scores a 1-row
+    matmul and the 1-unit output layer with gemv, whose bits depend on the
+    row's place in the batch.  So a 1-row pass runs its hidden layers over
+    the row twice, and the output layer runs in fixed blocks (``_output``).
+    ``tests/test_model.py`` pins the property.
 
     With ``rows``, an array of indices into ``features``, the result is
     ``predict_batch(params, features[rows])`` bit for bit, but the hidden
@@ -163,20 +190,16 @@ def predict_batch(params: ModelParams, features: np.ndarray, out=None, rows=None
     runs over the last hidden activations gathered in ``rows`` order;
     ``out``'s buffers then need ``max(len(features), len(rows))`` rows, and
     the gathered rows go into the buffer before the last hidden layer's
-    where it holds enough values.  With numpy on OpenBLAS (0.3.31
-    measured), a row's bits out of a hidden layer are the same in any
-    matmul of two or more rows, whereas numpy scores a 1-row matmul and
-    the 1-unit output layer with gemv, whose bits depend on the row's place
-    in the batch.  So a hidden pass of one row is padded to two, a 1-row
-    result is scored as a 1-row pass, and the output layer sees the
-    gathered rows in the shape the plain pass gives it.
-    ``tests/test_model.py`` pins the property."""
-    x = features
-    if rows is not None and (len(rows) < 2 or len(params.weights) == 1):
-        x, rows = features[rows], None
-    elif rows is not None and len(features) < 2:
-        x = features[[0, 0]]
-    return _forward(params.weights, params.biases, x, out, rows)[-1][:, 0]
+    where it holds enough values."""
+    weights, biases = params.weights, params.biases
+    x = features[[0, 0]] if len(features) == 1 else features
+    hidden = _hidden(weights, biases, x, out)[-1]
+    if rows is not None:
+        hidden = _gather(hidden, rows, out[-3] if out is not None and len(out) > 2 else None)
+    n = len(features) if rows is None else len(rows)
+    scores = np.empty((n, 1)) if out is None else out[-1][:n]
+    _output(hidden, weights[-1], biases[-1], scores)
+    return scores[:, 0]
 
 
 def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None:
@@ -186,9 +209,11 @@ def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None
     a non-finite gradient, which ``check_finite`` finds in the parameters
     when the phase ends."""
     weights = params.weights
-    activations = _forward(weights, params.biases, features)
+    activations = _hidden(weights, params.biases, features)
+    predicted = activations[-1] @ weights[-1]
+    predicted += params.biases[-1]
     # d(mean (pred - y)^2)/d pred = 2 (pred - y) / n
-    delta = (2.0 / features.shape[0]) * (activations[-1][:, 0] - labels)[:, None]
+    delta = (2.0 / features.shape[0]) * (predicted[:, 0] - labels)[:, None]
     last = len(weights) - 1
     for layer in range(last, -1, -1):
         np.matmul(activations[layer].T, delta, out=grad.weights[layer])

@@ -151,6 +151,20 @@ def reference_forward(params, x):
     return pre, activations
 
 
+def reference_scores(params, x):
+    """The reference forward pass's outputs, scored as ``predict_batch``
+    scores them: a 1-row batch's hidden layers run on the row twice, and the
+    output layer runs over the last hidden layer's rows zero-padded to whole
+    16-row blocks, one matmul per block."""
+    _, activations = reference_forward(params, np.repeat(x, 2, axis=0) if len(x) == 1 else x)
+    hidden = activations[-2][: len(x)]
+    padded = np.zeros((-(-len(x) // 16) * 16, hidden.shape[1]))
+    padded[: len(x)] = hidden
+    w, b = params.weights[-1], params.biases[-1]
+    blocks = [block @ w + b for block in padded.reshape(-1, 16, hidden.shape[1])]
+    return np.concatenate(blocks)[: len(x), 0]
+
+
 def reference_grad(params, batch):
     """The earlier backward pass: ReLU masks from the pre-activations;
     ``batch`` is a (features, labels) pair."""
@@ -167,8 +181,7 @@ def reference_grad(params, batch):
 
 
 def assert_matches_reference_bits(params, x, labels):
-    _, activations = reference_forward(params, x)
-    assert predict_batch(params, x).tobytes() == activations[-1][:, 0].tobytes()
+    assert predict_batch(params, x).tobytes() == reference_scores(params, x).tobytes()
     grad = gradient(params, x, labels)
     want_w, want_b = reference_grad(params, (x, labels))
     for got, want in zip(grad.weights + grad.biases, want_w + want_b):
@@ -213,8 +226,7 @@ def test_forward_and_gradient_match_reference_bits_on_20000_rows(rng):
     assert_matches_reference_bits(params, x, rng.normal(size=20_000) + 3)
     # The buffered pass, into buffers longer than the batch and full of NaN.
     out = [np.full((20_003, width), np.nan) for width in params.layer_sizes[1:]]
-    _, activations = reference_forward(params, x)
-    assert predict_batch(params, x, out).tobytes() == activations[-1][:, 0].tobytes()
+    assert predict_batch(params, x, out).tobytes() == reference_scores(params, x).tobytes()
 
 
 def test_predict_batch_into_buffers_matches_the_allocating_pass(rng):
@@ -228,6 +240,31 @@ def test_predict_batch_into_buffers_matches_the_allocating_pass(rng):
         got = predict_batch(params, x, out)
         assert got.tobytes() == predict_batch(params, x).tobytes(), n
         assert np.shares_memory(got, out[-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 333])
+@pytest.mark.parametrize(
+    "sizes", [(14, 64, 64, 1), (22, 64, 1), (5, 1)], ids=["two-hidden", "one-hidden", "no-hidden"]
+)
+def test_predict_batch_scores_a_row_the_same_in_every_batch(rng, sizes, n):
+    """A row's ``predict_batch`` score has the same bits scored alone, in a
+    permuted batch and at an offset in a larger batch.  The replay ring's TD
+    pass scores each distinct state once and reads its value by id, and
+    plan search scores a step's rows in whatever batch they come in, so
+    both rely on this; a BLAS build that breaks it fails here."""
+    params = init_params(sizes, n)
+    x = rng.normal(size=(n, sizes[0])) * 4
+    scores = predict_batch(params, x)
+    alone = np.concatenate([predict_batch(params, row[None, :]) for row in x])
+    assert alone.tobytes() == scores.tobytes(), "alone"
+    perm = rng.permutation(n)
+    assert predict_batch(params, x[perm]).tobytes() == scores[perm].tobytes(), "permuted"
+    for before, after in ((1, 0), (7, 3), (16, 16), (21, 200)):
+        batch = np.concatenate(
+            [rng.normal(size=(before, sizes[0])), x, rng.normal(size=(after, sizes[0]))]
+        )
+        got = predict_batch(params, batch)[before : before + n]
+        assert got.tobytes() == scores.tobytes(), ("offset", before, after)
 
 
 @pytest.mark.parametrize("d, width", [(14, 64), (15, 64), (22, 64), (40, 64), (64, 64),
