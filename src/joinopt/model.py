@@ -11,9 +11,7 @@ vector through a scratch vector and writes only those two.  MAML
 (``transfer.maml_outer``) and online SGD (``trainer._train_on``) each
 allocate their working values once per call, starting from a copy of their
 input parameters, and return them.  Any other value is never written once
-it is returned.  A forward pass writes only the arrays it allocated, or,
-given per-layer output buffers (``td_error``'s pass over the replay ring),
-the leading values of those.
+it is returned.  A forward pass writes only the arrays it allocates.
 Constructing parameters checks shapes only: ``check_finite`` scans the
 values, and runs when an SGD phase ends and when a checkpoint is loaded,
 naming the phase or the file.
@@ -24,10 +22,8 @@ here re-checks it: a non-finite row shows up as non-finite parameters when
 the phase ends.  ``predict_batch`` is the one forward pass callers use, over
 a matrix of feature rows whose width the callers match to the network's
 input layer.  It runs the output layer in fixed 16-row blocks, so a row's
-score does not depend on the batch it is in.  Given ``rows``, it scores
-those rows of the matrix, many of them repeats, running the hidden layers
-once per row of the matrix and giving the bits of a pass over the repeated
-rows.
+score does not depend on the batch it is in: the replay ring's TD pass
+scores each distinct state once and reads its values by id.
 """
 
 from __future__ import annotations
@@ -116,90 +112,55 @@ def init_params(layer_sizes: tuple[int, ...], rng_seed: int) -> ModelParams:
     return ModelParams(sizes, np.concatenate(layers))
 
 
-# Rows per block of the output layer (``_output``).
+# Rows per block of ``predict_batch``'s output layer.
 _BLOCK = 16
 
 
-def _hidden(weights, biases, x: np.ndarray, out=None) -> list[np.ndarray]:
+def _hidden(weights, biases, x: np.ndarray, last=None) -> list[np.ndarray]:
     """The activations of the input and of every hidden layer, ``x`` first.
-    Each layer makes one new array, ``a @ w``, or, given ``out``, one buffer
-    per layer of at least ``len(x)`` rows, writes it into that buffer's
-    first ``len(x)`` rows; then it adds the bias and applies the ReLU in
-    place.  The matmul has the same shape either way, so the bits are the
-    same."""
+    Each layer makes one new array, ``a @ w``, or, for the last hidden
+    layer given ``last``, writes into the first ``len(x)`` rows of that
+    C-contiguous matrix; the matmul has the same shape either way, so the
+    bits are the same.  Then it adds the bias and applies the ReLU in
+    place."""
     activations = [x]
     for i, (w, b) in enumerate(zip(weights[:-1], biases[:-1])):
-        a = np.matmul(activations[-1], w, out=None if out is None else out[i][: len(x)])
+        out = last[: len(x)] if last is not None and i == len(weights) - 2 else None
+        a = np.matmul(activations[-1], w, out=out)
         a += b
         np.maximum(a, 0.0, out=a)
         activations.append(a)
     return activations
 
 
-def _output(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """The 1-unit output layer over ``x``, written into ``out`` ([n, 1], n
-    at most ``len(x)``) in whole ``_BLOCK``-row blocks: the leading whole
-    blocks are viewed in place as one stacked matmul, and only the last,
-    partial block is zero-padded.  numpy scores each block with one gemv
-    of the same shape, so a row's bits do not depend on the batch it is
-    in."""
-    n = len(out)
-    whole = n - n % _BLOCK
-    if whole:
-        blocks = x[:whole].reshape(-1, _BLOCK, x.shape[1])
-        np.matmul(blocks, w, out=out[:whole].reshape(-1, _BLOCK, 1))
-    if whole < n:
-        last = np.zeros((_BLOCK, x.shape[1]))
-        last[: n - whole] = x[whole:n]
-        out[whole:] = (last @ w)[: n - whole]
-    out += b
-
-
-def _gather(x: np.ndarray, rows, spare) -> np.ndarray:
-    """``x[rows]``, written into the leading values of ``spare``, a
-    C-contiguous buffer, where it holds enough of them."""
-    n = len(rows) * x.shape[1]
-    if spare is None or spare.size < n:
-        return x[rows]
-    gathered = spare.reshape(-1)[:n].reshape(len(rows), x.shape[1])
-    # mode="clip" writes ``gathered`` directly; the default buffers a copy.
-    return np.take(x, rows, axis=0, out=gathered, mode="clip")
-
-
-def predict_batch(params: ModelParams, features: np.ndarray, out=None, rows=None) -> np.ndarray:
+def predict_batch(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Forward pass over a float [n, d] matrix, d the network's input width;
-    returns the n scalar outputs.  ``out``, if given, holds one float64
-    output buffer per layer, C-contiguous, each at least n rows long (two
-    for n = 1) and as wide as its layer: the pass writes their first n rows
-    instead of allocating, and the returned vector is then a view into the
-    last buffer, valid until the buffers are written again.  A row with an
-    infinite feature (a plan whose cost overflowed) scores inf or NaN, and a
-    model that diverged is reported when its SGD phase ends.
+    returns the n scalar outputs as a new array.  A row with an infinite
+    feature (a plan whose cost overflowed) scores inf or NaN, and a model
+    that diverged is reported when its SGD phase ends.
 
     A row's score does not depend on the batch it is in.  With numpy on
     OpenBLAS (0.3.31 measured), a row's bits out of a hidden layer are the
     same in any matmul of two or more rows, whereas numpy scores a 1-row
     matmul and the 1-unit output layer with gemv, whose bits depend on the
     row's place in the batch.  So a 1-row pass runs its hidden layers over
-    the row twice, and the output layer runs in fixed blocks (``_output``).
-    ``tests/test_model.py`` pins the property.
-
-    With ``rows``, an array of indices into ``features``, the result is
-    ``predict_batch(params, features[rows])`` bit for bit, but the hidden
-    layers score each row of ``features`` once, and only the output layer
-    runs over the last hidden activations gathered in ``rows`` order;
-    ``out``'s buffers then need ``max(len(features), len(rows))`` rows, and
-    the gathered rows go into the buffer before the last hidden layer's
-    where it holds enough values."""
-    weights, biases = params.weights, params.biases
-    x = features[[0, 0]] if len(features) == 1 else features
-    hidden = _hidden(weights, biases, x, out)[-1]
-    if rows is not None:
-        hidden = _gather(hidden, rows, out[-3] if out is not None and len(out) > 2 else None)
-    n = len(features) if rows is None else len(rows)
-    scores = np.empty((n, 1)) if out is None else out[-1][:n]
-    _output(hidden, weights[-1], biases[-1], scores)
-    return scores[:, 0]
+    the row twice, and the output layer runs over whole ``_BLOCK``-row
+    blocks, one stacked matmul whose every block is one gemv of the same
+    shape: the last hidden layer is written into a zero matrix of whole
+    blocks, so only the last block holds padding, and nothing is copied.
+    ``tests/test_model.py`` pins the property."""
+    n, weights = len(features), params.weights
+    x = features[[0, 0]] if n == 1 else features
+    width = weights[-1].shape[0]
+    blocks = np.zeros((-(-n // _BLOCK), _BLOCK, width))
+    rows = blocks.reshape(-1, width)
+    if len(weights) == 1:  # no hidden layer: the input is the output layer's
+        rows[:n] = x[:n]
+    else:
+        _hidden(weights, params.biases, x, rows)
+    scores = blocks @ weights[-1]
+    scores += params.biases[-1]
+    return scores.reshape(-1)[:n]
 
 
 def batch_grad(params: ModelParams, features, labels, grad: ModelParams) -> None:

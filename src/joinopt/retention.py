@@ -7,13 +7,9 @@ features from the simulator's single walk over the plan
 enclosing join, the experience's successor state (-1 at the root, which is
 terminal).  The replay buffer writes blocks as rows of column arrays, any
 number of them in one set of column writes, and keeps each distinct state
-row once, in a table its rows index.  It keeps no model output that is
-read again: the TD pass writes its layers into buffers the ring
-keeps, and every pass overwrites them.  It is a ring with room for one
-plan beyond its capacity, so the evicted rows of the oldest plan, which
-the live ones may still need as successor states, stay in place until the
-whole plan is gone.  At sampling time each buffered experience gets a
-priority weight combining a recency score
+row once, in a table its rows index: per row, the id of its state and of
+its successor's state.  It keeps no model output.  At sampling time each
+buffered experience gets a priority weight combining a recency score
 
     tau = 1 - (tau_current - tau_e) / T
 
@@ -29,10 +25,10 @@ read it whole.  Weights are normalized to a probability distribution and the
 replay budget is drawn from the resulting multinomial, with replacement, as
 one training batch: a (features, labels) pair of new float64 arrays, which
 nothing re-checks.  Priorities are recomputed from the current model at
-every call and never stored.  One forward pass scores every row, and
-V(s_next) is the value of the row's enclosing join in that same pass; its
-hidden layers run once per distinct state, and its values have the bits
-of a pass over every row's state.
+every call and never stored.  One forward pass scores each distinct state
+once, and V(s) and V(s_next) are read from it by id; ``predict_batch``
+scores a row the same in any batch, so these are the bits a pass over
+every row's state would give.
 
 TD errors live in the model's label space: values are negated network
 outputs (the network predicts log1p latency, so higher output means worse)
@@ -132,11 +128,6 @@ class RetentionConfig:
             raise RetentionError("beta_mix must lie in [0, 1]")
 
 
-# The rows by which the TD pass's output buffers grow: a 64-wide layer's
-# buffer of 4 096 rows is 2 MB.
-_OUTPUT_STEP = 4096
-
-
 def _row_keys(matrix: np.ndarray) -> list[bytes]:
     """The bytes of each row of a C-contiguous matrix, through one view."""
     row = np.dtype((np.void, matrix.shape[1] * matrix.itemsize))
@@ -146,41 +137,29 @@ def _row_keys(matrix: np.ndarray) -> list[bytes]:
 class ReplayBuffer:
     """Ring buffer of experiences, one row each, evicting strictly
     oldest-first.  Rows are numbered in write order, and row number s lives
-    at ``s % size`` of the column arrays, which the first ``extend``
-    allocates; ``size`` is ``capacity + plan_rows``, where ``plan_rows`` is
-    the most rows one block can have.  ``parent`` holds each row's block
-    index of its enclosing join (-1 at a plan root) and ``root`` the number
-    of its plan's root.
+    at ``s % capacity`` of the column arrays, which the first ``extend``
+    allocates.
 
     A row's state features are kept once per distinct value: ``table``
     holds the distinct state rows, ``sid`` each slot's id, its row of
-    ``table``, and ``ids`` maps a state row's bytes to its id.  ``extend``
+    ``table``, ``next_sid`` the id of its enclosing join's state (-1 at a
+    plan root), and ``ids`` maps a state row's bytes to its id.  ``extend``
     looks up the rows it writes through one bytes view of the call's rows,
-    so a row costs one dict lookup.  A written slot's id counts as used.  When the table holds more unused ids than
-    used ones, or more rows than the ring has slots, ``extend`` compacts it,
-    keeping the used rows in their order; so the table never holds more rows
-    than ``size``.
+    so a row costs one dict lookup.  A live row's ids, through ``sid`` or
+    ``next_sid``, count as used.  When the table holds more rows than the
+    ring has slots, ``extend`` compacts it, keeping the used rows in their
+    order.
 
     Blocks list the root first, so eviction can leave the oldest plan partly
-    evicted.  Its evicted rows stay in their slots until the whole plan is
-    gone: from that plan's root to the newest row are at most
-    ``capacity + plan_rows - 1`` rows, fewer than ``size``.  So ``td_error``
-    can score the enclosing joins of the live rows in the same pass.
-    ``extend`` takes any number of blocks, so a training iteration writes
-    all its plans in one call.
+    evicted; its live rows still reach their enclosing joins' states through
+    ``next_sid``, which keeps those states in the table.  ``extend`` takes
+    any number of blocks, so a training iteration writes all its plans in
+    one call."""
 
-    ``activations`` holds that pass's output buffers, one per layer of the
-    model, which ``layer_outputs`` makes at the first pass and again only
-    when the model's layer widths change or the pass needs more rows than
-    they hold; they grow with the ring and never shrink.  A pass writes
-    their leading rows, so it allocates no per-layer array."""
-
-    def __init__(self, capacity: int, plan_rows: int):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.size = capacity + plan_rows
         self.oldest = self.end = 0  # numbers of the oldest row and of the next
         self.ids: dict[bytes, int] = {}
-        self.activations: list[np.ndarray] = []
 
     def __len__(self) -> int:
         return self.end - self.oldest
@@ -194,34 +173,37 @@ class ReplayBuffer:
         if not blocks:
             return
         lengths = np.array([len(block) for block in blocks])
-        size, start, end = self.size, self.end, self.end + int(lengths.sum())
+        capacity, start, end = self.capacity, self.end, self.end + int(lengths.sum())
         if not self.end:
             self.table = np.zeros((0, blocks[0].features.shape[1]))
             # np.zeros pages are committed on first write, so rows that are
             # never filled cost no memory.
-            self.sid = np.zeros(size, dtype=np.int64)
-            self.parent = np.zeros(size, dtype=np.int64)
-            self.root = np.zeros(size, dtype=np.int64)
-            self.stored_at = np.zeros(size, dtype=np.int64)
-            self.latency = np.zeros(size)
-            self.label = np.zeros(size)
-            self.query_id = np.empty(size, dtype=object)
-        skip = max(0, end - start - size)  # rows this call overwrites itself
-        rows = np.arange(start + skip, end) % size
-        roots = start + np.cumsum(lengths) - lengths
+            self.sid = np.zeros(capacity, dtype=np.int64)
+            self.next_sid = np.zeros(capacity, dtype=np.int64)
+            self.stored_at = np.zeros(capacity, dtype=np.int64)
+            self.latency = np.zeros(capacity)
+            self.label = np.zeros(capacity)
+            self.query_id = np.empty(capacity, dtype=object)
+        skip = max(0, end - start - capacity)  # rows this call overwrites itself
+        rows = np.arange(start + skip, end) % capacity
 
         def per_row(values, dtype=None):
             return np.repeat(np.array(values, dtype=dtype), lengths)[skip:]
 
-        self.sid[rows] = self._state_ids(np.concatenate([block.features for block in blocks])[skip:])
-        self.parent[rows] = np.concatenate([block.parent for block in blocks])[skip:]
-        self.root[rows] = per_row(roots)
+        # Every row of the call is looked up: a written row's enclosing join
+        # may be one that the call overwrites itself.
+        sids = self._state_ids(np.concatenate([block.features for block in blocks]))
+        parent = np.concatenate([block.parent for block in blocks])
+        up = np.repeat(np.cumsum(lengths) - lengths, lengths) + parent  # in-range at a root
+        self.sid[rows] = sids[skip:]
+        self.next_sid[rows] = np.where(parent >= 0, sids[up], -1)[skip:]
         self.stored_at[rows] = per_row([block.iteration for block in blocks])
         self.latency[rows] = per_row([block.latency_ms for block in blocks])
         self.label[rows] = per_row([block.label for block in blocks])
         self.query_id[rows] = per_row([block.query_id for block in blocks], object)
-        self.oldest, self.end = max(0, end - self.capacity), end
-        self._compact()
+        self.oldest, self.end = max(0, end - capacity), end
+        if len(self.table) > capacity:
+            self._compact()
 
     def _state_ids(self, features: np.ndarray) -> np.ndarray:
         """The id of each row of ``features``, a C-contiguous matrix, looked
@@ -235,42 +217,21 @@ class ReplayBuffer:
         return sids
 
     def _compact(self) -> None:
-        """Keep only the table's used rows, renumbering the ids in order,
-        once it holds more unused ids than used ones or more rows than
-        ``size``."""
-        written = self.sid[: min(self.end, self.size)]
+        """Keep only the table's used rows, renumbering the ids in order."""
+        live = slice(0, min(self.end, self.capacity))  # every written slot is live
+        sid, next_sid = self.sid[live], self.next_sid[live]
         used = np.zeros(len(self.table), dtype=bool)
-        used[written] = True
-        if len(self.table) <= min(2 * int(used.sum()), self.size):
-            return
-        written[...] = (np.cumsum(used) - 1)[written]
+        used[sid] = True
+        used[next_sid[next_sid >= 0]] = True
+        renumbered = np.cumsum(used) - 1
+        sid[...] = renumbered[sid]
+        next_sid[...] = np.where(next_sid >= 0, renumbered[next_sid], -1)
         self.table = self.table[used]
         self.ids = dict(zip(_row_keys(self.table), range(len(self.table))))
 
-    def layer_outputs(self, model: ModelParams, rows: int) -> list[np.ndarray]:
-        """``activations``, one buffer of at least ``rows`` rows per layer
-        of ``model``, remade if their widths are not the model's or they
-        are shorter.  A remade buffer has ``rows`` rounded up to whole
-        ``_OUTPUT_STEP`` rows, at most ``size``, so a filling ring remakes
-        them a few times, and a small ring's stay under numpy's 4 MB
-        huge-page threshold, whose pages commit 2 MB at a time."""
-        widths = model.layer_sizes[1:]
-        have = self.activations
-        if tuple(a.shape[1] for a in have) != widths or len(have[0]) < rows:
-            rows = min(self.size, -(-rows // _OUTPUT_STEP) * _OUTPUT_STEP)
-            # As for the columns, rows that no pass reaches cost no memory.
-            self.activations = [np.zeros((rows, width)) for width in widths]
-        return self.activations
-
     def order(self) -> np.ndarray:
         """Row indices of the buffered experiences, oldest first."""
-        return np.arange(self.oldest, self.end) % self.size
-
-    def scored_ids(self) -> np.ndarray:
-        """The state ids of the buffered experiences, oldest first, then of
-        the oldest plan's evicted rows from its root on."""
-        first = self.root[self.oldest % self.size]
-        return self.sid[np.r_[self.oldest : self.end, first : self.oldest] % self.size]
+        return np.arange(self.oldest, self.end) % self.capacity
 
     def batch(self, positions, recency) -> tuple[np.ndarray, np.ndarray]:
         """The experiences at ``positions`` of ``order()`` as a training
@@ -331,31 +292,17 @@ def recency_weight(tau_e, tau_current, span):
 def td_error(buffer: ReplayBuffer, model: ModelParams, gamma: float) -> np.ndarray:
     """One-step TD residual r + gamma*V(s') - V(s) in label space, one per
     buffered experience, oldest first; V is zero at a terminal.  One forward
-    pass scores the states of ``buffer.scored_ids()``, the buffered rows,
-    oldest first, then the oldest plan's evicted rows, still in the ring,
-    as one matrix; V(s') is the value of the row's enclosing join in it.
-    The pass runs the hidden layers once per row of the buffer's ``table``
-    and the output layer over those ids in that order (``predict_batch``'s
-    ``rows``), so each value has the bits a pass over the materialized
-    states would give it.  It writes each layer into the buffer's
-    ``layer_outputs``, which hold at least the table's and the scored
-    rows."""
+    pass scores the buffer's ``table``, each distinct state once, and V(s)
+    and V(s') are read from it by ``sid`` and ``next_sid``."""
     if not len(buffer):
         raise RetentionError("the replay buffer is empty")
-    sids, table = buffer.scored_ids(), buffer.table
-    outputs = buffer.layer_outputs(model, max(len(table), len(sids)))
-    values = -predict_batch(model, table, outputs, rows=sids)
+    values = -predict_batch(model, buffer.table)
     rows = buffer.order()
-    parent = buffer.parent[rows]
-    live = parent >= 0
-    up = buffer.root[rows] + parent  # the enclosing join's number
-    # The pass scores rows oldest .. end - 1 and then the oldest plan's
-    # evicted rows, its root .. oldest - 1, so row number u is at u - oldest,
-    # and an evicted u, below oldest, wraps to len(values) + u - oldest, its
-    # place after the live rows.  At a root the index is in range and unused.
-    next_values = np.where(live, values[(up - buffer.oldest) % len(values)], 0.0)
+    up = buffer.next_sid[rows]
+    live = up >= 0
+    next_values = np.where(live, values[up], 0.0)  # values[-1] at a root: unused
     reward = np.where(live, 0.0, -buffer.label[rows])
-    return reward + gamma * next_values - values[: len(rows)]
+    return reward + gamma * next_values - values[buffer.sid[rows]]
 
 
 def normalize_td(deltas, alpha_td: float) -> np.ndarray:
@@ -445,8 +392,8 @@ def dump_buffer(buffer: ReplayBuffer, path) -> None:
             "query_id": buffer.query_id[row],
             "stored_at": int(buffer.stored_at[row]),
             "latency_ms": float(buffer.latency[row]),
-            "transition_reward": -float(buffer.label[row]) if buffer.parent[row] < 0 else 0.0,
-            "terminal": bool(buffer.parent[row] < 0),
+            "transition_reward": -float(buffer.label[row]) if buffer.next_sid[row] < 0 else 0.0,
+            "terminal": bool(buffer.next_sid[row] < 0),
             "state_features": buffer.table[buffer.sid[row]].tolist(),
         }
         for row in order

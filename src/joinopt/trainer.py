@@ -652,7 +652,7 @@ class RunResult(RunHistory):
     base_seed: int
     params: ModelParams
     expert_noiseless: dict[str, float]
-    buffer: ReplayBuffer  # the replay buffer as training left it, less its TD pass buffers
+    buffer: ReplayBuffer  # the replay buffer as training left it
 
 
 @dataclass(frozen=True)
@@ -685,9 +685,10 @@ class RunSetup:
 
 
 def prepare_run(cfg: RunConfig, seed: int) -> RunSetup:
-    """Load the catalog and both workloads and compile each query.  The
-    compiled contexts register themselves, so ``plan_search`` and the expert
-    DP use them for as long as the set-up is held.  An empty workload, and a test
+    """Load the catalog and both workloads and compile each query.  Callers
+    hand the compiled contexts to the code that reads them (``plan_search``,
+    ``search_plans``, ``expert_plan``), so a context's expert DP runs at
+    most once while the set-up is held.  An empty workload, and a test
     query with a train query's id, raise WorkloadError: baselines and
     expert latencies are keyed by query id."""
     catalog = load_catalog(cfg.catalog_path)
@@ -847,9 +848,8 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     expert_train = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.train}
     expert_test = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.test}
 
-    plan_rows = max(len(ctx.relations) for ctx in setup.train) - 1  # one plan's joins
     rng = np.random.default_rng(0)  # each search and execution sets its state first
-    buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
+    buffer = ReplayBuffer(cfg.retention.capacity)
     records: list[IterationRecord] = []
     last_norm_td = math.nan
     last_recency = math.nan
@@ -903,7 +903,6 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
         if iteration % cfg.eval_interval == 0 or iteration == cfg.iterations:
             record(iteration)
 
-    buffer.activations = []  # the TD pass's scratch rows, which no later pass reads
     return RunResult(
         config=cfg,
         base_seed=seed,

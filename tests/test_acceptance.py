@@ -95,7 +95,7 @@ def test_criterion_1_formula_oracles():
         terminal = rng.uniform() < 0.5
         # A terminal's reward comes from its latency -r; a next state is
         # the root of a two-row block.
-        buffer = ReplayBuffer(2, 2)
+        buffer = ReplayBuffer(2)
         buffer.extend(
             PlanBlock(
                 "q",
@@ -133,7 +133,7 @@ def test_criterion_1_formula_oracles():
         n = int(rng.integers(2, 12))
         # Terminals of latency 0, so r = 0.
         items = []
-        buffer = ReplayBuffer(64, 1)
+        buffer = ReplayBuffer(64)
         for _ in range(n):
             state = np.array([[float(rng.normal() * 3)]])
             items.append(PlanBlock("q", int(rng.integers(0, 7)), 0.0, state, [-1]))
@@ -225,7 +225,7 @@ def test_criterion_1_formula_oracles():
 def test_criterion_2_sampling_fidelity():
     started = time.perf_counter()
     model = ModelParams((1, 1), np.array([1.0, 0.0]))
-    buffer = ReplayBuffer(16, 1)
+    buffer = ReplayBuffer(16)
     # Terminal experiences with r = 0: |delta| = |state|; states chosen so
     # normalized weights are (0, 1, 2, 3, 4) / 10.
     for s in (0.0, 1.0, 2.0, 3.0, 4.0):

@@ -224,22 +224,6 @@ def test_forward_and_gradient_match_reference_bits_on_20000_rows(rng):
     params = init_params((14, 64, 64, 1), 5)
     x = rng.normal(size=(20_000, 14)) * 4
     assert_matches_reference_bits(params, x, rng.normal(size=20_000) + 3)
-    # The buffered pass, into buffers longer than the batch and full of NaN.
-    out = [np.full((20_003, width), np.nan) for width in params.layer_sizes[1:]]
-    assert predict_batch(params, x, out).tobytes() == reference_scores(params, x).tobytes()
-
-
-def test_predict_batch_into_buffers_matches_the_allocating_pass(rng):
-    """Per-layer output buffers longer than every batch, reused by calls of
-    different lengths, give the allocating pass's bits; the result is a
-    view into the last buffer."""
-    params = init_params((14, 64, 64, 1), 6)
-    out = [np.full((20_010, width), np.nan) for width in params.layer_sizes[1:]]
-    for n in (1, 2, 15, 16, 17, 333, 6_600, 20_001, 17, 6_600, 1):
-        x = rng.normal(size=(n, 14)) * 4
-        got = predict_batch(params, x, out)
-        assert got.tobytes() == predict_batch(params, x).tobytes(), n
-        assert np.shares_memory(got, out[-1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 333])
@@ -272,10 +256,10 @@ def test_predict_batch_scores_a_row_the_same_in_every_batch(rng, sizes, n):
 def test_hidden_layer_rows_are_batch_invariant(rng, d, width):
     """A row's bits out of a hidden layer's matmul are the same in every
     batch of two or more rows: a permuted batch, offset slices and random
-    subsets of a 20 000-row batch.  ``predict_batch(..., rows=)`` and with
-    it the replay ring's TD pass rely on this; a BLAS build that breaks it
-    fails here.  (A 1-row matmul goes to gemv and may differ; so may the
-    1-unit output layer, which is why only hidden layers are deduplicated.)"""
+    subsets of a 20 000-row batch.  ``predict_batch`` relies on this, and
+    runs only its 1-unit output layer in fixed blocks; a BLAS build that
+    breaks it fails here.  (A 1-row matmul goes to gemv and may differ, so
+    ``predict_batch`` runs a 1-row pass's hidden layers over two rows.)"""
     x = rng.normal(size=(20_000, d)) * 3
     w = init_params((d, width, 1), d + width).weights[0]
     whole = x @ w
@@ -287,41 +271,6 @@ def test_hidden_layer_rows_are_batch_invariant(rng, d, width):
     for n in (2, 3, 5, 16, 17, 333, 6_600):
         subset = rng.choice(len(x), size=n, replace=False)
         assert (x[subset] @ w).tobytes() == whole[subset].tobytes(), ("subset", n)
-
-
-@pytest.mark.parametrize(
-    "sizes, distinct, scored",
-    [
-        ((14, 64, 64, 1), 50, 3_000),  # repeated rows
-        ((14, 64, 64, 1), 1, 40),  # one distinct row: a 1-row hidden pass
-        ((14, 64, 64, 1), 50, 1),  # one scored row: a 1-row result
-        ((4, 1), 9, 30),  # no hidden layer
-        ((5, 7, 3, 1), 20, 300),  # gathered into a wider buffer's values
-        ((5, 3, 7, 1), 20, 300),  # a narrower buffer: the gather allocates
-        ((5, 7, 1), 20, 300),  # one hidden layer: no buffer to gather into
-    ],
-    ids=["repeated", "one-distinct", "one-scored", "no-hidden", "wider-buffer",
-         "narrower-buffer", "one-hidden"],
-)
-def test_predict_batch_rows_match_the_gathered_pass(rng, sizes, distinct, scored):
-    """``predict_batch(params, features, rows=rows)`` gives the bits of
-    ``predict_batch(params, features[rows])``, allocating or into per-layer
-    buffers of ``max(len(features), len(rows))`` rows full of NaN, and
-    writes none of its inputs.  Eight draws each: a 1-row matmul's bits
-    differ from a larger one's in most draws, not in every one."""
-    params = init_params(sizes, distinct + scored)
-    length = max(distinct, scored)
-    out = [np.full((length, width), np.nan) for width in sizes[1:]]
-    for _ in range(8):
-        features = rng.normal(size=(distinct, sizes[0])) * 4
-        rows = rng.integers(0, distinct, size=scored)
-        kept = features.copy(), rows.copy()
-        want = predict_batch(params, features[rows]).tobytes()
-        assert predict_batch(params, features, rows=rows).tobytes() == want
-        got = predict_batch(params, features, out, rows=rows)
-        assert got.tobytes() == want
-        assert np.shares_memory(got, out[-1])
-        assert features.tobytes() == kept[0].tobytes() and rows.tobytes() == kept[1].tobytes()
 
 
 def test_forward_leaves_inputs_and_parameters_unwritten(rng):

@@ -143,7 +143,7 @@ def test_recency_weight_monotone_in_age():
 
 def last_td_error(block, model, gamma):
     """TD error of the block's last row."""
-    buffer = ReplayBuffer(len(block), len(block))
+    buffer = ReplayBuffer(len(block))
     buffer.extend(block)
     return td_error(buffer, model, gamma)[-1]
 
@@ -175,37 +175,18 @@ def test_td_error_makes_one_forward_pass(monkeypatch):
 
     original = r.predict_batch
 
-    def counting(model, features, out=None, rows=None):
-        calls.append((len(features), len(rows)))
-        return original(model, features, out, rows)
+    def counting(model, features):
+        calls.append(len(features))
+        return original(model, features)
 
     monkeypatch.setattr(r, "predict_batch", counting)
-    buffer = ReplayBuffer(3, 3)
+    buffer = ReplayBuffer(3)
     buffer.extend(make_block(1.0, 2.0, 3.0, parent=(-1, 0, 1)))
     buffer.extend(make_block(4.0))  # evicts the first plan's root
     td_error(buffer, identity_model(), 1.0)
-    # Four distinct states; the three buffered rows, then the evicted root.
-    assert calls == [(4, 4)]
-
-
-def test_td_error_buffers_follow_the_model_widths(rng):
-    """The pass's output buffers have ``size`` rows, one per layer, and are
-    kept across passes; a model of other widths gets new ones, and its TD
-    errors equal those on a buffer that never scored the first model."""
-    dim = 5
-    blocks = [chain_block(rng, i, 3, dim) for i in range(12)]
-    buffer, fresh = ReplayBuffer(20, 3), ReplayBuffer(20, 3)
-    buffer.extend(*blocks)
-    fresh.extend(*blocks)
-    wide, narrow = init_params((dim, 64, 64, 1), 1), init_params((dim, 8, 1), 2)
-    td_error(buffer, wide, 0.9)
-    kept = buffer.activations
-    assert [a.shape for a in kept] == [(23, 64), (23, 64), (23, 1)]
-    td_error(buffer, wide, 0.9)
-    assert all(a is b for a, b in zip(buffer.activations, kept))
-    got = td_error(buffer, narrow, 0.9)
-    assert [a.shape for a in buffer.activations] == [(23, 8), (23, 1)]
-    assert got.tobytes() == td_error(fresh, narrow, 0.9).tobytes()
+    # Four distinct states, each scored once: the three buffered rows' and
+    # the evicted root's, the enclosing join of a buffered row.
+    assert calls == [4]
 
 
 # --- normalization -------------------------------------------------------------
@@ -308,7 +289,7 @@ def states(buffer, rows):
 
 
 def test_buffer_evicts_oldest_first():
-    buffer = ReplayBuffer(capacity=3, plan_rows=1)
+    buffer = ReplayBuffer(capacity=3)
     for i in range(5):
         buffer.extend(make_block(float(i), iteration=i))
     assert len(buffer) == 3
@@ -365,7 +346,7 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
                 [-1] if terminal else [-1, 0],
             )
         )
-    buffer = ReplayBuffer(capacity, 2)
+    buffer = ReplayBuffer(capacity)
     for block in blocks:
         buffer.extend(block)
     rows = [row for block in blocks for row in block_rows(block)][-capacity:]
@@ -377,8 +358,10 @@ def test_ring_wrap_td_error_and_sampling_match_hand_oracles(rng):
     order = buffer.order()
     assert len(buffer) == capacity
     assert list(buffer.query_id[order]) == ids
-    # The oldest buffered row is the child of a plan whose root was evicted.
-    assert buffer.parent[order[0]] == 0 and buffer.root[order[0]] == buffer.oldest - 1
+    # The oldest buffered row is the child of a plan whose root was evicted,
+    # and the root's state is still in the table.
+    assert rows[0][1] is not None
+    assert np.array_equal(buffer.table[buffer.next_sid[order[0]]], rows[0][1])
 
     gamma = 0.9
     want_td = hand_td(rows, value, gamma)
@@ -406,7 +389,7 @@ def test_split_plan_reads_its_evicted_enclosing_join(rng):
     dim, gamma = 3, 0.8
     model, value = small_model(dim)
     plan = PlanBlock("p", 0, 50.0, rng.normal(size=(3, dim)), [-1, 0, 1])
-    buffer = ReplayBuffer(3, 3)
+    buffer = ReplayBuffer(3)
     buffer.extend(plan)
     rows = block_rows(plan)
     for step in (1, 2):
@@ -418,6 +401,28 @@ def test_split_plan_reads_its_evicted_enclosing_join(rng):
         assert td_error(buffer, model, gamma) == pytest.approx(want, rel=1e-12)
 
 
+def test_evicted_enclosing_state_stays_while_a_live_row_uses_it():
+    """A 3-row chain in a 3-row ring: the next write evicts the root and
+    puts the table past the ring's slots, so it compacts, yet keeps the
+    root's state, which the live middle join reaches through ``next_sid``;
+    the write after that evicts the middle join too, and the compaction
+    then drops the root's state and keeps the middle join's."""
+    buffer = ReplayBuffer(3)
+    buffer.extend(make_block(1.0, 2.0, 3.0, parent=(-1, 0, 1), latency=5.0))
+    buffer.extend(make_block(4.0, latency=6.0))  # evicts the root, 1.0
+    order = buffer.order()
+    assert states(buffer, order)[:, 0].tolist() == [2.0, 3.0, 4.0]
+    assert buffer.table[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0]
+    assert buffer.table[buffer.next_sid[order[0]], 0] == 1.0
+    # identity model: V(s) = -s; the middle join's successor is the root
+    assert td_error(buffer, identity_model(), 1.0).tolist() == [1.0, 1.0, 4.0 - math.log1p(6.0)]
+    buffer.extend(make_block(5.0, latency=7.0))  # evicts the middle join, 2.0
+    order = buffer.order()
+    assert buffer.table[:, 0].tolist() == [2.0, 3.0, 4.0, 5.0]
+    assert buffer.table[buffer.next_sid[order[0]], 0] == 2.0
+    assert buffer.ids == {row.tobytes(): i for i, row in enumerate(buffer.table)}
+
+
 def test_block_wraps_past_the_ring_end(rng):
     """A block written across the end of the ring, evicting all but the
     last row of the plan before it: the ring holds the newest rows oldest
@@ -427,7 +432,7 @@ def test_block_wraps_past_the_ring_end(rng):
     first = PlanBlock("a", 0, 3.0, rng.normal(size=(3, dim)), [-1, 0, 0])
     second = PlanBlock("b", 1, 9.0, rng.normal(size=(4, dim)), [-1, 0, 1, 0])
     third = PlanBlock("c", 2, 5.0, rng.normal(size=(4, dim)), [-1, 0, 0, 2])
-    buffer = ReplayBuffer(5, 4)
+    buffer = ReplayBuffer(5)
     for block in (first, second, third):
         buffer.extend(block)
     assert np.diff(buffer.order()).min() < 0  # the live rows span the ring's end
@@ -444,7 +449,7 @@ def test_block_longer_than_capacity(rng):
     dim, gamma = 2, 0.9
     model, value = small_model(dim)
     chain = PlanBlock("c", 2, 40.0, rng.normal(size=(5, dim)), [-1, 0, 1, 2, 3])
-    buffer = ReplayBuffer(3, 5)
+    buffer = ReplayBuffer(3)
     buffer.extend(chain)
     assert len(buffer) == 3 and buffer.oldest == 2
     assert np.array_equal(states(buffer, buffer.order()), chain.features[2:])
@@ -458,14 +463,15 @@ def test_block_longer_than_capacity(rng):
 
 class KeptRing(ReplayBuffer):
     """The earlier ring, kept as the reference: ``capacity`` rows of
-    materialized states, ``state``, and the oldest plan's evicted rows, from
-    its root (row number ``kept_from``) on, copied aside into ``kept`` at
-    each write that evicts them.  It takes ``plan_rows`` as ``ReplayBuffer``
-    does, but does not use it, and it writes several blocks one after
-    another.  ``reference_td_error``, not ``td_error``, scores it."""
+    materialized states, ``state``, each row's block index of its enclosing
+    join, ``parent``, and its plan's root number, ``root``, and the oldest
+    plan's evicted rows, from its root (row number ``kept_from``) on, copied
+    aside into ``kept`` at each write that evicts them.  It writes several
+    blocks one after another.  ``reference_td_error``, not ``td_error``,
+    scores it."""
 
-    def __init__(self, capacity, plan_rows):
-        super().__init__(capacity, plan_rows)
+    def __init__(self, capacity):
+        super().__init__(capacity)
         self.kept_from = 0
 
     def extend(self, *blocks):
@@ -536,29 +542,42 @@ def chain_block(rng, i, rows, dim):
     )
 
 
-def split_at(buffer):
-    """The number of rows of the oldest plan that the buffer has evicted."""
-    return buffer.oldest - buffer.root[buffer.oldest % buffer.size]
+def split_at(reference):
+    """The number of rows of the oldest plan that a ``KeptRing`` has
+    evicted."""
+    return reference.oldest - reference.root[reference.oldest % reference.capacity]
+
+
+def is_split(buffer):
+    """Whether the ring has evicted some of its oldest plan's rows: blocks
+    list the root first, so the oldest buffered row is then not a root."""
+    return bool(buffer.next_sid[buffer.oldest % buffer.capacity] >= 0)
+
+
+def used_ids(buffer):
+    """The table ids that the buffered rows use, through ``sid`` or
+    ``next_sid``."""
+    rows = buffer.order()
+    return set(buffer.sid[rows].tolist()) | set(buffer.next_sid[rows].tolist()) - {-1}
 
 
 def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
     """Blocks of one to five rows, chain and bushy, fill the ring past its
-    end again and again, with ``plan_rows`` the longest block, the tight
-    bound; capacities 3 and 1 are below it, so a write can evict the head of
-    its own block.  After every write the TD errors equal those of the
-    reference ring by ``tobytes()``; more than 20 writes per capacity leave
-    the oldest plan split.  Rows are all distinct, or drawn from a pool of
-    12 states or of one, so the pass scores one row per distinct state, and
-    its hidden pass may have one row.  With more than one state the table
-    compacts mid-run, when evicted states leave it more unused ids than
-    used ones or more rows than the ring."""
+    end again and again; capacities 3 and 1 are below the longest block, so
+    a write can evict the head of its own block.  After every write the TD
+    errors equal those of the reference ring by ``tobytes()``; more than 20
+    writes per capacity leave the oldest plan split.  Rows are all
+    distinct, or drawn from a pool of 12 states or of one, so the pass
+    scores one row per distinct state, and its pass may have one row.  With
+    more than one state the table compacts mid-run, when it holds more rows
+    than the ring has slots, and then holds only the ids its rows use."""
     dim, gamma, longest = 6, 0.9, 5
     model = init_params((dim, 64, 64, 1), 4)
     for pool in (None, 12, 1):
         states_pool = rng.normal(size=(pool or 1, dim))
         compacted = 0  # writes after which the table lacks a state written before
         for capacity in (50, 3, 1):
-            buffer, reference = ReplayBuffer(capacity, longest), KeptRing(capacity, longest)
+            buffer, reference = ReplayBuffer(capacity), KeptRing(capacity)
             checked, seen = 0, set()
             for i in range(120):
                 rows = int(rng.integers(1, longest + 1))
@@ -574,33 +593,35 @@ def test_td_error_on_a_wrapped_ring_matches_reference_bits(rng):
                 reference.extend(block)
                 seen |= {row.tobytes() for row in features}
                 compacted += len(buffer.table) < len(seen)
-                assert len(buffer.table) <= buffer.size
+                if len(buffer.table) > capacity:
+                    assert used_ids(buffer) == set(range(len(buffer.table)))
                 keys = [buffer.ids[row.tobytes()] for row in buffer.table]
                 assert keys == list(range(len(buffer.ids)))
                 assert buffer.oldest == reference.oldest and len(buffer) == len(reference)
                 got = td_error(buffer, model, gamma)
                 assert got.tobytes() == reference_td_error(reference, model, gamma).tobytes()
-                if split_at(buffer):
-                    assert len(buffer) == capacity and split_at(buffer) == len(reference.kept)
+                assert is_split(buffer) == (split_at(reference) > 0)
+                if split_at(reference):
+                    assert len(buffer) == capacity and split_at(reference) == len(reference.kept)
                     checked += 1
             assert checked > 20
         assert (compacted > 0) == (pool != 1), pool
 
 
-RING_COLUMNS = ("parent", "root", "stored_at", "latency", "label", "query_id")
+RING_COLUMNS = ("stored_at", "latency", "label", "query_id")
 
 
 def test_extend_with_several_blocks_equals_one_call_per_block(rng):
     """``extend(*blocks)`` leaves the ring as one ``extend`` per block does:
-    every column, the states of the written slots and of ``scored_ids()``,
-    ``order()`` and the ``td_error`` bytes.  Calls take zero to twelve blocks of one to three rows; the first
-    one writes twelve 3-row blocks, 36 rows, which wrap the 5-row ring's 8
-    slots more than four times.  ``extend()`` with no block is a no-op, also
-    on an empty ring."""
+    every column, the states of the written slots and of their enclosing
+    joins, ``order()`` and the ``td_error`` bytes.  Calls take zero to
+    twelve blocks of one to three rows; the first one writes twelve 3-row
+    blocks, 36 rows, which wrap the 5-row ring more than seven times.
+    ``extend()`` with no block is a no-op, also on an empty ring."""
     dim, gamma, longest = 4, 0.9, 3
     model = init_params((dim, 8, 1), 5)
     for capacity in (5, 40):
-        several, single = ReplayBuffer(capacity, longest), ReplayBuffer(capacity, longest)
+        several, single = ReplayBuffer(capacity), ReplayBuffer(capacity)
         several.extend()
         assert len(several) == 0 and several.end == 0
         for call, count in enumerate([12, 0, 1, 3, 12, 2, 7, 0, 12, 5]):
@@ -619,10 +640,12 @@ def test_extend_with_several_blocks_equals_one_call_per_block(rng):
             for name in RING_COLUMNS:
                 assert getattr(several, name).tolist() == getattr(single, name).tolist(), name
             assert np.array_equal(several.order(), single.order())
-            written = np.arange(min(several.end, several.size))
+            written = np.arange(min(several.end, several.capacity))
             assert states(several, written).tobytes() == states(single, written).tobytes()
-            scored = several.table[several.scored_ids()]
-            assert scored.tobytes() == single.table[single.scored_ids()].tobytes()
+            up = several.next_sid[written]
+            assert np.array_equal(up >= 0, single.next_sid[written] >= 0)
+            enclosing = several.table[up[up >= 0]]
+            assert enclosing.tobytes() == single.table[single.next_sid[written][up >= 0]].tobytes()
             assert (
                 td_error(several, model, gamma).tobytes()
                 == td_error(single, model, gamma).tobytes()
@@ -641,11 +664,14 @@ def test_td_error_peak_memory_is_one_matrix_per_layer(rng):
 
     dim = 14  # the bundled star6 catalog's feature width
     model = init_params((dim, 64, 64, 1), 4)
-    buffer = ReplayBuffer(20_000, 3)
+    buffer = ReplayBuffer(20_000)
     for i in range(6_800):
         buffer.extend(chain_block(rng, i, 3, dim))
-    assert len(buffer) == 20_000 and split_at(buffer)
-    scored = len(buffer) + split_at(buffer)
+    assert len(buffer) == 20_000 and is_split(buffer)
+    # Every buffered state and the split plan's evicted root, its rows'
+    # enclosing join.
+    scored = len(buffer.table)
+    assert scored == len(buffer) + buffer.oldest % 3
     bound = scored * (dim + 64 + 64) * 8 + 8 * scored * 8
     tracemalloc.start()
     try:
@@ -654,32 +680,6 @@ def test_td_error_peak_memory_is_one_matrix_per_layer(rng):
     finally:
         tracemalloc.stop()
     assert peak <= bound, f"peak {peak / 1e6:.2f} MB > bound {bound / 1e6:.2f} MB"
-
-
-def test_second_td_error_allocates_no_hidden_layer_array(rng):
-    """On the full 20 000-row ring above, the first ``td_error`` makes the
-    buffer's per-layer outputs; the tracemalloc peak of a second one stays
-    below one hidden-layer array (64 columns of 8-byte values per scored
-    row), so the pass writes its layers into those buffers."""
-    import tracemalloc
-
-    dim = 14
-    model = init_params((dim, 64, 64, 1), 4)
-    buffer = ReplayBuffer(20_000, 3)
-    for i in range(6_800):
-        buffer.extend(chain_block(rng, i, 3, dim))
-    assert len(buffer) == 20_000 and split_at(buffer)
-    scored = len(buffer) + split_at(buffer)
-    first = td_error(buffer, model, 0.9)
-    tracemalloc.start()
-    try:
-        second = td_error(buffer, model, 0.9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert second.tobytes() == first.tobytes()
-    bound = scored * 64 * 8
-    assert peak < bound, f"peak {peak / 1e6:.2f} MB >= {bound / 1e6:.2f} MB"
 
 
 def test_fresh_batch_matches_uniform_hand_oracle(rng):
@@ -706,7 +706,7 @@ def test_fresh_batch_matches_uniform_hand_oracle(rng):
 
 def test_sample_probabilities_from_weights():
     """Weights [1, 1, 2] -> probabilities [0.25, 0.25, 0.5]."""
-    buffer = ReplayBuffer(10, 1)
+    buffer = ReplayBuffer(10)
     # Recency-only policy with ages giving tau = (0.5, 0.5, 1.0) after span
     # normalization: stored_at 5, 5, 10 with current 10 -> span 5 -> tau
     # (0, 0, 1)... instead pick stored_at directly for [1,1,2]/4: ages 5,5,0
@@ -729,7 +729,7 @@ def test_sample_probabilities_from_weights():
 
 def test_sample_probability_normalization(rng):
     model = identity_model()
-    buffer = ReplayBuffer(100, 2)
+    buffer = ReplayBuffer(100)
     for i in range(40):
         state = float(rng.normal())
         if rng.uniform() < 0.7:  # a hand-set next state: the block's root
@@ -758,7 +758,7 @@ def test_sample_multinomial_frequencies():
     from scipy import stats as scistats
 
     model = identity_model()
-    buffer = ReplayBuffer(10, 1)
+    buffer = ReplayBuffer(10)
     # td-high weights proportional to normalized |delta|: craft deltas so the
     # normalized values are (0.25, 0.25, 0.5) x c. With V(s)= -s, terminal
     # r~=0: delta = -V(s) = s. Use s = (1, 1, 2) with min-max over (0,1,2)?
@@ -779,7 +779,7 @@ def test_sample_multinomial_frequencies():
 
 def test_sample_single_experience_repeats():
     model = identity_model()
-    buffer = ReplayBuffer(10, 1)
+    buffer = ReplayBuffer(10)
     buffer.extend(make_block(3.0, latency=42.0))
     cfg = RetentionConfig(weighting="hybrid", k_replay=5, gamma=1.0, alpha_td=1.0)
     (features, labels), stats = sample_replay(buffer, model, cfg, 0)
@@ -791,7 +791,7 @@ def test_sample_single_experience_repeats():
 
 def test_sample_uniform_fallback_when_all_zero():
     model = identity_model()
-    buffer = ReplayBuffer(10, 1)
+    buffer = ReplayBuffer(10)
     # Same stored_at and equal deltas: recency tau = 1 for all (span 1), so
     # use td_low with norm .5 -> weight .5, not zero. Zero weights: recency
     # policy with two distinct ages: tau = (1, 0) -> second never sampled;
@@ -827,7 +827,7 @@ def test_sample_uniform_fallback_when_all_zero():
 
 def test_sample_deterministic_per_seed():
     model = identity_model()
-    buffer = ReplayBuffer(100, 1)
+    buffer = ReplayBuffer(100)
     for i in range(20):
         buffer.extend(make_block(float(i), iteration=i))
     cfg = RetentionConfig(weighting="hybrid", k_replay=16, gamma=1.0, alpha_td=1.0)
@@ -840,7 +840,7 @@ def test_sample_deterministic_per_seed():
 
 def test_sample_fills_recency_slot():
     model = identity_model()
-    buffer = ReplayBuffer(10, 1)
+    buffer = ReplayBuffer(10)
     buffer.extend(make_block(1.0, iteration=0))
     buffer.extend(make_block(2.0, iteration=10))
     cfg = RetentionConfig(weighting="hybrid", k_replay=50, gamma=1.0, alpha_td=1.0)
@@ -856,4 +856,4 @@ def test_sample_fills_recency_slot():
 def test_sample_empty_buffer():
     with pytest.raises(RetentionError, match="empty"):
         cfg = RetentionConfig(weighting="hybrid", k_replay=1, gamma=1.0, alpha_td=1.0)
-        sample_replay(ReplayBuffer(5, 1), identity_model(), cfg, 0)
+        sample_replay(ReplayBuffer(5), identity_model(), cfg, 0)

@@ -567,7 +567,7 @@ def execute_alone(contexts, plans, exec_states, rng, iteration):
     return blocks
 
 
-RING_COLUMNS = ("table", "sid", "parent", "root", "stored_at", "latency", "label", "query_id")
+RING_COLUMNS = ("table", "sid", "next_sid", "stored_at", "latency", "label", "query_id")
 
 
 def test_executing_each_distinct_plan_once_writes_the_ring_bit_for_bit(monkeypatch):
@@ -885,9 +885,8 @@ def test_evicting_run_matches_the_reference_ring(monkeypatch):
     on, splitting the oldest plan at 11 of its 12 replay passes, gives the
     same records and model, bit for bit, as with the reference ring, which
     copies the oldest plan's evicted rows aside and is scored by one plain
-    pass over its materialized states; a ring too small for
-    ``run_training``'s plans would overwrite rows it still scores."""
-    from test_retention import KeptRing, reference_td_error, split_at
+    pass over its materialized states."""
+    from test_retention import KeptRing, is_split, reference_td_error
 
     cfg = load_run_config(BUNDLE / "experiment.json")
     cfg = dataclasses.replace(
@@ -899,7 +898,7 @@ def test_evicting_run_matches_the_reference_ring(monkeypatch):
     splits = []
 
     def sample_replay(buffer, *args):
-        splits.append(split_at(buffer) > 0)
+        splits.append(is_split(buffer))
         return retention.sample_replay(buffer, *args)
 
     monkeypatch.setattr(trainer_module, "sample_replay", sample_replay)

@@ -57,7 +57,7 @@ ROUNDS = 8
 # the ms of each pass and the digest of its blocks; every time raw and
 # scaled.
 WORKER = SPEED_SAMPLER + """
-import hashlib, json, sys, time
+import hashlib, inspect, json, sys, time
 import numpy as np
 from joinopt import trainer
 from joinopt.retention import ReplayBuffer, extract_experiences, sample_replay, td_error
@@ -73,7 +73,11 @@ for iteration in range(1, cfg.iterations + 1):
     iterations.append(
         [extract_experiences(plan, ctx, ctx.latency(plan), iteration) for ctx, plan in plans]
     )
-plan_rows = max(len(ctx.relations) for ctx in setup.train) - 1
+# A ring from before the rows kept their successors' state ids also takes,
+# as spare rows beyond its capacity, the most joins one plan has.
+ring_args = [cfg.retention.capacity]
+if len(inspect.signature(ReplayBuffer).parameters) > 1:
+    ring_args.append(max(len(ctx.relations) for ctx in setup.train) - 1)
 
 
 def digest(*arrays):
@@ -85,7 +89,7 @@ def digest(*arrays):
 
 fills = []
 for _ in range(passes):
-    buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
+    buffer = ReplayBuffer(*ring_args)
     start = time.perf_counter()
     for blocks in iterations:
         buffer.extend(*blocks)
@@ -93,7 +97,7 @@ for _ in range(passes):
 
 cases = {}
 for name, size in sizes.items():
-    buffer = ReplayBuffer(cfg.retention.capacity, plan_rows)
+    buffer = ReplayBuffer(*ring_args)
     for blocks in iterations:
         if size is not None and len(buffer) >= size:
             break
