@@ -17,13 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .simulator import ExpertBaseline
 
 __all__ = [
     "Verdict",
     "RobustnessVerdict",
+    "fold_sum",
     "wrl",
     "classify_query",
     "convergence_iteration",
@@ -43,11 +44,21 @@ class RobustnessVerdict:
     regression_iteration: int | None = None
 
 
+def fold_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.  Python's built-in ``sum``
+    does this up to 3.11; from 3.12 it compensates float rounding, so its
+    last bits would depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def wrl(learned: Mapping[str, float], expert: Mapping[str, float]) -> float:
     """Workload relative latency: total learned latency over total expert
-    latency of the same queries; below 1 means the learned optimizer is
-    faster."""
-    return sum(learned.values()) / sum(expert.values())
+    latency of the same queries, each summed by ``fold_sum``; below 1 means
+    the learned optimizer is faster."""
+    return fold_sum(learned.values()) / fold_sum(expert.values())
 
 
 def classify_query(

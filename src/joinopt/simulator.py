@@ -38,18 +38,19 @@ fragment pairs it may join (each by any of the three operators).
 ``join_columns`` summarizes every join of a list of fragment pairs as
 columns, one summary per pair and ``join_cost_increments`` call for its
 three operators, without building a fragment per join, for scoring a whole
-search frontier at once.  ``JoinColumns.joined`` is the one step of the
-partial-plan MDP: it applies one of those joins, from its summary alone.
-Plan search and random rollouts both step through it.  ``join_columns`` and
-``join_info`` compose a join's summary from its children's through one
-helper, and the cost model's join operators have one definition,
-``join_cost_increments``.
+search frontier at once.  A pair keeps one operator-count tuple, the sum
+of its children's, and three costs, one per operator.
+``JoinColumns.joined`` is the one step of the partial-plan MDP: it applies
+one of those joins, from its summary alone, adding the chosen operator's
+join to the pair's counts.  Plan search and random rollouts both step
+through it.  ``join_columns`` and ``join_info`` compose a join's summary
+from its children's through one helper, and the cost model's join
+operators have one definition, ``join_cost_increments``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -233,6 +234,11 @@ class QueryContext:
             )
         return got
 
+    def log_sizes(self, masks: list[int]) -> list[tuple[float, float]]:
+        """``log_size`` of each mask, read from the memo where it is there."""
+        memo = self._log_size
+        return [memo.get(mask) or self.log_size(mask) for mask in masks]
+
     def neighbors(self, mask: int) -> int:
         """Union of the adjacency masks of the mask's relations."""
         got = self._neighbors.get(mask)
@@ -285,20 +291,26 @@ class FragmentInfo:
 
 def _join_summaries(
     left: FragmentInfo, right: FragmentInfo, ctx: QueryContext
-) -> tuple[int, float, list[float], list[tuple[int, int, int]], int]:
+) -> tuple[int, float, list[float], tuple[int, int, int], int]:
     """The joins of ``left`` and ``right`` by each operator, in ``JOIN_OPS``
-    order: their relation-set mask and rows, their costs, their operator
-    counts and their depth.  This is how a join's summary composes from its
-    children's."""
+    order: their relation-set mask and rows, their costs, their children's
+    operator counts (the sum of both children's, without the join's own
+    operator) and their depth.  This is how a join's summary composes from
+    its children's."""
     mask = left.mask | right.mask
     rows = ctx.cardinality(mask)
     children = left.cost + right.cost
     hash_join, merge, nested_loop = join_cost_increments(left.rows, right.rows, rows, ctx.cfg)
     costs = [children + hash_join, children + merge, children + nested_loop]
-    # Operator counts are in JOIN_OPS order; each join adds its own.
-    h, m, n = map(operator.add, left.op_counts, right.op_counts)
-    counts = [(h + 1, m, n), (h, m + 1, n), (h, m, n + 1)]
-    return mask, rows, costs, counts, 1 + max(left.depth, right.depth)
+    lh, lm, ln = left.op_counts
+    rh, rm, rn = right.op_counts
+    return mask, rows, costs, (lh + rh, lm + rm, ln + rn), 1 + max(left.depth, right.depth)
+
+
+def _with_op(counts: tuple[int, int, int], k: int) -> tuple[int, int, int]:
+    """Operator counts in ``JOIN_OPS`` order plus one join by ``JOIN_OPS[k]``."""
+    h, m, n = counts
+    return (h + 1, m, n) if k == 0 else (h, m + 1, n) if k == 1 else (h, m, n + 1)
 
 
 def join_info(
@@ -306,7 +318,9 @@ def join_info(
 ) -> FragmentInfo:
     mask, rows, costs, counts, depth = _join_summaries(left, right, ctx)
     k = JOIN_OPS.index(op)
-    return FragmentInfo(Join(left.node, right.node, op), mask, rows, costs[k], depth, counts[k])
+    return FragmentInfo(
+        Join(left.node, right.node, op), mask, rows, costs[k], depth, _with_op(counts, k)
+    )
 
 
 def plan_infos(plan: PlanNode, ctx: QueryContext) -> list[FragmentInfo]:
@@ -375,14 +389,16 @@ def _replace_pair(
 class JoinColumns(NamedTuple):
     """Summaries of the joins of many fragment pairs as columns: what
     ``join_info`` would return for each join, less the plan nodes.  Each
-    pair gives one relation-set mask, row estimate and depth and, for its
-    three operators in ``JOIN_OPS`` order, three operator counts and costs;
-    join ``k`` is pair ``k // 3`` by operator ``JOIN_OPS[k % 3]``."""
+    pair gives one relation-set mask, row estimate, depth and operator-count
+    tuple, the sum of its two children's counts, and, for its three
+    operators in ``JOIN_OPS`` order, three costs; join ``k`` is pair
+    ``k // 3`` by operator ``JOIN_OPS[k % 3]``, and its operator counts are
+    its pair's plus one ``JOIN_OPS[k % 3]``."""
 
     masks: list[int]  # one per pair
     rows: list[float]  # one per pair
     depths: list[int]  # one per pair
-    op_counts: list[tuple[int, int, int]]  # 3 * pairs: hash, merge, nested loop
+    op_counts: list[tuple[int, int, int]]  # one per pair: hash, merge, nested loop
     costs: list[float]  # 3 * pairs
 
     def joined(
@@ -404,7 +420,7 @@ class JoinColumns(NamedTuple):
             self.rows[p],
             self.costs[k],
             self.depths[p],
-            self.op_counts[k],
+            _with_op(self.op_counts[p], k % 3),
         )
         return joined, _replace_pair(fragments, i, j, joined)
 
@@ -419,7 +435,7 @@ def join_columns(
         masks.append(mask)
         rows.append(pair_rows)
         depths.append(depth)
-        counts += op_counts
+        counts.append(op_counts)
         costs += op_costs
     return JoinColumns(masks, rows, depths, counts, costs)
 

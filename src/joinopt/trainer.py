@@ -56,6 +56,7 @@ from .metrics import (
     Verdict,
     classify_query,
     convergence_iteration,
+    fold_sum,
     wrl,
 )
 from .model import (
@@ -404,18 +405,28 @@ class _Step:
         n_ops = len(JOIN_OPS)
         scores, best = [], []
         for p, ((entry, _, _), mask) in enumerate(zip(moves, masks)):
-            # The successors' composite labels in fragment order: the
-            # entry's untouched ones, with the join's at its lowest bit.
-            # With none untouched, a successor's mean is its join's label.
+            # A successor's score is the mean of its composite labels, summed
+            # left to right from 0 in fragment order: the entry's untouched
+            # ones, with the join's at its lowest bit.  With none untouched,
+            # it is its join's label.
             labels = predicted[n_ops * p : n_ops * (p + 1)]
             low = mask & -mask
-            before, after = [], []
+            head, after, count = 0.0, [], 1
             for m, v in entry.labels:
                 if not m & mask:
-                    (before if m & -m < low else after).append(v)
-            if before or after:
-                count = len(before) + 1 + len(after)
-                labels = [sum(before + [label] + after) / count for label in labels]
+                    count += 1
+                    if m & -m < low:
+                        head += v
+                    else:
+                        after.append(v)
+            if count > 1:
+                totals = []
+                for label in labels:
+                    total = head + label
+                    for v in after:
+                        total += v
+                    totals.append(total / count)
+                labels = totals
             scores.append(labels)
             best.append(min(labels))
         # A pair's three joins share its partition, so only the first
@@ -451,8 +462,8 @@ def plan_search(
     """Beam search over partial plans scored by the value model.
 
     Successor states are scored by the mean predicted label over their
-    composite fragments, summed in fragment order (lower predicted latency
-    wins).  The beam keeps at most one entry per relation-set partition, the
+    composite fragments, added left to right from 0 in fragment order
+    (lower predicted latency wins).  The beam keeps at most one entry per relation-set partition, the
     best-scored one, so operator and child-order variants of one partition
     cannot crowd out other partitions.  With probability epsilon per step the
     beam collapses onto one uniformly random successor, so epsilon = 1
@@ -620,9 +631,9 @@ class RunHistory:
         }
 
     def convergence(self) -> int | None:
-        series = [(rec.iteration, sum(rec.test_latencies.values())) for rec in self.records]
-        expert_total = sum(self.baselines[q].mean_latency_ms for q in self.test_ids)
-        tolerance = sum(self.baselines[q].tolerance_ms for q in self.test_ids)
+        series = [(rec.iteration, fold_sum(rec.test_latencies.values())) for rec in self.records]
+        expert_total = fold_sum(self.baselines[q].mean_latency_ms for q in self.test_ids)
+        tolerance = fold_sum(self.baselines[q].tolerance_ms for q in self.test_ids)
         return convergence_iteration(
             series, expert_total, tolerance, self.config.convergence_sustain
         )

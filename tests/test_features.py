@@ -165,14 +165,16 @@ def test_membership_columns_match_the_relation_names(rng, default_cost):
 
 @pytest.mark.parametrize("left_deep", [False, True])
 def test_frontier_rows_equal_joined_fragment_rows(rng, default_cost, left_deep):
-    """Every row that plan search scores for a partial plan, built as one
-    matrix from join_columns, equals bit for bit the one-slot-at-a-time
-    reference of the fragment that join_info builds for the same
-    (pair, operator), and that fragment's own row; the rows run over the
-    legal pairs in order, each by the three operators in JOIN_OPS order."""
+    """Every row that plan search scores for a partial plan of a random tree
+    query of 2-12 relations, built as one matrix from join_columns (one
+    operator-count tuple per pair), equals bit for bit the
+    one-slot-at-a-time reference of the fragment that join_info builds for
+    the same (pair, operator), and that fragment's own row; the rows run
+    over the legal pairs in order, each by the three operators in JOIN_OPS
+    order."""
     checked = 0
     for _ in range(12):
-        catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 9)))
+        catalog, query = random_tree_catalog_and_query(rng, int(rng.integers(2, 13)))
         ctx = QueryContext(query, catalog, default_cost)
         state = ctx.scans
         while len(state) > 1:

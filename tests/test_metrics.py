@@ -8,6 +8,7 @@ from joinopt.metrics import (
     Verdict,
     classify_query,
     convergence_iteration,
+    fold_sum,
     wrl,
 )
 from joinopt.simulator import ExpertBaseline
@@ -49,6 +50,19 @@ def test_wrl_speedup_reciprocal():
     assert value == pytest.approx(0.64)
     assert 1.0 / value == pytest.approx(1.5625)
     assert abs(1.0 / value - 1.55) < 0.02
+
+
+def test_sums_fold_left_to_right_from_zero():
+    """``fold_sum`` and ``wrl`` add floats left to right from 0, as Python
+    3.11's ``sum`` does, on values whose compensated sum (``math.fsum``,
+    Python 3.12's ``sum``) differs in the last bit."""
+    values = [0.1, 0.2, 0.3]
+    folded = (0.1 + 0.2) + 0.3
+    assert folded == 0.6000000000000001 != math.fsum(values)
+    assert fold_sum(values) == folded
+    assert fold_sum([]) == 0.0
+    assert wrl(dict(zip("abc", values)), {"a": 1.0}) == folded
+    assert wrl({"a": 1.0}, dict(zip("abc", values))) == 1.0 / folded
 
 
 def test_wrl_scale_invariant(rng):

@@ -345,6 +345,74 @@ def test_search_returns_valid_plan(default_cost, rng):
         assert plan_infos(plan, ctx)[-1].mask == ctx.full_mask
 
 
+def fold_score(labels):
+    """The mean of these labels, added one at a time, left to right, from 0."""
+    total = 0.0
+    for label in labels:
+        total += label
+    return total / len(labels)
+
+
+def test_greedy_ranks_successors_by_a_left_to_right_fold_of_their_labels(default_cost, rng):
+    """On a hand-built partial plan of a 7-relation chain, (ab, c, d, e, fg)
+    with two composite fragments, where the joins c-d and d-e have one of
+    them on each side of their lowest bit, the greedy beam is the best
+    successor of each partition in order of score.  A successor's score is
+    its composite fragments' labels in fragment order, folded left to right
+    from 0, over their count.  The labels are tenths, whose sums round
+    differently in different orders, and some trials order the beam
+    differently under a compensated sum or with the join's label last."""
+    names = "abcdefg"
+    catalog = make_catalog([(r, 100, 8, 1.0) for r in names])
+    query = make_query("c7", list(names), list(zip(names, names[1:])))
+    ctx = QueryContext(query, catalog, default_cost)
+    scans = ctx.scans
+    ab = simulator.join_info(scans[0], scans[1], JoinOp.HASH, ctx)
+    fg = simulator.join_info(scans[5], scans[6], JoinOp.MERGE, ctx)
+    model = init_params((feature_dim(catalog), 8, 1), 3)
+    tenths = [k / 10 for k in range(1, 10)]
+
+    def beam_by(rule, entry, step):
+        # The first successor of each partition, in order of (score, index).
+        scored = []
+        for k in range(len(step.predicted)):
+            successor = step.successor(k)
+            joined = next(m for m, _ in successor.labels if m not in dict(entry.labels))
+            scored.append((rule(successor.labels, joined), k, successor))
+        beam, seen = [], set()
+        for _, _, successor in sorted(scored, key=lambda item: item[:2]):
+            partition = frozenset(f.mask for f in successor.infos)
+            if partition not in seen:
+                seen.add(partition)
+                beam.append(successor)
+        return beam
+
+    def fold(labels, joined):
+        return fold_score([v for _, v in labels])
+
+    def compensated(labels, joined):
+        return math.fsum(v for _, v in labels) / len(labels)
+
+    def join_last(labels, joined):
+        return fold_score([v for m, v in labels if m != joined] + [dict(labels)[joined]])
+
+    differs = {compensated: 0, join_last: 0}
+    for _ in range(200):
+        x, y = rng.choice(tenths, size=2).tolist()
+        entry = trainer_module._BeamEntry(
+            (ab, scans[2], scans[3], scans[4], fg), ((ab.mask, x), (fg.mask, y))
+        )
+        step = trainer_module._Step([entry], ctx, model, False)
+        assert len(step.moves) == 8
+        step.predicted = rng.choice(tenths, size=len(step.predicted)).tolist()
+        expected = beam_by(fold, entry, step)
+        assert len(expected) == 4
+        assert step.greedy(4) == expected
+        for rule in differs:
+            differs[rule] += beam_by(rule, entry, step) != expected
+    assert all(differs.values()), differs
+
+
 def test_beam_with_cost_oracle_finds_expert_cost_on_star6():
     """A linear value model that returns the log1p-cost feature slot ranks
     fragments exactly by cost.  With a width-8 beam that holds distinct
@@ -1318,3 +1386,28 @@ def test_read_run_csv_refuses_text_that_is_not_utf8(written_run, tmp_path):
     with pytest.raises(ValueError) as exc:
         read_run_csv(path, train_ids, test_ids)
     assert str(exc.value) == f"{path}: not UTF-8 text: invalid start byte at byte 9"
+
+
+def test_convergence_sums_latencies_left_to_right_from_zero():
+    """``RunHistory.convergence`` adds the test latencies and the expert
+    totals left to right from 0, as Python 3.11's ``sum`` does: latencies of
+    0.1, 0.2 and 0.3 then total 0.6000000000000001, above an expert total
+    of 0.6, which a compensated sum (``math.fsum``, Python 3.12's ``sum``)
+    would reach; in the order 0.3, 0.2, 0.1 they total 0.6."""
+    ids = ("a", "b", "c")
+    baselines = {
+        q: simulator.ExpertBaseline(q, mean, 0.0, 0.0, 10)
+        for q, mean in zip(ids, (0.6, 0.0, 0.0))
+    }
+
+    def history(latencies):
+        records = [
+            trainer_module.IterationRecord(i, {}, dict(zip(ids, latencies)), 1.0, 1.0, 0, 0.0,
+                                           0.0, 0.0)
+            for i in (5, 10, 15)
+        ]
+        return trainer_module.RunHistory(RunConfig("c", "tr", "te"), records, baselines, (), ids)
+
+    assert math.fsum([0.1, 0.2, 0.3]) == 0.6
+    assert history([0.1, 0.2, 0.3]).convergence() is None
+    assert history([0.3, 0.2, 0.1]).convergence() == 5
