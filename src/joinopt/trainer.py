@@ -463,9 +463,10 @@ def plan_search(
 
     Successor states are scored by the mean predicted label over their
     composite fragments, added left to right from 0 in fragment order
-    (lower predicted latency wins).  The beam keeps at most one entry per relation-set partition, the
-    best-scored one, so operator and child-order variants of one partition
-    cannot crowd out other partitions.  With probability epsilon per step the
+    (lower predicted latency wins).  The beam keeps at most one entry per
+    relation-set partition, the best-scored one, so operator and
+    child-order variants of one partition cannot crowd out other
+    partitions.  With probability epsilon per step the
     beam collapses onto one uniformly random successor, so epsilon = 1
     degenerates to a uniform random legal rollout.
     ``rng_seed`` is anything ``np.random.default_rng`` takes: a seed, or a
