@@ -2,8 +2,8 @@
 
 Every join-rooted subplan of an executed plan is one experience.  The plan's
 experiences form one ``PlanBlock``: its join rows in pre-order, their
-features from the simulator's single walk over the plan
-(``simulator.plan_infos``), and for each row the block index of its smallest
+features from the summaries of the simulator's single walk over the plan
+(``QueryContext.summaries``), and for each row the block index of its smallest
 enclosing join, the experience's successor state (-1 at the root, which is
 terminal).  The replay buffer writes blocks as rows of column arrays, any
 number of them in one set of column writes, and keeps each distinct state
@@ -45,8 +45,8 @@ import numpy as np
 
 from .features import RECENCY_SLOT, fragment_rows
 from .model import ModelParams, latency_to_label, predict_batch
-from .plans import Join, PlanNode
-from .simulator import FragmentInfo, QueryContext, plan_infos
+from .plans import Join
+from .simulator import FragmentInfo, QueryContext
 
 __all__ = [
     "PlanBlock",
@@ -244,19 +244,14 @@ class ReplayBuffer:
 
 
 def extract_experiences(
-    plan: PlanNode,
-    ctx: QueryContext,
-    latency_ms: float,
-    iteration: int,
-    infos: list[FragmentInfo] | None = None,
+    infos: list[FragmentInfo], ctx: QueryContext, latency_ms: float, iteration: int
 ) -> PlanBlock:
-    """The block of an executed terminal plan (``QueryContext.cost`` has
-    checked that it covers the query): one row per join node, in pre-order (root first,
-    then the left subtree, then the right), each pointing at its smallest
-    enclosing join.  ``infos``, if given, is the plan's ``plan_infos``,
-    which the block is then read from instead of a new walk.  The block's
-    arrays are made read-only."""
-    infos = plan_infos(plan, ctx) if infos is None else infos
+    """The block of an executed terminal plan, read from its summaries
+    ``infos``, which the caller's ``QueryContext.summaries`` gave after
+    checking that the plan covers the query: one row per join node, in
+    pre-order (root first, then the left subtree, then the right), each
+    pointing at its smallest enclosing join.  The block's arrays are made
+    read-only."""
     info_of = {id(info.node): info for info in infos}
     joins, parent, stack = [], [], [(infos[-1].node, -1)]
     while stack:  # pre-order: a join, then its left subtree, then its right

@@ -113,13 +113,15 @@ class CostModelConfig:
 
 @dataclass(frozen=True)
 class ExpertBaseline:
-    """Expert-plan latency statistics; tolerance is the 2-sigma band width."""
+    """Expert-plan latency statistics:
 
-    query_id: str
+    - ``mean_latency_ms``: the mean latency of the expert plan's executions;
+    - ``tolerance_ms``: twice their sample std, the width of the robustness band;
+    - ``noiseless_latency_ms``: the expert plan's noiseless latency."""
+
     mean_latency_ms: float
-    std_latency_ms: float
     tolerance_ms: float
-    n_runs: int
+    noiseless_latency_ms: float
 
 
 def scan_cost(base_rows: float, cfg: CostModelConfig) -> float:
@@ -602,8 +604,8 @@ def expert_baseline(
     base_seed: int = 0,
 ) -> ExpertBaseline:
     """Execute the context's expert plan ``n_runs`` times (seeds base_seed +
-    i) and summarize latency variability; tolerance is twice the sample
-    std.  A latency, mean or tolerance that is not a positive finite number
+    i) and summarize latency variability, with the plan's noiseless
+    latency; tolerance is twice the sample std.  A latency, mean or tolerance that is not a positive finite number
     (zero costs, or a latency unit large enough to overflow), and a
     noiseless latency below the smallest normal float (a latency unit so
     small that latencies are denormal), raise ``SimulatorError`` naming the
@@ -626,10 +628,4 @@ def expert_baseline(
             f"query {ctx.query.id!r}: the expert's noiseless latency must be at least "
             f"{sys.float_info.min} ms, got {noiseless} ms"
         )
-    return ExpertBaseline(
-        query_id=ctx.query.id,
-        mean_latency_ms=mean,
-        std_latency_ms=std,
-        tolerance_ms=2.0 * std,
-        n_runs=n_runs,
-    )
+    return ExpertBaseline(mean, 2.0 * std, noiseless)

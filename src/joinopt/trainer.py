@@ -801,7 +801,7 @@ def execute_plans(
         if seen is None or seen[1] != ctx.shape:
             infos = ctx.summaries(plan)
             cost = infos[-1].cost
-            block = extract_experiences(plan, ctx, execute(cost, ctx.cfg, rng), iteration, infos)
+            block = extract_experiences(infos, ctx, execute(cost, ctx.cfg, rng), iteration)
             executed[id(plan)] = plan, ctx.shape, cost, block
         else:
             _, _, cost, first = seen
@@ -854,9 +854,7 @@ def run_training(cfg: RunConfig, base_seed: int | None = None) -> RunResult:
     if cfg.transfer.enabled:
         params, _ = meta_initialize(cfg, setup.train, params, seed)
 
-    expert_noiseless = {
-        ctx.query.id: ctx.latency(ctx.expert()) for ctx in setup.train + setup.test
-    }
+    expert_noiseless = {qid: b.noiseless_latency_ms for qid, b in baselines.items()}
     expert_train = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.train}
     expert_test = {c.query.id: baselines[c.query.id].mean_latency_ms for c in setup.test}
 

@@ -14,14 +14,8 @@ from joinopt.metrics import (
 from joinopt.simulator import ExpertBaseline
 
 
-def baseline(mean=10.0, std=1.0, qid="q"):
-    return ExpertBaseline(
-        query_id=qid,
-        mean_latency_ms=mean,
-        std_latency_ms=std,
-        tolerance_ms=2 * std,
-        n_runs=10,
-    )
+def baseline(mean=10.0, std=1.0):
+    return ExpertBaseline(mean_latency_ms=mean, tolerance_ms=2 * std, noiseless_latency_ms=mean)
 
 
 def classify(latencies, mean=10.0, std=1.0, start=0, step=5, **kwargs):
@@ -108,7 +102,7 @@ def test_infinite_tolerance_always_superior(rng):
     for _ in range(10):
         lats = list(rng.uniform(1, 1e6, size=8))
         points = list(enumerate(lats))
-        verdict = classify_query(points, ExpertBaseline("q", 1.0, 0.0, math.inf, 10))
+        verdict = classify_query(points, ExpertBaseline(1.0, math.inf, 1.0))
         assert verdict.verdict is Verdict.SUPERIOR
 
 
@@ -116,7 +110,7 @@ def test_band_excluding_everything_always_plateau(rng):
     for _ in range(10):
         lats = list(rng.uniform(1, 10, size=8))
         points = list(enumerate(lats))
-        verdict = classify_query(points, ExpertBaseline("q", 1e-9, 0.0, 0.0, 10))
+        verdict = classify_query(points, ExpertBaseline(1e-9, 0.0, 1e-9))
         assert verdict.verdict is Verdict.PLATEAU
 
 

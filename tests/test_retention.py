@@ -55,7 +55,7 @@ def star4():
 def test_extract_single_join(pair_catalog, pair_query, default_cost):
     plan = Join(Scan("r"), Scan("s"), JoinOp.HASH)
     ctx = QueryContext(pair_query, pair_catalog, default_cost)
-    block = extract_experiences(plan, ctx, 12.5, 3)
+    block = extract_experiences(ctx.summaries(plan), ctx, 12.5, 3)
     assert len(block) == 1
     assert block.parent.tolist() == [-1]  # the root is terminal
     assert block.latency_ms == 12.5
@@ -71,7 +71,8 @@ def test_extract_left_deep_chain(star4, default_cost):
         Scan("d3"),
         JoinOp.HASH,
     )
-    block = extract_experiences(plan, QueryContext(query, catalog, default_cost), 100.0, 0)
+    ctx = QueryContext(query, catalog, default_cost)
+    block = extract_experiences(ctx.summaries(plan), ctx, 100.0, 0)
     assert len(block) == 3  # |relations| - 1
     # Chained successor links: the middle join's successor is the root, the
     # innermost's is the middle join.
@@ -100,7 +101,8 @@ def test_extract_bushy_plan(star4, default_cost):
     left = Join(Scan("a"), Scan("b"), JoinOp.HASH)
     right = Join(Scan("c"), Scan("d"), JoinOp.MERGE)
     plan = Join(left, right, JoinOp.NESTED_LOOP)
-    block = extract_experiences(plan, QueryContext(query, catalog, default_cost), 50.0, 1)
+    ctx = QueryContext(query, catalog, default_cost)
+    block = extract_experiences(ctx.summaries(plan), ctx, 50.0, 1)
     # Pre-order: the root, then the left subtree's join, then the right's;
     # both inner joins point at the root.
     assert block.parent.tolist() == [-1, 0, 0]
@@ -117,8 +119,9 @@ def test_extract_count_random_plans(rng, default_cost):
     for _ in range(10):
         n = int(rng.integers(2, 7))
         catalog, query = random_tree_catalog_and_query(rng, n)
-        plan = random_rollout(QueryContext(query, catalog, default_cost), rng)
-        block = extract_experiences(plan, QueryContext(query, catalog, default_cost), 5.0, 0)
+        ctx = QueryContext(query, catalog, default_cost)
+        plan = random_rollout(ctx, rng)
+        block = extract_experiences(ctx.summaries(plan), ctx, 5.0, 0)
         assert len(block) == n - 1
         assert block.features.shape[0] == n - 1
 

@@ -522,9 +522,7 @@ def test_expert_covers_query(rng, default_cost):
 def test_baseline_noiseless_zero_tolerance(pair_catalog, pair_query):
     cfg = CostModelConfig(noise_rel_sigma=0.0)
     baseline = expert_baseline(QueryContext(pair_query, pair_catalog, cfg), n_runs=10)
-    assert baseline.std_latency_ms == 0.0
     assert baseline.tolerance_ms == 0.0
-    assert baseline.n_runs == 10
 
 
 def test_baseline_deterministic(pair_catalog, pair_query, default_cost):
@@ -536,6 +534,7 @@ def test_baseline_deterministic(pair_catalog, pair_query, default_cost):
     plan = expert_plan(QueryContext(pair_query, pair_catalog, default_cost))
     runs = [execute(ctx.cost(plan), default_cost, 5 + i) for i in range(10)]
     assert a.mean_latency_ms == float(np.mean(runs))
+    assert a.noiseless_latency_ms == ctx.latency(plan)
 
 
 def test_baseline_tolerance_tracks_sigma(pair_catalog, pair_query):

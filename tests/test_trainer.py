@@ -631,7 +631,7 @@ def execute_alone(contexts, plans, exec_states, rng, iteration):
     for ctx, plan, state in zip(contexts, plans, exec_states, strict=True):
         rng.bit_generator.state = state
         latency = simulator.execute(ctx.cost(plan), ctx.cfg, rng)
-        blocks.append(retention.extract_experiences(plan, ctx, latency, iteration))
+        blocks.append(retention.extract_experiences(ctx.summaries(plan), ctx, latency, iteration))
     return blocks
 
 
@@ -715,8 +715,7 @@ def test_execute_plans_shares_a_block_only_among_one_plan_objects_executions(
         return plan_infos(*args)
 
     monkeypatch.setattr(trainer_module, "extract_experiences", counted)
-    for module in (simulator, retention):
-        monkeypatch.setattr(module, "plan_infos", walk)
+    monkeypatch.setattr(simulator, "plan_infos", walk)
     exec_states = generator_states([5, 6])
     rng = np.random.default_rng(0)
     for contexts, plans, extractions in shared_plan_cases(
@@ -1396,7 +1395,7 @@ def test_convergence_sums_latencies_left_to_right_from_zero():
     would reach; in the order 0.3, 0.2, 0.1 they total 0.6."""
     ids = ("a", "b", "c")
     baselines = {
-        q: simulator.ExpertBaseline(q, mean, 0.0, 0.0, 10)
+        q: simulator.ExpertBaseline(mean, 0.0, mean)
         for q, mean in zip(ids, (0.6, 0.0, 0.0))
     }
 

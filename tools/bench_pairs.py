@@ -217,11 +217,13 @@ def run_once(checkout: Path, workload: str, trace: int, label: str) -> dict:
         "started_unix": round(started, 1),
         "line": json.loads(proc.stdout.strip().splitlines()[-1]),
         "platform": {k: summary[k] for k in ("host", "nproc", "python", "numpy", "blas")},
-        "run_csv": {name: _without_wall_clock(out / name / "run.csv") for name in PROCESSES},
+        "run_csv": {name: without_wall_clock(out / name / "run.csv") for name in PROCESSES},
     }
 
 
-def _without_wall_clock(path: Path) -> list[list[str]]:
+def without_wall_clock(path: Path) -> list[list[str]]:
+    """The rows of the ``run.csv`` at ``path``, header first, without the
+    wall-clock column."""
     rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"))))
     drop = rows[0].index("wall_clock_ms")
     return [row[:drop] + row[drop + 1 :] for row in rows]

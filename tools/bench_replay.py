@@ -6,8 +6,9 @@ replay buffer's write and sampling times on the chain8 workload as
 
 DIR is a joinopt checkout, named after its commit (see
 ``tools/bench_pairs.py``, whose ``compare_layer`` runs this script), at
-commit ``c92ff57`` or later: the worker calls ``trainer.search_plans``,
-which that commit added, and ``trainer.execute_plans``.  The worker, run in each checkout
+the commit that made ``retention.extract_experiences`` take a plan's
+summaries in place of the plan, or later: the worker hands it
+``QueryContext.summaries``.  The worker, run in each checkout
 ``ROUNDS`` times, loads ``CONFIG`` with ``trainer.prepare_run(cfg, SEED)``
 and builds the blocks a run writes: for each of the config's iterations,
 one ``trainer.random_rollout`` per train query from one generator seeded
@@ -57,7 +58,7 @@ ROUNDS = 8
 # the ms of each pass and the digest of its blocks; every time raw and
 # scaled.
 WORKER = SPEED_SAMPLER + """
-import hashlib, inspect, json, sys, time
+import hashlib, json, sys, time
 import numpy as np
 from joinopt import trainer
 from joinopt.retention import ReplayBuffer, extract_experiences, sample_replay, td_error
@@ -71,13 +72,11 @@ iterations = []  # each iteration's blocks, one per train query
 for iteration in range(1, cfg.iterations + 1):
     plans = [(ctx, trainer.random_rollout(ctx, rng)) for ctx in setup.train]
     iterations.append(
-        [extract_experiences(plan, ctx, ctx.latency(plan), iteration) for ctx, plan in plans]
+        [
+            extract_experiences(ctx.summaries(plan), ctx, ctx.latency(plan), iteration)
+            for ctx, plan in plans
+        ]
     )
-# A ring from before the rows kept their successors' state ids also takes,
-# as spare rows beyond its capacity, the most joins one plan has.
-ring_args = [cfg.retention.capacity]
-if len(inspect.signature(ReplayBuffer).parameters) > 1:
-    ring_args.append(max(len(ctx.relations) for ctx in setup.train) - 1)
 
 
 def digest(*arrays):
@@ -89,7 +88,7 @@ def digest(*arrays):
 
 fills = []
 for _ in range(passes):
-    buffer = ReplayBuffer(*ring_args)
+    buffer = ReplayBuffer(cfg.retention.capacity)
     start = time.perf_counter()
     for blocks in iterations:
         buffer.extend(*blocks)
@@ -97,7 +96,7 @@ for _ in range(passes):
 
 cases = {}
 for name, size in sizes.items():
-    buffer = ReplayBuffer(*ring_args)
+    buffer = ReplayBuffer(cfg.retention.capacity)
     for blocks in iterations:
         if size is not None and len(buffer) >= size:
             break

@@ -13,10 +13,7 @@ untimed pass of greedy ``trainer.plan_search`` (epsilon 0) over all of a
 workload's queries, then ``PASSES`` timed passes, and prints each timed
 pass's time per query and every pass's ``plan_repr``s.  Each call is
 handed the query, not its context, and searches alone, as serving does.
-Since the simulator's context registry was deleted, such a call compiles
-the query's context, as serving does; before, it found the set-up's live
-context in the registry and compiled nothing.  A record whose checkouts
-span that change compares two different paths.  Then it times one ``trainer.evaluate_queries``
+Then it times one ``trainer.evaluate_queries``
 pass over the same train and test contexts, whose searches share scored
 steps among queries of one shape as a run's evaluations do, and prints its
 time per query and the latencies it returned.  The record holds per

@@ -15,7 +15,6 @@ The acceptance suite compares its runs with the file.  Only a declared
 behaviour change regenerates it; a speedup never does.
 """
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -24,6 +23,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+from bench_pairs import without_wall_clock
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden_runs.json"
@@ -74,10 +75,7 @@ def _table(run) -> list[list[str]]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.csv"
         write_run_csv(run, path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    drop = rows[0].index("wall_clock_ms")
-    return [row[:drop] + row[drop + 1 :] for row in rows]
+        return without_wall_clock(path)
 
 
 def _cell_digest(cell: str) -> str:
