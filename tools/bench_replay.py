@@ -6,9 +6,9 @@ replay buffer's write and sampling times on the chain8 workload as
 
 DIR is a joinopt checkout, named after its commit (see
 ``tools/bench_pairs.py``, whose ``compare_layer`` runs this script), at
-the commit that made ``retention.extract_experiences`` take a plan's
-summaries in place of the plan, or later: the worker hands it
-``QueryContext.summaries``.  The worker, run in each checkout
+commit ``ee288fa`` or later: the worker hands
+``retention.extract_experiences`` a plan's ``QueryContext.summaries``,
+which that commit made it take in place of the plan.  The worker, run in each checkout
 ``ROUNDS`` times, loads ``CONFIG`` with ``trainer.prepare_run(cfg, SEED)``
 and builds the blocks a run writes: for each of the config's iterations,
 one ``trainer.random_rollout`` per train query from one generator seeded
